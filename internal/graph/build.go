@@ -1,63 +1,48 @@
 package graph
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"mndmst/internal/parutil"
-)
+import "fmt"
 
 // BuildCSR converts an edge list into CSR form. Every undirected edge
 // (u,v) yields arcs u->v and v->u (a self-loop yields two identical arcs).
-// The conversion uses a parallel count / prefix-sum / scatter pipeline.
+// The conversion is a sequential two-pass counting sort in edge-index
+// order, so each vertex's arcs come out in ascending edge id and the
+// layout never depends on goroutine scheduling.
 func BuildCSR(el *EdgeList) (*CSR, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
 	n := int(el.N)
-	m := len(el.Edges)
-	counts := make([]int64, n+1)
-	// Count phase: one atomic increment per arc endpoint.
-	cnt := make([]atomic.Int64, n)
-	parutil.For(m, 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &el.Edges[i]
-			cnt[e.U].Add(1)
-			cnt[e.V].Add(1)
-		}
-	})
-	for i := 0; i < n; i++ {
-		counts[i+1] = cnt[i].Load()
+	// Count pass: offsets[u+1] accumulates u's degree; the prefix sum then
+	// turns degrees into offsets.
+	offsets := make([]int64, n+1)
+	for i := range el.Edges {
+		e := &el.Edges[i]
+		offsets[e.U+1]++
+		offsets[e.V+1]++
 	}
-	// Prefix sum over counts[1..n] leaves offsets in counts[0..n].
-	var total int64
-	for i := 1; i <= n; i++ {
-		total += counts[i]
-		counts[i] = total
+	for u := 1; u <= n; u++ {
+		offsets[u] += offsets[u-1]
 	}
+	total := offsets[n]
 	g := &CSR{
 		N:       el.N,
-		M:       int64(m),
-		Offsets: counts,
+		M:       int64(len(el.Edges)),
+		Offsets: offsets,
 		Dst:     make([]int32, total),
 		W:       make([]uint64, total),
 		EID:     make([]int32, total),
 	}
-	// Scatter phase: claim slots with per-vertex cursors.
-	cursor := make([]atomic.Int64, n)
-	parutil.For(m, 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &el.Edges[i]
-			a := g.Offsets[e.U] + cursor[e.U].Add(1) - 1
-			g.Dst[a] = e.V
-			g.W[a] = e.W
-			g.EID[a] = e.ID
-			b := g.Offsets[e.V] + cursor[e.V].Add(1) - 1
-			g.Dst[b] = e.U
-			g.W[b] = e.W
-			g.EID[b] = e.ID
-		}
-	})
+	// Scatter pass: each vertex's cursor walks its slots in edge order.
+	cursor := append([]int64(nil), offsets[:n]...)
+	for i := range el.Edges {
+		e := &el.Edges[i]
+		a := cursor[e.U]
+		cursor[e.U]++
+		g.Dst[a], g.W[a], g.EID[a] = e.V, e.W, e.ID
+		b := cursor[e.V]
+		cursor[e.V]++
+		g.Dst[b], g.W[b], g.EID[b] = e.U, e.W, e.ID
+	}
 	return g, nil
 }
 

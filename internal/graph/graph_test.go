@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"mndmst/internal/parutil"
 	"mndmst/internal/testutil"
 	"testing"
 	"testing/quick"
@@ -158,6 +159,35 @@ func TestBuildCSRPropertyDegreesMatchEdgeEndpoints(t *testing.T) {
 	}
 	if err := quick.Check(f, testutil.Quick(t, 1, 50)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildCSRArcsInEdgeOrder: every vertex's arcs are in ascending edge
+// id, however many workers the parallel kernels may use. Four hubs share
+// 32768 edges, far above any parallel grain, so a layout that depended on
+// which goroutine claimed a slot first would show here.
+func TestBuildCSRArcsInEdgeOrder(t *testing.T) {
+	old := parutil.SetMaxWorkers(8)
+	defer parutil.SetMaxWorkers(old)
+	rng := testutil.Rand(t, 5)
+	const n, m = 512, 1 << 15
+	el := &EdgeList{N: n}
+	for i := int32(0); i < m; i++ {
+		el.Edges = append(el.Edges, Edge{
+			U:  int32(rng.Intn(4)),
+			V:  int32(rng.Intn(n)),
+			W:  MakeWeight(uint16(rng.Intn(1<<16)), i),
+			ID: i,
+		})
+	}
+	g := MustBuildCSR(el)
+	for u := int32(0); u < g.N; u++ {
+		lo, hi := g.Arcs(u)
+		for a := lo + 1; a < hi; a++ {
+			if g.EID[a] < g.EID[a-1] { // equal only for a self-loop's two arcs
+				t.Fatalf("vertex %d: arc %d has edge id %d after %d", u, a-lo, g.EID[a], g.EID[a-1])
+			}
+		}
 	}
 }
 

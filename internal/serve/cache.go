@@ -49,11 +49,8 @@ type resultCache struct {
 	lru     *list.List
 	flights map[string]*resultFlight
 
-	hits, misses, coalesced, evictions int64
-
-	// obs mirrors of the counters above, incremented at the same sites so
-	// /metrics and /v1/stats can never disagree. Nil handles no-op.
-	mHits, mMisses, mCoalesced, mEvictions *obs.Counter
+	// The cache's traffic counters; Server.Stats reads them back.
+	hits, misses, coalesced, evictions *obs.Counter
 }
 
 // cacheKeyed pairs a cache entry with its key for LRU eviction.
@@ -62,19 +59,21 @@ type cacheKeyed struct {
 	ent *cacheEntry
 }
 
+// newResultCache builds a cache counting into reg, which must be non-nil:
+// its counters are the only record of the cache's traffic.
 func newResultCache(max int, reg *obs.Registry) *resultCache {
 	return &resultCache{
 		max:     max,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 		flights: make(map[string]*resultFlight),
-		mHits: reg.Counter("mndmst_serve_result_cache_hits_total",
+		hits: reg.Counter("mndmst_serve_result_cache_hits_total",
 			"jobs answered from the result cache without waiting"),
-		mMisses: reg.Counter("mndmst_serve_result_cache_misses_total",
+		misses: reg.Counter("mndmst_serve_result_cache_misses_total",
 			"computations that actually ran the algorithm (cache misses)"),
-		mCoalesced: reg.Counter("mndmst_serve_result_cache_coalesced_total",
+		coalesced: reg.Counter("mndmst_serve_result_cache_coalesced_total",
 			"jobs that joined an identical in-flight computation"),
-		mEvictions: reg.Counter("mndmst_serve_result_cache_evictions_total",
+		evictions: reg.Counter("mndmst_serve_result_cache_evictions_total",
 			"result-cache entries evicted by the LRU bound"),
 	}
 }
@@ -89,15 +88,13 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*cache
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
 			c.lru.MoveToFront(e)
-			c.hits++
-			c.mHits.Inc()
+			c.hits.Inc()
 			ent := e.Value.(*cacheKeyed).ent
 			c.mu.Unlock()
 			return ent, srcHit, nil
 		}
 		if fl, ok := c.flights[key]; ok {
-			c.coalesced++
-			c.mCoalesced.Inc()
+			c.coalesced.Inc()
 			c.mu.Unlock()
 			select {
 			case <-fl.done:
@@ -122,16 +119,14 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*cache
 		c.mu.Lock()
 		delete(c.flights, key)
 		if err == nil {
-			c.misses++
-			c.mMisses.Inc()
+			c.misses.Inc()
 			e := c.lru.PushFront(&cacheKeyed{key: key, ent: ent})
 			c.entries[key] = e
 			for c.lru.Len() > c.max {
 				back := c.lru.Back()
 				c.lru.Remove(back)
 				delete(c.entries, back.Value.(*cacheKeyed).key)
-				c.evictions++
-				c.mEvictions.Inc()
+				c.evictions.Inc()
 			}
 		}
 		c.mu.Unlock()
@@ -143,12 +138,9 @@ func (c *resultCache) do(ctx context.Context, key string, compute func() (*cache
 	}
 }
 
-// fill copies the cache counters into a stats snapshot.
-func (c *resultCache) fill(st *Stats) {
+// len reports the number of cached results.
+func (c *resultCache) len() int {
 	c.mu.Lock()
-	st.Computations = c.misses
-	st.ResultCacheHits = c.hits
-	st.ResultCacheCoalesced = c.coalesced
-	st.ResultCacheEntries = c.lru.Len()
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }

@@ -82,7 +82,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Hint derived from the observed dequeue rate and the current
 			// backlog, so a saturated slow server tells clients to stay
 			// away longer than a briefly-full fast one.
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+			s.mu.Lock()
+			secs := retryAfter(len(s.queue), s.dequeues)
+			s.mu.Unlock()
+			w.Header().Set("Retry-After", strconv.Itoa(secs))
 			s.writeError(w, http.StatusTooManyRequests, "queue_full", err)
 		case errors.Is(err, ErrDraining):
 			s.writeError(w, http.StatusServiceUnavailable, "draining", err)

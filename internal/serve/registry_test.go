@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"mndmst"
+	"mndmst/internal/obs"
 )
 
 // TestRegistryCachesByDigest: repeated resolves of one spec load once;
 // the second is a hit on the same in-memory graph.
 func TestRegistryCachesByDigest(t *testing.T) {
-	r := newRegistry("", 256<<20, nil)
+	r := newRegistry("", 256<<20, obs.NewRegistry())
 	spec := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	g1, d1, err := r.resolve(spec)
 	if err != nil {
@@ -29,11 +30,9 @@ func TestRegistryCachesByDigest(t *testing.T) {
 	if !strings.HasPrefix(d1, "sha256:") {
 		t.Fatalf("digest %q", d1)
 	}
-	var st Stats
-	r.fill(&st)
-	if st.GraphCacheLoads != 1 || st.GraphCacheHits != 1 || st.GraphsCached != 1 {
+	if cached, _ := r.size(); r.loads.Value() != 1 || r.hits.Value() != 1 || cached != 1 {
 		t.Fatalf("stats: %d loads, %d hits, %d cached (want 1, 1, 1)",
-			st.GraphCacheLoads, st.GraphCacheHits, st.GraphsCached)
+			r.loads.Value(), r.hits.Value(), cached)
 	}
 }
 
@@ -49,7 +48,7 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := newRegistry(dir, 256<<20, nil)
+	r := newRegistry(dir, 256<<20, obs.NewRegistry())
 	_, d1, err := r.resolve(GraphSpec{Profile: "road_usa", Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -61,12 +60,10 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("digests diverge: %s vs %s", d1, d2)
 	}
-	var st Stats
-	r.fill(&st)
 	// Both specs loaded (content addressing is only known post-load), but
 	// the duplicate decode was dropped: one resident entry.
-	if st.GraphsCached != 1 {
-		t.Fatalf("%d graphs cached (want 1)", st.GraphsCached)
+	if cached, _ := r.size(); cached != 1 {
+		t.Fatalf("%d graphs cached (want 1)", cached)
 	}
 	// And the resident copy is the first one loaded.
 	g3, _, err := r.resolve(GraphSpec{Path: "g.mnd"})
@@ -81,7 +78,7 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 // TestRegistryEvictsLRU: the byte bound evicts the least recently used
 // graph but always retains the most recent one, even oversized.
 func TestRegistryEvictsLRU(t *testing.T) {
-	r := newRegistry("", 1, nil) // absurdly small: every second graph evicts the first
+	r := newRegistry("", 1, obs.NewRegistry()) // absurdly small: every second graph evicts the first
 	specA := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	specB := GraphSpec{Profile: "road_usa", Scale: 0.03}
 	if _, _, err := r.resolve(specA); err != nil {
@@ -90,25 +87,22 @@ func TestRegistryEvictsLRU(t *testing.T) {
 	if _, _, err := r.resolve(specB); err != nil {
 		t.Fatal(err)
 	}
-	var st Stats
-	r.fill(&st)
-	if st.GraphsCached != 1 || st.GraphCacheEvictions != 1 {
-		t.Fatalf("stats: %d cached, %d evictions (want 1, 1)", st.GraphsCached, st.GraphCacheEvictions)
+	if cached, _ := r.size(); cached != 1 || r.evictions.Value() != 1 {
+		t.Fatalf("stats: %d cached, %d evictions (want 1, 1)", cached, r.evictions.Value())
 	}
 	// A comes back via a fresh load, not a hit.
 	if _, _, err := r.resolve(specA); err != nil {
 		t.Fatal(err)
 	}
-	r.fill(&st)
-	if st.GraphCacheLoads != 3 || st.GraphCacheHits != 0 {
-		t.Fatalf("stats: %d loads, %d hits (want 3, 0)", st.GraphCacheLoads, st.GraphCacheHits)
+	if r.loads.Value() != 3 || r.hits.Value() != 0 {
+		t.Fatalf("stats: %d loads, %d hits (want 3, 0)", r.loads.Value(), r.hits.Value())
 	}
 }
 
 // TestRegistryCoalescesConcurrentLoads: N concurrent resolves of a cold
 // spec perform one load.
 func TestRegistryCoalescesConcurrentLoads(t *testing.T) {
-	r := newRegistry("", 256<<20, nil)
+	r := newRegistry("", 256<<20, obs.NewRegistry())
 	spec := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	const n = 8
 	graphs := make([]*mndmst.Graph, n)
@@ -130,10 +124,8 @@ func TestRegistryCoalescesConcurrentLoads(t *testing.T) {
 			t.Fatal("concurrent resolves returned distinct graphs")
 		}
 	}
-	var st Stats
-	r.fill(&st)
-	if st.GraphCacheLoads != 1 {
-		t.Fatalf("%d loads for %d concurrent resolves (want 1)", st.GraphCacheLoads, n)
+	if r.loads.Value() != 1 {
+		t.Fatalf("%d loads for %d concurrent resolves (want 1)", r.loads.Value(), n)
 	}
 }
 
@@ -167,7 +159,7 @@ func TestRegistryTextGraphs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "g.txt"), []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := newRegistry(dir, 256<<20, nil)
+	r := newRegistry(dir, 256<<20, obs.NewRegistry())
 	_, d1, err := r.resolve(GraphSpec{Text: "g.txt", Seed: 1})
 	if err != nil {
 		t.Fatal(err)

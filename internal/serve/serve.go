@@ -196,7 +196,9 @@ type Job struct {
 // ID returns the job's server-assigned identifier.
 func (j *Job) ID() string { return j.id }
 
-// Done is closed when the job reaches a terminal state.
+// Done is closed when the job reaches a terminal state. The server counts
+// the job (terminal state, attempts, latency, running gauge) before it
+// closes Done, so a Stats call made after Done already includes it.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle state.
@@ -245,28 +247,6 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state exactly once. It reports
-// the execution duration and whether the job ever started running (false
-// for jobs canceled while still queued), so the caller can feed the
-// latency histogram without re-acquiring the job lock.
-func (j *Job) finish(state JobState, rec *Record, traceRecs []trace.Record, hit, coalesced bool, err error) (ran time.Duration, started bool) {
-	j.mu.Lock()
-	j.state = state
-	j.record = rec
-	j.traceRecs = traceRecs
-	j.cacheHit = hit
-	j.coalesced = coalesced
-	j.err = err
-	j.finished = time.Now()
-	started = !j.started.IsZero()
-	if started {
-		ran = j.finished.Sub(j.started)
-	}
-	j.mu.Unlock()
-	close(j.done)
-	return ran, started
-}
-
 // Server is the MST job service: registry + queue + worker pool + result
 // cache. Create with New, serve HTTP via Handler, stop with Shutdown.
 type Server struct {
@@ -282,21 +262,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	queue    chan *Job // buffered to QueueDepth; send/close only under mu
-	queued   int
-	running  int
-	nextID   int64
-	jobs     map[string]*Job
-	history  []string // finished job ids, oldest first
-
-	jobsSubmitted     int64
-	jobsCompleted     int64
-	jobsFailed        int64
-	jobsCanceled      int64
-	jobsRejected      int64
-	jobsRetried       int64 // re-executions after a transient failure
-	jobsDegraded      int64 // answered by the local fallback path
-	jobsDrainCanceled int64 // killed by an expired drain deadline
+	// queue is buffered to QueueDepth and sent to or closed only under mu,
+	// so len(queue) is the exact admitted-but-not-dequeued count.
+	queue   chan *Job
+	nextID  int64
+	jobs    map[string]*Job
+	history []string // finished job ids, oldest first
 
 	// dequeues is a bounded ring of recent worker-dequeue times — the
 	// observed service-rate sample Retry-After hints derive from.
@@ -308,15 +279,17 @@ type Server struct {
 }
 
 // serverMetrics are the server's obs handles, resolved once in New so
-// the job path never touches the registry lock.
+// the job path never touches the registry lock. They are the server's
+// only counters: Stats reads them back.
 type serverMetrics struct {
 	queueDepth     *obs.Gauge
 	queueHighwater *obs.Gauge
 	running        *obs.Gauge
 	submitted      *obs.Counter
-	jobs           *obs.CounterVec // terminal state: done | failed | canceled
-	rejects        *obs.CounterVec // reason: queue_full | draining
-	jobSeconds     *obs.HistogramVec
+	jobs           map[JobState]*obs.Counter // terminal state: done | failed | canceled
+
+	rejectQueueFull *obs.Counter // admission rejects, reason="queue_full"
+	rejectDraining  *obs.Counter // admission rejects, reason="draining"
 
 	jobSecondsCold *obs.Histogram // cache="cold": the algorithm actually ran
 	jobSecondsHot  *obs.Histogram // cache="hot": answered from cache or coalesced
@@ -328,7 +301,13 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
-	m := serverMetrics{
+	jobs := reg.CounterVec("mndmst_serve_jobs_total",
+		"jobs reaching a terminal state, by state", "state")
+	rejects := reg.CounterVec("mndmst_serve_admission_rejects_total",
+		"submissions rejected by admission control, by reason", "reason")
+	jobSeconds := reg.HistogramVec("mndmst_serve_job_seconds",
+		"job execution seconds (queue wait excluded), split by result temperature", nil, "cache")
+	return serverMetrics{
 		queueDepth: reg.Gauge("mndmst_serve_queue_depth",
 			"jobs admitted but not yet picked up by a worker"),
 		queueHighwater: reg.Gauge("mndmst_serve_queue_depth_highwater",
@@ -337,12 +316,15 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"jobs currently executing"),
 		submitted: reg.Counter("mndmst_serve_jobs_submitted_total",
 			"jobs admitted past admission control"),
-		jobs: reg.CounterVec("mndmst_serve_jobs_total",
-			"jobs reaching a terminal state, by state", "state"),
-		rejects: reg.CounterVec("mndmst_serve_admission_rejects_total",
-			"submissions rejected by admission control, by reason", "reason"),
-		jobSeconds: reg.HistogramVec("mndmst_serve_job_seconds",
-			"job execution seconds (queue wait excluded), split by result temperature", nil, "cache"),
+		jobs: map[JobState]*obs.Counter{
+			StateDone:     jobs.With(string(StateDone)),
+			StateFailed:   jobs.With(string(StateFailed)),
+			StateCanceled: jobs.With(string(StateCanceled)),
+		},
+		rejectQueueFull: rejects.With("queue_full"),
+		rejectDraining:  rejects.With("draining"),
+		jobSecondsCold:  jobSeconds.With("cold"),
+		jobSecondsHot:   jobSeconds.With("hot"),
 		retried: reg.Counter("mndmst_serve_jobs_retried_total",
 			"job re-executions after a transient failure (attempts beyond each job's first)"),
 		degraded: reg.Counter("mndmst_serve_jobs_degraded_total",
@@ -353,9 +335,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"executions started per finished job (1 = no retry)",
 			[]float64{1, 2, 3, 4, 6, 8, 16}),
 	}
-	m.jobSecondsCold = m.jobSeconds.With("cold")
-	m.jobSecondsHot = m.jobSeconds.With("hot")
-	return m
 }
 
 // New starts a Server with cfg's worker pool running. The caller must
@@ -435,13 +414,11 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.jobsRejected++
-		s.m.rejects.With("draining").Inc()
+		s.m.rejectDraining.Inc()
 		return nil, ErrDraining
 	}
-	if s.queued >= s.cfg.QueueDepth {
-		s.jobsRejected++
-		s.m.rejects.With("queue_full").Inc()
+	if len(s.queue) >= s.cfg.QueueDepth {
+		s.m.rejectQueueFull.Inc()
 		return nil, &QueueFullError{Depth: s.cfg.QueueDepth}
 	}
 	s.nextID++
@@ -480,14 +457,14 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		done:        make(chan struct{}),
 	}
 	s.jobs[job.id] = job
-	s.queued++
-	s.jobsSubmitted++
 	s.m.submitted.Inc()
-	s.m.queueDepth.Set(float64(s.queued))
-	s.m.queueHighwater.SetMax(float64(s.queued))
-	// The send cannot block: queue capacity equals QueueDepth and queued
-	// never exceeds it, and close happens only under this same mutex.
+	// The send cannot block: the check above found the queue below its
+	// capacity under this mutex, no other send can happen before it, and
+	// close happens only under this same mutex.
 	s.queue <- job
+	depth := float64(len(s.queue))
+	s.m.queueDepth.Set(depth)
+	s.m.queueHighwater.SetMax(depth)
 	return job, nil
 }
 
@@ -504,18 +481,12 @@ func (s *Server) Job(id string) (*Job, bool) {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for job := range s.queue {
+		s.m.running.Add(1) // finishJob takes it back before Done closes
 		s.mu.Lock()
-		s.queued--
-		s.running++
 		s.noteDequeue(time.Now())
-		s.m.queueDepth.Set(float64(s.queued))
-		s.m.running.Set(float64(s.running))
+		s.m.queueDepth.Set(float64(len(s.queue)))
 		s.mu.Unlock()
 		s.runJob(job)
-		s.mu.Lock()
-		s.running--
-		s.m.running.Set(float64(s.running))
-		s.mu.Unlock()
 		s.retire(job)
 	}
 }
@@ -551,7 +522,7 @@ func (s *Server) runJob(job *Job) {
 	err = pol.Do(job.ctx, func(ctx context.Context, attempt int) error {
 		job.noteAttempt(attempt)
 		if attempt > 0 {
-			s.noteRetry()
+			s.m.retried.Inc()
 		}
 		var derr error
 		ent, src, derr = s.results.do(ctx, key, func() (*cacheEntry, error) {
@@ -598,23 +569,12 @@ func (s *Server) runJob(job *Job) {
 	s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
 }
 
-// noteRetry counts one re-execution in the stats and metrics.
-func (s *Server) noteRetry() {
-	s.mu.Lock()
-	s.jobsRetried++
-	s.mu.Unlock()
-	s.m.retried.Inc()
-}
-
 // finishCanceled finishes a canceled job, distinguishing a drain kill
 // (the server's choice, recorded as such in the error and stats) from the
 // client's own deadline or cancel.
 func (s *Server) finishCanceled(job *Job, err error) {
 	if errors.Is(context.Cause(job.ctx), ErrDrainCanceled) {
 		err = fmt.Errorf("%w: %w", ErrDrainCanceled, err)
-		s.mu.Lock()
-		s.jobsDrainCanceled++
-		s.mu.Unlock()
 		s.m.drainCanceled.Inc()
 	}
 	s.finishJob(job, StateCanceled, nil, nil, false, false, err)
@@ -652,9 +612,6 @@ func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
 	job.mu.Lock()
 	job.degraded = true
 	job.mu.Unlock()
-	s.mu.Lock()
-	s.jobsDegraded++
-	s.mu.Unlock()
 	s.m.degraded.Inc()
 	var traceRecs []trace.Record
 	if res.Trace != nil {
@@ -664,30 +621,35 @@ func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
 	return true
 }
 
-// finishJob records the terminal state in both the job and the counters.
+// finishJob moves the job to its terminal state exactly once and counts
+// it. Every counter, gauge and histogram update lands before Done
+// closes, so a reader that has seen Done also sees the job counted.
 func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []trace.Record, hit, coalesced bool, err error) {
-	ran, started := job.finish(state, rec, traceRecs, hit, coalesced, err)
-	s.m.jobs.With(string(state)).Inc()
-	if attempts := job.Attempts(); attempts > 0 {
+	job.mu.Lock()
+	job.state = state
+	job.record = rec
+	job.traceRecs = traceRecs
+	job.cacheHit = hit
+	job.coalesced = coalesced
+	job.err = err
+	job.finished = time.Now()
+	started, attempts := job.started, job.attempts
+	ran := job.finished.Sub(started)
+	job.mu.Unlock()
+
+	s.m.jobs[state].Inc()
+	if attempts > 0 {
 		s.m.jobAttempts.Observe(float64(attempts))
 	}
-	if started {
+	if !started.IsZero() { // jobs canceled while queued never ran
 		h := s.m.jobSecondsCold
 		if hit || coalesced {
 			h = s.m.jobSecondsHot
 		}
 		h.Observe(ran.Seconds())
 	}
-	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.jobsCompleted++
-	case StateFailed:
-		s.jobsFailed++
-	case StateCanceled:
-		s.jobsCanceled++
-	}
-	s.mu.Unlock()
+	s.m.running.Add(-1)
+	close(job.done)
 }
 
 // retire keeps the finished-job history bounded.
@@ -761,32 +723,25 @@ func (s *Server) noteDequeue(t time.Time) {
 	s.dequeueNext = (s.dequeueNext + 1) % dequeueRingSize
 }
 
-// retryAfterSeconds derives the 429 Retry-After hint from the observed
-// dequeue rate and the current backlog: with n recent pickups spanning
-// span seconds, the queue drains at (n-1)/span jobs per second, so a
-// backlog of q jobs should clear in about q*span/(n-1) seconds. Floor 1
-// (the old hardcoded value, kept for near-empty queues and cold starts
-// with no rate sample yet), capped at retryAfterCap.
-func (s *Server) retryAfterSeconds() int {
-	s.mu.Lock()
-	queued := s.queued
-	n := len(s.dequeues)
-	var oldest, newest time.Time
-	if n >= 2 {
-		oldest, newest = s.dequeues[0], s.dequeues[0]
-		for _, t := range s.dequeues[1:] {
-			if t.Before(oldest) {
-				oldest = t
-			}
-			if t.After(newest) {
-				newest = t
-			}
-		}
-	}
-	s.mu.Unlock()
-
+// retryAfter derives the 429 Retry-After hint in seconds from the current
+// backlog and the ring of recent dequeue times: with n recent pickups
+// spanning span seconds, the queue drains at (n-1)/span jobs per second,
+// so a backlog of queued jobs should clear in about queued*span/(n-1)
+// seconds. Floor 1 (near-empty queues and cold starts with no rate
+// sample yet), capped at retryAfterCap.
+func retryAfter(queued int, ring []time.Time) int {
+	n := len(ring)
 	if queued <= 0 || n < 2 {
 		return 1
+	}
+	oldest, newest := ring[0], ring[0]
+	for _, t := range ring[1:] {
+		if t.Before(oldest) {
+			oldest = t
+		}
+		if t.After(newest) {
+			newest = t
+		}
 	}
 	span := newest.Sub(oldest).Seconds()
 	if span <= 0 {
@@ -803,7 +758,8 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// Stats is the observable state of the server, served at /v1/stats.
+// Stats is the observable state of the server, served at /v1/stats. Its
+// JSON shape (23 keys) is a contract: clients decode it by key.
 type Stats struct {
 	Draining bool `json:"draining"`
 	Workers  int  `json:"workers"`
@@ -841,26 +797,37 @@ type Stats struct {
 	GraphCacheCapBytes  int64 `json:"graph_cache_cap_bytes"`
 }
 
-// Stats snapshots the server's counters.
+// Stats reads the server's counters back from its metrics registry, so
+// /v1/stats and /metrics are two views of one set of counters. Each field
+// is read atomically, but the whole is not a cross-field snapshot: a job
+// finishing mid-call may be counted in one field and not yet in another.
+// A job whose Done channel has closed is counted in every field it
+// touches. Servers sharing one Config.Metrics registry share its counters.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
+	m, c, r := &s.m, s.results, s.registry
 	st := Stats{
-		Draining:          s.draining,
-		Workers:           s.cfg.Workers,
-		QueueCap:          s.cfg.QueueDepth,
-		Queued:            s.queued,
-		Running:           s.running,
-		JobsSubmitted:     s.jobsSubmitted,
-		JobsCompleted:     s.jobsCompleted,
-		JobsFailed:        s.jobsFailed,
-		JobsCanceled:      s.jobsCanceled,
-		JobsRejected:      s.jobsRejected,
-		JobsRetried:       s.jobsRetried,
-		JobsDegraded:      s.jobsDegraded,
-		JobsDrainCanceled: s.jobsDrainCanceled,
+		Draining:             s.Draining(),
+		Workers:              s.cfg.Workers,
+		QueueCap:             s.cfg.QueueDepth,
+		Queued:               len(s.queue),
+		Running:              int(m.running.Value()),
+		JobsSubmitted:        m.submitted.Value(),
+		JobsCompleted:        m.jobs[StateDone].Value(),
+		JobsFailed:           m.jobs[StateFailed].Value(),
+		JobsCanceled:         m.jobs[StateCanceled].Value(),
+		JobsRejected:         m.rejectQueueFull.Value() + m.rejectDraining.Value(),
+		JobsRetried:          m.retried.Value(),
+		JobsDegraded:         m.degraded.Value(),
+		JobsDrainCanceled:    m.drainCanceled.Value(),
+		Computations:         c.misses.Value(),
+		ResultCacheHits:      c.hits.Value(),
+		ResultCacheCoalesced: c.coalesced.Value(),
+		ResultCacheEntries:   c.len(),
+		GraphCacheHits:       r.hits.Value(),
+		GraphCacheLoads:      r.loads.Value(),
+		GraphCacheEvictions:  r.evictions.Value(),
+		GraphCacheCapBytes:   r.maxBytes,
 	}
-	s.mu.Unlock()
-	s.results.fill(&st)
-	s.registry.fill(&st)
+	st.GraphsCached, st.GraphCacheBytes = r.size()
 	return st
 }

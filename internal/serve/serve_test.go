@@ -264,6 +264,24 @@ func TestDeadlineCancelsQueuedJob(t *testing.T) {
 	}
 }
 
+// TestStatsCountJobBeforeDone: a job is counted before its Done channel
+// closes, so Stats read right after <-Done never lags the job.
+func TestStatsCountJobBeforeDone(t *testing.T) {
+	gt := newGate()
+	gt.open()
+	s := newTestServer(t, Config{Workers: 2}, gt)
+	for i := int64(1); i <= 200; i++ {
+		job, err := s.Submit(JobRequest{Graph: testGraphSpec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		if st := s.Stats(); st.JobsCompleted != i || st.Running != 0 {
+			t.Fatalf("after job %d: %d completed, %d running (want %d, 0)", i, st.JobsCompleted, st.Running, i)
+		}
+	}
+}
+
 // TestDeadlineCancelsRunningJob: a deadline firing mid-computation moves
 // the job to canceled with the context error.
 func TestDeadlineCancelsRunningJob(t *testing.T) {

@@ -704,10 +704,12 @@ func Verify(g *Graph, res *Result) error {
 	return mst.VerifyForest(g.el, f)
 }
 
-// FindMSFShared computes the minimum spanning forest on a single shared-
-// memory machine using the parallel device kernel directly (no cluster, no
-// cost model): the fastest way to an exact forest on the host, and the
-// building block the distributed algorithm runs per device.
+// FindMSFShared computes the minimum spanning forest by running the
+// parallel Boruvka device kernel once over the whole graph in shared
+// memory: no cluster, no partitioning, no cost model, so the result
+// carries no simulated times or traffic. It is the kernel the distributed
+// algorithm runs on each device, exposed so that kernel can be checked
+// and timed on its own.
 func FindMSFShared(g *Graph) (*Result, error) {
 	ids := make([]int32, g.el.N)
 	for i := range ids {

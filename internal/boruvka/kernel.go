@@ -1,7 +1,7 @@
 package boruvka
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,14 +95,14 @@ func Run(l *Local, opt Options) *Result {
 	slots := parutil.NewMinSlots(n)
 	// Working adjacency: aliases of the Local's arrays, replaced by
 	// filtered copies when Contract is on.
-	off, dst, eidx, wgt := l.off, l.dst, l.eidx, l.w
+	off, dst, eid, wgt := l.off, l.dst, l.eid, l.w
 	// arcLess orders arcs by (weight, edge id, arc index): a total order.
 	arcLess := func(a, b int64) bool {
 		if wgt[a] != wgt[b] {
 			return wgt[a] < wgt[b]
 		}
-		if eidx[a] != eidx[b] {
-			return eidx[a] < eidx[b]
+		if eid[a] != eid[b] {
+			return eid[a] < eid[b]
 		}
 		return a < b
 	}
@@ -114,12 +114,7 @@ func Run(l *Local, opt Options) *Result {
 		border = make([]bool, n)
 		parutil.For(n, 1<<13, func(lo, hi int) {
 			for u := lo; u < hi; u++ {
-				for a := off[u]; a < off[u+1]; a++ {
-					if dst[a] < 0 {
-						border[u] = true
-						break
-					}
-				}
+				border[u] = l.Border(u)
 			}
 		})
 	}
@@ -216,7 +211,7 @@ func Run(l *Local, opt Options) *Result {
 				scanArcs(u, off[u], off[u+1])
 			}
 		})
-		sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
+		slices.Sort(hubs)
 		for _, u := range hubs {
 			alo, ahi := off[u], off[u+1]
 			parutil.For(int(ahi-alo), 1<<12, func(lo, hi int) {
@@ -296,9 +291,8 @@ func Run(l *Local, opt Options) *Result {
 
 		chosenMu.Lock()
 		for _, a := range roundChosen {
-			e := &l.Edges[eidx[a]]
-			res.ChosenIDs = append(res.ChosenIDs, e.ID)
-			res.ChosenWeight += e.W
+			res.ChosenIDs = append(res.ChosenIDs, eid[a])
+			res.ChosenWeight += wgt[a]
 		}
 		chosenMu.Unlock()
 
@@ -345,7 +339,7 @@ func Run(l *Local, opt Options) *Result {
 			}
 			total := counts[n]
 			nDst := make([]int32, total)
-			nEidx := make([]int32, total)
+			nEid := make([]int32, total)
 			nWgt := make([]uint64, total)
 			parutil.For(n, 1<<12, func(lo, hi int) {
 				for u := lo; u < hi; u++ {
@@ -354,14 +348,14 @@ func Run(l *Local, opt Options) *Result {
 					for a := off[u]; a < off[u+1]; a++ {
 						if v := dst[a]; v < 0 || uf.Find(v) != r {
 							nDst[k] = dst[a]
-							nEidx[k] = eidx[a]
+							nEid[k] = eid[a]
 							nWgt[k] = wgt[a]
 							k++
 						}
 					}
 				}
 			})
-			off, dst, eidx, wgt = counts, nDst, nEidx, nWgt
+			off, dst, eid, wgt = counts, nDst, nEid, nWgt
 		}
 	}
 
@@ -373,6 +367,6 @@ func Run(l *Local, opt Options) *Result {
 		}
 	})
 	res.Components = uf.CountSets()
-	sort.Slice(res.ChosenIDs, func(i, j int) bool { return res.ChosenIDs[i] < res.ChosenIDs[j] })
+	slices.Sort(res.ChosenIDs)
 	return res
 }

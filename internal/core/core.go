@@ -70,9 +70,8 @@ func RunDistributed(el *graph.EdgeList, ep transport.Transport, machine cost.Mac
 // run is the shared driver: ep == nil simulates all p ranks in-process,
 // otherwise only ep's rank executes here.
 func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
+	// BuildCSR validates el; the CSR is then shared read-only by every
+	// in-process rank, which reads its first-iteration window from it.
 	g, err := graph.BuildCSR(el)
 	if err != nil {
 		return nil, err
@@ -236,17 +235,18 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	if len(m.machine.NodeSpeeds) == p && !m.cfg.IgnoreNodeSpeeds {
 		speeds = m.machine.NodeSpeeds
 	}
-	part, w := partition.ReadWeighted(r, m.g, strat, speeds)
+	bounds, w := partition.ReadBounds(r, m.g, strat, speeds)
+	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
+	win := &hypar.Window{G: m.g, Lo: lo, Hi: hi, View: boruvka.NewWindow(m.g, lo, hi)}
+	// The window stands in for the extracted edge list and the ghostList
+	// hash table (one entry per cut edge) of §3.1; their work is charged
+	// from its counts.
+	w.EdgesScanned += win.View.NumEdges
 	m.rt.ChargeWork(w)
-	_, wGhost := partition.BuildGhostList(part)
-	m.rt.ChargeWork(wGhost)
-
-	m.owned = make([]int32, 0, part.NumOwned())
-	for v := part.Lo; v < part.Hi; v++ {
-		m.owned = append(m.owned, v)
-	}
-	m.edges = part.Edges
-	m.notePeak()
+	m.rt.ChargeWork(cost.Work{HashOps: win.View.NumCut, EdgesScanned: win.View.NumEdges})
+	m.owned = win.View.IDs
+	m.peak = int(win.View.NumEdges)
+	hasEdges := win.View.NumEdges > 0
 
 	// --- Iterated indComp + mergeParts + hierarchical merging ---
 	active := make([]int, p)
@@ -259,23 +259,32 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	// A single-rank run still performs one indComp iteration (with its
 	// per-node device split) before post-processing, matching the paper's
 	// single-node executions (§3.5).
-	for first := true; len(active) > 1 || (first && p == 1 && len(m.edges) > 0); first = false {
+	for first := true; len(active) > 1 || (first && p == 1 && hasEdges); first = false {
 		m.iter++
 		amActive := containsInt(active, r.ID())
 
 		// indComp (§3.2): independent Boruvka on the devices with the
-		// border-vertex exception.
+		// border-vertex exception. The first iteration runs on the rank's
+		// window of the shared CSR (win), later ones on the reduced
+		// component graph in m.edges.
 		r.SetPhase(PhaseIndComp)
 		var deltas []merge.Delta
+		var parent []int32
 		recurse := m.iter == 1 || m.cfg.RecursionMinEdges <= 0 ||
 			len(m.edges) >= m.cfg.RecursionMinEdges // §4.3.3 threshold
 		if amActive && len(m.owned) > 0 && recurse {
-			res, err := m.rt.IndComp(m.owned, m.edges)
+			var res *hypar.IndResult
+			var err error
+			if win != nil {
+				res, err = m.rt.IndCompWindow(win)
+			} else {
+				res, err = m.rt.IndComp(m.owned, m.edges)
+			}
 			if err != nil {
 				return nil, err
 			}
 			m.chosen = append(m.chosen, res.ChosenIDs...)
-			deltas = res.Deltas
+			deltas, parent = res.Deltas, res.Parent
 		}
 
 		// mergeParts (§3.3): ghost parent exchange, self- and multi-edge
@@ -287,18 +296,15 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			// label it knows is the cut edge's owned endpoint. Sending
 			// parent ids for exactly those mirrors the ghost-vertex
 			// communication of §3.3.
-			ownedSet := merge.ToSet(m.owned)
-			boundary := make(map[int32]bool)
-			for _, e := range m.edges {
-				if !ownedSet[e.U] {
-					boundary[e.V] = true
-				} else if !ownedSet[e.V] {
-					boundary[e.U] = true
-				}
+			var border func(v int32) bool
+			if win != nil {
+				border = func(v int32) bool { return win.View.Border(int(v - win.Lo)) }
+			} else {
+				border = boundaryOf(m.owned, m.edges)
 			}
 			sendDeltas := deltas[:0:0]
 			for _, d := range deltas {
-				if boundary[d.Old] {
+				if border(d.Old) {
 					sendDeltas = append(sendDeltas, d)
 				}
 			}
@@ -307,10 +313,24 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				return nil, err
 			}
 			m.rt.ChargeWork(wEx)
-			pf := merge.ApplyDeltas(deltas, remote)
-			m.owned = merge.Representatives(m.owned, pf)
-			m.edges = m.rt.Reduce(m.edges, pf)
+			if win != nil {
+				// Every owned vertex maps to its component through parent;
+				// only ghost endpoints need the remote deltas. A vertex is
+				// its component's representative iff it is its own parent.
+				m.owned = nil
+				for i, c := range parent {
+					if c == win.Lo+int32(i) {
+						m.owned = append(m.owned, c)
+					}
+				}
+				m.edges = m.rt.ReduceWindow(win, parent, merge.ApplyDeltas(remote))
+			} else {
+				pf := merge.ApplyDeltas(deltas, remote)
+				m.owned = merge.Representatives(m.owned, pf)
+				m.edges = m.rt.Reduce(m.edges, pf)
+			}
 		}
+		win = nil
 
 		// Group accounting: one global allreduce gives every rank each
 		// group's residual edge total (Algorithm 1 line 6).
@@ -449,6 +469,21 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	}
 	f.Components = int(m.el.N) - len(all)
 	return f, nil
+}
+
+// boundaryOf returns the membership test for the owned components with a
+// cut edge: an edge of edges with exactly one owned endpoint.
+func boundaryOf(owned []int32, edges []wire.WEdge) func(int32) bool {
+	ownedSet := merge.ToSet(owned)
+	boundary := make(map[int32]bool)
+	for _, e := range edges {
+		if !ownedSet[e.U] {
+			boundary[e.V] = true
+		} else if !ownedSet[e.V] {
+			boundary[e.U] = true
+		}
+	}
+	return func(v int32) bool { return boundary[v] }
 }
 
 // groupIndex locates the group containing rank.

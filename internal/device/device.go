@@ -67,7 +67,7 @@ func (g *GPU) transferSeconds(l *boruvka.Local) float64 {
 	if g.Model.TransferBytesPerSec <= 0 {
 		return 0
 	}
-	bytes := int64(len(l.Edges))*20 + int64(l.N())*4
+	bytes := l.NumEdges*20 + int64(l.N())*4
 	t := float64(bytes) / g.Model.TransferBytesPerSec
 	if g.OverlapTransfers {
 		t *= exposedTransferFraction

@@ -3,7 +3,8 @@ package graph
 import "fmt"
 
 // BuildCSR converts an edge list into CSR form. Every undirected edge
-// (u,v) yields arcs u->v and v->u (a self-loop yields two identical arcs).
+// (u,v) yields arcs u->v and v->u (a self-loop yields two identical arcs,
+// next to each other).
 // The conversion is a sequential two-pass counting sort in edge-index
 // order, so each vertex's arcs come out in ascending edge id and the
 // layout never depends on goroutine scheduling.

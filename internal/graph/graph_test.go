@@ -114,6 +114,10 @@ func TestBuildCSRSelfLoop(t *testing.T) {
 	if g.Degree(0) != 3 { // self-loop contributes two arcs
 		t.Fatalf("degree(0)=%d want 3", g.Degree(0))
 	}
+	// The two arcs sit next to each other; boruvka.NewWindow relies on it.
+	if lo, _ := g.Arcs(0); g.Dst[lo] != 0 || g.Dst[lo+1] != 0 || g.EID[lo] != 0 || g.EID[lo+1] != 0 {
+		t.Fatalf("self-loop arcs not adjacent: dst %v eid %v", g.Dst, g.EID)
+	}
 }
 
 func TestCSRRoundTripThroughEdgeList(t *testing.T) {

@@ -9,12 +9,13 @@ package hypar
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
+	"mndmst/internal/graph"
 	"mndmst/internal/merge"
 	"mndmst/internal/wire"
 )
@@ -108,12 +109,24 @@ func New(r *cluster.Rank, cpu device.Device, gpus []device.Device, cfg Config) *
 type IndResult struct {
 	// ChosenIDs are the MST edge ids contracted on this node.
 	ChosenIDs []int32
+	// Parent maps every owned component, by position in the owned list
+	// (for a window, vertex lo+i at i), to its new representative.
+	Parent []int32
 	// Deltas map merged-away component ids to their new representatives.
 	Deltas []merge.Delta
 	// Components is the number of components owned after the computation.
 	Components int
 	// Seconds is the simulated node time (already charged to the rank).
 	Seconds float64
+}
+
+// Window is a rank's first-iteration share of the job: the vertex range
+// [Lo, Hi) of the shared read-only CSR G and View, its kernel view
+// boruvka.NewWindow(G, Lo, Hi).
+type Window struct {
+	G      *graph.CSR
+	Lo, Hi int32
+	View   *boruvka.Local
 }
 
 // kernelOpts builds per-device kernel options, each with its own
@@ -133,79 +146,128 @@ func (rt *Runtime) kernelOpts(dev device.Device) boruvka.Options {
 	return opt
 }
 
+// useGPU reports whether a node partition of numEdges edges is split
+// across the accelerators.
+func (rt *Runtime) useGPU(numEdges int64) bool {
+	return len(rt.GPUs) > 0 && rt.Cfg.GPUShare > 0 && numEdges >= int64(rt.Cfg.MinGPUEdges)
+}
+
 // IndComp performs the independent computation of §4.1.2 on the node: the
 // owned components and their incident edges are processed by the CPU alone
 // or split across the CPU and every accelerator by the configured share,
 // with the device results merged on the CPU afterwards (§3.5). Simulated
 // time is charged to the rank. owned must be sorted ascending.
 func (rt *Runtime) IndComp(owned []int32, edges []wire.WEdge) (*IndResult, error) {
-	useGPU := len(rt.GPUs) > 0 && rt.Cfg.GPUShare > 0 && len(edges) >= rt.Cfg.MinGPUEdges
-	if !useGPU {
+	if !rt.useGPU(int64(len(edges))) {
 		l, err := boruvka.NewLocal(owned, edges)
 		if err != nil {
 			return nil, fmt.Errorf("hypar: indComp: %w", err)
 		}
-		res, secs := rt.CPU.Run(l, rt.kernelOpts(rt.CPU))
-		rt.R.Compute(secs)
-		return &IndResult{
-			ChosenIDs:  res.ChosenIDs,
-			Deltas:     merge.DeltasFromParents(l.IDs, res.Parent),
-			Components: res.Components,
-			Seconds:    secs,
-		}, nil
+		return rt.indCompCPU(l), nil
 	}
-	return rt.indCompMulti(owned, edges)
+	sets := splitByShares(owned, incidences(owned, edges), rt.shares())
+	edgeSets := deviceEdgesMulti(edges, sets)
+	view := func(i int) (*boruvka.Local, error) { return boruvka.NewLocal(sets[i], edgeSets[i]) }
+	relabel := func(devParent []int32) ([]wire.WEdge, cost.Work) {
+		pf := merge.ApplyDeltas(merge.DeltasFromParents(owned, devParent))
+		nodeEdges, _, w := merge.Relabel(append([]wire.WEdge(nil), edges...), pf)
+		return nodeEdges, w
+	}
+	return rt.indCompMulti(owned, sets, view, relabel)
 }
 
-// indCompMulti splits the node's work between the CPU and every
-// accelerator, runs all kernels concurrently (the paper dedicates a
-// GPUdriverThread per accelerator; goroutines here), and merges the device
-// results on the CPU.
-func (rt *Runtime) indCompMulti(owned []int32, edges []wire.WEdge) (*IndResult, error) {
-	// Shares: the CPU keeps 1−GPUShare; accelerators split GPUShare evenly.
-	devs := make([]device.Device, 0, 1+len(rt.GPUs))
+// IndCompWindow is IndComp over the node's first-iteration window. A
+// device split cuts the range into contiguous device ranges whose views
+// are windows too, and the node merge relabels straight from the CSR.
+func (rt *Runtime) IndCompWindow(win *Window) (*IndResult, error) {
+	v := win.View
+	if !rt.useGPU(v.NumEdges) {
+		return rt.indCompCPU(v), nil
+	}
+	inc := make([]int64, v.N())
+	for i := range inc {
+		inc[i] = v.Degree(i)
+	}
+	sets := splitByShares(v.IDs, inc, rt.shares())
+	view := func(i int) (*boruvka.Local, error) {
+		lo := win.Lo
+		if len(sets[i]) > 0 {
+			lo = sets[i][0]
+		}
+		return boruvka.NewWindow(win.G, lo, lo+int32(len(sets[i]))), nil
+	}
+	relabel := func(devParent []int32) ([]wire.WEdge, cost.Work) {
+		identity := func(x int32) int32 { return x }
+		return merge.RelabelWindow(win.G, win.Lo, win.Hi, devParent, identity), cost.Work{EdgesScanned: v.NumEdges}
+	}
+	return rt.indCompMulti(v.IDs, sets, view, relabel)
+}
+
+// indCompCPU runs the kernel on the CPU alone.
+func (rt *Runtime) indCompCPU(l *boruvka.Local) *IndResult {
+	res, secs := rt.CPU.Run(l, rt.kernelOpts(rt.CPU))
+	rt.R.Compute(secs)
+	return &IndResult{
+		ChosenIDs:  res.ChosenIDs,
+		Parent:     res.Parent,
+		Deltas:     merge.DeltasFromParents(l.IDs, res.Parent),
+		Components: res.Components,
+		Seconds:    secs,
+	}
+}
+
+// shares lists the per-device work shares, CPU first: the CPU keeps
+// 1−GPUShare and the accelerators split GPUShare evenly.
+func (rt *Runtime) shares() []float64 {
 	shares := make([]float64, 0, 1+len(rt.GPUs))
-	devs = append(devs, rt.CPU)
 	shares = append(shares, 1-rt.Cfg.GPUShare)
 	per := rt.Cfg.GPUShare / float64(len(rt.GPUs))
-	for _, g := range rt.GPUs {
-		devs = append(devs, g)
+	for range rt.GPUs {
 		shares = append(shares, per)
 	}
-	sets := splitByShares(owned, edges, shares)
-	edgeSets := deviceEdgesMulti(edges, sets)
+	return shares
+}
 
+// indCompMulti runs the device views of the split sets on the CPU and
+// every accelerator concurrently (the paper dedicates a GPUdriverThread
+// per accelerator; goroutines here), and merges the device results on the
+// CPU. view builds device i's view of sets[i]; relabel returns the node's
+// edges relabelled by the device parents (aligned with owned) with self
+// edges dropped, plus the work of that scan.
+func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
+	view func(i int) (*boruvka.Local, error),
+	relabel func(devParent []int32) ([]wire.WEdge, cost.Work),
+) (*IndResult, error) {
+	devs := append([]device.Device{rt.CPU}, rt.GPUs...)
 	type devOut struct {
 		res  *boruvka.Result
-		ids  []int32
 		secs float64
 		err  error
 	}
 	outs := make([]devOut, len(devs))
+	run := func(i int) {
+		l, err := view(i)
+		if err != nil {
+			outs[i] = devOut{err: err}
+			return
+		}
+		res, secs := devs[i].Run(l, rt.kernelOpts(devs[i]))
+		outs[i] = devOut{res: res, secs: secs}
+	}
 	ch := make(chan int, len(devs))
 	for i := 1; i < len(devs); i++ {
 		go func(i int) {
-			l, err := boruvka.NewLocal(sets[i], edgeSets[i])
-			if err != nil {
-				outs[i] = devOut{err: err}
-			} else {
-				res, secs := devs[i].Run(l, rt.kernelOpts(devs[i]))
-				outs[i] = devOut{res: res, ids: l.IDs, secs: secs}
-			}
+			run(i)
 			ch <- i
 		}(i)
 	}
-	lc, err := boruvka.NewLocal(sets[0], edgeSets[0])
-	if err == nil {
-		res, secs := rt.CPU.Run(lc, rt.kernelOpts(rt.CPU))
-		outs[0] = devOut{res: res, ids: lc.IDs, secs: secs}
-	} else {
-		outs[0] = devOut{err: fmt.Errorf("hypar: cpu view: %w", err)}
-	}
+	run(0)
 	for i := 1; i < len(devs); i++ {
 		<-ch
 	}
-	var devDeltas []merge.Delta
+	// The sets are consecutive segments of owned, so the device parents
+	// concatenate into one array aligned with owned.
+	devParent := make([]int32, 0, len(owned))
 	tInd := 0.0
 	for i, o := range outs {
 		if o.err != nil {
@@ -214,22 +276,25 @@ func (rt *Runtime) indCompMulti(owned []int32, edges []wire.WEdge) (*IndResult, 
 		if o.secs > tInd {
 			tInd = o.secs
 		}
-		devDeltas = append(devDeltas, merge.DeltasFromParents(o.ids, o.res.Parent)...)
+		devParent = append(devParent, o.res.Parent...)
 	}
 
 	// Merge the device results on the CPU (§3.5): relabel the node's edges
 	// with every device's parents, drop self and multi edges, then run the
 	// merge kernel over the node's surviving components.
-	pf := merge.ApplyDeltas(devDeltas)
-	nodeEdges := append([]wire.WEdge(nil), edges...)
-	nodeEdges, _, wRel := merge.Relabel(nodeEdges, pf)
+	nodeEdges, wRel := relabel(devParent)
 	nodeEdges, wMul := merge.RemoveMultiEdges(nodeEdges)
 	var wRed cost.Work
 	wRed.Add(wRel)
 	wRed.Add(wMul)
 	tRed := rt.CPU.Price(wRed)
 
-	comps := componentsAfter(owned, pf)
+	var comps []int32
+	for i, c := range owned {
+		if devParent[i] == c {
+			comps = append(comps, c)
+		}
+	}
 	lm, err := boruvka.NewLocal(comps, nodeEdges)
 	if err != nil {
 		return nil, fmt.Errorf("hypar: node merge view: %w", err)
@@ -238,25 +303,23 @@ func (rt *Runtime) indCompMulti(owned []int32, edges []wire.WEdge) (*IndResult, 
 	total := tInd + tRed + msecs
 	rt.R.Compute(total)
 
-	// Compose device deltas with node-merge deltas into one flat map.
-	mergeDeltas := merge.DeltasFromParents(lm.IDs, mres.Parent)
-	final := merge.ApplyDeltas(mergeDeltas)
-	var flat []merge.Delta
-	for _, d := range devDeltas {
-		flat = append(flat, merge.Delta{Old: d.Old, New: final(d.New)})
+	// Compose the device parents with the node-merge parents.
+	final := merge.ApplyDeltas(merge.DeltasFromParents(lm.IDs, mres.Parent))
+	parent := make([]int32, len(owned))
+	for i, d := range devParent {
+		parent[i] = final(d)
 	}
-	flat = append(flat, mergeDeltas...)
-	sort.Slice(flat, func(i, j int) bool { return flat[i].Old < flat[j].Old })
 
 	var chosen []int32
 	for _, o := range outs {
 		chosen = append(chosen, o.res.ChosenIDs...)
 	}
 	chosen = append(chosen, mres.ChosenIDs...)
-	sort.Slice(chosen, func(i, j int) bool { return chosen[i] < chosen[j] })
+	slices.Sort(chosen)
 	return &IndResult{
 		ChosenIDs:  chosen,
-		Deltas:     flat,
+		Parent:     parent,
+		Deltas:     merge.DeltasFromParents(owned, parent),
 		Components: mres.Components,
 		Seconds:    total,
 	}, nil
@@ -267,7 +330,23 @@ func (rt *Runtime) indCompMulti(owned []int32, edges []wire.WEdge) (*IndResult, 
 // by multi-edge removal.
 func (rt *Runtime) Reduce(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
 	out, _, wRel := merge.Relabel(edges, pf)
-	out, wMul := merge.RemoveMultiEdges(out)
+	return rt.removeMulti(out, wRel)
+}
+
+// ReduceWindow is Reduce for the first iteration: the relabelled edges
+// come straight from the window's arcs (merge.RelabelWindow), with
+// parent[i] the component of vertex Lo+i and ghost the parent function of
+// the endpoints outside the window. The relabel scan is charged from the
+// window's edge count.
+func (rt *Runtime) ReduceWindow(win *Window, parent []int32, ghost func(int32) int32) []wire.WEdge {
+	out := merge.RelabelWindow(win.G, win.Lo, win.Hi, parent, ghost)
+	return rt.removeMulti(out, cost.Work{EdgesScanned: win.View.NumEdges})
+}
+
+// removeMulti finishes a reduction: multi-edge removal, then one charge
+// for the relabel work wRel plus its own.
+func (rt *Runtime) removeMulti(edges []wire.WEdge, wRel cost.Work) []wire.WEdge {
+	out, wMul := merge.RemoveMultiEdges(edges)
 	var w cost.Work
 	w.Add(wRel)
 	w.Add(wMul)
@@ -300,11 +379,12 @@ func (rt *Runtime) ChargeWork(w cost.Work) {
 }
 
 // splitByShares divides the sorted owned list into len(shares) contiguous
-// segments whose edge-incidence mass approximates the given shares — the
-// 1D device split of §3.1 generalized to any device count. Devices with a
-// zero share get empty segments except that every returned slice set still
-// partitions owned. Segments may be empty when owned is small.
-func splitByShares(owned []int32, edges []wire.WEdge, shares []float64) [][]int32 {
+// segments whose edge-incidence mass (inc, aligned with owned)
+// approximates the given shares — the 1D device split of §3.1 generalized
+// to any device count. Devices with a zero share get empty segments except
+// that every returned slice set still partitions owned. Segments may be
+// empty when owned is small.
+func splitByShares(owned []int32, inc []int64, shares []float64) [][]int32 {
 	k := len(shares)
 	sets := make([][]int32, k)
 	if len(owned) == 0 || k == 0 {
@@ -313,19 +393,6 @@ func splitByShares(owned []int32, edges []wire.WEdge, shares []float64) [][]int3
 	if k == 1 {
 		sets[0] = owned
 		return sets
-	}
-	idx := make(map[int32]int, len(owned))
-	for i, c := range owned {
-		idx[c] = i
-	}
-	inc := make([]int64, len(owned))
-	for _, e := range edges {
-		if i, ok := idx[e.U]; ok {
-			inc[i]++
-		}
-		if i, ok := idx[e.V]; ok && e.V != e.U {
-			inc[i]++
-		}
 	}
 	var total int64
 	for _, c := range inc {
@@ -381,18 +448,21 @@ func deviceEdgesMulti(edges []wire.WEdge, sets [][]int32) [][]wire.WEdge {
 	return out
 }
 
-// componentsAfter applies the parent function to the owned set and returns
-// the sorted unique representatives.
-func componentsAfter(owned []int32, pf func(int32) int32) []int32 {
-	seen := make(map[int32]bool, len(owned))
-	var out []int32
-	for _, c := range owned {
-		p := pf(c)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+// incidences counts, per owned component, the view arcs out of it: its
+// edges, a self-loop once.
+func incidences(owned []int32, edges []wire.WEdge) []int64 {
+	idx := make(map[int32]int, len(owned))
+	for i, c := range owned {
+		idx[c] = i
+	}
+	inc := make([]int64, len(owned))
+	for _, e := range edges {
+		if i, ok := idx[e.U]; ok {
+			inc[i]++
+		}
+		if i, ok := idx[e.V]; ok && e.V != e.U {
+			inc[i]++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return inc
 }

@@ -209,7 +209,7 @@ func TestSplitByShares(t *testing.T) {
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, // vertex 0 is heavy
 		{U: 2, V: 3},
 	}
-	sets := splitByShares(owned, edges, []float64{0.5, 0.5})
+	sets := splitByShares(owned, incidences(owned, edges), []float64{0.5, 0.5})
 	if len(sets) != 2 {
 		t.Fatalf("sets=%v", sets)
 	}
@@ -222,7 +222,7 @@ func TestSplitByShares(t *testing.T) {
 	}
 
 	// Three-way split partitions everything exactly once.
-	sets = splitByShares(owned, edges, []float64{0.4, 0.3, 0.3})
+	sets = splitByShares(owned, incidences(owned, edges), []float64{0.4, 0.3, 0.3})
 	seen := map[int32]int{}
 	for _, set := range sets {
 		for _, c := range set {
@@ -243,7 +243,7 @@ func TestSplitByShares(t *testing.T) {
 	if len(one) != 1 || len(one[0]) != 1 {
 		t.Fatalf("single share: %v", one)
 	}
-	zero := splitByShares(owned, edges, []float64{0, 0})
+	zero := splitByShares(owned, incidences(owned, edges), []float64{0, 0})
 	if len(zero[0]) != 4 {
 		t.Fatalf("zero shares should keep everything on device 0: %v", zero)
 	}

@@ -13,9 +13,11 @@
 package merge
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mndmst/internal/cost"
+	"mndmst/internal/graph"
 	"mndmst/internal/hashtable"
 	"mndmst/internal/parutil"
 	"mndmst/internal/wire"
@@ -41,6 +43,38 @@ func Relabel(edges []wire.WEdge, parentOf func(int32) int32) (kept []wire.WEdge,
 	return out, selfEdges, w
 }
 
+// RelabelWindow is Relabel fused with the extraction of the vertex range
+// [lo, hi) of g: it walks the range's arcs in graph.VertexRangeSubgraph
+// order and emits every edge whose relabelled endpoints differ, without
+// materialising the range's edge list first. parent[v-lo] is the
+// component of vertex v inside the range; ghost maps the endpoints
+// outside it. Self-loops are self edges and never survive. The scan
+// covers the range's edges (boruvka.Local.NumEdges of its window), which
+// is the EdgesScanned the caller charges for it.
+func RelabelWindow(g *graph.CSR, lo, hi int32, parent []int32, ghost func(int32) int32) []wire.WEdge {
+	var out []wire.WEdge
+	for u := lo; u < hi; u++ {
+		pu := parent[u-lo]
+		alo, ahi := g.Arcs(u)
+		for a := alo; a < ahi; a++ {
+			v := g.Dst[a]
+			var pv int32
+			if v >= lo && v < hi {
+				if u >= v {
+					continue // internal edges once, from the smaller endpoint
+				}
+				pv = parent[v-lo]
+			} else {
+				pv = ghost(v)
+			}
+			if pu != pv {
+				out = append(out, wire.WEdge{U: pu, V: pv, W: g.W[a], ID: g.EID[a]})
+			}
+		}
+	}
+	return out
+}
+
 // RemoveMultiEdges keeps only the lightest edge between every pair of
 // components, using the sharded pair-min hash table of §3.3 updated in
 // parallel. The result is sorted by (U, V) for determinism.
@@ -57,11 +91,8 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 		}
 	})
 	out := t.Edges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(out, func(a, b wire.WEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	w.HashOps = t.Ops()
 	w.EdgesScanned = int64(len(edges))
@@ -72,7 +103,7 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 // which appear when both endpoint owners ship their copy to one rank. The
 // result is sorted by ID.
 func DedupeByID(edges []wire.WEdge) []wire.WEdge {
-	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
+	slices.SortFunc(edges, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
 	out := edges[:0]
 	for i := range edges {
 		if i > 0 && edges[i].ID == edges[i-1].ID {
@@ -97,7 +128,7 @@ func DeltasFromParents(ids, parents []int32) []Delta {
 			ds = append(ds, Delta{Old: id, New: parents[i]})
 		}
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Old < ds[j].Old })
+	slices.SortFunc(ds, func(a, b Delta) int { return cmp.Compare(a.Old, b.Old) })
 	return ds
 }
 
@@ -115,7 +146,7 @@ func Representatives(owned []int32, pf func(int32) int32) []int32 {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,18 +2,15 @@
 // a Gemini-style parallel read where every rank computes the degrees of a
 // provisional vertex slice, the ranks allreduce the degree vector, and each
 // derives the same contiguous 1D partition balanced by edge count. The
-// package also builds the per-rank ghostList hash table describing cut
-// edges, and the within-node CPU/GPU split of §3.1 ¶2.
+// package also provides the within-node CPU/GPU split of §3.1 ¶2.
 package partition
 
 import (
-	"fmt"
 	"sort"
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/hashtable"
 	"mndmst/internal/wire"
 )
 
@@ -146,6 +143,23 @@ func ReadWith(r *cluster.Rank, g *graph.CSR, strat Strategy) (*Part, cost.Work) 
 // heterogeneous clusters: faster ranks receive proportionally more degree
 // mass.
 func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64) (*Part, cost.Work) {
+	bounds, w := ReadBounds(r, g, strat, speeds)
+	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
+	edges := graph.VertexRangeSubgraph(g, lo, hi)
+	w.EdgesScanned += int64(len(edges))
+	part := &Part{Lo: lo, Hi: hi, Bounds: bounds, Edges: make([]wire.WEdge, len(edges))}
+	for i, e := range edges {
+		part.Edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
+	}
+	return part, w
+}
+
+// ReadBounds is the bounds step of ReadWeighted: the rank computes the
+// degrees of its provisional slice, allreduces the full degree vector and
+// derives the global partition boundaries (len P+1, identical on every
+// rank). The returned work covers the local degree computation only;
+// callers that extract the rank's range themselves charge that scan.
+func ReadBounds(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64) ([]int32, cost.Work) {
 	var w cost.Work
 	p := r.P()
 	n := int(g.N)
@@ -160,49 +174,18 @@ func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float6
 	w.VerticesProcessed += int64(phi - plo)
 
 	degrees := r.Allreduce(local, cluster.OpSum)
-	var bounds []int32
 	switch {
 	case strat == ByVertex:
-		bounds = make([]int32, p+1)
+		bounds := make([]int32, p+1)
 		for i := 0; i <= p; i++ {
 			bounds[i] = int32(i * n / p)
 		}
+		return bounds, w
 	case len(speeds) == p:
-		bounds = WeightedBounds(degrees, speeds)
+		return WeightedBounds(degrees, speeds), w
 	default:
-		bounds = BalancedBounds(degrees, p)
+		return BalancedBounds(degrees, p), w
 	}
-
-	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	edges := graph.VertexRangeSubgraph(g, lo, hi)
-	w.EdgesScanned += int64(len(edges))
-	part := &Part{Lo: lo, Hi: hi, Bounds: bounds, Edges: make([]wire.WEdge, len(edges))}
-	for i, e := range edges {
-		part.Edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
-	}
-	return part, w
-}
-
-// BuildGhostList scans the part's edges and files every cut edge under the
-// owning rank of its ghost endpoint, building the ghostList of §3.1. It
-// returns the list plus the hash work performed.
-func BuildGhostList(part *Part) (*hashtable.GhostList, cost.Work) {
-	gl := hashtable.NewGhostList()
-	for _, e := range part.Edges {
-		uIn := e.U >= part.Lo && e.U < part.Hi
-		vIn := e.V >= part.Lo && e.V < part.Hi
-		switch {
-		case uIn && vIn:
-			continue
-		case uIn:
-			gl.Add(int32(part.Owner(e.V)), hashtable.GhostEdge{Local: e.U, Ghost: e.V, W: e.W, EID: e.ID})
-		case vIn:
-			gl.Add(int32(part.Owner(e.U)), hashtable.GhostEdge{Local: e.V, Ghost: e.U, W: e.W, EID: e.ID})
-		default:
-			panic(fmt.Sprintf("partition: edge %d (%d-%d) not owned by [%d,%d)", e.ID, e.U, e.V, part.Lo, part.Hi))
-		}
-	}
-	return gl, cost.Work{HashOps: gl.Ops(), EdgesScanned: int64(len(part.Edges))}
 }
 
 // DeviceSplit divides a node's owned range between CPU and GPU by the

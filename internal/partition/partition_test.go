@@ -163,36 +163,27 @@ func TestReadBalancesEdges(t *testing.T) {
 	}
 }
 
-func TestBuildGhostList(t *testing.T) {
-	// Path 0-1-2-3 split at 2: rank owning {0,1} has one cut edge to
-	// owner of {2,3}.
-	el := gen.Path(4, 3)
+func TestReadBoundsMatchesRead(t *testing.T) {
+	el := gen.RMAT(512, 4096, 53)
 	g := graph.MustBuildCSR(el)
-	c := cluster.New(2, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, g)
-		gl, w := BuildGhostList(part)
-		if gl.Len() != 1 {
-			return fmt.Errorf("rank %d: ghost edges=%d want 1", r.ID(), gl.Len())
+	for _, p := range []int{1, 3, 8} {
+		c := cluster.New(p, testComm())
+		_, err := c.Run(func(r *cluster.Rank) error {
+			bounds, wb := ReadBounds(r, g, ByDegree, nil)
+			part, w := Read(r, g)
+			if fmt.Sprint(bounds) != fmt.Sprint(part.Bounds) {
+				return fmt.Errorf("rank %d: bounds %v, Read has %v", r.ID(), bounds, part.Bounds)
+			}
+			// Read adds exactly the extraction scan to the bounds step.
+			wb.EdgesScanned += int64(len(part.Edges))
+			if wb != w {
+				return fmt.Errorf("rank %d: work %+v, Read charged %+v", r.ID(), wb, w)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		other := 1 - r.ID()
-		ge := gl.ForProc(int32(other))
-		if len(ge) != 1 {
-			return fmt.Errorf("rank %d: no ghosts for %d", r.ID(), other)
-		}
-		if ge[0].Local < part.Lo || ge[0].Local >= part.Hi {
-			return fmt.Errorf("local endpoint %d outside [%d,%d)", ge[0].Local, part.Lo, part.Hi)
-		}
-		if ge[0].Ghost >= part.Lo && ge[0].Ghost < part.Hi {
-			return fmt.Errorf("ghost endpoint %d inside own range", ge[0].Ghost)
-		}
-		if w.HashOps == 0 {
-			return fmt.Errorf("hash work not counted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

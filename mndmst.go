@@ -45,7 +45,6 @@ import (
 	"mndmst/internal/obs"
 	"mndmst/internal/trace"
 	"mndmst/internal/transport"
-	"mndmst/internal/wire"
 )
 
 // Graph is a weighted undirected multigraph. Edge weights are made
@@ -711,18 +710,11 @@ func Verify(g *Graph, res *Result) error {
 // algorithm runs on each device, exposed so that kernel can be checked
 // and timed on its own.
 func FindMSFShared(g *Graph) (*Result, error) {
-	ids := make([]int32, g.el.N)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	edges := make([]wire.WEdge, len(g.el.Edges))
-	for i, e := range g.el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
-	}
-	l, err := boruvka.NewLocal(ids, edges)
+	csr, err := graph.BuildCSR(g.el)
 	if err != nil {
 		return nil, err
 	}
+	l := boruvka.NewWindow(csr, 0, csr.N)
 	res := boruvka.Run(l, boruvka.DefaultOptions())
 	return &Result{
 		EdgeIDs:     res.ChosenIDs,

@@ -2,12 +2,10 @@ package mndmst
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"mndmst/internal/bench/schema"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/merge"
@@ -19,38 +17,10 @@ import (
 // multiple non-trivial rounds (3 rounds of 2 disjoint pairs).
 const commBenchRanks = 4
 
-// commBenchResult is one scenario of BENCH_comm.json: measured wall-clock
-// throughput of the all-to-all delta exchange at one per-pair payload size.
-type commBenchResult struct {
-	Name         string
-	Ranks        int
-	PayloadBytes int64
-	BytesPerOp   int64
-	Iters        int
-	WallNs       int64
-	MBPerSec     float64
-}
-
-// scenario converts one measurement into the canonical record form.
-func (r commBenchResult) scenario() schema.Scenario {
-	return schema.Scenario{
-		Name: r.Name,
-		Metrics: map[string]float64{
-			"ranks":                  float64(r.Ranks),
-			"payload_bytes_per_pair": float64(r.PayloadBytes),
-			"bytes_moved_per_op":     float64(r.BytesPerOp),
-			"iters":                  float64(r.Iters),
-			"wall_seconds":           float64(r.WallNs) / 1e9,
-			"mb_per_s":               r.MBPerSec,
-		},
-	}
-}
-
 // benchExchangeDeltas times b.N all-to-all exchanges of a payloadBytes
 // delta payload per rank pair across a 4-rank loopback-TCP cluster — the
-// same code path OS-separated workers take, minus the fork — and returns
-// the measurement.
-func benchExchangeDeltas(b *testing.B, name string, payloadBytes int64) commBenchResult {
+// same code path OS-separated workers take, minus the fork.
+func benchExchangeDeltas(b *testing.B, payloadBytes int64) {
 	b.Helper()
 	const p = commBenchRanks
 	nDeltas := int(payloadBytes / 8) // one Delta encodes to 8 bytes
@@ -108,7 +78,6 @@ func benchExchangeDeltas(b *testing.B, name string, payloadBytes int64) commBenc
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	b.ResetTimer()
-	start := time.Now()
 	for rank := 0; rank < p; rank++ {
 		wg.Add(1)
 		go func(rank int) {
@@ -129,59 +98,18 @@ func benchExchangeDeltas(b *testing.B, name string, payloadBytes int64) commBenc
 		}(rank)
 	}
 	wg.Wait()
-	wall := time.Since(start)
 	b.StopTimer()
 	for rank, err := range errs {
 		if err != nil {
 			b.Fatalf("rank %d: %v", rank, err)
 		}
 	}
-	return commBenchResult{
-		Name:         name,
-		Ranks:        p,
-		PayloadBytes: int64(nDeltas) * 8,
-		BytesPerOp:   bytesPerOp,
-		Iters:        b.N,
-		WallNs:       wall.Nanoseconds(),
-		MBPerSec:     float64(bytesPerOp) * float64(b.N) / wall.Seconds() / 1e6,
-	}
 }
 
 // BenchmarkExchangeComm measures real wall-clock throughput of the §3.3
 // all-to-all ghost-delta exchange over loopback TCP at two per-pair
-// payload sizes, and writes the measurements to BENCH_comm.json — in the
-// canonical mndmst-bench record schema, so `mndmst-bench -validate` and
-// `-compare` gate this file like any other — so the comm-path performance
-// trajectory accumulates across revisions. The file lands in the working
-// directory (the repo root under `go test .`); override the path with
-// MNDMST_BENCH_COMM_OUT.
+// payload sizes; b.SetBytes makes `go test -bench` report it in MB/s.
 func BenchmarkExchangeComm(b *testing.B) {
-	results := make(map[string]commBenchResult)
-	var order []string
-	record := func(res commBenchResult) {
-		if _, seen := results[res.Name]; !seen {
-			order = append(order, res.Name)
-		}
-		results[res.Name] = res // the final (largest b.N) run wins
-	}
-	b.Run("64KiB", func(b *testing.B) { record(benchExchangeDeltas(b, "deltas-64KiB", 64<<10)) })
-	b.Run("1MiB", func(b *testing.B) { record(benchExchangeDeltas(b, "deltas-1MiB", 1<<20)) })
-
-	out := &schema.File{
-		Schema: schema.Version,
-		Mode:   schema.ModeWall,
-		Suite:  "comm",
-		Env:    schema.CaptureEnv(),
-	}
-	for _, name := range order {
-		out.Scenarios = append(out.Scenarios, results[name].scenario())
-	}
-	path := os.Getenv("MNDMST_BENCH_COMM_OUT")
-	if path == "" {
-		path = "BENCH_comm.json"
-	}
-	if err := schema.Write(path, out); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote %s", path)
+	b.Run("64KiB", func(b *testing.B) { benchExchangeDeltas(b, 64<<10) })
+	b.Run("1MiB", func(b *testing.B) { benchExchangeDeltas(b, 1<<20) })
 }

@@ -1,145 +1,54 @@
-package mndmst
+package mndmst_test
 
 import (
 	"os"
 	"strconv"
 	"testing"
 
+	"mndmst"
 	"mndmst/internal/bench"
 )
 
-// benchOpts returns the experiment options used by the `go test -bench`
-// harness. Benchmarks default to a reduced workload scale so the full
-// suite finishes in minutes; set MNDMST_BENCH_SCALE=1.0 to run the
-// experiments at full reproduction scale (as cmd/experiments does).
-func benchOpts() bench.Opts {
+// BenchmarkPaper regenerates every paper-suite experiment of
+// internal/bench — the §5 tables and figures, the design ablations and the
+// extensions — as one sub-benchmark per registry name, so
+// `-bench 'Paper/Table3'` selects one table and `-bench 'Paper/Ablation'`
+// the ablations. Workloads default to a reduced scale so the suite
+// finishes in minutes; set MNDMST_BENCH_SCALE=1.0 to run at the full
+// reproduction scale (as `mndmst-bench -suite paper` does). At high
+// verbosity each rendered table is logged once.
+func BenchmarkPaper(b *testing.B) {
 	scale := 0.25
 	if s := os.Getenv("MNDMST_BENCH_SCALE"); s != "" {
 		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
 			scale = v
 		}
 	}
-	return bench.Opts{Scale: scale}
-}
-
-// runExperiment executes one table/figure experiment b.N times, reporting
-// the rendered result once via b.Log at high verbosity.
-func runExperiment(b *testing.B, fn func(bench.Opts) (*bench.Table, error)) {
-	b.Helper()
-	opts := benchOpts()
-	var tab *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tab, err = fn(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if testing.Verbose() && tab != nil {
-		b.Log("\n" + tab.String())
+	for _, e := range bench.Experiments(bench.SuitePaper) {
+		b.Run(e.Name, func(b *testing.B) {
+			var tab *bench.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tab, err = e.Table(bench.NewRunner(scale, false)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if testing.Verbose() {
+				b.Log("\n" + tab.String())
+			}
+		})
 	}
 }
-
-// BenchmarkTable2GraphSpecs regenerates the graph-specification table
-// (Table 2): statistics of the six synthetic workload analogues.
-func BenchmarkTable2GraphSpecs(b *testing.B) { runExperiment(b, bench.Table2) }
-
-// BenchmarkTable3PregelPlusComparison regenerates the headline comparison
-// (Table 3): Pregel+ vs MND-MST execution and communication time on all
-// six graphs at 16 CPU-only AMD-cluster nodes.
-func BenchmarkTable3PregelPlusComparison(b *testing.B) { runExperiment(b, bench.Table3) }
-
-// BenchmarkTable4NodeScaling regenerates Table 4: MND-MST total time at
-// 1, 4, 8 and 16 nodes for arabic-2005 and it-2004.
-func BenchmarkTable4NodeScaling(b *testing.B) { runExperiment(b, bench.Table4) }
-
-// BenchmarkFigure4ScalabilityComparison regenerates Figure 4: inter-node
-// scalability of Pregel+ and MND-MST.
-func BenchmarkFigure4ScalabilityComparison(b *testing.B) { runExperiment(b, bench.Figure4) }
-
-// BenchmarkFigure5ComputeVsComm regenerates Figure 5: the computation vs
-// communication split of both systems.
-func BenchmarkFigure5ComputeVsComm(b *testing.B) { runExperiment(b, bench.Figure5) }
-
-// BenchmarkFigure6CrayScalability regenerates Figure 6: CPU-only MND-MST
-// scalability on the Cray XC40.
-func BenchmarkFigure6CrayScalability(b *testing.B) { runExperiment(b, bench.Figure6) }
-
-// BenchmarkFigure7PhaseBreakdown regenerates Figure 7: per-phase execution
-// time (indComp / communication+merge / postProcess).
-func BenchmarkFigure7PhaseBreakdown(b *testing.B) { runExperiment(b, bench.Figure7) }
-
-// BenchmarkFigure8HybridScalability regenerates Figure 8: CPU-only vs
-// CPU+GPU MND-MST on the Cray.
-func BenchmarkFigure8HybridScalability(b *testing.B) { runExperiment(b, bench.Figure8) }
-
-// --- Design-choice ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationGroupSize sweeps the hierarchical-merging group size
-// (2, 4, 8, 16).
-func BenchmarkAblationGroupSize(b *testing.B) { runExperiment(b, bench.AblationGroupSize) }
-
-// BenchmarkAblationLeaderOnlyMerge compares hierarchical merging against
-// the single-leader strawman of §3.4.
-func BenchmarkAblationLeaderOnlyMerge(b *testing.B) { runExperiment(b, bench.AblationLeaderOnlyMerge) }
-
-// BenchmarkAblationExceptionCondition compares the border-vertex and
-// border-edge exception conditions.
-func BenchmarkAblationExceptionCondition(b *testing.B) {
-	runExperiment(b, bench.AblationExceptionCondition)
-}
-
-// BenchmarkAblationTermination compares diminishing-benefit termination
-// against running indComp to convergence.
-func BenchmarkAblationTermination(b *testing.B) { runExperiment(b, bench.AblationTermination) }
-
-// BenchmarkAblationDataDriven compares data-driven and topology-driven
-// kernels.
-func BenchmarkAblationDataDriven(b *testing.B) { runExperiment(b, bench.AblationDataDriven) }
-
-// BenchmarkAblationGPUOptimizations toggles hierarchical adjacency
-// processing and atomic batching on the simulated GPU.
-func BenchmarkAblationGPUOptimizations(b *testing.B) {
-	runExperiment(b, bench.AblationGPUOptimizations)
-}
-
-// BenchmarkAblationContraction compares kernels with and without
-// between-round graph contraction.
-func BenchmarkAblationContraction(b *testing.B) { runExperiment(b, bench.AblationContraction) }
-
-// BenchmarkAblationPartitioning compares degree-balanced and equal-vertex
-// 1D partitioning.
-func BenchmarkAblationPartitioning(b *testing.B) { runExperiment(b, bench.AblationPartitioning) }
-
-// BenchmarkAblationBSPCombining compares Pregel+ (combiner) with vanilla
-// Pregel.
-func BenchmarkAblationBSPCombining(b *testing.B) { runExperiment(b, bench.AblationBSPCombining) }
-
-// BenchmarkExtensionMultiGPU sweeps accelerators per node on the largest
-// graph.
-func BenchmarkExtensionMultiGPU(b *testing.B) { runExperiment(b, bench.ExtensionMultiGPU) }
-
-// BenchmarkExtensionHeterogeneous compares speed-aware and speed-blind
-// partitioning on a cluster with a straggler node.
-func BenchmarkExtensionHeterogeneous(b *testing.B) { runExperiment(b, bench.ExtensionHeterogeneous) }
-
-// BenchmarkExtensionApplications profiles the other framework applications
-// (connected components, BFS, SSSP, PageRank).
-func BenchmarkExtensionApplications(b *testing.B) { runExperiment(b, bench.ExtensionApplications) }
-
-// BenchmarkExtensionWeakScaling grows the workload with the node count and
-// reports parallel efficiency.
-func BenchmarkExtensionWeakScaling(b *testing.B) { runExperiment(b, bench.ExtensionWeakScaling) }
 
 // --- Host-side microbenchmarks of the core paths ---
 
 // BenchmarkFindMSFHost measures real wall-clock performance of the whole
 // MND-MST pipeline (4 simulated ranks) on the host.
 func BenchmarkFindMSFHost(b *testing.B) {
-	g := GenerateWebGraph(16384, 16384*20, 0.85, 99)
+	g := mndmst.GenerateWebGraph(16384, 16384*20, 0.85, 99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindMSF(g, Options{Nodes: 4}); err != nil {
+		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,9 +56,9 @@ func BenchmarkFindMSFHost(b *testing.B) {
 
 // BenchmarkSequentialKruskalHost measures the reference implementation.
 func BenchmarkSequentialKruskalHost(b *testing.B) {
-	g := GenerateWebGraph(16384, 16384*20, 0.85, 99)
+	g := mndmst.GenerateWebGraph(16384, 16384*20, 0.85, 99)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FindMSFSequential(g)
+		mndmst.FindMSFSequential(g)
 	}
 }

@@ -1,29 +1,34 @@
-// Command mndmst-bench runs the deterministic perf-regression harness
-// (internal/bench/harness) and gates revisions against a committed
-// baseline.
+// Command mndmst-bench runs the benchmark suites of internal/bench: the
+// deterministic perf-regression gate (suite core, the default) and the
+// paper's §5 tables, ablations and extensions (suite paper). It gates
+// revisions against a committed baseline.
 //
 // Modes of use:
 //
-//	mndmst-bench -mode sim -out BENCH_core.json
-//	    Run the pinned scenario suite on the simulated clocks. Output is
-//	    bit-stable: two runs of the same binary produce byte-identical
+//	mndmst-bench -out BENCH_core.json
+//	    Run the pinned core scenario suite on the simulated clocks. Output
+//	    is bit-stable: two runs of the same binary produce byte-identical
 //	    files, so the baseline diffs exactly.
 //
-//	mndmst-bench -mode wall -reps 5 -out BENCH_core.json
-//	    Measure real elapsed time per scenario (min-of-N with warmup and
-//	    IQR outlier rejection) with an environment fingerprint.
-//
 //	mndmst-bench -compare bench.baseline.json [-current BENCH_core.json]
-//	    Compare a current record against a baseline. Without -current the
-//	    suite runs first (in the baseline's mode). Sim baselines gate
-//	    exactly; wall baselines within -tol. Exit 0 pass, 1 regression.
+//	    Compare a current core record against a baseline, exactly.
+//	    Without -current the suite runs first, at the baseline's scale.
+//	    Exit 0 pass, 1 regression.
 //
 //	mndmst-bench -validate BENCH_core.json
 //	    Schema-check an existing record (exit 2 on any load failure —
 //	    including an empty file).
 //
-//	mndmst-bench -list
-//	    Print the pinned scenario names.
+//	mndmst-bench -suite paper [-scale 0.1] [-verify] [-format markdown]
+//	    Regenerate the §5 tables and figures, at the full reproduction
+//	    scale unless -scale says otherwise. -scenarios 'Ablation/' or
+//	    -scenarios 'Extension/' selects the ablations or extensions;
+//	    -verify cross-checks every forest against Kruskal.
+//
+//	mndmst-bench -list [-suite paper]
+//	    Print the suite's experiment names.
+//
+// -scenarios <regexp> selects experiments by name in either suite.
 //
 // Exit codes: 0 pass, 1 regression detected, 2 load/run failure.
 package main
@@ -31,97 +36,147 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 
-	"mndmst/internal/bench/harness"
+	"mndmst/internal/bench"
 	"mndmst/internal/bench/schema"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(argv []string) int {
+// formats renders one paper table per -format value.
+var formats = map[string]func(*bench.Table) (string, error){
+	"text":     func(t *bench.Table) (string, error) { return t.String(), nil },
+	"markdown": func(t *bench.Table) (string, error) { return t.Markdown(), nil },
+	"json": func(t *bench.Table) (string, error) {
+		b, err := t.JSON()
+		return string(b), err
+	},
+}
+
+func run(argv []string, stdout io.Writer) int {
 	fs := flag.NewFlagSet("mndmst-bench", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		mode      = fs.String("mode", "sim", "measurement mode: sim (deterministic clocks) or wall (real time)")
-		scale     = fs.Float64("scale", harness.DefaultScale, "workload scale")
-		scenarios = fs.String("scenarios", "", "regexp selecting scenarios to run (default all)")
-		out       = fs.String("out", "", "write the record to this file (default stdout)")
-		reps      = fs.Int("reps", 5, "wall mode: timed repetitions per scenario")
-		warmup    = fs.Int("warmup", 1, "wall mode: untimed warmup runs per scenario")
-		compare   = fs.String("compare", "", "baseline file to gate against")
+		suite     = fs.String("suite", bench.SuiteCore, "experiment suite: core (sim gate) or paper (§5 tables, ablations, extensions)")
+		scale     = fs.Float64("scale", 0, "workload scale (default 0.05 for core, 1.0 for paper)")
+		scenarios = fs.String("scenarios", "", "regexp selecting experiments by name (default: all of core, the tables and figures of paper)")
+		verify    = fs.Bool("verify", false, "cross-check every MND-MST forest against sequential Kruskal")
+		format    = fs.String("format", "text", "paper suite output: text, markdown or json")
+		out       = fs.String("out", "", "write the output to this file (default stdout)")
+		compare   = fs.String("compare", "", "core suite: baseline record to gate against")
 		current   = fs.String("current", "", "with -compare: pre-recorded current file instead of running the suite")
-		tol       = fs.Float64("tol", schema.DefaultWallPct, "with -compare: wall-mode tolerance band (fraction, e.g. 0.25)")
 		validate  = fs.String("validate", "", "schema-check this record file and exit")
-		list      = fs.Bool("list", false, "print the pinned scenario names and exit")
-		quiet     = fs.Bool("quiet", false, "suppress per-scenario progress")
+		list      = fs.Bool("list", false, "print the suite's experiment names and exit")
+		quiet     = fs.Bool("quiet", false, "suppress per-experiment progress")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "mndmst-bench: unexpected arguments: %v\n", fs.Args())
-		return 2
+		return fail("unexpected arguments: %v", fs.Args())
+	}
+	if bench.Experiments(*suite) == nil {
+		return fail("unknown suite %q (want core or paper)", *suite)
 	}
 
 	if *list {
-		for _, name := range harness.Names() {
-			fmt.Println(name)
+		for _, name := range bench.Names(*suite) {
+			fmt.Fprintln(stdout, name)
 		}
 		return 0
 	}
 	if *validate != "" {
 		f, err := schema.Load(*validate)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mndmst-bench: %v\n", err)
-			return 2
+			return fail("%v", err)
 		}
-		fmt.Printf("%s: valid %s record (%s mode, %d scenarios)\n", *validate, f.Schema, f.Mode, len(f.Scenarios))
+		fmt.Fprintf(stdout, "%s: valid %s record (%s mode, %d scenarios)\n", *validate, f.Schema, f.Mode, len(f.Scenarios))
 		return 0
 	}
-	if *compare != "" {
-		return runCompare(*compare, *current, *mode, *scale, *scenarios, *reps, *warmup, *tol, *quiet)
-	}
 
-	f, err := runSuite(*mode, *scale, *scenarios, *reps, *warmup, *quiet)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mndmst-bench: %v\n", err)
-		return 2
-	}
-	if err := emit(f, *out); err != nil {
-		fmt.Fprintf(os.Stderr, "mndmst-bench: %v\n", err)
-		return 2
-	}
-	return 0
-}
-
-func runSuite(mode string, scale float64, filter string, reps, warmup int, quiet bool) (*schema.File, error) {
-	cfg := harness.Config{Mode: mode, Scale: scale, Reps: reps, Warmup: warmup}
-	if filter != "" {
-		re, err := regexp.Compile(filter)
+	cfg := bench.Config{Scale: *scale, Verify: *verify}
+	if *scenarios != "" {
+		re, err := regexp.Compile(*scenarios)
 		if err != nil {
-			return nil, fmt.Errorf("bad -scenarios regexp: %w", err)
+			return fail("bad -scenarios regexp: %v", err)
 		}
 		cfg.Filter = re
 	}
-	if !quiet {
+	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	return harness.Run(cfg)
+
+	if *suite == bench.SuitePaper {
+		if *compare != "" {
+			return fail("-compare gates the core suite only")
+		}
+		return runPaper(cfg, *format, *out, stdout)
+	}
+	if *compare != "" {
+		return runCompare(*compare, *current, cfg, stdout)
+	}
+	f, err := bench.Run(cfg)
+	if err != nil {
+		return fail("%v", err)
+	}
+	if err := emit(f, *out, stdout); err != nil {
+		return fail("%v", err)
+	}
+	return 0
 }
 
-func emit(f *schema.File, out string) error {
+// fail reports a load, usage or run failure and returns exit code 2.
+func fail(format string, args ...any) int {
+	fmt.Fprintf(os.Stderr, "mndmst-bench: "+format+"\n", args...)
+	return 2
+}
+
+// runPaper prints each selected paper table in the given format as soon
+// as it is built.
+func runPaper(cfg bench.Config, format, out string, stdout io.Writer) int {
+	render, ok := formats[format]
+	if !ok {
+		return fail("unknown -format %q (want text, markdown or json)", format)
+	}
+	w, closeOut := stdout, func() error { return nil }
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
+			return fail("%v", err)
+		}
+		w, closeOut = f, f.Close
+	}
+	err := bench.RunPaper(cfg, func(t *bench.Table) error {
+		s, err := render(t)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintln(w, s)
+		return err
+	})
+	if cerr := closeOut(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	return 0
+}
+
+func emit(f *schema.File, out string, stdout io.Writer) error {
 	if out == "" {
 		buf, err := schema.Encode(f)
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(buf)
+		_, err = stdout.Write(buf)
 		return err
 	}
 	if err := schema.Write(out, f); err != nil {
@@ -131,45 +186,34 @@ func emit(f *schema.File, out string) error {
 	return nil
 }
 
-func runCompare(baselinePath, currentPath, mode string, scale float64, filter string, reps, warmup int, tol float64, quiet bool) int {
+func runCompare(baselinePath, currentPath string, cfg bench.Config, stdout io.Writer) int {
 	baseline, err := schema.Load(baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mndmst-bench: baseline: %v\n", err)
-		return 2
+		return fail("baseline: %v", err)
 	}
 	var cur *schema.File
 	if currentPath != "" {
 		if cur, err = schema.Load(currentPath); err != nil {
-			fmt.Fprintf(os.Stderr, "mndmst-bench: current: %v\n", err)
-			return 2
+			return fail("current: %v", err)
 		}
 	} else {
-		// Re-measure under the baseline's own conditions so the diff is
-		// apples-to-apples; explicit flags for mode/scale are ignored in
-		// favor of what the baseline records.
-		_ = mode
-		cur, err = runSuite(baseline.Mode, baseline.Scale, filter, reps, warmup, quiet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mndmst-bench: %v\n", err)
-			return 2
+		// Re-measure at the baseline's own scale so the diff is
+		// apples-to-apples; an explicit -scale is ignored.
+		cfg.Scale = baseline.Scale
+		if cur, err = bench.Run(cfg); err != nil {
+			return fail("%v", err)
+		}
+		if cfg.Filter != nil {
+			// A filtered run legitimately lacks the unmatched baseline
+			// scenarios; restrict the baseline to the same subset.
+			baseline = subsetFile(baseline, cfg.Filter)
 		}
 	}
-	if filter != "" && currentPath == "" {
-		// A filtered run legitimately lacks the unmatched baseline
-		// scenarios; restrict the baseline to the same subset.
-		re, err := regexp.Compile(filter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mndmst-bench: bad -scenarios regexp: %v\n", err)
-			return 2
-		}
-		baseline = subsetFile(baseline, re)
-	}
-	res, err := schema.Compare(baseline, cur, schema.Tolerance{WallPct: tol})
+	res, err := schema.Compare(baseline, cur)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mndmst-bench: %v\n", err)
-		return 2
+		return fail("%v", err)
 	}
-	res.Report(os.Stdout)
+	res.Report(stdout)
 	if !res.Passed() {
 		return 1
 	}

@@ -3,9 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"mndmst/internal/bsp"
-
 	"mndmst/internal/boruvka"
+	"mndmst/internal/bsp"
 	"mndmst/internal/cost"
 	"mndmst/internal/hypar"
 )
@@ -16,9 +15,8 @@ const ablationGraph = "arabic-2005"
 
 // AblationGroupSize sweeps the hierarchical-merging group size over the
 // values the paper experimented with (2, 4, 8, 16 — it chose 4, §3.4).
-func AblationGroupSize(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get(ablationGraph)
+func AblationGroupSize(r *Runner) (*Table, error) {
+	el, err := r.Graph(ablationGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -30,7 +28,7 @@ func AblationGroupSize(opts Opts) (*Table, error) {
 	for _, gs := range []int{2, 4, 8, 16} {
 		cfg := hypar.DefaultConfig()
 		cfg.GroupSize = gs
-		res, err := w.runMND(el, 16, machine, cfg, false)
+		res, err := r.runMND(el, 16, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -44,9 +42,8 @@ func AblationGroupSize(opts Opts) (*Table, error) {
 
 // AblationLeaderOnlyMerge compares hierarchical merging against the §3.4
 // strawman: shipping every rank's residual data straight to one node.
-func AblationLeaderOnlyMerge(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get(ablationGraph)
+func AblationLeaderOnlyMerge(r *Runner) (*Table, error) {
+	el, err := r.Graph(ablationGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +55,7 @@ func AblationLeaderOnlyMerge(opts Opts) (*Table, error) {
 	for _, leaderOnly := range []bool{false, true} {
 		cfg := hypar.DefaultConfig()
 		cfg.LeaderOnly = leaderOnly
-		res, err := w.runMND(el, 16, machine, cfg, false)
+		res, err := r.runMND(el, 16, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -75,9 +72,8 @@ func AblationLeaderOnlyMerge(opts Opts) (*Table, error) {
 
 // AblationExceptionCondition compares EXCPT_BORDER_VERTEX with the
 // conservative EXCPT_BORDER_EDGE.
-func AblationExceptionCondition(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get(ablationGraph)
+func AblationExceptionCondition(r *Runner) (*Table, error) {
+	el, err := r.Graph(ablationGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +91,7 @@ func AblationExceptionCondition(opts Opts) (*Table, error) {
 	} {
 		cfg := hypar.DefaultConfig()
 		cfg.Excpt = ex.cond
-		res, err := w.runMND(el, 16, machine, cfg, false)
+		res, err := r.runMND(el, 16, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -108,9 +104,8 @@ func AblationExceptionCondition(opts Opts) (*Table, error) {
 
 // AblationTermination compares diminishing-benefit termination with
 // running indComp to convergence.
-func AblationTermination(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("road_usa")
+func AblationTermination(r *Runner) (*Table, error) {
+	el, err := r.Graph("road_usa")
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +117,7 @@ func AblationTermination(opts Opts) (*Table, error) {
 	for _, dim := range []bool{false, true} {
 		cfg := hypar.DefaultConfig()
 		cfg.DiminishingTermination = dim
-		res, err := w.runMND(el, 8, machine, cfg, false)
+		res, err := r.runMND(el, 8, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -137,9 +132,8 @@ func AblationTermination(opts Opts) (*Table, error) {
 
 // AblationDataDriven compares the data-driven worklist kernels with the
 // topology-driven variant (§3.5).
-func AblationDataDriven(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get(ablationGraph)
+func AblationDataDriven(r *Runner) (*Table, error) {
+	el, err := r.Graph(ablationGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +145,7 @@ func AblationDataDriven(opts Opts) (*Table, error) {
 	for _, dd := range []bool{true, false} {
 		cfg := hypar.DefaultConfig()
 		cfg.DataDriven = dd
-		res, err := w.runMND(el, 8, machine, cfg, false)
+		res, err := r.runMND(el, 8, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -167,9 +161,8 @@ func AblationDataDriven(opts Opts) (*Table, error) {
 // AblationGPUOptimizations toggles the two GPU kernel optimizations of
 // §3.5 — hierarchical adjacency processing and atomic batching — on the
 // hybrid configuration.
-func AblationGPUOptimizations(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("sk-2005")
+func AblationGPUOptimizations(r *Runner) (*Table, error) {
+	el, err := r.Graph("sk-2005")
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +177,7 @@ func AblationGPUOptimizations(opts Opts) (*Table, error) {
 			gpu.HierarchicalAdjacency = hier
 			gpu.AtomicBatching = batch
 			machine.GPU = &gpu
-			res, err := w.runMND(el, 4, machine, hypar.DefaultConfig(), true)
+			res, err := r.runMND(el, 4, machine, hypar.DefaultConfig(), true)
 			if err != nil {
 				return nil, err
 			}
@@ -205,9 +198,8 @@ func onOff(b bool) string {
 // AblationContraction compares kernels with and without between-round
 // graph contraction on the high-diameter road workload (many Boruvka
 // rounds, where contraction pays).
-func AblationContraction(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("road_usa")
+func AblationContraction(r *Runner) (*Table, error) {
+	el, err := r.Graph("road_usa")
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +211,7 @@ func AblationContraction(opts Opts) (*Table, error) {
 	for _, contract := range []bool{false, true} {
 		cfg := hypar.DefaultConfig()
 		cfg.Contract = contract
-		res, err := w.runMND(el, 4, machine, cfg, false)
+		res, err := r.runMND(el, 4, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -232,9 +224,8 @@ func AblationContraction(opts Opts) (*Table, error) {
 // AblationPartitioning compares the Gemini-style degree-balanced 1D
 // partitioning (§3.1) with the naive equal-vertex split on a power-law
 // graph, where hub partitions make the naive split edge-imbalanced.
-func AblationPartitioning(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("sk-2005")
+func AblationPartitioning(r *Runner) (*Table, error) {
+	el, err := r.Graph("sk-2005")
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +237,7 @@ func AblationPartitioning(opts Opts) (*Table, error) {
 	for _, equalVertex := range []bool{false, true} {
 		cfg := hypar.DefaultConfig()
 		cfg.EqualVertexPartition = equalVertex
-		res, err := w.runMND(el, 16, machine, cfg, false)
+		res, err := r.runMND(el, 16, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -263,9 +254,8 @@ func AblationPartitioning(opts Opts) (*Table, error) {
 // AblationBSPCombining compares the Pregel+ baseline (message combining,
 // as the paper's comparator uses) with vanilla Pregel (no combiner) — the
 // reason the paper calls Pregel+ the best-performing BSP system.
-func AblationBSPCombining(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get(ablationGraph)
+func AblationBSPCombining(r *Runner) (*Table, error) {
+	el, err := r.Graph(ablationGraph)
 	if err != nil {
 		return nil, err
 	}
@@ -288,32 +278,4 @@ func AblationBSPCombining(opts Opts) (*Table, error) {
 	}
 	t.AddNote("the paper compares against the stronger baseline; vanilla Pregel ships one message per vertex/arc")
 	return t, nil
-}
-
-// Ablations runs every ablation.
-func Ablations(opts Opts) ([]*Table, error) {
-	type exp struct {
-		name string
-		fn   func(Opts) (*Table, error)
-	}
-	exps := []exp{
-		{"GroupSize", AblationGroupSize},
-		{"LeaderOnlyMerge", AblationLeaderOnlyMerge},
-		{"ExceptionCondition", AblationExceptionCondition},
-		{"Termination", AblationTermination},
-		{"DataDriven", AblationDataDriven},
-		{"GPUOptimizations", AblationGPUOptimizations},
-		{"Contraction", AblationContraction},
-		{"Partitioning", AblationPartitioning},
-		{"BSPCombining", AblationBSPCombining},
-	}
-	var out []*Table
-	for _, e := range exps {
-		t, err := e.fn(opts)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -1,14 +1,28 @@
 package bench
 
 import (
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// smallOpts runs the harness at reduced scale with full verification —
+// smallRunner runs experiments at reduced scale with full verification —
 // every experiment's forests are cross-checked against Kruskal.
-func smallOpts() Opts { return Opts{Scale: 0.1, Verify: true} }
+func smallRunner() *Runner { return NewRunner(0.1, true) }
+
+// runPaper collects the tables of the paper experiments cfg selects.
+func runPaper(t *testing.T, cfg Config) []*Table {
+	t.Helper()
+	var tabs []*Table
+	if err := RunPaper(cfg, func(tab *Table) error {
+		tabs = append(tabs, tab)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tabs
+}
 
 func parseCell(t *testing.T, s string) float64 {
 	t.Helper()
@@ -22,7 +36,7 @@ func parseCell(t *testing.T, s string) float64 {
 }
 
 func TestTable2ShapesMatchPaper(t *testing.T) {
-	tab, err := Table2(smallOpts())
+	tab, err := Table2(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +69,7 @@ func TestTable2ShapesMatchPaper(t *testing.T) {
 }
 
 func TestTable3MNDWinsEverywhere(t *testing.T) {
-	tab, err := Table3(smallOpts())
+	tab, err := Table3(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +99,7 @@ func TestTable3MNDWinsEverywhere(t *testing.T) {
 }
 
 func TestTable4AndFigure6Scaling(t *testing.T) {
-	tab, err := Table4(smallOpts())
+	tab, err := Table4(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +115,7 @@ func TestTable4AndFigure6Scaling(t *testing.T) {
 		}
 	}
 
-	f6, err := Figure6(smallOpts())
+	f6, err := Figure6(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +131,7 @@ func TestTable4AndFigure6Scaling(t *testing.T) {
 }
 
 func TestFigure4And5Shapes(t *testing.T) {
-	f4, err := Figure4(smallOpts())
+	f4, err := Figure4(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +144,7 @@ func TestFigure4And5Shapes(t *testing.T) {
 		}
 	}
 
-	f5, err := Figure5(smallOpts())
+	f5, err := Figure5(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +167,7 @@ func TestFigure4And5Shapes(t *testing.T) {
 }
 
 func TestFigure7PhaseBreakdown(t *testing.T) {
-	tab, err := Figure7(smallOpts())
+	tab, err := Figure7(smallRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +188,7 @@ func TestFigure7PhaseBreakdown(t *testing.T) {
 }
 
 func TestFigure8GPUBenefit(t *testing.T) {
-	tab, err := Figure8(Opts{Scale: 0.3, Verify: true})
+	tab, err := Figure8(NewRunner(0.3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +213,7 @@ func TestFigure8GPUBenefit(t *testing.T) {
 }
 
 func TestAblationsRunAndHoldInvariants(t *testing.T) {
-	opts := Opts{Scale: 0.1, Verify: true}
-	tabs, err := Ablations(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabs := runPaper(t, Config{Scale: 0.1, Verify: true, Filter: regexp.MustCompile(`^Ablation/`)})
 	if len(tabs) != 9 {
 		t.Fatalf("ablations=%d", len(tabs))
 	}
@@ -225,10 +235,7 @@ func TestAblationsRunAndHoldInvariants(t *testing.T) {
 }
 
 func TestAllRuns(t *testing.T) {
-	tabs, err := All(Opts{Scale: 0.05, Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabs := runPaper(t, Config{Scale: 0.05, Verify: true})
 	if len(tabs) != 8 {
 		t.Fatalf("tables=%d", len(tabs))
 	}
@@ -266,17 +273,17 @@ func TestTableMarkdown(t *testing.T) {
 }
 
 func TestExtensionsRun(t *testing.T) {
-	opts := Opts{Scale: 0.05, Verify: true}
+	r := NewRunner(0.05, true)
 	for _, tc := range []struct {
 		name string
-		fn   func(Opts) (*Table, error)
+		fn   func(*Runner) (*Table, error)
 		rows int
 	}{
 		{"MultiGPU", ExtensionMultiGPU, 4},
 		{"Heterogeneous", ExtensionHeterogeneous, 2},
 		{"Applications", ExtensionApplications, 5},
 	} {
-		tab, err := tc.fn(opts)
+		tab, err := tc.fn(r)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -285,7 +292,7 @@ func TestExtensionsRun(t *testing.T) {
 		}
 	}
 	// Heterogeneous: speed-aware (second row) must beat speed-blind.
-	tab, err := ExtensionHeterogeneous(Opts{Scale: 0.2, Verify: true})
+	tab, err := ExtensionHeterogeneous(NewRunner(0.2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +304,7 @@ func TestExtensionsRun(t *testing.T) {
 }
 
 func TestWeakScalingEfficiencyReasonable(t *testing.T) {
-	tab, err := ExtensionWeakScaling(Opts{Scale: 0.2, Verify: true})
+	tab, err := ExtensionWeakScaling(NewRunner(0.2, true))
 	if err != nil {
 		t.Fatal(err)
 	}

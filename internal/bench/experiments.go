@@ -12,78 +12,19 @@ import (
 	"mndmst/internal/hypar"
 )
 
-// Opts configures an experiment run.
-type Opts struct {
-	// Scale shrinks the profile workloads (1.0 = reproduction size).
-	Scale float64
-	// Verify cross-checks every computed forest against Kruskal.
-	Verify bool
-}
-
-// DefaultOpts runs at full reproduction scale without verification.
-func DefaultOpts() Opts { return Opts{Scale: 1.0} }
-
-func (o Opts) scale() float64 {
-	if o.Scale <= 0 {
-		return 1.0
-	}
-	return o.Scale
-}
-
-// workload caches generated graphs per profile.
-type workload struct {
-	opts   Opts
-	graphs map[string]*graph.EdgeList
-}
-
-func newWorkload(opts Opts) *workload {
-	return &workload{opts: opts, graphs: map[string]*graph.EdgeList{}}
-}
-
-func (w *workload) get(name string) (*graph.EdgeList, error) {
-	if el, ok := w.graphs[name]; ok {
-		return el, nil
-	}
-	p, err := gen.ProfileByName(name)
-	if err != nil {
-		return nil, err
-	}
-	el := p.Generate(w.opts.scale())
-	w.graphs[name] = el
-	return el, nil
-}
-
-func (w *workload) runMND(el *graph.EdgeList, p int, m cost.Machine, cfg hypar.Config, gpu bool) (*core.Result, error) {
-	res, err := core.Run(el, p, m, cfg, gpu)
-	if err != nil {
-		return nil, err
-	}
-	if w.opts.Verify {
-		if err := core.VerifyAgainstKruskal(el, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-func (w *workload) runBSP(el *graph.EdgeList, p int, m cost.Machine) (*bsp.Result, error) {
-	res, err := bsp.Run(el, p, m)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // Table2 regenerates the graph-specification table: the synthetic analogue
 // of every paper graph with its measured statistics next to the original's
 // published size.
-func Table2(opts Opts) (*Table, error) {
+func Table2(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Table 2: Graph specifications (synthetic analogues at reproduction scale)",
 		Header: []string{"Graph", "|V|", "|E|", "Approx.Diam", "Avg.Deg", "Max.Deg", "Paper |V|", "Paper |E|"},
 	}
 	for _, p := range gen.Profiles {
-		el := p.Generate(opts.scale())
+		el, err := r.Graph(p.Name)
+		if err != nil {
+			return nil, err
+		}
 		st := graph.ComputeStats(graph.MustBuildCSR(el))
 		t.AddRow(p.Name,
 			fmt.Sprintf("%d", st.V),
@@ -100,8 +41,7 @@ func Table2(opts Opts) (*Table, error) {
 // Table3 regenerates the Pregel+ comparison: execution and communication
 // time of both systems on all six graphs at 16 CPU-only nodes of the AMD
 // cluster, plus the improvement percentages the paper reports.
-func Table3(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Table3(r *Runner) (*Table, error) {
 	t := &Table{
 		Title: "Table 3: Performance comparison with Pregel+ (16 nodes, AMD cluster, CPU only; simulated seconds)",
 		Header: []string{"Graph", "Pregel+ Exe", "Pregel+ Comm", "MND-MST Exe", "MND-MST Comm",
@@ -109,15 +49,15 @@ func Table3(opts Opts) (*Table, error) {
 	}
 	machine := cost.AMDCluster()
 	for _, p := range gen.Profiles {
-		el, err := w.get(p.Name)
+		el, err := r.Graph(p.Name)
 		if err != nil {
 			return nil, err
 		}
-		b, err := w.runBSP(el, 16, machine)
+		b, err := bsp.Run(el, 16, machine)
 		if err != nil {
 			return nil, fmt.Errorf("bsp %s: %w", p.Name, err)
 		}
-		m, err := w.runMND(el, 16, machine, hypar.DefaultConfig(), false)
+		m, err := r.runMND(el, 16, machine, hypar.DefaultConfig(), false)
 		if err != nil {
 			return nil, fmt.Errorf("mnd %s: %w", p.Name, err)
 		}
@@ -141,8 +81,7 @@ var nodeCounts = []int{1, 4, 8, 16}
 
 // Table4 regenerates the node-scaling table: MND-MST total time on the AMD
 // cluster for 1, 4, 8 and 16 nodes.
-func Table4(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Table4(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Table 4: MND-MST with increasing node count (AMD cluster; simulated seconds)",
 		Header: append([]string{"Nodes"}, table4Graphs...),
@@ -150,13 +89,13 @@ func Table4(opts Opts) (*Table, error) {
 	machine := cost.AMDCluster()
 	times := map[string]map[int]float64{}
 	for _, name := range table4Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		times[name] = map[int]float64{}
 		for _, p := range nodeCounts {
-			res, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -182,24 +121,23 @@ func Table4(opts Opts) (*Table, error) {
 
 // Figure4 regenerates the inter-node scalability comparison of Pregel+ and
 // MND-MST on arabic-2005 and it-2004.
-func Figure4(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Figure4(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 4: Inter-node scalability of Pregel+ and MND-MST (AMD cluster; simulated seconds)",
 		Header: []string{"Graph", "Nodes", "Pregel+", "MND-MST"},
 	}
 	machine := cost.AMDCluster()
 	for _, name := range table4Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range nodeCounts {
-			b, err := w.runBSP(el, p, machine)
+			b, err := bsp.Run(el, p, machine)
 			if err != nil {
 				return nil, err
 			}
-			m, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			m, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -213,24 +151,23 @@ func Figure4(opts Opts) (*Table, error) {
 
 // Figure5 regenerates the computation-vs-communication split of both
 // systems at 4, 8 and 16 nodes.
-func Figure5(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Figure5(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 5: Computation vs communication (AMD cluster; fraction of execution time)",
 		Header: []string{"Graph", "Nodes", "Pregel+ comp", "Pregel+ comm", "MND comp", "MND comm"},
 	}
 	machine := cost.AMDCluster()
 	for _, name := range table4Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range []int{4, 8, 16} {
-			b, err := w.runBSP(el, p, machine)
+			b, err := bsp.Run(el, p, machine)
 			if err != nil {
 				return nil, err
 			}
-			m, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			m, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -249,8 +186,7 @@ func Figure5(opts Opts) (*Table, error) {
 var figure6Graphs = []string{"road_usa", "gsh-2015-tpd", "sk-2005", "uk-2007"}
 
 // Figure6 regenerates the CPU-only MND-MST scalability on the Cray.
-func Figure6(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Figure6(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 6: Scalability of CPU-only MND-MST on Cray (simulated seconds)",
 		Header: append([]string{"Nodes"}, figure6Graphs...),
@@ -258,13 +194,13 @@ func Figure6(opts Opts) (*Table, error) {
 	machine := cost.CrayXC40()
 	times := map[string]map[int]float64{}
 	for _, name := range figure6Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		times[name] = map[int]float64{}
 		for _, p := range nodeCounts {
-			res, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -290,20 +226,19 @@ func Figure6(opts Opts) (*Table, error) {
 var figure7Graphs = []string{"road_usa", "gsh-2015-tpd", "uk-2007"}
 
 // Figure7 regenerates the per-phase execution time breakdown.
-func Figure7(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Figure7(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 7: Execution time per phase, CPU-only MND-MST on Cray (simulated seconds)",
 		Header: []string{"Graph", "Nodes", "indComp", "comm(+merge)", "postProcess"},
 	}
 	machine := cost.CrayXC40()
 	for _, name := range figure7Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range nodeCounts {
-			res, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
@@ -321,24 +256,23 @@ func Figure7(opts Opts) (*Table, error) {
 var figure8Graphs = []string{"it-2004", "sk-2005", "uk-2007"}
 
 // Figure8 regenerates the CPU-only vs CPU+GPU comparison on the Cray.
-func Figure8(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
+func Figure8(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Figure 8: MND-MST CPU-only vs CPU+GPU on Cray (simulated seconds)",
 		Header: []string{"Graph", "Nodes", "CPU-only", "CPU+GPU", "GPU benefit"},
 	}
 	machine := cost.CrayXC40()
 	for _, name := range figure8Graphs {
-		el, err := w.get(name)
+		el, err := r.Graph(name)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range nodeCounts {
-			cpuRes, err := w.runMND(el, p, machine, hypar.DefaultConfig(), false)
+			cpuRes, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 			if err != nil {
 				return nil, err
 			}
-			gpuRes, err := w.runMND(el, p, machine, hypar.DefaultConfig(), true)
+			gpuRes, err := r.runMND(el, p, machine, hypar.DefaultConfig(), true)
 			if err != nil {
 				return nil, err
 			}
@@ -354,9 +288,8 @@ func Figure8(opts Opts) (*Table, error) {
 // ExtensionMultiGPU sweeps the per-node accelerator count on the largest
 // graph — the "multiple devices on multiple nodes" generality the paper's
 // framework claims, beyond the single K40 of its testbed.
-func ExtensionMultiGPU(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("uk-2007")
+func ExtensionMultiGPU(r *Runner) (*Table, error) {
+	el, err := r.Graph("uk-2007")
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +302,7 @@ func ExtensionMultiGPU(opts Opts) (*Table, error) {
 	for _, k := range []int{0, 1, 2, 4} {
 		cfg := hypar.DefaultConfig()
 		cfg.GPUsPerNode = k
-		res, err := w.runMND(el, 4, machine, cfg, k > 0)
+		res, err := r.runMND(el, 4, machine, cfg, k > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -386,9 +319,8 @@ func ExtensionMultiGPU(opts Opts) (*Table, error) {
 // ExtensionHeterogeneous compares speed-aware and speed-blind partitioning
 // on a cluster with one straggler node — an extension beyond the paper's
 // homogeneous assumption (§4.3.1).
-func ExtensionHeterogeneous(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("it-2004")
+func ExtensionHeterogeneous(r *Runner) (*Table, error) {
+	el, err := r.Graph("it-2004")
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +333,7 @@ func ExtensionHeterogeneous(opts Opts) (*Table, error) {
 	for _, blind := range []bool{true, false} {
 		cfg := hypar.DefaultConfig()
 		cfg.IgnoreNodeSpeeds = blind
-		res, err := w.runMND(el, 4, machine, cfg, false)
+		res, err := r.runMND(el, 4, machine, cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -418,9 +350,8 @@ func ExtensionHeterogeneous(opts Opts) (*Table, error) {
 // ExtensionApplications profiles the other graph applications built on the
 // same substrate (§6 future work): connected components over the MND
 // pipeline vs the superstep-synchronous BFS, SSSP and PageRank.
-func ExtensionApplications(opts Opts) (*Table, error) {
-	w := newWorkload(opts)
-	el, err := w.get("arabic-2005")
+func ExtensionApplications(r *Runner) (*Table, error) {
+	el, err := r.Graph("arabic-2005")
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +401,7 @@ func ExtensionApplications(opts Opts) (*Table, error) {
 // ExtensionWeakScaling grows the workload with the node count (fixed edges
 // per node) and reports parallel efficiency — the weak-scaling view the
 // paper's strong-scaling tables leave out.
-func ExtensionWeakScaling(opts Opts) (*Table, error) {
+func ExtensionWeakScaling(r *Runner) (*Table, error) {
 	t := &Table{
 		Title:  "Extension: weak scaling (web graph, 400k edges per node, AMD cluster)",
 		Header: []string{"Nodes", "|V|", "|E|", "Exe", "Efficiency"},
@@ -479,19 +410,14 @@ func ExtensionWeakScaling(opts Opts) (*Table, error) {
 	const vPerNode = 20_000
 	base := 0.0
 	for _, p := range nodeCounts {
-		v := int32(float64(vPerNode*p) * opts.scale())
+		v := int32(float64(vPerNode*p) * r.scale)
 		if v < 64 {
 			v = 64
 		}
 		el := gen.WebGraph(v, int(v)*20, 0.85, int64(300+p))
-		res, err := core.Run(el, p, machine, hypar.DefaultConfig(), false)
+		res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), false)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Verify {
-			if err := core.VerifyAgainstKruskal(el, res); err != nil {
-				return nil, err
-			}
 		}
 		exe := res.Report.ExecutionTime()
 		if p == 1 {
@@ -504,24 +430,30 @@ func ExtensionWeakScaling(opts Opts) (*Table, error) {
 	return t, nil
 }
 
-// All runs every table and figure in paper order.
-func All(opts Opts) ([]*Table, error) {
-	type exp struct {
-		name string
-		fn   func(Opts) (*Table, error)
+// paperExperiments is the paper suite in its stable order: the §5 tables
+// and figures in paper order, the design ablations, then the extensions.
+func paperExperiments() []Experiment {
+	return []Experiment{
+		{Name: "Table2", Table: Table2},
+		{Name: "Table3", Table: Table3},
+		{Name: "Table4", Table: Table4},
+		{Name: "Figure4", Table: Figure4},
+		{Name: "Figure5", Table: Figure5},
+		{Name: "Figure6", Table: Figure6},
+		{Name: "Figure7", Table: Figure7},
+		{Name: "Figure8", Table: Figure8},
+		{Name: "Ablation/GroupSize", Table: AblationGroupSize},
+		{Name: "Ablation/LeaderOnlyMerge", Table: AblationLeaderOnlyMerge},
+		{Name: "Ablation/ExceptionCondition", Table: AblationExceptionCondition},
+		{Name: "Ablation/Termination", Table: AblationTermination},
+		{Name: "Ablation/DataDriven", Table: AblationDataDriven},
+		{Name: "Ablation/GPUOptimizations", Table: AblationGPUOptimizations},
+		{Name: "Ablation/Contraction", Table: AblationContraction},
+		{Name: "Ablation/Partitioning", Table: AblationPartitioning},
+		{Name: "Ablation/BSPCombining", Table: AblationBSPCombining},
+		{Name: "Extension/MultiGPU", Table: ExtensionMultiGPU},
+		{Name: "Extension/Heterogeneous", Table: ExtensionHeterogeneous},
+		{Name: "Extension/Applications", Table: ExtensionApplications},
+		{Name: "Extension/WeakScaling", Table: ExtensionWeakScaling},
 	}
-	exps := []exp{
-		{"Table2", Table2}, {"Table3", Table3}, {"Table4", Table4},
-		{"Figure4", Figure4}, {"Figure5", Figure5}, {"Figure6", Figure6},
-		{"Figure7", Figure7}, {"Figure8", Figure8},
-	}
-	var out []*Table
-	for _, e := range exps {
-		t, err := e.fn(opts)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.name, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

@@ -1,4 +1,4 @@
-package harness
+package bench
 
 import (
 	"context"
@@ -29,19 +29,17 @@ const (
 // cache regimes separate clearly, small enough to stay in CI seconds.
 const serveJobs = 16
 
-// Scenarios returns the pinned suite in its stable order. Names are
-// baseline keys: renaming one is a baseline-breaking change and must be
-// blessed like a regression.
-func Scenarios() []Scenario {
-	var scs []Scenario
+// coreScenarios is the pinned core suite in its stable order.
+func coreScenarios() []Experiment {
+	var scs []Experiment
 	// Core MND-MST across every Table 2 profile at the paper's two
 	// bracketing rank counts.
 	for _, prof := range gen.Profiles {
 		for _, p := range []int{4, 16} {
 			prof, p := prof, p
-			scs = append(scs, Scenario{
+			scs = append(scs, Experiment{
 				Name: fmt.Sprintf("core/%s/p%d", prof.Name, p),
-				run: func(r *Runner) (map[string]float64, error) {
+				Metrics: func(r *Runner) (map[string]float64, error) {
 					return runCore(r, prof.Name, p, cost.AMDCluster(), false)
 				},
 			})
@@ -49,35 +47,35 @@ func Scenarios() []Scenario {
 	}
 	// One multi-device run on the GPU platform: exercises the §4.3.1
 	// ratio estimation and the device-model clocks.
-	scs = append(scs, Scenario{
+	scs = append(scs, Experiment{
 		Name: "core/" + distProfile + "/p4/gpu",
-		run: func(r *Runner) (map[string]float64, error) {
+		Metrics: func(r *Runner) (map[string]float64, error) {
 			return runCore(r, distProfile, 4, cost.CrayXC40(), true)
 		},
 	})
 	// The same computation over real transports: in-process Mem endpoints
 	// and actual loopback TCP (coordinator rendezvous, framed streams).
 	scs = append(scs,
-		Scenario{Name: "dist/mem/" + distProfile + "/p4", run: runDistMem},
-		Scenario{Name: "dist/tcp/" + distProfile + "/p4", run: runDistTCP},
+		Experiment{Name: "dist/mem/" + distProfile + "/p4", Metrics: runDistMem},
+		Experiment{Name: "dist/tcp/" + distProfile + "/p4", Metrics: runDistTCP},
 	)
 	// The merge-phase communication patterns in isolation.
 	scs = append(scs,
-		Scenario{Name: "comm/deltas/p4/64KiB", run: runCommDeltas},
-		Scenario{Name: "comm/segments/ring/p4", run: runCommSegments},
+		Experiment{Name: "comm/deltas/p4/64KiB", Metrics: runCommDeltas},
+		Experiment{Name: "comm/segments/ring/p4", Metrics: runCommSegments},
 	)
 	// The job service in both cache regimes.
 	scs = append(scs,
-		Scenario{Name: "serve/jobs/cold", run: func(r *Runner) (map[string]float64, error) { return runServe(r, true) }},
-		Scenario{Name: "serve/jobs/hot", run: func(r *Runner) (map[string]float64, error) { return runServe(r, false) }},
+		Experiment{Name: "serve/jobs/cold", Metrics: func(r *Runner) (map[string]float64, error) { return runServe(r, true) }},
+		Experiment{Name: "serve/jobs/hot", Metrics: func(r *Runner) (map[string]float64, error) { return runServe(r, false) }},
 	)
 	// The analytics applications built on the same cluster substrate.
 	scs = append(scs,
-		Scenario{Name: "apps/bfs/" + appsProfile + "/p8", run: runBFS},
-		Scenario{Name: "apps/sssp/" + appsProfile + "/p8", run: runSSSP},
-		Scenario{Name: "apps/pagerank/" + appsProfile + "/p8", run: runPageRank},
-		Scenario{Name: "apps/cc/" + appsProfile + "/p8", run: runCC},
-		Scenario{Name: "apps/coloring/" + appsProfile + "/p8", run: runColoring},
+		Experiment{Name: "apps/bfs/" + appsProfile + "/p8", Metrics: runBFS},
+		Experiment{Name: "apps/sssp/" + appsProfile + "/p8", Metrics: runSSSP},
+		Experiment{Name: "apps/pagerank/" + appsProfile + "/p8", Metrics: runPageRank},
+		Experiment{Name: "apps/cc/" + appsProfile + "/p8", Metrics: runCC},
+		Experiment{Name: "apps/coloring/" + appsProfile + "/p8", Metrics: runColoring},
 	)
 	return scs
 }
@@ -102,7 +100,7 @@ func runCore(r *Runner, profile string, p int, machine cost.Machine, useGPU bool
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Run(el, p, machine, hypar.DefaultConfig(), useGPU)
+	res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), useGPU)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +271,7 @@ func runServe(r *Runner, cold bool) (map[string]float64, error) {
 		defer cancel()
 		s.Shutdown(ctx)
 	}()
-	spec := serve.GraphSpec{Profile: "road_usa", Scale: r.Scale()}
+	spec := serve.GraphSpec{Profile: "road_usa", Scale: r.scale}
 	for i := 0; i < serveJobs; i++ {
 		req := serve.JobRequest{Graph: spec, Options: serve.OptionSpec{Nodes: 2}}
 		if cold {

@@ -5,35 +5,11 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
-// Tolerance configures the per-metric bands Compare applies. Sim-mode
-// files are always compared exactly (the whole point of the deterministic
-// clock is that any drift is a change someone made); the tolerance only
-// governs wall-mode files.
-type Tolerance struct {
-	// WallPct is the allowed relative degradation of a wall-clock metric
-	// before it counts as a regression, e.g. 0.20 for 20%. Zero means the
-	// default (DefaultWallPct).
-	WallPct float64
-}
-
-// DefaultWallPct is the wall-clock tolerance band used when none is given:
-// wide enough to absorb shared-runner noise, tight enough that a 2x
-// slowdown can never slip through.
-const DefaultWallPct = 0.25
-
-// higherBetter reports the improvement direction of a metric from its
-// name: throughput-style metrics (jobs_per_s, mb_per_s, ...) regress
-// downward, everything else (seconds, bytes, counts) regresses upward.
-func higherBetter(metric string) bool {
-	return strings.HasSuffix(metric, "_per_s") ||
-		strings.HasSuffix(metric, "_per_sec") ||
-		strings.Contains(metric, "throughput")
-}
-
-// MetricDelta is one compared metric.
+// MetricDelta is one changed metric. Records hold deterministic simulated
+// clocks, so every change is a regression: a real behaviour change to
+// accept (by re-blessing the baseline) or fix.
 type MetricDelta struct {
 	Scenario string  `json:"scenario"`
 	Metric   string  `json:"metric"`
@@ -42,16 +18,12 @@ type MetricDelta struct {
 	// RelChange is (current-baseline)/baseline, signed; ±Inf when the
 	// baseline is zero and the current value is not.
 	RelChange float64 `json:"rel_change"`
-	// Regression marks a change outside the tolerance band in the bad
-	// direction (sim mode: any change at all).
-	Regression bool `json:"regression"`
 }
 
 // Result is the outcome of one baseline comparison.
 type Result struct {
-	Mode string `json:"mode"`
-	// Deltas lists every metric whose value changed (or disappeared),
-	// regressions first, then by scenario/metric name.
+	// Deltas lists every metric whose value changed, by scenario/metric
+	// name.
 	Deltas []MetricDelta `json:"deltas,omitempty"`
 	// MissingScenarios were in the baseline but not the current run —
 	// always a regression (a silently dropped scenario must not pass).
@@ -68,29 +40,22 @@ type Result struct {
 // Passed reports whether the comparison found no regressions.
 func (r *Result) Passed() bool { return r.Regressions == 0 }
 
-// Compare gates current against baseline. Both files must share schema
-// version, mode, suite, and (for sim files) scale — a mismatch is a usage
-// error, not a regression, because the numbers are incomparable.
-func Compare(baseline, current *File, tol Tolerance) (*Result, error) {
+// Compare gates current against baseline exactly. Both files must share
+// schema version, suite, and scale — a mismatch is a usage error, not a
+// regression, because the numbers are incomparable.
+func Compare(baseline, current *File) (*Result, error) {
 	if err := baseline.Validate(); err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	if err := current.Validate(); err != nil {
 		return nil, fmt.Errorf("current: %w", err)
 	}
-	if baseline.Mode != current.Mode {
-		return nil, fmt.Errorf("mode mismatch: baseline %q vs current %q", baseline.Mode, current.Mode)
-	}
 	if baseline.Suite != current.Suite {
 		return nil, fmt.Errorf("suite mismatch: baseline %q vs current %q", baseline.Suite, current.Suite)
 	}
-	if baseline.Mode == ModeSim && baseline.Scale != current.Scale {
+	if baseline.Scale != current.Scale {
 		return nil, fmt.Errorf("scale mismatch: baseline %g vs current %g (sim metrics are scale-specific)",
 			baseline.Scale, current.Scale)
-	}
-	pct := tol.WallPct
-	if pct <= 0 {
-		pct = DefaultWallPct
 	}
 
 	cur := make(map[string]Scenario, len(current.Scenarios))
@@ -99,7 +64,7 @@ func Compare(baseline, current *File, tol Tolerance) (*Result, error) {
 	}
 	base := make(map[string]bool, len(baseline.Scenarios))
 
-	res := &Result{Mode: baseline.Mode}
+	res := &Result{}
 	for _, bs := range baseline.Scenarios {
 		base[bs.Name] = true
 		cs, ok := cur[bs.Name]
@@ -129,23 +94,10 @@ func Compare(baseline, current *File, tol Tolerance) (*Result, error) {
 			if bv != 0 {
 				rel = (cv - bv) / bv
 			}
-			regressed := false
-			if baseline.Mode == ModeSim {
-				// Exact: the simulated clock is deterministic, so any
-				// drift is a real behaviour change to accept or fix.
-				regressed = true
-			} else if higherBetter(m) {
-				regressed = rel < -pct
-			} else {
-				regressed = rel > pct
-			}
-			if regressed {
-				res.Regressions++
-			}
+			res.Regressions++
 			res.Deltas = append(res.Deltas, MetricDelta{
 				Scenario: bs.Name, Metric: m,
-				Baseline: bv, Current: cv,
-				RelChange: rel, Regression: regressed,
+				Baseline: bv, Current: cv, RelChange: rel,
 			})
 		}
 	}
@@ -156,9 +108,6 @@ func Compare(baseline, current *File, tol Tolerance) (*Result, error) {
 	}
 	sort.Slice(res.Deltas, func(i, j int) bool {
 		a, b := res.Deltas[i], res.Deltas[j]
-		if a.Regression != b.Regression {
-			return a.Regression
-		}
 		if a.Scenario != b.Scenario {
 			return a.Scenario < b.Scenario
 		}
@@ -168,15 +117,14 @@ func Compare(baseline, current *File, tol Tolerance) (*Result, error) {
 }
 
 // Report renders the per-metric comparison for humans (and CI logs):
-// every regression with its band, then the in-tolerance drifts, then the
-// bookkeeping notes.
+// every regression, then the bookkeeping notes.
 func (r *Result) Report(w io.Writer) {
 	status := "PASS"
 	if !r.Passed() {
 		status = "FAIL"
 	}
-	fmt.Fprintf(w, "bench compare (%s mode): %s — %d metrics compared, %d regressions\n",
-		r.Mode, status, r.Compared, r.Regressions)
+	fmt.Fprintf(w, "bench compare: %s — %d metrics compared, %d regressions\n",
+		status, r.Compared, r.Regressions)
 	for _, s := range r.MissingScenarios {
 		fmt.Fprintf(w, "  REGRESSION %-44s scenario missing from current run\n", s)
 	}
@@ -184,12 +132,8 @@ func (r *Result) Report(w io.Writer) {
 		fmt.Fprintf(w, "  REGRESSION %-44s metric missing from current run\n", m)
 	}
 	for _, d := range r.Deltas {
-		tag := "drift     "
-		if d.Regression {
-			tag = "REGRESSION"
-		}
-		fmt.Fprintf(w, "  %s %-44s %s: %g -> %g (%+.2f%%)\n",
-			tag, d.Scenario, d.Metric, d.Baseline, d.Current, 100*d.RelChange)
+		fmt.Fprintf(w, "  REGRESSION %-44s %s: %g -> %g (%+.2f%%)\n",
+			d.Scenario, d.Metric, d.Baseline, d.Current, 100*d.RelChange)
 	}
 	for _, s := range r.NewScenarios {
 		fmt.Fprintf(w, "  note       %-44s new scenario (not in baseline; re-bless to track)\n", s)

@@ -23,9 +23,9 @@ func FuzzFileRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"schema":"mndmst-bench/v1","mode":"wall","suite":"comm",` +
-		`"env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":4,"num_cpu":4},` +
-		`"scenarios":[{"name":"deltas-64KiB","metrics":{"wall_seconds":0.01,"mb_per_s":512.5}}]}`))
+	f.Add([]byte(`{"schema":"mndmst-bench/v1","mode":"sim","suite":"core",` +
+		`"scenarios":[{"name":"comm/deltas/p4/64KiB","metrics":{"comm_seconds":0.00026,"bytes_sent":786432}},` +
+		`{"name":"serve/jobs/hot","metrics":{"jobs":16,"result_cache_hits":15}}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"schema":"mndmst-bench/v1","mode":"sim","suite":"x","scenarios":[]}`))
 

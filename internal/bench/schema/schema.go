@@ -1,16 +1,15 @@
 // Package schema defines the canonical, versioned on-disk format of the
-// repo's benchmark records (BENCH_core.json and friends): a flat list of
-// named scenarios, each carrying a map of numeric metrics, plus enough
-// header to interpret them — the measurement mode (deterministic simulated
-// clock vs real wall clock), the workload scale, and (for wall-clock files)
-// an environment fingerprint. Every benchmark emitter in the tree writes
-// this one schema, so a single validator and a single comparator can gate
-// all of them.
+// repo's benchmark records (bench.baseline.json and the records
+// mndmst-bench writes): a flat list of named scenarios, each carrying a map
+// of numeric metrics, plus enough header to interpret them — the
+// measurement mode (always the deterministic simulated clock; e2ebench
+// owns wall time), the suite and the workload scale. One validator and
+// one comparator gate every record.
 //
 // Encoding is canonical: scenarios keep their suite order, metric maps
 // serialize with sorted keys (encoding/json's map behaviour), and floats
 // use Go's shortest round-trip representation — two encodes of the same
-// File are byte-identical, which is what makes sim-mode baselines exactly
+// File are byte-identical, which is what makes sim baselines exactly
 // diffable.
 package schema
 
@@ -27,26 +26,9 @@ import (
 // so a stale reader never silently misinterprets a newer file.
 const Version = "mndmst-bench/v1"
 
-// Measurement modes.
-const (
-	// ModeSim marks deterministic simulated-clock metrics: bit-stable
-	// across runs, compared exactly.
-	ModeSim = "sim"
-	// ModeWall marks real wall-clock measurements: machine-dependent,
-	// compared within a tolerance band.
-	ModeWall = "wall"
-)
-
-// Env fingerprints the machine a wall-clock file was measured on. Sim
-// files omit it so their bytes are portable across machines.
-type Env struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	CPUModel   string `json:"cpu_model,omitempty"`
-}
+// ModeSim is the one measurement mode: deterministic simulated-clock
+// metrics, bit-stable across runs and compared exactly.
+const ModeSim = "sim"
 
 // Scenario is one named measurement: a pinned workload/configuration pair
 // and the metrics it produced.
@@ -59,13 +41,11 @@ type Scenario struct {
 type File struct {
 	Schema string `json:"schema"`
 	Mode   string `json:"mode"`
-	// Suite names the emitter ("core" for the mndmst-bench harness,
-	// "comm"/"serve" for the test-embedded smokes).
+	// Suite names the emitting suite ("core" for mndmst-bench).
 	Suite string `json:"suite"`
 	// Scale is the workload scale the scenarios ran at (0 when the suite
 	// has no scale knob).
 	Scale     float64    `json:"scale,omitempty"`
-	Env       *Env       `json:"env,omitempty"`
 	Scenarios []Scenario `json:"scenarios"`
 }
 
@@ -78,8 +58,8 @@ func (f *File) Validate() error {
 	if f.Schema != Version {
 		return fmt.Errorf("schema: unknown schema %q (want %q)", f.Schema, Version)
 	}
-	if f.Mode != ModeSim && f.Mode != ModeWall {
-		return fmt.Errorf("schema: unknown mode %q (want %q or %q)", f.Mode, ModeSim, ModeWall)
+	if f.Mode != ModeSim {
+		return fmt.Errorf("schema: unknown mode %q (want %q)", f.Mode, ModeSim)
 	}
 	if f.Suite == "" {
 		return fmt.Errorf("schema: empty suite name")

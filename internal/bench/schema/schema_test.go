@@ -39,7 +39,7 @@ func TestValidateRejects(t *testing.T) {
 		want string
 	}{
 		{"wrong version", func(f *File) { f.Schema = "mndmst-bench/v0" }, "unknown schema"},
-		{"wrong mode", func(f *File) { f.Mode = "cpu" }, "unknown mode"},
+		{"wrong mode", func(f *File) { f.Mode = "wall" }, "unknown mode"},
 		{"empty suite", func(f *File) { f.Suite = "" }, "empty suite"},
 		{"no scenarios", func(f *File) { f.Scenarios = nil }, "no scenarios"},
 		{"empty name", func(f *File) { f.Scenarios[0].Name = "" }, "empty name"},
@@ -110,7 +110,7 @@ func TestReadRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 
 func TestCompareSimExact(t *testing.T) {
 	base, cur := validFile(), validFile()
-	res, err := Compare(base, cur, Tolerance{})
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,9 @@ func TestCompareSimExact(t *testing.T) {
 		t.Fatalf("identical files did not pass: %+v", res)
 	}
 
-	// Any drift at all — even far below any wall tolerance — regresses.
+	// Any drift at all, however small, regresses.
 	cur.Scenarios[0].Metrics["sim_seconds"] *= 1.0001
-	res, err = Compare(base, cur, Tolerance{})
+	res, err = Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,70 +135,10 @@ func TestCompareSimExact(t *testing.T) {
 	}
 }
 
-func TestCompareWallTolerance(t *testing.T) {
-	mk := func(wall, thr float64) *File {
-		return &File{
-			Schema: Version, Mode: ModeWall, Suite: "core",
-			Scenarios: []Scenario{{Name: "s", Metrics: map[string]float64{
-				"wall_seconds": wall, "jobs_per_s": thr,
-			}}},
-		}
-	}
-	base := mk(1.0, 100)
-
-	// Inside the band: 10% slower and 10% less throughput pass at 25%.
-	res, err := Compare(base, mk(1.10, 90), Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("in-band wall drift regressed: %+v", res)
-	}
-	if len(res.Deltas) != 2 {
-		t.Fatalf("drifts were not reported: %+v", res.Deltas)
-	}
-
-	// Outside the band, lower-better direction.
-	res, err = Compare(base, mk(1.40, 100), Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Fatal("40% wall slowdown passed a 25% band")
-	}
-
-	// Outside the band, higher-better direction.
-	res, err = Compare(base, mk(1.0, 60), Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Fatal("40% throughput loss passed a 25% band")
-	}
-
-	// Improvements never regress, in either direction.
-	res, err = Compare(base, mk(0.3, 400), Tolerance{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Fatalf("improvement counted as regression: %+v", res)
-	}
-
-	// A custom band applies.
-	res, err = Compare(base, mk(1.10, 100), Tolerance{WallPct: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Fatal("10% slowdown passed a 5% band")
-	}
-}
-
 func TestCompareMissingScenarioAndMetric(t *testing.T) {
 	base, cur := validFile(), validFile()
 	cur.Scenarios = cur.Scenarios[:1]
-	res, err := Compare(base, cur, Tolerance{})
+	res, err := Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +148,7 @@ func TestCompareMissingScenarioAndMetric(t *testing.T) {
 
 	cur = validFile()
 	delete(cur.Scenarios[0].Metrics, "msgs")
-	res, err = Compare(base, cur, Tolerance{})
+	res, err = Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +161,7 @@ func TestCompareMissingScenarioAndMetric(t *testing.T) {
 	cur.Scenarios = append(cur.Scenarios, Scenario{
 		Name: "core/extra", Metrics: map[string]float64{"sim_seconds": 1},
 	})
-	res, err = Compare(base, cur, Tolerance{})
+	res, err = Compare(base, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,19 +172,14 @@ func TestCompareMissingScenarioAndMetric(t *testing.T) {
 
 func TestCompareRejectsIncomparableFiles(t *testing.T) {
 	base := validFile()
-	wall := validFile()
-	wall.Mode = ModeWall
-	if _, err := Compare(base, wall, Tolerance{}); err == nil {
-		t.Fatal("mode mismatch accepted")
-	}
 	scaled := validFile()
 	scaled.Scale = 0.1
-	if _, err := Compare(base, scaled, Tolerance{}); err == nil {
+	if _, err := Compare(base, scaled); err == nil {
 		t.Fatal("sim scale mismatch accepted")
 	}
 	suite := validFile()
 	suite.Suite = "comm"
-	if _, err := Compare(base, suite, Tolerance{}); err == nil {
+	if _, err := Compare(base, suite); err == nil {
 		t.Fatal("suite mismatch accepted")
 	}
 }

@@ -1,10 +1,3 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (§5) plus the ablations DESIGN.md calls out. Each experiment
-// builds its workload from the Table 2 profiles, runs the relevant systems
-// on the simulated machines, and returns a Table whose rows mirror the
-// paper's rows/series. Absolute simulated seconds are not expected to match
-// the paper's wall-clock numbers (the workloads are ~1/1000 scale); the
-// comparisons — who wins, by what factor, where the crossovers fall — are.
 package bench
 
 import (

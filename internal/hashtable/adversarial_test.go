@@ -12,7 +12,7 @@ import (
 
 // Adversarial-distribution coverage: the merge machinery leans on the
 // total order of graph.WeightLess being insertion-order- and
-// schedule-independent. These tests feed the two hash tables the worst
+// schedule-independent. These tests feed the pair-min table the worst
 // key/weight distributions — every weight in the same 16-bit class (ties
 // everywhere, decided only by the edge-id low bits), candidates arriving
 // in reversed and shuffled tie-break order, and key sets that hotspot a
@@ -174,91 +174,5 @@ func TestPairMinConcurrentShuffledSchedules(t *testing.T) {
 		if tab.Len() != len(want) {
 			t.Fatalf("Len()=%d want %d", tab.Len(), len(want))
 		}
-	}
-}
-
-// TestGhostListHotspotProcDeterministic hammers a single processor id (all
-// traffic through one shard) from concurrent adders with all-equal weight
-// classes and checks the stored multiset — sorted by the WeightLess total
-// order — is exactly the input multiset, every run.
-func TestGhostListHotspotProcDeterministic(t *testing.T) {
-	rng := testutil.Rand(t, 4003)
-	const n, workers, proc = 400, 8, 3
-	want := make([]GhostEdge, n)
-	for i := range want {
-		want[i] = GhostEdge{Local: int32(i % 17), Ghost: int32(i % 13), W: graph.MakeWeight(7, int32(i)), EID: int32(i)}
-	}
-
-	sortGhosts := func(s []GhostEdge) {
-		sort.Slice(s, func(i, j int) bool { return graph.WeightLess(s[i].W, s[j].W) })
-	}
-	for trial := 0; trial < 3; trial++ {
-		gl := NewGhostList()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*n/workers, (w+1)*n/workers
-			batch := append([]GhostEdge(nil), want[lo:hi]...)
-			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-			wg.Add(1)
-			go func(batch []GhostEdge) {
-				defer wg.Done()
-				for _, e := range batch {
-					gl.Add(proc, e)
-				}
-			}(batch)
-		}
-		wg.Wait()
-		if gl.Len() != n {
-			t.Fatalf("Len()=%d want %d", gl.Len(), n)
-		}
-		if procs := gl.Procs(); len(procs) != 1 || procs[0] != proc {
-			t.Fatalf("Procs()=%v want [%d]", procs, proc)
-		}
-		got := append([]GhostEdge(nil), gl.ForProc(proc)...)
-		sortGhosts(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: sorted ghost %d = %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestGhostListShardCollisionProcs spreads edges over processor ids that
-// all collide into the same shard (stride = shard count) and checks every
-// per-proc bucket stays intact and Procs stays sorted.
-func TestGhostListShardCollisionProcs(t *testing.T) {
-	const stride, buckets, perProc = ghostShards, 10, 7
-	gl := NewGhostList()
-	eid := int32(0)
-	for b := 0; b < buckets; b++ {
-		proc := int32(b * stride) // all procs hit shard 0
-		for i := 0; i < perProc; i++ {
-			gl.Add(proc, GhostEdge{Local: eid, Ghost: eid + 1, W: graph.MakeWeight(7, eid), EID: eid})
-			eid++
-		}
-	}
-	procs := gl.Procs()
-	if len(procs) != buckets {
-		t.Fatalf("Procs()=%v want %d colliding buckets", procs, buckets)
-	}
-	if !sort.SliceIsSorted(procs, func(i, j int) bool { return procs[i] < procs[j] }) {
-		t.Fatalf("Procs() not sorted: %v", procs)
-	}
-	for b := 0; b < buckets; b++ {
-		proc := int32(b * stride)
-		got := gl.ForProc(proc)
-		if len(got) != perProc {
-			t.Fatalf("proc %d holds %d edges, want %d", proc, len(got), perProc)
-		}
-		for _, e := range got {
-			if int(e.EID)/perProc != b {
-				t.Fatalf("proc %d holds foreign edge %+v", proc, e)
-			}
-		}
-	}
-	gl.Clear()
-	if gl.Len() != 0 || len(gl.Procs()) != 0 {
-		t.Fatalf("Clear left %d edges across %v", gl.Len(), gl.Procs())
 	}
 }

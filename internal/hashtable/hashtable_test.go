@@ -9,63 +9,6 @@ import (
 	"mndmst/internal/wire"
 )
 
-func TestGhostListBasic(t *testing.T) {
-	g := NewGhostList()
-	if g.Len() != 0 {
-		t.Fatal("new list not empty")
-	}
-	g.Add(3, GhostEdge{Local: 1, Ghost: 100, W: 5, EID: 0})
-	g.Add(3, GhostEdge{Local: 2, Ghost: 101, W: 6, EID: 1})
-	g.Add(7, GhostEdge{Local: 1, Ghost: 200, W: 7, EID: 2})
-	if g.Len() != 3 {
-		t.Fatalf("len=%d", g.Len())
-	}
-	if got := g.ForProc(3); len(got) != 2 {
-		t.Fatalf("proc 3 edges=%d", len(got))
-	}
-	if got := g.ForProc(99); got != nil {
-		t.Fatalf("unknown proc returned %v", got)
-	}
-	procs := g.Procs()
-	if len(procs) != 2 || procs[0] != 3 || procs[1] != 7 {
-		t.Fatalf("procs=%v", procs)
-	}
-	if g.Ops() == 0 {
-		t.Fatal("ops not counted")
-	}
-	g.Clear()
-	if g.Len() != 0 || len(g.Procs()) != 0 {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestGhostListConcurrentAdds(t *testing.T) {
-	g := NewGhostList()
-	const workers, per = 8, 2000
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				proc := int32(i % 33)
-				g.Add(proc, GhostEdge{Local: int32(w), Ghost: int32(i), EID: int32(w*per + i)})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if g.Len() != workers*per {
-		t.Fatalf("len=%d want %d", g.Len(), workers*per)
-	}
-	total := 0
-	for _, p := range g.Procs() {
-		total += len(g.ForProc(p))
-	}
-	if total != workers*per {
-		t.Fatalf("sum over procs=%d", total)
-	}
-}
-
 func TestMakePairKeyCanonical(t *testing.T) {
 	f := func(a, b int32) bool {
 		k1 := MakePairKey(a, b)

@@ -1,3 +1,7 @@
+// Package hashtable implements the pair-min table (§3.3) the paper's
+// multi-edge removal is built on: it keeps the lightest edge between every
+// pair of components. It is sharded for parallel updates and counts its
+// operations so the device cost models can charge for hash work.
 package hashtable
 
 import (

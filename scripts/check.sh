@@ -30,8 +30,8 @@ run_bench() {
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     go build -o "$tmp/mndmst-bench" ./cmd/mndmst-bench
-    "$tmp/mndmst-bench" -mode sim -quiet -out "$tmp/run1.json"
-    "$tmp/mndmst-bench" -mode sim -quiet -out "$tmp/run2.json"
+    "$tmp/mndmst-bench" -quiet -out "$tmp/run1.json"
+    "$tmp/mndmst-bench" -quiet -out "$tmp/run2.json"
     cmp "$tmp/run1.json" "$tmp/run2.json" || {
         echo "bench gate: two sim runs are not byte-identical" >&2
         exit 1
@@ -39,7 +39,7 @@ run_bench() {
     "$tmp/mndmst-bench" -validate "$tmp/run1.json"
     "$tmp/mndmst-bench" -compare bench.baseline.json -current "$tmp/run1.json" || {
         echo "bench gate: regression vs bench.baseline.json — if intentional, regenerate the baseline:" >&2
-        echo "  go run ./cmd/mndmst-bench -mode sim -out bench.baseline.json" >&2
+        echo "  go run ./cmd/mndmst-bench -out bench.baseline.json" >&2
         exit 1
     }
     trap - EXIT
@@ -205,12 +205,12 @@ go run ./cmd/mndmst -launch local:4 -profile arabic-2005 -scale 0.05 -verify
 echo "== json record smoke (CLI/server shared schema) =="
 go run ./cmd/mndmst -profile arabic-2005 -scale 0.05 -verify -json
 
-echo "== benches (smoke; emits BENCH_comm.json) =="
+echo "== paper suite smoke (§5 tables, every forest verified) =="
+go run ./cmd/mndmst-bench -suite paper -scale 0.05 -verify
+
+echo "== benches (smoke) =="
 MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \
-    go test -run XXX -bench 'BenchmarkTable2|BenchmarkFindMSFHost|BenchmarkExchangeComm' -benchtime 1x .
-# A silently-empty or truncated record must fail the gate, so the emitted
-# file is validated structurally, not just printed.
-go run ./cmd/mndmst-bench -validate BENCH_comm.json
+    go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|ExchangeComm' -benchtime 1x .
 
 run_bench
 

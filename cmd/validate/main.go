@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	ref := mndmst.FindMSFSequential(g)
-	fmt.Fprintf(out, "reference (Kruskal): %d edges, %d components, weight %d\n",
+	fmt.Fprintf(out, "reference (filter-Kruskal): %d edges, %d components, weight %d\n",
 		len(ref.EdgeIDs), ref.Components, ref.TotalWeight)
 	if err := mndmst.Verify(g, ref); err != nil {
 		return fmt.Errorf("reference forest failed verification: %w", err)

@@ -59,3 +59,16 @@ func BenchmarkKernelTopologyDriven(b *testing.B) {
 		Run(l, opt)
 	}
 }
+
+// BenchmarkKernelRoadWindow runs the kernel the way a rank of a 4-rank
+// road-grid solve does: over a quarter window of the shared CSR under
+// EXCPT_BORDER_VERTEX.
+func BenchmarkKernelRoadWindow(b *testing.B) {
+	g := graph.MustBuildCSR(gen.RoadNetwork(20000, 9))
+	win := NewWindow(g, 0, g.N/4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Run(win, DefaultOptions())
+	}
+}

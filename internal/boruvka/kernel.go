@@ -3,7 +3,6 @@ package boruvka
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"mndmst/internal/cost"
 	"mndmst/internal/dsu"
@@ -83,6 +82,78 @@ type Result struct {
 	Work cost.Work
 }
 
+// hubDegree is the degree from which a vertex's arcs are scanned by a
+// nested parallel loop: the hierarchical strategy of §3.5, which keeps
+// power-law hubs from serializing one worker.
+const hubDegree = 1 << 13
+
+// kernel is the state of one Run. A data-driven round costs the vertices
+// and arcs of the components that merged in the previous round plus their
+// roots; the only O(n) pass left in a round is the graph contraction of
+// Options.Contract.
+//
+// Between rounds every tree of uf has depth at most one, so a vertex's
+// parent is its root, and ring threads the members of each component
+// into one cycle.
+type kernel struct {
+	opt   Options
+	n     int
+	uf    *dsu.Concurrent
+	slots []parutil.MinSlot
+	// Working adjacency: aliases of the Local's arrays, replaced by
+	// filtered copies when Contract is on.
+	off []int64
+	dst []int32
+	eid []int32
+	wgt []uint64
+	// ring[u] is the member after u on its component's cycle.
+	ring []int32
+	// border[r] reports whether root r's component contains a border
+	// vertex; allocated only for ExcptBorderEdge.
+	border []bool
+	// active lists the roots the next hook phase visits: every root in
+	// round 1 and in topology-driven mode, ascending, and otherwise the
+	// roots of the components that merged in the previous round, in the
+	// order join found them.
+	active []int32
+	// scan lists the vertices the next scan phase visits: all of them in
+	// topology-driven mode, the members of the active components
+	// otherwise.
+	scan []int32
+	// merged collects the merged components' roots, each once, marked in
+	// seen while it is collected. Both are round buffers.
+	merged []int32
+	seen   []bool
+	res    *Result
+}
+
+func newKernel(l *Local, opt Options, res *Result) *kernel {
+	n := l.N()
+	k := &kernel{
+		opt: opt, n: n, res: res,
+		uf:    dsu.NewConcurrent(n),
+		slots: parutil.NewMinSlots(n),
+		off:   l.off, dst: l.dst, eid: l.eid, wgt: l.w,
+		ring:   make([]int32, n),
+		active: make([]int32, n),
+		scan:   make([]int32, n),
+		merged: make([]int32, 0, n),
+		seen:   make([]bool, n),
+	}
+	parutil.Iota(k.ring, 0)
+	copy(k.active, k.ring)
+	copy(k.scan, k.ring)
+	if opt.Excpt == ExcptBorderEdge {
+		k.border = make([]bool, n)
+		parutil.For(n, 1<<13, func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				k.border[u] = l.Border(u)
+			}
+		})
+	}
+	return k
+}
+
 // Run executes the kernel on the local view.
 func Run(l *Local, opt Options) *Result {
 	n := l.N()
@@ -91,11 +162,56 @@ func Run(l *Local, opt Options) *Result {
 		res.Parent = []int32{}
 		return res
 	}
-	uf := dsu.NewConcurrent(n)
-	slots := parutil.NewMinSlots(n)
-	// Working adjacency: aliases of the Local's arrays, replaced by
-	// filtered copies when Contract is on.
-	off, dst, eid, wgt := l.off, l.dst, l.eid, l.w
+	k := newKernel(l, opt, res)
+	for round := 1; ; round++ {
+		rw, merges, frozen := k.round()
+		rw.DegreeSkew = res.Work.DegreeSkew
+		res.RoundMerges = append(res.RoundMerges, merges)
+		res.Rounds = round
+		res.Work.Add(rw)
+		res.FrozenComponents = frozen
+		if merges == 0 {
+			break
+		}
+		if opt.Terminator != nil && opt.Terminator(round, rw, merges) {
+			break
+		}
+		if opt.Contract {
+			res.Work.EdgesScanned += k.contract()
+		}
+	}
+
+	res.Parent = make([]int32, n)
+	parutil.For(n, 1<<13, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			res.Parent[u] = l.IDs[k.uf.Find(int32(u))]
+		}
+	})
+	res.Components = k.uf.CountSets()
+	slices.Sort(res.ChosenIDs)
+	return res
+}
+
+// round runs one Borůvka round and returns its work, its merges and the
+// number of components the exception condition froze.
+func (k *kernel) round() (rw cost.Work, merges, frozen int) {
+	rw.Iterations = 1
+	// The scan list was built by the previous round's flatten walk; the
+	// modeled cost is still the filter sweep over n of §3.5.
+	rw.VerticesProcessed += int64(k.n)
+	rw.EdgesScanned, rw.AtomicOps = k.scanArcs()
+	merges, frozen = k.hook()
+	rw.AtomicOps += int64(merges)
+	k.join()
+	rw.VerticesProcessed += int64(k.n) // the flatten pass, likewise
+	return rw, merges, frozen
+}
+
+// scanArcs is the scan phase: every listed vertex proposes its arcs to
+// its component's min-slot. It returns the arcs scanned and the
+// proposals made, each summed per chunk.
+func (k *kernel) scanArcs() (scanned, proposed int64) {
+	off, dst, eid, wgt, uf, slots := k.off, k.dst, k.eid, k.wgt, k.uf, k.slots
 	// arcLess orders arcs by (weight, edge id, arc index): a total order.
 	arcLess := func(a, b int64) bool {
 		if wgt[a] != wgt[b] {
@@ -106,267 +222,193 @@ func Run(l *Local, opt Options) *Result {
 		}
 		return a < b
 	}
-
-	// border[u] marks local vertices with at least one cut edge, needed
-	// for ExcptBorderEdge. Computed once.
-	var border []bool
-	if opt.Excpt == ExcptBorderEdge {
-		border = make([]bool, n)
-		parutil.For(n, 1<<13, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				border[u] = l.Border(u)
+	// propose offers the lightest of arcs [alo, ahi) of u to u's
+	// component. §3.5 makes one atomic min per arc; taking the minimum
+	// locally first and proposing once leaves the slot with the same
+	// winner, and the count returned still charges one per candidate arc.
+	propose := func(u int32, alo, ahi int64) (props int64) {
+		r := uf.Parent(u)
+		best := parutil.NoEdge
+		for a := alo; a < ahi; a++ {
+			if v := dst[a]; v >= 0 && uf.Parent(v) == r {
+				continue // self edge at component level
 			}
-		})
+			if best == parutil.NoEdge || arcLess(a, best) {
+				best = a
+			}
+			props++
+		}
+		if best != parutil.NoEdge {
+			slots[r].Propose(best, arcLess)
+		}
+		return props
 	}
-
-	dirty := make([]atomic.Bool, n) // indexed by root
-	for i := range dirty {
-		dirty[i].Store(true)
-	}
-	nextDirty := make([]atomic.Bool, n)
-
-	var chosenMu sync.Mutex
-	var frozen int64
-
-	for round := 1; ; round++ {
-		var rw cost.Work
-		rw.Iterations = 1
-		rw.DegreeSkew = res.Work.DegreeSkew
-
-		// Filter phase: collect the vertices whose component is dirty.
-		// Topology-driven mode scans everything.
-		var scanList []int32
-		if opt.DataDriven {
-			var cnt parutil.Counter
-			marks := make([]bool, n)
-			parutil.For(n, 1<<13, func(lo, hi int) {
-				for u := lo; u < hi; u++ {
-					if dirty[uf.Find(int32(u))].Load() {
-						marks[u] = true
-						cnt.Add(1)
-					}
-				}
-			})
-			scanList = make([]int32, 0, cnt.Load())
-			for u := 0; u < n; u++ {
-				if marks[u] {
-					scanList = append(scanList, int32(u))
-				}
-			}
-			rw.VerticesProcessed += int64(n)
-		} else {
-			scanList = make([]int32, n)
-			parutil.Iota(scanList, 0)
-			rw.VerticesProcessed += int64(n)
-		}
-
-		// For ExcptBorderEdge, mark every component that currently
-		// contains a border vertex; such components are frozen in the
-		// hook phase below.
-		var borderRoot []atomic.Bool
-		if opt.Excpt == ExcptBorderEdge {
-			borderRoot = make([]atomic.Bool, n)
-			parutil.For(n, 1<<13, func(lo, hi int) {
-				for u := lo; u < hi; u++ {
-					if border[u] {
-						borderRoot[uf.Find(int32(u))].Store(true)
-					}
-				}
-			})
-		}
-
-		// Scan phase: every listed vertex proposes its arcs to its
-		// component's min-slot. High-degree vertices get their adjacency
-		// scanned by a nested parallel loop — the hierarchical strategy of
-		// §3.5, which keeps power-law hubs from serializing one worker.
-		const hubDegree = 1 << 13
-		var edgeScans, atomics parutil.Counter
-		scanArcs := func(u int32, alo, ahi int64) {
-			r := uf.Find(u)
-			var scans, props int64
-			for a := alo; a < ahi; a++ {
-				scans++
-				v := dst[a]
-				if v >= 0 && uf.Find(v) == r {
-					continue // self edge at component level
-				}
-				slots[r].Propose(a, arcLess)
-				props++
-			}
-			edgeScans.Add(scans)
-			atomics.Add(props)
-		}
-		var hubMu sync.Mutex
-		var hubs []int32
-		parutil.For(len(scanList), 512, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				u := scanList[i]
-				if off[u+1]-off[u] >= hubDegree {
-					// Defer to the per-hub nested parallel pass below.
-					hubMu.Lock()
-					hubs = append(hubs, u)
-					hubMu.Unlock()
-					continue
-				}
-				scanArcs(u, off[u], off[u+1])
-			}
-		})
-		slices.Sort(hubs)
-		for _, u := range hubs {
+	var scans, props parutil.Counter
+	var hubMu sync.Mutex
+	var hubs []int32
+	parutil.For(len(k.scan), 512, func(lo, hi int) {
+		var s, p int64
+		for _, u := range k.scan[lo:hi] {
 			alo, ahi := off[u], off[u+1]
-			parutil.For(int(ahi-alo), 1<<12, func(lo, hi int) {
-				scanArcs(u, alo+int64(lo), alo+int64(hi))
-			})
-		}
-		rw.EdgesScanned += edgeScans.Load()
-		rw.AtomicOps += atomics.Load()
-
-		// Hook phase A: snapshot every live root's winner before any union
-		// runs, so the set of contractions (and therefore every counter)
-		// is independent of goroutine scheduling.
-		type winner struct {
-			root int32
-			arc  int64
-		}
-		var frozenNow parutil.Counter
-		var winMu sync.Mutex
-		var winners []winner
-		parutil.For(n, 1<<12, func(lo, hi int) {
-			var local []winner
-			for r := lo; r < hi; r++ {
-				if uf.Find(int32(r)) != int32(r) {
-					continue
-				}
-				a := slots[r].Load()
-				if a == parutil.NoEdge {
-					continue
-				}
-				if borderRoot != nil && borderRoot[r].Load() {
-					// EXCPT_BORDER_EDGE: the component touches the border
-					// and never expands.
-					frozenNow.Add(1)
-					continue
-				}
-				if dst[a] < 0 {
-					// Lightest edge is a cut edge: exception condition
-					// stops this component (§3.2).
-					frozenNow.Add(1)
-					continue
-				}
-				local = append(local, winner{root: int32(r), arc: a})
+			if ahi-alo >= hubDegree {
+				// Defer to the per-hub nested parallel pass below.
+				hubMu.Lock()
+				hubs = append(hubs, u)
+				hubMu.Unlock()
+				continue
 			}
-			if len(local) > 0 {
-				winMu.Lock()
-				winners = append(winners, local...)
-				winMu.Unlock()
-			}
+			s += ahi - alo
+			p += propose(u, alo, ahi)
+		}
+		scans.Add(s)
+		props.Add(p)
+	})
+	for _, u := range hubs {
+		alo, ahi := off[u], off[u+1]
+		parutil.For(int(ahi-alo), 1<<12, func(lo, hi int) {
+			scans.Add(int64(hi - lo))
+			props.Add(propose(u, alo+int64(lo), alo+int64(hi)))
 		})
+	}
+	return scans.Load(), props.Load()
+}
 
-		// Hook phase B: contract the snapshot. With distinct weights the
-		// winner edges form a forest plus mutual pairs, so the set of
-		// successful unions — and the chosen edge set — is deterministic.
-		var merges parutil.Counter
-		var roundChosen []int64
-		var rcMu sync.Mutex
-		parutil.For(len(winners), 256, func(lo, hi int) {
-			var localChosen []int64
-			for i := lo; i < hi; i++ {
-				w := winners[i]
-				root, merged := uf.TryUnion(w.root, dst[w.arc])
-				if merged {
-					merges.Add(1)
-					localChosen = append(localChosen, w.arc)
-					nextDirty[root].Store(true)
-				}
+// hook is the hook phase. Every active root reads its winning arc. A
+// root whose lightest arc is a cut edge (§3.2), or whose component
+// touches the border under ExcptBorderEdge, is frozen; every other root
+// unions along its arc. A slot keeps its arc only when the union
+// succeeded, for join to record and clear, so all slots are empty once
+// join returns. The active roots are fixed before any union runs, so with
+// distinct weights the successful unions are a forest (mutual pairs
+// collapse to one edge) and the set of contractions, and therefore every
+// counter, does not depend on goroutine scheduling.
+func (k *kernel) hook() (merges, frozen int) {
+	var nMerges, nFrozen parutil.Counter
+	parutil.For(len(k.active), 1<<10, func(lo, hi int) {
+		var m, f int64
+		for _, r := range k.active[lo:hi] {
+			a := k.slots[r].Load()
+			if a == parutil.NoEdge {
+				continue
 			}
-			if len(localChosen) > 0 {
-				rcMu.Lock()
-				roundChosen = append(roundChosen, localChosen...)
-				rcMu.Unlock()
+			if k.border != nil && k.border[r] || k.dst[a] < 0 {
+				f++
+			} else if _, ok := k.uf.TryUnion(r, k.dst[a]); ok {
+				m++
+				continue
 			}
-		})
-		rw.AtomicOps += merges.Load()
-		uf.Flatten()
-		rw.VerticesProcessed += int64(n) // flatten pass
-
-		chosenMu.Lock()
-		for _, a := range roundChosen {
-			res.ChosenIDs = append(res.ChosenIDs, eid[a])
-			res.ChosenWeight += wgt[a]
+			k.slots[r].Reset()
 		}
-		chosenMu.Unlock()
+		nMerges.Add(m)
+		nFrozen.Add(f)
+	})
+	return int(nMerges.Load()), int(nFrozen.Load())
+}
 
-		m := int(merges.Load())
-		res.RoundMerges = append(res.RoundMerges, m)
-		res.Rounds = round
-		res.Work.Add(rw)
-		frozen = frozenNow.Load()
-
-		if m == 0 {
-			break
+// join records the round's unions from the slots hook left set. It adds
+// each chosen edge to the result, clears the slot and splices the two
+// member rings of the union, which is valid in any order because the
+// unions form a forest. It then walks the rings of the merged components
+// only: it points every member straight at its root, ORs the border
+// flags and, in data-driven mode, lists the members for the next scan
+// phase. The merged roots, in the order found, become
+// the next active list; in topology-driven mode the live roots do.
+func (k *kernel) join() {
+	res, ring := k.res, k.ring
+	merged := k.merged[:0]
+	for _, r := range k.active {
+		a := k.slots[r].Load()
+		if a == parutil.NoEdge {
+			continue
 		}
-		if opt.Terminator != nil && opt.Terminator(round, rw, m) {
-			break
-		}
-
-		// Rotate dirty sets and reset slots. A root that merged must be
-		// rescanned; everything else is stable.
-		for i := range dirty {
-			dirty[i].Store(nextDirty[i].Load())
-			nextDirty[i].Store(false)
-		}
-		parutil.ResetMinSlots(slots)
-
-		// Graph contraction (Sousa et al. [7]): drop component-internal
-		// arcs from the working adjacency so later rounds skip them.
-		if opt.Contract {
-			counts := make([]int64, n+1)
-			parutil.For(n, 1<<12, func(lo, hi int) {
-				for u := lo; u < hi; u++ {
-					r := uf.Find(int32(u))
-					var keep int64
-					for a := off[u]; a < off[u+1]; a++ {
-						if v := dst[a]; v < 0 || uf.Find(v) != r {
-							keep++
-						}
-					}
-					counts[u+1] = keep
-				}
-			})
-			res.Work.EdgesScanned += int64(len(dst)) // the filter pass
-			for i := 0; i < n; i++ {
-				counts[i+1] += counts[i]
-			}
-			total := counts[n]
-			nDst := make([]int32, total)
-			nEid := make([]int32, total)
-			nWgt := make([]uint64, total)
-			parutil.For(n, 1<<12, func(lo, hi int) {
-				for u := lo; u < hi; u++ {
-					r := uf.Find(int32(u))
-					k := counts[u]
-					for a := off[u]; a < off[u+1]; a++ {
-						if v := dst[a]; v < 0 || uf.Find(v) != r {
-							nDst[k] = dst[a]
-							nEid[k] = eid[a]
-							nWgt[k] = wgt[a]
-							k++
-						}
-					}
-				}
-			})
-			off, dst, eid, wgt = counts, nDst, nEid, nWgt
+		k.slots[r].Reset()
+		v := k.dst[a]
+		res.ChosenIDs = append(res.ChosenIDs, k.eid[a])
+		res.ChosenWeight += k.wgt[a]
+		ring[r], ring[v] = ring[v], ring[r]
+		if root := k.uf.Find(r); !k.seen[root] {
+			k.seen[root] = true
+			merged = append(merged, root)
 		}
 	}
 
-	res.FrozenComponents = int(frozen)
-	res.Parent = make([]int32, n)
-	parutil.For(n, 1<<13, func(lo, hi int) {
+	dd := k.opt.DataDriven
+	if dd {
+		k.scan = k.scan[:0]
+	}
+	for _, r := range merged {
+		border := false
+		for u := r; ; {
+			k.uf.SetParent(u, r)
+			if k.border != nil {
+				border = border || k.border[u]
+			}
+			if dd {
+				k.scan = append(k.scan, u)
+			}
+			if u = ring[u]; u == r {
+				break
+			}
+		}
+		if k.border != nil {
+			k.border[r] = border
+		}
+		k.seen[r] = false
+	}
+
+	if dd {
+		k.active, k.merged = merged, k.active
+		return
+	}
+	live := k.active[:0]
+	for _, r := range k.active {
+		if k.uf.Parent(r) == r {
+			live = append(live, r)
+		}
+	}
+	k.active, k.merged = live, merged
+}
+
+// contract is the graph contraction of Sousa et al. [7]: it drops
+// component-internal arcs from the working adjacency so later rounds skip
+// them, and returns the arcs its filter pass scanned.
+func (k *kernel) contract() int64 {
+	n, off, dst, eid, wgt, uf := k.n, k.off, k.dst, k.eid, k.wgt, k.uf
+	counts := make([]int64, n+1)
+	parutil.For(n, 1<<12, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			res.Parent[u] = l.IDs[uf.Find(int32(u))]
+			r := uf.Parent(int32(u))
+			var keep int64
+			for a := off[u]; a < off[u+1]; a++ {
+				if v := dst[a]; v < 0 || uf.Parent(v) != r {
+					keep++
+				}
+			}
+			counts[u+1] = keep
 		}
 	})
-	res.Components = uf.CountSets()
-	slices.Sort(res.ChosenIDs)
-	return res
+	for i := 0; i < n; i++ {
+		counts[i+1] += counts[i]
+	}
+	total := counts[n]
+	nDst := make([]int32, total)
+	nEid := make([]int32, total)
+	nWgt := make([]uint64, total)
+	parutil.For(n, 1<<12, func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			r := uf.Parent(int32(u))
+			j := counts[u]
+			for a := off[u]; a < off[u+1]; a++ {
+				if v := dst[a]; v < 0 || uf.Parent(v) != r {
+					nDst[j] = dst[a]
+					nEid[j] = eid[a]
+					nWgt[j] = wgt[a]
+					j++
+				}
+			}
+		}
+	})
+	scanned := int64(len(dst))
+	k.off, k.dst, k.eid, k.wgt = counts, nDst, nEid, nWgt
+	return scanned
 }

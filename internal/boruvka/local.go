@@ -15,7 +15,7 @@ package boruvka
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mndmst/internal/graph"
 	"mndmst/internal/wire"
@@ -42,7 +42,7 @@ type Local struct {
 // names. IDs must be unique; they are sorted in place. Every edge must
 // have at least one local endpoint.
 func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	index := make(map[int32]int32, len(ids))
 	for i, id := range ids {
 		if i > 0 && ids[i-1] == id {

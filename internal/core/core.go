@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mndmst/internal/boruvka"
@@ -387,7 +388,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 						m.owned = append(m.owned, pl.Comps...)
 						m.edges = append(m.edges, pl.Edges...)
 					}
-					sort.Slice(m.owned, func(i, j int) bool { return m.owned[i] < m.owned[j] })
+					slices.Sort(m.owned)
 					m.edges = merge.DedupeByID(m.edges)
 					m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
 					m.notePeak()
@@ -405,7 +406,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 					return nil, err
 				}
 				m.owned = append(kept, pl.Comps...)
-				sort.Slice(m.owned, func(i, j int) bool { return m.owned[i] < m.owned[j] })
+				slices.Sort(m.owned)
 				m.edges = merge.DedupeByID(append(keptE, pl.Edges...))
 				m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
 				m.notePeak()
@@ -462,7 +463,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		}
 		all = append(all, ids...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	f := &mst.Forest{EdgeIDs: all}
 	for _, id := range all {
 		f.TotalWeight += m.el.Edges[id].W

@@ -34,6 +34,5 @@ func BenchmarkConcurrentUnionFind(b *testing.B) {
 		for _, p := range pairs {
 			c.TryUnion(p[0], p[1])
 		}
-		c.Flatten()
 	}
 }

@@ -9,9 +9,8 @@ import (
 // Concurrent is a lock-free disjoint-set forest over int32 elements. Find
 // performs wait-free path reads with best-effort compression via CAS;
 // Hook attaches one root under another with CAS, the primitive GPU Boruvka
-// implementations use for component merging. After a round of hooks,
-// Flatten performs the pointer-jumping pass that collapses every tree to
-// depth one, exactly as in the kernels of §3.5.
+// implementations use for component merging. After a round of hooks the
+// kernels of §3.5 collapse each merged tree to depth one with SetParent.
 type Concurrent struct {
 	parent []atomic.Int32
 }
@@ -29,15 +28,6 @@ func NewConcurrent(n int) *Concurrent {
 
 // Len reports the number of elements.
 func (c *Concurrent) Len() int { return len(c.parent) }
-
-// Reset returns every element to a singleton set.
-func (c *Concurrent) Reset() {
-	parutil.For(len(c.parent), 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.parent[i].Store(int32(i))
-		}
-	})
-}
 
 // Find returns the current root of x. Concurrent hooks may move the root;
 // callers that need a stable answer synchronize externally (the kernels
@@ -57,10 +47,6 @@ func (c *Concurrent) Find(x int32) int32 {
 		x = gp
 	}
 }
-
-// SameNow reports whether a and b currently share a root. Under concurrent
-// modification the answer is a snapshot.
-func (c *Concurrent) SameNow(a, b int32) bool { return c.Find(a) == c.Find(b) }
 
 // Hook makes root a child of under, succeeding only if a is still a root.
 // Returns true on success. Symmetry breaking (e.g. only hooking the larger
@@ -88,47 +74,17 @@ func (c *Concurrent) TryUnion(a, b int32) (root int32, merged bool) {
 	}
 }
 
-// Flatten collapses every tree to depth one by parallel pointer jumping.
-// Must not run concurrently with hooks.
-func (c *Concurrent) Flatten() {
-	parutil.For(len(c.parent), 1<<13, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x := int32(i)
-			r := x
-			for {
-				p := c.parent[r].Load()
-				if p == r {
-					break
-				}
-				r = p
-			}
-			c.parent[x].Store(r)
-		}
-	})
-}
-
 // Parent returns the current parent pointer of x (not necessarily the
 // root).
 func (c *Concurrent) Parent(x int32) int32 { return c.parent[x].Load() }
 
-// SetParent forcibly points x at p. Used when installing externally computed
-// component labels (e.g. after a merge phase imports remote parents).
+// SetParent forcibly points x at p. The Boruvka kernel uses it to point
+// every member of a merged component straight at the root. Must not run
+// concurrently with hooks.
 func (c *Concurrent) SetParent(x, p int32) { c.parent[x].Store(p) }
 
-// Roots returns the sorted-by-position list of elements that are their own
-// parent. Call after Flatten for the component representative set.
-func (c *Concurrent) Roots() []int32 {
-	var roots []int32
-	for i := range c.parent {
-		if c.parent[i].Load() == int32(i) {
-			roots = append(roots, int32(i))
-		}
-	}
-	return roots
-}
-
-// CountSets returns the number of roots. Call after Flatten (or any
-// quiescent point) for an exact answer.
+// CountSets returns the number of roots. Call at a quiescent point for an
+// exact answer.
 func (c *Concurrent) CountSets() int {
 	return int(parutil.CountIf(len(c.parent), 1<<13, func(i int) bool {
 		return c.parent[i].Load() == int32(i)

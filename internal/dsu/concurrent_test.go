@@ -45,27 +45,6 @@ func TestConcurrentHookOnlyOnRoots(t *testing.T) {
 	}
 }
 
-func TestConcurrentFlattenDepthOne(t *testing.T) {
-	const n = 5000
-	c := NewConcurrent(n)
-	for i := int32(1); i < n; i++ {
-		c.TryUnion(i-1, i)
-	}
-	c.Flatten()
-	for i := int32(0); i < n; i++ {
-		p := c.Parent(i)
-		if c.Parent(p) != p {
-			t.Fatalf("element %d not depth-1 after Flatten (parent %d, grandparent %d)", i, p, c.Parent(p))
-		}
-	}
-	if c.CountSets() != 1 {
-		t.Fatalf("sets=%d want 1", c.CountSets())
-	}
-	if roots := c.Roots(); len(roots) != 1 || roots[0] != 0 {
-		t.Fatalf("roots=%v want [0]", roots)
-	}
-}
-
 func TestConcurrentParallelUnionsMatchSequential(t *testing.T) {
 	const n = 20_000
 	// Build a random edge set; union it both sequentially and concurrently
@@ -95,7 +74,6 @@ func TestConcurrentParallelUnionsMatchSequential(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	con.Flatten()
 
 	if got, want := con.CountSets(), seq.Sets(); got != want {
 		t.Fatalf("concurrent sets=%d sequential sets=%d", got, want)
@@ -117,15 +95,14 @@ func TestConcurrentParallelUnionsMatchSequential(t *testing.T) {
 	}
 }
 
-func TestConcurrentSetParentAndReset(t *testing.T) {
+func TestConcurrentSetParent(t *testing.T) {
 	c := NewConcurrent(4)
 	c.SetParent(3, 0)
-	if c.Find(3) != 0 {
-		t.Fatalf("Find(3)=%d", c.Find(3))
+	if c.Find(3) != 0 || c.Parent(3) != 0 {
+		t.Fatalf("Find(3)=%d Parent(3)=%d", c.Find(3), c.Parent(3))
 	}
-	c.Reset()
-	if c.Find(3) != 3 || c.CountSets() != 4 {
-		t.Fatal("reset failed")
+	if c.CountSets() != 3 {
+		t.Fatalf("sets=%d want 3", c.CountSets())
 	}
 }
 
@@ -143,10 +120,9 @@ func TestConcurrentPartitionProperty(t *testing.T) {
 				return false
 			}
 		}
-		c.Flatten()
 		for x := int32(0); x < int32(n); x++ {
 			for y := int32(0); y < int32(n); y++ {
-				if c.SameNow(x, y) != d.Same(x, y) {
+				if (c.Find(x) == c.Find(y)) != d.Same(x, y) {
 					return false
 				}
 			}

@@ -2,7 +2,7 @@
 //
 // Two variants are provided: DSU, a sequential structure with path halving
 // and union by rank, used by the reference MST algorithms; and Concurrent, a
-// lock-free parent array with CAS hooking and pointer jumping, matching the
+// lock-free parent array with CAS hooking and path-halving finds, matching the
 // component-tracking approach the paper's device Boruvka kernels use on both
 // CPU (Galois-style) and GPU.
 package dsu

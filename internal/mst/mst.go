@@ -7,6 +7,7 @@ package mst
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
 	"mndmst/internal/dsu"
@@ -23,7 +24,7 @@ type Forest struct {
 
 // sortIDs normalizes the edge order so forests compare by value.
 func (f *Forest) sortIDs() {
-	sort.Slice(f.EdgeIDs, func(i, j int) bool { return f.EdgeIDs[i] < f.EdgeIDs[j] })
+	slices.Sort(f.EdgeIDs)
 }
 
 // Equal reports whether two forests choose the same edge set.

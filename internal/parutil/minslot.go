@@ -49,15 +49,6 @@ func NewMinSlots(n int) []MinSlot {
 	return s
 }
 
-// ResetMinSlots resets every slot in s, in parallel for large n.
-func ResetMinSlots(s []MinSlot) {
-	For(len(s), 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s[i].Reset()
-		}
-	})
-}
-
 // Counter is a padded atomic counter for high-contention counting, such as
 // the work counters the device cost models consume. The padding avoids
 // false sharing when counters sit in an array.
@@ -71,6 +62,3 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }

@@ -79,15 +79,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForEach runs fn for each index in [0, n) in parallel with the given grain.
-func ForEach(n, grain int, fn func(i int)) {
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // ReduceInt64 computes the combination of fn over chunks of [0, n).
 // fn returns a partial value for its chunk; combine folds two partials.
 // identity is returned for n <= 0.
@@ -150,16 +141,6 @@ func ExclusivePrefixSumInt32(counts []int32) int64 {
 		total += int64(c)
 	}
 	return total
-}
-
-// Fill sets every element of dst to v, in parallel for large slices.
-func Fill[T any](dst []T, v T) {
-	For(len(dst), 1<<15, func(lo, hi int) {
-		d := dst[lo:hi]
-		for i := range d {
-			d[i] = v
-		}
-	})
 }
 
 // Iota fills dst with lo, lo+1, ... in parallel.

@@ -40,16 +40,6 @@ func TestForChunkBoundsValid(t *testing.T) {
 	})
 }
 
-func TestForEach(t *testing.T) {
-	n := 4096
-	var sum int64
-	ForEach(n, 16, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	want := int64(n) * int64(n-1) / 2
-	if sum != want {
-		t.Fatalf("sum=%d want %d", sum, want)
-	}
-}
-
 func TestSetMaxWorkers(t *testing.T) {
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
@@ -149,14 +139,7 @@ func TestExclusivePrefixSumInt32(t *testing.T) {
 	}
 }
 
-func TestFillAndIota(t *testing.T) {
-	s := make([]int64, 100_000)
-	Fill(s, 42)
-	for i, v := range s {
-		if v != 42 {
-			t.Fatalf("s[%d]=%d", i, v)
-		}
-	}
+func TestIota(t *testing.T) {
 	ids := make([]int32, 70_000)
 	Iota(ids, 5)
 	for i, v := range ids {

@@ -685,10 +685,11 @@ func FindMSFBSP(g *Graph, opts Options) (*Result, error) {
 	return resultFromForest(res.Forest, res.Report), nil
 }
 
-// FindMSFSequential computes the forest with sequential Kruskal — the
-// ground truth every parallel configuration must match exactly.
+// FindMSFSequential computes the forest with sequential filter-Kruskal,
+// the fastest exact algorithm in the repository. Weights are distinct, so
+// the forest is the one every parallel configuration must match exactly.
 func FindMSFSequential(g *Graph) *Result {
-	f := mst.Kruskal(g.el)
+	f := mst.FilterKruskal(g.el)
 	return &Result{
 		EdgeIDs:     f.EdgeIDs,
 		TotalWeight: f.TotalWeight,

@@ -211,6 +211,7 @@ go run ./cmd/mndmst-bench -suite paper -scale 0.05 -verify
 echo "== benches (smoke) =="
 MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \
     go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|ExchangeComm' -benchtime 1x .
+go test -run XXX -bench Kernel -benchtime 1x ./internal/boruvka/
 
 run_bench
 

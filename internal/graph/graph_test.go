@@ -295,3 +295,21 @@ func TestBucketOfMonotone(t *testing.T) {
 		t.Fatal("bucket boundaries wrong")
 	}
 }
+
+// TestWeightLessTotalOrderUnderEqualClasses pins the determinism contract
+// the merge path's tie-breaks rest on: within one 16-bit weight class the
+// order is exactly the edge-id order.
+func TestWeightLessTotalOrderUnderEqualClasses(t *testing.T) {
+	for i := int32(0); i < 200; i++ {
+		for j := int32(0); j < 200; j++ {
+			got := WeightLess(MakeWeight(7, i), MakeWeight(7, j))
+			if got != (i < j) {
+				t.Fatalf("WeightLess(class7:%d, class7:%d) = %v, want %v", i, j, got, i < j)
+			}
+		}
+	}
+	// Across classes the class dominates regardless of edge id.
+	if !WeightLess(MakeWeight(3, 1000), MakeWeight(4, 0)) {
+		t.Fatal("weight class does not dominate edge id")
+	}
+}

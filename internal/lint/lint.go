@@ -3,7 +3,7 @@
 // correctness rests on — conventions a general-purpose linter cannot know:
 //
 //   - det-mapiter: no Go map iteration order may leak into rank-visible
-//     output on the data path (merge, partition, cluster, hashtable, core).
+//     output on the data path (merge, partition, cluster, core).
 //     Bit-identical virtual clocks across transports require every rank to
 //     produce byte-identical messages, and map order is the classic leak.
 //   - det-wallclock: time.Now/time.Since and the global math/rand source are
@@ -83,7 +83,7 @@ var Checks = []Check{
 	{
 		ID:       "det-mapiter",
 		Suppress: "sorted",
-		Doc:      "map iteration order must not reach rank-visible data on the merge/partition/cluster/hashtable/core path",
+		Doc:      "map iteration order must not reach rank-visible data on the merge/partition/cluster/core path",
 		Run:      checkMapIter,
 	},
 	{

@@ -12,7 +12,6 @@ var dataPathPkgs = map[string]bool{
 	"merge":     true,
 	"partition": true,
 	"cluster":   true,
-	"hashtable": true,
 	"core":      true,
 }
 

@@ -52,8 +52,11 @@ func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 	if out[1].U != 3 || out[1].V != 5 {
 		t.Fatalf("endpoints not canonical: %+v", out[1])
 	}
-	if w.HashOps != 4 {
-		t.Fatalf("hash ops=%d", w.HashOps)
+	if w.HashOps != 4 || w.EdgesScanned != 4 {
+		t.Fatalf("work=%+v, want one hash op and one scan per edge", w)
+	}
+	if out, _ := RemoveMultiEdges(nil); out != nil {
+		t.Fatalf("empty input gave %#v, want nil", out)
 	}
 }
 

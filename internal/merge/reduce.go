@@ -1,8 +1,12 @@
 // Package merge implements the data-reduction and hierarchical-merging
 // machinery of §3.3/§3.4: self-edge removal, ghost parent-id exchange,
-// multi-edge removal through the pair-min hash table, component segment
-// formation, ring-based segment exchange within groups, and the transfer
-// encoding used when components move between ranks.
+// multi-edge removal, component segment formation, ring-based segment
+// exchange within groups, and the transfer encoding used when components
+// move between ranks.
+//
+// The §3.3 pair-min hash table is modeled, not built: RemoveMultiEdges gets
+// the same lightest edge per component pair from a radix sort over the
+// pairs and charges one hash operation per edge, as the table would.
 //
 // Component ids are global vertex ids (the minimum original vertex id in
 // the component), so they remain globally unique across every merge level.
@@ -13,13 +17,12 @@
 package merge
 
 import (
-	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/hashtable"
-	"mndmst/internal/parutil"
 	"mndmst/internal/wire"
 )
 
@@ -76,42 +79,126 @@ func RelabelWindow(g *graph.CSR, lo, hi int32, parent []int32, ghost func(int32)
 }
 
 // RemoveMultiEdges keeps only the lightest edge between every pair of
-// components, using the sharded pair-min hash table of §3.3 updated in
-// parallel. The result is sorted by (U, V) for determinism.
+// components: it orients every edge so that U < V, radix-sorts the slice
+// by (U, V) and keeps the lightest edge of each run of equal pairs. The
+// result reuses edges and is sorted by (U, V). The work charged is that of
+// the §3.3 pair-min hash table, one update per edge: the table is modeled,
+// not built.
 func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
-	var w cost.Work
-	t := hashtable.NewPairMinTable()
-	parutil.For(len(edges), 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.U > e.V {
-				e.U, e.V = e.V, e.U
-			}
-			t.Update(e.U, e.V, e)
+	w := cost.Work{HashOps: int64(len(edges)), EdgesScanned: int64(len(edges))}
+	if len(edges) == 0 {
+		return nil, w
+	}
+	u, v := emptyRange, emptyRange
+	for i := range edges {
+		e := &edges[i]
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
-	})
-	out := t.Edges()
-	slices.SortFunc(out, func(a, b wire.WEdge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
-	w.HashOps = t.Ops()
-	w.EdgesScanned = int64(len(edges))
+		u.add(e.U)
+		v.add(e.V)
+	}
+	radixSort(edges, edgeKey{lo: u.lo, vlo: v.lo, vBits: v.bits(), bits: u.bits() + v.bits()})
+	out := edges[:1]
+	for _, e := range edges[1:] {
+		last := &out[len(out)-1]
+		switch {
+		case e.U != last.U || e.V != last.V:
+			out = append(out, e)
+		case graph.WeightLess(e.W, last.W) || e.W == last.W && e.ID < last.ID:
+			*last = e
+		}
+	}
 	return out, w
 }
 
 // DedupeByID removes duplicate copies of the same original edge (same ID),
 // which appear when both endpoint owners ship their copy to one rank. The
-// result is sorted by ID.
+// result reuses edges, is sorted by ID and keeps the first copy of each.
 func DedupeByID(edges []wire.WEdge) []wire.WEdge {
-	slices.SortFunc(edges, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
-	out := edges[:0]
+	if len(edges) == 0 {
+		return edges
+	}
+	id := emptyRange
 	for i := range edges {
-		if i > 0 && edges[i].ID == edges[i-1].ID {
-			continue
+		id.add(edges[i].ID)
+	}
+	radixSort(edges, edgeKey{byID: true, lo: id.lo, bits: id.bits()})
+	out := edges[:1]
+	for _, e := range edges[1:] {
+		if e.ID != out[len(out)-1].ID {
+			out = append(out, e)
 		}
-		out = append(out, edges[i])
 	}
 	return out
+}
+
+// keyRange tracks the range of one int32 sort key.
+type keyRange struct{ lo, hi int32 }
+
+// emptyRange is the range of no keys; add widens it.
+var emptyRange = keyRange{lo: math.MaxInt32, hi: math.MinInt32}
+
+func (r *keyRange) add(x int32) { r.lo, r.hi = min(r.lo, x), max(r.hi, x) }
+
+// bits is the width of the largest offset from lo.
+func (r *keyRange) bits() int { return bits.Len32(uint32(r.hi) - uint32(r.lo)) }
+
+// edgeKey is the unsigned sort key of an edge: its ID offset from lo, or
+// its U offset from lo above its V offset from vlo. Offsets keep the
+// signed order and make the key only as wide as the keys' range.
+type edgeKey struct {
+	byID  bool
+	lo    int32
+	vlo   int32
+	vBits int
+	bits  int // width of the key
+}
+
+func (k edgeKey) of(e *wire.WEdge) uint64 {
+	if k.byID {
+		return uint64(uint32(e.ID) - uint32(k.lo))
+	}
+	return uint64(uint32(e.U)-uint32(k.lo))<<k.vBits | uint64(uint32(e.V)-uint32(k.vlo))
+}
+
+// radixSort stably sorts a by k in LSD passes. The digit width follows
+// len(a), not the key width, so the scratch (one copy of a and one count
+// per digit value) is O(len(a)) however large the ids are.
+func radixSort(a []wire.WEdge, k edgeKey) {
+	n := len(a)
+	if n < 2 || k.bits == 0 {
+		return
+	}
+	maxDigit := min(max(bits.Len(uint(n))-1, 8), 16)
+	passes := (k.bits + maxDigit - 1) / maxDigit
+	digit := (k.bits + passes - 1) / passes
+	count := make([]int, 1<<digit)
+	mask := uint64(len(count) - 1)
+	src, dst := a, make([]wire.WEdge, n)
+	for shift := 0; shift < k.bits; shift += digit {
+		clear(count)
+		for i := range src {
+			count[k.of(&src[i])>>shift&mask]++
+		}
+		if count[k.of(&src[0])>>shift&mask] == n {
+			continue // one digit value: the pass would not move anything
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := k.of(&src[i]) >> shift & mask
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 // Delta is one parent update: component Old merged into component New.
@@ -119,16 +206,21 @@ type Delta struct{ Old, New int32 }
 
 // DeltasFromParents extracts the parent updates a merge round produced:
 // every id whose parent differs from itself. ids and parents correspond
-// positionally (the boruvka kernel's Local.IDs and Result.Parent). The
-// result is sorted by Old.
+// positionally (the boruvka kernel's Local.IDs and Result.Parent), and ids
+// must be ascending, so the result is sorted by Old.
 func DeltasFromParents(ids, parents []int32) []Delta {
-	var ds []Delta
+	n := 0
+	for i, id := range ids {
+		if parents[i] != id {
+			n++
+		}
+	}
+	ds := make([]Delta, 0, n)
 	for i, id := range ids {
 		if parents[i] != id {
 			ds = append(ds, Delta{Old: id, New: parents[i]})
 		}
 	}
-	slices.SortFunc(ds, func(a, b Delta) int { return cmp.Compare(a.Old, b.Old) })
 	return ds
 }
 

@@ -1,0 +1,253 @@
+package merge
+
+import (
+	"cmp"
+	"encoding/binary"
+	"math"
+	"runtime"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"mndmst/internal/graph"
+	"mndmst/internal/testutil"
+	"mndmst/internal/wire"
+)
+
+// pairMinReference is RemoveMultiEdges built the way the paper's §3.3
+// describes it: a map from the oriented component pair to its lightest
+// edge, dumped and sorted by (U, V).
+func pairMinReference(edges []wire.WEdge) []wire.WEdge {
+	best := make(map[[2]int32]wire.WEdge)
+	for _, e := range edges {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		k := [2]int32{e.U, e.V}
+		cur, ok := best[k]
+		if !ok || graph.WeightLess(e.W, cur.W) || e.W == cur.W && e.ID < cur.ID {
+			best[k] = e
+		}
+	}
+	var out []wire.WEdge
+	//lint:sorted sorted by (U, V) below
+	for _, e := range best {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b wire.WEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
+	return out
+}
+
+// dedupeReference keeps the first copy of every edge id, sorted by id.
+func dedupeReference(edges []wire.WEdge) []wire.WEdge {
+	first := make(map[int32]wire.WEdge)
+	for _, e := range edges {
+		if _, ok := first[e.ID]; !ok {
+			first[e.ID] = e
+		}
+	}
+	var out []wire.WEdge
+	//lint:sorted sorted by ID below
+	for _, e := range first {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
+	return out
+}
+
+// equalWeightEdge builds an edge whose 16-bit weight class is constant, so
+// its order is decided entirely by the edge id packed into the low bits.
+func equalWeightEdge(u, v, eid int32) wire.WEdge {
+	return wire.WEdge{U: u, V: v, W: graph.MakeWeight(7, eid), ID: eid}
+}
+
+// TestRemoveMultiEdgesAllEqualWeightsOrderIndependent puts every weight in
+// one 16-bit class, so only the edge id decides each pair's minimum, and
+// presents the candidates in ascending, descending and shuffled id order
+// and with flipped orientation: the output must be identical every time.
+func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
+	rng := testutil.Rand(t, 4001)
+	const pairs, perPair = 64, 9
+	var cands []wire.WEdge
+	eid := int32(0)
+	for p := int32(0); p < pairs; p++ {
+		for c := 0; c < perPair; c++ {
+			cands = append(cands, equalWeightEdge(0, p+1, eid))
+			eid++
+		}
+	}
+	want := pairMinReference(cands)
+
+	orders := []struct {
+		name string
+		perm func([]wire.WEdge)
+	}{
+		{"ascending", func([]wire.WEdge) {}},
+		{"descending", slices.Reverse[[]wire.WEdge]},
+		{"shuffled", func(s []wire.WEdge) {
+			rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		}},
+		{"flipped", func(s []wire.WEdge) {
+			for i := range s {
+				if i%2 == 0 {
+					s[i].U, s[i].V = s[i].V, s[i].U
+				}
+			}
+		}},
+	}
+	for _, o := range orders {
+		t.Run(o.name, func(t *testing.T) {
+			stream := slices.Clone(cands)
+			o.perm(stream)
+			got, _ := RemoveMultiEdges(stream)
+			if !slices.Equal(got, want) {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestRemoveMultiEdgesKeepsMinimum offers one pair a first candidate, a
+// heavier one in reversed orientation and a lighter one, next to a second
+// pair: two records come out, the lighter edge wins its pair, and the work
+// charge is one hash op per offer.
+func TestRemoveMultiEdgesKeepsMinimum(t *testing.T) {
+	in := []wire.WEdge{
+		{U: 1, V: 2, W: 50, ID: 0},
+		{U: 2, V: 1, W: 60, ID: 1},
+		{U: 1, V: 2, W: 40, ID: 2},
+		{U: 3, V: 4, W: 10, ID: 3},
+	}
+	out, w := RemoveMultiEdges(in)
+	want := []wire.WEdge{
+		{U: 1, V: 2, W: 40, ID: 2},
+		{U: 3, V: 4, W: 10, ID: 3},
+	}
+	if !slices.Equal(out, want) {
+		t.Fatalf("got %+v, want %+v", out, want)
+	}
+	if w.HashOps != 4 {
+		t.Fatalf("hash ops=%d, want 4", w.HashOps)
+	}
+}
+
+// TestRemoveMultiEdgesReversedTieBreak offers one pair its candidates in
+// strictly descending and then ascending weight order: the kept edge is
+// the total-order least either way.
+func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
+	const k = 16
+	var desc, asc []wire.WEdge
+	for i := int32(0); i < k; i++ {
+		desc = append(desc, equalWeightEdge(5, 9, k-1-i))
+		asc = append(asc, equalWeightEdge(9, 5, i))
+	}
+	for _, in := range [][]wire.WEdge{desc, asc} {
+		out, _ := RemoveMultiEdges(in)
+		if len(out) != 1 || out[0] != equalWeightEdge(5, 9, 0) {
+			t.Fatalf("kept %+v, want the eid-0 minimum", out)
+		}
+	}
+}
+
+// TestRemoveMultiEdgesOrientationCanonical checks that an edge and its
+// reverse come out as the same record, smaller endpoint first.
+func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
+	f := func(a, b int32) bool {
+		x, _ := RemoveMultiEdges([]wire.WEdge{{U: a, V: b, W: 1}})
+		y, _ := RemoveMultiEdges([]wire.WEdge{{U: b, V: a, W: 1}})
+		return len(x) == 1 && x[0] == y[0] && x[0].U == min(a, b) && x[0].V == max(a, b)
+	}
+	if err := quick.Check(f, testutil.Quick(t, 4003, 0)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoveMultiEdgesLargeIDsSmallScratch feeds three residual edges of a
+// graph with ids near math.MaxInt32: the sort scratch follows the edge
+// count, not the ids, so it stays tiny.
+func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
+	const top = math.MaxInt32
+	in := []wire.WEdge{
+		{U: top, V: top - 7, W: 3, ID: top - 1},
+		{U: top - 7, V: top, W: 2, ID: top - 2},
+		{U: 0, V: top - 1, W: 1, ID: top},
+	}
+	want := []wire.WEdge{
+		{U: 0, V: top - 1, W: 1, ID: top},
+		{U: top - 7, V: top, W: 2, ID: top - 2},
+	}
+	const runs = 100
+	buf := make([]wire.WEdge, len(in))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		copy(buf, in)
+		if out, _ := RemoveMultiEdges(buf); !slices.Equal(out, want) {
+			t.Fatalf("out=%+v, want %+v", out, want)
+		}
+		DedupeByID(buf)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("allocated %d B per call, want < 64 KiB", per)
+	}
+}
+
+// fuzzEdges decodes 11-byte records (U and V as little-endian int32s, a
+// 3-value weight, an id byte, and a flags byte that narrows or widens the
+// ranges) into edges, so inputs hit many multi-edges, weight ties, shared
+// ids and negative and huge keys.
+func fuzzEdges(data []byte) []wire.WEdge {
+	var out []wire.WEdge
+	for ; len(data) >= 11; data = data[11:] {
+		u := int32(binary.LittleEndian.Uint32(data))
+		v := int32(binary.LittleEndian.Uint32(data[4:]))
+		if data[10]&1 == 0 {
+			u, v = u%8, v%8
+		}
+		id := int32(data[9]) - 128
+		if data[10]&2 != 0 {
+			id *= 1 << 23
+		}
+		out = append(out, wire.WEdge{U: u, V: v, W: uint64(data[8] % 3), ID: id})
+	}
+	return out
+}
+
+func fuzzSeeds(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("0123456789a0123456789a0123456789a"))
+	f.Add([]byte{
+		0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 2, 9, 1,
+		0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f, 1, 9, 1,
+		3, 0, 0, 0, 5, 0, 0, 0, 0, 7, 0,
+	})
+}
+
+func FuzzRemoveMultiEdges(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzEdges(data)
+		want := pairMinReference(in)
+		got, w := RemoveMultiEdges(in)
+		if !slices.Equal(got, want) {
+			t.Fatalf("got %+v\nwant %+v", got, want)
+		}
+		if w.HashOps != int64(len(in)) || w.EdgesScanned != int64(len(in)) {
+			t.Fatalf("work=%+v for %d edges", w, len(in))
+		}
+	})
+}
+
+func FuzzDedupeByID(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzEdges(data)
+		want := dedupeReference(in)
+		if got := DedupeByID(in); !slices.Equal(got, want) {
+			t.Fatalf("got %+v\nwant %+v", got, want)
+		}
+	})
+}

@@ -212,6 +212,7 @@ echo "== benches (smoke) =="
 MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \
     go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|ExchangeComm' -benchtime 1x .
 go test -run XXX -bench Kernel -benchtime 1x ./internal/boruvka/
+go test -run XXX -bench . -benchtime 1x ./internal/merge/
 
 run_bench
 

@@ -53,7 +53,7 @@ func BFS(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSRes
 	var out *BFSResult
 	levels := make([]int, p)
 	rep, err := c.Run(func(r *cluster.Rank) error {
-		res, lv, err := bfsRank(r, g, cpu, source)
+		res, lv, err := bfsRank(r, el, g, cpu, source)
 		if err != nil {
 			return err
 		}
@@ -74,9 +74,9 @@ func BFS(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSRes
 	return out, nil
 }
 
-func bfsRank(r *cluster.Rank, g *graph.CSR, cpu device.Device, source int32) ([]int32, int, error) {
+func bfsRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, source int32) ([]int32, int, error) {
 	r.SetPhase("bfs")
-	part, w := partition.Read(r, g)
+	part, w := partition.Read(r, el, g)
 	r.Compute(cpu.Price(w))
 	lo, hi := part.Lo, part.Hi
 	n := int(hi - lo)

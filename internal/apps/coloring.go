@@ -45,7 +45,7 @@ func Coloring(el *graph.EdgeList, p int, machine cost.Machine, seed int64) (*Col
 	var out *ColoringResult
 	rounds := make([]int, p)
 	rep, err := c.Run(func(r *cluster.Rank) error {
-		color, rd, err := coloringRank(r, g, cpu, seed)
+		color, rd, err := coloringRank(r, el, g, cpu, seed)
 		if err != nil {
 			return err
 		}
@@ -85,9 +85,9 @@ func priority(v int32, seed int64) uint64 {
 	return x<<32 | uint64(uint32(v))
 }
 
-func coloringRank(r *cluster.Rank, g *graph.CSR, cpu device.Device, seed int64) ([]int32, int, error) {
+func coloringRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, seed int64) ([]int32, int, error) {
 	r.SetPhase("coloring")
-	part, w := partition.Read(r, g)
+	part, w := partition.Read(r, el, g)
 	r.Compute(cpu.Price(w))
 	lo, hi := part.Lo, part.Hi
 	n := int(hi - lo)

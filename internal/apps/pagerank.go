@@ -49,7 +49,7 @@ func PageRank(el *graph.EdgeList, p int, machine cost.Machine, damping float64, 
 	var out *PageRankResult
 	iters := make([]int, p)
 	rep, err := c.Run(func(r *cluster.Rank) error {
-		ranks, it, err := pagerankRank(r, g, cpu, damping, tol, maxIter)
+		ranks, it, err := pagerankRank(r, el, g, cpu, damping, tol, maxIter)
 		if err != nil {
 			return err
 		}
@@ -70,9 +70,9 @@ func PageRank(el *graph.EdgeList, p int, machine cost.Machine, damping float64, 
 	return out, nil
 }
 
-func pagerankRank(r *cluster.Rank, g *graph.CSR, cpu device.Device, damping, tol float64, maxIter int) ([]float64, int, error) {
+func pagerankRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, damping, tol float64, maxIter int) ([]float64, int, error) {
 	r.SetPhase("pagerank")
-	part, w := partition.Read(r, g)
+	part, w := partition.Read(r, el, g)
 	r.Compute(cpu.Price(w))
 	lo, hi := part.Lo, part.Hi
 	n := int(hi - lo)

@@ -50,7 +50,7 @@ func SSSP(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*SSSPR
 	var out *SSSPResult
 	rounds := make([]int, p)
 	rep, err := c.Run(func(r *cluster.Rank) error {
-		dist, rd, err := ssspRank(r, g, cpu, source)
+		dist, rd, err := ssspRank(r, el, g, cpu, source)
 		if err != nil {
 			return err
 		}
@@ -71,9 +71,9 @@ func SSSP(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*SSSPR
 	return out, nil
 }
 
-func ssspRank(r *cluster.Rank, g *graph.CSR, cpu device.Device, source int32) ([]uint64, int, error) {
+func ssspRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, source int32) ([]uint64, int, error) {
 	r.SetPhase("sssp")
-	part, w := partition.Read(r, g)
+	part, w := partition.Read(r, el, g)
 	r.Compute(cpu.Price(w))
 	lo, hi := part.Lo, part.Hi
 	n := int(hi - lo)

@@ -5,6 +5,7 @@ import (
 
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
+	"mndmst/internal/partition"
 	"mndmst/internal/wire"
 )
 
@@ -61,14 +62,34 @@ func BenchmarkKernelTopologyDriven(b *testing.B) {
 }
 
 // BenchmarkKernelRoadWindow runs the kernel the way a rank of a 4-rank
-// road-grid solve does: over a quarter window of the shared CSR under
-// EXCPT_BORDER_VERTEX.
+// road-grid solve does: over a quarter window under EXCPT_BORDER_VERTEX.
 func BenchmarkKernelRoadWindow(b *testing.B) {
-	g := graph.MustBuildCSR(gen.RoadNetwork(20000, 9))
-	win := NewWindow(g, 0, g.N/4)
+	el := gen.RoadNetwork(20000, 9)
+	win := NewWindow(el, el.Degrees(), 0, el.N/4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(win, DefaultOptions())
+	}
+}
+
+// windowSink keeps BenchmarkKernelWindowBuild's windows live.
+var windowSink *Local
+
+// BenchmarkKernelWindowBuild builds the four first-iteration windows of a
+// 4-rank solve of a web graph the size of e2ebench's web-p4 (3 000
+// vertices, 90 000 edges), as the ranks do from the edge list, with the
+// degree allreduce replaced by a local count.
+func BenchmarkKernelWindowBuild(b *testing.B) {
+	const ranks = 4
+	el := gen.WebGraph(3000, 90000, 0.88, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deg := el.Degrees()
+		bounds := partition.BalancedBounds(deg, ranks)
+		for r := 0; r < ranks; r++ {
+			windowSink = NewWindow(el, deg, bounds[r], bounds[r+1])
+		}
 	}
 }

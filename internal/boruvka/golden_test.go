@@ -62,9 +62,9 @@ type goldenRecord struct {
 func goldenMatrix(t *testing.T, emit func(goldenRecord)) {
 	t.Helper()
 	for gi, el := range goldenGraphs() {
-		g := graph.MustBuildCSR(el)
-		for _, w := range goldenWindows(g.N) {
-			win := NewWindow(g, w[0], w[1])
+		deg := el.Degrees()
+		for _, w := range goldenWindows(el.N) {
+			win := NewWindow(el, deg, w[0], w[1])
 			for _, excpt := range []ExceptionCond{ExcptNone, ExcptBorderVertex, ExcptBorderEdge} {
 				for _, dd := range []bool{true, false} {
 					for _, contract := range []bool{false, true} {

@@ -7,9 +7,10 @@
 //
 // The kernel operates on a Local view: a set of globally-named vertices
 // plus edges whose endpoints may be local or external (ghost). A first
-// iteration view is a window over a contiguous vertex range of the shared
-// CSR (NewWindow); every later merge stage builds its view from the
-// component graph's edge list (NewLocal, vertices = component
+// iteration view is a window over a contiguous vertex range, built by the
+// rank straight from the job's edge list (NewWindow); a device's share of
+// it is cut from it (Sub). Every later merge stage builds its view from
+// the component graph's edge list (NewLocal, vertices = component
 // representatives).
 package boruvka
 
@@ -23,8 +24,9 @@ import (
 
 // Local is one device's view of its partition: the global ids of the local
 // vertices and a CSR of arcs out of them. An arc carries the global edge id
-// and weight of its undirected edge; a head outside the view is external
-// (ghost) and stored as -1.
+// and weight of its undirected edge; a head inside the view is stored as
+// its local index, a head outside it is external (ghost) and stored as
+// ^global (bitwise NOT of its global id, so always negative).
 type Local struct {
 	IDs []int32 // sorted ascending, unique
 	// NumEdges counts the view's undirected edges (self-loops included),
@@ -33,7 +35,7 @@ type Local struct {
 
 	// CSR over local indices; arcs exist only from local endpoints.
 	off []int64
-	dst []int32 // local index of head, or -1 if external
+	dst []int32 // local index of head, or ^global if external
 	eid []int32 // global edge id
 	w   []uint64
 }
@@ -85,7 +87,7 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 		if headLocal {
 			l.dst[a] = index[head]
 		} else {
-			l.dst[a] = -1
+			l.dst[a] = ^head
 		}
 		l.eid[a] = e.ID
 		l.w[a] = e.W
@@ -104,67 +106,122 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	return l, nil
 }
 
-// NewWindow builds the view of the contiguous vertex range [lo, hi) of g
-// straight from g's arcs, with no global→local index: the local index of
-// vertex v is v − lo, and a head outside the range is external. The view
-// equals NewLocal over the range's ids and graph.VertexRangeSubgraph(g,
-// lo, hi) up to the order of each vertex's arcs, which the kernel's result
-// does not depend on. A self-loop keeps one of its two arcs; this relies
-// on BuildCSR placing the two arcs next to each other.
-func NewWindow(g *graph.CSR, lo, hi int32) *Local {
+// NewWindow builds the view of the contiguous vertex range [lo, hi) of el
+// in one pass over the edge list, with no global→local index: the local
+// index of vertex v is v − lo. deg is el's degree vector (Degrees, or the
+// allreduced one of partition.ReadBounds); deg[lo:hi] sizes the arc
+// arrays, so there is no count pass. Each vertex's arcs come out in
+// ascending edge id, as in graph.BuildCSR. A self-loop keeps one arc; the
+// slot of its second arc is compacted away. The view equals NewLocal over
+// the range's ids and the edges of el with an endpoint in the range.
+func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	n := int(hi - lo)
 	l := &Local{IDs: make([]int32, n), off: make([]int64, n+1)}
-	// twin reports whether arc a is the second arc of a self-loop at u.
-	twin := func(u int32, a int64) bool {
-		return a > g.Offsets[u] && g.Dst[a-1] == u && g.EID[a-1] == g.EID[a]
+	// off[i+1] starts as vertex i's first slot and is its fill cursor;
+	// after the fill it is the end of i's arcs.
+	var total int64
+	for i, d := range deg[lo:hi] {
+		l.off[i+1] = total
+		total += d
 	}
-	// Count pass: exact per-vertex arc counts plus the edge counters.
-	for i := 0; i < n; i++ {
-		u := lo + int32(i)
-		l.IDs[i] = u
-		kept := g.Degree(u)
-		alo, ahi := g.Arcs(u)
-		for a := alo; a < ahi; a++ {
-			switch v := g.Dst[a]; {
-			case v == u:
-				if twin(u, a) {
-					kept--
-				} else {
-					l.NumEdges++
-				}
-			case v < lo || v >= hi:
-				l.NumEdges++
-				l.NumCut++
-			case u < v:
-				l.NumEdges++
-			}
-		}
-		l.off[i+1] = l.off[i] + kept
-	}
-	total := l.off[n]
 	l.dst = make([]int32, total)
 	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
-	// Fill pass: copy the arcs, translating heads to local indices.
-	k := int64(0)
-	for u := lo; u < hi; u++ {
-		alo, ahi := g.Arcs(u)
-		for a := alo; a < ahi; a++ {
-			v := g.Dst[a]
-			if v == u && twin(u, a) {
-				continue
-			}
-			if v >= lo && v < hi {
-				l.dst[k] = v - lo
+	put := func(u int32, head int32, e *graph.Edge) {
+		a := l.off[u+1]
+		l.off[u+1]++
+		l.dst[a], l.eid[a], l.w[a] = head, e.ID, e.W
+	}
+	loops := false
+	for i := range el.Edges {
+		e := &el.Edges[i]
+		u, v := e.U-lo, e.V-lo
+		uIn, vIn := uint32(u) < uint32(n), uint32(v) < uint32(n)
+		switch {
+		case uIn && vIn:
+			l.NumEdges++
+			put(u, v, e)
+			if u != v {
+				put(v, u, e)
 			} else {
-				l.dst[k] = -1
+				loops = true
 			}
-			l.eid[k] = g.EID[a]
-			l.w[k] = g.W[a]
-			k++
+		case uIn:
+			l.NumEdges++
+			l.NumCut++
+			put(u, ^e.V, e)
+		case vIn:
+			l.NumEdges++
+			l.NumCut++
+			put(v, ^e.U, e)
 		}
 	}
+	for i := range l.IDs {
+		l.IDs[i] = lo + int32(i)
+	}
+	if loops {
+		l.compact(deg[lo:hi])
+	}
 	return l
+}
+
+// compact closes the gaps a fill leaves when a vertex kept fewer arcs than
+// its slots: vertex i's arcs start at the prefix sum of slots[:i] and end
+// at off[i+1].
+func (l *Local) compact(slots []int64) {
+	var k, start int64
+	for i, d := range slots {
+		end := l.off[i+1]
+		copy(l.dst[k:], l.dst[start:end])
+		copy(l.eid[k:], l.eid[start:end])
+		copy(l.w[k:], l.w[start:end])
+		k += end - start
+		l.off[i+1] = k
+		start += d
+	}
+	l.dst, l.eid, l.w = l.dst[:k:k], l.eid[:k:k], l.w[:k:k]
+}
+
+// Sub returns the view of local vertices [a, b) of l: their arcs, with a
+// head outside [a, b) made external. It costs the arcs of the range; the
+// edge ids and weights alias l's.
+func (l *Local) Sub(a, b int) *Local {
+	base, end := l.off[a], l.off[b]
+	s := &Local{
+		IDs: l.IDs[a:b:b],
+		off: make([]int64, b-a+1),
+		dst: make([]int32, end-base),
+		eid: l.eid[base:end:end],
+		w:   l.w[base:end:end],
+	}
+	for u := a; u < b; u++ {
+		s.off[u-a+1] = l.off[u+1] - base
+		for x := l.off[u]; x < l.off[u+1]; x++ {
+			v := l.dst[x]
+			if v >= 0 && int(v) >= a && int(v) < b {
+				if int(v) >= u {
+					s.NumEdges++ // inside edges once, from the smaller end
+				}
+				s.dst[x-base] = v - int32(a)
+				continue
+			}
+			if v >= 0 {
+				v = ^l.IDs[v] // inside l but outside [a, b): a cut arc here
+			}
+			s.NumEdges++
+			s.NumCut++
+			s.dst[x-base] = v
+		}
+	}
+	return s
+}
+
+// Arcs returns the heads, edge ids and weights of the arcs out of local
+// vertex u, in the view's order. A head is a local index, or ^global when
+// it is external. The slices alias the view and must not be modified.
+func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
+	lo, hi := l.off[u], l.off[u+1]
+	return l.dst[lo:hi:hi], l.eid[lo:hi:hi], l.w[lo:hi:hi]
 }
 
 // N reports the number of local vertices.

@@ -74,11 +74,11 @@ func TestRingsListComponentMembers(t *testing.T) {
 // window whose hub takes the nested parallel path, under both border
 // exceptions, in both scan modes and with and without contraction.
 func TestKernelSchedulingIndependent(t *testing.T) {
-	road := graph.MustBuildCSR(gen.RoadNetwork(20000, 83))
-	star := graph.MustBuildCSR(gen.Star(4*hubDegree, 84))
+	road := gen.RoadNetwork(20000, 83)
+	star := gen.Star(4*hubDegree, 84)
 	views := map[string]*Local{
-		"road quarter": NewWindow(road, road.N/4, road.N/2),
-		"hub half":     NewWindow(star, 0, star.N/2),
+		"road quarter": NewWindow(road, road.Degrees(), road.N/4, road.N/2),
+		"hub half":     NewWindow(star, star.Degrees(), 0, star.N/2),
 	}
 	defer parutil.SetMaxWorkers(parutil.SetMaxWorkers(1))
 	for name, l := range views {

@@ -11,6 +11,7 @@ import (
 	"mndmst/internal/graph"
 	"mndmst/internal/partition"
 	"mndmst/internal/testutil"
+	"mndmst/internal/wire"
 )
 
 // messyGraph is a seeded RMAT graph (power-law hubs, some self-loops and
@@ -31,13 +32,10 @@ func messyGraph(n int32, m int, seed int64) *graph.EdgeList {
 	return el
 }
 
-// windowRanges returns every range of BalancedBounds over g for each
+// windowRanges returns every range of BalancedBounds over el for each
 // rank count, P > N included.
-func windowRanges(g *graph.CSR) [][2]int32 {
-	deg := make([]int64, g.N)
-	for v := range deg {
-		deg[v] = g.Degree(int32(v))
-	}
+func windowRanges(el *graph.EdgeList) [][2]int32 {
+	deg := el.Degrees()
 	var out [][2]int32
 	for _, p := range []int{1, 2, 3, 4, 16} {
 		b := partition.BalancedBounds(deg, p)
@@ -48,52 +46,108 @@ func windowRanges(g *graph.CSR) [][2]int32 {
 	return out
 }
 
-// arcKey is one arc of a view with its head named globally (-1 external).
-type arcKey struct {
-	head, eid int32
-	w         uint64
-}
-
-// arcSets lists each local vertex's arcs, sorted.
-func arcSets(l *Local) [][]arcKey {
-	out := make([][]arcKey, l.N())
-	for u := range out {
-		for a := l.off[u]; a < l.off[u+1]; a++ {
-			head := int32(-1)
-			if l.dst[a] >= 0 {
-				head = l.IDs[l.dst[a]]
-			}
-			out[u] = append(out[u], arcKey{head, l.eid[a], l.w[a]})
+// withBoundaryLoops returns el with isolated vertices appended and a
+// self-loop added on the first and last vertex of every non-empty range.
+func withBoundaryLoops(el *graph.EdgeList, ranges [][2]int32, isolated int32) *graph.EdgeList {
+	out := &graph.EdgeList{N: el.N + isolated, Edges: slices.Clone(el.Edges)}
+	for _, r := range ranges {
+		if r[0] == r[1] {
+			continue
 		}
-		slices.SortFunc(out[u], func(x, y arcKey) int {
-			if x.eid != y.eid {
-				return int(x.eid - y.eid)
-			}
-			return int(x.head - y.head)
-		})
+		for _, v := range []int32{r[0], r[1] - 1} {
+			id := int32(len(out.Edges))
+			out.Edges = append(out.Edges, graph.Edge{U: v, V: v, ID: id, W: graph.MakeWeight(uint16(id*7919), id)})
+		}
 	}
 	return out
 }
 
-// referenceLocal builds the view of [lo, hi) the list way.
-func referenceLocal(t *testing.T, g *graph.CSR, lo, hi int32) (*Local, []graph.Edge) {
+// rangeEdges returns the edges of el with an endpoint in [lo, hi), in
+// edge order, and how many of them are cut.
+func rangeEdges(el *graph.EdgeList, lo, hi int32) ([]wire.WEdge, int64) {
+	in := func(v int32) bool { return v >= lo && v < hi }
+	var edges []wire.WEdge
+	var cut int64
+	for _, e := range el.Edges {
+		if in(e.U) || in(e.V) {
+			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
+			if in(e.U) != in(e.V) {
+				cut++
+			}
+		}
+	}
+	return edges, cut
+}
+
+// referenceLocal builds the view of [lo, hi) the list way: NewLocal over
+// the range's ids and edges.
+func referenceLocal(t testing.TB, el *graph.EdgeList, lo, hi int32) *Local {
 	t.Helper()
-	edges := graph.VertexRangeSubgraph(g, lo, hi)
+	edges, _ := rangeEdges(el, lo, hi)
 	ids := make([]int32, 0, hi-lo)
 	for v := lo; v < hi; v++ {
 		ids = append(ids, v)
 	}
-	l, err := NewLocal(ids, toWEdges(edges))
+	l, err := NewLocal(ids, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return l, edges
+	return l
 }
 
-// TestNewWindowMatchesVertexRangeSubgraph checks NewWindow against
-// NewLocal over graph.VertexRangeSubgraph: the same arcs per vertex and
-// the same edge and cut-edge counts, on every balanced range.
-func TestNewWindowMatchesVertexRangeSubgraph(t *testing.T) {
+// checkWindow compares NewWindow over [lo, hi) with NewLocal over the
+// range's edges: the same ids, edge and cut counts, and per vertex the
+// same arcs in ascending edge id, each head decoding (a local index, or
+// ^global when cut) to the other endpoint of its edge.
+func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
+	t.Helper()
+	where := fmt.Sprintf("N=%d [%d,%d)", el.N, lo, hi)
+	win := NewWindow(el, el.Degrees(), lo, hi)
+	ref := referenceLocal(t, el, lo, hi)
+	edges, cut := rangeEdges(el, lo, hi)
+	if win.NumEdges != int64(len(edges)) || ref.NumEdges != int64(len(edges)) {
+		t.Fatalf("%s: NumEdges window %d, list %d, want %d", where, win.NumEdges, ref.NumEdges, len(edges))
+	}
+	if win.NumCut != cut || ref.NumCut != cut {
+		t.Fatalf("%s: NumCut window %d, list %d, want %d", where, win.NumCut, ref.NumCut, cut)
+	}
+	if !slices.Equal(win.IDs, ref.IDs) || win.NumArcs() != ref.NumArcs() {
+		t.Fatalf("%s: ids %v / %d arcs, list %v / %d arcs", where, win.IDs, win.NumArcs(), ref.IDs, ref.NumArcs())
+	}
+	for u := range win.N() {
+		dst, eid, w := win.Arcs(u)
+		rdst, reid, rw := ref.Arcs(u)
+		if !slices.Equal(dst, rdst) || !slices.Equal(eid, reid) || !slices.Equal(w, rw) {
+			t.Fatalf("%s: vertex %d arcs %v %v, list %v %v", where, win.IDs[u], dst, eid, rdst, reid)
+		}
+		for a, v := range dst {
+			if a > 0 && eid[a-1] >= eid[a] {
+				t.Fatalf("%s: vertex %d arcs not in ascending edge id: %v", where, win.IDs[u], eid)
+			}
+			e := el.Edges[eid[a]]
+			other := e.V
+			if e.V == win.IDs[u] {
+				other = e.U
+			}
+			head := ^v
+			if v >= 0 {
+				head = win.IDs[v]
+			} else if head >= lo && head < hi {
+				t.Fatalf("%s: cut head %d of edge %d lies inside the range", where, head, e.ID)
+			}
+			if head != other || w[a] != e.W {
+				t.Fatalf("%s: vertex %d edge %d (%d-%d): head %d weight %d", where, win.IDs[u], e.ID, e.U, e.V, head, w[a])
+			}
+		}
+	}
+}
+
+// TestNewWindowMatchesNewLocal checks NewWindow against NewLocal over the
+// range's edges on messy graphs (hubs, parallel edges, self-loops on
+// range boundaries, isolated vertices) for every balanced range, empty
+// ranges and [0, n) included, and checks that Sub of a window is the
+// window of the sub-range.
+func TestNewWindowMatchesNewLocal(t *testing.T) {
 	seed := testutil.Seed(t, 61)
 	for _, el := range []*graph.EdgeList{
 		messyGraph(300, 2400, seed),
@@ -101,37 +155,53 @@ func TestNewWindowMatchesVertexRangeSubgraph(t *testing.T) {
 		gen.Star(50, seed+2),
 		{N: 3},
 	} {
-		g := graph.MustBuildCSR(el)
-		for _, r := range windowRanges(g) {
-			lo, hi := r[0], r[1]
-			win := NewWindow(g, lo, hi)
-			ref, edges := referenceLocal(t, g, lo, hi)
-			var cut int64
-			for _, e := range edges {
-				if (e.U >= lo && e.U < hi) != (e.V >= lo && e.V < hi) {
-					cut++
-				}
-			}
-			where := fmt.Sprintf("N=%d [%d,%d)", g.N, lo, hi)
-			if win.NumEdges != int64(len(edges)) || ref.NumEdges != int64(len(edges)) {
-				t.Fatalf("%s: NumEdges window %d, list %d, want %d", where, win.NumEdges, ref.NumEdges, len(edges))
-			}
-			if win.NumCut != cut || ref.NumCut != cut {
-				t.Fatalf("%s: NumCut window %d, list %d, want %d", where, win.NumCut, ref.NumCut, cut)
-			}
-			if !slices.Equal(win.IDs, ref.IDs) {
-				t.Fatalf("%s: ids %v vs %v", where, win.IDs, ref.IDs)
-			}
-			if !reflect.DeepEqual(arcSets(win), arcSets(ref)) {
-				t.Fatalf("%s: per-vertex arcs differ", where)
-			}
-			for u := 0; u < win.N(); u++ {
-				if win.Border(u) != ref.Border(u) {
-					t.Fatalf("%s: Border(%d) differs", where, u)
+		ranges := append(windowRanges(el), [2]int32{0, el.N}, [2]int32{el.N / 2, el.N / 2})
+		el = withBoundaryLoops(el, ranges, 4)
+		ranges = append(ranges, [2]int32{0, el.N}, [2]int32{el.N - 4, el.N})
+		deg := el.Degrees()
+		for _, r := range ranges {
+			checkWindow(t, el, r[0], r[1])
+			win := NewWindow(el, deg, r[0], r[1])
+			n := win.N()
+			for _, s := range [][2]int{{0, n}, {0, n / 2}, {n / 3, n}, {n / 2, n / 2}} {
+				want := NewWindow(el, deg, r[0]+int32(s[0]), r[0]+int32(s[1]))
+				if got := win.Sub(s[0], s[1]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", el.N, r[0], r[1], s[0], s[1])
 				}
 			}
 		}
 	}
+}
+
+// FuzzNewWindow checks the property of TestNewWindowMatchesNewLocal on
+// small graphs built from the input: byte 0 sizes the vertex set, bytes 1
+// and 2 pick the range, and each further byte pair is an edge.
+func FuzzNewWindow(f *testing.F) {
+	f.Add([]byte{5, 1, 4, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{9, 3, 3, 0, 8, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := int32(data[0]%32) + 1
+		lo, hi := int32(data[1])%(n+1), int32(data[2])%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		el := &graph.EdgeList{N: n}
+		for i := 3; i+1 < len(data); i += 2 {
+			id := int32(len(el.Edges))
+			u, v := int32(data[i])%n, int32(data[i+1])%n
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, ID: id, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
+		}
+		checkWindow(t, el, lo, hi)
+		win := NewWindow(el, el.Degrees(), lo, hi)
+		a, b := win.N()/3, win.N()-win.N()/4
+		if got, want := win.Sub(a, b), NewWindow(el, el.Degrees(), lo+int32(a), lo+int32(b)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", n, lo, hi, a, b)
+		}
+	})
 }
 
 // TestWindowKernelMatchesList runs the kernel on both views of every
@@ -143,17 +213,17 @@ func TestWindowKernelMatchesList(t *testing.T) {
 		messyGraph(400, 3200, seed),
 		messyGraph(10, 40, seed+1),
 	} {
-		g := graph.MustBuildCSR(el)
-		for _, r := range windowRanges(g) {
-			win := NewWindow(g, r[0], r[1])
-			ref, _ := referenceLocal(t, g, r[0], r[1])
+		deg := el.Degrees()
+		for _, r := range windowRanges(el) {
+			win := NewWindow(el, deg, r[0], r[1])
+			ref := referenceLocal(t, el, r[0], r[1])
 			for _, excpt := range []ExceptionCond{ExcptNone, ExcptBorderVertex, ExcptBorderEdge} {
 				for _, contract := range []bool{false, true} {
 					opt := Options{Excpt: excpt, DataDriven: true, Contract: contract}
 					got, want := Run(win, opt), Run(ref, opt)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("N=%d [%d,%d) excpt=%d contract=%v: window %+v, list %+v",
-							g.N, r[0], r[1], excpt, contract, got, want)
+							el.N, r[0], r[1], excpt, contract, got, want)
 					}
 				}
 			}

@@ -157,7 +157,7 @@ const tagForest = 208
 func (w *worker) run() (*mst.Forest, error) {
 	r := w.r
 	r.SetPhase(PhaseLoad)
-	part, work := partition.Read(r, w.g)
+	part, work := partition.Read(r, w.el, w.g)
 	w.cpuCharge(work)
 	w.lo, w.hi = part.Lo, part.Hi
 	w.bounds = part.Bounds

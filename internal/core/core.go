@@ -61,9 +61,13 @@ func Run(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useG
 // RunDistributed executes this process's rank of MND-MST over a real
 // transport endpoint (one OS process per rank). Every worker must be given
 // the identical edge list and configuration; the cluster size is the
-// transport's P. On rank 0 the returned Result carries the forest and the
-// full gathered report (simulated clocks plus real wall-clock per phase);
-// other ranks return a Result with a nil Forest and their local report.
+// transport's P. A worker counts the degrees of its own chunk of the edge
+// list and builds only its own rank's window from it; it builds no global
+// CSR unless the GPU share has to be estimated. Every rank's Result
+// carries the global Iterations, Levels and PeakEdges. On rank 0 it also
+// carries the forest and the report gathered from every rank (simulated
+// clocks plus real wall-clock per phase); other ranks get a nil Forest and
+// a report of their own rank only.
 func RunDistributed(el *graph.EdgeList, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
 	return run(el, ep.P(), ep, machine, cfg, useGPU)
 }
@@ -71,16 +75,15 @@ func RunDistributed(el *graph.EdgeList, ep transport.Transport, machine cost.Mac
 // run is the shared driver: ep == nil simulates all p ranks in-process,
 // otherwise only ep's rank executes here.
 func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	// BuildCSR validates el; the CSR is then shared read-only by every
-	// in-process rank, which reads its first-iteration window from it.
-	g, err := graph.BuildCSR(el)
-	if err != nil {
+	// Every rank builds its first-iteration window straight from el; no
+	// global CSR is built unless the GPU share has to be estimated.
+	if err := el.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.MergeEdgeThreshold == 0 {
 		// Default memory-capacity threshold: a group merges to its leader
 		// once its residual data fits one rank's original share.
-		cfg.MergeEdgeThreshold = g.M / int64(p)
+		cfg.MergeEdgeThreshold = int64(len(el.Edges)) / int64(p)
 		if cfg.MergeEdgeThreshold < 256 {
 			cfg.MergeEdgeThreshold = 256
 		}
@@ -121,6 +124,10 @@ func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine
 		if k < 1 {
 			k = 1
 		}
+		g, err := graph.BuildCSR(el)
+		if err != nil {
+			return nil, err
+		}
 		share := device.EstimateGPUShare(g, cpu, &device.GPU{Model: *machine.GPU, OverlapTransfers: true}, 5, 0.05, 12345)
 		share *= float64(k)
 		if share > 0.9 {
@@ -144,7 +151,6 @@ func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine
 			r:       r,
 			rt:      hypar.New(r, rankCPU(r.ID()), rankGPUs(r.ID()), cfg),
 			el:      el,
-			g:       g,
 			cfg:     cfg,
 			machine: machine,
 		}
@@ -203,7 +209,6 @@ type rankMain struct {
 	r   *cluster.Rank
 	rt  *hypar.Runtime
 	el  *graph.EdgeList
-	g   *graph.CSR
 	cfg hypar.Config
 
 	owned   []int32
@@ -236,9 +241,9 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	if len(m.machine.NodeSpeeds) == p && !m.cfg.IgnoreNodeSpeeds {
 		speeds = m.machine.NodeSpeeds
 	}
-	bounds, w := partition.ReadBounds(r, m.g, strat, speeds)
+	bounds, deg, w := partition.ReadBounds(r, m.el, strat, speeds)
 	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	win := &hypar.Window{G: m.g, Lo: lo, Hi: hi, View: boruvka.NewWindow(m.g, lo, hi)}
+	win := &hypar.Window{Lo: lo, View: boruvka.NewWindow(m.el, deg, lo, hi)}
 	// The window stands in for the extracted edge list and the ghostList
 	// hash table (one entry per cut edge) of §3.1; their work is charged
 	// from its counts.
@@ -266,8 +271,8 @@ func (m *rankMain) run() (*mst.Forest, error) {
 
 		// indComp (§3.2): independent Boruvka on the devices with the
 		// border-vertex exception. The first iteration runs on the rank's
-		// window of the shared CSR (win), later ones on the reduced
-		// component graph in m.edges.
+		// window (win), later ones on the reduced component graph in
+		// m.edges.
 		r.SetPhase(PhaseIndComp)
 		var deltas []merge.Delta
 		var parent []int32

@@ -16,18 +16,14 @@ import (
 // maxWindowEdges is the largest first-iteration window of el on p ranks
 // partitioned by degree, speed-weighted when speeds has p entries.
 func maxWindowEdges(el *graph.EdgeList, p int, speeds []float64) int {
-	g := graph.MustBuildCSR(el)
-	deg := make([]int64, g.N)
-	for v := range deg {
-		deg[v] = g.Degree(int32(v))
-	}
+	deg := el.Degrees()
 	bounds := partition.BalancedBounds(deg, p)
 	if len(speeds) == p {
 		bounds = partition.WeightedBounds(deg, speeds)
 	}
 	peak := 0
 	for i := 0; i < p; i++ {
-		if n := int(boruvka.NewWindow(g, bounds[i], bounds[i+1]).NumEdges); n > peak {
+		if n := int(boruvka.NewWindow(el, deg, bounds[i], bounds[i+1]).NumEdges); n > peak {
 			peak = n
 		}
 	}

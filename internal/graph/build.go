@@ -16,11 +16,7 @@ func BuildCSR(el *EdgeList) (*CSR, error) {
 	// Count pass: offsets[u+1] accumulates u's degree; the prefix sum then
 	// turns degrees into offsets.
 	offsets := make([]int64, n+1)
-	for i := range el.Edges {
-		e := &el.Edges[i]
-		offsets[e.U+1]++
-		offsets[e.V+1]++
-	}
+	AddDegrees(offsets[1:], el.Edges)
 	for u := 1; u <= n; u++ {
 		offsets[u] += offsets[u-1]
 	}

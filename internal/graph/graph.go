@@ -1,7 +1,8 @@
 // Package graph provides the weighted undirected graph substrate shared by
-// every algorithm in the repository: an edge-list form used by generators
-// and loaders, and a CSR (compressed sparse row) form used by the kernels,
-// mirroring the representation of §3.1 of the paper.
+// every algorithm in the repository: an edge-list form used by generators,
+// loaders and the MND-MST ranks, which build their own windows from it
+// (§3.1 of the paper), and a CSR (compressed sparse row) form used by the
+// applications, the BSP baseline and the reference algorithms.
 //
 // Edge weights are uint64 values constructed so that every undirected edge
 // in a graph has a distinct weight (see MakeWeight). Distinct weights make
@@ -73,6 +74,23 @@ func (el *EdgeList) Validate() error {
 	return nil
 }
 
+// AddDegrees adds the endpoint incidences of edges to deg, one for each
+// endpoint, so a self-loop adds two: over all of a graph's edges this is
+// the CSR degree of every vertex.
+func AddDegrees(deg []int64, edges []Edge) {
+	for i := range edges {
+		deg[edges[i].U]++
+		deg[edges[i].V]++
+	}
+}
+
+// Degrees returns the CSR degree of every vertex of el.
+func (el *EdgeList) Degrees() []int64 {
+	deg := make([]int64, el.N)
+	AddDegrees(deg, el.Edges)
+	return deg
+}
+
 // CSR is the compressed-sparse-row form of an undirected graph: every
 // undirected edge appears as two directed arcs. Arc i of vertex u lives at
 // positions Offsets[u] <= i < Offsets[u+1] of the arc arrays.
@@ -95,8 +113,6 @@ func (g *CSR) Degree(u int32) int64 { return g.Offsets[u+1] - g.Offsets[u] }
 // Arcs returns the arc index range [lo, hi) of vertex u.
 func (g *CSR) Arcs(u int32) (lo, hi int64) { return g.Offsets[u], g.Offsets[u+1] }
 
-// EdgeEndpoints recovers the canonical endpoints of undirected edge eid by
-// scanning u's arcs is not possible from CSR alone; callers that need them
-// keep the originating EdgeList. This accessor exists for the common case
-// where the arc is at hand: it returns the (src, dst) of arc a given src.
+// ArcHead returns the head vertex of arc a. The tail is the vertex whose
+// Arcs range holds a; the CSR does not store it per arc.
 func (g *CSR) ArcHead(a int64) int32 { return g.Dst[a] }

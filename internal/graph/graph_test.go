@@ -114,7 +114,7 @@ func TestBuildCSRSelfLoop(t *testing.T) {
 	if g.Degree(0) != 3 { // self-loop contributes two arcs
 		t.Fatalf("degree(0)=%d want 3", g.Degree(0))
 	}
-	// The two arcs sit next to each other; boruvka.NewWindow relies on it.
+	// The two arcs sit next to each other, in edge order like every arc.
 	if lo, _ := g.Arcs(0); g.Dst[lo] != 0 || g.Dst[lo+1] != 0 || g.EID[lo] != 0 || g.EID[lo+1] != 0 {
 		t.Fatalf("self-loop arcs not adjacent: dst %v eid %v", g.Dst, g.EID)
 	}
@@ -142,6 +142,8 @@ func TestCSRRoundTripThroughEdgeList(t *testing.T) {
 	}
 }
 
+// TestBuildCSRPropertyDegreesMatchEdgeEndpoints: the CSR degrees and
+// EdgeList.Degrees both count each edge endpoint once.
 func TestBuildCSRPropertyDegreesMatchEdgeEndpoints(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,8 +156,9 @@ func TestBuildCSRPropertyDegreesMatchEdgeEndpoints(t *testing.T) {
 			deg[e.U]++
 			deg[e.V]++
 		}
+		counted := el.Degrees()
 		for u := 0; u < n; u++ {
-			if g.Degree(int32(u)) != deg[u] {
+			if g.Degree(int32(u)) != deg[u] || counted[u] != deg[u] {
 				return false
 			}
 		}

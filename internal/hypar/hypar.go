@@ -15,7 +15,6 @@ import (
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
-	"mndmst/internal/graph"
 	"mndmst/internal/merge"
 	"mndmst/internal/wire"
 )
@@ -120,13 +119,11 @@ type IndResult struct {
 	Seconds float64
 }
 
-// Window is a rank's first-iteration share of the job: the vertex range
-// [Lo, Hi) of the shared read-only CSR G and View, its kernel view
-// boruvka.NewWindow(G, Lo, Hi).
+// Window is a rank's first-iteration share of the job: View, the kernel
+// view boruvka.NewWindow(el, deg, Lo, hi) of its vertex range [Lo, hi).
 type Window struct {
-	G      *graph.CSR
-	Lo, Hi int32
-	View   *boruvka.Local
+	Lo   int32
+	View *boruvka.Local
 }
 
 // kernelOpts builds per-device kernel options, each with its own
@@ -178,7 +175,8 @@ func (rt *Runtime) IndComp(owned []int32, edges []wire.WEdge) (*IndResult, error
 
 // IndCompWindow is IndComp over the node's first-iteration window. A
 // device split cuts the range into contiguous device ranges whose views
-// are windows too, and the node merge relabels straight from the CSR.
+// are cut from the window (boruvka.Local.Sub), and the node merge
+// relabels straight from the window's arcs.
 func (rt *Runtime) IndCompWindow(win *Window) (*IndResult, error) {
 	v := win.View
 	if !rt.useGPU(v.NumEdges) {
@@ -189,16 +187,17 @@ func (rt *Runtime) IndCompWindow(win *Window) (*IndResult, error) {
 		inc[i] = v.Degree(i)
 	}
 	sets := splitByShares(v.IDs, inc, rt.shares())
+	// Device i's range starts where the sets before it end.
+	starts := make([]int, len(sets))
+	for i := 1; i < len(sets); i++ {
+		starts[i] = starts[i-1] + len(sets[i-1])
+	}
 	view := func(i int) (*boruvka.Local, error) {
-		lo := win.Lo
-		if len(sets[i]) > 0 {
-			lo = sets[i][0]
-		}
-		return boruvka.NewWindow(win.G, lo, lo+int32(len(sets[i]))), nil
+		return v.Sub(starts[i], starts[i]+len(sets[i])), nil
 	}
 	relabel := func(devParent []int32) ([]wire.WEdge, cost.Work) {
 		identity := func(x int32) int32 { return x }
-		return merge.RelabelWindow(win.G, win.Lo, win.Hi, devParent, identity), cost.Work{EdgesScanned: v.NumEdges}
+		return merge.RelabelWindow(v, devParent, identity), cost.Work{EdgesScanned: v.NumEdges}
 	}
 	return rt.indCompMulti(v.IDs, sets, view, relabel)
 }
@@ -339,7 +338,7 @@ func (rt *Runtime) Reduce(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge
 // the endpoints outside the window. The relabel scan is charged from the
 // window's edge count.
 func (rt *Runtime) ReduceWindow(win *Window, parent []int32, ghost func(int32) int32) []wire.WEdge {
-	out := merge.RelabelWindow(win.G, win.Lo, win.Hi, parent, ghost)
+	out := merge.RelabelWindow(win.View, parent, ghost)
 	return rt.removeMulti(out, cost.Work{EdgesScanned: win.View.NumEdges})
 }
 

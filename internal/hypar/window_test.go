@@ -7,7 +7,6 @@ import (
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
-	"mndmst/internal/graph"
 	"mndmst/internal/merge"
 	"mndmst/internal/wire"
 )
@@ -18,7 +17,7 @@ import (
 // across one or three accelerators.
 func TestIndCompWindowMatchesList(t *testing.T) {
 	el := gen.RMAT(1024, 12_000, 17)
-	g := graph.MustBuildCSR(el)
+	deg := el.Degrees()
 	for _, gpus := range []int{0, 1, 3} {
 		for _, r := range [][2]int32{{0, 1024}, {0, 40}, {300, 700}, {1000, 1024}} {
 			lo, hi := r[0], r[1]
@@ -41,15 +40,17 @@ func TestIndCompWindowMatchesList(t *testing.T) {
 					}
 					var err error
 					if window {
-						win := &Window{G: g, Lo: lo, Hi: hi, View: boruvka.NewWindow(g, lo, hi)}
+						win := &Window{Lo: lo, View: boruvka.NewWindow(el, deg, lo, hi)}
 						if o.res, err = rt.IndCompWindow(win); err != nil {
 							return err
 						}
 						o.reduced = rt.ReduceWindow(win, o.res.Parent, ghost)
 					} else {
 						var edges []wire.WEdge
-						for _, e := range graph.VertexRangeSubgraph(g, lo, hi) {
-							edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
+						for _, e := range el.Edges {
+							if e.U >= lo && e.U < hi || e.V >= lo && e.V < hi {
+								edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
+							}
 						}
 						ids := make([]int32, 0, hi-lo)
 						for v := lo; v < hi; v++ {

@@ -5,7 +5,6 @@ import (
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
-	"mndmst/internal/graph"
 	"mndmst/internal/wire"
 )
 
@@ -16,16 +15,19 @@ import (
 // ReduceWindow does.
 func BenchmarkRemoveMultiEdges(b *testing.B) {
 	const ranks = 4
-	g := graph.MustBuildCSR(gen.WebGraph(3000, 90000, 0.88, 1))
-	bound := func(r int32) int32 { return r * g.N / ranks }
-	parent := make([]int32, g.N)
+	el := gen.WebGraph(3000, 90000, 0.88, 1)
+	deg := el.Degrees()
+	bound := func(r int32) int32 { return r * el.N / ranks }
+	parent := make([]int32, el.N)
+	windows := make([]*boruvka.Local, ranks)
 	for r := int32(0); r < ranks; r++ {
 		lo, hi := bound(r), bound(r+1)
-		res := boruvka.Run(boruvka.NewWindow(g, lo, hi), boruvka.DefaultOptions())
+		windows[r] = boruvka.NewWindow(el, deg, lo, hi)
+		res := boruvka.Run(windows[r], boruvka.DefaultOptions())
 		copy(parent[lo:hi], res.Parent)
 	}
 	ghost := func(v int32) int32 { return parent[v] }
-	in := RelabelWindow(g, 0, bound(1), parent[:bound(1)], ghost)
+	in := RelabelWindow(windows[0], parent[:bound(1)], ghost)
 	buf := make([]wire.WEdge, len(in))
 	b.ReportAllocs()
 	b.ResetTimer()

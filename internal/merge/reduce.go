@@ -21,6 +21,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
 	"mndmst/internal/wire"
@@ -46,32 +47,32 @@ func Relabel(edges []wire.WEdge, parentOf func(int32) int32) (kept []wire.WEdge,
 	return out, selfEdges, w
 }
 
-// RelabelWindow is Relabel fused with the extraction of the vertex range
-// [lo, hi) of g: it walks the range's arcs in graph.VertexRangeSubgraph
-// order and emits every edge whose relabelled endpoints differ, without
-// materialising the range's edge list first. parent[v-lo] is the
-// component of vertex v inside the range; ghost maps the endpoints
-// outside it. Self-loops are self edges and never survive. The scan
-// covers the range's edges (boruvka.Local.NumEdges of its window), which
-// is the EdgesScanned the caller charges for it.
-func RelabelWindow(g *graph.CSR, lo, hi int32, parent []int32, ghost func(int32) int32) []wire.WEdge {
+// RelabelWindow is Relabel fused with the extraction of a window's edge
+// list: it walks the arcs of the view l (a first-iteration window,
+// boruvka.NewWindow) vertex by vertex and emits every edge whose
+// relabelled endpoints differ, without materialising the edge list first.
+// parent[i] is the component of l's vertex i; ghost maps the global id of
+// an external head, read from the arc as ^dst. An inside edge is emitted
+// once, from its smaller endpoint; self-loops are self edges and never
+// survive. The scan covers l.NumEdges edges, which is the EdgesScanned the
+// caller charges for it.
+func RelabelWindow(l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
 	var out []wire.WEdge
-	for u := lo; u < hi; u++ {
-		pu := parent[u-lo]
-		alo, ahi := g.Arcs(u)
-		for a := alo; a < ahi; a++ {
-			v := g.Dst[a]
+	for u := range l.N() {
+		pu := parent[u]
+		dst, eid, w := l.Arcs(u)
+		for a, v := range dst {
 			var pv int32
-			if v >= lo && v < hi {
-				if u >= v {
-					continue // internal edges once, from the smaller endpoint
+			if v >= 0 {
+				if int(v) <= u {
+					continue
 				}
-				pv = parent[v-lo]
+				pv = parent[v]
 			} else {
-				pv = ghost(v)
+				pv = ghost(^v)
 			}
 			if pu != pv {
-				out = append(out, wire.WEdge{U: pu, V: pv, W: g.W[a], ID: g.EID[a]})
+				out = append(out, wire.WEdge{U: pu, V: pv, W: w[a], ID: eid[a]})
 			}
 		}
 	}

@@ -4,17 +4,19 @@ import (
 	"reflect"
 	"testing"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/wire"
 )
 
-// TestRelabelWindowMatchesRelabel: the fused walk over a range of the CSR
+// TestRelabelWindowMatchesRelabel: the fused walk over a window's arcs
 // emits exactly what Relabel keeps of the range's extracted edge list, in
 // the same order.
 func TestRelabelWindowMatchesRelabel(t *testing.T) {
 	el := gen.RMAT(256, 2048, 29) // hubs, self-loops and parallel edges
 	g := graph.MustBuildCSR(el)
+	deg := el.Degrees()
 	for _, r := range [][2]int32{{0, 256}, {0, 8}, {60, 200}, {255, 256}, {100, 100}} {
 		lo, hi := r[0], r[1]
 		// Owned vertices fold pairwise into components; ghosts fold by
@@ -35,7 +37,7 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
 		}
 		want, _, _ := Relabel(edges, pf)
-		got := RelabelWindow(g, lo, hi, parent, ghost)
+		got := RelabelWindow(boruvka.NewWindow(el, deg, lo, hi), parent, ghost)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("[%d,%d): window emits %d edges, Relabel keeps %d", lo, hi, len(got), len(want))
 		}

@@ -124,26 +124,12 @@ const (
 )
 
 // Read performs the distributed partitioning on the calling rank: it
-// computes the degrees of its provisional slice, allreduces the full degree
-// vector (as Gemini does after the parallel file read), derives the
-// balanced bounds, and extracts its part. The returned work covers the
-// local degree computation and edge extraction; the caller charges it to
-// its device model. All ranks must call Read collectively with the same
-// graph.
-func Read(r *cluster.Rank, g *graph.CSR) (*Part, cost.Work) {
-	return ReadWith(r, g, ByDegree)
-}
-
-// ReadWith is Read with an explicit partitioning strategy.
-func ReadWith(r *cluster.Rank, g *graph.CSR, strat Strategy) (*Part, cost.Work) {
-	return ReadWeighted(r, g, strat, nil)
-}
-
-// ReadWeighted is ReadWith with optional per-rank speed weights for
-// heterogeneous clusters: faster ranks receive proportionally more degree
-// mass.
-func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64) (*Part, cost.Work) {
-	bounds, w := ReadBounds(r, g, strat, speeds)
+// derives the degree-balanced bounds with ReadBounds and extracts its part
+// from g, the CSR of el. The returned work covers the degree count and the
+// edge extraction; the caller charges it to its device model. All ranks
+// must call Read collectively with the same graph.
+func Read(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR) (*Part, cost.Work) {
+	bounds, _, w := ReadBounds(r, el, ByDegree, nil)
 	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
 	edges := graph.VertexRangeSubgraph(g, lo, hi)
 	w.EdgesScanned += int64(len(edges))
@@ -154,25 +140,23 @@ func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float6
 	return part, w
 }
 
-// ReadBounds is the bounds step of ReadWeighted: the rank computes the
-// degrees of its provisional slice, allreduces the full degree vector and
-// derives the global partition boundaries (len P+1, identical on every
-// rank). The returned work covers the local degree computation only;
-// callers that extract the rank's range themselves charge that scan.
-func ReadBounds(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64) ([]int32, cost.Work) {
+// ReadBounds is the bounds step of the read: the rank counts the endpoint
+// incidences of its chunk of the edge list, allreduces the degree vector
+// and derives the global partition boundaries (len P+1, identical on every
+// rank) by strat, speed-weighted when speeds has P entries. It returns the
+// bounds and the allreduced degrees, which equal graph.CSR.Degree of every
+// vertex. The work charged is that of the provisional equal-vertex slice
+// the rank is modeled to read, one vertex per slice vertex; callers that
+// extract the rank's range charge that scan themselves.
+func ReadBounds(r *cluster.Rank, el *graph.EdgeList, strat Strategy, speeds []float64) ([]int32, []int64, cost.Work) {
 	var w cost.Work
-	p := r.P()
-	n := int(g.N)
+	p, id := r.P(), r.ID()
+	n, m := int(el.N), len(el.Edges)
 	// Provisional equal-vertex slice, as if each rank read a byte range of
-	// the input file.
-	plo := int32(r.ID() * n / p)
-	phi := int32((r.ID() + 1) * n / p)
+	// the input file; its vertex count prices the read.
+	w.VerticesProcessed += int64((id+1)*n/p - id*n/p)
 	local := make([]int64, n)
-	for v := plo; v < phi; v++ {
-		local[v] = g.Degree(v)
-	}
-	w.VerticesProcessed += int64(phi - plo)
-
+	graph.AddDegrees(local, el.Edges[id*m/p:(id+1)*m/p])
 	degrees := r.Allreduce(local, cluster.OpSum)
 	switch {
 	case strat == ByVertex:
@@ -180,11 +164,11 @@ func ReadBounds(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64)
 		for i := 0; i <= p; i++ {
 			bounds[i] = int32(i * n / p)
 		}
-		return bounds, w
+		return bounds, degrees, w
 	case len(speeds) == p:
-		return WeightedBounds(degrees, speeds), w
+		return WeightedBounds(degrees, speeds), degrees, w
 	default:
-		return BalancedBounds(degrees, p), w
+		return BalancedBounds(degrees, p), degrees, w
 	}
 }
 

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,7 +94,7 @@ func TestReadCoversAllEdges(t *testing.T) {
 		c := cluster.New(p, testComm())
 		counts := make([]map[int32]int, p)
 		_, err := c.Run(func(r *cluster.Rank) error {
-			part, w := Read(r, g)
+			part, w := Read(r, el, g)
 			if w.VerticesProcessed == 0 && g.N > 0 {
 				return fmt.Errorf("no partition work reported")
 			}
@@ -140,7 +141,7 @@ func TestReadBalancesEdges(t *testing.T) {
 	c := cluster.New(p, testComm())
 	sizes := make([]int, p)
 	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, g)
+		part, _ := Read(r, el, g)
 		sizes[r.ID()] = len(part.Edges)
 		return nil
 	})
@@ -169,8 +170,8 @@ func TestReadBoundsMatchesRead(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		c := cluster.New(p, testComm())
 		_, err := c.Run(func(r *cluster.Rank) error {
-			bounds, wb := ReadBounds(r, g, ByDegree, nil)
-			part, w := Read(r, g)
+			bounds, _, wb := ReadBounds(r, el, ByDegree, nil)
+			part, w := Read(r, el, g)
 			if fmt.Sprint(bounds) != fmt.Sprint(part.Bounds) {
 				return fmt.Errorf("rank %d: bounds %v, Read has %v", r.ID(), bounds, part.Bounds)
 			}
@@ -187,12 +188,89 @@ func TestReadBoundsMatchesRead(t *testing.T) {
 	}
 }
 
+// csrBounds derives the bounds the way the read did from the CSR: the
+// degree vector is graph.CSR.Degree of every vertex.
+func csrBounds(g *graph.CSR, p int, strat Strategy, speeds []float64) []int32 {
+	deg := make([]int64, g.N)
+	for v := range deg {
+		deg[v] = g.Degree(int32(v))
+	}
+	switch {
+	case strat == ByVertex:
+		b := make([]int32, p+1)
+		for i := range b {
+			b[i] = int32(i * int(g.N) / p)
+		}
+		return b
+	case len(speeds) == p:
+		return WeightedBounds(deg, speeds)
+	default:
+		return BalancedBounds(deg, p)
+	}
+}
+
+// TestReadBoundsMatchesCSRDegrees: the degrees counted from the ranks'
+// edge chunks and allreduced are the CSR degrees, so the bounds equal
+// those the CSR gives, for degree-balanced, equal-vertex and
+// speed-weighted bounds — with more ranks than vertices and fewer edges
+// than ranks too. Every rank still charges its provisional slice.
+func TestReadBoundsMatchesCSRDegrees(t *testing.T) {
+	seed := testutil.Seed(t, 59)
+	loops := gen.RMAT(64, 300, seed)
+	for i := int32(0); i < 64; i += 5 {
+		id := int32(len(loops.Edges))
+		loops.Edges = append(loops.Edges, graph.Edge{U: i, V: i, ID: id, W: graph.MakeWeight(uint16(i), id)})
+	}
+	for _, el := range []*graph.EdgeList{
+		gen.RMAT(512, 4096, seed+1),
+		loops,
+		gen.ErdosRenyi(5, 3, seed+2), // m < p, p > n
+		{N: 4},
+	} {
+		g := graph.MustBuildCSR(el)
+		n := int(el.N)
+		for _, p := range []int{1, 2, 3, 4, 7, 16} {
+			speeds := make([]float64, p)
+			for i := range speeds {
+				speeds[i] = float64(1 + i%3)
+			}
+			for _, tc := range []struct {
+				name   string
+				strat  Strategy
+				speeds []float64
+			}{{"degree", ByDegree, nil}, {"vertex", ByVertex, nil}, {"speeds", ByDegree, speeds}} {
+				want := csrBounds(g, p, tc.strat, tc.speeds)
+				c := cluster.New(p, testComm())
+				_, err := c.Run(func(r *cluster.Rank) error {
+					bounds, deg, w := ReadBounds(r, el, tc.strat, tc.speeds)
+					if !slices.Equal(bounds, want) {
+						return fmt.Errorf("bounds %v, CSR degrees give %v", bounds, want)
+					}
+					for v := range deg {
+						if deg[v] != g.Degree(int32(v)) {
+							return fmt.Errorf("degree of %d is %d, CSR has %d", v, deg[v], g.Degree(int32(v)))
+						}
+					}
+					slice := int64((r.ID()+1)*n/p - r.ID()*n/p)
+					if w != (cost.Work{VerticesProcessed: slice}) {
+						return fmt.Errorf("rank %d charged %+v, want %d vertices", r.ID(), w, slice)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("N=%d m=%d p=%d %s: %v", n, len(el.Edges), p, tc.name, err)
+				}
+			}
+		}
+	}
+}
+
 func TestDeviceSplit(t *testing.T) {
 	el := gen.RMAT(256, 2048, 47)
 	g := graph.MustBuildCSR(el)
 	c := cluster.New(1, testComm())
 	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, g)
+		part, _ := Read(r, el, g)
 		cpu, gpu := DeviceSplit(part, 0.5)
 		if cpu == nil || gpu == nil {
 			return fmt.Errorf("split returned nil part")
@@ -234,7 +312,7 @@ func TestDeviceSplitBalance(t *testing.T) {
 	g := graph.MustBuildCSR(el)
 	c := cluster.New(1, testComm())
 	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, g)
+		part, _ := Read(r, el, g)
 		cpu, gpu := DeviceSplit(part, 0.25)
 		// GPU should hold roughly a quarter of the edges (within 2x).
 		frac := float64(len(gpu.Edges)) / float64(len(part.Edges))

@@ -711,11 +711,10 @@ func Verify(g *Graph, res *Result) error {
 // algorithm runs on each device, exposed so that kernel can be checked
 // and timed on its own.
 func FindMSFShared(g *Graph) (*Result, error) {
-	csr, err := graph.BuildCSR(g.el)
-	if err != nil {
+	if err := g.el.Validate(); err != nil {
 		return nil, err
 	}
-	l := boruvka.NewWindow(csr, 0, csr.N)
+	l := boruvka.NewWindow(g.el, g.el.Degrees(), 0, g.el.N)
 	res := boruvka.Run(l, boruvka.DefaultOptions())
 	return &Result{
 		EdgeIDs:     res.ChosenIDs,

@@ -6,12 +6,12 @@
 // computations never contract an edge that could be beaten by a remote one.
 //
 // The kernel operates on a Local view: a set of globally-named vertices
-// plus edges whose endpoints may be local or external (ghost). A first
-// iteration view is a window over a contiguous vertex range, built by the
-// rank straight from the job's edge list (NewWindow); a device's share of
-// it is cut from it (Sub). Every later merge stage builds its view from
-// the component graph's edge list (NewLocal, vertices = component
-// representatives).
+// plus edges whose endpoints may be local or external (ghost). Every
+// iteration of MND-MST runs on one view. The first is a window over a
+// contiguous vertex range, built by the rank straight from the job's edge
+// list (NewWindow); every later one is built from the component graph's
+// edge list (NewLocal, vertices = component representatives). A device's
+// share of either is cut from it (Sub).
 package boruvka
 
 import (

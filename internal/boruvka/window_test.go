@@ -142,11 +142,62 @@ func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 	}
 }
 
+// checkLocalSub checks Sub over a component-graph view: NewLocal over
+// scattered ids (every vertex v of el with keep(v), renamed 3v+1) and the
+// edges touching them, so edges to the other vertices have ghost heads.
+// Sub(a, b) of it must equal NewLocal over ids[a:b] and the edges touching
+// those: the same ids, edge and cut counts, and arcs per vertex.
+func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b int) {
+	t.Helper()
+	name := func(v int32) int32 { return 3*v + 1 }
+	var ids []int32
+	for v := range el.N {
+		if keep(v) {
+			ids = append(ids, name(v))
+		}
+	}
+	a, b = min(a, len(ids)), min(b, len(ids))
+	if a > b {
+		a, b = b, a
+	}
+	// view is NewLocal over set and the edges of el touching it.
+	view := func(set []int32) *Local {
+		in := func(c int32) bool { _, ok := slices.BinarySearch(set, c); return ok }
+		var edges []wire.WEdge
+		for _, e := range el.Edges {
+			u, v := name(e.U), name(e.V)
+			if in(u) || in(v) {
+				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: e.ID})
+			}
+		}
+		l, err := NewLocal(slices.Clone(set), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l, want := view(ids), view(ids[a:b])
+	got := l.Sub(a, b)
+	where := fmt.Sprintf("N=%d %d ids, Sub(%d, %d)", el.N, len(ids), a, b)
+	if !slices.Equal(got.IDs, want.IDs) || got.NumEdges != want.NumEdges || got.NumCut != want.NumCut {
+		t.Fatalf("%s: ids %v, %d edges, %d cut; want %v, %d edges, %d cut",
+			where, got.IDs, got.NumEdges, got.NumCut, want.IDs, want.NumEdges, want.NumCut)
+	}
+	for u := range got.N() {
+		dst, eid, w := got.Arcs(u)
+		wdst, weid, ww := want.Arcs(u)
+		if !slices.Equal(dst, wdst) || !slices.Equal(eid, weid) || !slices.Equal(w, ww) {
+			t.Fatalf("%s: vertex %d arcs %v %v, want %v %v", where, got.IDs[u], dst, eid, wdst, weid)
+		}
+	}
+}
+
 // TestNewWindowMatchesNewLocal checks NewWindow against NewLocal over the
 // range's edges on messy graphs (hubs, parallel edges, self-loops on
 // range boundaries, isolated vertices) for every balanced range, empty
 // ranges and [0, n) included, and checks that Sub of a window is the
-// window of the sub-range.
+// window of the sub-range and that Sub of a component-graph view is the
+// NewLocal view of its part.
 func TestNewWindowMatchesNewLocal(t *testing.T) {
 	seed := testutil.Seed(t, 61)
 	for _, el := range []*graph.EdgeList{
@@ -170,12 +221,20 @@ func TestNewWindowMatchesNewLocal(t *testing.T) {
 				}
 			}
 		}
+		for _, mod := range []int32{2, 3, 7} {
+			keep := func(v int32) bool { return v%mod != 0 }
+			for _, s := range [][2]int{{0, 1 << 30}, {0, 1}, {3, 40}, {int(el.N) / 3, int(el.N) / 2}, {5, 5}} {
+				checkLocalSub(t, el, keep, s[0], s[1])
+			}
+		}
 	}
 }
 
 // FuzzNewWindow checks the property of TestNewWindowMatchesNewLocal on
 // small graphs built from the input: byte 0 sizes the vertex set, bytes 1
-// and 2 pick the range, and each further byte pair is an edge.
+// and 2 pick the range (and the part of the component-graph view, whose
+// ids are the vertices that are not multiples of byte 1 % 4 + 2), and
+// each further byte pair is an edge.
 func FuzzNewWindow(f *testing.F) {
 	f.Add([]byte{5, 1, 4, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
@@ -201,6 +260,8 @@ func FuzzNewWindow(f *testing.F) {
 		if got, want := win.Sub(a, b), NewWindow(el, el.Degrees(), lo+int32(a), lo+int32(b)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", n, lo, hi, a, b)
 		}
+		mod := int32(data[1]%4) + 2
+		checkLocalSub(t, el, func(v int32) bool { return v%mod != 0 }, int(data[1]), int(data[2]))
 	})
 }
 

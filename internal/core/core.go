@@ -243,16 +243,16 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	}
 	bounds, deg, w := partition.ReadBounds(r, m.el, strat, speeds)
 	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	win := &hypar.Window{Lo: lo, View: boruvka.NewWindow(m.el, deg, lo, hi)}
+	view := boruvka.NewWindow(m.el, deg, lo, hi)
 	// The window stands in for the extracted edge list and the ghostList
 	// hash table (one entry per cut edge) of §3.1; their work is charged
 	// from its counts.
-	w.EdgesScanned += win.View.NumEdges
+	w.EdgesScanned += view.NumEdges
 	m.rt.ChargeWork(w)
-	m.rt.ChargeWork(cost.Work{HashOps: win.View.NumCut, EdgesScanned: win.View.NumEdges})
-	m.owned = win.View.IDs
-	m.peak = int(win.View.NumEdges)
-	hasEdges := win.View.NumEdges > 0
+	m.rt.ChargeWork(cost.Work{HashOps: view.NumCut, EdgesScanned: view.NumEdges})
+	m.owned = view.IDs
+	m.peak = int(view.NumEdges)
+	hasEdges := view.NumEdges > 0
 
 	// --- Iterated indComp + mergeParts + hierarchical merging ---
 	active := make([]int, p)
@@ -270,27 +270,29 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		amActive := containsInt(active, r.ID())
 
 		// indComp (§3.2): independent Boruvka on the devices with the
-		// border-vertex exception. The first iteration runs on the rank's
-		// window (win), later ones on the reduced component graph in
-		// m.edges.
+		// border-vertex exception. Every iteration runs on one view: the
+		// rank's window first, then the reduced component graph in
+		// m.edges, built on active ranks only.
 		r.SetPhase(PhaseIndComp)
-		var deltas []merge.Delta
 		var parent []int32
-		recurse := m.iter == 1 || m.cfg.RecursionMinEdges <= 0 ||
-			len(m.edges) >= m.cfg.RecursionMinEdges // §4.3.3 threshold
-		if amActive && len(m.owned) > 0 && recurse {
-			var res *hypar.IndResult
-			var err error
-			if win != nil {
-				res, err = m.rt.IndCompWindow(win)
-			} else {
-				res, err = m.rt.IndComp(m.owned, m.edges)
+		if amActive {
+			if !first {
+				var err error
+				if view, err = boruvka.NewLocal(m.owned, m.edges); err != nil {
+					return nil, fmt.Errorf("core: rank %d: %w", r.ID(), err)
+				}
 			}
-			if err != nil {
-				return nil, err
+			parent = view.IDs
+			recurse := first || m.cfg.RecursionMinEdges <= 0 ||
+				len(m.edges) >= m.cfg.RecursionMinEdges // §4.3.3 threshold
+			if len(m.owned) > 0 && recurse {
+				res, err := m.rt.IndComp(view)
+				if err != nil {
+					return nil, err
+				}
+				m.chosen = append(m.chosen, res.ChosenIDs...)
+				parent = res.Parent
 			}
-			m.chosen = append(m.chosen, res.ChosenIDs...)
-			deltas, parent = res.Deltas, res.Parent
 		}
 
 		// mergeParts (§3.3): ghost parent exchange, self- and multi-edge
@@ -300,18 +302,12 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			// Only boundary components matter to other ranks: a peer holds
 			// a copy of one of our edges only if it is a cut edge, and the
 			// label it knows is the cut edge's owned endpoint. Sending
-			// parent ids for exactly those mirrors the ghost-vertex
-			// communication of §3.3.
-			var border func(v int32) bool
-			if win != nil {
-				border = func(v int32) bool { return win.View.Border(int(v - win.Lo)) }
-			} else {
-				border = boundaryOf(m.owned, m.edges)
-			}
-			sendDeltas := deltas[:0:0]
-			for _, d := range deltas {
-				if border(d.Old) {
-					sendDeltas = append(sendDeltas, d)
+			// parent ids for exactly those (the vertices with a cut arc)
+			// mirrors the ghost-vertex communication of §3.3.
+			var sendDeltas []merge.Delta
+			for i, c := range parent {
+				if c != view.IDs[i] && view.Border(i) {
+					sendDeltas = append(sendDeltas, merge.Delta{Old: view.IDs[i], New: c})
 				}
 			}
 			remote, wEx, err := merge.ExchangeDeltas(r, active, sendDeltas, m.cfg.Chunk)
@@ -319,24 +315,22 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				return nil, err
 			}
 			m.rt.ChargeWork(wEx)
-			if win != nil {
-				// Every owned vertex maps to its component through parent;
-				// only ghost endpoints need the remote deltas. A vertex is
-				// its component's representative iff it is its own parent.
-				m.owned = nil
-				for i, c := range parent {
-					if c == win.Lo+int32(i) {
-						m.owned = append(m.owned, c)
-					}
+			// Every owned vertex maps to its component through parent;
+			// only ghost endpoints need the remote deltas. A vertex is its
+			// component's representative iff it is its own parent.
+			m.owned = nil
+			for i, c := range parent {
+				if c == view.IDs[i] {
+					m.owned = append(m.owned, c)
 				}
-				m.edges = m.rt.ReduceWindow(win, parent, merge.ApplyDeltas(remote))
-			} else {
-				pf := merge.ApplyDeltas(deltas, remote)
-				m.owned = merge.Representatives(m.owned, pf)
-				m.edges = m.rt.Reduce(m.edges, pf)
 			}
+			// NewLocal copied m.edges into the view's arcs, so the
+			// reduction reuses its storage.
+			m.edges = m.rt.Reduce(m.edges, view, parent, merge.ApplyDeltas(remote))
 		}
-		win = nil
+		// The view dies with its iteration: no rank holds it across the
+		// ring exchanges and leader merges below.
+		view = nil
 
 		// Group accounting: one global allreduce gives every rank each
 		// group's residual edge total (Algorithm 1 line 6).
@@ -475,21 +469,6 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	}
 	f.Components = int(m.el.N) - len(all)
 	return f, nil
-}
-
-// boundaryOf returns the membership test for the owned components with a
-// cut edge: an edge of edges with exactly one owned endpoint.
-func boundaryOf(owned []int32, edges []wire.WEdge) func(int32) bool {
-	ownedSet := merge.ToSet(owned)
-	boundary := make(map[int32]bool)
-	for _, e := range edges {
-		if !ownedSet[e.U] {
-			boundary[e.V] = true
-		} else if !ownedSet[e.V] {
-			boundary[e.U] = true
-		}
-	}
-	return func(v int32) bool { return boundary[v] }
 }
 
 // groupIndex locates the group containing rank.

@@ -108,22 +108,13 @@ func New(r *cluster.Rank, cpu device.Device, gpus []device.Device, cfg Config) *
 type IndResult struct {
 	// ChosenIDs are the MST edge ids contracted on this node.
 	ChosenIDs []int32
-	// Parent maps every owned component, by position in the owned list
-	// (for a window, vertex lo+i at i), to its new representative.
+	// Parent maps every vertex of the view, by position (v.IDs[i] at i),
+	// to its new representative.
 	Parent []int32
-	// Deltas map merged-away component ids to their new representatives.
-	Deltas []merge.Delta
 	// Components is the number of components owned after the computation.
 	Components int
 	// Seconds is the simulated node time (already charged to the rank).
 	Seconds float64
-}
-
-// Window is a rank's first-iteration share of the job: View, the kernel
-// view boruvka.NewWindow(el, deg, Lo, hi) of its vertex range [Lo, hi).
-type Window struct {
-	Lo   int32
-	View *boruvka.Local
 }
 
 // kernelOpts builds per-device kernel options, each with its own
@@ -149,57 +140,17 @@ func (rt *Runtime) useGPU(numEdges int64) bool {
 	return len(rt.GPUs) > 0 && rt.Cfg.GPUShare > 0 && numEdges >= int64(rt.Cfg.MinGPUEdges)
 }
 
-// IndComp performs the independent computation of §4.1.2 on the node: the
-// owned components and their incident edges are processed by the CPU alone
-// or split across the CPU and every accelerator by the configured share,
-// with the device results merged on the CPU afterwards (§3.5). Simulated
-// time is charged to the rank. owned must be sorted ascending.
-func (rt *Runtime) IndComp(owned []int32, edges []wire.WEdge) (*IndResult, error) {
-	if !rt.useGPU(int64(len(edges))) {
-		l, err := boruvka.NewLocal(owned, edges)
-		if err != nil {
-			return nil, fmt.Errorf("hypar: indComp: %w", err)
-		}
-		return rt.indCompCPU(l), nil
-	}
-	sets := splitByShares(owned, incidences(owned, edges), rt.shares())
-	edgeSets := deviceEdgesMulti(edges, sets)
-	view := func(i int) (*boruvka.Local, error) { return boruvka.NewLocal(sets[i], edgeSets[i]) }
-	relabel := func(devParent []int32) ([]wire.WEdge, cost.Work) {
-		pf := merge.ApplyDeltas(merge.DeltasFromParents(owned, devParent))
-		nodeEdges, _, w := merge.Relabel(append([]wire.WEdge(nil), edges...), pf)
-		return nodeEdges, w
-	}
-	return rt.indCompMulti(owned, sets, view, relabel)
-}
-
-// IndCompWindow is IndComp over the node's first-iteration window. A
-// device split cuts the range into contiguous device ranges whose views
-// are cut from the window (boruvka.Local.Sub), and the node merge
-// relabels straight from the window's arcs.
-func (rt *Runtime) IndCompWindow(win *Window) (*IndResult, error) {
-	v := win.View
+// IndComp performs the independent computation of §4.1.2 on the node's
+// view v (a first-iteration window, or the component graph of a later
+// iteration): the CPU alone processes it, or it is split across the CPU
+// and every accelerator by the configured share, with the device results
+// merged on the CPU afterwards (§3.5). Simulated time is charged to the
+// rank.
+func (rt *Runtime) IndComp(v *boruvka.Local) (*IndResult, error) {
 	if !rt.useGPU(v.NumEdges) {
 		return rt.indCompCPU(v), nil
 	}
-	inc := make([]int64, v.N())
-	for i := range inc {
-		inc[i] = v.Degree(i)
-	}
-	sets := splitByShares(v.IDs, inc, rt.shares())
-	// Device i's range starts where the sets before it end.
-	starts := make([]int, len(sets))
-	for i := 1; i < len(sets); i++ {
-		starts[i] = starts[i-1] + len(sets[i-1])
-	}
-	view := func(i int) (*boruvka.Local, error) {
-		return v.Sub(starts[i], starts[i]+len(sets[i])), nil
-	}
-	relabel := func(devParent []int32) ([]wire.WEdge, cost.Work) {
-		identity := func(x int32) int32 { return x }
-		return merge.RelabelWindow(v, devParent, identity), cost.Work{EdgesScanned: v.NumEdges}
-	}
-	return rt.indCompMulti(v.IDs, sets, view, relabel)
+	return rt.indCompMulti(v)
 }
 
 // indCompCPU runs the kernel on the CPU alone.
@@ -209,7 +160,6 @@ func (rt *Runtime) indCompCPU(l *boruvka.Local) *IndResult {
 	return &IndResult{
 		ChosenIDs:  res.ChosenIDs,
 		Parent:     res.Parent,
-		Deltas:     merge.DeltasFromParents(l.IDs, res.Parent),
 		Components: res.Components,
 		Seconds:    secs,
 	}
@@ -227,30 +177,21 @@ func (rt *Runtime) shares() []float64 {
 	return shares
 }
 
-// indCompMulti runs the device views of the split sets on the CPU and
+// indCompMulti splits v into contiguous device ranges by the shares,
+// runs each device's view (cut from v, boruvka.Local.Sub) on the CPU and
 // every accelerator concurrently (the paper dedicates a GPUdriverThread
 // per accelerator; goroutines here), and merges the device results on the
-// CPU. view builds device i's view of sets[i]; relabel returns the node's
-// edges relabelled by the device parents (aligned with owned) with self
-// edges dropped, plus the work of that scan.
-func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
-	view func(i int) (*boruvka.Local, error),
-	relabel func(devParent []int32) ([]wire.WEdge, cost.Work),
-) (*IndResult, error) {
+// CPU.
+func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
+	b := splitByShares(v, rt.shares())
 	devs := append([]device.Device{rt.CPU}, rt.GPUs...)
 	type devOut struct {
 		res  *boruvka.Result
 		secs float64
-		err  error
 	}
 	outs := make([]devOut, len(devs))
 	run := func(i int) {
-		l, err := view(i)
-		if err != nil {
-			outs[i] = devOut{err: err}
-			return
-		}
-		res, secs := devs[i].Run(l, rt.kernelOpts(devs[i]))
+		res, secs := devs[i].Run(v.Sub(b[i], b[i+1]), rt.kernelOpts(devs[i]))
 		outs[i] = devOut{res: res, secs: secs}
 	}
 	ch := make(chan int, len(devs))
@@ -264,14 +205,11 @@ func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
 	for i := 1; i < len(devs); i++ {
 		<-ch
 	}
-	// The sets are consecutive segments of owned, so the device parents
-	// concatenate into one array aligned with owned.
-	devParent := make([]int32, 0, len(owned))
+	// The device ranges are consecutive, so the device parents concatenate
+	// into one array aligned with v.IDs.
+	devParent := make([]int32, 0, v.N())
 	tInd := 0.0
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("hypar: device %d: %w", i, o.err)
-		}
+	for _, o := range outs {
 		if o.secs > tInd {
 			tInd = o.secs
 		}
@@ -279,17 +217,17 @@ func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
 	}
 
 	// Merge the device results on the CPU (§3.5): relabel the node's edges
-	// with every device's parents, drop self and multi edges, then run the
-	// merge kernel over the node's surviving components.
-	nodeEdges, wRel := relabel(devParent)
-	nodeEdges, wMul := merge.RemoveMultiEdges(nodeEdges)
-	var wRed cost.Work
-	wRed.Add(wRel)
+	// with every device's parents straight from v's arcs, drop self and
+	// multi edges, then run the merge kernel over the node's surviving
+	// components.
+	identity := func(x int32) int32 { return x }
+	nodeEdges, wMul := merge.RemoveMultiEdges(merge.Relabel(nil, v, devParent, identity))
+	wRed := cost.Work{EdgesScanned: v.NumEdges}
 	wRed.Add(wMul)
 	tRed := rt.CPU.Price(wRed)
 
 	var comps []int32
-	for i, c := range owned {
+	for i, c := range v.IDs {
 		if devParent[i] == c {
 			comps = append(comps, c)
 		}
@@ -304,7 +242,7 @@ func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
 
 	// Compose the device parents with the node-merge parents.
 	final := merge.ApplyDeltas(merge.DeltasFromParents(lm.IDs, mres.Parent))
-	parent := make([]int32, len(owned))
+	parent := make([]int32, v.N())
 	for i, d := range devParent {
 		parent[i] = final(d)
 	}
@@ -318,37 +256,20 @@ func (rt *Runtime) indCompMulti(owned []int32, sets [][]int32,
 	return &IndResult{
 		ChosenIDs:  chosen,
 		Parent:     parent,
-		Deltas:     merge.DeltasFromParents(owned, parent),
 		Components: mres.Components,
 		Seconds:    total,
 	}, nil
 }
 
 // Reduce prices and performs the merge-phase data reduction on the rank's
-// CPU: relabeling through the parent function (self-edge removal) followed
-// by multi-edge removal.
-func (rt *Runtime) Reduce(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
-	out, _, wRel := merge.Relabel(edges, pf)
-	return rt.removeMulti(out, wRel)
-}
-
-// ReduceWindow is Reduce for the first iteration: the relabelled edges
-// come straight from the window's arcs (merge.RelabelWindow), with
-// parent[i] the component of vertex Lo+i and ghost the parent function of
-// the endpoints outside the window. The relabel scan is charged from the
-// window's edge count.
-func (rt *Runtime) ReduceWindow(win *Window, parent []int32, ghost func(int32) int32) []wire.WEdge {
-	out := merge.RelabelWindow(win.View, parent, ghost)
-	return rt.removeMulti(out, cost.Work{EdgesScanned: win.View.NumEdges})
-}
-
-// removeMulti finishes a reduction: multi-edge removal, then one charge
-// for the relabel work wRel plus its own.
-func (rt *Runtime) removeMulti(edges []wire.WEdge, wRel cost.Work) []wire.WEdge {
-	out, wMul := merge.RemoveMultiEdges(edges)
-	var w cost.Work
-	w.Add(wRel)
-	w.Add(wMul)
+// CPU: the edges of the view v relabelled through parent (the component of
+// v's vertex i at i) and ghost (the parent function of the external
+// endpoints), self edges dropped (merge.Relabel), then multi-edge removal.
+// The result is built in dst's storage; the relabel scan is charged from
+// v's edge count.
+func (rt *Runtime) Reduce(dst []wire.WEdge, v *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
+	out, w := merge.RemoveMultiEdges(merge.Relabel(dst, v, parent, ghost))
+	w.Add(cost.Work{EdgesScanned: v.NumEdges})
 	rt.R.Compute(rt.CPU.Price(w))
 	return out
 }
@@ -377,91 +298,33 @@ func (rt *Runtime) ChargeWork(w cost.Work) {
 	rt.R.Compute(rt.CPU.Price(w))
 }
 
-// splitByShares divides the sorted owned list into len(shares) contiguous
-// segments whose edge-incidence mass (inc, aligned with owned)
-// approximates the given shares — the 1D device split of §3.1 generalized
-// to any device count. Devices with a zero share get empty segments except
-// that every returned slice set still partitions owned. Segments may be
-// empty when owned is small.
-func splitByShares(owned []int32, inc []int64, shares []float64) [][]int32 {
-	k := len(shares)
-	sets := make([][]int32, k)
-	if len(owned) == 0 || k == 0 {
-		return sets
-	}
-	if k == 1 {
-		sets[0] = owned
-		return sets
-	}
-	var total int64
-	for _, c := range inc {
-		total += c
-	}
+// splitByShares cuts the view v into len(shares) contiguous ranges of
+// local vertices whose arc counts approximate the given shares — the 1D
+// device split of §3.1 generalized to any device count. Device d gets the
+// vertices [b[d], b[d+1]) of the returned bounds b. With no positive share
+// every vertex goes to device 0; ranges may be empty when v is small.
+func splitByShares(v *boruvka.Local, shares []float64) []int {
+	n := v.N()
+	b := make([]int, len(shares)+1)
 	var shareSum float64
 	for _, s := range shares {
 		shareSum += s
 	}
-	if shareSum <= 0 {
-		sets[0] = owned
-		return sets
-	}
+	total := v.NumArcs()
 	var run int64
 	var acc float64
-	lo := 0
-	for d := 0; d < k-1; d++ {
-		acc += shares[d] / shareSum
-		target := int64(acc * float64(total))
-		hi := lo
-		for hi < len(owned) && run < target {
-			run += inc[hi]
-			hi++
+	hi := 0
+	for d := 1; d < len(shares); d++ {
+		if shareSum <= 0 {
+			hi = n
+		} else {
+			acc += shares[d-1] / shareSum
+			for target := int64(acc * float64(total)); hi < n && run < target; hi++ {
+				run += v.Degree(hi)
+			}
 		}
-		sets[d] = owned[lo:hi:hi]
-		lo = hi
+		b[d] = hi
 	}
-	sets[k-1] = owned[lo:]
-	return sets
-}
-
-// deviceEdgesMulti distributes the node's edges to the device views: every
-// edge goes to each device owning one of its endpoints (cross-device edges
-// appear in each involved device, as cut edges).
-func deviceEdgesMulti(edges []wire.WEdge, sets [][]int32) [][]wire.WEdge {
-	ownerOf := make(map[int32]int, 0)
-	for d, set := range sets {
-		for _, c := range set {
-			ownerOf[c] = d
-		}
-	}
-	out := make([][]wire.WEdge, len(sets))
-	for _, e := range edges {
-		du, okU := ownerOf[e.U]
-		dv, okV := ownerOf[e.V]
-		if okU {
-			out[du] = append(out[du], e)
-		}
-		if okV && (!okU || dv != du) {
-			out[dv] = append(out[dv], e)
-		}
-	}
-	return out
-}
-
-// incidences counts, per owned component, the view arcs out of it: its
-// edges, a self-loop once.
-func incidences(owned []int32, edges []wire.WEdge) []int64 {
-	idx := make(map[int32]int, len(owned))
-	for i, c := range owned {
-		idx[c] = i
-	}
-	inc := make([]int64, len(owned))
-	for _, e := range edges {
-		if i, ok := idx[e.U]; ok {
-			inc[i]++
-		}
-		if i, ok := idx[e.V]; ok && e.V != e.U {
-			inc[i]++
-		}
-	}
-	return inc
+	b[len(shares)] = n
+	return b
 }

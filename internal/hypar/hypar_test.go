@@ -2,15 +2,16 @@ package hypar
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
-	"mndmst/internal/merge"
 	"mndmst/internal/mst"
 	"mndmst/internal/wire"
 )
@@ -49,12 +50,28 @@ func allIDs(n int32) []int32 {
 	return ids
 }
 
+// newLocal is boruvka.NewLocal for inputs the test knows to be valid.
+func newLocal(t testing.TB, ids []int32, edges []wire.WEdge) *boruvka.Local {
+	t.Helper()
+	l, err := boruvka.NewLocal(ids, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// wholeView is the view of every vertex and edge of el.
+func wholeView(t testing.TB, el *graph.EdgeList) *boruvka.Local {
+	return newLocal(t, allIDs(el.N), toWire(el))
+}
+
 func TestIndCompCPUOnlyMatchesKruskal(t *testing.T) {
 	el := gen.ConnectedRandom(300, 1200, 7)
 	want := mst.Kruskal(el)
+	v := wholeView(t, el)
 	onRank(t, func(rt *Runtime) error {
 		rt.Cfg.GPUShare = 0 // force CPU path
-		res, err := rt.IndComp(allIDs(el.N), toWire(el))
+		res, err := rt.IndComp(v)
 		if err != nil {
 			return err
 		}
@@ -72,8 +89,9 @@ func TestIndCompCPUOnlyMatchesKruskal(t *testing.T) {
 func TestIndCompHybridMatchesKruskal(t *testing.T) {
 	el := gen.WebGraph(2000, 20000, 0.85, 9)
 	want := mst.Kruskal(el)
+	v := wholeView(t, el)
 	onRank(t, func(rt *Runtime) error {
-		res, err := rt.IndComp(allIDs(el.N), toWire(el))
+		res, err := rt.IndComp(v)
 		if err != nil {
 			return err
 		}
@@ -85,11 +103,18 @@ func TestIndCompHybridMatchesKruskal(t *testing.T) {
 			return fmt.Errorf("hybrid forest mismatch: %d vs %d edges, components %d vs %d",
 				len(got.EdgeIDs), len(want.EdgeIDs), got.Components, want.Components)
 		}
-		// Deltas must relabel every vertex to its component representative.
-		pf := merge.ApplyDeltas(res.Deltas)
-		reps := merge.Representatives(allIDs(el.N), pf)
-		if len(reps) != res.Components {
-			return fmt.Errorf("reps=%d components=%d", len(reps), res.Components)
+		// Parent must map every vertex to its component representative,
+		// a vertex that is its own parent.
+		reps := 0
+		for i, c := range res.Parent {
+			if c == int32(i) {
+				reps++
+			} else if res.Parent[c] != c {
+				return fmt.Errorf("parent of %d is %d, not a representative", i, c)
+			}
+		}
+		if reps != res.Components {
+			return fmt.Errorf("reps=%d components=%d", reps, res.Components)
 		}
 		return nil
 	})
@@ -104,14 +129,8 @@ func TestIndCompHybridWithExternalEdges(t *testing.T) {
 	for _, id := range want.EdgeIDs {
 		inMST[id] = true
 	}
-	g := graph.MustBuildCSR(el)
 	onRank(t, func(rt *Runtime) error {
-		part := graph.VertexRangeSubgraph(g, 0, 50)
-		edges := make([]wire.WEdge, len(part))
-		for i, e := range part {
-			edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
-		}
-		res, err := rt.IndComp(allIDs(50), edges)
+		res, err := rt.IndComp(boruvka.NewWindow(el, el.Degrees(), 0, 50))
 		if err != nil {
 			return err
 		}
@@ -125,10 +144,10 @@ func TestIndCompHybridWithExternalEdges(t *testing.T) {
 }
 
 func TestIndCompSmallGraphSkipsGPU(t *testing.T) {
-	el := gen.ConnectedRandom(20, 40, 13)
+	v := wholeView(t, gen.ConnectedRandom(20, 40, 13))
 	onRank(t, func(rt *Runtime) error {
 		rt.Cfg.MinGPUEdges = 1 << 30 // too small for GPU
-		res, err := rt.IndComp(allIDs(el.N), toWire(el))
+		res, err := rt.IndComp(v)
 		if err != nil {
 			return err
 		}
@@ -140,21 +159,22 @@ func TestIndCompSmallGraphSkipsGPU(t *testing.T) {
 }
 
 func TestReduceRemovesSelfAndMultiEdges(t *testing.T) {
+	// Local vertices 0..4 all join component 0; every ghost joins 10.
+	parent := []int32{0, 0, 0, 0, 0}
+	ghost := func(int32) int32 { return 10 }
+	edges := []wire.WEdge{
+		{U: 1, V: 2, W: 5, ID: 0},  // self after relabel
+		{U: 3, V: 15, W: 9, ID: 1}, // 0-10
+		{U: 4, V: 17, W: 3, ID: 2}, // 0-10, lighter: must win
+	}
+	v := newLocal(t, allIDs(5), edges)
 	onRank(t, func(rt *Runtime) error {
-		pf := func(v int32) int32 {
-			if v < 10 {
-				return 0
+		// Into nil, then into the list the view was built from.
+		for _, dst := range [][]wire.WEdge{nil, edges} {
+			out := rt.Reduce(dst, v, parent, ghost)
+			if len(out) != 1 || out[0] != (wire.WEdge{U: 0, V: 10, W: 3, ID: 2}) {
+				return fmt.Errorf("dst %d edges: out=%+v", len(dst), out)
 			}
-			return 10
-		}
-		edges := []wire.WEdge{
-			{U: 1, V: 2, W: 5, ID: 0},  // self after relabel
-			{U: 3, V: 15, W: 9, ID: 1}, // 0-10
-			{U: 4, V: 17, W: 3, ID: 2}, // 0-10, lighter: must win
-		}
-		out := rt.Reduce(edges, pf)
-		if len(out) != 1 || out[0].ID != 2 {
-			return fmt.Errorf("out=%+v", out)
 		}
 		return nil
 	})
@@ -183,10 +203,11 @@ func TestDiminishingTerminationStopsKernelEarlyOrNot(t *testing.T) {
 	// must hold either way.
 	el := gen.RoadNetwork(900, 19)
 	want := mst.Kruskal(el)
+	v := wholeView(t, el)
 	onRank(t, func(rt *Runtime) error {
 		rt.Cfg.GPUShare = 0
 		rt.Cfg.DiminishingTermination = true
-		res, err := rt.IndComp(allIDs(el.N), toWire(el))
+		res, err := rt.IndComp(v)
 		if err != nil {
 			return err
 		}
@@ -204,63 +225,59 @@ func TestDiminishingTerminationStopsKernelEarlyOrNot(t *testing.T) {
 }
 
 func TestSplitByShares(t *testing.T) {
-	owned := []int32{0, 1, 2, 3}
 	edges := []wire.WEdge{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, // vertex 0 is heavy
 		{U: 2, V: 3},
 	}
-	sets := splitByShares(owned, incidences(owned, edges), []float64{0.5, 0.5})
-	if len(sets) != 2 {
-		t.Fatalf("sets=%v", sets)
-	}
-	if got := len(sets[0]) + len(sets[1]); got != 4 {
-		t.Fatalf("segments cover %d of 4", got)
-	}
-	// Contiguity: segment 0 is a prefix.
-	if len(sets[0]) > 0 && sets[0][0] != 0 {
-		t.Fatalf("first segment should take the prefix: %v", sets[0])
-	}
-
-	// Three-way split partitions everything exactly once.
-	sets = splitByShares(owned, incidences(owned, edges), []float64{0.4, 0.3, 0.3})
-	seen := map[int32]int{}
-	for _, set := range sets {
-		for _, c := range set {
-			seen[c]++
+	v := newLocal(t, allIDs(4), edges)
+	for _, tc := range []struct {
+		shares []float64
+		want   []int
+	}{
+		{[]float64{0.5, 0.5}, []int{0, 2, 4}}, // vertex 0 alone is 3 of 8 arcs
+		{[]float64{0.4, 0.3, 0.3}, []int{0, 1, 3, 4}},
+		{[]float64{1}, []int{0, 4}},
+		{[]float64{0, 0}, []int{0, 4, 4}}, // no positive share: all on device 0
+		{[]float64{0, 1}, []int{0, 0, 4}},
+	} {
+		if got := splitByShares(v, tc.shares); !slices.Equal(got, tc.want) {
+			t.Errorf("shares %v: bounds %v, want %v", tc.shares, got, tc.want)
 		}
 	}
-	for _, c := range owned {
-		if seen[c] != 1 {
-			t.Fatalf("component %d in %d segments", c, seen[c])
-		}
-	}
-
-	// Degenerates.
-	if got := splitByShares(nil, nil, []float64{1}); len(got) != 1 || got[0] != nil {
-		t.Fatalf("empty owned: %v", got)
-	}
-	one := splitByShares([]int32{5}, nil, []float64{1})
-	if len(one) != 1 || len(one[0]) != 1 {
-		t.Fatalf("single share: %v", one)
-	}
-	zero := splitByShares(owned, incidences(owned, edges), []float64{0, 0})
-	if len(zero[0]) != 4 {
-		t.Fatalf("zero shares should keep everything on device 0: %v", zero)
+	if got := splitByShares(newLocal(t, nil, nil), []float64{0.5, 0.5}); !slices.Equal(got, []int{0, 0, 0}) {
+		t.Errorf("empty view: bounds %v", got)
 	}
 }
 
+// TestDeviceEdgesMulti: a device view cut from the node's view holds every
+// edge with an endpoint on the device; an edge across devices appears in
+// each involved device, as a cut edge.
 func TestDeviceEdgesMulti(t *testing.T) {
-	sets := [][]int32{{0, 1}, {2, 3}}
+	// Component ids as a later iteration has them: scattered, with ghosts.
+	ids := []int32{10, 20, 30, 40}
 	edges := []wire.WEdge{
-		{U: 0, V: 1, ID: 0}, // dev0 only
-		{U: 1, V: 2, ID: 1}, // both (cross-device)
-		{U: 2, V: 3, ID: 2}, // dev1 only
-		{U: 0, V: 9, ID: 3}, // dev0 only (9 external to node)
-		{U: 3, V: 9, ID: 4}, // dev1 only
+		{U: 10, V: 20, ID: 0}, // dev0 only
+		{U: 20, V: 30, ID: 1}, // both (cross-device)
+		{U: 30, V: 40, ID: 2}, // dev1 only
+		{U: 10, V: 99, ID: 3}, // dev0 only (99 external to node)
+		{U: 40, V: 99, ID: 4}, // dev1 only
 	}
-	out := deviceEdgesMulti(edges, sets)
-	if len(out[0]) != 3 || len(out[1]) != 3 {
-		t.Fatalf("dev0=%d dev1=%d edges", len(out[0]), len(out[1]))
+	v := newLocal(t, ids, edges)
+	for d, want := range [][]int32{{0, 1, 3}, {1, 2, 4}} {
+		dev := v.Sub(2*d, 2*d+2)
+		var got []int32
+		for u := range dev.N() {
+			_, eid, _ := dev.Arcs(u)
+			for _, id := range eid {
+				if !slices.Contains(got, id) {
+					got = append(got, id)
+				}
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) || dev.NumEdges != 3 || dev.NumCut != 2 {
+			t.Fatalf("dev%d: edges %v (NumEdges %d, NumCut %d), want %v with 2 cut", d, got, dev.NumEdges, dev.NumCut, want)
+		}
 	}
 }
 

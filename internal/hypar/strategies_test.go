@@ -183,8 +183,11 @@ func TestDiminishingTerminationStopsOnFlatPrice(t *testing.T) {
 			var res *hypar.IndResult
 			_, err := cluster.New(1, cost.AMDCluster().Comm).Run(func(r *cluster.Rank) error {
 				rt := hypar.New(r, flatPriceDevice{inner: &device.CPU{Model: cost.AMDCluster().CPU}}, nil, cfg)
-				var err error
-				res, err = rt.IndComp(append([]int32(nil), ids...), append([]wire.WEdge(nil), edges...))
+				v, err := boruvka.NewLocal(append([]int32(nil), ids...), edges)
+				if err != nil {
+					return err
+				}
+				res, err = rt.IndComp(v)
 				return err
 			})
 			if err != nil {

@@ -12,7 +12,7 @@ import (
 // first-iteration merge input on a web graph the size of e2ebench's
 // web-p4 (3 000 vertices, 90 000 edges, 4 ranks): every window runs the
 // kernel, and window 0's edges are relabelled by the window parents, as
-// ReduceWindow does.
+// hypar.Runtime.Reduce does.
 func BenchmarkRemoveMultiEdges(b *testing.B) {
 	const ranks = 4
 	el := gen.WebGraph(3000, 90000, 0.88, 1)
@@ -27,7 +27,7 @@ func BenchmarkRemoveMultiEdges(b *testing.B) {
 		copy(parent[lo:hi], res.Parent)
 	}
 	ghost := func(v int32) int32 { return parent[v] }
-	in := RelabelWindow(windows[0], parent[:bound(1)], ghost)
+	in := Relabel(nil, windows[0], parent[:bound(1)], ghost)
 	buf := make([]wire.WEdge, len(in))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,35 +2,36 @@ package merge
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/wire"
 )
 
 func TestRelabelDropsSelfEdges(t *testing.T) {
-	parent := map[int32]int32{1: 0, 2: 0, 4: 3}
-	pf := func(v int32) int32 {
-		if p, ok := parent[v]; ok {
-			return p
-		}
-		return v
-	}
+	// Local vertices 0..4 with parents 1→0, 2→0, 4→3; 5 is a ghost.
+	parent := []int32{0, 0, 0, 3, 3}
+	ghost := func(v int32) int32 { return v }
 	edges := []wire.WEdge{
 		{U: 1, V: 2, W: 10, ID: 0}, // both → 0: self edge
 		{U: 1, V: 4, W: 20, ID: 1}, // 0 - 3
 		{U: 0, V: 5, W: 30, ID: 2}, // 0 - 5
 	}
-	kept, selfRemoved, w := Relabel(edges, pf)
-	if selfRemoved != 1 {
-		t.Fatalf("selfRemoved=%d", selfRemoved)
+	l, err := boruvka.NewLocal([]int32{0, 1, 2, 3, 4}, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(kept) != 2 || kept[0].U != 0 || kept[0].V != 3 || kept[1].V != 5 {
-		t.Fatalf("kept=%+v", kept)
+	kept := Relabel(nil, l, parent, ghost)
+	// Emitted vertex by vertex: vertex 0's cut edge, then vertex 1's.
+	want := []wire.WEdge{{U: 0, V: 5, W: 30, ID: 2}, {U: 0, V: 3, W: 20, ID: 1}}
+	if !slices.Equal(kept, want) {
+		t.Fatalf("kept=%+v, want %+v", kept, want)
 	}
-	if w.EdgesScanned != 3 {
-		t.Fatalf("work=%+v", w)
+	if l.NumEdges != 3 {
+		t.Fatalf("scan covers %d edges, want 3", l.NumEdges)
 	}
 }
 

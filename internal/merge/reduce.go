@@ -10,7 +10,7 @@
 //
 // Component ids are global vertex ids (the minimum original vertex id in
 // the component), so they remain globally unique across every merge level.
-// The packages maintains one invariant throughout: an edge record lives at
+// The package maintains one invariant throughout: an edge record lives at
 // exactly the ranks that own one of its endpoint components, and endpoint
 // labels are refreshed by a parent-delta exchange after every merge round,
 // so no rank ever computes with stale component ids.
@@ -19,7 +19,6 @@ package merge
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cost"
@@ -27,41 +26,22 @@ import (
 	"mndmst/internal/wire"
 )
 
-// Relabel rewrites edge endpoints through the parent function and drops
-// self edges (both endpoints in the same component) in place, returning the
-// surviving edges, the number of self edges removed, and the work
-// performed. The input slice is reused.
-func Relabel(edges []wire.WEdge, parentOf func(int32) int32) (kept []wire.WEdge, selfEdges int, w cost.Work) {
-	out := edges[:0]
-	for i := range edges {
-		e := edges[i]
-		e.U = parentOf(e.U)
-		e.V = parentOf(e.V)
-		if e.U == e.V {
-			selfEdges++
-			continue
-		}
-		out = append(out, e)
-	}
-	w.EdgesScanned = int64(len(edges))
-	return out, selfEdges, w
-}
-
-// RelabelWindow is Relabel fused with the extraction of a window's edge
-// list: it walks the arcs of the view l (a first-iteration window,
-// boruvka.NewWindow) vertex by vertex and emits every edge whose
-// relabelled endpoints differ, without materialising the edge list first.
-// parent[i] is the component of l's vertex i; ghost maps the global id of
-// an external head, read from the arc as ^dst. An inside edge is emitted
-// once, from its smaller endpoint; self-loops are self edges and never
-// survive. The scan covers l.NumEdges edges, which is the EdgesScanned the
-// caller charges for it.
-func RelabelWindow(l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
-	var out []wire.WEdge
+// Relabel extracts the relabelled edge list of the view l: it walks l's
+// arcs vertex by vertex and appends to dst[:0] every edge whose relabelled
+// endpoints differ, dropping self edges (both endpoints in the same
+// component) without materialising the edge list first. parent[i] is the
+// component of l's vertex i; ghost maps the global id of an external head,
+// read from the arc as ^dst. An inside edge is emitted once, from its
+// smaller endpoint; self-loops are self edges and never survive. The scan
+// covers l.NumEdges edges, which is the EdgesScanned the caller charges
+// for it. dst must not alias l; the edge list l was built from by
+// boruvka.NewLocal, which copies it, is free for reuse.
+func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
+	out := dst[:0]
 	for u := range l.N() {
 		pu := parent[u]
-		dst, eid, w := l.Arcs(u)
-		for a, v := range dst {
+		heads, eid, w := l.Arcs(u)
+		for a, v := range heads {
 			var pv int32
 			if v >= 0 {
 				if int(v) <= u {
@@ -223,24 +203,6 @@ func DeltasFromParents(ids, parents []int32) []Delta {
 		}
 	}
 	return ds
-}
-
-// Representatives applies the parent function to a component list and
-// returns the sorted unique representatives — the components still owned
-// after a merge round (every merge happens at the owning rank, so a merged
-// cluster's representative is always local).
-func Representatives(owned []int32, pf func(int32) int32) []int32 {
-	seen := make(map[int32]bool, len(owned))
-	out := make([]int32, 0, len(owned))
-	for _, c := range owned {
-		p := pf(c)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // ApplyDeltas builds a parent function from local and remote deltas over a

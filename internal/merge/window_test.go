@@ -10,9 +10,24 @@ import (
 	"mndmst/internal/wire"
 )
 
+// relabelList is the per-edge reference for Relabel: every edge of the
+// list through pf, self edges dropped, in list order.
+func relabelList(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
+	var out []wire.WEdge
+	for _, e := range edges {
+		e.U, e.V = pf(e.U), pf(e.V)
+		if e.U != e.V {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // TestRelabelWindowMatchesRelabel: the fused walk over a window's arcs
-// emits exactly what Relabel keeps of the range's extracted edge list, in
-// the same order.
+// emits exactly what the per-edge reference keeps of the range's
+// extracted edge list, in the same order. So does the walk over NewLocal
+// of that list when it appends into the list's own storage, as a later
+// iteration's reduction does.
 func TestRelabelWindowMatchesRelabel(t *testing.T) {
 	el := gen.RMAT(256, 2048, 29) // hubs, self-loops and parallel edges
 	g := graph.MustBuildCSR(el)
@@ -36,10 +51,21 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 		for _, e := range graph.VertexRangeSubgraph(g, lo, hi) {
 			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
 		}
-		want, _, _ := Relabel(edges, pf)
-		got := RelabelWindow(boruvka.NewWindow(el, deg, lo, hi), parent, ghost)
+		want := relabelList(edges, pf)
+		got := Relabel(nil, boruvka.NewWindow(el, deg, lo, hi), parent, ghost)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("[%d,%d): window emits %d edges, Relabel keeps %d", lo, hi, len(got), len(want))
+			t.Fatalf("[%d,%d): window emits %d edges, reference keeps %d", lo, hi, len(got), len(want))
+		}
+		var ids []int32
+		for v := lo; v < hi; v++ {
+			ids = append(ids, v)
+		}
+		l, err := boruvka.NewLocal(ids, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Relabel(edges, l, parent, ghost); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("[%d,%d): NewLocal into its own list emits %d edges, reference keeps %d", lo, hi, len(got), len(want))
 		}
 	}
 }

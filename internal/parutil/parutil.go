@@ -1,7 +1,6 @@
 // Package parutil provides the shared-memory parallel building blocks used
 // by every kernel in the repository: grained parallel-for over index ranges,
-// parallel reductions, prefix sums, and atomic min-slots for lightest-edge
-// selection.
+// parallel reductions, and atomic min-slots for lightest-edge selection.
 //
 // The package deliberately exposes a small, allocation-conscious API. All
 // functions are safe for concurrent use unless noted otherwise.
@@ -116,31 +115,6 @@ func CountIf(n, grain int, pred func(i int) bool) int64 {
 		}
 		return 0
 	})
-}
-
-// ExclusivePrefixSum replaces counts with its exclusive prefix sum and
-// returns the grand total. counts[i] becomes sum(counts[0:i]).
-// The scan itself is sequential (it is never the bottleneck for the sizes
-// used here) but the function is kept in parutil because every compaction
-// kernel pairs a parallel count phase with this scan.
-func ExclusivePrefixSum(counts []int64) int64 {
-	var total int64
-	for i, c := range counts {
-		counts[i] = total
-		total += c
-	}
-	return total
-}
-
-// ExclusivePrefixSumInt32 is ExclusivePrefixSum for int32 slices; it returns
-// the total as int64 to avoid overflow on large inputs.
-func ExclusivePrefixSumInt32(counts []int32) int64 {
-	var total int64
-	for i, c := range counts {
-		counts[i] = int32(total)
-		total += int64(c)
-	}
-	return total
 }
 
 // Iota fills dst with lo, lo+1, ... in parallel.

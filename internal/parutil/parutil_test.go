@@ -86,59 +86,6 @@ func TestCountIf(t *testing.T) {
 	}
 }
 
-func TestExclusivePrefixSum(t *testing.T) {
-	counts := []int64{3, 0, 5, 2}
-	total := ExclusivePrefixSum(counts)
-	if total != 10 {
-		t.Fatalf("total=%d want 10", total)
-	}
-	want := []int64{0, 3, 3, 8}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts[%d]=%d want %d", i, counts[i], want[i])
-		}
-	}
-	if ExclusivePrefixSum(nil) != 0 {
-		t.Fatal("empty prefix sum should be 0")
-	}
-}
-
-func TestExclusivePrefixSumProperty(t *testing.T) {
-	f := func(in []int64) bool {
-		// Clamp values to avoid overflow in the property check itself.
-		counts := make([]int64, len(in))
-		var want int64
-		for i, v := range in {
-			counts[i] = v & 0xffff
-		}
-		orig := append([]int64(nil), counts...)
-		total := ExclusivePrefixSum(counts)
-		var run int64
-		for i := range orig {
-			if counts[i] != run {
-				return false
-			}
-			run += orig[i]
-		}
-		want = run
-		return total == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExclusivePrefixSumInt32(t *testing.T) {
-	counts := []int32{1, 2, 3}
-	total := ExclusivePrefixSumInt32(counts)
-	if total != 6 {
-		t.Fatalf("total=%d want 6", total)
-	}
-	if counts[0] != 0 || counts[1] != 1 || counts[2] != 3 {
-		t.Fatalf("counts=%v", counts)
-	}
-}
-
 func TestIota(t *testing.T) {
 	ids := make([]int32, 70_000)
 	Iota(ids, 5)

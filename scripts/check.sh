@@ -14,7 +14,9 @@
 #   scripts/check.sh --bench  perf-regression gate only: the mndmst-bench
 #                             sim suite twice (byte-identity required),
 #                             validated and compared against the committed
-#                             bench.baseline.json
+#                             bench.baseline.json, then the full paper
+#                             suite twice (every forest verified,
+#                             byte-identity required)
 #   scripts/check.sh --coverage
 #                             coverage ratchet only (scripts/coverage.sh)
 set -eu
@@ -40,6 +42,18 @@ run_bench() {
     "$tmp/mndmst-bench" -compare bench.baseline.json -current "$tmp/run1.json" || {
         echo "bench gate: regression vs bench.baseline.json — if intentional, regenerate the baseline:" >&2
         echo "  go run ./cmd/mndmst-bench -out bench.baseline.json" >&2
+        exit 1
+    }
+    # The sim suite runs no GPU split after the first iteration and no
+    # leader-only merging; the paper suite (every experiment, every
+    # forest verified) runs both.
+    echo "== paper suite (every scenario, two runs, exact diff) =="
+    for run in 1 2; do
+        "$tmp/mndmst-bench" -suite paper -scale 0.05 -scenarios . -verify \
+            -format json -out "$tmp/paper$run.json"
+    done
+    cmp "$tmp/paper1.json" "$tmp/paper2.json" || {
+        echo "bench gate: two paper-suite runs are not byte-identical" >&2
         exit 1
     }
     trap - EXIT
@@ -204,9 +218,6 @@ go run ./cmd/mndmst -launch local:4 -profile arabic-2005 -scale 0.05 -verify
 
 echo "== json record smoke (CLI/server shared schema) =="
 go run ./cmd/mndmst -profile arabic-2005 -scale 0.05 -verify -json
-
-echo "== paper suite smoke (§5 tables, every forest verified) =="
-go run ./cmd/mndmst-bench -suite paper -scale 0.05 -verify
 
 echo "== benches (smoke) =="
 MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \

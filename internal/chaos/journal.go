@@ -81,7 +81,7 @@ func (g *group) aborted() error {
 // whose presence depends on how far each receiver drained before
 // shutdown, are reported separately by Effects. Events are sorted into
 // the canonical (Src, Dst, Seq, Fault) order.
-func (t *Transport) Journal() []Event {
+func (t *Transport) Journal() []Event { //lint:testonly prints the fault journal a failed chaos test is replayed from
 	return t.sortedEvents(func(e Event) bool { return e.Fault != FaultDupDiscard })
 }
 
@@ -89,7 +89,7 @@ func (t *Transport) Journal() []Event {
 // duplicate discards). Unlike the Journal schedule, whether a given
 // effect is observed can depend on goroutine scheduling: a duplicate
 // still in flight when its receiver shuts down is never discarded.
-func (t *Transport) Effects() []Event {
+func (t *Transport) Effects() []Event { //lint:testonly prints the fault journal a failed chaos test is replayed from
 	return t.sortedEvents(func(e Event) bool { return e.Fault == FaultDupDiscard })
 }
 
@@ -121,7 +121,7 @@ func (t *Transport) sortedEvents(keep func(Event) bool) []Event {
 
 // FormatJournal renders a journal one event per line — the replayable
 // fault schedule a failing test logs next to its seed.
-func FormatJournal(events []Event) string {
+func FormatJournal(events []Event) string { //lint:testonly prints the fault journal a failed chaos test is replayed from
 	var b strings.Builder
 	for _, e := range events {
 		b.WriteString(e.String())

@@ -86,9 +86,6 @@ func NewDistributed(ep transport.Transport, comm cost.CommModel) *Cluster {
 	}
 }
 
-// P reports the number of ranks.
-func (c *Cluster) P() int { return c.p }
-
 // LocalRanks reports the rank ids this Cluster executes (all of them
 // in-process; exactly one in distributed mode).
 func (c *Cluster) LocalRanks() []int { return c.local }
@@ -214,14 +211,14 @@ func (r *Rank) ID() int { return r.id }
 func (r *Rank) P() int { return r.c.p }
 
 // Now reports the rank's current virtual time in seconds.
-func (r *Rank) Now() float64 { return r.now }
+func (r *Rank) Now() float64 { return r.now } //lint:testonly virtual-clock accessor the cluster tests assert
 
 // ComputeTime reports accumulated compute seconds.
-func (r *Rank) ComputeTime() float64 { return r.compute }
+func (r *Rank) ComputeTime() float64 { return r.compute } //lint:testonly virtual-clock accessor the cluster tests assert
 
 // CommTime reports accumulated communication seconds (transfer plus
 // synchronization waiting).
-func (r *Rank) CommTime() float64 { return r.comm }
+func (r *Rank) CommTime() float64 { return r.comm } //lint:testonly virtual-clock accessor the cluster tests assert
 
 // SetPhase labels subsequent time charges with the given phase name for the
 // phase-breakdown reports (Figure 7). In distributed mode it also closes
@@ -401,7 +398,7 @@ func (r *Rank) recvCtrl(src int, tag int32) []byte {
 }
 
 // BytesSent reports the total payload bytes this rank has sent.
-func (r *Rank) BytesSent() int64 { return r.bytesSent }
+func (r *Rank) BytesSent() int64 { return r.bytesSent } //lint:testonly traffic counter the cluster and trace tests assert
 
 // MsgsSent reports the number of messages this rank has sent.
-func (r *Rank) MsgsSent() int64 { return r.msgsSent }
+func (r *Rank) MsgsSent() int64 { return r.msgsSent } //lint:testonly traffic counter the cluster and trace tests assert

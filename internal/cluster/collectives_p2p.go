@@ -16,7 +16,7 @@ const (
 // Bcast distributes root's payload to every rank with a binomial tree
 // (log₂ P communication rounds). Non-root callers pass nil and receive the
 // payload; the root receives its own slice back.
-func (r *Rank) Bcast(root int, data []byte) []byte {
+func (r *Rank) Bcast(root int, data []byte) []byte { //lint:testonly dead; awaits deletion together with its tests
 	p := r.c.p
 	if p == 1 {
 		return data
@@ -38,7 +38,7 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 // Gather collects every rank's payload at root, returned indexed by source
 // rank (root's own payload included); non-roots get nil. Direct sends, as
 // MPI_Gatherv implementations do for large payloads.
-func (r *Rank) Gather(root int, data []byte) [][]byte {
+func (r *Rank) Gather(root int, data []byte) [][]byte { //lint:testonly dead; awaits deletion together with its tests
 	p := r.c.p
 	if r.id != root {
 		r.Send(root, tagGather, data)

@@ -492,13 +492,6 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// RunSingleDevice computes the MSF of el on one rank and one CPU device —
-// the degenerate configuration used as the single-node baseline in
-// Table 4 / Figure 4.
-func RunSingleDevice(el *graph.EdgeList, machine cost.Machine, cfg hypar.Config) (*Result, error) {
-	return Run(el, 1, machine, cfg, false)
-}
-
 // VerifyAgainstKruskal checks a Result against the sequential ground truth
 // and the full forest verifier; test helper shared by packages and cmds.
 func VerifyAgainstKruskal(el *graph.EdgeList, res *Result) error {
@@ -509,7 +502,3 @@ func VerifyAgainstKruskal(el *graph.EdgeList, res *Result) error {
 	}
 	return mst.VerifyForest(el, res.Forest)
 }
-
-// DefaultKernelExcpt re-exports the Algorithm 1 exception condition for
-// callers configuring ablations.
-const DefaultKernelExcpt = boruvka.ExcptBorderVertex

@@ -39,14 +39,6 @@ func (w *Work) Add(other Work) {
 	}
 }
 
-// DeviceModel converts kernel work into simulated seconds.
-type DeviceModel interface {
-	// Seconds returns the simulated execution time of w on the device.
-	Seconds(w Work) float64
-	// Name identifies the device in reports.
-	Name() string
-}
-
 // CPUModel models a multi-core CPU socket running the Galois-style
 // worklist kernels with OpenMP-like threading.
 type CPUModel struct {
@@ -64,7 +56,7 @@ type CPUModel struct {
 	Efficiency float64
 }
 
-// Seconds implements DeviceModel.
+// Seconds returns the simulated execution time of w on the device.
 func (m CPUModel) Seconds(w Work) float64 {
 	serial := float64(w.EdgesScanned)*m.EdgeCost +
 		float64(w.VerticesProcessed)*m.VertexCost +
@@ -81,7 +73,7 @@ func (m CPUModel) Seconds(w Work) float64 {
 	return serial / (float64(cores) * eff)
 }
 
-// Name implements DeviceModel.
+// Name identifies the device in reports.
 func (m CPUModel) Name() string { return fmt.Sprintf("cpu-%dc", m.Cores) }
 
 // Scaled returns a copy of the model with throughput multiplied by f
@@ -142,7 +134,7 @@ func skewPenalty(skew float64) float64 {
 	return p
 }
 
-// Seconds implements DeviceModel.
+// Seconds returns the simulated execution time of w on the device.
 func (m GPUModel) Seconds(w Work) float64 {
 	t := float64(w.Iterations) * m.LaunchOverhead
 	edgeTP := m.EdgeThroughput
@@ -167,7 +159,7 @@ func (m GPUModel) Seconds(w Work) float64 {
 	return t
 }
 
-// Name implements DeviceModel.
+// Name identifies the device in reports.
 func (m GPUModel) Name() string { return "gpu" }
 
 // Scaled returns a copy of the model with throughput multiplied by f.

@@ -142,12 +142,6 @@ func TestAllreduceAndBarrier(t *testing.T) {
 func TestMachineProfiles(t *testing.T) {
 	amd := AMDCluster()
 	cray := CrayXC40()
-	if amd.HasGPU() {
-		t.Fatal("AMD cluster must be CPU-only")
-	}
-	if !cray.HasGPU() {
-		t.Fatal("Cray must have a GPU")
-	}
 	if amd.CPU.Cores != 8 || cray.CPU.Cores != 12 {
 		t.Fatalf("core counts: amd=%d cray=%d", amd.CPU.Cores, cray.CPU.Cores)
 	}

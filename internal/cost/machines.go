@@ -28,9 +28,6 @@ func (m Machine) SpeedOf(i int) float64 {
 	return m.NodeSpeeds[i]
 }
 
-// HasGPU reports whether the machine has an accelerator.
-func (m Machine) HasGPU() bool { return m.GPU != nil }
-
 // AMDCluster models the 16-node AMD Opteron 3380 cluster (8 cores @
 // 2.6 GHz, 32 GB, Ethernet-class interconnect) used for the Pregel+
 // comparison.

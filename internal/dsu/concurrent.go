@@ -26,9 +26,6 @@ func NewConcurrent(n int) *Concurrent {
 	return c
 }
 
-// Len reports the number of elements.
-func (c *Concurrent) Len() int { return len(c.parent) }
-
 // Find returns the current root of x. Concurrent hooks may move the root;
 // callers that need a stable answer synchronize externally (the kernels
 // call Find only between phases or idempotently).

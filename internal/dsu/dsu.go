@@ -60,7 +60,4 @@ func (d *DSU) Union(a, b int32) bool {
 func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
 
 // Sets reports the current number of disjoint sets.
-func (d *DSU) Sets() int { return int(d.sets) }
-
-// Len reports the number of elements.
-func (d *DSU) Len() int { return len(d.parent) }
+func (d *DSU) Sets() int { return int(d.sets) } //lint:testonly set count the DSU tests check against

@@ -8,8 +8,8 @@ import (
 
 func TestDSUSingletons(t *testing.T) {
 	d := New(5)
-	if d.Sets() != 5 || d.Len() != 5 {
-		t.Fatalf("sets=%d len=%d", d.Sets(), d.Len())
+	if d.Sets() != 5 {
+		t.Fatalf("sets=%d", d.Sets())
 	}
 	for i := int32(0); i < 5; i++ {
 		if d.Find(i) != i {

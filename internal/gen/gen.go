@@ -132,7 +132,7 @@ func RMAT(n int32, m int, seed int64) *graph.EdgeList {
 
 // ErdosRenyi builds a uniform random multigraph with n vertices and m
 // undirected edges.
-func ErdosRenyi(n int32, m int, seed int64) *graph.EdgeList {
+func ErdosRenyi(n int32, m int, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n, Edges: make([]graph.Edge, 0, m)}
 	for i := 0; i < m; i++ {
@@ -147,7 +147,7 @@ func ErdosRenyi(n int32, m int, seed int64) *graph.EdgeList {
 
 // ConnectedRandom builds a connected random graph: a random spanning tree
 // over n vertices plus extra uniform edges up to m total. Panics if m < n-1.
-func ConnectedRandom(n int32, m int, seed int64) *graph.EdgeList {
+func ConnectedRandom(n int32, m int, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	if int64(m) < int64(n)-1 {
 		panic(fmt.Sprintf("gen: ConnectedRandom needs m >= n-1 (n=%d m=%d)", n, m))
 	}
@@ -184,7 +184,7 @@ func Path(n int32, seed int64) *graph.EdgeList {
 }
 
 // Cycle builds the n-cycle.
-func Cycle(n int32, seed int64) *graph.EdgeList {
+func Cycle(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	el := Path(n, seed)
 	if n >= 3 {
 		rng := rand.New(rand.NewSource(seed + 1))
@@ -198,7 +198,7 @@ func Cycle(n int32, seed int64) *graph.EdgeList {
 }
 
 // Star builds a star with center 0 and n-1 leaves.
-func Star(n int32, seed int64) *graph.EdgeList {
+func Star(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n}
 	for i := int32(1); i < n; i++ {

@@ -83,7 +83,7 @@ func WattsStrogatz(n int32, k int, beta float64, seed int64) *graph.EdgeList {
 // BinaryTree builds a complete binary tree over n vertices (vertex i's
 // children are 2i+1 and 2i+2) — a worst case for Boruvka round counts
 // relative to edge count.
-func BinaryTree(n int32, seed int64) *graph.EdgeList {
+func BinaryTree(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n}
 	for v := int32(1); v < n; v++ {
@@ -97,7 +97,7 @@ func BinaryTree(n int32, seed int64) *graph.EdgeList {
 }
 
 // Complete builds the complete graph K_n (n ≤ 2^13 guarded by MaxEdges).
-func Complete(n int32, seed int64) *graph.EdgeList {
+func Complete(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture generator for tests
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n}
 	for u := int32(0); u < n; u++ {

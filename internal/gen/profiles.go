@@ -16,9 +16,10 @@ const (
 	KindWeb
 )
 
-// Profile describes one of the paper's Table 2 graphs scaled down by
-// DefaultScale. V and EdgeFactor control the generated size; Skew only
-// documents the original's max/avg degree ratio.
+// Profile describes one of the paper's Table 2 graphs stated at about
+// 1/1000 of its size, so scale 1.0 yields the reproduction workload. V and
+// EdgeFactor control the generated size; Skew only documents the
+// original's max/avg degree ratio.
 type Profile struct {
 	Name       string
 	Kind       Kind
@@ -32,11 +33,6 @@ type Profile struct {
 	Locality float64
 	Seed     int64
 }
-
-// DefaultScale is the default multiplier applied to profile sizes by
-// the experiment harness; profiles are already stated at ~1/1000 of the
-// paper's graphs, so scale 1.0 yields the reproduction workloads.
-const DefaultScale = 1.0
 
 // Profiles lists the six Table 2 graphs in paper order. Sizes are the
 // paper's divided by ~1000 (vertices) with the same average degree.

@@ -35,9 +35,6 @@ func MakeWeight(rand16 uint16, eid int32) uint64 {
 // WeightRand extracts the random part of a packed weight.
 func WeightRand(w uint64) uint16 { return uint16(w >> eidBits) }
 
-// WeightEID extracts the edge id embedded in a packed weight.
-func WeightEID(w uint64) int32 { return int32(w & eidMask) }
-
 // Edge is one undirected weighted edge. U and V are vertex ids; ID is the
 // canonical edge index within its graph.
 type Edge struct {
@@ -112,7 +109,3 @@ func (g *CSR) Degree(u int32) int64 { return g.Offsets[u+1] - g.Offsets[u] }
 
 // Arcs returns the arc index range [lo, hi) of vertex u.
 func (g *CSR) Arcs(u int32) (lo, hi int64) { return g.Offsets[u], g.Offsets[u+1] }
-
-// ArcHead returns the head vertex of arc a. The tail is the vertex whose
-// Arcs range holds a; the CSR does not store it per arc.
-func (g *CSR) ArcHead(a int64) int32 { return g.Dst[a] }

@@ -12,7 +12,7 @@ func TestMakeWeightRoundTrip(t *testing.T) {
 	f := func(r uint16, eid int32) bool {
 		eid &= eidMask
 		w := MakeWeight(r, eid)
-		return WeightRand(w) == r && WeightEID(w) == eid
+		return WeightRand(w) == r && int32(w&eidMask) == eid
 	}
 	if err := quick.Check(f, testutil.Quick(t, 1, 0)); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,24 @@ func TestCSRRoundTripThroughEdgeList(t *testing.T) {
 	rng := testutil.Rand(t, 11)
 	el := randomEdgeList(rng, 50, 200)
 	g := MustBuildCSR(el)
-	back := g.ToEdgeList()
+	// Rebuild the list from the arcs: each edge once, from its first arc.
+	back := &EdgeList{N: g.N, Edges: make([]Edge, g.M)}
+	seen := make([]bool, g.M)
+	for u := int32(0); u < g.N; u++ {
+		lo, hi := g.Arcs(u)
+		for a := lo; a < hi; a++ {
+			if eid := g.EID[a]; !seen[eid] {
+				seen[eid] = true
+				back.Edges[eid] = Edge{U: u, V: g.Dst[a], W: g.W[a], ID: eid}
+			}
+		}
+	}
+	for i, e := range back.Edges {
+		o := el.Edges[i]
+		if e.W != o.W || !(e.U == o.U && e.V == o.V || e.U == o.V && e.V == o.U) {
+			t.Fatalf("edge %d: CSR holds %+v, list had %+v", i, e, o)
+		}
+	}
 	if back.N != el.N || len(back.Edges) != len(el.Edges) {
 		t.Fatalf("round trip size mismatch: %d/%d edges", len(back.Edges), len(el.Edges))
 	}
@@ -245,57 +262,6 @@ func TestCountComponents(t *testing.T) {
 	el := &EdgeList{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1, ID: 0}}}
 	if got := CountComponents(MustBuildCSR(el)); got != 3 {
 		t.Fatalf("components=%d want 3", got)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	// Star on 9 vertices: center degree 8, leaves degree 1.
-	el := &EdgeList{N: 9}
-	for i := int32(1); i < 9; i++ {
-		el.Edges = append(el.Edges, Edge{U: 0, V: i, W: MakeWeight(uint16(i), i-1), ID: i - 1})
-	}
-	h := ComputeDegreeHistogram(MustBuildCSR(el))
-	if h.Max != 8 {
-		t.Fatalf("max=%d", h.Max)
-	}
-	if h.P50 != 1 {
-		t.Fatalf("p50=%d", h.P50)
-	}
-	if h.P99 != 8 {
-		t.Fatalf("p99=%d", h.P99)
-	}
-	// Bucket 1 (degree 1) holds the 8 leaves; bucket for degree 8 holds 1.
-	if h.Buckets[1] != 8 {
-		t.Fatalf("buckets=%v", h.Buckets)
-	}
-	var total int64
-	for _, c := range h.Buckets {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("histogram covers %d vertices", total)
-	}
-	// Degenerate cases.
-	if got := ComputeDegreeHistogram(MustBuildCSR(&EdgeList{N: 0})); got.Max != 0 {
-		t.Fatalf("empty histogram: %+v", got)
-	}
-	iso := ComputeDegreeHistogram(MustBuildCSR(&EdgeList{N: 3}))
-	if iso.Buckets[0] != 3 || iso.Max != 0 {
-		t.Fatalf("isolated: %+v", iso)
-	}
-}
-
-func TestBucketOfMonotone(t *testing.T) {
-	prev := -1
-	for d := int64(0); d < 100; d++ {
-		b := bucketOf(d)
-		if b < prev {
-			t.Fatalf("bucketOf not monotone at %d", d)
-		}
-		prev = b
-	}
-	if bucketOf(1) != 1 || bucketOf(2) != 2 || bucketOf(3) != 3 || bucketOf(4) != 3 || bucketOf(5) != 4 {
-		t.Fatal("bucket boundaries wrong")
 	}
 }
 

@@ -129,7 +129,7 @@ func bfsFarthest(g *CSR, s int32) (far int32, dist int) {
 }
 
 // CountComponents reports the number of connected components of g.
-func CountComponents(g *CSR) int {
+func CountComponents(g *CSR) int { //lint:testonly component-count oracle for the gen and graph tests
 	_, sizes := components(g)
 	return len(sizes)
 }

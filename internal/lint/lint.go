@@ -8,7 +8,8 @@
 //     produce byte-identical messages, and map order is the classic leak.
 //   - det-wallclock: time.Now/time.Since and the global math/rand source are
 //     confined to the packages that legitimately touch real time (trace,
-//     transport, gen); everywhere else they break run-to-run determinism.
+//     transport, gen, chaos, serve, obs, retry); everywhere else they break
+//     run-to-run determinism.
 //   - tag-literal / tag-dup: p2p protocols name their message tags through
 //     constants; raw integer tags and duplicate tag values are how send/recv
 //     pairs silently desynchronize.
@@ -21,6 +22,20 @@
 //   - weight-cmp: edge weights are compared only through the designated
 //     total-order helpers in internal/graph; ad-hoc <, > comparisons are
 //     where tie-break bugs (non-unique MSF output) creep in.
+//
+// The whole-program checks see every loaded package at once:
+//
+//   - lock-order: the mutex acquisition graph across transport, serve and
+//     chaos must be cycle-free.
+//   - goroutine-leak: every goroutine shows a termination path at its
+//     launch site.
+//   - ctx-prop: functions receiving a context observe it in blocking calls
+//     and selects.
+//   - collective-symmetry: tag constants in merge/cluster/core are sent and
+//     received in matched pairs with one payload encoding.
+//   - dead-code: an exported identifier under internal/ needs a non-test
+//     use outside its own declaration.
+//   - stale-justification: every //lint: token still suppresses a finding.
 //
 // Findings can be suppressed only by a justification comment on the same
 // or the preceding line: //lint:<token> <reason>. See DESIGN.md
@@ -57,6 +72,9 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// importers are the module packages whose non-test files import this
+	// one, across the whole module whether or not they were loaded.
+	importers []string
 
 	directives map[*ast.File]*fileDirectives
 }
@@ -89,7 +107,7 @@ var Checks = []Check{
 	{
 		ID:       "det-wallclock",
 		Suppress: "wallclock",
-		Doc:      "time.Now/time.Since and the global math/rand source are confined to trace, transport, and gen",
+		Doc:      "time.Now/time.Since and the global math/rand source are confined to trace, transport, gen, chaos, serve, obs, and retry",
 		Run:      checkWallClock,
 	},
 	{
@@ -145,6 +163,12 @@ var Checks = []Check{
 		Suppress:   "collective",
 		Doc:        "tag constants in merge/cluster/core are used in matched send/recv pairs with one payload encoding",
 		RunProgram: checkCollectiveSymmetry,
+	},
+	{
+		ID:         "dead-code",
+		Suppress:   "testonly",
+		Doc:        "exported identifiers under internal/ need a non-test use outside their own declaration",
+		RunProgram: checkDeadCode,
 	},
 	{
 		// Must stay last: it inspects which justification tokens the

@@ -119,6 +119,19 @@ func TestLoadRepo(t *testing.T) {
 	}
 }
 
+// TestDeadCodePartialLoad loads one package the module imports widely: the
+// dead-code check cannot see its importers, so it must judge nothing there
+// and leave the package's //lint:testonly justifications alone.
+func TestDeadCodePartialLoad(t *testing.T) {
+	pkgs, err := Load([]string{"mndmst/internal/merge"})
+	if err != nil {
+		t.Fatalf("load merge: %v", err)
+	}
+	for _, f := range Run(pkgs) {
+		t.Errorf("finding on a partial load: %s", f)
+	}
+}
+
 // TestCheckRegistry pins the stable check IDs and their suppression tokens,
 // which DESIGN.md documents.
 func TestCheckRegistry(t *testing.T) {
@@ -134,6 +147,7 @@ func TestCheckRegistry(t *testing.T) {
 		"goroutine-leak":      "goleak",
 		"ctx-prop":            "noctx",
 		"collective-symmetry": "collective",
+		"dead-code":           "testonly",
 		"stale-justification": "keep",
 	}
 	if len(Checks) != len(want) {

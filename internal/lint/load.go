@@ -35,31 +35,15 @@ type listPackage struct {
 // IgnoreFuncBodies for speed; only non-stdlib module packages are returned
 // for analysis. CGO is disabled so the stdlib file set is pure Go.
 func Load(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(append([]string{"-e", "-deps", "-json"}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-
-	var listed []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		lp := new(listPackage)
-		if err := dec.Decode(lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("lint: decode go list output: %v", err)
-		}
-		listed = append(listed, lp)
+		return nil, err
 	}
 
 	fset := token.NewFileSet()
 	typed := map[string]*types.Package{"unsafe": types.Unsafe}
 	var pkgs []*Package
+	var module string
 	for _, lp := range listed { // go list -deps emits dependency order
 		if lp.ImportPath == "unsafe" {
 			continue
@@ -68,6 +52,9 @@ func Load(patterns []string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		ours := !lp.Standard && lp.Module != nil
+		if ours {
+			module = lp.Module.Path
+		}
 		files, err := parseFiles(fset, lp)
 		if err != nil {
 			return nil, err
@@ -106,21 +93,55 @@ func Load(patterns []string) ([]*Package, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("lint: %s matched no module packages", strings.Join(patterns, " "))
 	}
+	all, err := goList("-e", "-json=ImportPath,Imports", module+"/...")
+	if err != nil {
+		return nil, err
+	}
+	importers := map[string][]string{}
+	for _, lp := range all {
+		for _, imp := range lp.Imports {
+			importers[imp] = append(importers[imp], lp.ImportPath)
+		}
+	}
+	for _, p := range pkgs {
+		p.importers = importers[p.Path]
+	}
 	return pkgs, nil
+}
+
+// goList runs `go list` with args and decodes its stream of JSON objects.
+func goList(args ...string) ([]*listPackage, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	var listed []*listPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		lp := new(listPackage)
+		if err := dec.Decode(lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: decode go list output: %v", err)
+		}
+		listed = append(listed, lp)
+	}
+	return listed, nil
 }
 
 // ModuleRoot returns the main module's directory — the base against which
 // baseline keys, SARIF URIs, and annotation paths are relativized so the
 // artifacts stay stable regardless of the invocation directory.
 func ModuleRoot() (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	mods, err := goList("-m", "-json")
 	if err != nil {
-		return "", fmt.Errorf("lint: go list -m: %v\n%s", err, stderr.String())
+		return "", err
 	}
-	return strings.TrimSpace(string(out)), nil
+	return mods[0].Dir, nil
 }
 
 // parseFiles parses the package's (non-test) Go files with comments.

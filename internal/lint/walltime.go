@@ -6,8 +6,9 @@ import (
 
 // wallClockExempt names the packages that legitimately read real time or
 // entropy: trace (observability), transport (deadlines, heartbeats,
-// backoff), gen (seeded workload synthesis owns its rand plumbing), and
-// serve (job deadlines and queue/run accounting are real-time by design).
+// backoff), gen (seeded workload synthesis owns its rand plumbing), chaos
+// (fault injection), and serve (job deadlines and queue/run accounting
+// are real-time by design).
 var wallClockExempt = map[string]bool{
 	"trace":     true,
 	"transport": true,
@@ -15,7 +16,6 @@ var wallClockExempt = map[string]bool{
 	"chaos":     true,
 	"serve":     true,
 	"obs":       true, // metrics observe real latencies by definition
-	"harness":   true, // the wall-clock bench mode times scenarios by design
 	"retry":     true, // backoff waits are wall-clock by contract; sim tests inject Clock
 }
 

@@ -14,7 +14,7 @@ var weightFieldNames = map[string]bool{
 
 // checkWeightCmp flags direct <, >, <=, >= comparisons whose operand is an
 // edge-weight field outside internal/graph, the home of the designated
-// total-order helpers (WeightLess and friends). The MSF is unique only
+// total-order helper (WeightLess). The MSF is unique only
 // because weight comparisons share one total order with the packed edge-id
 // tie-break; ad-hoc comparisons are where partial orders sneak in. Sites
 // that are themselves tie-break helpers justify with //lint:weightcmp.

@@ -51,7 +51,7 @@ func MaxPayload() int64 {
 // non-positive restores DefaultMaxPayload. It applies process-wide and is
 // safe to call concurrently with running exchanges (each transfer reads the
 // bound as it validates).
-func SetMaxPayload(n int64) {
+func SetMaxPayload(n int64) { //lint:testonly test hook for the payload bound
 	if n < 0 {
 		n = 0
 	}
@@ -344,20 +344,6 @@ func decodePayload(buf []byte) (Payload, error) {
 // send. Every member of the ring must call it at the same program point.
 func ExchangeSegments(r *cluster.Rank, sendTo, recvFrom int, p Payload, chunk int) (Payload, error) {
 	buf, err := exchangeChunked(r, sendTo, recvFrom, tagSegment, encodePayload(p), chunk)
-	if err != nil {
-		return Payload{}, err
-	}
-	return decodePayload(buf)
-}
-
-// SendPayload ships a component transfer to dst in chunks (asynchronous).
-func SendPayload(r *cluster.Rank, dst int, p Payload, chunk int) {
-	sendChunked(r, dst, tagSegment, encodePayload(p), chunk)
-}
-
-// RecvPayload receives a component transfer from src.
-func RecvPayload(r *cluster.Rank, src int, chunk int) (Payload, error) {
-	buf, err := recvChunked(r, src, tagSegment)
 	if err != nil {
 		return Payload{}, err
 	}

@@ -218,13 +218,13 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 
 		// Payload round trip rank 0 → 1.
 		if r.ID() == 0 {
-			SendPayload(r, 1, Payload{
+			SendToLeader(r, 1, Payload{
 				Comps: []int32{4, 5},
 				Edges: []wire.WEdge{{U: 4, V: 9, W: 77, ID: 3}},
 			}, 4)
 		}
 		if r.ID() == 1 {
-			p, err := RecvPayload(r, 0, 4)
+			p, err := RecvFromMember(r, 0, 4)
 			if err != nil {
 				return err
 			}

@@ -95,7 +95,7 @@ func (h *primHeap) Pop() interface{} {
 
 // Prim computes the MSF with a lazy binary-heap Prim from every unvisited
 // vertex (restarting per component).
-func Prim(g *graph.CSR) *Forest {
+func Prim(g *graph.CSR) *Forest { //lint:testonly reference MST the Kruskal tests cross-check
 	visited := make([]bool, g.N)
 	f := &Forest{}
 	var h primHeap
@@ -133,7 +133,7 @@ func pushArcs(g *graph.CSR, u int32, visited []bool, h *primHeap) {
 // Boruvka computes the MSF with the classic sequential Boruvka iteration:
 // per round, every component selects its lightest outgoing edge, then the
 // selected edges are contracted.
-func Boruvka(el *graph.EdgeList) *Forest {
+func Boruvka(el *graph.EdgeList) *Forest { //lint:testonly reference MST the Kruskal tests cross-check
 	n := int(el.N)
 	d := dsu.New(n)
 	f := &Forest{}

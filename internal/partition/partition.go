@@ -21,15 +21,12 @@ type Part struct {
 	Lo, Hi int32
 	Edges  []wire.WEdge
 	// Bounds are the global partition boundaries (len P+1), identical on
-	// every rank; Owner lookups use them.
+	// every rank.
 	Bounds []int32
 }
 
 // NumOwned reports the number of owned vertices.
 func (p *Part) NumOwned() int { return int(p.Hi - p.Lo) }
-
-// Owner returns the rank owning global vertex v.
-func (p *Part) Owner(v int32) int { return OwnerOf(p.Bounds, v) }
 
 // OwnerOf locates v's owner by binary search over the shared bounds.
 func OwnerOf(bounds []int32, v int32) int {
@@ -177,7 +174,7 @@ func ReadBounds(r *cluster.Rank, el *graph.EdgeList, strat Strategy, speeds []fl
 // gpuShare ∈ [0,1] of the owned edges via a further contiguous 1D split.
 // Edges crossing the split become device-level cut edges present in both
 // halves. Returns the CPU part and the GPU part.
-func DeviceSplit(part *Part, gpuShare float64) (cpuPart, gpuPart *Part) {
+func DeviceSplit(part *Part, gpuShare float64) (cpuPart, gpuPart *Part) { //lint:testonly dead; awaits deletion together with its tests
 	if gpuShare <= 0 {
 		return part, nil
 	}

@@ -21,7 +21,7 @@ var maxWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
 // SetMaxWorkers overrides the worker budget for subsequent parallel calls.
 // n < 1 resets to GOMAXPROCS. It returns the previous value.
-func SetMaxWorkers(n int) int {
+func SetMaxWorkers(n int) int { //lint:testonly test hook for scheduling independence
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}

@@ -19,7 +19,7 @@ type Worklist struct {
 }
 
 // NewWorklist creates a worklist whose buffers hold capacity items each.
-func NewWorklist(capacity int) *Worklist {
+func NewWorklist(capacity int) *Worklist { //lint:testonly dead; awaits deletion together with its tests
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -30,7 +30,7 @@ func NewWorklist(capacity int) *Worklist {
 }
 
 // Seed replaces the current items. It must be called between rounds.
-func (w *Worklist) Seed(items []int32) {
+func (w *Worklist) Seed(items []int32) { //lint:testonly dead; awaits deletion together with its tests
 	if len(items) > len(w.cur) {
 		w.cur = make([]int32, len(items))
 		if len(w.next) < len(items) {
@@ -42,7 +42,7 @@ func (w *Worklist) Seed(items []int32) {
 }
 
 // SeedRange fills the current buffer with lo, lo+1, ..., hi-1.
-func (w *Worklist) SeedRange(lo, hi int32) {
+func (w *Worklist) SeedRange(lo, hi int32) { //lint:testonly dead; awaits deletion together with its tests
 	n := int(hi - lo)
 	if n < 0 {
 		n = 0
@@ -59,27 +59,27 @@ func (w *Worklist) SeedRange(lo, hi int32) {
 
 // Items returns the current items for draining. Callers must not retain the
 // slice across a Swap.
-func (w *Worklist) Items() []int32 { return w.cur[:w.curLen] }
+func (w *Worklist) Items() []int32 { return w.cur[:w.curLen] } //lint:testonly dead; awaits deletion together with its tests
 
 // Len reports the number of current items.
-func (w *Worklist) Len() int { return w.curLen }
+func (w *Worklist) Len() int { return w.curLen } //lint:testonly dead; awaits deletion together with its tests
 
 // Pushed reports how many items have been pushed into the next buffer so
 // far this round.
-func (w *Worklist) Pushed() int { return int(w.n.Load()) }
+func (w *Worklist) Pushed() int { return int(w.n.Load()) } //lint:testonly dead; awaits deletion together with its tests
 
 // Push appends item to the next buffer. Safe for concurrent use. It panics
 // if the buffer capacity is exceeded, since growing under concurrent pushes
 // cannot be done safely without locking; kernels size the worklist for the
 // full vertex set up front.
-func (w *Worklist) Push(item int32) {
+func (w *Worklist) Push(item int32) { //lint:testonly dead; awaits deletion together with its tests
 	i := w.n.Add(1) - 1
 	w.next[i] = item
 }
 
 // PushBatch reserves space for len(items) entries with one atomic operation
 // and copies them in — the "batched atomics" optimization of §3.5.
-func (w *Worklist) PushBatch(items []int32) {
+func (w *Worklist) PushBatch(items []int32) { //lint:testonly dead; awaits deletion together with its tests
 	if len(items) == 0 {
 		return
 	}
@@ -89,7 +89,7 @@ func (w *Worklist) PushBatch(items []int32) {
 
 // Swap publishes the pushed items as current and clears the push buffer.
 // It returns the number of items now current.
-func (w *Worklist) Swap() int {
+func (w *Worklist) Swap() int { //lint:testonly dead; awaits deletion together with its tests
 	n := int(w.n.Swap(0))
 	w.cur, w.next = w.next, w.cur
 	w.curLen = n
@@ -97,7 +97,7 @@ func (w *Worklist) Swap() int {
 }
 
 // Reset empties both buffers.
-func (w *Worklist) Reset() {
+func (w *Worklist) Reset() { //lint:testonly dead; awaits deletion together with its tests
 	w.curLen = 0
 	w.n.Store(0)
 }

@@ -17,7 +17,7 @@ type SimClock struct {
 }
 
 // NewSimClock returns a SimClock starting at start.
-func NewSimClock(start time.Time) *SimClock {
+func NewSimClock(start time.Time) *SimClock { //lint:testonly simulated clock the retry tests inject
 	return &SimClock{now: start}
 }
 
@@ -44,16 +44,8 @@ func (c *SimClock) Sleep(ctx context.Context, d time.Duration) error {
 	return nil
 }
 
-// Advance moves virtual time forward without recording a sleep (e.g. to
-// model time spent inside an attempt).
-func (c *SimClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
-
 // Sleeps returns a copy of every duration passed to Sleep, in order.
-func (c *SimClock) Sleeps() []time.Duration {
+func (c *SimClock) Sleeps() []time.Duration { //lint:testonly simulated clock the retry tests inject
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]time.Duration, len(c.sleeps))

@@ -202,7 +202,7 @@ func (j *Job) ID() string { return j.id }
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle state.
-func (j *Job) State() JobState {
+func (j *Job) State() JobState { //lint:testonly job inspection for the serve tests
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
@@ -219,7 +219,7 @@ func (j *Job) Err() error {
 // Record returns the result record of a done job (nil otherwise). The
 // returned record always carries the forest edge ids; rendering layers
 // strip them unless requested.
-func (j *Job) Record() *Record {
+func (j *Job) Record() *Record { //lint:testonly job inspection for the serve tests
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.record
@@ -703,7 +703,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Metrics returns the server's registry — cfg.Metrics when one was
 // provided, otherwise the private registry New created. Handler serves
 // it at GET /metrics.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
+func (s *Server) Metrics() *obs.Registry { return s.metrics } //lint:testonly metrics registry the serve tests read
 
 // dequeueRingSize bounds the service-rate sample Retry-After hints use.
 const dequeueRingSize = 32

@@ -47,7 +47,7 @@ func Rand(t testing.TB, def int64) *rand.Rand {
 // Quick returns a testing/quick config whose generator runs on a seed
 // drawn through Seed, so property-test counterexamples replay too.
 // maxCount <= 0 keeps quick's default iteration count.
-func Quick(t testing.TB, def int64, maxCount int) *quick.Config {
+func Quick(t testing.TB, def int64, maxCount int) *quick.Config { //lint:testonly quick.Config for property tests
 	t.Helper()
 	return &quick.Config{MaxCount: maxCount, Rand: Rand(t, def)}
 }

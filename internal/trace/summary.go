@@ -24,7 +24,7 @@ type Summary struct {
 	Phases      map[string]PhaseSummary
 }
 
-// Summarize aggregates records produced by Records/ReadJSONL. Unknown
+// Summarize aggregates records produced by Records. Unknown
 // record kinds are ignored, so the aggregation is forward-compatible with
 // files written by a newer emitter.
 func Summarize(recs []Record) Summary {

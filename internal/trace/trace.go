@@ -74,20 +74,6 @@ func WriteJSONL(w io.Writer, rep *cluster.Report) error {
 	return nil
 }
 
-// ReadJSONL parses records written by WriteJSONL.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	dec := json.NewDecoder(r)
-	var out []Record
-	for dec.More() {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 // WriteCSV emits the per-rank, per-phase breakdown as CSV.
 func WriteCSV(w io.Writer, rep *cluster.Report) error {
 	if _, err := fmt.Fprintln(w, "rank,phase,compute_s,comm_s,bytes_sent,msgs"); err != nil {

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
+	"mndmst/internal/obs"
 )
 
 // sampleReport runs a tiny cluster program to get a real report.
@@ -33,16 +36,28 @@ func sampleReport(t *testing.T) *cluster.Report {
 	return rep
 }
 
+// decodeJSONL reads WriteJSONL output back, one Record per JSON value.
+func decodeJSONL(t *testing.T, r io.Reader) []Record {
+	t.Helper()
+	dec := json.NewDecoder(r)
+	var out []Record
+	for dec.More() {
+		var rec Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	rep := sampleReport(t)
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := decodeJSONL(t, &buf)
 	rankRecs, phaseRecs := 0, 0
 	for _, r := range recs {
 		switch r.Kind {
@@ -78,10 +93,7 @@ func TestRecordsMatchesJSONL(t *testing.T) {
 	if err := WriteJSONL(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamed := decodeJSONL(t, &buf)
 	if len(recs) != len(streamed) {
 		t.Fatalf("Records returned %d records, WriteJSONL emitted %d", len(recs), len(streamed))
 	}
@@ -105,45 +117,6 @@ func TestRecordsMatchesJSONL(t *testing.T) {
 			}
 			lastPhase = r.Phase
 		}
-	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-// TestReadJSONLTruncated: a stream cut off mid-record (a crashed writer,
-// a partial download) must surface an error, never a silently shortened
-// record list.
-func TestReadJSONLTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleReport(t)); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.String()
-	// Cut inside the final record's JSON object.
-	cut := strings.LastIndex(whole, `"msgs"`)
-	if cut < 0 {
-		t.Fatalf("fixture JSONL has no msgs key:\n%s", whole)
-	}
-	if _, err := ReadJSONL(strings.NewReader(whole[:cut+3])); err == nil {
-		t.Fatal("mid-record truncation accepted")
-	}
-	// A clean cut at a record boundary parses (fewer records is the
-	// caller's problem, not a decode error).
-	boundary := strings.Index(whole, "\n") + 1
-	recs, err := ReadJSONL(strings.NewReader(whole[:boundary]))
-	if err != nil {
-		t.Fatalf("whole-record prefix rejected: %v", err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("%d records from a one-line prefix", len(recs))
-	}
-	// Empty input is zero records, not an error.
-	if recs, err := ReadJSONL(strings.NewReader("")); err != nil || len(recs) != 0 {
-		t.Fatalf("empty input: %d records, err %v", len(recs), err)
 	}
 }
 
@@ -295,10 +268,7 @@ func TestJSONLWallField(t *testing.T) {
 	if !strings.Contains(buf.String(), `"wall_s"`) {
 		t.Fatalf("wall report JSONL lacks wall_s:\n%s", buf.String())
 	}
-	recs, err := ReadJSONL(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := decodeJSONL(t, &buf)
 	var rank0Wall, alphaMax float64
 	for _, r := range recs {
 		if r.Kind == "rank" && r.Rank == 0 {
@@ -318,5 +288,44 @@ func TestJSONLWallField(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), `"wall_s"`) {
 		t.Fatalf("in-process JSONL leaks wall_s:\n%s", buf.String())
+	}
+}
+
+// TestPublishMatchesSummarize: Publish exports a run's Summarize totals
+// as gauges, per phase too, and PublishRank labels the process's rank.
+func TestPublishMatchesSummarize(t *testing.T) {
+	rep := sampleReport(t)
+	reg := obs.NewRegistry()
+	Publish(reg, nil) // no report, nothing published
+	Publish(reg, rep)
+	PublishRank(reg, 2)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := obs.ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Summarize(Records(rep))
+	want := map[string]float64{
+		"mndmst_run_ranks":           float64(s.Ranks),
+		"mndmst_run_sim_seconds":     s.SimSeconds,
+		"mndmst_run_bytes_sent":      float64(s.BytesSent),
+		"mndmst_run_msgs":            float64(s.Msgs),
+		`mndmst_rank_info{rank="2"}`: 1,
+	}
+	for phase, p := range s.Phases {
+		want[fmt.Sprintf("mndmst_run_phase_compute_seconds{phase=%q}", phase)] = p.Compute
+		want[fmt.Sprintf("mndmst_run_phase_comm_seconds{phase=%q}", phase)] = p.Comm
+		want[fmt.Sprintf("mndmst_run_phase_bytes_sent{phase=%q}", phase)] = float64(p.BytesSent)
+	}
+	if len(s.Phases) < 2 || s.BytesSent == 0 {
+		t.Fatalf("fixture run too small: %+v", s)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %g, want %g", k, got[k], v)
+		}
 	}
 }

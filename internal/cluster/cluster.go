@@ -16,9 +16,10 @@
 // Delivery is pluggable (internal/transport): the default in-process
 // backend runs every rank as a goroutine in one address space, while
 // NewDistributed attaches one OS process per rank over a real network
-// transport. The rank program and its virtual clocks are identical either
-// way; a distributed run additionally records real wall-clock time per
-// phase.
+// transport. Collectives are messages too: every backend runs the same
+// gather-to-rank-0/broadcast protocol over its endpoints. The rank program
+// and its virtual clocks are identical either way; a distributed run
+// additionally records real wall-clock time per phase.
 package cluster
 
 import (
@@ -40,7 +41,6 @@ type Cluster struct {
 	// transport endpoint of local[i].
 	local []int
 	eps   []transport.Transport
-	coll  collectiveEngine
 	wall  bool // record real wall-clock per phase (distributed mode)
 
 	// abortOnce latches the first rank failure; abortCause records it for
@@ -52,14 +52,14 @@ type Cluster struct {
 }
 
 // New creates an in-process cluster of p ranks with the given network
-// model: every rank is a goroutine, delivery is the in-memory transport,
-// and collectives resolve at a shared rendezvous.
+// model: every rank is a goroutine and delivery, collectives included, is
+// the in-memory transport.
 func New(p int, comm cost.CommModel) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
 	mems := transport.NewMem(p)
-	c := &Cluster{p: p, comm: comm, coll: newRendezvous(p)}
+	c := &Cluster{p: p, comm: comm}
 	c.local = make([]int, p)
 	c.eps = make([]transport.Transport, p)
 	for i := 0; i < p; i++ {
@@ -71,17 +71,15 @@ func New(p int, comm cost.CommModel) *Cluster {
 
 // NewDistributed creates the local member of a multi-process cluster: ep is
 // this process's endpoint of a P-rank transport (e.g. the TCP backend), and
-// Run executes the rank program for that one rank. Collectives run as
-// point-to-point algorithms over the transport and resolve to the same
-// synchronized virtual clocks as the in-process rendezvous, so simulated
-// times agree across backends. Wall-clock phase timing is enabled.
+// Run executes the rank program for that one rank. Collectives run the
+// same protocol over the transport as in-process, so simulated times agree
+// across backends. Wall-clock phase timing is enabled.
 func NewDistributed(ep transport.Transport, comm cost.CommModel) *Cluster {
 	return &Cluster{
 		p:     ep.P(),
 		comm:  comm,
 		local: []int{ep.Rank()},
 		eps:   []transport.Transport{ep},
-		coll:  p2pCollectives{},
 		wall:  true,
 	}
 }
@@ -149,7 +147,8 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Report, error) {
 // AbortBroadcast fails every communication path of this cluster's local
 // endpoints with a typed cascade error naming the failed rank and its
 // cause. In-process, the shared mailbox matrix fails, unblocking all P
-// ranks at once; in distributed mode the local endpoint's connections
+// ranks at once, collectives included (their protocol runs over the same
+// mailboxes); in distributed mode the local endpoint's connections
 // close, which remote peers observe as immediate read failures — far
 // faster than their heartbeat watchdogs. Combined with per-op transport
 // deadlines this bounds how long one dead rank can stall the run: every
@@ -163,9 +162,6 @@ func (c *Cluster) AbortBroadcast(rank int, cause error) {
 		c.abortMu.Lock()
 		c.abortCause = ae
 		c.abortMu.Unlock()
-		if rv, ok := c.coll.(*rendezvous); ok {
-			rv.abort(ae)
-		}
 		for _, ep := range c.eps {
 			if a, ok := ep.(transport.Aborter); ok {
 				a.Abort(ae)
@@ -376,9 +372,9 @@ func (r *Rank) Recv(src, tag int) []byte {
 	return msg.Data
 }
 
-// sendCtrl ships a zero-cost control message (collective internals, report
-// gathering) directly over the transport: no α–β charge, no traffic
-// counters — the rendezvous-priced collectives never counted them either.
+// sendCtrl ships a zero-cost control message (collective internals)
+// directly over the transport: no α–β charge and no traffic counters,
+// because Barrier and Allreduce price the whole collective analytically.
 func (r *Rank) sendCtrl(dst int, tag int32, data []byte) {
 	if err := r.ep.Send(dst, transport.Message{Tag: tag, Data: data}); err != nil {
 		panic(commFailure{rankLost("collective send", dst, err)})

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
-	"sync"
-
-	"mndmst/internal/wire"
 )
 
 // ReduceOp is an elementwise combination for Allreduce.
@@ -38,236 +36,129 @@ func (op ReduceOp) apply(a, b int64) int64 {
 	}
 }
 
-// collectiveEngine resolves one synchronization round: it returns the
-// maximum virtual clock across all ranks and, for allreduce, the reduced
-// vector. Two implementations exist — the in-process rendezvous (all ranks
-// share the Cluster) and the point-to-point engine distributed clusters run
-// over their transport. Both produce identical results for identical
-// inputs, so simulated times agree across backends.
-type collectiveEngine interface {
-	resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64)
-}
-
-// rendezvous is a reusable all-rank synchronization point that also carries
-// reduction state. The last arriver resolves the round and wakes everyone.
-type rendezvous struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	gen   int64
-
-	maxNow float64
-	acc    []int64 // reduction accumulator (nil for plain barriers)
-	accSet bool
-
-	// Resolved values of the finished round; valid until the NEXT round
-	// resolves, which cannot happen before every rank has read them.
-	relNow float64
-	relAcc []int64
-
-	// err is the sticky abort cause: once set, every rank blocked at (or
-	// arriving at) the rendezvous fails with it instead of waiting for a
-	// round that can no longer complete — the in-process counterpart of a
-	// dead peer failing a transport receive.
-	err error
-}
-
-func newRendezvous(p int) *rendezvous {
-	rv := &rendezvous{p: p}
-	rv.cond = sync.NewCond(&rv.mu)
-	return rv
-}
-
-// sync enters the rendezvous with the rank's clock and optional reduction
-// contribution; it returns the synchronized max clock and the reduced
-// vector (nil for plain barriers). All participating ranks must agree on
-// whether vals is nil and on its length.
-func (rv *rendezvous) sync(now float64, vals []int64, op ReduceOp) (float64, []int64) {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.err != nil {
-		panic(commFailure{rv.err})
-	}
-	if now > rv.maxNow {
-		rv.maxNow = now
-	}
-	if vals != nil {
-		if !rv.accSet {
-			rv.acc = append(rv.acc[:0], vals...)
-			rv.accSet = true
-		} else {
-			if len(vals) != len(rv.acc) {
-				panic(fmt.Sprintf("cluster: allreduce length mismatch %d vs %d", len(vals), len(rv.acc)))
-			}
-			for i, v := range vals {
-				rv.acc[i] = op.apply(rv.acc[i], v)
-			}
-		}
-	}
-	rv.count++
-	if rv.count == rv.p {
-		// Resolve the round.
-		rv.relNow = rv.maxNow
-		if rv.accSet {
-			rv.relAcc = append([]int64(nil), rv.acc...)
-		} else {
-			rv.relAcc = nil
-		}
-		rv.count = 0
-		rv.maxNow = 0
-		rv.accSet = false
-		rv.gen++
-		rv.cond.Broadcast()
-		return rv.relNow, rv.relAcc
-	}
-	gen := rv.gen
-	for rv.gen == gen && rv.err == nil {
-		rv.cond.Wait()
-	}
-	if rv.gen == gen {
-		// Aborted before the round could resolve: some rank died and will
-		// never arrive. Fail instead of waiting forever.
-		panic(commFailure{rv.err})
-	}
-	return rv.relNow, rv.relAcc
-}
-
-// abort fails the rendezvous with cause: every waiting rank wakes and
-// fails, and every future sync fails immediately. The first cause wins.
-func (rv *rendezvous) abort(cause error) {
-	rv.mu.Lock()
-	if rv.err == nil {
-		rv.err = cause
-	}
-	rv.mu.Unlock()
-	rv.cond.Broadcast()
-}
-
-// resolve implements collectiveEngine at the shared rendezvous.
-func (rv *rendezvous) resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64) {
-	return rv.sync(r.now, vals, op)
-}
-
-// Control tags of the point-to-point collective and report protocols. They
-// sit in their own band, far from the application tags (merge: small
-// positive; composed collectives: around -100).
+// Control tags of the collective and report protocols. They sit in their
+// own band, far from the application tags (merge: small positive;
+// Alltoall: -103).
 const (
 	tagCollectUp   int32 = -9001
 	tagCollectDown int32 = -9002
 	tagReport      int32 = -9003
 )
 
-// p2pCollectives resolves collectives for distributed clusters with a flat
-// gather-to-0/broadcast exchange of control messages over the transport.
-// Control traffic carries no α–β charge and no byte counters — exactly
-// like the rendezvous, whose analytic pricing already covers the
-// collective — so a distributed run's virtual clocks match the in-process
-// run bit for bit.
-type p2pCollectives struct{}
+// tagAlltoall is the application tag of Alltoall's point-to-point rounds.
+const tagAlltoall = -103
 
-// encodeCollect packs a rank's contribution (or the resolved round):
-// clock, has-values flag, values.
-func encodeCollect(now float64, vals []int64, hasVals bool) []byte {
-	buf := wire.AppendUint64(nil, math.Float64bits(now))
-	flag := uint64(0)
-	if hasVals {
-		flag = 1
+// collectHeaderLen is the fixed prefix of a collective frame: the clock's
+// float64 bits, a has-values flag (0 for a barrier, 1 for a reduction)
+// and the value count, each a little-endian uint64. The values follow as
+// little-endian int64s.
+const collectHeaderLen = 24
+
+// errCollectFrame marks a collective frame that is not exactly a header
+// plus the values it announces.
+var errCollectFrame = errors.New("cluster: malformed collective frame")
+
+// encodeCollect packs a rank's contribution, or a resolved round: the
+// clock and, unless vals is nil (a barrier), the values.
+func encodeCollect(now float64, vals []int64) []byte {
+	buf := make([]byte, collectHeaderLen+8*len(vals))
+	binary.LittleEndian.PutUint64(buf, math.Float64bits(now))
+	if vals != nil {
+		binary.LittleEndian.PutUint64(buf[8:], 1)
 	}
-	buf = wire.AppendUint64(buf, flag)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(vals)))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[collectHeaderLen+8*i:], uint64(v))
 	}
 	return buf
 }
 
-// decodeCollect unpacks encodeCollect's payload.
-func decodeCollect(buf []byte) (now float64, vals []int64, hasVals bool) {
-	bits, buf, err := wire.TakeUint64(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
+// decodeCollect validates an encodeCollect frame and returns its clock,
+// whether it carries values, and the value bytes (aliasing buf, 8 per
+// value). It allocates nothing; a malformed frame fails as a commFailure.
+func decodeCollect(buf []byte) (now float64, raw []byte, hasVals bool) {
+	if len(buf) < collectHeaderLen {
+		panic(commFailure{fmt.Errorf("%w: %d bytes, header needs %d", errCollectFrame, len(buf), collectHeaderLen)})
 	}
-	flag, buf, err := wire.TakeUint64(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
+	flag := binary.LittleEndian.Uint64(buf[8:])
+	n := binary.LittleEndian.Uint64(buf[16:])
+	raw = buf[collectHeaderLen:]
+	if flag > 1 || (flag == 0 && n != 0) || len(raw)%8 != 0 || n != uint64(len(raw)/8) {
+		panic(commFailure{fmt.Errorf("%w: flag %d, %d values in %d payload bytes", errCollectFrame, flag, n, len(raw))})
 	}
-	vs, _, err := wire.TakeUint64s(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
-	}
-	vals = make([]int64, len(vs))
-	for i, v := range vs {
-		vals[i] = int64(v)
-	}
-	return math.Float64frombits(bits), vals, flag == 1
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), raw, flag == 1
 }
 
-func (p2pCollectives) resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64) {
+// collect runs one synchronisation round and returns the maximum virtual
+// clock across ranks. Every backend runs the same flat protocol over the
+// rank's own endpoint: ranks send their clock and values to rank 0, which
+// folds each frame into its own vals straight from the bytes and sends the
+// result back. With vals non-nil the reduction is in place: on return vals
+// holds the elementwise op-reduction on every rank. Control frames carry
+// no α–β charge; the callers price the collective analytically.
+func (r *Rank) collect(vals []int64, op ReduceOp) float64 {
 	p := r.c.p
-	hasVals := vals != nil
 	if p == 1 {
-		if !hasVals {
-			return r.now, nil
-		}
-		return r.now, append([]int64(nil), vals...)
+		return r.now
 	}
 	if r.id != 0 {
-		r.sendCtrl(0, tagCollectUp, encodeCollect(r.now, vals, hasVals))
-		maxNow, acc, has := decodeCollect(r.recvCtrl(0, tagCollectDown))
-		if !has {
-			return maxNow, nil
+		r.sendCtrl(0, tagCollectUp, encodeCollect(r.now, vals))
+		maxNow, raw, hasVals := decodeCollect(r.recvCtrl(0, tagCollectDown))
+		checkCollectShape(0, vals, raw, hasVals)
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		return maxNow, acc
+		return maxNow
 	}
 	maxNow := r.now
-	var acc []int64
-	if hasVals {
-		acc = append([]int64(nil), vals...)
-	}
 	for src := 1; src < p; src++ {
-		now, rv, rHas := decodeCollect(r.recvCtrl(src, tagCollectUp))
+		now, raw, hasVals := decodeCollect(r.recvCtrl(src, tagCollectUp))
 		if now > maxNow {
 			maxNow = now
 		}
-		if rHas != hasVals {
-			panic(fmt.Sprintf("cluster: collective mismatch: rank %d %v values, rank 0 %v", src, rHas, hasVals))
-		}
-		if rHas {
-			if len(rv) != len(acc) {
-				panic(fmt.Sprintf("cluster: allreduce length mismatch %d vs %d", len(rv), len(acc)))
-			}
-			for i, v := range rv {
-				acc[i] = op.apply(acc[i], v)
-			}
+		checkCollectShape(src, vals, raw, hasVals)
+		for i := range vals {
+			vals[i] = op.apply(vals[i], int64(binary.LittleEndian.Uint64(raw[8*i:])))
 		}
 	}
-	down := encodeCollect(maxNow, acc, hasVals)
+	down := encodeCollect(maxNow, vals)
 	for dst := 1; dst < p; dst++ {
 		r.sendCtrl(dst, tagCollectDown, down)
 	}
-	return maxNow, acc
+	return maxNow
+}
+
+// checkCollectShape panics when rank src entered a different collective
+// than this rank: a barrier against a reduction, or vectors of different
+// lengths. Like a mismatched MPI program, that is a protocol violation.
+func checkCollectShape(src int, vals []int64, raw []byte, hasVals bool) {
+	if hasVals != (vals != nil) {
+		panic(fmt.Sprintf("cluster: collective mismatch: rank %d has values %v, this rank %v", src, hasVals, vals != nil))
+	}
+	if len(raw) != 8*len(vals) {
+		panic(fmt.Sprintf("cluster: allreduce length mismatch %d vs %d", len(raw)/8, len(vals)))
+	}
 }
 
 // Barrier synchronizes all ranks: every clock advances to the maximum
 // across ranks plus the modeled dissemination-barrier cost.
 func (r *Rank) Barrier() {
-	maxNow, _ := r.c.coll.resolve(r, nil, OpSum)
+	maxNow := r.collect(nil, OpSum)
 	r.chargeCommUntil(maxNow + r.c.comm.BarrierSeconds(r.c.p))
 }
 
-// Allreduce combines vals elementwise across all ranks with op and returns
-// the result (a fresh slice). Clocks synchronize to the maximum plus the
-// modeled Rabenseifner allreduce cost for the vector size.
+// Allreduce combines vals elementwise across all ranks with op, in place
+// (MPI_IN_PLACE style): it overwrites vals with the result and returns
+// vals. Every rank must pass a vector of the same length. Clocks
+// synchronize to the maximum plus the modeled Rabenseifner allreduce cost
+// for the vector size.
 func (r *Rank) Allreduce(vals []int64, op ReduceOp) []int64 {
 	if vals == nil {
 		vals = []int64{}
 	}
-	maxNow, red := r.c.coll.resolve(r, vals, op)
+	maxNow := r.collect(vals, op)
 	r.chargeCommUntil(maxNow + r.c.comm.AllreduceSeconds(int64(8*len(vals)), r.c.p))
-	out := make([]int64, len(red))
-	copy(out, red)
-	return out
+	return vals
 }
 
 // AllreduceScalar is Allreduce for a single value.
@@ -275,19 +166,36 @@ func (r *Rank) AllreduceScalar(v int64, op ReduceOp) int64 {
 	return r.Allreduce([]int64{v}, op)[0]
 }
 
-// StatAllreduce combines vals elementwise across all ranks with op and
-// returns the result without charging any virtual time: it is for
-// exchanging bookkeeping about the simulation (per-rank peaks, iteration
-// counts) that the modeled MPI program would not send, so the synchronized
-// clocks — and every golden simulated-time report — stay exactly as if the
-// call were absent. The collective still synchronizes ranks in real time,
-// so all participants must call it at the same program point.
+// StatAllreduce is Allreduce — in place, returning vals — without
+// charging any virtual time: it is for exchanging bookkeeping about the
+// simulation (per-rank peaks, iteration counts) that the modeled MPI
+// program would not send, so the synchronized clocks — and every golden
+// simulated-time report — stay exactly as if the call were absent. The
+// collective still synchronizes ranks in real time, so all participants
+// must call it at the same program point.
 func (r *Rank) StatAllreduce(vals []int64, op ReduceOp) []int64 {
 	if vals == nil {
 		vals = []int64{}
 	}
-	_, red := r.c.coll.resolve(r, vals, op)
-	out := make([]int64, len(red))
-	copy(out, red)
-	return out
+	r.collect(vals, op)
+	return vals
+}
+
+// Alltoall exchanges personalized payloads between all ranks: payloads[d]
+// goes to rank d, and the result holds the payload received from each
+// source (the rank's own payload is passed through). The schedule is the
+// standard P−1-round rotation: in round k, send to (me+k) mod P and
+// receive from (me−k) mod P. Unlike Barrier and Allreduce, its simulated
+// cost emerges from the α–β charges of the underlying sends.
+func (r *Rank) Alltoall(payloads [][]byte) [][]byte {
+	p := r.c.p
+	in := make([][]byte, p)
+	in[r.id] = payloads[r.id]
+	for k := 1; k < p; k++ {
+		dst := (r.id + k) % p
+		src := (r.id - k + p) % p
+		r.Send(dst, tagAlltoall, payloads[dst])
+		in[src] = r.Recv(src, tagAlltoall)
+	}
+	return in
 }

@@ -1,0 +1,215 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+)
+
+func TestAlltoall(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 7} {
+		c := New(p, testComm())
+		_, err := c.Run(func(r *Rank) error {
+			out := make([][]byte, p)
+			for d := 0; d < p; d++ {
+				out[d] = []byte(fmt.Sprintf("%d->%d", r.ID(), d))
+			}
+			in := r.Alltoall(out)
+			for src := 0; src < p; src++ {
+				want := fmt.Sprintf("%d->%d", src, r.ID())
+				if string(in[src]) != want {
+					return fmt.Errorf("rank %d from %d: got %q want %q", r.ID(), src, in[src], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+func TestAlltoallDeterministicTiming(t *testing.T) {
+	run := func() float64 {
+		c := New(5, testComm())
+		rep, err := c.Run(func(r *Rank) error {
+			out := make([][]byte, 5)
+			for d := range out {
+				out[d] = make([]byte, 100*(r.ID()+1))
+			}
+			r.Alltoall(out)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.ExecutionTime()
+	}
+	ref := run()
+	for i := 0; i < 5; i++ {
+		if got := run(); got != ref {
+			t.Fatalf("run %d: %g vs %g", i, got, ref)
+		}
+	}
+}
+
+// TestAllreduceReducesInPlace pins the MPI_IN_PLACE contract: Allreduce
+// and StatAllreduce overwrite the caller's vector with the reduction and
+// return it, on the protocol root and on every other rank.
+func TestAllreduceReducesInPlace(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		sum := int64(p * (p - 1) / 2)
+		_, err := New(p, testComm()).Run(func(r *Rank) error {
+			id := int64(r.ID())
+			for _, call := range []struct {
+				name string
+				fn   func([]int64, ReduceOp) []int64
+			}{{"Allreduce", r.Allreduce}, {"StatAllreduce", r.StatAllreduce}} {
+				vals := []int64{id, 1, -id}
+				got := call.fn(vals, OpSum)
+				if &got[0] != &vals[0] {
+					return fmt.Errorf("rank %d: %s result does not alias vals", r.ID(), call.name)
+				}
+				if want := []int64{sum, int64(p), -sum}; !slices.Equal(vals, want) {
+					return fmt.Errorf("rank %d: %s reduced to %v, want %v", r.ID(), call.name, vals, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestRankFailureUnblocksCollectives fails one rank — the protocol root,
+// then the last rank — while its peers wait in a collective it will never
+// enter. The abort must reach them through the transport: Run returns
+// promptly, reporting the failed rank's cause first and every peer as an
+// AbortError cascade of it.
+func TestRankFailureUnblocksCollectives(t *testing.T) {
+	const p = 4
+	boom := errors.New("boom")
+	for _, failed := range []int{0, p - 1} {
+		for _, coll := range []struct {
+			name  string
+			enter func(r *Rank)
+		}{
+			{"Barrier", func(r *Rank) { r.Barrier() }},
+			{"Allreduce", func(r *Rank) { r.Allreduce([]int64{1, 2}, OpSum) }},
+		} {
+			t.Run(fmt.Sprintf("rank%d/%s", failed, coll.name), func(t *testing.T) {
+				cascades := make([]error, p)
+				done := make(chan error, 1)
+				go func() {
+					_, err := New(p, testComm()).Run(func(r *Rank) error {
+						if r.ID() == failed {
+							// Fail only once every peer is at the collective.
+							for src := 0; src < p; src++ {
+								if src != failed {
+									r.Recv(src, 1)
+								}
+							}
+							return boom
+						}
+						defer func() {
+							if e := recover(); e != nil {
+								if cf, ok := e.(commFailure); ok {
+									cascades[r.ID()] = cf.err
+								}
+								panic(e)
+							}
+						}()
+						r.Send(failed, 1, nil)
+						coll.enter(r)
+						return fmt.Errorf("rank %d completed a collective rank %d never entered", r.ID(), failed)
+					})
+					done <- err
+				}()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("Run did not return after a rank failed in a collective")
+				}
+				joined, ok := err.(interface{ Unwrap() []error })
+				if !ok {
+					t.Fatalf("Run error %v is not a join", err)
+				}
+				errs := joined.Unwrap()
+				if len(errs) != 2 || !errors.Is(errs[0], boom) ||
+					!strings.Contains(errs[0].Error(), fmt.Sprintf("rank %d:", failed)) ||
+					!strings.Contains(errs[1].Error(), fmt.Sprintf("%d more rank(s)", p-1)) {
+					t.Fatalf("want rank %d's cause then %d cascades, got %v", failed, p-1, err)
+				}
+				for id, cerr := range cascades {
+					if id == failed {
+						continue
+					}
+					var ae *AbortError
+					if !errors.As(cerr, &ae) || ae.Rank != failed || !errors.Is(ae.Cause, boom) {
+						t.Errorf("rank %d failed with %v, want an AbortError cascade of rank %d", id, cerr, failed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzCollectPayload feeds arbitrary bytes to the collective frame
+// decoder, which reads frames straight off the transport: every input must
+// decode without copying or fail as a commFailure, and a decoded frame
+// must re-encode to the same bytes.
+func FuzzCollectPayload(f *testing.F) {
+	f.Add(encodeCollect(0.5, nil))
+	f.Add(encodeCollect(2, []int64{}))
+	f.Add(encodeCollect(1e-3, []int64{1, -2, 1 << 62}))
+	f.Add(encodeCollect(1, []int64{7})[:30])
+	// A header announcing 2^61 values in an empty payload.
+	f.Add(append(encodeCollect(0, []int64{})[:16], 0, 0, 0, 0, 0, 0, 0, 0x20))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			now     float64
+			raw     []byte
+			hasVals bool
+		)
+		err := func() (err error) {
+			defer func() {
+				if e := recover(); e != nil {
+					cf, ok := e.(commFailure)
+					if !ok {
+						panic(e)
+					}
+					err = cf.err
+				}
+			}()
+			now, raw, hasVals = decodeCollect(data)
+			return nil
+		}()
+		if err != nil {
+			if !errors.Is(err, errCollectFrame) {
+				t.Fatalf("decode failed with untyped error %v", err)
+			}
+			return
+		}
+		if len(raw) > 0 && &raw[0] != &data[collectHeaderLen] {
+			t.Fatal("decoded values do not alias the frame")
+		}
+		var vals []int64
+		if hasVals {
+			vals = make([]int64, len(raw)/8)
+			for i := range vals {
+				vals[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+		if round := encodeCollect(now, vals); !bytes.Equal(round, data) {
+			t.Fatalf("decoded frame re-encodes to %x, want %x", round, data)
+		}
+	})
+}

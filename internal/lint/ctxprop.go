@@ -18,8 +18,6 @@ var ctxBlockingMethods = map[string]bool{
 	"Allreduce":       true,
 	"AllreduceScalar": true,
 	"StatAllreduce":   true,
-	"Bcast":           true,
-	"Gather":          true,
 	"Alltoall":        true,
 }
 

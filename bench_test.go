@@ -54,6 +54,23 @@ func BenchmarkFindMSFHost(b *testing.B) {
 	}
 }
 
+// BenchmarkFindMSFHostLowLocality16 measures the whole pipeline where its
+// fixed per-rank and per-iteration costs dominate: a small low-locality
+// web graph (700 vertices, 11 000 edges) on 16 ranks, the shape of
+// e2ebench's web-lowloc-p16 workload. Most edges cross partitions, so the
+// component-graph merge path carries most of the work; allocations are
+// reported because they are most of its cost.
+func BenchmarkFindMSFHostLowLocality16(b *testing.B) {
+	g := mndmst.GenerateWebGraph(700, 11000, 0.45, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 16}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSequentialKruskalHost measures the reference implementation.
 func BenchmarkSequentialKruskalHost(b *testing.B) {
 	g := mndmst.GenerateWebGraph(16384, 16384*20, 0.85, 99)

@@ -239,7 +239,7 @@ func runCommSegments(*Runner) (map[string]float64, error) {
 		for i := range comps {
 			comps[i] = int32(r.ID()*nComps + i)
 		}
-		pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: comps}, 0)
+		pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: comps}, 0, merge.Payload{})
 		if err != nil {
 			return err
 		}

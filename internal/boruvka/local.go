@@ -41,34 +41,49 @@ type Local struct {
 }
 
 // NewLocal builds a Local view from an edge list with global endpoint
-// names. IDs must be unique; they are sorted in place. Every edge must
-// have at least one local endpoint.
+// names. IDs must be unique and non-negative; they are sorted in place.
+// Every edge must have at least one local endpoint. The global→local
+// index is dense over the span [IDs[0], IDs[len-1]]: slot v − IDs[0]
+// holds v's local index + 1, or 0 when v is not local, and an endpoint
+// outside the span is external. It costs 4 bytes per id of the span,
+// which for vertex or component ids is at most 4·N.
 func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	slices.Sort(ids)
-	index := make(map[int32]int32, len(ids))
+	var lo int32
+	var index []int32
+	if n := len(ids); n > 0 {
+		lo = ids[0]
+		index = make([]int32, int64(ids[n-1])-int64(lo)+1)
+	}
 	for i, id := range ids {
 		if i > 0 && ids[i-1] == id {
 			return nil, fmt.Errorf("boruvka: duplicate local id %d", id)
 		}
-		index[id] = int32(i)
+		index[id-lo] = int32(i) + 1
+	}
+	// local returns v's local index, or -1 when v is external.
+	local := func(v int32) int32 {
+		if x := uint32(v - lo); x < uint32(len(index)) {
+			return index[x] - 1
+		}
+		return -1
 	}
 	l := &Local{IDs: ids, NumEdges: int64(len(edges))}
 	n := len(ids)
 	counts := make([]int64, n+1)
 	for i := range edges {
 		e := &edges[i]
-		lu, okU := index[e.U]
-		lv, okV := index[e.V]
-		if !okU && !okV {
+		lu, lv := local(e.U), local(e.V)
+		if lu < 0 && lv < 0 {
 			return nil, fmt.Errorf("boruvka: edge %d (%d-%d) has no local endpoint", i, e.U, e.V)
 		}
-		if okU != okV {
+		if (lu < 0) != (lv < 0) {
 			l.NumCut++
 		}
-		if okU {
+		if lu >= 0 {
 			counts[lu+1]++
 		}
-		if okV && e.U != e.V { // self-loop on a local vertex: one arc only
+		if lv >= 0 && e.U != e.V { // self-loop on a local vertex: one arc only
 			counts[lv+1]++
 		}
 	}
@@ -81,26 +96,24 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
 	cursor := make([]int64, n)
-	put := func(tail int32, head int32, headLocal bool, e *wire.WEdge) {
+	// put stores the arc tail → head; a head with no local index is
+	// stored as ^global.
+	put := func(tail, head, headLocal int32, e *wire.WEdge) {
 		a := l.off[tail] + cursor[tail]
 		cursor[tail]++
-		if headLocal {
-			l.dst[a] = index[head]
-		} else {
-			l.dst[a] = ^head
+		if headLocal < 0 {
+			headLocal = ^head
 		}
-		l.eid[a] = e.ID
-		l.w[a] = e.W
+		l.dst[a], l.eid[a], l.w[a] = headLocal, e.ID, e.W
 	}
 	for i := range edges {
 		e := &edges[i]
-		lu, okU := index[e.U]
-		lv, okV := index[e.V]
-		if okU {
-			put(lu, e.V, okV, e)
+		lu, lv := local(e.U), local(e.V)
+		if lu >= 0 {
+			put(lu, e.V, lv, e)
 		}
-		if okV && e.U != e.V {
-			put(lv, e.U, okU, e)
+		if lv >= 0 && e.U != e.V {
+			put(lv, e.U, lu, e)
 		}
 	}
 	return l, nil

@@ -1,0 +1,144 @@
+package boruvka
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"mndmst/internal/graph"
+	"mndmst/internal/wire"
+)
+
+// newLocalMap is NewLocal as it was built over a map[int32]int32 from
+// global to local ids: the reference FuzzNewLocal checks the span index
+// against.
+func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
+	slices.Sort(ids)
+	index := make(map[int32]int32, len(ids))
+	for i, id := range ids {
+		if i > 0 && ids[i-1] == id {
+			return nil, fmt.Errorf("boruvka: duplicate local id %d", id)
+		}
+		index[id] = int32(i)
+	}
+	l := &Local{IDs: ids, NumEdges: int64(len(edges))}
+	n := len(ids)
+	counts := make([]int64, n+1)
+	for i := range edges {
+		e := &edges[i]
+		lu, okU := index[e.U]
+		lv, okV := index[e.V]
+		if !okU && !okV {
+			return nil, fmt.Errorf("boruvka: edge %d (%d-%d) has no local endpoint", i, e.U, e.V)
+		}
+		if okU != okV {
+			l.NumCut++
+		}
+		if okU {
+			counts[lu+1]++
+		}
+		if okV && e.U != e.V {
+			counts[lv+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		counts[i+1] += counts[i]
+	}
+	total := counts[n]
+	l.off = counts
+	l.dst = make([]int32, total)
+	l.eid = make([]int32, total)
+	l.w = make([]uint64, total)
+	cursor := make([]int64, n)
+	put := func(tail int32, head int32, headLocal bool, e *wire.WEdge) {
+		a := l.off[tail] + cursor[tail]
+		cursor[tail]++
+		if headLocal {
+			l.dst[a] = index[head]
+		} else {
+			l.dst[a] = ^head
+		}
+		l.eid[a] = e.ID
+		l.w[a] = e.W
+	}
+	for i := range edges {
+		e := &edges[i]
+		lu, okU := index[e.U]
+		lv, okV := index[e.V]
+		if okU {
+			put(lu, e.V, okV, e)
+		}
+		if okV && e.U != e.V {
+			put(lv, e.U, okU, e)
+		}
+	}
+	return l, nil
+}
+
+// FuzzNewLocal checks NewLocal's span index against newLocalMap. Byte 0
+// sets the id range N; byte 1 % 16 is the number of local ids, each read
+// from the next bytes and scaled over [0, N−1], so ids land far apart and
+// byte values 0 and 255 give ids 0 and N−1 (an equal byte pair is a
+// duplicate id). Each further byte pair is an edge whose endpoints are a
+// local id (even byte) or any id of [0, N−1] scaled the same way (odd
+// byte), which lands outside the span, in a gap, or on a local id. Equal
+// endpoints make self-loops, and two external endpoints an edge with no
+// local endpoint. The views, or the errors, must be equal.
+func FuzzNewLocal(f *testing.F) {
+	f.Add([]byte{255, 3, 0, 128, 255, 0, 2, 4, 4, 1, 2, 2, 255})           // ids 0, N−1 and a middle one; loops; edges within
+	f.Add([]byte{40, 2, 90, 170, 0, 1, 2, 255, 0, 2, 2, 3, 0, 1})          // ghosts below and above the span
+	f.Add([]byte{9, 4, 17, 200, 17, 3, 0, 1})                              // duplicate id
+	f.Add([]byte{200, 2, 60, 61, 0, 2, 1, 255, 0, 0})                      // edge 1 has no local endpoint
+	f.Add([]byte{0, 1, 7, 0, 0, 1, 1})                                     // N = 1: one id, a loop, a ghost edge
+	f.Add([]byte{3, 0, 1, 3})                                              // no ids, one edge
+	f.Add([]byte{128, 5, 10, 250, 30, 99, 180, 0, 2, 4, 6, 8, 9, 3, 5, 6}) // scattered ids, mixed edges
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int64(data[0])*97 + 1 // ids are in [0, n−1]
+		scale := func(b byte) int32 { return int32(int64(b) * (n - 1) / 255) }
+		k := min(int(data[1]%16), len(data)-2)
+		ids := make([]int32, k)
+		for i := range ids {
+			ids[i] = scale(data[2+i])
+		}
+		var edges []wire.WEdge
+		end := func(b byte) int32 {
+			if b%2 == 0 && k > 0 {
+				return ids[int(b/2)%k]
+			}
+			return scale(b)
+		}
+		for i := 2 + k; i+1 < len(data); i += 2 {
+			id := int32(len(edges))
+			edges = append(edges, wire.WEdge{
+				U: end(data[i]), V: end(data[i+1]), ID: id,
+				W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id),
+			})
+		}
+		got, gotErr := NewLocal(slices.Clone(ids), edges)
+		want, wantErr := newLocalMap(slices.Clone(ids), edges)
+		if gotErr != nil || wantErr != nil {
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("ids %v: error %v, want %v", ids, gotErr, wantErr)
+			}
+			return
+		}
+		where := fmt.Sprintf("ids %v, edges %v", ids, edges)
+		switch {
+		case !slices.Equal(got.IDs, want.IDs):
+			t.Fatalf("%s: IDs %v, want %v", where, got.IDs, want.IDs)
+		case got.NumEdges != want.NumEdges || got.NumCut != want.NumCut:
+			t.Fatalf("%s: %d edges, %d cut; want %d, %d", where, got.NumEdges, got.NumCut, want.NumEdges, want.NumCut)
+		case !slices.Equal(got.off, want.off):
+			t.Fatalf("%s: offsets %v, want %v", where, got.off, want.off)
+		case !slices.Equal(got.dst, want.dst):
+			t.Fatalf("%s: heads %v, want %v", where, got.dst, want.dst)
+		case !slices.Equal(got.eid, want.eid):
+			t.Fatalf("%s: edge ids %v, want %v", where, got.eid, want.eid)
+		case !slices.Equal(got.w, want.w):
+			t.Fatalf("%s: weights %v, want %v", where, got.w, want.w)
+		}
+	})
+}

@@ -260,7 +260,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		active[i] = i
 	}
 	ringRounds := 0
-	prevSums := map[int]int64{} // group index → previous edge total
+	var prevSums []int64 // each group's edge total after this level's last ring round
 
 	// A single-rank run still performs one indComp iteration (with its
 	// per-node device split) before post-processing, matching the paper's
@@ -318,7 +318,13 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			// Every owned vertex maps to its component through parent;
 			// only ghost endpoints need the remote deltas. A vertex is its
 			// component's representative iff it is its own parent.
-			m.owned = nil
+			reps := 0
+			for i, c := range parent {
+				if c == view.IDs[i] {
+					reps++
+				}
+			}
+			m.owned = make([]int32, 0, reps)
 			for i, c := range parent {
 				if c == view.IDs[i] {
 					m.owned = append(m.owned, c)
@@ -357,12 +363,10 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			case ringRounds >= m.cfg.MaxRingRounds:
 				toLeader[gi] = true
 			default:
-				if prev, ok := prevSums[gi]; ok {
-					// Convergence: the last round failed to shrink the
-					// group's data enough.
-					if float64(sums[gi]) > float64(prev)*(1-m.cfg.ConvergenceRatio) {
-						toLeader[gi] = true
-					}
+				// Convergence: the last ring round failed to shrink the
+				// group's data enough.
+				if prevSums != nil && float64(sums[gi]) > float64(prevSums[gi])*(1-m.cfg.ConvergenceRatio) {
+					toLeader[gi] = true
 				}
 			}
 		}
@@ -376,17 +380,11 @@ func (m *rankMain) run() (*mst.Forest, error) {
 					merge.SendToLeader(r, leader, merge.Payload{Comps: m.owned, Edges: m.edges}, m.cfg.Chunk)
 					m.owned, m.edges = nil, nil
 				} else {
-					for _, member := range grp {
-						if member == leader {
-							continue
-						}
-						pl, err := merge.RecvFromMember(r, member, m.cfg.Chunk)
-						if err != nil {
-							return nil, err
-						}
-						m.owned = append(m.owned, pl.Comps...)
-						m.edges = append(m.edges, pl.Edges...)
+					pl, err := merge.RecvMembers(r, grp, m.cfg.Chunk, merge.Payload{Comps: m.owned, Edges: m.edges})
+					if err != nil {
+						return nil, err
 					}
+					m.owned, m.edges = pl.Comps, pl.Edges
 					slices.Sort(m.owned)
 					m.edges = merge.DedupeByID(m.edges)
 					m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
@@ -399,14 +397,15 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				// progresses without any rank blocking in a send.
 				sendTo, recvFrom := merge.RingNeighbors(grp, r.ID())
 				kept, sent := merge.SplitSegment(m.owned, len(grp))
-				keptE, movedE := merge.SplitEdges(m.edges, merge.ToSet(kept), merge.ToSet(sent))
-				pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: sent, Edges: movedE}, m.cfg.Chunk)
+				keptE, movedE := merge.SplitEdges(m.edges, kept, sent)
+				pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: sent, Edges: movedE}, m.cfg.Chunk,
+					merge.Payload{Comps: kept, Edges: keptE})
 				if err != nil {
 					return nil, err
 				}
-				m.owned = append(kept, pl.Comps...)
+				m.owned = pl.Comps
 				slices.Sort(m.owned)
-				m.edges = merge.DedupeByID(append(keptE, pl.Edges...))
+				m.edges = merge.DedupeByID(pl.Edges)
 				m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
 				m.notePeak()
 			}
@@ -427,12 +426,11 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		if anyLeaderMerge && len(newActive) < len(active) {
 			m.lvls++
 			ringRounds = 0
-			prevSums = map[int]int64{}
+			prevSums = nil
 		} else {
+			// The active set, and so every group, stays the same.
 			ringRounds++
-			for gi := range groups {
-				prevSums[gi] = sums[gi]
-			}
+			prevSums = sums
 		}
 		active = newActive
 	}

@@ -278,7 +278,7 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 		// One ring step.
 		sendTo, recvFrom := (r.ID()+1)%p, (r.ID()+p-1)%p
 		pl, err := ExchangeSegments(r, sendTo, recvFrom,
-			Payload{Comps: []int32{int32(r.ID())}, Edges: []wire.WEdge{{U: int32(r.ID()), V: 99, W: 7, ID: int32(r.ID())}}}, 4<<10)
+			Payload{Comps: []int32{int32(r.ID())}, Edges: []wire.WEdge{{U: int32(r.ID()), V: 99, W: 7, ID: int32(r.ID())}}}, 4<<10, Payload{})
 		if err != nil {
 			return err
 		}
@@ -289,10 +289,8 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 		if r.ID() != 0 {
 			SendToLeader(r, 0, Payload{Comps: []int32{int32(r.ID())}}, 4<<10)
 		} else {
-			for _, m := range []int{1, 2, 3} {
-				if _, err := RecvFromMember(r, m, 4<<10); err != nil {
-					return err
-				}
+			if _, err := RecvMembers(r, []int{0, 1, 2, 3}, 4<<10, Payload{}); err != nil {
+				return err
 			}
 		}
 		if v := r.AllreduceScalar(int64(r.ID()), cluster.OpSum); v != 6 {

@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -226,16 +227,20 @@ func rrPartner(n, round, idx int) int {
 	return p
 }
 
-// encodeDeltas serializes parent deltas.
+// encodeDeltas serializes parent deltas as two length-prefixed int32
+// arrays, the old ids then the new ones, written straight into one
+// exactly-sized buffer.
 func encodeDeltas(ds []Delta) []byte {
-	olds := make([]int32, len(ds))
-	news := make([]int32, len(ds))
+	n := len(ds)
+	buf := make([]byte, 16+8*n)
+	news := buf[8+4*n:]
+	binary.LittleEndian.PutUint64(buf, uint64(n))
+	binary.LittleEndian.PutUint64(news, uint64(n))
 	for i, d := range ds {
-		olds[i] = d.Old
-		news[i] = d.New
+		binary.LittleEndian.PutUint32(buf[8+4*i:], uint32(d.Old))
+		binary.LittleEndian.PutUint32(news[8+4*i:], uint32(d.New))
 	}
-	buf := wire.AppendInt32s(nil, olds)
-	return wire.AppendInt32s(buf, news)
+	return buf
 }
 
 // decodeDeltas parses parent deltas.
@@ -319,35 +324,74 @@ type Payload struct {
 	Edges []wire.WEdge
 }
 
-// encodePayload serializes a component transfer.
+// encodePayload serializes a component transfer into one exactly-sized
+// buffer.
 func encodePayload(p Payload) []byte {
-	buf := wire.AppendInt32s(nil, p.Comps)
+	buf := make([]byte, 0, 8+4*len(p.Comps)+8+wire.WEdgeBytes*len(p.Edges))
+	buf = wire.AppendInt32s(buf, p.Comps)
 	return wire.AppendWEdges(buf, p.Edges)
 }
 
-// decodePayload parses a component transfer.
-func decodePayload(buf []byte) (Payload, error) {
-	comps, buf, err := wire.TakeInt32s(buf)
-	if err != nil {
-		return Payload{}, err
+// appendPayloads decodes every encoded payload of bufs, in order, and
+// appends its components and edges to into's. Both grow at most once, to
+// their exact final size, and every payload is decoded straight into
+// them.
+func appendPayloads(into Payload, bufs [][]byte) (Payload, error) {
+	nComps, nEdges := 0, 0
+	for _, buf := range bufs {
+		c, e := payloadLens(buf)
+		nComps += c
+		nEdges += e
 	}
-	edges, _, err := wire.TakeWEdges(buf)
-	if err != nil {
-		return Payload{}, err
+	comps, edges := reserve(into.Comps, nComps), reserve(into.Edges, nEdges)
+	for _, buf := range bufs {
+		var err error
+		if comps, buf, err = wire.TakeInt32sInto(comps, buf); err != nil {
+			return Payload{}, err
+		}
+		if edges, _, err = wire.TakeWEdgesInto(edges, buf); err != nil {
+			return Payload{}, err
+		}
 	}
 	return Payload{Comps: comps, Edges: edges}, nil
+}
+
+// payloadLens reads the component and edge counts from an encoded
+// payload's headers. A count whose header is missing or claims more bytes
+// than follow reads as 0; decoding then reports the error.
+func payloadLens(buf []byte) (comps, edges int) {
+	nc, rest, err := wire.TakeUint64(buf)
+	if err != nil || nc > uint64(len(rest))/4 {
+		return 0, 0
+	}
+	ne, rest, err := wire.TakeUint64(rest[4*nc:])
+	if err != nil || ne > uint64(len(rest))/wire.WEdgeBytes {
+		return int(nc), 0
+	}
+	return int(nc), int(ne)
+}
+
+// reserve returns s with room for n more elements, reallocating at
+// exactly len(s)+n when its capacity is short.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 // ExchangeSegments runs one ring step of the §3.4 segment exchange: p goes
 // to sendTo while the next segment arrives from recvFrom, chunk-interleaved
 // so the whole ring progresses in lockstep without any rank blocking in a
-// send. Every member of the ring must call it at the same program point.
-func ExchangeSegments(r *cluster.Rank, sendTo, recvFrom int, p Payload, chunk int) (Payload, error) {
+// send. The arriving segment is decoded straight into into, which grows
+// once (see appendPayloads). Every member of the ring must call it at the
+// same program point.
+func ExchangeSegments(r *cluster.Rank, sendTo, recvFrom int, p Payload, chunk int, into Payload) (Payload, error) {
 	buf, err := exchangeChunked(r, sendTo, recvFrom, tagSegment, encodePayload(p), chunk)
 	if err != nil {
 		return Payload{}, err
 	}
-	return decodePayload(buf)
+	return appendPayloads(into, [][]byte{buf})
 }
 
 // SendToLeader ships everything a rank owns to its group leader. The send
@@ -358,13 +402,25 @@ func SendToLeader(r *cluster.Rank, leader int, p Payload, chunk int) {
 	sendChunked(r, leader, tagToLeader, encodePayload(p), chunk)
 }
 
-// RecvFromMember receives a member's full state at the leader.
-func RecvFromMember(r *cluster.Rank, member int, chunk int) (Payload, error) {
-	buf, err := recvChunked(r, member, tagToLeader)
-	if err != nil {
-		return Payload{}, err
+// RecvMembers receives the full state of every member of group but the
+// calling leader and appends it to into, in group order. Every member's
+// buffer arrives before any is decoded, so into's components and edges
+// grow once and each payload is decoded straight into them (see
+// appendPayloads). chunk is accepted for symmetry with SendToLeader;
+// reassembly follows each sender's chunk-count header.
+func RecvMembers(r *cluster.Rank, group []int, chunk int, into Payload) (Payload, error) {
+	bufs := make([][]byte, 0, len(group))
+	for _, member := range group {
+		if member == r.ID() {
+			continue
+		}
+		buf, err := recvChunked(r, member, tagToLeader)
+		if err != nil {
+			return Payload{}, err
+		}
+		bufs = append(bufs, buf)
 	}
-	return decodePayload(buf)
+	return appendPayloads(into, bufs)
 }
 
 // SendForest ships chosen MST edge ids to dst (final result gathering).

@@ -2,10 +2,13 @@ package merge
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"mndmst/internal/cluster"
+	"mndmst/internal/testutil"
 	"mndmst/internal/transport"
 	"mndmst/internal/wire"
 )
@@ -69,7 +72,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 			Comps: []int32{int32(100 + r.ID())},
 			Edges: []wire.WEdge{{U: int32(r.ID()), V: int32(sendTo), W: uint64(10 * r.ID()), ID: int32(r.ID())}},
 		}
-		in, err := ExchangeSegments(r, sendTo, recvFrom, out, 8)
+		in, err := ExchangeSegments(r, sendTo, recvFrom, out, 8, Payload{})
 		if err != nil {
 			return err
 		}
@@ -102,7 +105,7 @@ func TestExchangeSegmentsAsymmetricSizes(t *testing.T) {
 			out.Comps = []int32{7} // single chunk
 		}
 		peer := 1 - r.ID()
-		in, err := ExchangeSegments(r, peer, peer, out, 64)
+		in, err := ExchangeSegments(r, peer, peer, out, 64, Payload{})
 		if err != nil {
 			return err
 		}
@@ -202,7 +205,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 				SendToLeader(r, 1, want, 8) // tiny sender chunks
 				return nil
 			}
-			got, err := RecvFromMember(r, 0, 1<<20) // huge receiver chunk hint
+			got, err := RecvMembers(r, []int{0, 1}, 1<<20, Payload{}) // huge receiver chunk hint
 			if err != nil {
 				return err
 			}
@@ -229,4 +232,115 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 			return check(got, 700)
 		})
 	})
+}
+
+// --- exact-size encoders and the decode-into merge ---
+
+// decodePayload parses one component transfer into fresh slices: the
+// reference appendPayloads is checked against.
+func decodePayload(buf []byte) (Payload, error) {
+	comps, buf, err := wire.TakeInt32s(buf)
+	if err != nil {
+		return Payload{}, err
+	}
+	edges, _, err := wire.TakeWEdgesInto(nil, buf)
+	if err != nil {
+		return Payload{}, err
+	}
+	return Payload{Comps: comps, Edges: edges}, nil
+}
+
+// TestEncodersSizeExactly checks that encodePayload and encodeDeltas fill
+// their buffers exactly and write the bytes of the length-prefixed
+// AppendInt32s/AppendWEdges encoding. It then merges member buffers the
+// way the leader does, decoding into the leader's own slices, and checks
+// the result and every truncation error against decodePayload and append.
+func TestEncodersSizeExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 29)))
+	payload := func(nc, ne int) Payload {
+		p := Payload{Comps: make([]int32, nc), Edges: make([]wire.WEdge, ne)}
+		for i := range p.Comps {
+			p.Comps[i] = rng.Int31()
+		}
+		for i := range p.Edges {
+			p.Edges[i] = wire.WEdge{U: rng.Int31(), V: -rng.Int31(), W: rng.Uint64(), ID: rng.Int31()}
+		}
+		return p
+	}
+	for _, n := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {3, 7}, {100, 1000}} {
+		p := payload(n[0], n[1])
+		got := encodePayload(p)
+		want := wire.AppendWEdges(wire.AppendInt32s(nil, p.Comps), p.Edges)
+		if len(got) != cap(got) || !slices.Equal(got, want) {
+			t.Fatalf("encodePayload(%d comps, %d edges): len %d cap %d, equal to reference: %v",
+				n[0], n[1], len(got), cap(got), slices.Equal(got, want))
+		}
+		ds := make([]Delta, n[1])
+		olds, news := make([]int32, len(ds)), make([]int32, len(ds))
+		for i := range ds {
+			ds[i] = Delta{Old: rng.Int31(), New: -rng.Int31()}
+			olds[i], news[i] = ds[i].Old, ds[i].New
+		}
+		got = encodeDeltas(ds)
+		want = wire.AppendInt32s(wire.AppendInt32s(nil, olds), news)
+		if len(got) != cap(got) || !slices.Equal(got, want) {
+			t.Fatalf("encodeDeltas(%d): len %d cap %d, equal to reference: %v", len(ds), len(got), cap(got), slices.Equal(got, want))
+		}
+		if back, err := decodeDeltas(got); err != nil || !slices.Equal(back, ds) {
+			t.Fatalf("decodeDeltas(encodeDeltas(%d)): %v", len(ds), err)
+		}
+	}
+
+	// reference merges bufs into a copy of leader with decodePayload and
+	// append, as the leader did before it decoded in place.
+	reference := func(leader Payload, bufs [][]byte) (Payload, error) {
+		out := Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}
+		for _, buf := range bufs {
+			p, err := decodePayload(buf)
+			if err != nil {
+				return Payload{}, err
+			}
+			out.Comps = append(out.Comps, p.Comps...)
+			out.Edges = append(out.Edges, p.Edges...)
+		}
+		return out, nil
+	}
+	for trial := range 50 {
+		leader := payload(rng.Intn(20), rng.Intn(60))
+		bufs := make([][]byte, rng.Intn(5))
+		for i := range bufs {
+			bufs[i] = encodePayload(payload(rng.Intn(20), rng.Intn(60)))
+		}
+		want, err := reference(leader, bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendPayloads(Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}, bufs)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(got.Comps, want.Comps) || !slices.Equal(got.Edges, want.Edges) {
+			t.Fatalf("trial %d: merged payload differs from decodePayload + append", trial)
+		}
+		if len(bufs) > 0 && (cap(got.Comps) != len(got.Comps) || cap(got.Edges) != len(got.Edges)) {
+			t.Fatalf("trial %d: merge grew to %d/%d comps, %d/%d edges; want exact",
+				trial, len(got.Comps), cap(got.Comps), len(got.Edges), cap(got.Edges))
+		}
+		if len(bufs) == 0 {
+			continue
+		}
+		// Cut one member's buffer short at every length: both decoders
+		// must fail, with the same error.
+		bad := rng.Intn(len(bufs))
+		whole := bufs[bad]
+		for cut := range len(whole) {
+			bufs[bad] = whole[:cut]
+			_, wantErr := reference(leader, bufs)
+			_, gotErr := appendPayloads(Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}, bufs)
+			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("trial %d: member %d cut to %d of %d bytes: error %v, want %v", trial, bad, cut, len(whole), gotErr, wantErr)
+			}
+		}
+		bufs[bad] = whole
+	}
 }

@@ -2,12 +2,14 @@ package merge
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
+	"mndmst/internal/testutil"
 	"mndmst/internal/wire"
 )
 
@@ -167,8 +169,8 @@ func TestSplitSegment(t *testing.T) {
 }
 
 func TestSplitEdges(t *testing.T) {
-	kept := ToSet([]int32{1, 2})
-	sent := ToSet([]int32{3})
+	kept := []int32{1, 2}
+	sent := []int32{3}
 	edges := []wire.WEdge{
 		{U: 1, V: 2, ID: 0},  // kept only
 		{U: 2, V: 3, ID: 1},  // both
@@ -183,6 +185,65 @@ func TestSplitEdges(t *testing.T) {
 	}
 	if fmt.Sprint(mids) != "[1 2]" {
 		t.Fatalf("moved=%v", mids)
+	}
+}
+
+// TestSplitEdgesMatchesSetReference splits random edge lists over random
+// owned lists, cut by SplitSegment, and checks SplitEdges against a split
+// over map-based sets. Endpoints are owned ids or ghosts below, inside and
+// above the owned span; an empty sent list and an empty owned list are
+// included.
+func TestSplitEdgesMatchesSetReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 23)))
+	set := func(ids []int32) map[int32]bool {
+		m := make(map[int32]bool, len(ids))
+		for _, c := range ids {
+			m[c] = true
+		}
+		return m
+	}
+	for trial := range 300 {
+		var owned []int32
+		for c := int32(50 + rng.Intn(50)); len(owned) < trial%40; c += 1 + int32(rng.Intn(30)) {
+			owned = append(owned, c)
+		}
+		kept, sent := SplitSegment(owned, 2+rng.Intn(4))
+		if trial%5 == 0 {
+			kept, sent = owned, nil
+		}
+		span := int32(200)
+		if len(owned) > 0 {
+			span = owned[len(owned)-1] + 50
+		}
+		edges := make([]wire.WEdge, rng.Intn(80))
+		end := func() int32 {
+			if len(owned) > 0 && rng.Intn(2) == 0 {
+				return owned[rng.Intn(len(owned))]
+			}
+			return int32(rng.Intn(int(span))) // below, inside or above the span
+		}
+		for i := range edges {
+			edges[i] = wire.WEdge{U: end(), V: end(), W: uint64(rng.Intn(100)), ID: int32(i)}
+		}
+		keptSet, sentSet := set(kept), set(sent)
+		var wantKept, wantMoved []wire.WEdge
+		for _, e := range edges {
+			if sentSet[e.U] || sentSet[e.V] {
+				wantMoved = append(wantMoved, e)
+			}
+			if keptSet[e.U] || keptSet[e.V] {
+				wantKept = append(wantKept, e)
+			}
+		}
+		gotKept, gotMoved := SplitEdges(edges, kept, sent)
+		if !slices.Equal(gotKept, wantKept) || !slices.Equal(gotMoved, wantMoved) {
+			t.Fatalf("trial %d: kept %v sent %v: got kept %v moved %v, want %v %v",
+				trial, kept, sent, idsOf(gotKept), idsOf(gotMoved), idsOf(wantKept), idsOf(wantMoved))
+		}
+		if cap(gotKept) != len(gotKept) || cap(gotMoved) != len(gotMoved) {
+			t.Fatalf("trial %d: outputs not exactly sized: kept %d/%d moved %d/%d",
+				trial, len(gotKept), cap(gotKept), len(gotMoved), cap(gotMoved))
+		}
 	}
 }
 
@@ -224,7 +285,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 			}, 4)
 		}
 		if r.ID() == 1 {
-			p, err := RecvFromMember(r, 0, 4)
+			p, err := RecvMembers(r, []int{0, 1}, 4, Payload{})
 			if err != nil {
 				return err
 			}
@@ -251,14 +312,12 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 		if r.ID() != 0 {
 			SendToLeader(r, 0, Payload{Comps: []int32{int32(r.ID())}}, 0)
 		} else {
-			for _, m := range []int{1, 2} {
-				p, err := RecvFromMember(r, m, 0)
-				if err != nil {
-					return err
-				}
-				if len(p.Comps) != 1 || p.Comps[0] != int32(m) {
-					return fmt.Errorf("member payload %+v", p)
-				}
+			p, err := RecvMembers(r, []int{0, 1, 2}, 0, Payload{})
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(p.Comps, []int32{1, 2}) {
+				return fmt.Errorf("member payloads %+v", p)
 			}
 		}
 		return nil

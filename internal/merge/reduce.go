@@ -35,8 +35,13 @@ import (
 // smaller endpoint; self-loops are self edges and never survive. The scan
 // covers l.NumEdges edges, which is the EdgesScanned the caller charges
 // for it. dst must not alias l; the edge list l was built from by
-// boruvka.NewLocal, which copies it, is free for reuse.
+// boruvka.NewLocal, which copies it, is free for reuse. When dst cannot
+// hold l.NumEdges edges, the result is allocated at the size survivors
+// counts.
 func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
+	if int64(cap(dst)) < l.NumEdges {
+		dst = make([]wire.WEdge, 0, survivors(l, parent))
+	}
 	out := dst[:0]
 	for u := range l.N() {
 		pu := parent[u]
@@ -57,6 +62,24 @@ func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int3
 		}
 	}
 	return out
+}
+
+// survivors counts the edges Relabel keeps without calling ghost: every
+// cut edge counts, so the count is exact whenever no external head maps
+// into a component of l. That holds across ranks, whose components are
+// disjoint; otherwise it is an upper bound.
+func survivors(l *boruvka.Local, parent []int32) int {
+	inside := 0 // an inside survivor is met from both its ends
+	for u := range l.N() {
+		pu := parent[u]
+		heads, _, _ := l.Arcs(u)
+		for _, v := range heads {
+			if v >= 0 && parent[v] != pu {
+				inside++
+			}
+		}
+	}
+	return int(l.NumCut) + inside/2
 }
 
 // RemoveMultiEdges keeps only the lightest edge between every pair of
@@ -208,8 +231,13 @@ func DeltasFromParents(ids, parents []int32) []Delta {
 // ApplyDeltas builds a parent function from local and remote deltas over a
 // base identity. Chains cannot occur within one round (each rank maps old
 // ids directly to final representatives), so a single map lookup suffices.
+// The map is sized for every delta up front.
 func ApplyDeltas(all ...[]Delta) func(int32) int32 {
-	m := make(map[int32]int32)
+	n := 0
+	for _, ds := range all {
+		n += len(ds)
+	}
+	m := make(map[int32]int32, n)
 	for _, ds := range all {
 		for _, d := range ds {
 			m[d.Old] = d.New

@@ -7,25 +7,61 @@ import "mndmst/internal/wire"
 // every edge incident to a kept owned component stays. An edge between a
 // kept and a sent component does both — the invariant is that an edge copy
 // lives at each rank owning one of its endpoints.
-func SplitEdges(edges []wire.WEdge, kept, sent map[int32]bool) (keptEdges, movedEdges []wire.WEdge) {
-	for _, e := range edges {
-		uSent, vSent := sent[e.U], sent[e.V]
-		uKept, vKept := kept[e.U], kept[e.V]
-		if uSent || vSent {
-			movedEdges = append(movedEdges, e)
+//
+// kept and sent are each sorted, as the prefix and suffix SplitSegment
+// returns. Membership is a one-byte mark per id of their joint span, and a
+// count pass sizes both outputs exactly; an empty output is nil.
+func SplitEdges(edges []wire.WEdge, kept, sent []int32) (keptEdges, movedEdges []wire.WEdge) {
+	if len(kept)+len(sent) == 0 {
+		return nil, nil
+	}
+	const isKept, isSent = 1, 2
+	r := emptyRange
+	for _, s := range [][]int32{kept, sent} {
+		if len(s) > 0 {
+			r.add(s[0])
+			r.add(s[len(s)-1])
 		}
-		if uKept || vKept {
-			keptEdges = append(keptEdges, e)
+	}
+	mark := make([]uint8, int64(r.hi)-int64(r.lo)+1)
+	for _, c := range kept {
+		mark[c-r.lo] |= isKept
+	}
+	for _, c := range sent {
+		mark[c-r.lo] |= isSent
+	}
+	// of returns the marks of both endpoints of e; an id outside the span
+	// is neither kept nor sent.
+	of := func(e *wire.WEdge) uint8 {
+		var m uint8
+		if x := uint32(e.U - r.lo); x < uint32(len(mark)) {
+			m = mark[x]
+		}
+		if x := uint32(e.V - r.lo); x < uint32(len(mark)) {
+			m |= mark[x]
+		}
+		return m
+	}
+	var nKept, nMoved int
+	for i := range edges {
+		m := of(&edges[i])
+		nKept += int(m & isKept)
+		nMoved += int(m >> 1) // the isSent bit
+	}
+	if nKept > 0 {
+		keptEdges = make([]wire.WEdge, 0, nKept)
+	}
+	if nMoved > 0 {
+		movedEdges = make([]wire.WEdge, 0, nMoved)
+	}
+	for i := range edges {
+		m := of(&edges[i])
+		if m&isSent != 0 {
+			movedEdges = append(movedEdges, edges[i])
+		}
+		if m&isKept != 0 {
+			keptEdges = append(keptEdges, edges[i])
 		}
 	}
 	return keptEdges, movedEdges
-}
-
-// ToSet builds a membership set from a component list.
-func ToSet(comps []int32) map[int32]bool {
-	m := make(map[int32]bool, len(comps))
-	for _, c := range comps {
-		m[c] = true
-	}
-	return m
 }

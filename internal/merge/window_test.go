@@ -25,7 +25,8 @@ func relabelList(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
 
 // TestRelabelWindowMatchesRelabel: the fused walk over a window's arcs
 // emits exactly what the per-edge reference keeps of the range's
-// extracted edge list, in the same order. So does the walk over NewLocal
+// extracted edge list, in the same order, into a slice of exactly that
+// size. So does the walk over NewLocal
 // of that list when it appends into the list's own storage, as a later
 // iteration's reduction does.
 func TestRelabelWindowMatchesRelabel(t *testing.T) {
@@ -55,6 +56,9 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 		got := Relabel(nil, boruvka.NewWindow(el, deg, lo, hi), parent, ghost)
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("[%d,%d): window emits %d edges, reference keeps %d", lo, hi, len(got), len(want))
+		}
+		if cap(got) != len(got) { // no ghost maps into the range, so the count is exact
+			t.Fatalf("[%d,%d): %d edges relabelled into capacity %d", lo, hi, len(got), cap(got))
 		}
 		var ids []int32
 		for v := lo; v < hi; v++ {

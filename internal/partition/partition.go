@@ -1,8 +1,7 @@
 // Package partition implements the distributed graph partitioning of §3.1:
 // a Gemini-style parallel read where every rank computes the degrees of a
 // provisional vertex slice, the ranks allreduce the degree vector, and each
-// derives the same contiguous 1D partition balanced by edge count. The
-// package also provides the within-node CPU/GPU split of §3.1 ¶2.
+// derives the same contiguous 1D partition balanced by edge count.
 package partition
 
 import (
@@ -24,9 +23,6 @@ type Part struct {
 	// every rank.
 	Bounds []int32
 }
-
-// NumOwned reports the number of owned vertices.
-func (p *Part) NumOwned() int { return int(p.Hi - p.Lo) }
 
 // OwnerOf locates v's owner by binary search over the shared bounds.
 func OwnerOf(bounds []int32, v int32) int {
@@ -167,61 +163,4 @@ func ReadBounds(r *cluster.Rank, el *graph.EdgeList, strat Strategy, speeds []fl
 	default:
 		return BalancedBounds(degrees, p), degrees, w
 	}
-}
-
-// DeviceSplit divides a node's owned range between CPU and GPU by the
-// measured performance ratio (§3.1 ¶2, §4.3.1): the GPU receives
-// gpuShare ∈ [0,1] of the owned edges via a further contiguous 1D split.
-// Edges crossing the split become device-level cut edges present in both
-// halves. Returns the CPU part and the GPU part.
-func DeviceSplit(part *Part, gpuShare float64) (cpuPart, gpuPart *Part) { //lint:testonly dead; awaits deletion together with its tests
-	if gpuShare <= 0 {
-		return part, nil
-	}
-	if gpuShare >= 1 {
-		return nil, part
-	}
-	// Count owned-endpoint incidences per vertex to find the split point.
-	n := part.NumOwned()
-	inc := make([]int64, n)
-	for _, e := range part.Edges {
-		if e.U >= part.Lo && e.U < part.Hi {
-			inc[e.U-part.Lo]++
-		}
-		if e.V >= part.Lo && e.V < part.Hi && e.V != e.U {
-			inc[e.V-part.Lo]++
-		}
-	}
-	var total int64
-	for _, c := range inc {
-		total += c
-	}
-	target := int64(float64(total) * (1 - gpuShare)) // CPU takes the prefix
-	var run int64
-	split := part.Lo
-	for v := 0; v < n; v++ {
-		if run >= target {
-			break
-		}
-		run += inc[v]
-		split = part.Lo + int32(v) + 1
-	}
-	if split <= part.Lo {
-		split = part.Lo + 1
-	}
-	if split >= part.Hi {
-		split = part.Hi - 1
-	}
-	mk := func(lo, hi int32) *Part {
-		sub := &Part{Lo: lo, Hi: hi, Bounds: part.Bounds}
-		for _, e := range part.Edges {
-			uIn := e.U >= lo && e.U < hi
-			vIn := e.V >= lo && e.V < hi
-			if uIn || vIn {
-				sub.Edges = append(sub.Edges, e)
-			}
-		}
-		return sub
-	}
-	return mk(part.Lo, split), mk(split, part.Hi)
 }

@@ -264,67 +264,3 @@ func TestReadBoundsMatchesCSRDegrees(t *testing.T) {
 		}
 	}
 }
-
-func TestDeviceSplit(t *testing.T) {
-	el := gen.RMAT(256, 2048, 47)
-	g := graph.MustBuildCSR(el)
-	c := cluster.New(1, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, el, g)
-		cpu, gpu := DeviceSplit(part, 0.5)
-		if cpu == nil || gpu == nil {
-			return fmt.Errorf("split returned nil part")
-		}
-		if cpu.Hi != gpu.Lo || cpu.Lo != part.Lo || gpu.Hi != part.Hi {
-			return fmt.Errorf("ranges wrong: cpu [%d,%d) gpu [%d,%d)", cpu.Lo, cpu.Hi, gpu.Lo, gpu.Hi)
-		}
-		// Every original edge is in at least one half, cross edges in both.
-		seen := map[int32]int{}
-		for _, e := range cpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range gpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range part.Edges {
-			if seen[e.ID] < 1 {
-				return fmt.Errorf("edge %d lost in split", e.ID)
-			}
-		}
-		// Degenerate shares return the whole part on one device.
-		c2, g2 := DeviceSplit(part, 0)
-		if c2 != part || g2 != nil {
-			return fmt.Errorf("gpuShare=0 should keep everything on CPU")
-		}
-		c3, g3 := DeviceSplit(part, 1)
-		if c3 != nil || g3 != part {
-			return fmt.Errorf("gpuShare=1 should move everything to GPU")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeviceSplitBalance(t *testing.T) {
-	el := gen.ErdosRenyi(1000, 20000, 51)
-	g := graph.MustBuildCSR(el)
-	c := cluster.New(1, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, el, g)
-		cpu, gpu := DeviceSplit(part, 0.25)
-		// GPU should hold roughly a quarter of the edges (within 2x).
-		frac := float64(len(gpu.Edges)) / float64(len(part.Edges))
-		if frac < 0.1 || frac > 0.5 {
-			return fmt.Errorf("gpu fraction %f want ~0.25", frac)
-		}
-		if len(cpu.Edges) == 0 {
-			return fmt.Errorf("cpu empty")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

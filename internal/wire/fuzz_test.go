@@ -27,9 +27,9 @@ func FuzzTakeSections(f *testing.F) {
 				t.Fatalf("uint64 round trip: %v", err)
 			}
 		}
-		if es, _, err := TakeWEdges(data); err == nil {
+		if es, _, err := TakeWEdgesInto(nil, data); err == nil {
 			round := AppendWEdges(nil, es)
-			if back, _, err := TakeWEdges(round); err != nil || len(back) != len(es) {
+			if back, _, err := TakeWEdgesInto(nil, round); err != nil || len(back) != len(es) {
 				t.Fatalf("edge round trip: %v", err)
 			}
 		}

@@ -7,6 +7,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // AppendInt32s appends a length-prefixed []int32 to buf.
@@ -21,6 +22,13 @@ func AppendInt32s(buf []byte, vals []int32) []byte {
 // TakeInt32s decodes a length-prefixed []int32 from buf, returning the
 // values and the remaining bytes.
 func TakeInt32s(buf []byte) ([]int32, []byte, error) {
+	return TakeInt32sInto(nil, buf)
+}
+
+// TakeInt32sInto decodes a length-prefixed []int32 from buf and appends
+// the values to dst, growing it at most once. It returns the extended
+// slice and the remaining bytes; on error dst is not modified.
+func TakeInt32sInto(dst []int32, buf []byte) ([]int32, []byte, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("wire: short buffer for int32 slice header")
 	}
@@ -30,12 +38,13 @@ func TakeInt32s(buf []byte) ([]int32, []byte, error) {
 	if n > uint64(len(buf))/4 {
 		return nil, nil, fmt.Errorf("wire: int32 slice truncated: want %d values, have %d bytes", n, len(buf))
 	}
-	vals := make([]int32, n)
-	for i := range vals {
-		vals[i] = int32(binary.LittleEndian.Uint32(buf))
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
+	for i := range dst[start:] {
+		dst[start+i] = int32(binary.LittleEndian.Uint32(buf))
 		buf = buf[4:]
 	}
-	return vals, buf, nil
+	return dst, buf, nil
 }
 
 // AppendUint64s appends a length-prefixed []uint64 to buf.
@@ -106,8 +115,8 @@ type WEdge struct {
 	ID   int32
 }
 
-// wedgeBytes is the encoded size of one WEdge.
-const wedgeBytes = 4 + 4 + 8 + 4
+// WEdgeBytes is the encoded size of one WEdge.
+const WEdgeBytes = 4 + 4 + 8 + 4
 
 // AppendWEdges appends a length-prefixed []WEdge to buf.
 func AppendWEdges(buf []byte, es []WEdge) []byte {
@@ -121,23 +130,27 @@ func AppendWEdges(buf []byte, es []WEdge) []byte {
 	return buf
 }
 
-// TakeWEdges decodes a length-prefixed []WEdge from buf.
-func TakeWEdges(buf []byte) ([]WEdge, []byte, error) {
+// TakeWEdgesInto decodes a length-prefixed []WEdge from buf and appends
+// the edges to dst, growing it at most once. It returns the extended
+// slice and the remaining bytes; on error dst is not modified.
+func TakeWEdgesInto(dst []WEdge, buf []byte) ([]WEdge, []byte, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("wire: short buffer for edge slice header")
 	}
 	n := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	if n > uint64(len(buf))/wedgeBytes {
+	if n > uint64(len(buf))/WEdgeBytes {
 		return nil, nil, fmt.Errorf("wire: edge slice truncated: want %d edges, have %d bytes", n, len(buf))
 	}
-	es := make([]WEdge, n)
-	for i := range es {
-		es[i].U = int32(binary.LittleEndian.Uint32(buf))
-		es[i].V = int32(binary.LittleEndian.Uint32(buf[4:]))
-		es[i].W = binary.LittleEndian.Uint64(buf[8:])
-		es[i].ID = int32(binary.LittleEndian.Uint32(buf[16:]))
-		buf = buf[wedgeBytes:]
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))[:start+int(n)]
+	for i := range dst[start:] {
+		e := &dst[start+i]
+		e.U = int32(binary.LittleEndian.Uint32(buf))
+		e.V = int32(binary.LittleEndian.Uint32(buf[4:]))
+		e.W = binary.LittleEndian.Uint64(buf[8:])
+		e.ID = int32(binary.LittleEndian.Uint32(buf[16:]))
+		buf = buf[WEdgeBytes:]
 	}
-	return es, buf, nil
+	return dst, buf, nil
 }

@@ -50,7 +50,7 @@ func TestWEdgesRoundTrip(t *testing.T) {
 		{U: -1, V: 0, W: 0, ID: -5},
 	}
 	buf := AppendWEdges(nil, es)
-	got, rest, err := TakeWEdges(buf)
+	got, rest, err := TakeWEdgesInto(nil, buf)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("err=%v rest=%d", err, len(rest))
 	}
@@ -75,7 +75,7 @@ func TestConcatenatedSections(t *testing.T) {
 	if err != nil || v != 99 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
-	es, buf, err := TakeWEdges(buf)
+	es, buf, err := TakeWEdgesInto(nil, buf)
 	if err != nil || len(es) != 1 || es[0].W != 5 {
 		t.Fatalf("es=%v err=%v", es, err)
 	}
@@ -93,7 +93,7 @@ func TestTruncatedBuffersRejected(t *testing.T) {
 		}
 	}
 	fullE := AppendWEdges(nil, []WEdge{{U: 1, V: 2, W: 3, ID: 4}})
-	if _, _, err := TakeWEdges(fullE[:len(fullE)-1]); err == nil {
+	if _, _, err := TakeWEdgesInto(nil, fullE[:len(fullE)-1]); err == nil {
 		t.Fatal("truncated edges accepted")
 	}
 	if _, _, err := TakeUint64(nil); err == nil {

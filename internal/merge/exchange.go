@@ -119,7 +119,9 @@ type assembler struct {
 // add appends one received chunk. Empty chunks are protocol errors: the
 // sender never produces them (a zero-length payload has zero chunks), and
 // admitting them would let a hostile count spin the receive loop without
-// tripping the byte bound.
+// tripping the byte bound. The first chunk is kept as received, capped so
+// that a second one reallocates: a one-chunk payload is never copied, and
+// every receiver only reads the payload.
 func (a *assembler) add(chunk []byte) error {
 	if len(chunk) == 0 {
 		return fmt.Errorf("merge: empty chunk from rank %d (protocol error)", a.src)
@@ -128,7 +130,11 @@ func (a *assembler) add(chunk []byte) error {
 	if bound := MaxPayload(); a.total > bound {
 		return fmt.Errorf("%w: %d bytes from rank %d, bound %d", ErrPayloadBound, a.total, a.src, bound)
 	}
-	a.buf = append(a.buf, chunk...)
+	if a.buf == nil {
+		a.buf = chunk[:len(chunk):len(chunk)]
+	} else {
+		a.buf = append(a.buf, chunk...)
+	}
 	return nil
 }
 

@@ -25,7 +25,13 @@ type BFSResult struct {
 // BSP-style on the same simulated cluster — a useful communication-pattern
 // contrast to FindMSF.
 func BFS(g *Graph, opts Options, source int32) (*BFSResult, error) {
-	res, err := apps.BFS(g.el, opts.nodes(), opts.Machine.model(), source)
+	return BFSContext(context.Background(), g, opts, source)
+}
+
+// BFSContext is BFS bounded by a context, with the cancellation of
+// FindMSFContext.
+func BFSContext(ctx context.Context, g *Graph, opts Options, source int32) (*BFSResult, error) {
+	res, err := apps.BFS(ctx, g.el, opts.nodes(), opts.Machine.model(), source)
 	if err != nil {
 		return nil, err
 	}
@@ -35,15 +41,6 @@ func BFS(g *Graph, opts Options, source int32) (*BFSResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// BFSContext is BFS bounded by a context, with the abandon-on-cancel
-// semantics of FindMSFContext.
-func BFSContext(ctx context.Context, g *Graph, opts Options, source int32) (*BFSResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*BFSResult, error) { return BFS(g, opts, source) })
 }
 
 // CCResult labels every vertex with its connected component.
@@ -62,7 +59,13 @@ type CCResult struct {
 // component structure) — the first of the "more graph applications" the
 // paper's conclusion plans on top of the framework.
 func FindConnectedComponents(g *Graph, opts Options) (*CCResult, error) {
-	res, err := apps.ConnectedComponents(g.el, opts.nodes(), opts.Machine.model(), opts.config())
+	return FindConnectedComponentsContext(context.Background(), g, opts)
+}
+
+// FindConnectedComponentsContext is FindConnectedComponents bounded by a
+// context, with the cancellation of FindMSFContext.
+func FindConnectedComponentsContext(ctx context.Context, g *Graph, opts Options) (*CCResult, error) {
+	res, err := apps.ConnectedComponents(ctx, g.el, opts.nodes(), opts.Machine.model(), opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -72,15 +75,6 @@ func FindConnectedComponents(g *Graph, opts Options) (*CCResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// FindConnectedComponentsContext is FindConnectedComponents bounded by a
-// context, with the abandon-on-cancel semantics of FindMSFContext.
-func FindConnectedComponentsContext(ctx context.Context, g *Graph, opts Options) (*CCResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*CCResult, error) { return FindConnectedComponents(g, opts) })
 }
 
 // SSSPResult holds shortest-path distances from a source.
@@ -101,7 +95,13 @@ const UnreachableDist = ^uint64(0)
 // Bellman-Ford on the simulated cluster (another of the §6 future-work
 // applications; CPU only).
 func SSSP(g *Graph, opts Options, source int32) (*SSSPResult, error) {
-	res, err := apps.SSSP(g.el, opts.nodes(), opts.Machine.model(), source)
+	return SSSPContext(context.Background(), g, opts, source)
+}
+
+// SSSPContext is SSSP bounded by a context, with the cancellation of
+// FindMSFContext.
+func SSSPContext(ctx context.Context, g *Graph, opts Options, source int32) (*SSSPResult, error) {
+	res, err := apps.SSSP(ctx, g.el, opts.nodes(), opts.Machine.model(), source)
 	if err != nil {
 		return nil, err
 	}
@@ -111,15 +111,6 @@ func SSSP(g *Graph, opts Options, source int32) (*SSSPResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// SSSPContext is SSSP bounded by a context, with the abandon-on-cancel
-// semantics of FindMSFContext.
-func SSSPContext(ctx context.Context, g *Graph, opts Options, source int32) (*SSSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*SSSPResult, error) { return SSSP(g, opts, source) })
 }
 
 // PageRankResult holds converged PageRank scores.
@@ -134,7 +125,13 @@ type PageRankResult struct {
 // (undirected interpretation, damped power iteration with per-rank
 // message combining).
 func PageRank(g *Graph, opts Options, damping, tol float64, maxIter int) (*PageRankResult, error) {
-	res, err := apps.PageRank(g.el, opts.nodes(), opts.Machine.model(), damping, tol, maxIter)
+	return PageRankContext(context.Background(), g, opts, damping, tol, maxIter)
+}
+
+// PageRankContext is PageRank bounded by a context, with the cancellation
+// of FindMSFContext.
+func PageRankContext(ctx context.Context, g *Graph, opts Options, damping, tol float64, maxIter int) (*PageRankResult, error) {
+	res, err := apps.PageRank(ctx, g.el, opts.nodes(), opts.Machine.model(), damping, tol, maxIter)
 	if err != nil {
 		return nil, err
 	}
@@ -144,15 +141,6 @@ func PageRank(g *Graph, opts Options, damping, tol float64, maxIter int) (*PageR
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// PageRankContext is PageRank bounded by a context, with the
-// abandon-on-cancel semantics of FindMSFContext.
-func PageRankContext(ctx context.Context, g *Graph, opts Options, damping, tol float64, maxIter int) (*PageRankResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*PageRankResult, error) { return PageRank(g, opts, damping, tol, maxIter) })
 }
 
 // ColoringResult is a proper vertex coloring.
@@ -171,7 +159,13 @@ type ColoringResult struct {
 // Jones–Plassmann algorithm. With a fixed seed the result is identical at
 // every node count.
 func Coloring(g *Graph, opts Options, seed int64) (*ColoringResult, error) {
-	res, err := apps.Coloring(g.el, opts.nodes(), opts.Machine.model(), seed)
+	return ColoringContext(context.Background(), g, opts, seed)
+}
+
+// ColoringContext is Coloring bounded by a context, with the cancellation
+// of FindMSFContext.
+func ColoringContext(ctx context.Context, g *Graph, opts Options, seed int64) (*ColoringResult, error) {
+	res, err := apps.Coloring(ctx, g.el, opts.nodes(), opts.Machine.model(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -182,13 +176,4 @@ func Coloring(g *Graph, opts Options, seed int64) (*ColoringResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// ColoringContext is Coloring bounded by a context, with the
-// abandon-on-cancel semantics of FindMSFContext.
-func ColoringContext(ctx context.Context, g *Graph, opts Options, seed int64) (*ColoringResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*ColoringResult, error) { return Coloring(g, opts, seed) })
 }

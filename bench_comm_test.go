@@ -1,6 +1,7 @@
 package mndmst
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -82,7 +83,7 @@ func benchExchangeDeltas(b *testing.B, payloadBytes int64) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			_, errs[rank] = cluster.NewDistributed(eps[rank], comm).Run(func(r *cluster.Rank) error {
+			_, errs[rank] = cluster.NewDistributed(eps[rank], comm).Run(context.Background(), func(r *cluster.Rank) error {
 				for i := 0; i < b.N; i++ {
 					remote, _, err := merge.ExchangeDeltas(r, active, locals[rank], 0)
 					if err != nil {

@@ -3,7 +3,10 @@ package mndmst
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/metrics"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -59,11 +62,16 @@ func TestFindMSFContextCanceled(t *testing.T) {
 	}
 }
 
+// deadlineGraph is the 40k-vertex, 900k-edge web graph the deadline tests
+// cancel runs on. It is generated once per test binary: under -race and
+// -count, generating it would cost more than the runs it dooms.
+var deadlineGraph = sync.OnceValue(func() *Graph { return GenerateWebGraph(40_000, 900_000, 0.8, 11) })
+
 // TestFindMSFContextDeadline checks a mid-flight deadline surfaces as
-// DeadlineExceeded rather than a hang, even though the abandoned
-// computation finishes in the background.
+// DeadlineExceeded rather than a hang. The deadline aborts the run's
+// cluster, so nothing of it finishes in the background.
 func TestFindMSFContextDeadline(t *testing.T) {
-	g := GenerateWebGraph(40_000, 900_000, 0.8, 11)
+	g := deadlineGraph()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
 	start := time.Now() //lint:wallclock bounding a real cancellation latency, not simulated time
@@ -74,6 +82,71 @@ func TestFindMSFContextDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second { //lint:wallclock bounding a real cancellation latency, not simulated time
 		t.Fatalf("cancellation took %v", elapsed)
 	}
+}
+
+// TestCanceledRunsLeaveNothingRunning is the cancellation oracle: a
+// deadline-doomed call returns only after every rank of its run has
+// returned. After each call the goroutine count is back at its pre-call
+// value (see goroutinesAfter), and after a GC the live heap is back within
+// liveHeapSlack of the baseline taken with only the graph resident.
+func TestCanceledRunsLeaveNothingRunning(t *testing.T) {
+	const liveHeapSlack = 4 << 20
+	g := deadlineGraph()
+	opts := Options{Nodes: 8}
+	calls := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"FindMSFContext", func(ctx context.Context) error { _, err := FindMSFContext(ctx, g, opts); return err }},
+		{"FindMSFBSPContext", func(ctx context.Context) error { _, err := FindMSFBSPContext(ctx, g, opts); return err }},
+		{"BFSContext", func(ctx context.Context) error { _, err := BFSContext(ctx, g, opts, 0); return err }},
+	}
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		metrics.Read(live)
+		return live[0].Value.Uint64()
+	}
+	base := liveHeap()
+	for i := 0; i < 20; i++ {
+		// Mostly FindMSF: BSP and BFS build a CSR before their ranks
+		// start, which dominates their cost under -race.
+		call := calls[0]
+		if i%10 == 9 {
+			call = calls[1+i/10]
+		}
+		deadline := time.Duration(1+(i*7)%20) * time.Millisecond
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		err := call.run(ctx)
+		after := goroutinesAfter(before)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s with a %v deadline: error = %v, want context.DeadlineExceeded", call.name, deadline, err)
+		}
+		if after != before {
+			t.Fatalf("%s with a %v deadline returned with %d goroutines running, %d before the call", call.name, deadline, after, before)
+		}
+		if h := liveHeap(); h > base+liveHeapSlack {
+			t.Fatalf("%s with a %v deadline left %d live heap bytes over the %d-byte baseline", call.name, deadline, h-base, base)
+		}
+	}
+}
+
+// goroutinesAfter reads the goroutine count right after a call that
+// started from want goroutines. A rank goroutine that has returned is
+// still counted until the scheduler reaps it, and a preemption between
+// its last statement and its exit can hold it there for a moment, so the
+// count may take a few yields to drop. The grace is capped at 50 ms; an
+// abandoned run of the graph these tests use keeps its goroutines for
+// well over 50 ms.
+func goroutinesAfter(want int) int {
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(50 * time.Millisecond); n > want && time.Now().Before(end); { //lint:wallclock caps a scheduler grace period, not simulated time
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
 }
 
 // TestGraphDigest pins the public digest surface: stable across calls,

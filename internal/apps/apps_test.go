@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,7 @@ func TestBFSMatchesSequential(t *testing.T) {
 	} {
 		want := seqBFS(graph.MustBuildCSR(tc.el), tc.src)
 		for _, p := range []int{1, 3, 4} {
-			res, err := BFS(tc.el, p, amd(), tc.src)
+			res, err := BFS(context.Background(), tc.el, p, amd(), tc.src)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.name, p, err)
 			}
@@ -72,10 +73,10 @@ func TestBFSMatchesSequential(t *testing.T) {
 
 func TestBFSSourceValidation(t *testing.T) {
 	el := gen.Path(5, 1)
-	if _, err := BFS(el, 2, amd(), -1); err == nil {
+	if _, err := BFS(context.Background(), el, 2, amd(), -1); err == nil {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := BFS(el, 2, amd(), 5); err == nil {
+	if _, err := BFS(context.Background(), el, 2, amd(), 5); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 }
@@ -87,7 +88,7 @@ func TestBFSProperty(t *testing.T) {
 		el := gen.ErdosRenyi(n, rng.Intn(int(n)*3), seed)
 		src := rng.Int31n(n)
 		p := 1 + rng.Intn(5)
-		res, err := BFS(el, p, amd(), src)
+		res, err := BFS(context.Background(), el, p, amd(), src)
 		if err != nil {
 			return false
 		}
@@ -106,7 +107,7 @@ func TestBFSProperty(t *testing.T) {
 
 func TestBFSCommunicationAccounted(t *testing.T) {
 	el := gen.WebGraph(2048, 16384, 0.7, 45)
-	res, err := BFS(el, 8, amd(), 0)
+	res, err := BFS(context.Background(), el, 8, amd(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestConnectedComponentsMatchesBFSLabels(t *testing.T) {
 		{U: 1, V: 2, W: graph.MakeWeight(2, 1), ID: 1},
 		{U: 4, V: 5, W: graph.MakeWeight(3, 2), ID: 2},
 	}}
-	res, err := ConnectedComponents(el, 3, amd(), hypar.DefaultConfig())
+	res, err := ConnectedComponents(context.Background(), el, 3, amd(), hypar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestConnectedComponentsProperty(t *testing.T) {
 		n := int32(2 + rng.Intn(100))
 		el := gen.ErdosRenyi(n, rng.Intn(int(n)*2), seed)
 		p := 1 + rng.Intn(6)
-		res, err := ConnectedComponents(el, p, amd(), hypar.DefaultConfig())
+		res, err := ConnectedComponents(context.Background(), el, p, amd(), hypar.DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -224,7 +225,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	} {
 		want := seqSSSP(tc.el, tc.src)
 		for _, p := range []int{1, 3} {
-			res, err := SSSP(tc.el, p, amd(), tc.src)
+			res, err := SSSP(context.Background(), tc.el, p, amd(), tc.src)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.name, p, err)
 			}
@@ -244,7 +245,7 @@ func TestSSSPProperty(t *testing.T) {
 		el := gen.ErdosRenyi(n, rng.Intn(int(n)*3), seed)
 		src := rng.Int31n(n)
 		p := 1 + rng.Intn(4)
-		res, err := SSSP(el, p, amd(), src)
+		res, err := SSSP(context.Background(), el, p, amd(), src)
 		if err != nil {
 			return false
 		}
@@ -262,7 +263,7 @@ func TestSSSPProperty(t *testing.T) {
 }
 
 func TestSSSPBadSource(t *testing.T) {
-	if _, err := SSSP(gen.Path(4, 1), 2, amd(), 9); err == nil {
+	if _, err := SSSP(context.Background(), gen.Path(4, 1), 2, amd(), 9); err == nil {
 		t.Fatal("bad source accepted")
 	}
 }
@@ -312,7 +313,7 @@ func TestPageRankMatchesSequential(t *testing.T) {
 	el := gen.WebGraph(512, 4096, 0.8, 203)
 	want := seqPageRank(el, 0.85, 1e-9, 40)
 	for _, p := range []int{1, 4} {
-		res, err := PageRank(el, p, amd(), 0.85, 1e-9, 40)
+		res, err := PageRank(context.Background(), el, p, amd(), 0.85, 1e-9, 40)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -329,7 +330,7 @@ func TestPageRankMatchesSequential(t *testing.T) {
 
 func TestPageRankSumsToOneOnConnectedGraph(t *testing.T) {
 	el := gen.ConnectedRandom(300, 1500, 205)
-	res, err := PageRank(el, 3, amd(), 0.85, 1e-10, 60)
+	res, err := PageRank(context.Background(), el, 3, amd(), 0.85, 1e-10, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +345,10 @@ func TestPageRankSumsToOneOnConnectedGraph(t *testing.T) {
 
 func TestPageRankBadDamping(t *testing.T) {
 	el := gen.Path(4, 1)
-	if _, err := PageRank(el, 2, amd(), 1.5, 1e-6, 10); err == nil {
+	if _, err := PageRank(context.Background(), el, 2, amd(), 1.5, 1e-6, 10); err == nil {
 		t.Fatal("bad damping accepted")
 	}
-	if _, err := PageRank(el, 2, amd(), 0, 1e-6, 10); err == nil {
+	if _, err := PageRank(context.Background(), el, 2, amd(), 0, 1e-6, 10); err == nil {
 		t.Fatal("zero damping accepted")
 	}
 }
@@ -363,7 +364,7 @@ func TestColoringProper(t *testing.T) {
 		{"star", gen.Star(200, 214)},
 	} {
 		for _, p := range []int{1, 4} {
-			res, err := Coloring(tc.el, p, amd(), 7)
+			res, err := Coloring(context.Background(), tc.el, p, amd(), 7)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", tc.name, p, err)
 			}
@@ -384,7 +385,7 @@ func TestColoringProper(t *testing.T) {
 
 func TestColoringCompleteGraphNeedsNColors(t *testing.T) {
 	el := gen.Complete(12, 215)
-	res, err := Coloring(el, 3, amd(), 1)
+	res, err := Coloring(context.Background(), el, 3, amd(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,11 +396,11 @@ func TestColoringCompleteGraphNeedsNColors(t *testing.T) {
 
 func TestColoringDeterministicAcrossRankCounts(t *testing.T) {
 	el := gen.WebGraph(512, 4096, 0.8, 217)
-	a, err := Coloring(el, 1, amd(), 9)
+	a, err := Coloring(context.Background(), el, 1, amd(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Coloring(el, 5, amd(), 9)
+	b, err := Coloring(context.Background(), el, 5, amd(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestColoringProperty(t *testing.T) {
 		n := int32(2 + rng.Intn(120))
 		el := gen.ErdosRenyi(n, rng.Intn(int(n)*4), seed)
 		p := 1 + rng.Intn(5)
-		res, err := Coloring(el, p, amd(), seed)
+		res, err := Coloring(context.Background(), el, p, amd(), seed)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"mndmst/internal/gen"
@@ -12,7 +13,7 @@ func BenchmarkBFSHost(b *testing.B) {
 	machine := amd()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BFS(el, 8, machine, 0); err != nil {
+		if _, err := BFS(context.Background(), el, 8, machine, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -23,7 +24,7 @@ func BenchmarkConnectedComponentsHost(b *testing.B) {
 	machine := amd()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConnectedComponents(el, 8, machine, hypar.DefaultConfig()); err != nil {
+		if _, err := ConnectedComponents(context.Background(), el, 8, machine, hypar.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

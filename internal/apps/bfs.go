@@ -8,6 +8,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -37,7 +38,7 @@ const tagBFSDist = 301
 // source on p ranks of the machine. Each level is one superstep: ranks
 // expand their local frontier and ship newly reached remote vertices to
 // their owners.
-func BFS(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSResult, error) {
+func BFS(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSResult, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -52,7 +53,7 @@ func BFS(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSRes
 	c := cluster.New(p, machine.Comm)
 	var out *BFSResult
 	levels := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		res, lv, err := bfsRank(r, el, g, cpu, source)
 		if err != nil {
 			return err

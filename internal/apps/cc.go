@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"context"
+
 	"mndmst/internal/cluster"
 	"mndmst/internal/core"
 	"mndmst/internal/cost"
@@ -25,8 +27,8 @@ type CCResult struct {
 // the paper's framework argument: new applications compose from the same
 // partition / indComp / merge machinery — and derives labels from the
 // forest.
-func ConnectedComponents(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config) (*CCResult, error) {
-	res, err := core.Run(el, p, machine, cfg, false)
+func ConnectedComponents(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config) (*CCResult, error) {
+	res, err := core.Run(ctx, el, p, machine, cfg, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -32,7 +33,7 @@ const tagColorGather = 304
 // of its uncolored neighbours takes the smallest color unused among its
 // neighbours, and newly assigned colors of boundary vertices are shipped
 // to the neighbouring ranks.
-func Coloring(el *graph.EdgeList, p int, machine cost.Machine, seed int64) (*ColoringResult, error) {
+func Coloring(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, seed int64) (*ColoringResult, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,7 +45,7 @@ func Coloring(el *graph.EdgeList, p int, machine cost.Machine, seed int64) (*Col
 	c := cluster.New(p, machine.Comm)
 	var out *ColoringResult
 	rounds := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		color, rd, err := coloringRank(r, el, g, cpu, seed)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -30,7 +31,7 @@ const tagPRGather = 303
 // the combiner) and applies the damped update. The graph is treated as
 // undirected, matching the rest of the repository. Iteration stops when
 // the global L1 delta falls below tol, or after maxIter supersteps.
-func PageRank(el *graph.EdgeList, p int, machine cost.Machine, damping float64, tol float64, maxIter int) (*PageRankResult, error) {
+func PageRank(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, damping float64, tol float64, maxIter int) (*PageRankResult, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func PageRank(el *graph.EdgeList, p int, machine cost.Machine, damping float64, 
 	c := cluster.New(p, machine.Comm)
 	var out *PageRankResult
 	iters := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		ranks, it, err := pagerankRank(r, el, g, cpu, damping, tol, maxIter)
 		if err != nil {
 			return err
@@ -162,7 +163,7 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 			delta += math.Abs(nr - rank[v])
 			rank[v] = nr
 		}
-		// Global convergence check in fixed-point millionths (the
+		// Global convergence check in fixed-point billionths (the
 		// collective carries int64).
 		dTotal := r.AllreduceScalar(int64(delta*1e9), cluster.OpSum)
 		if float64(dTotal)/1e9 < tol {

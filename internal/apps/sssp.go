@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -34,7 +35,7 @@ const tagSSSPDist = 302
 // improved remote tentative distances to their owners. Weights are the
 // packed distinct edge weights, so results compare exactly against the
 // sequential reference.
-func SSSP(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*SSSPResult, error) {
+func SSSP(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, source int32) (*SSSPResult, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -49,7 +50,7 @@ func SSSP(el *graph.EdgeList, p int, machine cost.Machine, source int32) (*SSSPR
 	c := cluster.New(p, machine.Comm)
 	var out *SSSPResult
 	rounds := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		dist, rd, err := ssspRank(r, el, g, cpu, source)
 		if err != nil {
 			return err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"mndmst/internal/boruvka"
@@ -265,7 +266,7 @@ func AblationBSPCombining(r *Runner) (*Table, error) {
 	}
 	machine := cost.AMDCluster()
 	for _, combining := range []bool{true, false} {
-		res, err := bsp.RunWith(el, 16, machine, bsp.Options{Combining: combining})
+		res, err := bsp.RunWith(context.Background(), el, 16, machine, bsp.Options{Combining: combining})
 		if err != nil {
 			return nil, err
 		}

@@ -29,6 +29,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 
@@ -210,7 +211,7 @@ func (r *Runner) Graph(profile string) (*graph.EdgeList, error) {
 // runMND runs MND-MST on el and, when the runner verifies, checks the
 // forest against Kruskal.
 func (r *Runner) runMND(el *graph.EdgeList, p int, m cost.Machine, cfg hypar.Config, gpu bool) (*core.Result, error) {
-	res, err := core.Run(el, p, m, cfg, gpu)
+	res, err := core.Run(context.Background(), el, p, m, cfg, gpu)
 	if err != nil {
 		return nil, err
 	}

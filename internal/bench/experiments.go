@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"mndmst/internal/apps"
@@ -53,7 +54,7 @@ func Table3(r *Runner) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b, err := bsp.Run(el, 16, machine)
+		b, err := bsp.Run(context.Background(), el, 16, machine)
 		if err != nil {
 			return nil, fmt.Errorf("bsp %s: %w", p.Name, err)
 		}
@@ -133,7 +134,7 @@ func Figure4(r *Runner) (*Table, error) {
 			return nil, err
 		}
 		for _, p := range nodeCounts {
-			b, err := bsp.Run(el, p, machine)
+			b, err := bsp.Run(context.Background(), el, p, machine)
 			if err != nil {
 				return nil, err
 			}
@@ -163,7 +164,7 @@ func Figure5(r *Runner) (*Table, error) {
 			return nil, err
 		}
 		for _, p := range []int{4, 8, 16} {
-			b, err := bsp.Run(el, p, machine)
+			b, err := bsp.Run(context.Background(), el, p, machine)
 			if err != nil {
 				return nil, err
 			}
@@ -369,27 +370,27 @@ func ExtensionApplications(r *Runner) (*Table, error) {
 		t.AddRow(name, fsec(exe), fsec(rep.CommTime()), fpct(rep.CommTime()/exe),
 			fmt.Sprintf("%d", rep.TotalMsgs()))
 	}
-	cc, err := apps.ConnectedComponents(el, 8, machine, hypar.DefaultConfig())
+	cc, err := apps.ConnectedComponents(context.Background(), el, 8, machine, hypar.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	add("connected-components (D&C)", cc.Report)
-	bfs, err := apps.BFS(el, 8, machine, 0)
+	bfs, err := apps.BFS(context.Background(), el, 8, machine, 0)
 	if err != nil {
 		return nil, err
 	}
 	add("BFS (level-sync)", bfs.Report)
-	sp, err := apps.SSSP(el, 8, machine, 0)
+	sp, err := apps.SSSP(context.Background(), el, 8, machine, 0)
 	if err != nil {
 		return nil, err
 	}
 	add("SSSP (Bellman-Ford)", sp.Report)
-	pr, err := apps.PageRank(el, 8, machine, 0.85, 1e-7, 30)
+	pr, err := apps.PageRank(context.Background(), el, 8, machine, 0.85, 1e-7, 30)
 	if err != nil {
 		return nil, err
 	}
 	add("PageRank (30 it max)", pr.Report)
-	col, err := apps.Coloring(el, 8, machine, 1)
+	col, err := apps.Coloring(context.Background(), el, 8, machine, 1)
 	if err != nil {
 		return nil, err
 	}

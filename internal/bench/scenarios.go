@@ -126,7 +126,7 @@ func runDistRanks(r *Runner, eps []transport.Transport) (map[string]float64, err
 		wg.Add(1)
 		go func(i int, ep transport.Transport) {
 			defer wg.Done()
-			results[i], errs[i] = core.RunDistributed(el, ep, machine, hypar.DefaultConfig(), false)
+			results[i], errs[i] = core.RunDistributed(context.Background(), el, ep, machine, hypar.DefaultConfig(), false)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -204,7 +204,7 @@ func runCommDeltas(*Runner) (map[string]float64, error) {
 	const nDeltas = (64 << 10) / 8 // one Delta encodes to 8 bytes
 	active := []int{0, 1, 2, 3}
 	c := cluster.New(p, cost.AMDCluster().Comm)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		r.SetPhase("deltas")
 		local := make([]merge.Delta, nDeltas)
 		for i := range local {
@@ -232,7 +232,7 @@ func runCommSegments(*Runner) (map[string]float64, error) {
 	const nComps = 4 << 10
 	group := []int{0, 1, 2, 3}
 	c := cluster.New(p, cost.AMDCluster().Comm)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		r.SetPhase("segments")
 		sendTo, recvFrom := merge.RingNeighbors(group, r.ID())
 		comps := make([]int32, nComps)
@@ -307,7 +307,7 @@ func runBFS(r *Runner) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apps.BFS(el, 8, cost.AMDCluster(), 0)
+	res, err := apps.BFS(context.Background(), el, 8, cost.AMDCluster(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -321,7 +321,7 @@ func runSSSP(r *Runner) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apps.SSSP(el, 8, cost.AMDCluster(), 0)
+	res, err := apps.SSSP(context.Background(), el, 8, cost.AMDCluster(), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +335,7 @@ func runPageRank(r *Runner) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apps.PageRank(el, 8, cost.AMDCluster(), 0.85, 1e-6, 50)
+	res, err := apps.PageRank(context.Background(), el, 8, cost.AMDCluster(), 0.85, 1e-6, 50)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func runCC(r *Runner) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apps.ConnectedComponents(el, 8, cost.AMDCluster(), hypar.DefaultConfig())
+	res, err := apps.ConnectedComponents(context.Background(), el, 8, cost.AMDCluster(), hypar.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +363,7 @@ func runColoring(r *Runner) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := apps.Coloring(el, 8, cost.AMDCluster(), 42)
+	res, err := apps.Coloring(context.Background(), el, 8, cost.AMDCluster(), 42)
 	if err != nil {
 		return nil, err
 	}

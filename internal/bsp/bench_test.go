@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"context"
 	"testing"
 
 	"mndmst/internal/gen"
@@ -11,7 +12,7 @@ func BenchmarkBSPHost(b *testing.B) {
 	machine := amd()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(el, 8, machine); err != nil {
+		if _, err := Run(context.Background(), el, 8, machine); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@
 package bsp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -57,13 +58,14 @@ type Options struct {
 func DefaultOptions() Options { return Options{Combining: true} }
 
 // Run executes the BSP minimum spanning forest on p ranks of the machine
-// (CPU only — Pregel+ is a CPU framework) with default options.
-func Run(el *graph.EdgeList, p int, machine cost.Machine) (*Result, error) {
-	return RunWith(el, p, machine, DefaultOptions())
+// (CPU only — Pregel+ is a CPU framework) with default options. A ctx that
+// fires mid-run aborts the cluster (cluster.Run) and Run returns its error.
+func Run(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine) (*Result, error) {
+	return RunWith(ctx, el, p, machine, DefaultOptions())
 }
 
 // RunWith is Run with explicit options.
-func RunWith(el *graph.EdgeList, p int, machine cost.Machine, opt Options) (*Result, error) {
+func RunWith(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, opt Options) (*Result, error) {
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,7 +78,7 @@ func RunWith(el *graph.EdgeList, p int, machine cost.Machine, opt Options) (*Res
 	var forest *mst.Forest
 	rounds := make([]int, p)
 	steps := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		w := &worker{r: r, cpu: cpu, el: el, g: g, opt: opt}
 		f, err := w.run()
 		if err != nil {

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func TestBSPMatchesKruskalAcrossRankCounts(t *testing.T) {
 	el := gen.ConnectedRandom(400, 1600, 111)
 	want := mst.Kruskal(el)
 	for _, p := range []int{1, 2, 4, 8} {
-		res, err := Run(el, p, amd())
+		res, err := Run(context.Background(), el, p, amd())
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -48,7 +49,7 @@ func TestBSPWorkloadFamilies(t *testing.T) {
 		{"star", gen.Star(128, 117)},
 	} {
 		want := mst.Kruskal(tc.el)
-		res, err := Run(tc.el, 4, amd())
+		res, err := Run(context.Background(), tc.el, 4, amd())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -63,7 +64,7 @@ func TestBSPDisconnectedAndEmpty(t *testing.T) {
 		{U: 0, V: 1, W: graph.MakeWeight(3, 0), ID: 0},
 		{U: 4, V: 5, W: graph.MakeWeight(1, 1), ID: 1},
 	}}
-	res, err := Run(el, 3, amd())
+	res, err := Run(context.Background(), el, 3, amd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestBSPDisconnectedAndEmpty(t *testing.T) {
 	}
 
 	empty := &graph.EdgeList{N: 4}
-	res, err = Run(empty, 2, amd())
+	res, err = Run(context.Background(), empty, 2, amd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestBSPPropertyRandom(t *testing.T) {
 		m := rng.Intn(int(n) * 4)
 		el := gen.ErdosRenyi(n, m, seed)
 		p := 1 + rng.Intn(6)
-		res, err := Run(el, p, amd())
+		res, err := Run(context.Background(), el, p, amd())
 		if err != nil {
 			t.Logf("seed=%d: %v", seed, err)
 			return false
@@ -107,12 +108,12 @@ func TestBSPPropertyRandom(t *testing.T) {
 
 func TestBSPDeterministicTimes(t *testing.T) {
 	el := gen.WebGraph(1024, 8192, 0.8, 119)
-	ref, err := Run(el, 4, amd())
+	ref, err := Run(context.Background(), el, 4, amd())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := Run(el, 4, amd())
+		got, err := Run(context.Background(), el, 4, amd())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +134,11 @@ func TestBSPCommunicationDominatesAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	el := prof.Generate(0.25)
-	bspRes, err := Run(el, 16, amd())
+	bspRes, err := Run(context.Background(), el, 16, amd())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mndRes, err := core.Run(el, 16, amd(), hypar.DefaultConfig(), false)
+	mndRes, err := core.Run(context.Background(), el, 16, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +163,13 @@ func TestBSPCommunicationDominatesAtScale(t *testing.T) {
 
 func TestBSPManyMessagesPerRound(t *testing.T) {
 	el := gen.WebGraph(2048, 16384, 0.8, 121)
-	res, err := Run(el, 8, amd())
+	res, err := Run(context.Background(), el, 8, amd())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every superstep is an all-to-all: message count must far exceed what
 	// MND-MST needs on the same input.
-	mnd, err := core.Run(el, 8, amd(), hypar.DefaultConfig(), false)
+	mnd, err := core.Run(context.Background(), el, 8, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +181,11 @@ func TestBSPManyMessagesPerRound(t *testing.T) {
 
 func TestVanillaPregelSameForestMoreBytes(t *testing.T) {
 	el := gen.WebGraph(2048, 20480, 0.7, 123)
-	plus, err := RunWith(el, 8, amd(), Options{Combining: true})
+	plus, err := RunWith(context.Background(), el, 8, amd(), Options{Combining: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vanilla, err := RunWith(el, 8, amd(), Options{Combining: false})
+	vanilla, err := RunWith(context.Background(), el, 8, amd(), Options{Combining: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -105,7 +106,7 @@ func runOverChaosMem(t *testing.T, el *graph.EdgeList, p int, ccfg chaos.Config)
 		go func(r int) {
 			defer wg.Done()
 			defer wrapped[r].Close()
-			results[r], errs[r] = core.RunDistributed(el, wrapped[r], machine(), hypar.DefaultConfig(), false)
+			results[r], errs[r] = core.RunDistributed(context.Background(), el, wrapped[r], machine(), hypar.DefaultConfig(), false)
 		}(r)
 	}
 	waitBounded(t, &wg, "chaos Mem run")
@@ -141,7 +142,7 @@ func runOverChaosTCP(t *testing.T, el *graph.EdgeList, p int, ccfg chaos.Config)
 			ep := chaos.WrapOne(inner, cfg)
 			defer ep.Close()
 			ranks[slot] = ep.Rank()
-			results[slot], errs[slot] = core.RunDistributed(el, ep, machine(), hypar.DefaultConfig(), false)
+			results[slot], errs[slot] = core.RunDistributed(context.Background(), el, ep, machine(), hypar.DefaultConfig(), false)
 		}(i)
 	}
 	waitBounded(t, &wg, "chaos TCP run")
@@ -195,7 +196,7 @@ func TestOracleBenignChaosMem(t *testing.T) {
 	for _, tc := range oracleWorkloads(seed) {
 		for _, p := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.name, p), func(t *testing.T) {
-				clean, err := core.Run(tc.el, p, machine(), hypar.DefaultConfig(), false)
+				clean, err := core.Run(context.Background(), tc.el, p, machine(), hypar.DefaultConfig(), false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -353,7 +354,7 @@ func TestOracleCrashStopTCPTyped(t *testing.T) {
 			ep := chaos.WrapOne(inner, cfg)
 			defer ep.Close()
 			ranks[slot] = ep.Rank()
-			_, errs[slot] = core.RunDistributed(el, ep, machine(), hypar.DefaultConfig(), false)
+			_, errs[slot] = core.RunDistributed(context.Background(), el, ep, machine(), hypar.DefaultConfig(), false)
 		}(i)
 	}
 	start := time.Now()
@@ -472,7 +473,7 @@ func TestOracleChaosScheduleReplays(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				defer wrapped[r].Close()
-				results[r], errs[r] = core.RunDistributed(el, wrapped[r], machine(), hypar.DefaultConfig(), false)
+				results[r], errs[r] = core.RunDistributed(context.Background(), el, wrapped[r], machine(), hypar.DefaultConfig(), false)
 			}(r)
 		}
 		waitBounded(t, &wg, "replay run")

@@ -23,6 +23,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -43,11 +45,11 @@ type Cluster struct {
 	eps   []transport.Transport
 	wall  bool // record real wall-clock per phase (distributed mode)
 
-	// abortOnce latches the first rank failure; abortCause records it for
-	// the error join. Once latched, every local endpoint (and, through it,
-	// every remote peer) fails within a bounded time instead of wedging.
+	// abortOnce latches the first abort cause, a rank failure or Run's
+	// context; abortCause records it, written only inside abortOnce. Once
+	// latched, every local endpoint (and, through it, every remote peer)
+	// fails within a bounded time instead of wedging.
 	abortOnce  sync.Once
-	abortMu    sync.Mutex
 	abortCause error
 }
 
@@ -112,7 +114,24 @@ type commFailure struct{ err error }
 // behind the root cause (a real peer death on rank 3 is never masked by
 // its fallout on rank 0), and errors sharing one sticky transport failure
 // instance are reported once.
-func (c *Cluster) Run(fn func(r *Rank) error) (*Report, error) {
+//
+// ctx is one more abort cause. A ctx that is already done starts no rank;
+// one that fires mid-run triggers AbortBroadcast, every rank leaves at its
+// next send, receive or collective, and Run returns ctx's error instead of
+// the cascade join, so the cancellation never classifies as a transient
+// rank loss. Run returns only after every rank has; a run whose ranks all
+// succeeded stands even if ctx fired late.
+func (c *Cluster) Run(ctx context.Context, fn func(r *Rank) error) (*Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	aborted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(aborted)
+		// The abort names the first local rank: its process is the one
+		// whose caller gave up.
+		c.AbortBroadcast(c.local[0], ctx.Err())
+	})
 	n := len(c.local)
 	ranks := make([]*Rank, n)
 	errs := make([]error, n)
@@ -140,8 +159,17 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Report, error) {
 		}(i, ranks[i])
 	}
 	wg.Wait()
+	if !stop() {
+		<-aborted
+	}
 	rep := buildReport(ranks)
-	return rep, joinRankErrors(c.local, errs)
+	err := joinRankErrors(c.local, errs)
+	// A failed rank or the context function returned from abortOnce.Do
+	// before this point, so the latched cause is safe to read.
+	if err != nil && ctx.Err() != nil && errors.Is(c.abortCause, ctx.Err()) {
+		return rep, fmt.Errorf("cluster: run canceled: %w", ctx.Err())
+	}
+	return rep, err
 }
 
 // AbortBroadcast fails every communication path of this cluster's local
@@ -154,14 +182,12 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Report, error) {
 // deadlines this bounds how long one dead rank can stall the run: every
 // surviving rank's pending operation returns an error instead of hanging.
 // Idempotent; the first (rank, cause) wins. Run invokes it automatically
-// when a rank fails; it is exported for drivers that learn about a rank's
-// death out of band.
+// when a rank fails or its context fires; it is exported for drivers that
+// learn about a rank's death out of band.
 func (c *Cluster) AbortBroadcast(rank int, cause error) {
 	c.abortOnce.Do(func() {
 		ae := &AbortError{Rank: rank, Cause: cause}
-		c.abortMu.Lock()
 		c.abortCause = ae
-		c.abortMu.Unlock()
 		for _, ep := range c.eps {
 			if a, ok := ep.(transport.Aborter); ok {
 				a.Abort(ae)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -17,7 +18,7 @@ func testComm() cost.CommModel {
 func TestRunAllRanksExecute(t *testing.T) {
 	c := New(8, testComm())
 	seen := make([]bool, 8)
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		seen[r.ID()] = true
 		if r.P() != 8 {
 			return fmt.Errorf("P=%d", r.P())
@@ -36,7 +37,7 @@ func TestRunAllRanksExecute(t *testing.T) {
 
 func TestRunAggregatesAllErrors(t *testing.T) {
 	c := New(4, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		if r.ID() >= 2 {
 			return fmt.Errorf("boom %d", r.ID())
 		}
@@ -78,7 +79,7 @@ func TestNewPanicsOnBadP(t *testing.T) {
 
 func TestComputeAdvancesClock(t *testing.T) {
 	c := New(1, testComm())
-	rep, err := c.Run(func(r *Rank) error {
+	rep, err := c.Run(context.Background(), func(r *Rank) error {
 		r.Compute(1.5)
 		r.Compute(0.5)
 		if r.Now() != 2.0 || r.ComputeTime() != 2.0 || r.CommTime() != 0 {
@@ -97,7 +98,7 @@ func TestComputeAdvancesClock(t *testing.T) {
 func TestSendRecvTransfersDataAndTime(t *testing.T) {
 	c := New(2, testComm())
 	payload := []byte("hello, rank 1")
-	rep, err := c.Run(func(r *Rank) error {
+	rep, err := c.Run(context.Background(), func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, 7, payload)
 			return nil
@@ -127,7 +128,7 @@ func TestSendRecvTransfersDataAndTime(t *testing.T) {
 
 func TestRecvDoesNotRewindClock(t *testing.T) {
 	c := New(2, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, 1, []byte{1, 2, 3})
 			return nil
@@ -149,7 +150,7 @@ func TestRecvDoesNotRewindClock(t *testing.T) {
 
 func TestMessageOrderingFIFOPerPair(t *testing.T) {
 	c := New(2, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		const k = 100
 		if r.ID() == 0 {
 			for i := 0; i < k; i++ {
@@ -173,7 +174,7 @@ func TestMessageOrderingFIFOPerPair(t *testing.T) {
 func TestDeterministicVirtualTimes(t *testing.T) {
 	run := func() (float64, float64) {
 		c := New(4, testComm())
-		rep, err := c.Run(func(r *Rank) error {
+		rep, err := c.Run(context.Background(), func(r *Rank) error {
 			r.Compute(float64(r.ID()) * 0.001)
 			next := (r.ID() + 1) % 4
 			prev := (r.ID() + 3) % 4
@@ -199,7 +200,7 @@ func TestDeterministicVirtualTimes(t *testing.T) {
 
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	c := New(4, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		r.Compute(float64(r.ID())) // ranks at 0,1,2,3 seconds
 		r.Barrier()
 		want := 3 + testComm().BarrierSeconds(4)
@@ -215,7 +216,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	c := New(8, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		for i := 0; i < 50; i++ {
 			r.Barrier()
 		}
@@ -228,7 +229,7 @@ func TestBarrierReusable(t *testing.T) {
 
 func TestAllreduceSum(t *testing.T) {
 	c := New(4, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		got := r.Allreduce([]int64{int64(r.ID()), 1}, OpSum)
 		if got[0] != 6 || got[1] != 4 {
 			return fmt.Errorf("rank %d got %v", r.ID(), got)
@@ -242,7 +243,7 @@ func TestAllreduceSum(t *testing.T) {
 
 func TestAllreduceMaxMinScalar(t *testing.T) {
 	c := New(5, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		if got := r.AllreduceScalar(int64(r.ID()), OpMax); got != 4 {
 			return fmt.Errorf("max=%d", got)
 		}
@@ -258,7 +259,7 @@ func TestAllreduceMaxMinScalar(t *testing.T) {
 
 func TestAllreduceManyRounds(t *testing.T) {
 	c := New(3, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		for round := int64(0); round < 100; round++ {
 			got := r.AllreduceScalar(round+int64(r.ID()), OpSum)
 			want := 3*round + 3
@@ -275,7 +276,7 @@ func TestAllreduceManyRounds(t *testing.T) {
 
 func TestPhaseAccounting(t *testing.T) {
 	c := New(2, testComm())
-	rep, err := c.Run(func(r *Rank) error {
+	rep, err := c.Run(context.Background(), func(r *Rank) error {
 		r.SetPhase("indComp")
 		r.Compute(1)
 		r.SetPhase("merge")
@@ -306,7 +307,7 @@ func TestPhaseAccounting(t *testing.T) {
 
 func TestReportAggregates(t *testing.T) {
 	c := New(3, testComm())
-	rep, err := c.Run(func(r *Rank) error {
+	rep, err := c.Run(context.Background(), func(r *Rank) error {
 		r.Compute(float64(r.ID() + 1))
 		return nil
 	})
@@ -323,7 +324,7 @@ func TestReportAggregates(t *testing.T) {
 
 func TestSelfSendRoundTrips(t *testing.T) {
 	c := New(2, testComm())
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		r.Send(r.ID(), 5, []byte{byte(r.ID())})
 		got := r.Recv(r.ID(), 5)
 		if len(got) != 1 || got[0] != byte(r.ID()) {
@@ -342,7 +343,7 @@ func TestSerializeIngressQueuesConcurrentSenders(t *testing.T) {
 	const n = 1 << 20 // 1 MB per sender
 	run := func(serialize bool) float64 {
 		c := testCluster(serialize, n)
-		rep, err := c.Run(func(r *Rank) error {
+		rep, err := c.Run(context.Background(), func(r *Rank) error {
 			if r.ID() == 0 {
 				for src := 1; src < 4; src++ {
 					r.Recv(src, 0)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,7 +15,7 @@ import (
 func TestAlltoall(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		c := New(p, testComm())
-		_, err := c.Run(func(r *Rank) error {
+		_, err := c.Run(context.Background(), func(r *Rank) error {
 			out := make([][]byte, p)
 			for d := 0; d < p; d++ {
 				out[d] = []byte(fmt.Sprintf("%d->%d", r.ID(), d))
@@ -37,7 +38,7 @@ func TestAlltoall(t *testing.T) {
 func TestAlltoallDeterministicTiming(t *testing.T) {
 	run := func() float64 {
 		c := New(5, testComm())
-		rep, err := c.Run(func(r *Rank) error {
+		rep, err := c.Run(context.Background(), func(r *Rank) error {
 			out := make([][]byte, 5)
 			for d := range out {
 				out[d] = make([]byte, 100*(r.ID()+1))
@@ -64,7 +65,7 @@ func TestAlltoallDeterministicTiming(t *testing.T) {
 func TestAllreduceReducesInPlace(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		sum := int64(p * (p - 1) / 2)
-		_, err := New(p, testComm()).Run(func(r *Rank) error {
+		_, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
 			id := int64(r.ID())
 			for _, call := range []struct {
 				name string
@@ -107,7 +108,7 @@ func TestRankFailureUnblocksCollectives(t *testing.T) {
 				cascades := make([]error, p)
 				done := make(chan error, 1)
 				go func() {
-					_, err := New(p, testComm()).Run(func(r *Rank) error {
+					_, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
 						if r.ID() == failed {
 							// Fail only once every peer is at the collective.
 							for src := 0; src < p; src++ {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -43,7 +44,7 @@ func runOverTCP(t *testing.T, p int, cfg transport.TCPConfig, fn func(r *Rank) e
 			}
 			defer ep.Close()
 			c := NewDistributed(ep, testComm())
-			rep, err := c.Run(fn)
+			rep, err := c.Run(context.Background(), fn)
 			if err != nil {
 				results[slot] = distResult{rank: ep.Rank(), rep: rep, err: err}
 				return
@@ -98,7 +99,7 @@ func TestDistributedAllreduceMatchesInProcess(t *testing.T) {
 		r.Compute(0.002)
 		return nil
 	}
-	inproc, err := New(p, testComm()).Run(program)
+	inproc, err := New(p, testComm()).Run(context.Background(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestDistributedGhostExchangeMultiPhase(t *testing.T) {
 		r.Compute(0.0005)
 		return nil
 	}
-	inproc, err := New(p, testComm()).Run(program)
+	inproc, err := New(p, testComm()).Run(context.Background(), program)
 	if err != nil {
 		t.Fatal(err)
 	}

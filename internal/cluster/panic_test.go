@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -20,7 +21,7 @@ func TestProtocolViolationsPanic(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = c.Run(func(r *Rank) error {
+		_, _ = c.Run(context.Background(), func(r *Rank) error {
 			if r.ID() == 0 {
 				expectPanic(t, "send to invalid rank", func() { r.Send(5, 0, nil) })
 				expectPanic(t, "send to negative rank", func() { r.Send(-1, 0, nil) })
@@ -46,7 +47,7 @@ func TestAllreduceLengthMismatchPanics(t *testing.T) {
 	c := New(2, testComm())
 	panicked := make(chan bool, 2)
 	go func() {
-		_, _ = c.Run(func(r *Rank) error {
+		_, _ = c.Run(context.Background(), func(r *Rank) error {
 			defer func() {
 				panicked <- recover() != nil
 			}()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -21,7 +22,7 @@ func TestVirtualTimeHandComputedScenario(t *testing.T) {
 		}
 		return nil
 	}
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		if r.ID() == 0 {
 			// t=0: compute 100µs → now=100µs.
 			r.Compute(100e-6)
@@ -60,7 +61,7 @@ func TestVirtualTimeHandComputedScenario(t *testing.T) {
 func TestVirtualTimeAllreduceHandComputed(t *testing.T) {
 	comm := cost.CommModel{Latency: 5e-6, Bandwidth: 1e6}
 	c := New(4, comm)
-	_, err := c.Run(func(r *Rank) error {
+	_, err := c.Run(context.Background(), func(r *Rank) error {
 		r.Compute(float64(r.ID()) * 1e-6) // clocks at 0,1,2,3 µs
 		r.Allreduce([]int64{1, 2, 3, 4}, OpSum)
 		// max(now)=3µs; cost = 2*log2(4)*α + 2*(3/4)*32B*1µs/B

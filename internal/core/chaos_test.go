@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -72,7 +73,7 @@ func TestChaosConfig(t *testing.T) {
 		cfg.MinGPUEdges = 1 << (4 + rng.Intn(10))
 		cfg.GPUsPerNode = 1 + rng.Intn(3)
 
-		res, err := Run(el, p, machine, cfg, useGPU)
+		res, err := Run(context.Background(), el, p, machine, cfg, useGPU)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mndmst/internal/gen"
@@ -34,7 +35,7 @@ func TestConfigExtremes(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		res, err := Run(el, tc.p, amd(), cfg, false)
+		res, err := Run(context.Background(), el, tc.p, amd(), cfg, false)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -52,11 +53,11 @@ func TestLeaderOnlyPeaksHigher(t *testing.T) {
 	hier := hypar.DefaultConfig()
 	lead := hypar.DefaultConfig()
 	lead.LeaderOnly = true
-	h, err := Run(el, 16, amd(), hier, false)
+	h, err := Run(context.Background(), el, 16, amd(), hier, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Run(el, 16, amd(), lead, false)
+	l, err := Run(context.Background(), el, 16, amd(), lead, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestLeaderOnlyPeaksHigher(t *testing.T) {
 // TestIterationAndLevelCounters sanity-checks the Algorithm 1 telemetry.
 func TestIterationAndLevelCounters(t *testing.T) {
 	el := gen.WebGraph(4096, 40_000, 0.8, 137)
-	res, err := Run(el, 16, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 16, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIterationAndLevelCounters(t *testing.T) {
 // TestSingleVertexAndSingleEdge covers the degenerate graphs.
 func TestSingleVertexAndSingleEdge(t *testing.T) {
 	one := &graph.EdgeList{N: 1}
-	res, err := Run(one, 4, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), one, 4, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSingleVertexAndSingleEdge(t *testing.T) {
 	pair := &graph.EdgeList{N: 2, Edges: []graph.Edge{
 		{U: 0, V: 1, W: graph.MakeWeight(3, 0), ID: 0},
 	}}
-	res, err = Run(pair, 4, amd(), hypar.DefaultConfig(), false)
+	res, err = Run(context.Background(), pair, 4, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestRecursionThreshold(t *testing.T) {
 	for _, min := range []int{0, 1, 1 << 30} {
 		cfg := hypar.DefaultConfig()
 		cfg.RecursionMinEdges = min
-		res, err := Run(el, 8, amd(), cfg, false)
+		res, err := Run(context.Background(), el, 8, amd(), cfg, false)
 		if err != nil {
 			t.Fatalf("min=%d: %v", min, err)
 		}
@@ -143,7 +144,7 @@ func TestMultiGPU(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		cfg := hypar.DefaultConfig()
 		cfg.GPUsPerNode = k
-		res, err := Run(el, 2, cray(), cfg, true)
+		res, err := Run(context.Background(), el, 2, cray(), cfg, true)
 		if err != nil {
 			t.Fatalf("gpus=%d: %v", k, err)
 		}

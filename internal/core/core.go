@@ -11,6 +11,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -53,9 +54,10 @@ type Result struct {
 
 // Run executes MND-MST on p simulated ranks of the given machine. useGPU
 // selects the multi-device (CPU+GPU) mode when the machine has an
-// accelerator; otherwise the run is CPU-only.
-func Run(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	return run(el, p, nil, machine, cfg, useGPU)
+// accelerator; otherwise the run is CPU-only. A ctx that fires mid-run
+// aborts the cluster (cluster.Run) and Run returns its error.
+func Run(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
+	return run(ctx, el, p, nil, machine, cfg, useGPU)
 }
 
 // RunDistributed executes this process's rank of MND-MST over a real
@@ -68,13 +70,13 @@ func Run(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useG
 // carries the forest and the report gathered from every rank (simulated
 // clocks plus real wall-clock per phase); other ranks get a nil Forest and
 // a report of their own rank only.
-func RunDistributed(el *graph.EdgeList, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	return run(el, ep.P(), ep, machine, cfg, useGPU)
+func RunDistributed(ctx context.Context, el *graph.EdgeList, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
+	return run(ctx, el, ep.P(), ep, machine, cfg, useGPU)
 }
 
 // run is the shared driver: ep == nil simulates all p ranks in-process,
 // otherwise only ep's rank executes here.
-func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
+func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
 	// Every rank builds its first-iteration window straight from el; no
 	// global CSR is built unless the GPU share has to be estimated.
 	if err := el.Validate(); err != nil {
@@ -142,11 +144,10 @@ func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine
 	} else {
 		c = cluster.NewDistributed(ep, machine.Comm)
 	}
+	first := c.LocalRanks()[0]
 	var forest *mst.Forest
-	iterations := make([]int, p)
-	levels := make([]int, p)
-	peaks := make([]int, p)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	var iterations, levels, peak int
+	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		rm := &rankMain{
 			r:       r,
 			rt:      hypar.New(r, rankCPU(r.ID()), rankGPUs(r.ID()), cfg),
@@ -158,25 +159,12 @@ func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine
 		if err != nil {
 			return err
 		}
-		// Result promises *global* run statistics: Iterations/Levels are
-		// the (identical-by-construction) global counts and PeakEdges is
-		// the per-rank maximum. A distributed process hosts only its own
-		// rank, so reduce the scalars across ranks — a zero-virtual-cost
-		// stat collective, keeping simulated reports bit-identical to
-		// runs without it — and assert the iteration/level agreement that
-		// the in-process mode gets for free (max == min, checked by
-		// reducing the negated values alongside).
-		red := r.StatAllreduce([]int64{
-			int64(rm.iter), int64(rm.lvls), int64(rm.peak),
-			int64(-rm.iter), int64(-rm.lvls),
-		}, cluster.OpMax)
-		if red[0] != -red[3] || red[1] != -red[4] {
-			return fmt.Errorf("core: rank %d: global state divergence: iterations [%d,%d], levels [%d,%d] across ranks",
-				r.ID(), -red[3], red[0], -red[4], red[1])
+		if err := rm.reduceStats(); err != nil {
+			return err
 		}
-		iterations[r.ID()] = int(red[0])
-		levels[r.ID()] = int(red[1])
-		peaks[r.ID()] = int(red[2])
+		if r.ID() == first {
+			iterations, levels, peak = rm.iter, rm.lvls, rm.peak
+		}
 		if f != nil {
 			forest = f
 		}
@@ -194,14 +182,7 @@ func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine
 	if forest == nil && c.IsLocal(0) {
 		return nil, fmt.Errorf("core: no rank produced the forest")
 	}
-	peak := 0
-	for _, pk := range peaks {
-		if pk > peak {
-			peak = pk
-		}
-	}
-	first := c.LocalRanks()[0]
-	return &Result{Forest: forest, Report: rep, Iterations: iterations[first], Levels: levels[first], PeakEdges: peak}, nil
+	return &Result{Forest: forest, Report: rep, Iterations: iterations, Levels: levels, PeakEdges: peak}, nil
 }
 
 // rankMain carries one rank's state through Algorithm 1.
@@ -225,6 +206,28 @@ func (m *rankMain) notePeak() {
 	if len(m.edges) > m.peak {
 		m.peak = len(m.edges)
 	}
+}
+
+// reduceStats replaces the rank's iteration, level and peak counts with
+// the global ones, identical on every rank. Result promises *global* run
+// statistics: Iterations/Levels are the (identical-by-construction) global
+// counts and PeakEdges is the per-rank maximum. A distributed process
+// hosts only its own rank, so reduce the scalars across ranks — a
+// zero-virtual-cost stat collective, keeping simulated reports
+// bit-identical to runs without it — and assert the iteration/level
+// agreement that the in-process mode gets for free (max == min, checked by
+// reducing the negated values alongside).
+func (m *rankMain) reduceStats() error {
+	red := m.r.StatAllreduce([]int64{
+		int64(m.iter), int64(m.lvls), int64(m.peak),
+		int64(-m.iter), int64(-m.lvls),
+	}, cluster.OpMax)
+	if red[0] != -red[3] || red[1] != -red[4] {
+		return fmt.Errorf("core: rank %d: global state divergence: iterations [%d,%d], levels [%d,%d] across ranks",
+			m.r.ID(), -red[3], red[0], -red[4], red[1])
+	}
+	m.iter, m.lvls, m.peak = int(red[0]), int(red[1]), int(red[2])
+	return nil
 }
 
 func (m *rankMain) run() (*mst.Forest, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func cray() cost.Machine { return cost.CrayXC40() }
 func TestMNDMSTMatchesKruskalAcrossRankCounts(t *testing.T) {
 	el := gen.ConnectedRandom(600, 2400, 77)
 	for _, p := range []int{1, 2, 3, 4, 8, 16} {
-		res, err := Run(el, p, amd(), hypar.DefaultConfig(), false)
+		res, err := Run(context.Background(), el, p, amd(), hypar.DefaultConfig(), false)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -41,7 +42,7 @@ func TestMNDMSTWorkloadFamilies(t *testing.T) {
 		{"star", gen.Star(300, 85)},
 		{"cycle", gen.Cycle(128, 86)},
 	} {
-		res, err := Run(tc.el, 4, amd(), hypar.DefaultConfig(), false)
+		res, err := Run(context.Background(), tc.el, 4, amd(), hypar.DefaultConfig(), false)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -60,7 +61,7 @@ func TestMNDMSTDisconnectedGraph(t *testing.T) {
 		mk(0, 1, 5, 0), mk(1, 2, 3, 1), mk(0, 2, 9, 2),
 		mk(4, 5, 2, 3), mk(5, 6, 8, 4),
 	}}
-	res, err := Run(el, 3, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 3, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestMNDMSTDisconnectedGraph(t *testing.T) {
 
 func TestMNDMSTEmptyEdgeGraph(t *testing.T) {
 	el := &graph.EdgeList{N: 10}
-	res, err := Run(el, 2, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 2, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMNDMSTEmptyEdgeGraph(t *testing.T) {
 
 func TestMNDMSTMoreRanksThanVertices(t *testing.T) {
 	el := gen.ConnectedRandom(6, 10, 87)
-	res, err := Run(el, 8, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 8, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestMNDMSTWithGPU(t *testing.T) {
 	el := gen.RMAT(2048, 32768, 88)
 	cfg := hypar.DefaultConfig()
 	cfg.MinGPUEdges = 512
-	res, err := Run(el, 4, cray(), cfg, true)
+	res, err := Run(context.Background(), el, 4, cray(), cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestMNDMSTWithGPU(t *testing.T) {
 func TestMNDMSTGPUFasterOnLargeGraphs(t *testing.T) {
 	el := gen.WebGraph(16384, 16384*30, 0.85, 89)
 	cfg := hypar.DefaultConfig()
-	cpuRes, err := Run(el, 4, cray(), cfg, false)
+	cpuRes, err := Run(context.Background(), el, 4, cray(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuRes, err := Run(el, 4, cray(), cfg, true)
+	gpuRes, err := Run(context.Background(), el, 4, cray(), cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +136,12 @@ func TestMNDMSTGPUFasterOnLargeGraphs(t *testing.T) {
 
 func TestMNDMSTDeterministicTimes(t *testing.T) {
 	el := gen.RMAT(512, 4096, 90)
-	ref, err := Run(el, 4, amd(), hypar.DefaultConfig(), false)
+	ref, err := Run(context.Background(), el, 4, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got, err := Run(el, 4, amd(), hypar.DefaultConfig(), false)
+		got, err := Run(context.Background(), el, 4, amd(), hypar.DefaultConfig(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func TestMNDMSTPropertyRandomGraphsAndClusterShapes(t *testing.T) {
 		p := 1 + rng.Intn(8)
 		cfg := hypar.DefaultConfig()
 		cfg.GroupSize = 2 + rng.Intn(3)
-		res, err := Run(el, p, amd(), cfg, false)
+		res, err := Run(context.Background(), el, p, amd(), cfg, false)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -185,7 +186,7 @@ func TestMNDMSTGroupSizeVariants(t *testing.T) {
 	for _, gs := range []int{2, 4, 8, 16} {
 		cfg := hypar.DefaultConfig()
 		cfg.GroupSize = gs
-		res, err := Run(el, 16, amd(), cfg, false)
+		res, err := Run(context.Background(), el, 16, amd(), cfg, false)
 		if err != nil {
 			t.Fatalf("groupSize=%d: %v", gs, err)
 		}
@@ -200,7 +201,7 @@ func TestMNDMSTExceptionConditionVariants(t *testing.T) {
 	for _, ex := range []boruvka.ExceptionCond{boruvka.ExcptBorderVertex, boruvka.ExcptBorderEdge} {
 		cfg := hypar.DefaultConfig()
 		cfg.Excpt = ex
-		res, err := Run(el, 4, amd(), cfg, false)
+		res, err := Run(context.Background(), el, 4, amd(), cfg, false)
 		if err != nil {
 			t.Fatalf("excpt=%d: %v", ex, err)
 		}
@@ -214,7 +215,7 @@ func TestMNDMSTDiminishingTermination(t *testing.T) {
 	el := gen.RoadNetwork(2500, 93)
 	cfg := hypar.DefaultConfig()
 	cfg.DiminishingTermination = true
-	res, err := Run(el, 4, amd(), cfg, false)
+	res, err := Run(context.Background(), el, 4, amd(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestMNDMSTDiminishingTermination(t *testing.T) {
 
 func TestMNDMSTPhaseBreakdownPresent(t *testing.T) {
 	el := gen.RMAT(512, 4096, 94)
-	res, err := Run(el, 4, amd(), hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 4, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestMNDMSTScalesAcrossNodes(t *testing.T) {
 	// (the paper's Table 4 behaviour).
 	el := gen.WebGraph(16384, 16384*25, 0.85, 95)
 	cfg := hypar.DefaultConfig()
-	t1, err := Run(el, 1, amd(), cfg, false)
+	t1, err := Run(context.Background(), el, 1, amd(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t8, err := Run(el, 8, amd(), cfg, false)
+	t8, err := Run(context.Background(), el, 8, amd(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

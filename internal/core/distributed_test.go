@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func runDistributedMST(t *testing.T, el *graph.EdgeList, p int, cfg hypar.Config
 			}
 			defer ep.Close()
 			ranks[slot] = ep.Rank()
-			results[slot], errs[slot] = RunDistributed(el, ep, amd(), cfg, false)
+			results[slot], errs[slot] = RunDistributed(context.Background(), el, ep, amd(), cfg, false)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -63,7 +64,7 @@ func TestRunDistributedMatchesInProcess(t *testing.T) {
 	const p = 4
 	cfg := hypar.DefaultConfig()
 
-	want, err := Run(el, p, amd(), cfg, false)
+	want, err := Run(context.Background(), el, p, amd(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestRunDistributedMatchesInProcess(t *testing.T) {
 
 func TestRunDistributedTwoRanksRoadGraph(t *testing.T) {
 	el := gen.RoadNetwork(700, 31)
-	want, err := Run(el, 2, amd(), hypar.DefaultConfig(), false)
+	want, err := Run(context.Background(), el, 2, amd(), hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

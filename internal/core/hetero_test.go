@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mndmst/internal/cost"
@@ -15,7 +16,7 @@ func TestHeterogeneousCorrectness(t *testing.T) {
 	el := gen.WebGraph(4096, 50_000, 0.85, 151)
 	machine := cost.AMDCluster()
 	machine.NodeSpeeds = []float64{1, 2, 0.5, 4}
-	res, err := Run(el, 4, machine, hypar.DefaultConfig(), false)
+	res, err := Run(context.Background(), el, 4, machine, hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestWeightedPartitionHelpsHeterogeneousCluster(t *testing.T) {
 	machine := cost.AMDCluster()
 	machine.NodeSpeeds = []float64{0.25, 1, 1, 1} // node 0 is 4x slower
 
-	aware, err := Run(el, 4, machine, hypar.DefaultConfig(), false)
+	aware, err := Run(context.Background(), el, 4, machine, hypar.DefaultConfig(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestWeightedPartitionHelpsHeterogeneousCluster(t *testing.T) {
 
 	blindCfg := hypar.DefaultConfig()
 	blindCfg.IgnoreNodeSpeeds = true
-	blind, err := Run(el, 4, machine, blindCfg, false)
+	blind, err := Run(context.Background(), el, 4, machine, blindCfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestFirstIterationWindows(t *testing.T) {
 		} {
 			for _, p := range []int{1, 2, 3, 4, 16} {
 				where := fmt.Sprintf("%s N=%d p=%d", tc.name, el.N, p)
-				res, err := Run(el, p, tc.machine, hypar.DefaultConfig(), tc.useGPU)
+				res, err := Run(context.Background(), el, p, tc.machine, hypar.DefaultConfig(), tc.useGPU)
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
@@ -81,7 +82,7 @@ func TestRunRejectsInvalidEdgeList(t *testing.T) {
 	if want == nil {
 		t.Fatal("test edge list should be invalid")
 	}
-	_, err := Run(el, 2, amd(), hypar.DefaultConfig(), false)
+	_, err := Run(context.Background(), el, 2, amd(), hypar.DefaultConfig(), false)
 	if err == nil || err.Error() != want.Error() {
 		t.Fatalf("Run error %v, want %v", err, want)
 	}

@@ -1,6 +1,7 @@
 package hypar
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -23,7 +24,7 @@ func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
 	cfg := DefaultConfig()
 	cfg.GPUShare = 0.5
 	cfg.MinGPUEdges = 64
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		cpu := &device.CPU{Model: machine.CPU}
 		gpu := &device.GPU{Model: *machine.GPU, OverlapTransfers: true}
 		return fn(New(r, cpu, []device.Device{gpu}, cfg))

@@ -1,6 +1,7 @@
 package hypar_test
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"testing"
@@ -36,7 +37,7 @@ func runStrategy(t *testing.T, el *graph.EdgeList, ranks int, mut func(*hypar.Co
 	t.Helper()
 	cfg := hypar.DefaultConfig()
 	mut(&cfg)
-	res, err := core.Run(el, ranks, cost.AMDCluster(), cfg, false)
+	res, err := core.Run(context.Background(), el, ranks, cost.AMDCluster(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestDiminishingTerminationStopsOnFlatPrice(t *testing.T) {
 			cfg := hypar.DefaultConfig()
 			cfg.DiminishingTermination = tc.diminish
 			var res *hypar.IndResult
-			_, err := cluster.New(1, cost.AMDCluster().Comm).Run(func(r *cluster.Rank) error {
+			_, err := cluster.New(1, cost.AMDCluster().Comm).Run(context.Background(), func(r *cluster.Rank) error {
 				rt := hypar.New(r, flatPriceDevice{inner: &device.CPU{Model: cost.AMDCluster().CPU}}, nil, cfg)
 				v, err := boruvka.NewLocal(append([]int32(nil), ids...), edges)
 				if err != nil {

@@ -8,8 +8,8 @@ import (
 
 // ctxBlockingMethods are the transport/cluster operations that block on
 // the network: calling one from a context-aware function without passing
-// or checking the context abandons the abandon-on-cancel contract — the
-// caller's deadline expires while the callee waits forever.
+// or checking the context lets the caller's deadline expire while the
+// callee waits forever.
 var ctxBlockingMethods = map[string]bool{
 	"Send":            true,
 	"Recv":            true,

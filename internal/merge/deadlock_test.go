@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -72,7 +73,7 @@ func launchTCPRanks(t *testing.T, p int, cfg transport.TCPConfig, fn func(r *clu
 		go func(r int) {
 			defer wg.Done()
 			c := cluster.NewDistributed(run.eps[r], testComm())
-			rep, err := c.Run(fn)
+			rep, err := c.Run(context.Background(), fn)
 			if err == nil {
 				rep, err = c.GatherReport(rep)
 			}
@@ -299,7 +300,7 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 		return nil
 	}
 
-	inproc, err := cluster.New(p, testComm()).Run(program)
+	inproc, err := cluster.New(p, testComm()).Run(context.Background(), program)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 // immediately by the payload bound, not drive an unbounded recv/alloc loop.
 func TestRecvChunkedRejectsHostileChunkCount(t *testing.T) {
 	c := cluster.New(2, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, tagDeltas, wire.AppendUint64(nil, 1<<60))
 			return nil
@@ -357,7 +358,7 @@ func TestRecvChunkedEnforcesCumulativeBound(t *testing.T) {
 	SetMaxPayload(1 << 10)
 	defer SetMaxPayload(0)
 	c := cluster.New(2, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		if r.ID() == 0 {
 			// Header says 2 chunks; together they exceed the 1 KiB bound.
 			r.Send(1, tagDeltas, wire.AppendUint64(nil, 2))
@@ -381,7 +382,7 @@ func TestRecvChunkedEnforcesCumulativeBound(t *testing.T) {
 // the receive loop below the byte bound.
 func TestRecvChunkedRejectsEmptyChunk(t *testing.T) {
 	c := cluster.New(2, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, tagDeltas, wire.AppendUint64(nil, 1))
 			r.Send(1, tagDeltas, []byte{})

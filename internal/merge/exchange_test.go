@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -66,7 +67,7 @@ func TestRRPartnerProperties(t *testing.T) {
 func TestExchangeSegmentsRing(t *testing.T) {
 	const p = 3
 	c := cluster.New(p, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		sendTo, recvFrom := (r.ID()+1)%p, (r.ID()+p-1)%p
 		out := Payload{
 			Comps: []int32{int32(100 + r.ID())},
@@ -94,7 +95,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 func TestExchangeSegmentsAsymmetricSizes(t *testing.T) {
 	const p = 2
 	c := cluster.New(p, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		var out Payload
 		if r.ID() == 0 {
 			out.Comps = make([]int32, 5000) // many chunks at chunk=64
@@ -131,7 +132,7 @@ func TestExchangeSegmentsAsymmetricSizes(t *testing.T) {
 // backend and again over real loopback TCP, failing on any rank error.
 func runChunkedCase(t *testing.T, name string, fn func(r *cluster.Rank) error) {
 	t.Helper()
-	if _, err := cluster.New(2, testComm()).Run(fn); err != nil {
+	if _, err := cluster.New(2, testComm()).Run(context.Background(), fn); err != nil {
 		t.Fatalf("%s over Mem: %v", name, err)
 	}
 	run := launchTCPRanks(t, 2, transport.TCPConfig{}, fn)

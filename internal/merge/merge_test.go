@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -258,7 +259,7 @@ func idsOf(es []wire.WEdge) []int32 {
 func TestChunkedExchangeAndPayloads(t *testing.T) {
 	comm := cost.CommModel{Latency: 1e-6, Bandwidth: 1e9}
 	c := cluster.New(3, comm)
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		active := []int{0, 1, 2}
 		local := []Delta{{Old: int32(10 + r.ID()), New: int32(r.ID())}}
 		remote, _, err := ExchangeDeltas(r, active, local, 8) // tiny chunks
@@ -343,7 +344,7 @@ func TestChunkBoundaryProperty(t *testing.T) {
 		{100, 1}, {5, 1000}, {64, 0 /* default */},
 	} {
 		c := cluster.New(2, comm)
-		_, err := c.Run(func(r *cluster.Rank) error {
+		_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 			if r.ID() == 0 {
 				data := make([]byte, tc.payload)
 				for i := range data {
@@ -375,7 +376,7 @@ func TestChunkBoundaryProperty(t *testing.T) {
 func TestRecvChunkedRejectsGarbageHeader(t *testing.T) {
 	comm := cost.CommModel{Latency: 1e-6, Bandwidth: 1e9}
 	c := cluster.New(2, comm)
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		if r.ID() == 0 {
 			r.Send(1, 999, []byte{1, 2}) // too short for a count header
 			return nil

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -93,7 +94,7 @@ func TestReadCoversAllEdges(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		c := cluster.New(p, testComm())
 		counts := make([]map[int32]int, p)
-		_, err := c.Run(func(r *cluster.Rank) error {
+		_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 			part, w := Read(r, el, g)
 			if w.VerticesProcessed == 0 && g.N > 0 {
 				return fmt.Errorf("no partition work reported")
@@ -140,7 +141,7 @@ func TestReadBalancesEdges(t *testing.T) {
 	const p = 8
 	c := cluster.New(p, testComm())
 	sizes := make([]int, p)
-	_, err := c.Run(func(r *cluster.Rank) error {
+	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		part, _ := Read(r, el, g)
 		sizes[r.ID()] = len(part.Edges)
 		return nil
@@ -169,7 +170,7 @@ func TestReadBoundsMatchesRead(t *testing.T) {
 	g := graph.MustBuildCSR(el)
 	for _, p := range []int{1, 3, 8} {
 		c := cluster.New(p, testComm())
-		_, err := c.Run(func(r *cluster.Rank) error {
+		_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 			bounds, _, wb := ReadBounds(r, el, ByDegree, nil)
 			part, w := Read(r, el, g)
 			if fmt.Sprint(bounds) != fmt.Sprint(part.Bounds) {
@@ -241,7 +242,7 @@ func TestReadBoundsMatchesCSRDegrees(t *testing.T) {
 			}{{"degree", ByDegree, nil}, {"vertex", ByVertex, nil}, {"speeds", ByDegree, speeds}} {
 				want := csrBounds(g, p, tc.strat, tc.speeds)
 				c := cluster.New(p, testComm())
-				_, err := c.Run(func(r *cluster.Rank) error {
+				_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 					bounds, deg, w := ReadBounds(r, el, tc.strat, tc.speeds)
 					if !slices.Equal(bounds, want) {
 						return fmt.Errorf("bounds %v, CSR degrees give %v", bounds, want)

@@ -5,12 +5,11 @@ import "sync/atomic"
 // Worklist is a double-buffered, data-driven worklist in the style the paper
 // adopts from LonestarGPU: kernels drain the current buffer in parallel and
 // push newly activated items into the next buffer with a single atomic
-// bump per push (or per batch, see PushBatch). Swap flips the buffers
-// between rounds.
+// bump per push. Swap flips the buffers between rounds.
 //
 // Pushing is safe from concurrent goroutines provided the worklist was
-// created with enough capacity for all pushes in a round; Seed, Swap and
-// Reset must only be called between rounds.
+// created with enough capacity for all pushes in a round; Seed and Swap
+// must only be called between rounds.
 type Worklist struct {
 	cur    []int32 // backing buffer; cur[:curLen] are the current items
 	curLen int
@@ -41,22 +40,6 @@ func (w *Worklist) Seed(items []int32) { //lint:testonly dead; awaits deletion t
 	w.curLen = len(items)
 }
 
-// SeedRange fills the current buffer with lo, lo+1, ..., hi-1.
-func (w *Worklist) SeedRange(lo, hi int32) { //lint:testonly dead; awaits deletion together with its tests
-	n := int(hi - lo)
-	if n < 0 {
-		n = 0
-	}
-	if n > len(w.cur) {
-		w.cur = make([]int32, n)
-		if len(w.next) < n {
-			w.next = make([]int32, n)
-		}
-	}
-	Iota(w.cur[:n], lo)
-	w.curLen = n
-}
-
 // Items returns the current items for draining. Callers must not retain the
 // slice across a Swap.
 func (w *Worklist) Items() []int32 { return w.cur[:w.curLen] } //lint:testonly dead; awaits deletion together with its tests
@@ -77,16 +60,6 @@ func (w *Worklist) Push(item int32) { //lint:testonly dead; awaits deletion toge
 	w.next[i] = item
 }
 
-// PushBatch reserves space for len(items) entries with one atomic operation
-// and copies them in — the "batched atomics" optimization of §3.5.
-func (w *Worklist) PushBatch(items []int32) { //lint:testonly dead; awaits deletion together with its tests
-	if len(items) == 0 {
-		return
-	}
-	end := w.n.Add(int64(len(items)))
-	copy(w.next[int(end)-len(items):end], items)
-}
-
 // Swap publishes the pushed items as current and clears the push buffer.
 // It returns the number of items now current.
 func (w *Worklist) Swap() int { //lint:testonly dead; awaits deletion together with its tests
@@ -94,10 +67,4 @@ func (w *Worklist) Swap() int { //lint:testonly dead; awaits deletion together w
 	w.cur, w.next = w.next, w.cur
 	w.curLen = n
 	return n
-}
-
-// Reset empties both buffers.
-func (w *Worklist) Reset() { //lint:testonly dead; awaits deletion together with its tests
-	w.curLen = 0
-	w.n.Store(0)
 }

@@ -40,30 +40,13 @@ func TestWorklistSeedGrows(t *testing.T) {
 	}
 }
 
-func TestWorklistSeedRange(t *testing.T) {
-	w := NewWorklist(4)
-	w.SeedRange(10, 15)
-	if w.Len() != 5 {
-		t.Fatalf("len=%d", w.Len())
-	}
-	for i, v := range w.Items() {
-		if v != int32(10+i) {
-			t.Fatalf("items=%v", w.Items())
-		}
-	}
-	w.SeedRange(5, 5)
-	if w.Len() != 0 {
-		t.Fatal("empty range should seed nothing")
-	}
-	w.SeedRange(9, 2)
-	if w.Len() != 0 {
-		t.Fatal("inverted range should seed nothing")
-	}
-}
-
 func TestWorklistPushSwapRounds(t *testing.T) {
 	w := NewWorklist(100)
-	w.SeedRange(0, 100)
+	items := make([]int32, 100)
+	for i := range items {
+		items[i] = int32(i)
+	}
+	w.Seed(items)
 	// Simulate three rounds of halving the frontier.
 	for round := 0; round < 3; round++ {
 		items := w.Items()
@@ -103,56 +86,5 @@ func TestWorklistConcurrentPush(t *testing.T) {
 		if v != int32(i) {
 			t.Fatalf("missing or duplicated item at %d: %d", i, v)
 		}
-	}
-}
-
-func TestWorklistPushBatch(t *testing.T) {
-	const n = 10_000
-	w := NewWorklist(n)
-	var wg sync.WaitGroup
-	const workers = 4
-	wg.Add(workers)
-	for p := 0; p < workers; p++ {
-		go func(p int) {
-			defer wg.Done()
-			batch := make([]int32, 0, 64)
-			for i := p; i < n; i += workers {
-				batch = append(batch, int32(i))
-				if len(batch) == 64 {
-					w.PushBatch(batch)
-					batch = batch[:0]
-				}
-			}
-			w.PushBatch(batch)
-		}(p)
-	}
-	wg.Wait()
-	if got := w.Swap(); got != n {
-		t.Fatalf("swap=%d want %d", got, n)
-	}
-	seen := make([]bool, n)
-	for _, v := range w.Items() {
-		if seen[v] {
-			t.Fatalf("duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestWorklistPushBatchEmpty(t *testing.T) {
-	w := NewWorklist(4)
-	w.PushBatch(nil)
-	if w.Pushed() != 0 {
-		t.Fatal("empty batch changed count")
-	}
-}
-
-func TestWorklistReset(t *testing.T) {
-	w := NewWorklist(8)
-	w.Seed([]int32{1, 2, 3})
-	w.Push(9)
-	w.Reset()
-	if w.Len() != 0 || w.Pushed() != 0 {
-		t.Fatal("reset did not clear buffers")
 	}
 }

@@ -50,7 +50,7 @@ func runDistributedChaos(el *graph.EdgeList, p int, ccfg chaos.Config) (*core.Re
 		go func(r int) {
 			defer wg.Done()
 			defer wrapped[r].Close()
-			results[r], errs[r] = core.RunDistributed(el, wrapped[r], cost.AMDCluster(), hypar.DefaultConfig(), false)
+			results[r], errs[r] = core.RunDistributed(context.Background(), el, wrapped[r], cost.AMDCluster(), hypar.DefaultConfig(), false)
 		}(r)
 	}
 	wg.Wait()

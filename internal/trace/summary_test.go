@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"context"
 	"testing"
 
 	"mndmst/internal/cluster"
@@ -41,7 +42,7 @@ func TestSummarizeKnownRecords(t *testing.T) {
 // exactly.
 func TestSummarizeMatchesReport(t *testing.T) {
 	c := cluster.New(4, cost.CommModel{Latency: 1e-6, Bandwidth: 1e9})
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		r.SetPhase("work")
 		r.Compute(float64(r.ID()+1) * 0.25)
 		if r.ID() != 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ import (
 func sampleReport(t *testing.T) *cluster.Report {
 	t.Helper()
 	c := cluster.New(3, cost.CommModel{Latency: 1e-6, Bandwidth: 1e9})
-	rep, err := c.Run(func(r *cluster.Rank) error {
+	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		r.SetPhase("alpha")
 		r.Compute(0.001 * float64(r.ID()+1))
 		r.SetPhase("beta")

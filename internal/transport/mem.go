@@ -41,11 +41,11 @@ func (m *Mem) Rank() int { return m.rank }
 // P reports the group size.
 func (m *Mem) P() int { return m.p }
 
-// Send enqueues msg for dst. It never fails; out-of-range destinations are
-// programming errors and panic, as the simulator always has.
+// Send enqueues msg for dst. It fails only after Abort, with the abort
+// cause; out-of-range destinations are programming errors and panic, as
+// the simulator always has.
 func (m *Mem) Send(dst int, msg Message) error {
-	m.boxes[dst][m.rank].put(msg)
-	return nil
+	return m.boxes[dst][m.rank].put(msg)
 }
 
 // Isend equals Send: the in-process mailbox handoff is already

@@ -555,7 +555,7 @@ func (t *TCP) readLoop(p *tcpPeer) {
 		p.m.framesRecv.Inc()
 		p.m.bytesRecv.Add(int64(len(payload)))
 		arrival := math.Float64frombits(binary.LittleEndian.Uint64(payload))
-		p.inbox.put(Message{Tag: tag, Arrival: arrival, Data: payload[8:]})
+		p.inbox.put(Message{Tag: tag, Arrival: arrival, Data: payload[8:]}) //lint:droperr an aborted endpoint discards inbound frames; the abort cause is the report
 	}
 }
 
@@ -655,8 +655,7 @@ func (t *TCP) Isend(dst int, m Message) error {
 	default:
 	}
 	if dst == t.rank {
-		t.selfBox.put(m)
-		return nil
+		return t.selfBox.put(m)
 	}
 	payload := make([]byte, 0, 8+len(m.Data))
 	payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(m.Arrival))

@@ -127,13 +127,15 @@ func (e *PeerDeadError) IsTransient() bool { return true }
 // Unboundedness matters: the multi-phase ghost exchanges send many messages
 // before the receiver drains any, and a bounded queue could deadlock the
 // program even though the modeled MPI program would not. Once failed, every
-// pending and future take returns the failure.
+// pending and future take returns the failure; once aborted, every future
+// put does too.
 type queue struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	msgs  []Message
-	bytes int64 // sum of len(Data) over msgs — the receive-window gauge
-	err   error // sticky failure; messages already queued drain first
+	mu      sync.Mutex
+	cond    *sync.Cond
+	msgs    []Message
+	bytes   int64 // sum of len(Data) over msgs — the receive-window gauge
+	err     error // sticky failure; messages already queued drain first
+	aborted bool  // failNow ran: the queue refuses further messages
 }
 
 func newQueue() *queue {
@@ -142,13 +144,19 @@ func newQueue() *queue {
 	return q
 }
 
-// put appends msg and wakes a waiting receiver.
-func (q *queue) put(msg Message) {
+// put appends msg and wakes a waiting receiver. An aborted queue drops msg
+// and returns the abort cause instead.
+func (q *queue) put(msg Message) error {
 	q.mu.Lock()
+	if q.aborted {
+		q.mu.Unlock()
+		return q.err
+	}
 	q.msgs = append(q.msgs, msg)
 	q.bytes += int64(len(msg.Data))
 	q.mu.Unlock()
 	q.cond.Broadcast()
+	return nil
 }
 
 // take blocks until a message is available (or the queue has failed) and
@@ -198,13 +206,15 @@ func (q *queue) fail(err error) {
 
 // failNow marks the queue failed AND discards everything still queued, so
 // the very next take returns the cause instead of draining stale data
-// first. It is the abort-path variant of fail: once a run is aborted, any
-// undelivered message belongs to a computation that no longer exists.
+// first, and every later put is refused. It is the abort-path variant of
+// fail: once a run is aborted, any undelivered message belongs to a
+// computation that no longer exists.
 func (q *queue) failNow(err error) {
 	q.mu.Lock()
 	if q.err == nil {
 		q.err = err
 	}
+	q.aborted = true
 	q.msgs = nil
 	q.bytes = 0
 	q.mu.Unlock()

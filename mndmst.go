@@ -571,11 +571,20 @@ func resultFromForest(f *mst.Forest, rep *cluster.Report) *Result {
 // TransportTCP it runs one rank of a multi-process cluster instead (see
 // FindMSFDistributed).
 func FindMSF(g *Graph, opts Options) (*Result, error) {
+	return FindMSFContext(context.Background(), g, opts)
+}
+
+// FindMSFContext is FindMSF bounded by a context. A context that is
+// already done starts no rank. One that fires mid-run aborts the cluster:
+// every rank stops at its next send, receive or collective, and the call
+// returns, once all of them have, an error matching ctx.Err() under
+// errors.Is. Nothing keeps running after the call returns.
+func FindMSFContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	if opts.Transport == TransportTCP {
 		if opts.Cluster == nil {
 			return nil, fmt.Errorf("mndmst: TransportTCP requires Options.Cluster")
 		}
-		return FindMSFDistributed(g, opts, *opts.Cluster)
+		return findMSFDistributed(ctx, g, opts, *opts.Cluster)
 	}
 	machine := opts.Machine.model()
 	if len(opts.NodeSpeeds) > 0 {
@@ -584,7 +593,7 @@ func FindMSF(g *Graph, opts Options) (*Result, error) {
 		}
 		machine.NodeSpeeds = opts.NodeSpeeds
 	}
-	res, err := core.Run(g.el, opts.nodes(), machine, opts.config(), opts.UseGPU)
+	res, err := core.Run(ctx, g.el, opts.nodes(), machine, opts.config(), opts.UseGPU)
 	if err != nil {
 		return nil, err
 	}
@@ -599,6 +608,13 @@ func FindMSF(g *Graph, opts Options) (*Result, error) {
 // wall-clock phase times — while other ranks return their local metrics
 // with Root == false and no forest.
 func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, error) {
+	return findMSFDistributed(context.Background(), g, opts, cfg)
+}
+
+// findMSFDistributed is FindMSFDistributed under ctx: a ctx that fires
+// mid-run aborts this rank's endpoint, which its peers see as this rank
+// lost.
+func findMSFDistributed(ctx context.Context, g *Graph, opts Options, cfg ClusterConfig) (*Result, error) {
 	tcpEP, err := transport.DialTCP(cfg.tcp())
 	if err != nil {
 		return nil, fmt.Errorf("mndmst: join cluster: %w", err)
@@ -615,7 +631,7 @@ func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, err
 		}
 		machine.NodeSpeeds = opts.NodeSpeeds
 	}
-	res, err := core.RunDistributed(g.el, ep, machine, opts.config(), opts.UseGPU)
+	res, err := core.RunDistributed(ctx, g.el, ep, machine, opts.config(), opts.UseGPU)
 	if err != nil {
 		return nil, err
 	}
@@ -629,56 +645,16 @@ func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, err
 	return out, nil
 }
 
-// runCtx runs f on its own goroutine and waits for either its outcome or
-// ctx. The underlying computation is not preemptible: when ctx fires
-// first, runCtx returns ctx.Err() immediately and the goroutine finishes
-// in the background, its result discarded into the buffered channel. This
-// trades (bounded) abandoned work for a responsive cancellation surface —
-// the serving layer's admission control relies on it to honour per-job
-// deadlines without threading contexts through the simulation core.
-func runCtx[T any](ctx context.Context, f func() (T, error)) (T, error) {
-	type outcome struct {
-		v   T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := f()
-		ch <- outcome{v, err}
-	}()
-	select {
-	case out := <-ch:
-		return out.v, out.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
-}
-
-// FindMSFContext is FindMSF bounded by a context: it returns ctx.Err() as
-// soon as the context is canceled or its deadline passes. The computation
-// itself is not preemptible — a canceled call abandons the in-flight run,
-// which finishes in the background and is discarded.
-func FindMSFContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*Result, error) { return FindMSF(g, opts) })
-}
-
-// FindMSFBSPContext is FindMSFBSP bounded by a context, with the same
-// abandon-on-cancel semantics as FindMSFContext.
-func FindMSFBSPContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*Result, error) { return FindMSFBSP(g, opts) })
-}
-
 // FindMSFBSP computes the same forest with the Pregel+-style BSP baseline
 // (CPU only).
 func FindMSFBSP(g *Graph, opts Options) (*Result, error) {
-	res, err := bsp.Run(g.el, opts.nodes(), opts.Machine.model())
+	return FindMSFBSPContext(context.Background(), g, opts)
+}
+
+// FindMSFBSPContext is FindMSFBSP bounded by a context, with the
+// cancellation of FindMSFContext.
+func FindMSFBSPContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
+	res, err := bsp.Run(ctx, g.el, opts.nodes(), opts.Machine.model())
 	if err != nil {
 		return nil, err
 	}

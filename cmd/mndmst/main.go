@@ -14,8 +14,7 @@
 //
 // With -launch local:N the process hosts a coordinator, forks N worker
 // copies of itself connected over loopback TCP (one OS process per rank),
-// and prints rank 0's summary — including real wall-clock times next to
-// the simulated ones. Workers recognize themselves by the
+// and prints rank 0's summary. Workers recognize themselves by the
 // MNDMST_WORKER_COORD environment variable.
 package main
 
@@ -203,16 +202,10 @@ func run(args []string, out io.Writer) error {
 	if *system != "seq" {
 		fmt.Fprintf(out, "simulated: exec %.4fs  compute %.4fs  comm %.4fs  (%d msgs, %d bytes)\n",
 			res.SimSeconds, res.ComputeSeconds, res.CommSeconds, res.MessagesSent, res.BytesSent)
-		if res.WallSeconds > 0 {
-			fmt.Fprintf(out, "real: %.4fs wall (max across ranks)\n", res.WallSeconds)
-		}
+		fmt.Fprintf(out, "real: %.4fs wall (max across ranks)\n", res.WallSeconds)
 		for _, ph := range res.Phases {
-			if res.WallSeconds > 0 {
-				fmt.Fprintf(out, "  phase %-14s compute %.4fs  comm %.4fs  wall %.4fs\n",
-					ph.Phase, ph.Compute, ph.Comm, ph.Wall)
-			} else {
-				fmt.Fprintf(out, "  phase %-14s compute %.4fs  comm %.4fs\n", ph.Phase, ph.Compute, ph.Comm)
-			}
+			fmt.Fprintf(out, "  phase %-14s compute %.4fs  comm %.4fs  wall %.4fs\n",
+				ph.Phase, ph.Compute, ph.Comm, ph.Wall)
 		}
 	}
 	if res.Trace != nil {
@@ -249,8 +242,7 @@ func writeTrace(res *mndmst.Result, path string) error {
 
 // launchLocal hosts a coordinator on an ephemeral loopback port, forks N
 // copies of this binary as TCP workers, and relays their output. Only rank
-// 0 prints a summary, so the combined output reads like a single run —
-// with real wall-clock columns added.
+// 0 prints a summary, so the combined output reads like a single run.
 func launchLocal(out io.Writer, spec string, childArgs []string, jsonOut bool) error {
 	var n int
 	if _, err := fmt.Sscanf(spec, "local:%d", &n); err != nil || n < 1 {

@@ -18,8 +18,12 @@
 // NewDistributed attaches one OS process per rank over a real network
 // transport. Collectives are messages too: every backend runs the same
 // gather-to-rank-0/broadcast protocol over its endpoints. The rank program
-// and its virtual clocks are identical either way; a distributed run
-// additionally records real wall-clock time per phase.
+// and its virtual clocks are identical either way.
+//
+// Beside the virtual clocks, every rank measures real elapsed time: its
+// whole run and each labelled phase. In-process these are wall intervals
+// of rank goroutines sharing the host's cores, not per-rank CPU time. The
+// measurements never feed back into the virtual clocks.
 package cluster
 
 import (
@@ -43,7 +47,6 @@ type Cluster struct {
 	// transport endpoint of local[i].
 	local []int
 	eps   []transport.Transport
-	wall  bool // record real wall-clock per phase (distributed mode)
 
 	// abortOnce latches the first abort cause, a rank failure or Run's
 	// context; abortCause records it, written only inside abortOnce. Once
@@ -75,14 +78,13 @@ func New(p int, comm cost.CommModel) *Cluster {
 // this process's endpoint of a P-rank transport (e.g. the TCP backend), and
 // Run executes the rank program for that one rank. Collectives run the
 // same protocol over the transport as in-process, so simulated times agree
-// across backends. Wall-clock phase timing is enabled.
+// across backends.
 func NewDistributed(ep transport.Transport, comm cost.CommModel) *Cluster {
 	return &Cluster{
 		p:     ep.P(),
 		comm:  comm,
 		local: []int{ep.Rank()},
 		eps:   []transport.Transport{ep},
-		wall:  true,
 	}
 }
 
@@ -154,7 +156,7 @@ func (c *Cluster) Run(ctx context.Context, fn func(r *Rank) error) (*Report, err
 				}
 			}()
 			defer r.finishWall()
-			r.startWall()
+			r.wallStart = r.markWall()
 			errs[slot] = fn(r)
 		}(i, ranks[i])
 	}
@@ -215,8 +217,8 @@ type Rank struct {
 	phase  string
 	phases map[string]*PhaseStats
 
-	// wallMark is the real-clock start of the current phase; wallTotal
-	// accumulates the rank's real runtime (distributed mode only).
+	// wallStart is the real-clock start of the rank's run and wallMark
+	// that of the current phase; wallTotal is the run's elapsed time.
 	wallMark  time.Time
 	wallStart time.Time
 	wallTotal float64
@@ -243,41 +245,29 @@ func (r *Rank) ComputeTime() float64 { return r.compute } //lint:testonly virtua
 func (r *Rank) CommTime() float64 { return r.comm } //lint:testonly virtual-clock accessor the cluster tests assert
 
 // SetPhase labels subsequent time charges with the given phase name for the
-// phase-breakdown reports (Figure 7). In distributed mode it also closes
-// the previous phase's real wall-clock interval.
+// phase-breakdown reports (Figure 7), and closes the previous phase's real
+// wall-clock interval.
 func (r *Rank) SetPhase(name string) {
-	if r.c.wall {
-		now := time.Now() //lint:wallclock wall columns are the point of distributed mode; gated by c.wall
-		// Time before the first label counts toward the rank's total but
-		// not toward any phase, so reports don't grow a near-zero
-		// "unlabeled" row that the in-process reports would not have.
-		if !r.wallMark.IsZero() && r.phase != "" {
-			r.phaseStats().Wall += now.Sub(r.wallMark).Seconds()
-		}
-		r.wallMark = now
-	}
+	r.markWall()
 	r.phase = name
-}
-
-// startWall opens the rank's real-clock measurement window.
-func (r *Rank) startWall() {
-	if r.c.wall {
-		r.wallStart = time.Now() //lint:wallclock wall columns are the point of distributed mode; gated by c.wall
-		r.wallMark = r.wallStart
-	}
 }
 
 // finishWall closes the current phase's and the rank's wall intervals.
 func (r *Rank) finishWall() {
-	if !r.c.wall || r.wallStart.IsZero() {
-		return
-	}
-	now := time.Now() //lint:wallclock wall columns are the point of distributed mode; gated by c.wall
-	if !r.wallMark.IsZero() && r.phase != "" {
+	r.wallTotal = r.markWall().Sub(r.wallStart).Seconds()
+}
+
+// markWall is the package's one real-clock read: it books the real time
+// since the previous mark to the current phase and moves the mark. Time
+// before the first label counts toward the rank's total but not toward any
+// phase, so reports grow no near-zero "unlabeled" row.
+func (r *Rank) markWall() time.Time {
+	now := time.Now() //lint:wallclock measured phase walls, reported beside the virtual clocks and never fed into them
+	if r.phase != "" {
 		r.phaseStats().Wall += now.Sub(r.wallMark).Seconds()
 	}
-	r.wallMark = time.Time{}
-	r.wallTotal = now.Sub(r.wallStart).Seconds()
+	r.wallMark = now
+	return now
 }
 
 func (r *Rank) phaseStats() *PhaseStats {

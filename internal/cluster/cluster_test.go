@@ -305,6 +305,40 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
+// TestEveryRunMeasuresPhases: an in-process run measures real time per
+// labelled phase and per rank, with no backend-specific switch, and the
+// phase intervals nest inside the rank's total.
+func TestEveryRunMeasuresPhases(t *testing.T) {
+	const p = 3
+	rep, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
+		r.SetPhase("indComp")
+		r.Compute(1)
+		r.Barrier()
+		r.SetPhase("merge")
+		r.Send((r.ID()+1)%p, 0, make([]byte, 64))
+		r.Recv((r.ID()+p-1)%p, 0)
+		r.Barrier()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range rep.Ranks {
+		var sum float64
+		for _, name := range []string{"indComp", "merge"} {
+			w := rs.Phases[name].Wall
+			if w <= 0 {
+				t.Errorf("rank %d phase %s: wall %g, want > 0", rs.Rank, name, w)
+			}
+			sum += w
+		}
+		// One nanosecond of slack absorbs float rounding of the sum.
+		if rs.Wall <= 0 || sum > rs.Wall+1e-9 {
+			t.Errorf("rank %d: phase walls sum to %g, total wall %g", rs.Rank, sum, rs.Wall)
+		}
+	}
+}
+
 func TestReportAggregates(t *testing.T) {
 	c := New(3, testComm())
 	rep, err := c.Run(context.Background(), func(r *Rank) error {

@@ -116,11 +116,12 @@ func TestDistributedAllreduceMatchesInProcess(t *testing.T) {
 		t.Fatalf("comm/compute diverge: (%v,%v) vs (%v,%v)",
 			rep.CommTime(), rep.ComputeTime(), inproc.CommTime(), inproc.ComputeTime())
 	}
-	if !rep.HasWall() {
+	// Both backends measure real time; only the virtual clocks must agree.
+	if rep.WallTime() <= 0 {
 		t.Fatal("distributed report lost wall clocks")
 	}
-	if inproc.HasWall() {
-		t.Fatal("in-process report grew wall clocks")
+	if inproc.WallTime() <= 0 {
+		t.Fatal("in-process report carries no wall clocks")
 	}
 }
 

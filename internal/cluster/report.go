@@ -14,8 +14,7 @@ type PhaseStats struct {
 	Comm      float64
 	BytesSent int64
 	Msgs      int64
-	// Wall is the real elapsed time spent in the phase; zero unless the
-	// cluster records wall clocks (distributed mode).
+	// Wall is the real elapsed time spent in the phase.
 	Wall float64
 }
 
@@ -28,8 +27,7 @@ type RankStats struct {
 	BytesSent int64
 	MsgsSent  int64
 	Phases    map[string]PhaseStats
-	// Wall is the rank's real elapsed runtime; zero unless the cluster
-	// records wall clocks (distributed mode).
+	// Wall is the rank's real elapsed runtime.
 	Wall float64
 }
 
@@ -146,7 +144,7 @@ func (rep *Report) PhaseTime(name string) (compute, comm float64) {
 }
 
 // PhaseWall returns the maximum real wall-clock time any rank spent in the
-// named phase (zero for in-process runs).
+// named phase.
 func (rep *Report) PhaseWall(name string) float64 {
 	var wall float64
 	for _, r := range rep.Ranks {
@@ -157,8 +155,7 @@ func (rep *Report) PhaseWall(name string) float64 {
 	return wall
 }
 
-// WallTime reports the maximum per-rank real runtime (zero for in-process
-// runs).
+// WallTime reports the maximum per-rank real runtime.
 func (rep *Report) WallTime() float64 {
 	var m float64
 	for _, r := range rep.Ranks {
@@ -167,16 +164,6 @@ func (rep *Report) WallTime() float64 {
 		}
 	}
 	return m
-}
-
-// HasWall reports whether the report carries real wall-clock measurements.
-func (rep *Report) HasWall() bool {
-	for _, r := range rep.Ranks {
-		if r.Wall > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // GatherReport assembles the full P-rank report at rank 0 of a distributed

@@ -128,11 +128,3 @@ func TestForParallelBranchWithForcedWorkers(t *testing.T) {
 		t.Fatalf("count=%d", count)
 	}
 }
-
-func TestNewWorklistMinCapacity(t *testing.T) {
-	w := NewWorklist(0)
-	w.Push(7)
-	if n := w.Swap(); n != 1 || w.Items()[0] != 7 {
-		t.Fatalf("swap=%d items=%v", n, w.Items())
-	}
-}

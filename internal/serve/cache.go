@@ -11,8 +11,8 @@ import (
 )
 
 // cacheEntry is one cached computation outcome: the result record (always
-// carrying the forest edge ids; views strip them) plus the per-rank trace
-// records when the run produced a report.
+// carrying the forest edge ids; views strip them) plus, for include_trace
+// views, the per-rank trace records of the run that computed it.
 type cacheEntry struct {
 	rec       Record
 	traceRecs []trace.Record

@@ -98,7 +98,8 @@ type JobRequest struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 	// IncludeEdges asks for the forest edge ids in the result record.
 	IncludeEdges bool `json:"include_edges,omitempty"`
-	// IncludeTrace asks for the per-rank trace records of the run.
+	// IncludeTrace asks for the per-rank trace records of the run. A
+	// cache hit replays the trace of the run that computed the answer.
 	IncludeTrace bool `json:"include_trace,omitempty"`
 	// Wait makes POST /v1/jobs block until the job finishes instead of
 	// returning 202 immediately.
@@ -132,7 +133,10 @@ func (r JobRequest) resolve() (system string, opts mndmst.Options, err error) {
 
 // Record is the machine-readable result of one MSF computation — the one
 // schema shared by the HTTP API and `mndmst -json`, so scripted clients
-// read CLI and server output identically.
+// read CLI and server output identically. It holds the forest and the
+// simulated metrics only, so two computations under one cache key yield
+// equal records; measured time stays on the job (JobStatus.RunSeconds)
+// and in the run's trace records.
 type Record struct {
 	GraphDigest        string `json:"graph_digest"`
 	Vertices           int    `json:"vertices"`
@@ -149,7 +153,6 @@ type Record struct {
 	CommSeconds    float64 `json:"comm_seconds"`
 	BytesSent      int64   `json:"bytes_sent"`
 	MessagesSent   int64   `json:"messages_sent"`
-	WallSeconds    float64 `json:"wall_seconds,omitempty"`
 
 	// Degraded marks a result computed by the local single-node fallback
 	// after the job's distributed attempts exhausted on rank loss: the
@@ -183,7 +186,6 @@ func newRecord(g *mndmst.Graph, digest, system string, opts mndmst.Options, res 
 		CommSeconds:        res.CommSeconds,
 		BytesSent:          res.BytesSent,
 		MessagesSent:       res.MessagesSent,
-		WallSeconds:        res.WallSeconds,
 		EdgeIDs:            res.EdgeIDs,
 	}
 }

@@ -530,9 +530,11 @@ func (s *Server) runJob(job *Job) {
 			if err != nil {
 				return nil, err
 			}
-			rec := newRecord(g, digest, job.system, job.opts, res)
-			ent := &cacheEntry{rec: rec}
+			ent := &cacheEntry{rec: newRecord(g, digest, job.system, job.opts, res)}
 			if res.Trace != nil {
+				// Only cold computes update the last-run gauges: a cache
+				// hit replays a stored answer, it is not a new run.
+				res.Trace.Publish(s.metrics)
 				ent.traceRecs = res.Trace.Records()
 			}
 			return ent, nil
@@ -560,11 +562,6 @@ func (s *Server) runJob(job *Job) {
 		}
 		s.finishJob(job, StateFailed, nil, nil, false, false, err)
 		return
-	}
-	if src == srcComputed && len(ent.traceRecs) > 0 {
-		// Only cold computes update the last-run gauges: a cache hit
-		// replays a stored answer, it is not a new run.
-		trace.PublishRecords(s.metrics, ent.traceRecs)
 	}
 	s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
 }

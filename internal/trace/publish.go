@@ -11,37 +11,27 @@ import (
 // gauges — the live-scrape form of the same totals Records flattens.
 // Gauges carry last-published-run semantics: each completed run
 // overwrites the previous one (phase series from an earlier run with a
-// different phase set simply stop updating).
+// different phase set simply stop updating). No-op on a nil registry or
+// report.
 //
-// Aggregation matches the Report accessors the text Profile renders:
-// seconds are maxima across ranks (makespan semantics, like
-// Report.PhaseTime/ExecutionTime), traffic is summed across ranks (like
+// The gauges read the Report accessors the text Profile renders: seconds
+// are maxima across ranks (makespan semantics, like Report.PhaseTime,
+// PhaseWall and ExecutionTime), traffic is summed across ranks (like
 // Report.TotalBytes/TotalMsgs).
 func Publish(reg *obs.Registry, rep *cluster.Report) {
-	if rep == nil {
+	if reg == nil || rep == nil {
 		return
 	}
-	PublishRecords(reg, Records(rep))
-}
-
-// PublishRecords is Publish over an already-flattened record sequence —
-// the form the serve layer caches per job.
-func PublishRecords(reg *obs.Registry, recs []Record) {
-	if reg == nil || len(recs) == 0 {
-		return
-	}
-	s := Summarize(recs)
-
 	reg.Gauge("mndmst_run_ranks",
-		"rank count of the last completed run").Set(float64(s.Ranks))
+		"rank count of the last completed run").Set(float64(len(rep.Ranks)))
 	reg.Gauge("mndmst_run_sim_seconds",
-		"simulated makespan of the last completed run (max across ranks)").Set(s.SimSeconds)
+		"simulated makespan of the last completed run (max across ranks)").Set(rep.ExecutionTime())
 	reg.Gauge("mndmst_run_wall_seconds",
-		"real elapsed seconds of the last completed run (max across ranks; 0 for in-process runs)").Set(s.WallSeconds)
+		"real elapsed seconds of the last completed run (max across ranks)").Set(rep.WallTime())
 	reg.Gauge("mndmst_run_bytes_sent",
-		"payload bytes sent during the last completed run (sum across ranks)").Set(float64(s.BytesSent))
+		"payload bytes sent during the last completed run (sum across ranks)").Set(float64(rep.TotalBytes()))
 	reg.Gauge("mndmst_run_msgs",
-		"messages sent during the last completed run (sum across ranks)").Set(float64(s.Msgs))
+		"messages sent during the last completed run (sum across ranks)").Set(float64(rep.TotalMsgs()))
 
 	compute := reg.GaugeVec("mndmst_run_phase_compute_seconds",
 		"per-phase simulated compute seconds of the last completed run (max across ranks)", "phase")
@@ -53,12 +43,19 @@ func PublishRecords(reg *obs.Registry, recs []Record) {
 		"per-phase payload bytes of the last completed run (sum across ranks)", "phase")
 	pmsgs := reg.GaugeVec("mndmst_run_phase_msgs",
 		"per-phase messages of the last completed run (sum across ranks)", "phase")
-	for phase, p := range s.Phases {
-		compute.With(phase).Set(p.Compute)
-		comm.With(phase).Set(p.Comm)
-		wall.With(phase).Set(p.Wall)
-		pbytes.With(phase).Set(float64(p.BytesSent))
-		pmsgs.With(phase).Set(float64(p.Msgs))
+	for _, phase := range rep.PhaseNames() {
+		c, m := rep.PhaseTime(phase)
+		var bytes, msgs int64
+		for _, r := range rep.Ranks {
+			p := r.Phases[phase]
+			bytes += p.BytesSent
+			msgs += p.Msgs
+		}
+		compute.With(phase).Set(c)
+		comm.With(phase).Set(m)
+		wall.With(phase).Set(rep.PhaseWall(phase))
+		pbytes.With(phase).Set(float64(bytes))
+		pmsgs.With(phase).Set(float64(msgs))
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 )
 
 // Record is one JSONL line: either a per-rank summary or a per-rank,
-// per-phase breakdown entry. Wall is the real elapsed time of a
-// multi-process run; it is omitted for in-process simulations, whose
-// records therefore stay byte-identical to the simulated-time-only format.
+// per-phase breakdown entry. Wall is the measured real elapsed time; the
+// other seconds are simulated.
 type Record struct {
 	Kind      string  `json:"kind"` // "rank" or "phase"
 	Rank      int     `json:"rank"`
@@ -97,18 +96,14 @@ func WriteCSV(w io.Writer, rep *cluster.Report) error {
 }
 
 // Profile renders an aligned text view: per-rank totals with a load-balance
-// summary and the per-phase maxima. When the report carries real wall-clock
-// measurements (multi-process runs), a wall column is appended to every
-// line; in-process reports render exactly as before.
+// summary and the per-phase maxima, each with its measured wall time beside
+// the simulated seconds.
 func Profile(rep *cluster.Report) string {
 	var b strings.Builder
 	exec := rep.ExecutionTime()
-	wall := rep.HasWall()
 	fmt.Fprintf(&b, "simulated execution: %.6fs (compute max %.6fs, comm max %.6fs)\n",
 		exec, rep.ComputeTime(), rep.CommTime())
-	if wall {
-		fmt.Fprintf(&b, "real execution: %.6fs wall (max across ranks)\n", rep.WallTime())
-	}
+	fmt.Fprintf(&b, "real execution: %.6fs wall (max across ranks)\n", rep.WallTime())
 	fmt.Fprintf(&b, "traffic: %d messages, %d bytes\n", rep.TotalMsgs(), rep.TotalBytes())
 
 	// Load balance: busiest vs average total.
@@ -121,29 +116,16 @@ func Profile(rep *cluster.Report) string {
 		fmt.Fprintf(&b, "load balance: makespan/avg = %.2f\n", exec/avg)
 	}
 
-	if wall {
-		b.WriteString("rank  total(s)    compute(s)  comm(s)     wall(s)     bytes\n")
-	} else {
-		b.WriteString("rank  total(s)    compute(s)  comm(s)     bytes\n")
-	}
+	b.WriteString("rank  total(s)    compute(s)  comm(s)     wall(s)     bytes\n")
 	for _, r := range rep.Ranks {
-		if wall {
-			fmt.Fprintf(&b, "%4d  %-10.6f  %-10.6f  %-10.6f  %-10.6f  %d\n",
-				r.Rank, r.Total, r.Compute, r.Comm, r.Wall, r.BytesSent)
-		} else {
-			fmt.Fprintf(&b, "%4d  %-10.6f  %-10.6f  %-10.6f  %d\n",
-				r.Rank, r.Total, r.Compute, r.Comm, r.BytesSent)
-		}
+		fmt.Fprintf(&b, "%4d  %-10.6f  %-10.6f  %-10.6f  %-10.6f  %d\n",
+			r.Rank, r.Total, r.Compute, r.Comm, r.Wall, r.BytesSent)
 	}
 	b.WriteString("phase breakdown (max across ranks):\n")
 	for _, name := range rep.PhaseNames() {
 		c, m := rep.PhaseTime(name)
-		if wall {
-			fmt.Fprintf(&b, "  %-16s compute %-10.6f comm %-10.6f wall %-10.6f\n",
-				name, c, m, rep.PhaseWall(name))
-		} else {
-			fmt.Fprintf(&b, "  %-16s compute %-10.6f comm %-10.6f\n", name, c, m)
-		}
+		fmt.Fprintf(&b, "  %-16s compute %-10.6f comm %-10.6f wall %-10.6f\n",
+			name, c, m, rep.PhaseWall(name))
 	}
 	return b.String()
 }

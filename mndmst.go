@@ -433,8 +433,9 @@ func (o Options) nodes() int {
 
 // Fingerprint returns the canonical identity of every result-relevant
 // option as a short string: two Options with equal fingerprints produce
-// identical Results on the same Graph (same forest, same simulated
-// metrics). Defaults are normalized first, so the zero Options and an
+// identical forests and simulated metrics on the same Graph. The measured
+// fields, Result.WallSeconds and PhaseTime.Wall, differ run to run.
+// Defaults are normalized first, so the zero Options and an
 // explicit {Nodes: 1, GroupSize: 4} fingerprint identically. Execution
 // plumbing that cannot change the answer — Transport, Cluster, Chaos — is
 // deliberately excluded. The serving layer combines this fingerprint with
@@ -451,13 +452,9 @@ func (o Options) Fingerprint() string {
 			gpus = 1
 		}
 	}
-	group := o.GroupSize
-	if group <= 0 {
-		group = 4 // hypar.DefaultConfig's GroupSize
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "v1;nodes=%d;machine=%s;gpus=%d;group=%d;excpt=%d;dimin=%t;topo=%t;contract=%t;gpushare=%g",
-		o.nodes(), machine, gpus, group, o.Exception,
+		o.nodes(), machine, gpus, o.config().GroupSize, o.Exception,
 		o.DiminishingTermination, o.TopologyDriven, o.Contraction, o.GPUShare)
 	for _, s := range o.NodeSpeeds {
 		fmt.Fprintf(&b, ";speed=%g", s)
@@ -470,13 +467,15 @@ type PhaseTime struct {
 	Phase   string
 	Compute float64
 	Comm    float64
-	// Wall is the real elapsed time of the phase, populated only for
-	// multi-process (TransportTCP) runs.
+	// Wall is the measured real elapsed time of the phase (max across
+	// ranks). In-process it is elapsed time of rank goroutines sharing the
+	// host's cores, not per-rank CPU time.
 	Wall float64
 }
 
-// Result describes a computed minimum spanning forest and the simulated
-// execution metrics of the run that produced it.
+// Result describes a computed minimum spanning forest, the simulated
+// execution metrics of the run that produced it, and that run's measured
+// wall times.
 type Result struct {
 	// EdgeIDs are the indices (into the input edge list) of the forest
 	// edges, ascending.
@@ -497,8 +496,8 @@ type Result struct {
 	MessagesSent int64
 	// Phases is the per-phase breakdown (max across ranks).
 	Phases []PhaseTime
-	// WallSeconds is the real elapsed runtime (max across ranks); zero
-	// for in-process runs, whose only meaningful clock is simulated.
+	// WallSeconds is the measured real elapsed runtime (max across ranks);
+	// zero for sequential and shared-memory results, which run no cluster.
 	WallSeconds float64
 	// Rank is the executing rank for multi-process runs (always 0 for
 	// in-process runs, which compute every rank locally).

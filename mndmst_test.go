@@ -2,8 +2,11 @@ package mndmst
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mndmst/internal/trace"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -186,6 +189,53 @@ func TestPublicAPITrace(t *testing.T) {
 	}
 	if FindMSFSequential(g).Trace != nil {
 		t.Fatal("sequential result should have no trace")
+	}
+}
+
+// TestFindMSFRepeatsAllButMeasuredTime: an in-process run measures its
+// total and every phase it ran, and two runs of one request agree on every
+// Result field except those measurements.
+func TestFindMSFRepeatsAllButMeasuredTime(t *testing.T) {
+	g := GenerateWebGraph(2048, 16_000, 0.8, 7)
+	var runs [2]*Result
+	for i := range runs {
+		res, err := FindMSF(g, Options{Nodes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WallSeconds <= 0 {
+			t.Fatalf("run %d: WallSeconds = %g, want > 0", i, res.WallSeconds)
+		}
+		for _, ph := range res.Phases {
+			if ph.Wall <= 0 {
+				t.Fatalf("run %d: phase %s Wall = %g, want > 0", i, ph.Phase, ph.Wall)
+			}
+		}
+		runs[i] = res
+	}
+	// simulated strips the measured fields, including the walls the trace
+	// records carry.
+	simulated := func(res *Result) (Result, []trace.Record) {
+		c := *res
+		c.WallSeconds = 0
+		c.Phases = append([]PhaseTime(nil), res.Phases...)
+		for i := range c.Phases {
+			c.Phases[i].Wall = 0
+		}
+		c.Trace = nil
+		recs := res.Trace.Records()
+		for i := range recs {
+			recs[i].Wall = 0
+		}
+		return c, recs
+	}
+	a, aRecs := simulated(runs[0])
+	b, bRecs := simulated(runs[1])
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("results differ beyond measured time:\n%+v\n%+v", a, b)
+	}
+	if !reflect.DeepEqual(aRecs, bRecs) {
+		t.Fatal("trace records differ beyond measured time")
 	}
 }
 

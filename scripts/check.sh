@@ -111,6 +111,13 @@ run_metrics_smoke() {
         cat "$tmp/metrics.txt"
         exit 1
     }
+    # Every run measures its phases, in-process ones included.
+    awk '$1 == "mndmst_run_phase_wall_seconds{phase=\"indComp\"}" && $2 + 0 > 0 { ok = 1 }
+        END { exit !ok }' "$tmp/metrics.txt" || {
+        echo "metrics smoke: no non-zero indComp wall gauge" >&2
+        cat "$tmp/metrics.txt"
+        exit 1
+    }
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "mndmst-serve did not drain cleanly on SIGTERM" >&2; cat "$tmp/serve.log"; exit 1; }
     trap - EXIT

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
@@ -45,16 +46,12 @@ func BFS(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, s
 	if source < 0 || source >= el.N {
 		return nil, fmt.Errorf("apps: source %d out of range [0,%d)", source, el.N)
 	}
-	g, err := graph.BuildCSR(el)
-	if err != nil {
-		return nil, err
-	}
 	cpu := &device.CPU{Model: machine.CPU}
 	c := cluster.New(p, machine.Comm)
 	var out *BFSResult
 	levels := make([]int, p)
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		res, lv, err := bfsRank(r, el, g, cpu, source)
+		res, lv, err := bfsRank(r, el, cpu, source)
 		if err != nil {
 			return err
 		}
@@ -75,14 +72,26 @@ func BFS(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, s
 	return out, nil
 }
 
-func bfsRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, source int32) ([]int32, int, error) {
-	r.SetPhase("bfs")
-	part, w := partition.Read(r, el, g)
+// readWindow is the partitioning step of every app: the degree-balanced
+// bounds of partition.ReadBounds and the window of the rank's vertex range,
+// built from the edge list and charged to cpu as one read. It also returns
+// the allreduced degrees, the per-arc scan charge of a vertex: a self-loop
+// keeps one arc in the window but counts twice in its degree.
+func readWindow(r *cluster.Rank, el *graph.EdgeList, cpu device.Device) ([]int32, []int64, *boruvka.Local) {
+	bounds, deg, w := partition.ReadBounds(r, el, partition.ByDegree, nil)
+	win := boruvka.NewWindow(el, deg, bounds[r.ID()], bounds[r.ID()+1])
+	w.EdgesScanned += win.NumEdges
 	r.Compute(cpu.Price(w))
-	lo, hi := part.Lo, part.Hi
-	n := int(hi - lo)
+	return bounds, deg, win
+}
+
+func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int32) ([]int32, int, error) {
+	r.SetPhase("bfs")
+	bounds, deg, win := readWindow(r, el, cpu)
 	p := r.P()
 	me := r.ID()
+	lo, hi := bounds[me], bounds[me+1]
+	n := int(hi - lo)
 
 	dist := make([]int32, n)
 	for i := range dist {
@@ -105,17 +114,17 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Devic
 		var next []int32
 		remote := make([][]int32, p)
 		for _, u := range frontier {
-			alo, ahi := g.Arcs(u)
-			for a := alo; a < ahi; a++ {
-				v := g.Dst[a]
-				work.EdgesScanned++
-				if v >= lo && v < hi {
-					if dist[v-lo] < 0 {
-						dist[v-lo] = level + 1
-						next = append(next, v)
+			dst, _, _ := win.Arcs(int(u - lo))
+			work.EdgesScanned += deg[u]
+			for _, h := range dst {
+				if h >= 0 {
+					if dist[h] < 0 {
+						dist[h] = level + 1
+						next = append(next, lo+h)
 					}
 				} else {
-					o := partition.OwnerOf(part.Bounds, v)
+					v := ^h
+					o := partition.OwnerOf(bounds, v)
 					remote[o] = append(remote[o], v)
 				}
 			}
@@ -166,14 +175,14 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Devic
 		r.Send(0, tagBFSDist, wire.AppendInt32s(nil, dist))
 		return nil, levels, nil
 	}
-	all := make([]int32, g.N)
+	all := make([]int32, el.N)
 	copy(all[lo:hi], dist)
 	for src := 1; src < p; src++ {
 		d, _, err := wire.TakeInt32s(r.Recv(src, tagBFSDist))
 		if err != nil {
 			return nil, 0, err
 		}
-		slo := part.Bounds[src]
+		slo := bounds[src]
 		copy(all[slo:slo+int32(len(d))], d)
 	}
 	return all, levels, nil

@@ -37,16 +37,12 @@ func Coloring(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machi
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := graph.BuildCSR(el)
-	if err != nil {
-		return nil, err
-	}
 	cpu := &device.CPU{Model: machine.CPU}
 	c := cluster.New(p, machine.Comm)
 	var out *ColoringResult
 	rounds := make([]int, p)
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		color, rd, err := coloringRank(r, el, g, cpu, seed)
+		color, rd, err := coloringRank(r, el, cpu, seed)
 		if err != nil {
 			return err
 		}
@@ -86,14 +82,13 @@ func priority(v int32, seed int64) uint64 {
 	return x<<32 | uint64(uint32(v))
 }
 
-func coloringRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, seed int64) ([]int32, int, error) {
+func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed int64) ([]int32, int, error) {
 	r.SetPhase("coloring")
-	part, w := partition.Read(r, el, g)
-	r.Compute(cpu.Price(w))
-	lo, hi := part.Lo, part.Hi
-	n := int(hi - lo)
+	bounds, deg, win := readWindow(r, el, cpu)
 	p := r.P()
 	me := r.ID()
+	lo, hi := bounds[me], bounds[me+1]
+	n := int(hi - lo)
 
 	color := make([]int32, n)
 	for i := range color {
@@ -125,11 +120,11 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 			gv := lo + int32(v)
 			pv := priority(gv, seed)
 			wins := true
-			alo, ahi := g.Arcs(gv)
+			dst, _, _ := win.Arcs(v)
+			work.EdgesScanned += deg[gv]
 			used := map[int32]bool{}
-			for a := alo; a < ahi; a++ {
-				u := g.Dst[a]
-				work.EdgesScanned++
+			for _, h := range dst {
+				u := win.Global(h)
 				if u == gv {
 					continue
 				}
@@ -160,13 +155,12 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 		// owning their neighbours.
 		sendSets := make([]map[int32]int32, p)
 		for _, gv := range newly {
-			alo, ahi := g.Arcs(gv)
-			for a := alo; a < ahi; a++ {
-				u := g.Dst[a]
-				if u >= lo && u < hi {
+			dst, _, _ := win.Arcs(int(gv - lo))
+			for _, h := range dst {
+				if h >= 0 {
 					continue
 				}
-				o := partition.OwnerOf(part.Bounds, u)
+				o := partition.OwnerOf(bounds, ^h)
 				if sendSets[o] == nil {
 					sendSets[o] = map[int32]int32{}
 				}
@@ -216,14 +210,14 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 		r.Send(0, tagColorGather, wire.AppendInt32s(nil, color))
 		return nil, rounds, nil
 	}
-	all := make([]int32, g.N)
+	all := make([]int32, el.N)
 	copy(all[lo:hi], color)
 	for src := 1; src < p; src++ {
 		cs, _, err := wire.TakeInt32s(r.Recv(src, tagColorGather))
 		if err != nil {
 			return nil, 0, err
 		}
-		slo := part.Bounds[src]
+		slo := bounds[src]
 		copy(all[slo:int(slo)+len(cs)], cs)
 	}
 	return all, rounds, nil

@@ -41,16 +41,12 @@ func PageRank(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machi
 	if maxIter < 1 {
 		maxIter = 50
 	}
-	g, err := graph.BuildCSR(el)
-	if err != nil {
-		return nil, err
-	}
 	cpu := &device.CPU{Model: machine.CPU}
 	c := cluster.New(p, machine.Comm)
 	var out *PageRankResult
 	iters := make([]int, p)
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		ranks, it, err := pagerankRank(r, el, g, cpu, damping, tol, maxIter)
+		ranks, it, err := pagerankRank(r, el, cpu, damping, tol, maxIter)
 		if err != nil {
 			return err
 		}
@@ -71,15 +67,14 @@ func PageRank(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machi
 	return out, nil
 }
 
-func pagerankRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, damping, tol float64, maxIter int) ([]float64, int, error) {
+func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, damping, tol float64, maxIter int) ([]float64, int, error) {
 	r.SetPhase("pagerank")
-	part, w := partition.Read(r, el, g)
-	r.Compute(cpu.Price(w))
-	lo, hi := part.Lo, part.Hi
-	n := int(hi - lo)
+	bounds, deg, win := readWindow(r, el, cpu)
 	p := r.P()
 	me := r.ID()
-	total := float64(g.N)
+	lo, hi := bounds[me], bounds[me+1]
+	n := int(hi - lo)
+	total := float64(el.N)
 
 	rank := make([]float64, n)
 	for i := range rank {
@@ -99,19 +94,25 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 		// destination rank per vertex (combiner).
 		remote := make([]map[int32]float64, p)
 		for v := 0; v < n; v++ {
-			deg := g.Degree(lo + int32(v))
-			if deg == 0 {
+			d := deg[lo+int32(v)]
+			if d == 0 {
 				continue
 			}
-			share := rank[v] / float64(deg)
-			alo, ahi := g.Arcs(lo + int32(v))
-			for a := alo; a < ahi; a++ {
-				u := g.Dst[a]
-				work.EdgesScanned++
-				if u >= lo && u < hi {
-					incoming[u-lo] += share
-				} else {
-					o := partition.OwnerOf(part.Bounds, u)
+			share := rank[v] / float64(d)
+			dst, _, _ := win.Arcs(v)
+			work.EdgesScanned += d
+			for _, h := range dst {
+				switch {
+				case int(h) == v:
+					// A self-loop is two arcs of the degree: add its
+					// share twice, as two adjacent arcs would.
+					incoming[v] += share
+					incoming[v] += share
+				case h >= 0:
+					incoming[h] += share
+				default:
+					u := ^h
+					o := partition.OwnerOf(bounds, u)
 					if remote[o] == nil {
 						remote[o] = map[int32]float64{}
 					}
@@ -180,14 +181,14 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.
 		r.Send(0, tagPRGather, wire.AppendUint64s(nil, vals))
 		return nil, it, nil
 	}
-	all := make([]float64, g.N)
+	all := make([]float64, el.N)
 	copy(all[lo:hi], rank)
 	for src := 1; src < p; src++ {
 		vals, _, err := wire.TakeUint64s(r.Recv(src, tagPRGather))
 		if err != nil {
 			return nil, 0, err
 		}
-		slo := part.Bounds[src]
+		slo := bounds[src]
 		for i, b := range vals {
 			all[int(slo)+i] = math.Float64frombits(b)
 		}

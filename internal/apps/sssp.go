@@ -42,16 +42,12 @@ func SSSP(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, 
 	if source < 0 || source >= el.N {
 		return nil, fmt.Errorf("apps: source %d out of range [0,%d)", source, el.N)
 	}
-	g, err := graph.BuildCSR(el)
-	if err != nil {
-		return nil, err
-	}
 	cpu := &device.CPU{Model: machine.CPU}
 	c := cluster.New(p, machine.Comm)
 	var out *SSSPResult
 	rounds := make([]int, p)
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		dist, rd, err := ssspRank(r, el, g, cpu, source)
+		dist, rd, err := ssspRank(r, el, cpu, source)
 		if err != nil {
 			return err
 		}
@@ -72,14 +68,13 @@ func SSSP(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, 
 	return out, nil
 }
 
-func ssspRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Device, source int32) ([]uint64, int, error) {
+func ssspRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int32) ([]uint64, int, error) {
 	r.SetPhase("sssp")
-	part, w := partition.Read(r, el, g)
-	r.Compute(cpu.Price(w))
-	lo, hi := part.Lo, part.Hi
-	n := int(hi - lo)
+	bounds, deg, win := readWindow(r, el, cpu)
 	p := r.P()
 	me := r.ID()
+	lo, hi := bounds[me], bounds[me+1]
+	n := int(hi - lo)
 
 	dist := make([]uint64, n)
 	for i := range dist {
@@ -101,21 +96,20 @@ func ssspRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Devi
 		remoteBest := map[int32]uint64{}
 		for _, u := range frontier {
 			du := dist[u-lo]
-			alo, ahi := g.Arcs(u)
-			for a := alo; a < ahi; a++ {
-				v := g.Dst[a]
-				work.EdgesScanned++
-				cand := du + g.W[a]
-				if v >= lo && v < hi {
-					if cand < dist[v-lo] {
-						dist[v-lo] = cand
-						if !inNext[v] {
+			dst, _, wt := win.Arcs(int(u - lo))
+			work.EdgesScanned += deg[u]
+			for j, h := range dst {
+				cand := du + wt[j]
+				if h >= 0 {
+					if cand < dist[h] {
+						dist[h] = cand
+						if v := lo + h; !inNext[v] {
 							inNext[v] = true
 							next = append(next, v)
 						}
 					}
-				} else if cur, ok := remoteBest[v]; !ok || cand < cur {
-					remoteBest[v] = cand
+				} else if cur, ok := remoteBest[^h]; !ok || cand < cur {
+					remoteBest[^h] = cand
 					work.HashOps++
 				}
 			}
@@ -133,7 +127,7 @@ func ssspRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Devi
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		lists := make([][]uint64, p)
 		for _, v := range keys {
-			o := partition.OwnerOf(part.Bounds, v)
+			o := partition.OwnerOf(bounds, v)
 			lists[o] = append(lists[o], uint64(uint32(v)), remoteBest[v])
 		}
 		for d := 0; d < p; d++ {
@@ -179,14 +173,14 @@ func ssspRank(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR, cpu device.Devi
 		r.Send(0, tagSSSPDist, wire.AppendUint64s(nil, dist))
 		return nil, rounds, nil
 	}
-	all := make([]uint64, g.N)
+	all := make([]uint64, el.N)
 	copy(all[lo:hi], dist)
 	for src := 1; src < p; src++ {
 		d, _, err := wire.TakeUint64s(r.Recv(src, tagSSSPDist))
 		if err != nil {
 			return nil, 0, err
 		}
-		slo := part.Bounds[src]
+		slo := bounds[src]
 		copy(all[slo:int(slo)+len(d)], d)
 	}
 	return all, rounds, nil

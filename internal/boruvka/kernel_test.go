@@ -173,21 +173,12 @@ func TestBorderEdgeExceptionMoreConservative(t *testing.T) {
 // and returns the union of chosen edge ids.
 func partitionChosen(t *testing.T, el *graph.EdgeList, parts int, opt Options) []int32 {
 	t.Helper()
-	g := graph.MustBuildCSR(el)
+	deg := el.Degrees()
 	var all []int32
 	for p := 0; p < parts; p++ {
 		lo := int32(p) * el.N / int32(parts)
 		hi := int32(p+1) * el.N / int32(parts)
-		ids := make([]int32, 0, hi-lo)
-		for v := lo; v < hi; v++ {
-			ids = append(ids, v)
-		}
-		edges := toWEdges(graph.VertexRangeSubgraph(g, lo, hi))
-		l, err := NewLocal(ids, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := Run(l, opt)
+		res := Run(NewWindow(el, deg, lo, hi), opt)
 		all = append(all, res.ChosenIDs...)
 	}
 	return all

@@ -237,6 +237,15 @@ func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
 	return l.dst[lo:hi:hi], l.eid[lo:hi:hi], l.w[lo:hi:hi]
 }
 
+// Global returns the global id of arc head h: IDs[h] for a local index,
+// ^h for an external head.
+func (l *Local) Global(h int32) int32 {
+	if h < 0 {
+		return ^h
+	}
+	return l.IDs[h]
+}
+
 // N reports the number of local vertices.
 func (l *Local) N() int { return len(l.IDs) }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
@@ -69,17 +70,13 @@ func RunWith(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machin
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
-	g, err := graph.BuildCSR(el)
-	if err != nil {
-		return nil, err
-	}
 	cpu := &device.CPU{Model: machine.CPU}
 	c := cluster.New(p, machine.Comm)
 	var forest *mst.Forest
 	rounds := make([]int, p)
 	steps := make([]int, p)
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		w := &worker{r: r, cpu: cpu, el: el, g: g, opt: opt}
+		w := &worker{r: r, cpu: cpu, el: el, opt: opt}
 		f, err := w.run()
 		if err != nil {
 			return err
@@ -100,14 +97,6 @@ func RunWith(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machin
 	return &Result{Forest: forest, Report: rep, Rounds: rounds[0], Supersteps: steps[0]}, nil
 }
 
-// arc is one directed adjacency entry of a local vertex.
-type arc struct {
-	dst  int32 // global head
-	w    uint64
-	eid  int32
-	dead bool // self arc at component level; skipped forever
-}
-
 // cand is a combined lightest-edge candidate for one component.
 type cand struct {
 	comp  int32 // the component the candidate belongs to
@@ -120,14 +109,13 @@ type worker struct {
 	r   *cluster.Rank
 	cpu device.Device
 	el  *graph.EdgeList
-	g   *graph.CSR
 	opt Options
 
 	lo, hi int32
 	bounds []int32
 
-	adjOff []int64
-	adj    []arc
+	win  *boruvka.Local // the rank's window: arcs out of [lo, hi)
+	dead []bool         // per arc of win: a self arc at component level, skipped forever
 
 	comp   []int32         // per local vertex: current component id
 	ghost  map[int32]int32 // neighbour vertex → its component
@@ -159,11 +147,20 @@ const tagForest = 208
 func (w *worker) run() (*mst.Forest, error) {
 	r := w.r
 	r.SetPhase(PhaseLoad)
-	part, work := partition.Read(r, w.el, w.g)
+	bounds, deg, work := partition.ReadBounds(r, w.el, partition.ByDegree, nil)
+	w.bounds = bounds
+	w.lo, w.hi = bounds[r.ID()], bounds[r.ID()+1]
+	w.win = boruvka.NewWindow(w.el, deg, w.lo, w.hi)
+	work.EdgesScanned += w.win.NumEdges
 	w.cpuCharge(work)
-	w.lo, w.hi = part.Lo, part.Hi
-	w.bounds = part.Bounds
-	w.buildAdjacency()
+	// Pregel+ then copies the adjacency of its vertices, one scan per CSR
+	// arc: a self-loop counts twice.
+	var arcs int64
+	for _, d := range deg[w.lo:w.hi] {
+		arcs += d
+	}
+	w.cpuCharge(cost.Work{EdgesScanned: arcs})
+	w.dead = make([]bool, w.win.NumArcs())
 
 	n := int(w.hi - w.lo)
 	w.comp = make([]int32, n)
@@ -211,26 +208,6 @@ func (w *worker) run() (*mst.Forest, error) {
 	return f, nil
 }
 
-// buildAdjacency extracts the local adjacency (arcs of owned vertices).
-func (w *worker) buildAdjacency() {
-	n := int(w.hi - w.lo)
-	w.adjOff = make([]int64, n+1)
-	for v := int32(0); v < int32(n); v++ {
-		lo, hi := w.g.Arcs(w.lo + v)
-		w.adjOff[v+1] = w.adjOff[v] + (hi - lo)
-	}
-	w.adj = make([]arc, w.adjOff[n])
-	var k int64
-	for v := int32(0); v < int32(n); v++ {
-		lo, hi := w.g.Arcs(w.lo + v)
-		for a := lo; a < hi; a++ {
-			w.adj[k] = arc{dst: w.g.Dst[a], w: w.g.W[a], eid: w.g.EID[a]}
-			k++
-		}
-	}
-	w.cpuCharge(cost.Work{EdgesScanned: int64(len(w.adj))})
-}
-
 func (w *worker) cpuCharge(work cost.Work) { w.r.Compute(w.cpu.Price(work)) }
 
 // compOf resolves a global vertex to its current component.
@@ -256,26 +233,34 @@ func (w *worker) round() (int, error) {
 	best := map[int32]cand{} // comp → best local candidate (combined)
 	var vertexCands []cand   // per-vertex minima (vanilla Pregel mode)
 	n := int(w.hi - w.lo)
+	// Both arc loops walk the vertices in order, so a running offset
+	// into w.dead follows the window's arcs.
+	var k int
 	for v := 0; v < n; v++ {
 		cv := w.comp[v]
 		vBest := cand{w: ^uint64(0)}
-		for ai := w.adjOff[v]; ai < w.adjOff[v+1]; ai++ {
-			a := &w.adj[ai]
-			if a.dead {
+		dst, eid, wt := w.win.Arcs(v)
+		dead := w.dead[k : k+len(dst)]
+		k += len(dst)
+		for j, h := range dst {
+			if dead[j] {
 				continue
 			}
 			work.EdgesScanned++
-			cu := w.compOf(a.dst)
+			cu := w.compOf(w.win.Global(h))
 			if cu == cv {
-				a.dead = true
+				dead[j] = true
+				if int(h) == v { // a self-loop's second CSR arc dies too
+					work.EdgesScanned++
+				}
 				continue
 			}
-			if graph.WeightLess(a.w, vBest.w) {
-				vBest = cand{comp: cv, other: cu, w: a.w, eid: a.eid}
+			if graph.WeightLess(wt[j], vBest.w) {
+				vBest = cand{comp: cv, other: cu, w: wt[j], eid: eid[j]}
 			}
 			cd, ok := best[cv]
-			if !ok || graph.WeightLess(a.w, cd.w) {
-				best[cv] = cand{comp: cv, other: cu, w: a.w, eid: a.eid}
+			if !ok || graph.WeightLess(wt[j], cd.w) {
+				best[cv] = cand{comp: cv, other: cu, w: wt[j], eid: eid[j]}
 			}
 			work.HashOps++
 		}
@@ -582,17 +567,17 @@ func (w *worker) round() (int, error) {
 	// --- Superstep: ghost update (the per-round boundary broadcast) ---
 	sent := make([]map[int32]bool, p)
 	ghostLists := make([][]int32, p)
+	k = 0
 	for v := 0; v < n; v++ {
 		gv := w.lo + int32(v)
-		for ai := w.adjOff[v]; ai < w.adjOff[v+1]; ai++ {
-			a := &w.adj[ai]
-			if a.dead {
+		dst, _, _ := w.win.Arcs(v)
+		dead := w.dead[k : k+len(dst)]
+		k += len(dst)
+		for j, h := range dst {
+			if dead[j] || h >= 0 { // local heads need no ghost update
 				continue
 			}
-			o := w.owner(a.dst)
-			if o == me {
-				continue
-			}
+			o := w.owner(^h)
 			if w.opt.Combining {
 				// Deduplicate per (rank, vertex) — the combiner.
 				if sent[o] == nil {

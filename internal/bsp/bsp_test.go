@@ -201,3 +201,56 @@ func TestVanillaPregelSameForestMoreBytes(t *testing.T) {
 			vanilla.Report.TotalBytes(), plus.Report.TotalBytes())
 	}
 }
+
+// TestBSPModeledFiguresPinned pins the modeled figures of a web graph with
+// self-loops under both combiner settings. The rank's window keeps one arc
+// per self-loop where a CSR has two, and Pregel+'s adjacency copy and
+// first-round scan are charged per CSR arc; a self-loop charged once moves
+// the compute seconds of the rank that owns it.
+func TestBSPModeledFiguresPinned(t *testing.T) {
+	el := gen.WebGraph(512, 4096, 0.85, 126)
+	loops := 0
+	for _, e := range el.Edges {
+		if e.U == e.V {
+			loops++
+		}
+	}
+	if loops == 0 {
+		t.Fatal("the graph has no self-loops to pin")
+	}
+	type seconds struct{ compute, comm float64 }
+	for _, tc := range []struct {
+		combining          bool
+		bytes, msgs        int64
+		rounds, supersteps int
+		ranks              []seconds
+	}{
+		{true, 36208, 675, 5, 74, []seconds{
+			{0.0002547133333333333, 0.010726753333333347},
+			{0.00025123999999999996, 0.010730200000000016},
+			{0.00024147666666666666, 0.010739990000000015},
+			{0.00023743666666666664, 0.010743983333333347},
+		}},
+		{false, 62672, 675, 5, 74, []seconds{
+			{0.0002850133333333333, 0.01073549333333335},
+			{0.00026964, 0.01075084000000002},
+			{0.0002593433333333333, 0.010761163333333353},
+			{0.0002490533333333333, 0.010771406666666683},
+		}},
+	} {
+		res, err := RunWith(context.Background(), el, 4, amd(), Options{Combining: tc.combining})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Report
+		if rep.TotalBytes() != tc.bytes || rep.TotalMsgs() != tc.msgs || res.Rounds != tc.rounds || res.Supersteps != tc.supersteps {
+			t.Fatalf("combining=%v: %d bytes, %d msgs, %d rounds, %d supersteps; want %d, %d, %d, %d", tc.combining,
+				rep.TotalBytes(), rep.TotalMsgs(), res.Rounds, res.Supersteps, tc.bytes, tc.msgs, tc.rounds, tc.supersteps)
+		}
+		for i, want := range tc.ranks {
+			if got := (seconds{rep.Ranks[i].Compute, rep.Ranks[i].Comm}); got != want {
+				t.Errorf("combining=%v rank %d: compute, comm = %v, %v s; want %v, %v s", tc.combining, i, got.compute, got.comm, want.compute, want.comm)
+			}
+		}
+	}
+}

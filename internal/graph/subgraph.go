@@ -60,34 +60,3 @@ func SampleInducedSubgraph(g *CSR, fraction float64, rng *rand.Rand) *EdgeList {
 	}
 	return InducedSubgraph(g, verts)
 }
-
-// VertexRangeSubgraph extracts the edge list of the partition [lo, hi):
-// all undirected edges with at least one endpoint inside the range. Edges
-// keep ORIGINAL vertex ids and ORIGINAL edge ids — this is the partition
-// view used by the distributed algorithm, where ghost endpoints remain
-// globally named. Edges whose both endpoints fall inside are emitted once;
-// cut edges (one endpoint outside) are emitted once as well, from the
-// inside endpoint.
-func VertexRangeSubgraph(g *CSR, lo, hi int32) []Edge {
-	var out []Edge
-	var loopSeen map[int32]bool // self-loops appear as two identical arcs
-	for u := lo; u < hi; u++ {
-		alo, ahi := g.Arcs(u)
-		for a := alo; a < ahi; a++ {
-			v := g.Dst[a]
-			if u == v {
-				if loopSeen == nil {
-					loopSeen = make(map[int32]bool)
-				}
-				if loopSeen[g.EID[a]] {
-					continue
-				}
-				loopSeen[g.EID[a]] = true
-			} else if v >= lo && v < hi && u > v {
-				continue // internal proper edge: emit once, from smaller endpoint
-			}
-			out = append(out, Edge{U: u, V: v, W: g.W[a], ID: g.EID[a]})
-		}
-	}
-	return out
-}

@@ -49,73 +49,6 @@ func TestSampleInducedSubgraphBounds(t *testing.T) {
 	}
 }
 
-func TestVertexRangeSubgraph(t *testing.T) {
-	// Path 0-1-2-3.
-	el := &EdgeList{N: 4, Edges: []Edge{
-		{U: 0, V: 1, W: MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 2, W: MakeWeight(2, 1), ID: 1},
-		{U: 2, V: 3, W: MakeWeight(3, 2), ID: 2},
-	}}
-	g := MustBuildCSR(el)
-	part := VertexRangeSubgraph(g, 0, 2) // vertices {0,1}
-	// Edges: internal 0-1 once; cut 1-2 once (from inside endpoint 1).
-	if len(part) != 2 {
-		t.Fatalf("edges=%d: %+v", len(part), part)
-	}
-	var sawInternal, sawCut bool
-	for _, e := range part {
-		switch e.ID {
-		case 0:
-			sawInternal = true
-		case 1:
-			sawCut = true
-			if e.U != 1 || e.V != 2 {
-				t.Fatalf("cut edge oriented wrong: %+v", e)
-			}
-		default:
-			t.Fatalf("unexpected edge %+v", e)
-		}
-	}
-	if !sawInternal || !sawCut {
-		t.Fatalf("missing edges: internal=%v cut=%v", sawInternal, sawCut)
-	}
-}
-
-func TestVertexRangeSubgraphCoversAllEdgesOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	el := randomEdgeList(rng, 60, 300)
-	g := MustBuildCSR(el)
-	// Split into 4 contiguous ranges; every edge must appear once or twice
-	// (twice exactly when it is a cut edge, once from each side).
-	bounds := []int32{0, 15, 30, 45, 60}
-	count := make(map[int32]int)
-	for p := 0; p < 4; p++ {
-		for _, e := range VertexRangeSubgraph(g, bounds[p], bounds[p+1]) {
-			count[e.ID]++
-		}
-	}
-	for _, e := range el.Edges {
-		pu := partOf(e.U, bounds)
-		pv := partOf(e.V, bounds)
-		want := 1
-		if pu != pv {
-			want = 2
-		}
-		if count[e.ID] != want {
-			t.Fatalf("edge %d (%d-%d) seen %d times want %d", e.ID, e.U, e.V, count[e.ID], want)
-		}
-	}
-}
-
-func partOf(v int32, bounds []int32) int {
-	for p := 0; p+1 < len(bounds); p++ {
-		if v >= bounds[p] && v < bounds[p+1] {
-			return p
-		}
-	}
-	return -1
-}
-
 func TestIORoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	el := randomEdgeList(rng, 30, 100)

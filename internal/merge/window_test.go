@@ -6,7 +6,6 @@ import (
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
-	"mndmst/internal/graph"
 	"mndmst/internal/wire"
 )
 
@@ -31,7 +30,6 @@ func relabelList(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
 // iteration's reduction does.
 func TestRelabelWindowMatchesRelabel(t *testing.T) {
 	el := gen.RMAT(256, 2048, 29) // hubs, self-loops and parallel edges
-	g := graph.MustBuildCSR(el)
 	deg := el.Degrees()
 	for _, r := range [][2]int32{{0, 256}, {0, 8}, {60, 200}, {255, 256}, {100, 100}} {
 		lo, hi := r[0], r[1]
@@ -48,9 +46,25 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 			}
 			return ghost(v)
 		}
+		// The range's edge list in the window's order: vertex-major, each
+		// vertex's edges in ascending id, oriented from the inside end; an
+		// internal edge appears once, from its smaller end.
 		var edges []wire.WEdge
-		for _, e := range graph.VertexRangeSubgraph(g, lo, hi) {
-			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
+		for u := lo; u < hi; u++ {
+			for _, e := range el.Edges {
+				v := e.V
+				switch {
+				case e.U == u:
+				case e.V == u:
+					v = e.U
+				default:
+					continue
+				}
+				if v >= lo && v < hi && u > v {
+					continue
+				}
+				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: e.ID})
+			}
 		}
 		want := relabelList(edges, pf)
 		got := Relabel(nil, boruvka.NewWindow(el, deg, lo, hi), parent, ghost)

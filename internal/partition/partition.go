@@ -10,19 +10,7 @@ import (
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
-
-// Part is one rank's share of the graph: the owned contiguous vertex range
-// and every edge with at least one owned endpoint (cut edges appear in both
-// endpoint owners' parts).
-type Part struct {
-	Lo, Hi int32
-	Edges  []wire.WEdge
-	// Bounds are the global partition boundaries (len P+1), identical on
-	// every rank.
-	Bounds []int32
-}
 
 // OwnerOf locates v's owner by binary search over the shared bounds.
 func OwnerOf(bounds []int32, v int32) int {
@@ -116,31 +104,17 @@ const (
 	ByVertex
 )
 
-// Read performs the distributed partitioning on the calling rank: it
-// derives the degree-balanced bounds with ReadBounds and extracts its part
-// from g, the CSR of el. The returned work covers the degree count and the
-// edge extraction; the caller charges it to its device model. All ranks
-// must call Read collectively with the same graph.
-func Read(r *cluster.Rank, el *graph.EdgeList, g *graph.CSR) (*Part, cost.Work) {
-	bounds, _, w := ReadBounds(r, el, ByDegree, nil)
-	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	edges := graph.VertexRangeSubgraph(g, lo, hi)
-	w.EdgesScanned += int64(len(edges))
-	part := &Part{Lo: lo, Hi: hi, Bounds: bounds, Edges: make([]wire.WEdge, len(edges))}
-	for i, e := range edges {
-		part.Edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
-	}
-	return part, w
-}
-
-// ReadBounds is the bounds step of the read: the rank counts the endpoint
-// incidences of its chunk of the edge list, allreduces the degree vector
-// and derives the global partition boundaries (len P+1, identical on every
-// rank) by strat, speed-weighted when speeds has P entries. It returns the
-// bounds and the allreduced degrees, which equal graph.CSR.Degree of every
-// vertex. The work charged is that of the provisional equal-vertex slice
-// the rank is modeled to read, one vertex per slice vertex; callers that
-// extract the rank's range charge that scan themselves.
+// ReadBounds is the read of §3.1 on the calling rank: the rank counts the
+// endpoint incidences of its chunk of the edge list, allreduces the degree
+// vector and derives the global partition boundaries (len P+1, identical
+// on every rank) by strat, speed-weighted when speeds has P entries. It
+// returns the bounds and the allreduced degrees, which equal
+// graph.CSR.Degree of every vertex. All ranks must call it collectively
+// with the same edge list. The work returned is that of the provisional
+// equal-vertex slice the rank is modeled to read, one vertex per slice
+// vertex. Every job kind then builds its range's view with
+// boruvka.NewWindow(el, degrees, bounds[id], bounds[id+1]) and adds the
+// window's NumEdges to this work as the extraction scan.
 func ReadBounds(r *cluster.Rank, el *graph.EdgeList, strat Strategy, speeds []float64) ([]int32, []int64, cost.Work) {
 	var w cost.Work
 	p, id := r.P(), r.ID()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/gen"
@@ -88,35 +89,46 @@ func TestOwnerOfInverseOfBounds(t *testing.T) {
 	}
 }
 
+// readWindow is the read every job kind makes: the degree-balanced bounds
+// and the window of the rank's range.
+func readWindow(r *cluster.Rank, el *graph.EdgeList) ([]int32, *boruvka.Local, cost.Work) {
+	bounds, deg, w := ReadBounds(r, el, ByDegree, nil)
+	return bounds, boruvka.NewWindow(el, deg, bounds[r.ID()], bounds[r.ID()+1]), w
+}
+
 func TestReadCoversAllEdges(t *testing.T) {
 	el := gen.RMAT(512, 4096, 41)
-	g := graph.MustBuildCSR(el)
 	for _, p := range []int{1, 2, 4, 7} {
 		c := cluster.New(p, testComm())
 		counts := make([]map[int32]int, p)
+		bounds := make([][]int32, p)
 		_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
-			part, w := Read(r, el, g)
-			if w.VerticesProcessed == 0 && g.N > 0 {
+			b, win, w := readWindow(r, el)
+			if w.VerticesProcessed == 0 && el.N > 0 {
 				return fmt.Errorf("no partition work reported")
 			}
 			m := map[int32]int{}
-			for _, e := range part.Edges {
-				m[e.ID]++
-				if m[e.ID] > 1 {
-					return fmt.Errorf("edge %d twice in one part", e.ID)
+			for u := 0; u < win.N(); u++ {
+				_, eids, _ := win.Arcs(u)
+				for _, id := range eids {
+					m[id] = 1
 				}
 			}
-			counts[r.ID()] = m
-			// Bounds identical across ranks and consistent with [Lo,Hi).
-			if part.Bounds[r.ID()] != part.Lo || part.Bounds[r.ID()+1] != part.Hi {
-				return fmt.Errorf("bounds inconsistent: %v vs [%d,%d)", part.Bounds, part.Lo, part.Hi)
+			if int64(len(m)) != win.NumEdges {
+				return fmt.Errorf("window holds %d distinct edges, NumEdges is %d", len(m), win.NumEdges)
 			}
+			counts[r.ID()], bounds[r.ID()] = m, b
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every edge appears once (internal) or twice (cut).
+		for i := range bounds {
+			if !slices.Equal(bounds[i], bounds[0]) {
+				t.Fatalf("p=%d: rank %d bounds %v, rank 0 has %v", p, i, bounds[i], bounds[0])
+			}
+		}
+		// Every edge lies in one window (internal) or two (cut).
 		total := map[int32]int{}
 		for _, m := range counts {
 			for id, c := range m {
@@ -137,55 +149,21 @@ func TestReadCoversAllEdges(t *testing.T) {
 
 func TestReadBalancesEdges(t *testing.T) {
 	el := gen.RMAT(1024, 16384, 43)
-	g := graph.MustBuildCSR(el)
 	const p = 8
 	c := cluster.New(p, testComm())
-	sizes := make([]int, p)
+	sizes := make([]int64, p)
 	_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
-		part, _ := Read(r, el, g)
-		sizes[r.ID()] = len(part.Edges)
+		_, win, _ := readWindow(r, el)
+		sizes[r.ID()] = win.NumEdges
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, max := sizes[0], sizes[0]
-	for _, s := range sizes {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
 	// Degree-balanced 1D partitioning should keep imbalance moderate even
 	// on a power-law graph (hub partitions shrink in vertex count).
-	if min == 0 || float64(max)/float64(min) > 3.5 {
+	if lo, hi := slices.Min(sizes), slices.Max(sizes); lo == 0 || float64(hi)/float64(lo) > 3.5 {
 		t.Fatalf("edge imbalance too high: sizes=%v", sizes)
-	}
-}
-
-func TestReadBoundsMatchesRead(t *testing.T) {
-	el := gen.RMAT(512, 4096, 53)
-	g := graph.MustBuildCSR(el)
-	for _, p := range []int{1, 3, 8} {
-		c := cluster.New(p, testComm())
-		_, err := c.Run(context.Background(), func(r *cluster.Rank) error {
-			bounds, _, wb := ReadBounds(r, el, ByDegree, nil)
-			part, w := Read(r, el, g)
-			if fmt.Sprint(bounds) != fmt.Sprint(part.Bounds) {
-				return fmt.Errorf("rank %d: bounds %v, Read has %v", r.ID(), bounds, part.Bounds)
-			}
-			// Read adds exactly the extraction scan to the bounds step.
-			wb.EdgesScanned += int64(len(part.Edges))
-			if wb != w {
-				return fmt.Errorf("rank %d: work %+v, Read charged %+v", r.ID(), wb, w)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

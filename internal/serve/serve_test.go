@@ -159,8 +159,9 @@ func TestSingleflightDedupe(t *testing.T) {
 		jobs[i] = job
 	}
 	// All n jobs occupy workers: one leads the computation, n-1 wait on
-	// its flight inside the result cache.
-	waitFor(t, "all jobs running", func() bool { return s.Stats().Running == n })
+	// its flight inside the result cache. A job counts as running before
+	// it reaches the cache, so wait for the flight's followers.
+	waitFor(t, "n-1 jobs on the flight", func() bool { return s.Stats().ResultCacheCoalesced == n-1 })
 	gt.open()
 	for _, job := range jobs {
 		<-job.Done()

@@ -54,6 +54,22 @@ func BenchmarkFindMSFHost(b *testing.B) {
 	}
 }
 
+// BenchmarkFindMSFHostRoad measures the whole pipeline on a near-planar
+// road grid (20 000 vertices) on 4 ranks, the shape of e2ebench's road-p4
+// workload: many Borůvka rounds over low-degree vertices, most of whose
+// arcs become component-internal, so the kernel's scans and the
+// merge-phase relabel carry most of the work.
+func BenchmarkFindMSFHostRoad(b *testing.B) {
+	g := mndmst.GenerateRoadNetwork(20000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFindMSFHostLowLocality16 measures the whole pipeline where its
 // fixed per-rank and per-iteration costs dominate: a small low-locality
 // web graph (700 vertices, 11 000 edges) on 16 ranks, the shape of

@@ -88,7 +88,7 @@ type Result struct {
 const hubDegree = 1 << 13
 
 // kernel is the state of one Run. A data-driven round costs the vertices
-// and arcs of the components that merged in the previous round plus their
+// and live arcs of the components that merged in the previous round plus their
 // roots; the only O(n) pass left in a round is the graph contraction of
 // Options.Contract.
 //
@@ -106,6 +106,10 @@ type kernel struct {
 	dst []int32
 	eid []int32
 	wgt []uint64
+	// live aliases the Local's live ends, which scanArcs shrinks as it
+	// moves internal arcs of non-hub vertices past them; nil under
+	// Contract, whose filter drops those arcs instead.
+	live []int32
 	// ring[u] is the member after u on its component's cycle.
 	ring []int32
 	// border[r] reports whether root r's component contains a border
@@ -143,6 +147,12 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 	parutil.Iota(k.ring, 0)
 	copy(k.active, k.ring)
 	copy(k.scan, k.ring)
+	if opt.Contract {
+		l.live = nil
+	} else {
+		l.resetLive()
+		k.live = l.live
+	}
 	if opt.Excpt == ExcptBorderEdge {
 		k.border = make([]bool, n)
 		parutil.For(n, 1<<13, func(lo, hi int) {
@@ -154,7 +164,9 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 	return k
 }
 
-// Run executes the kernel on the local view.
+// Run executes the kernel on the local view. Unless opt.Contract is set,
+// it reorders each vertex's arcs in place and leaves l's live ends (see
+// Local): every arc is live again when the next run starts.
 func Run(l *Local, opt Options) *Result {
 	n := l.N()
 	res := &Result{Work: cost.Work{DegreeSkew: l.degreeSkew()}}
@@ -181,7 +193,9 @@ func Run(l *Local, opt Options) *Result {
 		}
 	}
 
-	res.Parent = make([]int32, n)
+	// The rings are dead once the last join returned: Parent takes their
+	// storage.
+	res.Parent = k.ring
 	parutil.For(n, 1<<13, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			res.Parent[u] = l.IDs[k.uf.Find(int32(u))]
@@ -208,11 +222,18 @@ func (k *kernel) round() (rw cost.Work, merges, frozen int) {
 }
 
 // scanArcs is the scan phase: every listed vertex proposes its arcs to
-// its component's min-slot. It returns the arcs scanned and the
-// proposals made, each summed per chunk.
+// its component's min-slot. A non-hub vertex with a live end scans only
+// its live arcs and moves each one it finds internal past the end, where
+// no later round or relabel reads it: an internal arc stays internal. The
+// counts do not change with that: a vertex is charged all its arcs, and
+// an internal arc was never a proposal. It returns the arcs scanned and
+// the proposals made, each summed per chunk.
 func (k *kernel) scanArcs() (scanned, proposed int64) {
-	off, dst, eid, wgt, uf, slots := k.off, k.dst, k.eid, k.wgt, k.uf, k.slots
+	off, dst, eid, wgt, uf, slots, live := k.off, k.dst, k.eid, k.wgt, k.uf, k.slots, k.live
 	// arcLess orders arcs by (weight, edge id, arc index): a total order.
+	// The arc index decides only between the two arcs of one edge, which
+	// are internal and never proposed, so moving arcs leaves every winner
+	// as it was.
 	arcLess := func(a, b int64) bool {
 		if wgt[a] != wgt[b] {
 			return wgt[a] < wgt[b]
@@ -226,17 +247,34 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 	// component. §3.5 makes one atomic min per arc; taking the minimum
 	// locally first and proposing once leaves the slot with the same
 	// winner, and the count returned still charges one per candidate arc.
-	propose := func(u int32, alo, ahi int64) (props int64) {
+	// With compact set, [alo, ahi) is u's live prefix: an internal arc is
+	// swapped with the last live one, which is scanned next, and u's live
+	// end is written back. The arcs before a are never moved, so best
+	// stays valid.
+	propose := func(u int32, alo, ahi int64, compact bool) (props int64) {
 		r := uf.Parent(u)
 		best := parutil.NoEdge
-		for a := alo; a < ahi; a++ {
+		for a := alo; a < ahi; {
 			if v := dst[a]; v >= 0 && uf.Parent(v) == r {
-				continue // self edge at component level
+				// Self edge at component level.
+				if compact {
+					ahi--
+					dst[a], dst[ahi] = dst[ahi], v
+					eid[a], eid[ahi] = eid[ahi], eid[a]
+					wgt[a], wgt[ahi] = wgt[ahi], wgt[a]
+				} else {
+					a++
+				}
+				continue
 			}
 			if best == parutil.NoEdge || arcLess(a, best) {
 				best = a
 			}
 			props++
+			a++
+		}
+		if compact {
+			live[u] = int32(ahi - alo)
 		}
 		if best != parutil.NoEdge {
 			slots[r].Propose(best, arcLess)
@@ -258,7 +296,11 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 				continue
 			}
 			s += ahi - alo
-			p += propose(u, alo, ahi)
+			if live != nil {
+				p += propose(u, alo, alo+int64(live[u]), true)
+			} else {
+				p += propose(u, alo, ahi, false)
+			}
 		}
 		scans.Add(s)
 		props.Add(p)
@@ -267,7 +309,7 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 		alo, ahi := off[u], off[u+1]
 		parutil.For(int(ahi-alo), 1<<12, func(lo, hi int) {
 			scans.Add(int64(hi - lo))
-			props.Add(propose(u, alo+int64(lo), alo+int64(hi)))
+			props.Add(propose(u, alo+int64(lo), alo+int64(hi), false))
 		})
 	}
 	return scans.Load(), props.Load()

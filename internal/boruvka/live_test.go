@@ -1,0 +1,259 @@
+package boruvka_test
+
+import (
+	"cmp"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"mndmst/internal/boruvka"
+	"mndmst/internal/cost"
+	"mndmst/internal/graph"
+	"mndmst/internal/merge"
+	"mndmst/internal/wire"
+)
+
+// arc is one arc of a vertex, compared by value.
+type arc struct {
+	dst, eid int32
+	w        uint64
+}
+
+func arcCmp(a, b arc) int {
+	return cmp.Or(cmp.Compare(a.eid, b.eid), cmp.Compare(a.dst, b.dst), cmp.Compare(a.w, b.w))
+}
+
+// arcsOf returns the arcs Arcs(u) shows, in the view's order.
+func arcsOf(l *boruvka.Local, u int) []arc {
+	dst, eid, w := l.Arcs(u)
+	out := make([]arc, len(dst))
+	for a := range dst {
+		out[a] = arc{dst[a], eid[a], w[a]}
+	}
+	return out
+}
+
+// sortedArcs returns Arcs(u) as a multiset: sorted by (edge id, head,
+// weight).
+func sortedArcs(l *boruvka.Local, u int) []arc {
+	out := arcsOf(l, u)
+	slices.SortFunc(out, arcCmp)
+	return out
+}
+
+// subMultiset reports whether the sorted multiset a is contained in the
+// sorted multiset b.
+func subMultiset(a, b []arc) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && arcCmp(b[j], x) < 0 {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// checkLivePrefix checks the live arcs of v after res = Run(v, opt) against
+// all, a copy of v that no kernel ran on. Under Contract, and for a hub,
+// every arc is live. Otherwise the live arcs of a vertex are, as a
+// multiset, its arcs whose head is external or in another component:
+// exactly after a run whose last round merged nothing, and at least those
+// after a Terminator stop, within the vertex's arcs.
+func checkLivePrefix(t testing.TB, where string, all, v *boruvka.Local, res *boruvka.Result, opt boruvka.Options) {
+	t.Helper()
+	if v.N() == 0 {
+		return
+	}
+	stopped := res.RoundMerges[len(res.RoundMerges)-1] > 0
+	for u := range v.N() {
+		got, full := sortedArcs(v, u), sortedArcs(all, u)
+		var want []arc
+		for _, a := range full {
+			if a.dst < 0 || res.Parent[a.dst] != res.Parent[u] {
+				want = append(want, a)
+			}
+		}
+		switch {
+		case opt.Contract || all.Degree(u) >= boruvka.HubDegree:
+			if !slices.Equal(got, full) {
+				t.Fatalf("%s: vertex %d shows %d of its %d arcs, want all", where, v.IDs[u], len(got), len(full))
+			}
+		case stopped:
+			if !subMultiset(want, got) || !subMultiset(got, full) {
+				t.Fatalf("%s: vertex %d live arcs %v are not between %v and %v", where, v.IDs[u], got, want, full)
+			}
+		case !slices.Equal(got, want):
+			t.Fatalf("%s: vertex %d live arcs %v, want %v", where, v.IDs[u], got, want)
+		}
+	}
+}
+
+// checkRelabel checks that relabelling v through parent after a kernel
+// run yields the edges that relabelling all, a copy of v that no kernel
+// ran on, yields: the same multiset from Relabel, and the same component
+// graph from RemoveMultiEdges. Heads outside v keep their ids.
+func checkRelabel(t testing.TB, where string, all, v *boruvka.Local, parent []int32) {
+	t.Helper()
+	ghost := func(x int32) int32 { return x }
+	got := merge.Relabel(nil, v, parent, ghost)
+	want := merge.Relabel(nil, all, parent, ghost)
+	byID := func(es []wire.WEdge) []wire.WEdge {
+		es = slices.Clone(es)
+		slices.SortFunc(es, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
+		return es
+	}
+	if g, w := byID(got), byID(want); !slices.Equal(g, w) {
+		t.Fatalf("%s: relabel emits %d edges %v, the fresh view %d %v", where, len(g), g, len(w), w)
+	}
+	g, _ := merge.RemoveMultiEdges(got)
+	w, _ := merge.RemoveMultiEdges(want)
+	if !slices.Equal(g, w) {
+		t.Fatalf("%s: component graph %v, the fresh view gives %v", where, g, w)
+	}
+}
+
+// checkSubOwnsArcs runs the kernel on v.Sub(a, b) and checks that every
+// arc v shows is unchanged, in place.
+func checkSubOwnsArcs(t testing.TB, where string, v *boruvka.Local, a, b int, opt boruvka.Options) {
+	t.Helper()
+	before := make([][]arc, v.N())
+	for u := range v.N() {
+		before[u] = arcsOf(v, u)
+	}
+	boruvka.Run(v.Sub(a, b), opt)
+	for u := range v.N() {
+		if got := arcsOf(v, u); !slices.Equal(got, before[u]) {
+			t.Fatalf("%s: a run on Sub(%d, %d) moved vertex %d's arcs from %v to %v", where, a, b, v.IDs[u], before[u], got)
+		}
+	}
+}
+
+// liveMode is one kernel configuration the live-prefix checks run.
+type liveMode struct {
+	name string
+	opt  boruvka.Options
+}
+
+// liveModes are the kernel runs the live-prefix checks cover: each under
+// ExcptNone and ExcptBorderVertex, data-driven and topology-driven, as a
+// full run, a Terminator stop after round 2, and with Contract.
+func liveModes() []liveMode {
+	var out []liveMode
+	stop := func(round int, _ cost.Work, _ int) bool { return round >= 2 }
+	for _, excpt := range []boruvka.ExceptionCond{boruvka.ExcptNone, boruvka.ExcptBorderVertex} {
+		for _, dd := range []bool{true, false} {
+			base := boruvka.Options{Excpt: excpt, DataDriven: dd}
+			term, contract := base, base
+			term.Terminator = stop
+			contract.Contract = true
+			name := fmt.Sprintf("excpt=%d dd=%v", excpt, dd)
+			out = append(out, liveMode{name + " full", base}, liveMode{name + " stop", term}, liveMode{name + " contract", contract})
+		}
+	}
+	return out
+}
+
+// forGoldenRuns runs every live mode over the golden graphs and windows.
+// All runs of one window share one view, so each run starts from the
+// arcs its predecessor permuted; check gets a fresh copy of the view as
+// all.
+func forGoldenRuns(t *testing.T, check func(where string, all, win *boruvka.Local, res *boruvka.Result, opt boruvka.Options)) (stops int) {
+	t.Helper()
+	for gi, el := range boruvka.GoldenGraphs() {
+		deg := el.Degrees()
+		for _, w := range boruvka.GoldenWindows(el.N) {
+			all, win := boruvka.NewWindow(el, deg, w[0], w[1]), boruvka.NewWindow(el, deg, w[0], w[1])
+			for _, m := range liveModes() {
+				res := boruvka.Run(win, m.opt)
+				if n := len(res.RoundMerges); n > 0 && res.RoundMerges[n-1] > 0 {
+					stops++
+				}
+				check(fmt.Sprintf("g%d [%d,%d) %s", gi, w[0], w[1], m.name), all, win, res, m.opt)
+			}
+		}
+	}
+	return stops
+}
+
+// TestKernelLivePrefix pins what a kernel run leaves in a view's live
+// prefixes (checkLivePrefix) over the golden graphs and windows.
+func TestKernelLivePrefix(t *testing.T) {
+	stops := forGoldenRuns(t, func(where string, all, win *boruvka.Local, res *boruvka.Result, opt boruvka.Options) {
+		checkLivePrefix(t, where, all, win, res, opt)
+	})
+	if stops == 0 {
+		t.Fatal("no run stopped with merges pending: the Terminator case was not covered")
+	}
+}
+
+// TestRelabelLiveArcsMatchesFreshView checks that the merge-phase relabel
+// over a view's live arcs after a kernel run equals the relabel over a
+// fresh window of its range, and that a kernel run on a Sub of a view
+// leaves the view's arcs in place.
+func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
+	forGoldenRuns(t, func(where string, all, win *boruvka.Local, res *boruvka.Result, opt boruvka.Options) {
+		checkRelabel(t, where, all, win, res.Parent)
+	})
+	for gi, el := range boruvka.GoldenGraphs() {
+		deg := el.Degrees()
+		for _, w := range boruvka.GoldenWindows(el.N) {
+			win := boruvka.NewWindow(el, deg, w[0], w[1])
+			n := win.N()
+			for _, m := range liveModes() {
+				checkSubOwnsArcs(t, fmt.Sprintf("g%d [%d,%d) %s", gi, w[0], w[1], m.name), win, n/4, n-n/4, m.opt)
+			}
+		}
+	}
+}
+
+// FuzzNewWindow checks the property of TestNewWindowMatchesNewLocal on
+// small graphs built from the input: byte 0 sizes the vertex set, bytes 1
+// and 2 pick the range (and the part of the component-graph view, whose
+// ids are the vertices that are not multiples of byte 1 % 4 + 2), and
+// each further byte pair is an edge. It then runs the kernel on the
+// window, in the live mode the last byte picks, and checks the live prefixes,
+// the relabel over them, and that a run on a Sub leaves them in place.
+func FuzzNewWindow(f *testing.F) {
+	f.Add([]byte{5, 1, 4, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{9, 3, 3, 0, 8, 2, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := int32(data[0]%32) + 1
+		lo, hi := int32(data[1])%(n+1), int32(data[2])%(n+1)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		el := &graph.EdgeList{N: n}
+		for i := 3; i+1 < len(data); i += 2 {
+			id := int32(len(el.Edges))
+			u, v := int32(data[i])%n, int32(data[i+1])%n
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, ID: id, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
+		}
+		boruvka.CheckWindow(t, el, lo, hi)
+		deg := el.Degrees()
+		win := boruvka.NewWindow(el, deg, lo, hi)
+		a, b := win.N()/3, win.N()-win.N()/4
+		if got, want := win.Sub(a, b), boruvka.NewWindow(el, deg, lo+int32(a), lo+int32(b)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", n, lo, hi, a, b)
+		}
+		mod := int32(data[1]%4) + 2
+		boruvka.CheckLocalSub(t, el, func(v int32) bool { return v%mod != 0 }, int(data[1]), int(data[2]))
+
+		modes := liveModes()
+		m := modes[int(data[len(data)-1])%len(modes)]
+		where := fmt.Sprintf("N=%d [%d,%d) %s", n, lo, hi, m.name)
+		all := boruvka.NewWindow(el, deg, lo, hi)
+		res := boruvka.Run(win, m.opt)
+		checkLivePrefix(t, where, all, win, res, m.opt)
+		checkRelabel(t, where, all, win, res.Parent)
+		checkSubOwnsArcs(t, where, win, a, b, m.opt)
+	})
+}

@@ -27,6 +27,12 @@ import (
 // and weight of its undirected edge; a head inside the view is stored as
 // its local index, a head outside it is external (ghost) and stored as
 // ^global (bitwise NOT of its global id, so always negative).
+//
+// A kernel run (Run) permutes each vertex's arcs in place so that the
+// arcs it found internal to a component sit past a live end, and records
+// that end: from then on Arcs returns only the live prefix. A view no
+// kernel ran on, or one last run with Options.Contract, has no live ends
+// and shows every arc. Every view owns its arc arrays; Sub copies them.
 type Local struct {
 	IDs []int32 // sorted ascending, unique
 	// NumEdges counts the view's undirected edges (self-loops included),
@@ -38,6 +44,10 @@ type Local struct {
 	dst []int32 // local index of head, or ^global if external
 	eid []int32 // global edge id
 	w   []uint64
+	// live[u] counts u's live arcs, the prefix of its CSR range that the
+	// last kernel run did not find internal; nil when no kernel ran, or
+	// the last one ran with Contract.
+	live []int32
 }
 
 // NewLocal builds a Local view from an edge list with global endpoint
@@ -195,18 +205,20 @@ func (l *Local) compact(slots []int64) {
 	l.dst, l.eid, l.w = l.dst[:k:k], l.eid[:k:k], l.w[:k:k]
 }
 
-// Sub returns the view of local vertices [a, b) of l: their arcs, with a
-// head outside [a, b) made external. It costs the arcs of the range; the
-// edge ids and weights alias l's.
+// Sub returns the view of local vertices [a, b) of l: all their arcs,
+// with a head outside [a, b) made external. It copies the arcs of the
+// range, so a kernel run on the sub-view leaves l's arcs as they were.
 func (l *Local) Sub(a, b int) *Local {
 	base, end := l.off[a], l.off[b]
 	s := &Local{
 		IDs: l.IDs[a:b:b],
 		off: make([]int64, b-a+1),
 		dst: make([]int32, end-base),
-		eid: l.eid[base:end:end],
-		w:   l.w[base:end:end],
+		eid: make([]int32, end-base),
+		w:   make([]uint64, end-base),
 	}
+	copy(s.eid, l.eid[base:end])
+	copy(s.w, l.w[base:end])
 	for u := a; u < b; u++ {
 		s.off[u-a+1] = l.off[u+1] - base
 		for x := l.off[u]; x < l.off[u+1]; x++ {
@@ -229,11 +241,19 @@ func (l *Local) Sub(a, b int) *Local {
 	return s
 }
 
-// Arcs returns the heads, edge ids and weights of the arcs out of local
-// vertex u, in the view's order. A head is a local index, or ^global when
-// it is external. The slices alias the view and must not be modified.
+// Arcs returns the heads, edge ids and weights of the live arcs out of
+// local vertex u, in the view's order: all of u's arcs when no kernel ran
+// on the view, otherwise those the last run did not find internal to u's
+// component, which include every cut arc. After a run that ended with a
+// round of no merges they are exactly u's arcs to other components (a hub
+// of hubDegree arcs or more keeps all of them); after a Terminator stop
+// they may include more. A head is a local index, or ^global when it is
+// external. The slices alias the view and must not be modified.
 func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
 	lo, hi := l.off[u], l.off[u+1]
+	if l.live != nil {
+		hi = lo + int64(l.live[u])
+	}
 	return l.dst[lo:hi:hi], l.eid[lo:hi:hi], l.w[lo:hi:hi]
 }
 
@@ -252,17 +272,30 @@ func (l *Local) N() int { return len(l.IDs) }
 // NumArcs reports the number of local arcs.
 func (l *Local) NumArcs() int64 { return int64(len(l.dst)) }
 
-// Degree reports the number of arcs out of local vertex u.
+// Degree reports the number of arcs out of local vertex u, live or not.
 func (l *Local) Degree(u int) int64 { return l.off[u+1] - l.off[u] }
 
-// Border reports whether local vertex u has a cut edge.
+// Border reports whether local vertex u has a cut edge. It walks u's live
+// arcs, which keep every cut arc.
 func (l *Local) Border(u int) bool {
-	for a := l.off[u]; a < l.off[u+1]; a++ {
-		if l.dst[a] < 0 {
+	dst, _, _ := l.Arcs(u)
+	for _, v := range dst {
+		if v < 0 {
 			return true
 		}
 	}
 	return false
+}
+
+// resetLive makes every arc of the view live again, allocating the live
+// ends on a view's first kernel run.
+func (l *Local) resetLive() {
+	if l.live == nil {
+		l.live = make([]int32, l.N())
+	}
+	for u := range l.live {
+		l.live[u] = int32(l.off[u+1] - l.off[u])
+	}
 }
 
 // degreeSkew returns max/avg local degree (1 for empty or regular views).

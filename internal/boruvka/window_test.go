@@ -230,41 +230,6 @@ func TestNewWindowMatchesNewLocal(t *testing.T) {
 	}
 }
 
-// FuzzNewWindow checks the property of TestNewWindowMatchesNewLocal on
-// small graphs built from the input: byte 0 sizes the vertex set, bytes 1
-// and 2 pick the range (and the part of the component-graph view, whose
-// ids are the vertices that are not multiples of byte 1 % 4 + 2), and
-// each further byte pair is an edge.
-func FuzzNewWindow(f *testing.F) {
-	f.Add([]byte{5, 1, 4, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
-	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
-	f.Add([]byte{9, 3, 3, 0, 8, 2, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
-			return
-		}
-		n := int32(data[0]%32) + 1
-		lo, hi := int32(data[1])%(n+1), int32(data[2])%(n+1)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		el := &graph.EdgeList{N: n}
-		for i := 3; i+1 < len(data); i += 2 {
-			id := int32(len(el.Edges))
-			u, v := int32(data[i])%n, int32(data[i+1])%n
-			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, ID: id, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
-		}
-		checkWindow(t, el, lo, hi)
-		win := NewWindow(el, el.Degrees(), lo, hi)
-		a, b := win.N()/3, win.N()-win.N()/4
-		if got, want := win.Sub(a, b), NewWindow(el, el.Degrees(), lo+int32(a), lo+int32(b)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", n, lo, hi, a, b)
-		}
-		mod := int32(data[1]%4) + 2
-		checkLocalSub(t, el, func(v int32) bool { return v%mod != 0 }, int(data[1]), int(data[2]))
-	})
-}
-
 // TestWindowKernelMatchesList runs the kernel on both views of every
 // balanced range under each exception condition, with and without
 // contraction: the results must be identical.

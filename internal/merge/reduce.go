@@ -27,17 +27,20 @@ import (
 )
 
 // Relabel extracts the relabelled edge list of the view l: it walks l's
-// arcs vertex by vertex and appends to dst[:0] every edge whose relabelled
-// endpoints differ, dropping self edges (both endpoints in the same
-// component) without materialising the edge list first. parent[i] is the
-// component of l's vertex i; ghost maps the global id of an external head,
-// read from the arc as ^dst. An inside edge is emitted once, from its
-// smaller endpoint; self-loops are self edges and never survive. The scan
-// covers l.NumEdges edges, which is the EdgesScanned the caller charges
-// for it. dst must not alias l; the edge list l was built from by
-// boruvka.NewLocal, which copies it, is free for reuse. When dst cannot
-// hold l.NumEdges edges, the result is allocated at the size survivors
-// counts.
+// live arcs (boruvka.Local.Arcs) vertex by vertex and appends to dst[:0]
+// every edge whose relabelled endpoints differ, dropping self edges (both
+// endpoints in the same component) without materialising the edge list
+// first. After a kernel run on l, the arcs it skips are ones the kernel
+// found internal to a component, so parent must keep the run's components
+// together, as its Result.Parent does. parent[i] is the component of l's
+// vertex i; ghost maps the global id of an external head, read from the
+// arc as ^dst. An inside edge is emitted once, from its smaller endpoint;
+// self-loops are self edges and never survive. The caller charges
+// EdgesScanned = l.NumEdges for it, the scan of every edge, however many
+// arcs the live prefixes skip. dst must not alias l; the edge list l was
+// built from by boruvka.NewLocal, which copies it, is free for reuse.
+// When dst cannot hold l.NumEdges edges, the result is allocated at the
+// size survivors counts.
 func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
 	if int64(cap(dst)) < l.NumEdges {
 		dst = make([]wire.WEdge, 0, survivors(l, parent))
@@ -64,8 +67,8 @@ func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int3
 	return out
 }
 
-// survivors counts the edges Relabel keeps without calling ghost: every
-// cut edge counts, so the count is exact whenever no external head maps
+// survivors counts the edges Relabel keeps without calling ghost, over
+// the same live arcs: every cut edge counts, so the count is exact whenever no external head maps
 // into a component of l. That holds across ranks, whose components are
 // disjoint; otherwise it is an upper bound.
 func survivors(l *boruvka.Local, parent []int32) int {

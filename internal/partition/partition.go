@@ -33,12 +33,14 @@ func BalancedBounds(degrees []int64, p int) []int32 {
 	bounds[p] = int32(n)
 	var run int64
 	next := 1
+	target := total / int64(p) // partition next-1's cumulative share
 	for v := 0; v < n && next < p; v++ {
 		run += degrees[v]
 		// Close partition `next-1` once it holds its proportional share.
-		for next < p && run >= total*int64(next)/int64(p) {
+		for next < p && run >= target {
 			bounds[next] = int32(v + 1)
 			next++
+			target = total * int64(next) / int64(p)
 		}
 	}
 	for ; next < p; next++ {

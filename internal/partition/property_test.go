@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,59 @@ func TestBalancedBoundsNeverSplitVertex(t *testing.T) {
 		return checkWholeVertexCover(BalancedBounds(deg, p), n)
 	}
 	if err := quick.Check(f, testutil.Quick(t, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// balancedBoundsPerVertex is the reference for BalancedBounds: it
+// evaluates partition next-1's share for every vertex.
+func balancedBoundsPerVertex(degrees []int64, p int) []int32 {
+	n := len(degrees)
+	var total int64
+	for _, d := range degrees {
+		total += d
+	}
+	bounds := make([]int32, p+1)
+	bounds[p] = int32(n)
+	var run int64
+	next := 1
+	for v := 0; v < n && next < p; v++ {
+		run += degrees[v]
+		for next < p && run >= total*int64(next)/int64(p) {
+			bounds[next] = int32(v + 1)
+			next++
+		}
+	}
+	for ; next < p; next++ {
+		bounds[next] = int32(n)
+	}
+	return bounds
+}
+
+// TestBalancedBoundsMatchesPerVertexShare checks that BalancedBounds,
+// which computes each share once, cuts exactly where the per-vertex
+// evaluation does, on random degree vectors with zeros, hubs, all-zero
+// vectors, empty vectors and more ranks than vertices.
+func TestBalancedBoundsMatchesPerVertexShare(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(64)
+		deg := make([]int64, n)
+		zeros := rng.Intn(3) == 0
+		for i := range deg {
+			switch {
+			case zeros || rng.Intn(3) == 0:
+				deg[i] = 0
+			case rng.Intn(8) == 0:
+				deg[i] = int64(rng.Intn(1 << 20)) // hub
+			default:
+				deg[i] = int64(1 + rng.Intn(10))
+			}
+		}
+		p := 1 + rng.Intn(2*n+2) // p > n in about half the cases
+		return slices.Equal(BalancedBounds(deg, p), balancedBoundsPerVertex(deg, p))
+	}
+	if err := quick.Check(f, testutil.Quick(t, 1, 500)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -49,6 +49,22 @@ func BenchmarkKernelRoadNetwork(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelRoadContract is BenchmarkKernelRoadNetwork with
+// between-round contraction (Options.Contract) on.
+func BenchmarkKernelRoadContract(b *testing.B) {
+	el := gen.RoadNetwork(1<<15, 9)
+	opt := DefaultOptions()
+	opt.Contract = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := benchLocal(b, el)
+		b.StartTimer()
+		Run(l, opt)
+	}
+}
+
 func BenchmarkKernelTopologyDriven(b *testing.B) {
 	el := gen.WebGraph(1<<14, 1<<18, 0.85, 7)
 	opt := Options{Excpt: ExcptBorderVertex, DataDriven: false}

@@ -45,10 +45,12 @@ type Options struct {
 	// diminishing-benefit runtime strategy of §4.3.2 plugs in here).
 	Terminator func(round int, roundWork cost.Work, merges int) bool
 	// Contract enables between-round graph contraction in the style of
-	// Sousa et al. [7]: after every round with merges, arcs internal to a
-	// component are filtered out of the working adjacency, so later
-	// rounds never rescan them. Costs one filtering pass per round; wins
-	// on graphs that need many rounds.
+	// Sousa et al. [7]: after every round with merges, the arcs internal
+	// to a component are retired past the live ends in place (one filter
+	// pass, no copy), hubs included, so later rounds never rescan them.
+	// The pass is charged every live arc it reads; a scan is then charged
+	// only the live arcs, not the full degree. Wins on graphs that need
+	// many rounds.
 	Contract bool
 }
 
@@ -100,16 +102,10 @@ type kernel struct {
 	n     int
 	uf    *dsu.Concurrent
 	slots []parutil.MinSlot
-	// Working adjacency: aliases of the Local's arrays, replaced by
-	// filtered copies when Contract is on.
-	off []int64
-	dst []int32
-	eid []int32
-	wgt []uint64
-	// live aliases the Local's live ends, which scanArcs shrinks as it
-	// moves internal arcs of non-hub vertices past them; nil under
-	// Contract, whose filter drops those arcs instead.
-	live []int32
+	// l is the view the kernel runs on. Its live ends shrink as scanArcs
+	// (for non-hub vertices) or, under Contract, contract retires
+	// internal arcs.
+	l *Local
 	// ring[u] is the member after u on its component's cycle.
 	ring []int32
 	// border[r] reports whether root r's component contains a border
@@ -135,9 +131,9 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 	n := l.N()
 	k := &kernel{
 		opt: opt, n: n, res: res,
-		uf:    dsu.NewConcurrent(n),
-		slots: parutil.NewMinSlots(n),
-		off:   l.off, dst: l.dst, eid: l.eid, wgt: l.w,
+		uf:     dsu.NewConcurrent(n),
+		slots:  parutil.NewMinSlots(n),
+		l:      l,
 		ring:   make([]int32, n),
 		active: make([]int32, n),
 		scan:   make([]int32, n),
@@ -147,12 +143,7 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 	parutil.Iota(k.ring, 0)
 	copy(k.active, k.ring)
 	copy(k.scan, k.ring)
-	if opt.Contract {
-		l.live = nil
-	} else {
-		l.resetLive()
-		k.live = l.live
-	}
+	l.resetLive()
 	if opt.Excpt == ExcptBorderEdge {
 		k.border = make([]bool, n)
 		parutil.For(n, 1<<13, func(lo, hi int) {
@@ -164,9 +155,9 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 	return k
 }
 
-// Run executes the kernel on the local view. Unless opt.Contract is set,
-// it reorders each vertex's arcs in place and leaves l's live ends (see
-// Local): every arc is live again when the next run starts.
+// Run executes the kernel on the local view. It makes every arc live,
+// reorders each vertex's arcs in place as it retires internal ones, and
+// leaves l's live ends (see Local and Arcs).
 func Run(l *Local, opt Options) *Result {
 	n := l.N()
 	res := &Result{Work: cost.Work{DegreeSkew: l.degreeSkew()}}
@@ -221,15 +212,17 @@ func (k *kernel) round() (rw cost.Work, merges, frozen int) {
 	return rw, merges, frozen
 }
 
-// scanArcs is the scan phase: every listed vertex proposes its arcs to
-// its component's min-slot. A non-hub vertex with a live end scans only
-// its live arcs and moves each one it finds internal past the end, where
-// no later round or relabel reads it: an internal arc stays internal. The
-// counts do not change with that: a vertex is charged all its arcs, and
-// an internal arc was never a proposal. It returns the arcs scanned and
-// the proposals made, each summed per chunk.
+// scanArcs is the scan phase: every listed vertex proposes its live arcs
+// to its component's min-slot. An internal arc stays internal, so no later
+// round or relabel needs it. Without Contract, a non-hub vertex moves each
+// arc it finds internal past its live end, and is charged all its arcs:
+// an internal arc was never a proposal, so the counts do not change with
+// that. Under Contract, contract does the retiring, and a vertex is
+// charged its live arcs. It returns the arcs scanned and the proposals
+// made, each summed per chunk.
 func (k *kernel) scanArcs() (scanned, proposed int64) {
-	off, dst, eid, wgt, uf, slots, live := k.off, k.dst, k.eid, k.wgt, k.uf, k.slots, k.live
+	l, uf, slots, compact := k.l, k.uf, k.slots, !k.opt.Contract
+	off, dst, eid, wgt, live := l.off, l.dst, l.eid, l.w, l.live
 	// arcLess orders arcs by (weight, edge id, arc index): a total order.
 	// The arc index decides only between the two arcs of one edge, which
 	// are internal and never proposed, so moving arcs leaves every winner
@@ -287,7 +280,7 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 	parutil.For(len(k.scan), 512, func(lo, hi int) {
 		var s, p int64
 		for _, u := range k.scan[lo:hi] {
-			alo, ahi := off[u], off[u+1]
+			alo, ahi := off[u], off[u]+int64(live[u])
 			if ahi-alo >= hubDegree {
 				// Defer to the per-hub nested parallel pass below.
 				hubMu.Lock()
@@ -295,19 +288,21 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 				hubMu.Unlock()
 				continue
 			}
-			s += ahi - alo
-			if live != nil {
-				p += propose(u, alo, alo+int64(live[u]), true)
+			if compact {
+				s += off[u+1] - alo
 			} else {
-				p += propose(u, alo, ahi, false)
+				s += ahi - alo
 			}
+			p += propose(u, alo, ahi, compact)
 		}
 		scans.Add(s)
 		props.Add(p)
 	})
+	// A hub is never compacted here, so without Contract its live arcs
+	// are all its arcs.
 	for _, u := range hubs {
-		alo, ahi := off[u], off[u+1]
-		parutil.For(int(ahi-alo), 1<<12, func(lo, hi int) {
+		alo := off[u]
+		parutil.For(int(live[u]), 1<<12, func(lo, hi int) {
 			scans.Add(int64(hi - lo))
 			props.Add(propose(u, alo+int64(lo), alo+int64(hi), false))
 		})
@@ -333,9 +328,9 @@ func (k *kernel) hook() (merges, frozen int) {
 			if a == parutil.NoEdge {
 				continue
 			}
-			if k.border != nil && k.border[r] || k.dst[a] < 0 {
+			if k.border != nil && k.border[r] || k.l.dst[a] < 0 {
 				f++
-			} else if _, ok := k.uf.TryUnion(r, k.dst[a]); ok {
+			} else if _, ok := k.uf.TryUnion(r, k.l.dst[a]); ok {
 				m++
 				continue
 			}
@@ -364,9 +359,9 @@ func (k *kernel) join() {
 			continue
 		}
 		k.slots[r].Reset()
-		v := k.dst[a]
-		res.ChosenIDs = append(res.ChosenIDs, k.eid[a])
-		res.ChosenWeight += k.wgt[a]
+		v := k.l.dst[a]
+		res.ChosenIDs = append(res.ChosenIDs, k.l.eid[a])
+		res.ChosenWeight += k.l.w[a]
 		ring[r], ring[v] = ring[v], ring[r]
 		if root := k.uf.Find(r); !k.seen[root] {
 			k.seen[root] = true
@@ -411,46 +406,21 @@ func (k *kernel) join() {
 	k.active, k.merged = live, merged
 }
 
-// contract is the graph contraction of Sousa et al. [7]: it drops
-// component-internal arcs from the working adjacency so later rounds skip
-// them, and returns the arcs its filter pass scanned.
+// contract is the graph contraction of Sousa et al. [7]: it retires the
+// component-internal live arcs of every vertex, hubs included, so later
+// rounds skip them, and returns the arcs its filter pass scanned: every
+// live arc before the pass.
 func (k *kernel) contract() int64 {
-	n, off, dst, eid, wgt, uf := k.n, k.off, k.dst, k.eid, k.wgt, k.uf
-	counts := make([]int64, n+1)
-	parutil.For(n, 1<<12, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			r := uf.Parent(int32(u))
-			var keep int64
-			for a := off[u]; a < off[u+1]; a++ {
-				if v := dst[a]; v < 0 || uf.Parent(v) != r {
-					keep++
-				}
-			}
-			counts[u+1] = keep
-		}
-	})
-	for i := 0; i < n; i++ {
-		counts[i+1] += counts[i]
+	l, uf := k.l, k.uf
+	var scanned int64
+	for _, d := range l.live {
+		scanned += int64(d)
 	}
-	total := counts[n]
-	nDst := make([]int32, total)
-	nEid := make([]int32, total)
-	nWgt := make([]uint64, total)
-	parutil.For(n, 1<<12, func(lo, hi int) {
+	parutil.For(k.n, 1<<12, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			r := uf.Parent(int32(u))
-			j := counts[u]
-			for a := off[u]; a < off[u+1]; a++ {
-				if v := dst[a]; v < 0 || uf.Parent(v) != r {
-					nDst[j] = dst[a]
-					nEid[j] = eid[a]
-					nWgt[j] = wgt[a]
-					j++
-				}
-			}
+			l.Retain(u, func(v, _ int32, _ uint64) bool { return v < 0 || uf.Parent(v) != r })
 		}
 	})
-	scanned := int64(len(dst))
-	k.off, k.dst, k.eid, k.wgt = counts, nDst, nEid, nWgt
 	return scanned
 }

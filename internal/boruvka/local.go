@@ -28,11 +28,12 @@ import (
 // its local index, a head outside it is external (ghost) and stored as
 // ^global (bitwise NOT of its global id, so always negative).
 //
-// A kernel run (Run) permutes each vertex's arcs in place so that the
-// arcs it found internal to a component sit past a live end, and records
-// that end: from then on Arcs returns only the live prefix. A view no
-// kernel ran on, or one last run with Options.Contract, has no live ends
-// and shows every arc. Every view owns its arc arrays; Sub copies them.
+// Every vertex has a live end: Arcs returns the live prefix of its arcs,
+// and the arcs past the end are retired. A new view has every arc live.
+// Retiring an arc (Retain, or a kernel run that finds it internal to a
+// component) swaps it past the end in place, so the view keeps all its
+// arcs; Run makes every arc live again before its first round. Every view
+// owns its arc arrays; Sub copies them.
 type Local struct {
 	IDs []int32 // sorted ascending, unique
 	// NumEdges counts the view's undirected edges (self-loops included),
@@ -44,9 +45,8 @@ type Local struct {
 	dst []int32 // local index of head, or ^global if external
 	eid []int32 // global edge id
 	w   []uint64
-	// live[u] counts u's live arcs, the prefix of its CSR range that the
-	// last kernel run did not find internal; nil when no kernel ran, or
-	// the last one ran with Contract.
+	// live[u] counts u's live arcs, the prefix of its CSR range that is
+	// not retired.
 	live []int32
 }
 
@@ -126,6 +126,8 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 			put(lv, e.U, lu, e)
 		}
 	}
+	l.live = make([]int32, n)
+	l.resetLive()
 	return l, nil
 }
 
@@ -185,6 +187,8 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	if loops {
 		l.compact(deg[lo:hi])
 	}
+	l.live = make([]int32, n)
+	l.resetLive()
 	return l
 }
 
@@ -206,21 +210,24 @@ func (l *Local) compact(slots []int64) {
 }
 
 // Sub returns the view of local vertices [a, b) of l: all their arcs,
-// with a head outside [a, b) made external. It copies the arcs of the
-// range, so a kernel run on the sub-view leaves l's arcs as they were.
+// retired or not, every one live, with a head outside [a, b) made
+// external. It copies the arcs of the range, so a kernel run on the
+// sub-view leaves l's arcs as they were.
 func (l *Local) Sub(a, b int) *Local {
 	base, end := l.off[a], l.off[b]
 	s := &Local{
-		IDs: l.IDs[a:b:b],
-		off: make([]int64, b-a+1),
-		dst: make([]int32, end-base),
-		eid: make([]int32, end-base),
-		w:   make([]uint64, end-base),
+		IDs:  l.IDs[a:b:b],
+		off:  make([]int64, b-a+1),
+		dst:  make([]int32, end-base),
+		eid:  make([]int32, end-base),
+		w:    make([]uint64, end-base),
+		live: make([]int32, b-a),
 	}
 	copy(s.eid, l.eid[base:end])
 	copy(s.w, l.w[base:end])
 	for u := a; u < b; u++ {
 		s.off[u-a+1] = l.off[u+1] - base
+		s.live[u-a] = int32(l.off[u+1] - l.off[u])
 		for x := l.off[u]; x < l.off[u+1]; x++ {
 			v := l.dst[x]
 			if v >= 0 && int(v) >= a && int(v) < b {
@@ -242,19 +249,39 @@ func (l *Local) Sub(a, b int) *Local {
 }
 
 // Arcs returns the heads, edge ids and weights of the live arcs out of
-// local vertex u, in the view's order: all of u's arcs when no kernel ran
-// on the view, otherwise those the last run did not find internal to u's
-// component, which include every cut arc. After a run that ended with a
-// round of no merges they are exactly u's arcs to other components (a hub
-// of hubDegree arcs or more keeps all of them); after a Terminator stop
-// they may include more. A head is a local index, or ^global when it is
-// external. The slices alias the view and must not be modified.
+// local vertex u, in the view's order. A kernel run retires only arcs
+// internal to u's component, so the live arcs include every cut arc.
+// After a run that ended with a round of no merges they are exactly u's
+// arcs to other components, with two exceptions that keep more: a hub of
+// hubDegree arcs or more keeps all of them unless the run contracted
+// (Options.Contract), and a Contract run of one round retires nothing.
+// After a Terminator stop they may include more. A head is a local index,
+// or ^global when it is external. The slices alias the view and must not
+// be modified.
 func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
-	lo, hi := l.off[u], l.off[u+1]
-	if l.live != nil {
-		hi = lo + int64(l.live[u])
-	}
+	lo := l.off[u]
+	hi := lo + int64(l.live[u])
 	return l.dst[lo:hi:hi], l.eid[lo:hi:hi], l.w[lo:hi:hi]
+}
+
+// Retain keeps the live arcs of local vertex u for which keep reports
+// true, in their order, and retires the rest: it swaps each kept arc
+// forward and moves u's live end to just after the last one. It returns
+// the number kept. Retired arcs stay in the view, and the next Run makes
+// them live again. Calls for distinct vertices may run concurrently.
+func (l *Local) Retain(u int, keep func(head, eid int32, w uint64) bool) int {
+	lo := l.off[u]
+	j := lo
+	for a := lo; a < lo+int64(l.live[u]); a++ {
+		if keep(l.dst[a], l.eid[a], l.w[a]) {
+			l.dst[a], l.dst[j] = l.dst[j], l.dst[a]
+			l.eid[a], l.eid[j] = l.eid[j], l.eid[a]
+			l.w[a], l.w[j] = l.w[j], l.w[a]
+			j++
+		}
+	}
+	l.live[u] = int32(j - lo)
+	return int(j - lo)
 }
 
 // Global returns the global id of arc head h: IDs[h] for a local index,
@@ -287,12 +314,8 @@ func (l *Local) Border(u int) bool {
 	return false
 }
 
-// resetLive makes every arc of the view live again, allocating the live
-// ends on a view's first kernel run.
+// resetLive makes every arc of the view live again.
 func (l *Local) resetLive() {
-	if l.live == nil {
-		l.live = make([]int32, l.N())
-	}
 	for u := range l.live {
 		l.live[u] = int32(l.off[u+1] - l.off[u])
 	}

@@ -1,11 +1,14 @@
 package boruvka
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
 	"mndmst/internal/graph"
+	"mndmst/internal/parutil"
 	"mndmst/internal/wire"
 )
 
@@ -72,6 +75,8 @@ func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
 			put(lv, e.U, okU, e)
 		}
 	}
+	l.live = make([]int32, n)
+	l.resetLive()
 	return l, nil
 }
 
@@ -139,6 +144,85 @@ func FuzzNewLocal(f *testing.F) {
 			t.Fatalf("%s: edge ids %v, want %v", where, got.eid, want.eid)
 		case !slices.Equal(got.w, want.w):
 			t.Fatalf("%s: weights %v, want %v", where, got.w, want.w)
+		case !slices.Equal(got.live, want.live):
+			t.Fatalf("%s: live ends %v, want %v", where, got.live, want.live)
 		}
 	})
+}
+
+// viewArc is one arc of a view, live or retired.
+type viewArc struct {
+	dst, eid int32
+	w        uint64
+}
+
+// liveArcs returns the arcs Arcs(u) shows, in order.
+func liveArcs(l *Local, u int) []viewArc {
+	dst, eid, w := l.Arcs(u)
+	out := make([]viewArc, len(dst))
+	for a := range dst {
+		out[a] = viewArc{dst[a], eid[a], w[a]}
+	}
+	return out
+}
+
+// allArcs returns every arc of u, live or retired, sorted by edge id and
+// head: the multiset of u's arcs.
+func allArcs(l *Local, u int) []viewArc {
+	var out []viewArc
+	for a := l.off[u]; a < l.off[u+1]; a++ {
+		out = append(out, viewArc{l.dst[a], l.eid[a], l.w[a]})
+	}
+	slices.SortFunc(out, func(a, b viewArc) int { return cmp.Or(cmp.Compare(a.eid, b.eid), cmp.Compare(a.dst, b.dst)) })
+	return out
+}
+
+// TestRetain retires arcs of every vertex of the golden windows by two
+// Retain passes, the vertices of a pass concurrently. Each pass must keep
+// the live arcs it accepts in their order and return their count, and
+// leave each vertex's multiset of arcs as it was. A run of every kernel
+// configuration on the retired view must then equal the run on a fresh
+// view.
+func TestRetain(t *testing.T) {
+	passes := []func(head, eid int32, w uint64) bool{
+		func(_, eid int32, _ uint64) bool { return eid%3 != 0 },
+		func(head, _ int32, w uint64) bool { return head < 0 || w%2 == 0 },
+	}
+	opts := []Options{DefaultOptions(), {Excpt: ExcptBorderEdge}, {Excpt: ExcptNone, DataDriven: true, Contract: true}}
+	for gi, el := range goldenGraphs() {
+		deg := el.Degrees()
+		for _, w := range goldenWindows(el.N) {
+			where := fmt.Sprintf("g%d [%d,%d)", gi, w[0], w[1])
+			fresh, win := NewWindow(el, deg, w[0], w[1]), NewWindow(el, deg, w[0], w[1])
+			for pi, keep := range passes {
+				want := make([][]viewArc, win.N())
+				for u := range want {
+					for _, a := range liveArcs(win, u) {
+						if keep(a.dst, a.eid, a.w) {
+							want[u] = append(want[u], a)
+						}
+					}
+				}
+				got := make([]int, win.N())
+				parutil.For(win.N(), 64, func(lo, hi int) {
+					for u := lo; u < hi; u++ {
+						got[u] = win.Retain(u, keep)
+					}
+				})
+				for u := range want {
+					if live := liveArcs(win, u); got[u] != len(want[u]) || !slices.Equal(live, want[u]) {
+						t.Fatalf("%s pass %d: vertex %d kept %v (returned %d), want %v", where, pi, u, live, got[u], want[u])
+					}
+					if !slices.Equal(allArcs(win, u), allArcs(fresh, u)) {
+						t.Fatalf("%s pass %d: vertex %d's arcs changed as a multiset", where, pi, u)
+					}
+				}
+			}
+			for _, opt := range opts {
+				if got, want := Run(win, opt), Run(NewWindow(el, deg, w[0], w[1]), opt); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %+v: a run on the retired view differs from a run on a fresh view", where, opt)
+				}
+			}
+		}
+	}
 }

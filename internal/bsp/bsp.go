@@ -16,7 +16,7 @@ package bsp
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
@@ -114,8 +114,9 @@ type worker struct {
 	lo, hi int32
 	bounds []int32
 
-	win  *boruvka.Local // the rank's window: arcs out of [lo, hi)
-	dead []bool         // per arc of win: a self arc at component level, skipped forever
+	// win is the rank's window: arcs out of [lo, hi). A self arc at
+	// component level is retired past its vertex's live end, forever.
+	win *boruvka.Local
 
 	comp   []int32         // per local vertex: current component id
 	ghost  map[int32]int32 // neighbour vertex → its component
@@ -160,7 +161,6 @@ func (w *worker) run() (*mst.Forest, error) {
 		arcs += d
 	}
 	w.cpuCharge(cost.Work{EdgesScanned: arcs})
-	w.dead = make([]bool, w.win.NumArcs())
 
 	n := int(w.hi - w.lo)
 	w.comp = make([]int32, n)
@@ -199,7 +199,7 @@ func (w *worker) run() (*mst.Forest, error) {
 		}
 		all = append(all, ids...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
 	f := &mst.Forest{EdgeIDs: all}
 	for _, id := range all {
 		f.TotalWeight += w.el.Edges[id].W
@@ -233,37 +233,28 @@ func (w *worker) round() (int, error) {
 	best := map[int32]cand{} // comp → best local candidate (combined)
 	var vertexCands []cand   // per-vertex minima (vanilla Pregel mode)
 	n := int(w.hi - w.lo)
-	// Both arc loops walk the vertices in order, so a running offset
-	// into w.dead follows the window's arcs.
-	var k int
 	for v := 0; v < n; v++ {
 		cv := w.comp[v]
 		vBest := cand{w: ^uint64(0)}
-		dst, eid, wt := w.win.Arcs(v)
-		dead := w.dead[k : k+len(dst)]
-		k += len(dst)
-		for j, h := range dst {
-			if dead[j] {
-				continue
-			}
+		w.win.Retain(v, func(h, eid int32, wt uint64) bool {
 			work.EdgesScanned++
 			cu := w.compOf(w.win.Global(h))
 			if cu == cv {
-				dead[j] = true
 				if int(h) == v { // a self-loop's second CSR arc dies too
 					work.EdgesScanned++
 				}
-				continue
+				return false
 			}
-			if graph.WeightLess(wt[j], vBest.w) {
-				vBest = cand{comp: cv, other: cu, w: wt[j], eid: eid[j]}
+			if graph.WeightLess(wt, vBest.w) {
+				vBest = cand{comp: cv, other: cu, w: wt, eid: eid}
 			}
 			cd, ok := best[cv]
-			if !ok || graph.WeightLess(wt[j], cd.w) {
-				best[cv] = cand{comp: cv, other: cu, w: wt[j], eid: eid[j]}
+			if !ok || graph.WeightLess(wt, cd.w) {
+				best[cv] = cand{comp: cv, other: cu, w: wt, eid: eid}
 			}
 			work.HashOps++
-		}
+			return true
+		})
 		if !w.opt.Combining && vBest.w != ^uint64(0) {
 			vertexCands = append(vertexCands, vBest)
 		}
@@ -275,7 +266,7 @@ func (w *worker) round() (int, error) {
 	out := make([][]byte, p)
 	localCands := map[int32]cand{}
 	if w.opt.Combining {
-		for _, c := range sortedCompKeys(best) {
+		for _, c := range sortedKeys(best) {
 			cd := best[c]
 			o := w.owner(c)
 			if o == me {
@@ -336,7 +327,7 @@ func (w *worker) round() (int, error) {
 	// --- Superstep 2: probe partners to detect mutual pairs ---
 	probes := map[int32][]int32{} // partner → list of askers (local fast path)
 	pairLists := make([][]int32, p)
-	for _, c := range sortedKeysI32(chosenEdge) {
+	for _, c := range sortedKeys(chosenEdge) {
 		b := chosenEdge[c].other
 		o := w.owner(b)
 		if o == me {
@@ -401,7 +392,7 @@ func (w *worker) round() (int, error) {
 
 	// Resolve: mutual pairs keep the smaller id as root; record MST edges.
 	merges := 0
-	for _, c := range sortedKeysI32(chosenEdge) {
+	for _, c := range sortedKeys(chosenEdge) {
 		cd := chosenEdge[c]
 		b := cd.other
 		pb, ok := partnerOf[c]
@@ -428,7 +419,7 @@ func (w *worker) round() (int, error) {
 		out = make([][]byte, p)
 		queryLists := make([][]int32, p)
 		changedLocal := int64(0)
-		for _, c := range sortedKeysI32Map(w.parent) {
+		for _, c := range sortedKeys(w.parent) {
 			pt := w.parent[c]
 			if pt == c {
 				continue
@@ -506,7 +497,7 @@ func (w *worker) round() (int, error) {
 	}
 	resolved := map[int32]int32{}
 	queryLists := make([][]int32, p)
-	for _, c := range sortedSetKeys(need) {
+	for _, c := range sortedKeys(need) {
 		o := w.owner(c)
 		if o == me {
 			root, ok := w.parent[c]
@@ -567,14 +558,11 @@ func (w *worker) round() (int, error) {
 	// --- Superstep: ghost update (the per-round boundary broadcast) ---
 	sent := make([]map[int32]bool, p)
 	ghostLists := make([][]int32, p)
-	k = 0
 	for v := 0; v < n; v++ {
 		gv := w.lo + int32(v)
 		dst, _, _ := w.win.Arcs(v)
-		dead := w.dead[k : k+len(dst)]
-		k += len(dst)
-		for j, h := range dst {
-			if dead[j] || h >= 0 { // local heads need no ghost update
+		for _, h := range dst {
+			if h >= 0 { // local heads need no ghost update
 				continue
 			}
 			o := w.owner(^h)
@@ -615,34 +603,14 @@ func (w *worker) round() (int, error) {
 	return merges, nil
 }
 
-// --- deterministic key iteration helpers ---
-
-func sortedCompKeys(m map[int32]cand) []int32 {
+// sortedKeys returns m's keys in ascending order, for deterministic
+// iteration.
+func sortedKeys[V any](m map[int32]V) []int32 {
 	keys := make([]int32, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedKeysI32(m map[int32]cand) []int32 { return sortedCompKeys(m) }
-
-func sortedKeysI32Map(m map[int32]int32) []int32 {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func sortedSetKeys(m map[int32]bool) []int32 {
-	keys := make([]int32, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

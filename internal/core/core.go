@@ -383,7 +383,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 					merge.SendToLeader(r, leader, merge.Payload{Comps: m.owned, Edges: m.edges}, m.cfg.Chunk)
 					m.owned, m.edges = nil, nil
 				} else {
-					pl, err := merge.RecvMembers(r, grp, m.cfg.Chunk, merge.Payload{Comps: m.owned, Edges: m.edges})
+					pl, err := merge.RecvMembers(r, grp, merge.Payload{Comps: m.owned, Edges: m.edges})
 					if err != nil {
 						return nil, err
 					}

@@ -290,7 +290,7 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 		if r.ID() != 0 {
 			SendToLeader(r, 0, Payload{Comps: []int32{int32(r.ID())}}, 4<<10)
 		} else {
-			if _, err := RecvMembers(r, []int{0, 1, 2, 3}, 4<<10, Payload{}); err != nil {
+			if _, err := RecvMembers(r, []int{0, 1, 2, 3}, Payload{}); err != nil {
 				return err
 			}
 		}

@@ -412,9 +412,8 @@ func SendToLeader(r *cluster.Rank, leader int, p Payload, chunk int) {
 // calling leader and appends it to into, in group order. Every member's
 // buffer arrives before any is decoded, so into's components and edges
 // grow once and each payload is decoded straight into them (see
-// appendPayloads). chunk is accepted for symmetry with SendToLeader;
-// reassembly follows each sender's chunk-count header.
-func RecvMembers(r *cluster.Rank, group []int, chunk int, into Payload) (Payload, error) {
+// appendPayloads). Reassembly follows each sender's chunk-count header.
+func RecvMembers(r *cluster.Rank, group []int, into Payload) (Payload, error) {
 	bufs := make([][]byte, 0, len(group))
 	for _, member := range group {
 		if member == r.ID() {

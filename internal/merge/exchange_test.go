@@ -196,9 +196,8 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 		})
 	}
 
-	// Sender/receiver chunk-size mismatch: reassembly is driven by the
-	// sender's chunk-count header, so the receiver-side chunk parameter
-	// (API symmetry only) must not matter.
+	// Tiny sender chunks: reassembly is driven by the sender's
+	// chunk-count header, as the receiver takes no chunk size.
 	t.Run("chunk-size-mismatch", func(t *testing.T) {
 		runChunkedCase(t, "chunk-size-mismatch", func(r *cluster.Rank) error {
 			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []wire.WEdge{{U: 1, V: 2, W: 9, ID: 4}}}
@@ -206,7 +205,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 				SendToLeader(r, 1, want, 8) // tiny sender chunks
 				return nil
 			}
-			got, err := RecvMembers(r, []int{0, 1}, 1<<20, Payload{}) // huge receiver chunk hint
+			got, err := RecvMembers(r, []int{0, 1}, Payload{})
 			if err != nil {
 				return err
 			}

@@ -286,7 +286,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 			}, 4)
 		}
 		if r.ID() == 1 {
-			p, err := RecvMembers(r, []int{0, 1}, 4, Payload{})
+			p, err := RecvMembers(r, []int{0, 1}, Payload{})
 			if err != nil {
 				return err
 			}
@@ -313,7 +313,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 		if r.ID() != 0 {
 			SendToLeader(r, 0, Payload{Comps: []int32{int32(r.ID())}}, 0)
 		} else {
-			p, err := RecvMembers(r, []int{0, 1, 2}, 0, Payload{})
+			p, err := RecvMembers(r, []int{0, 1, 2}, Payload{})
 			if err != nil {
 				return err
 			}

@@ -17,6 +17,14 @@
 #                             bench.baseline.json, then the full paper
 #                             suite twice (every forest verified,
 #                             byte-identity required)
+#   scripts/check.sh --parity <git-ref>
+#                             sim parity only: builds mndmst-bench at
+#                             <git-ref> (in a temporary git worktree,
+#                             removed on exit) and from the working tree,
+#                             runs the full paper suite with each, and
+#                             fails unless the two JSON outputs are
+#                             byte-identical — the check for a change
+#                             meant to keep every modeled figure
 #   scripts/check.sh --coverage
 #                             coverage ratchet only (scripts/coverage.sh)
 set -eu
@@ -56,6 +64,30 @@ run_bench() {
         echo "bench gate: two paper-suite runs are not byte-identical" >&2
         exit 1
     }
+    trap - EXIT
+    rm -rf "$tmp"
+}
+
+run_parity() {
+    # Sim parity against a git ref: the paper suite (every scenario, every
+    # forest verified) built at the ref and from the working tree must
+    # write byte-identical JSON. Each binary runs in its own tree.
+    ref=$1
+    echo "== paper-suite parity against $ref =="
+    tmp=$(mktemp -d)
+    trap 'git worktree remove --force "$tmp/ref" 2>/dev/null; rm -rf "$tmp"' EXIT
+    git worktree add --quiet --detach "$tmp/ref" "$ref"
+    (cd "$tmp/ref" && go build -o "$tmp/bench-ref" ./cmd/mndmst-bench)
+    go build -o "$tmp/bench-new" ./cmd/mndmst-bench
+    (cd "$tmp/ref" && "$tmp/bench-ref" -suite paper -scale 0.05 -scenarios . -verify \
+        -format json -out "$tmp/ref.json")
+    "$tmp/bench-new" -suite paper -scale 0.05 -scenarios . -verify \
+        -format json -out "$tmp/new.json"
+    cmp "$tmp/ref.json" "$tmp/new.json" || {
+        echo "parity: the paper-suite JSON differs from $ref's" >&2
+        exit 1
+    }
+    git worktree remove --force "$tmp/ref"
     trap - EXIT
     rm -rf "$tmp"
 }
@@ -155,6 +187,12 @@ fi
 if [ "${1:-}" = "--bench" ]; then
     run_bench
     echo "bench gate passed"
+    exit 0
+fi
+
+if [ "${1:-}" = "--parity" ]; then
+    run_parity "${2:?usage: scripts/check.sh --parity <git-ref>}"
+    echo "parity check passed"
     exit 0
 fi
 

@@ -54,6 +54,22 @@ func BenchmarkFindMSFHost(b *testing.B) {
 	}
 }
 
+// BenchmarkFindMSFHostGPU measures the pipeline of BenchmarkFindMSFHost
+// in CPU+GPU mode on the Cray XC40: the §4.3.1 GPU-share estimate runs
+// first, then every rank splits its window between its CPU and its
+// simulated K40.
+func BenchmarkFindMSFHostGPU(b *testing.B) {
+	g := mndmst.GenerateWebGraph(16384, 16384*20, 0.85, 99)
+	opts := mndmst.Options{Nodes: 4, Machine: mndmst.CrayXC40, UseGPU: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.FindMSF(g, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFindMSFHostRoad measures the whole pipeline on a near-planar
 // road grid (20 000 vertices) on 4 ranks, the shape of e2ebench's road-p4
 // workload: many Borůvka rounds over low-degree vertices, most of whose

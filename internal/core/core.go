@@ -64,8 +64,9 @@ func Run(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, c
 // transport endpoint (one OS process per rank). Every worker must be given
 // the identical edge list and configuration; the cluster size is the
 // transport's P. A worker counts the degrees of its own chunk of the edge
-// list and builds only its own rank's window from it; it builds no global
-// CSR unless the GPU share has to be estimated. Every rank's Result
+// list and builds only its own rank's window from it; no rank builds a
+// global CSR, and the GPU share is estimated from the edge list itself
+// (device.EstimateGPUShare). Every rank's Result
 // carries the global Iterations, Levels and PeakEdges. On rank 0 it also
 // carries the forest and the report gathered from every rank (simulated
 // clocks plus real wall-clock per phase); other ranks get a nil Forest and
@@ -77,8 +78,8 @@ func RunDistributed(ctx context.Context, el *graph.EdgeList, ep transport.Transp
 // run is the shared driver: ep == nil simulates all p ranks in-process,
 // otherwise only ep's rank executes here.
 func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	// Every rank builds its first-iteration window straight from el; no
-	// global CSR is built unless the GPU share has to be estimated.
+	// Every rank builds its first-iteration window straight from el, and
+	// the GPU share is estimated from el too: no global CSR is built.
 	if err := el.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,41 +102,30 @@ func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport,
 		}
 		return cpu
 	}
+	var gpu *device.GPU // one accelerator; nil runs CPU only
+	k := max(1, cfg.GPUsPerNode)
+	if useGPU && machine.GPU != nil {
+		gpu = &device.GPU{Model: *machine.GPU}
+		if cfg.GPUShare == 0 {
+			// One accelerator's share from the §4.3.1 ratio estimation,
+			// scaled by the device count (capped so the CPU keeps a
+			// working share).
+			cfg.GPUShare = min(device.EstimateGPUShare(el, cpu, gpu)*float64(k), 0.9)
+		}
+	}
 	rankGPUs := func(id int) []device.Device {
-		if !useGPU || machine.GPU == nil {
+		if gpu == nil {
 			return nil
 		}
-		k := cfg.GPUsPerNode
-		if k < 1 {
-			k = 1
-		}
-		model := *machine.GPU
+		g := gpu
 		if s := machine.SpeedOf(id); s != 1 {
-			model = model.Scaled(s)
+			g = &device.GPU{Model: gpu.Model.Scaled(s)}
 		}
-		var out []device.Device
-		for i := 0; i < k; i++ {
-			out = append(out, &device.GPU{Model: model, OverlapTransfers: true})
+		out := make([]device.Device, k)
+		for i := range out {
+			out[i] = g
 		}
 		return out
-	}
-	if useGPU && machine.GPU != nil && cfg.GPUShare == 0 {
-		// One accelerator's share from the §4.3.1 ratio estimation, scaled
-		// by the device count (capped so the CPU keeps a working share).
-		k := cfg.GPUsPerNode
-		if k < 1 {
-			k = 1
-		}
-		g, err := graph.BuildCSR(el)
-		if err != nil {
-			return nil, err
-		}
-		share := device.EstimateGPUShare(g, cpu, &device.GPU{Model: *machine.GPU, OverlapTransfers: true}, 5, 0.05, 12345)
-		share *= float64(k)
-		if share > 0.9 {
-			share = 0.9
-		}
-		cfg.GPUShare = share
 	}
 
 	var c *cluster.Cluster

@@ -50,13 +50,10 @@ func (c *CPU) Price(w cost.Work) float64 { return c.Model.Seconds(w) }
 // compute/transfer overlap the paper implements with cudaStreams (§3.5).
 type GPU struct {
 	Model cost.GPUModel
-	// OverlapTransfers enables the cudaStream overlap optimization; when
-	// set, only a fraction of the transfer time is exposed.
-	OverlapTransfers bool
 }
 
-// exposedTransferFraction is the fraction of transfer time left on the
-// critical path when overlap is enabled.
+// exposedTransferFraction is the fraction of transfer time the cudaStream
+// overlap leaves on the critical path.
 const exposedTransferFraction = 0.3
 
 // Name implements Device.
@@ -68,11 +65,7 @@ func (g *GPU) transferSeconds(l *boruvka.Local) float64 {
 		return 0
 	}
 	bytes := l.NumEdges*20 + int64(l.N())*4
-	t := float64(bytes) / g.Model.TransferBytesPerSec
-	if g.OverlapTransfers {
-		t *= exposedTransferFraction
-	}
-	return t
+	return float64(bytes) / g.Model.TransferBytesPerSec * exposedTransferFraction
 }
 
 // Run implements Device.
@@ -84,35 +77,35 @@ func (g *GPU) Run(l *boruvka.Local, opt boruvka.Options) (*boruvka.Result, float
 // Price implements Device.
 func (g *GPU) Price(w cost.Work) float64 { return g.Model.Seconds(w) }
 
+// Parameters of the §4.3.1 ratio estimation: the number of sampled
+// subgraphs, the fraction of vertices each one induces on, and the seed
+// of the vertex draws.
+const (
+	estimateSamples  = 5
+	estimateFraction = 0.05
+	estimateSeed     = 12345
+)
+
 // EstimateGPUShare implements the ratio strategy of §4.3.1: it draws
-// `samples` random induced subgraphs of `fraction` of the vertices,
-// prices each subgraph's full Boruvka run on both devices, and returns the
-// average share of work the GPU should receive:
+// estimateSamples random induced subgraphs of estimateFraction of the
+// vertices, prices each subgraph's full Boruvka run on both devices, and
+// returns the average share of work the GPU should receive:
 //
 //	share = t_cpu / (t_cpu + t_gpu)
 //
-// so that both devices finish their proportional partitions together.
-// Returns 0 when gpu is nil.
-func EstimateGPUShare(g *graph.CSR, cpu, gpu Device, samples int, fraction float64, seed int64) float64 {
-	if gpu == nil || g.N == 0 {
+// so that both devices finish their proportional partitions together,
+// capped so the GPU's partition fits its memory.
+func EstimateGPUShare(el *graph.EdgeList, cpu *CPU, gpu *GPU) float64 {
+	if el.N == 0 {
 		return 0
 	}
-	if samples < 1 {
-		samples = 5
-	}
-	if fraction <= 0 || fraction > 1 {
-		fraction = 0.05
-	}
-	rng := rand.New(rand.NewSource(seed))
+	m := int64(len(el.Edges))
+	rng := rand.New(rand.NewSource(estimateSeed))
 	var sum float64
 	n := 0
-	for s := 0; s < samples; s++ {
-		sub := graph.SampleInducedSubgraph(g, fraction, rng)
-		ids := make([]int32, sub.N)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		l, err := boruvka.NewLocal(ids, toWire(sub))
+	for s := 0; s < estimateSamples; s++ {
+		ids, edges := sampleInduced(el, rng)
+		l, err := boruvka.NewLocal(ids, edges)
 		if err != nil {
 			continue
 		}
@@ -123,8 +116,8 @@ func EstimateGPUShare(g *graph.CSR, cpu, gpu Device, samples int, fraction float
 		// per-iteration launch overhead grows only logarithmically
 		// (approximated as unchanged).
 		w := res.Work
-		if len(sub.Edges) > 0 && g.M > 0 {
-			f := float64(g.M) / float64(len(sub.Edges))
+		if len(edges) > 0 {
+			f := float64(m) / float64(len(edges))
 			w.EdgesScanned = int64(float64(w.EdgesScanned) * f)
 			w.VerticesProcessed = int64(float64(w.VerticesProcessed) * f)
 			w.AtomicOps = int64(float64(w.AtomicOps) * f)
@@ -146,23 +139,53 @@ func EstimateGPUShare(g *graph.CSR, cpu, gpu Device, samples int, fraction float
 	// Memory constraint (§4.3.1): cap the GPU's share so its partition —
 	// roughly share × total edge bytes plus per-vertex state — fits the
 	// device memory.
-	if gm, ok := gpu.(*GPU); ok && gm.Model.MemoryBytes > 0 {
-		graphBytes := g.M*20 + int64(g.N)*8
-		if graphBytes > 0 {
-			maxShare := float64(gm.Model.MemoryBytes) / float64(graphBytes)
-			if share > maxShare {
-				share = maxShare
-			}
-		}
+	if gpu.Model.MemoryBytes > 0 {
+		graphBytes := m*20 + int64(el.N)*8
+		share = min(share, float64(gpu.Model.MemoryBytes)/float64(graphBytes))
 	}
 	return share
 }
 
-// toWire converts an edge list to wire form, preserving ids.
-func toWire(el *graph.EdgeList) []wire.WEdge {
-	out := make([]wire.WEdge, len(el.Edges))
-	for i, e := range el.Edges {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
+// sampleInduced draws a uniform random sample of k = max(1,
+// ⌊estimateFraction·N⌋) vertices and returns the subgraph they induce,
+// renumbered by draw position: ids are 0..k−1 and every edge with both
+// ends sampled appears once, as {U: min, V: max} of its ends' positions.
+// Edges are ordered by their smaller position, then by edge id, and get
+// ids 0..m′−1 in that order: the order in which a walk of the sampled
+// vertices' CSR arcs (ascending edge id) would first meet them.
+func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []wire.WEdge) {
+	k := max(1, int(float64(el.N)*estimateFraction))
+	perm := rng.Perm(int(el.N))
+	pos := make([]int32, el.N)
+	for i := range pos {
+		pos[i] = -1
 	}
-	return out
+	ids := make([]int32, k)
+	for i, v := range perm[:k] {
+		pos[v] = int32(i)
+		ids[i] = int32(i)
+	}
+	// Counting sort by smaller position, stable in edge order: count,
+	// prefix-sum into start offsets, then scatter.
+	start := make([]int32, k+1)
+	for _, e := range el.Edges {
+		if pu, pv := pos[e.U], pos[e.V]; pu >= 0 && pv >= 0 {
+			start[min(pu, pv)+1]++
+		}
+	}
+	for i := 1; i <= k; i++ {
+		start[i] += start[i-1]
+	}
+	edges := make([]wire.WEdge, start[k])
+	for _, e := range el.Edges {
+		pu, pv := pos[e.U], pos[e.V]
+		if pu < 0 || pv < 0 {
+			continue
+		}
+		lo := min(pu, pv)
+		i := start[lo]
+		start[lo]++
+		edges[i] = wire.WEdge{U: lo, V: max(pu, pv), W: e.W, ID: i}
+	}
+	return ids, edges
 }

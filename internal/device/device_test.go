@@ -1,6 +1,10 @@
 package device
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mndmst/internal/boruvka"
@@ -8,18 +12,20 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/mst"
+	"mndmst/internal/testutil"
+	"mndmst/internal/wire"
 )
 
 func cpuDev() *CPU { m := cost.CrayXC40(); return &CPU{Model: m.CPU} }
-func gpuDev() *GPU { return &GPU{Model: cost.K40(), OverlapTransfers: true} }
+func gpuDev() *GPU { return &GPU{Model: cost.K40()} }
 
 func fullLocal(t *testing.T, el *graph.EdgeList) *boruvka.Local {
 	t.Helper()
-	ids := make([]int32, el.N)
-	for i := range ids {
-		ids[i] = int32(i)
+	edges := make([]wire.WEdge, len(el.Edges))
+	for i, e := range el.Edges {
+		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
 	}
-	l, err := boruvka.NewLocal(ids, toWire(el))
+	l, err := boruvka.NewLocal(seq(int(el.N)), edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,21 +47,19 @@ func TestCPUAndGPUProduceSameForest(t *testing.T) {
 	}
 }
 
+// TestGPUChargesTransfers pins the GPU's charge: the kernel plus the
+// exposed fraction of moving the view (20 bytes an edge, 4 a vertex) over
+// the transfer bandwidth, and nothing extra when the bandwidth is 0.
 func TestGPUChargesTransfers(t *testing.T) {
 	el := gen.RMAT(512, 8192, 63)
 	l := fullLocal(t, el)
 	res := boruvka.Run(l, boruvka.DefaultOptions())
 
-	noOverlap := &GPU{Model: cost.K40(), OverlapTransfers: false}
-	overlap := &GPU{Model: cost.K40(), OverlapTransfers: true}
-	_, tNo := noOverlap.Run(fullLocal(t, el), boruvka.DefaultOptions())
-	_, tYes := overlap.Run(fullLocal(t, el), boruvka.DefaultOptions())
-	if tNo <= tYes {
-		t.Fatalf("overlap should reduce exposed time: %g vs %g", tNo, tYes)
-	}
-	kernelOnly := overlap.Price(res.Work)
-	if tYes <= kernelOnly {
-		t.Fatalf("transfer not charged: total %g kernel %g", tYes, kernelOnly)
+	gpu := gpuDev()
+	_, got := gpu.Run(fullLocal(t, el), boruvka.DefaultOptions())
+	bytes := float64(20*l.NumEdges + 4*int64(l.N()))
+	if want := gpu.Price(res.Work) + bytes/gpu.Model.TransferBytesPerSec*0.3; got != want {
+		t.Fatalf("charge %g, want kernel + 0.3·transfer = %g", got, want)
 	}
 
 	// Disabled transfer model charges nothing extra.
@@ -70,8 +74,7 @@ func TestGPUChargesTransfers(t *testing.T) {
 
 func TestEstimateGPUShareInRange(t *testing.T) {
 	el := gen.RMAT(2048, 16384, 65)
-	g := graph.MustBuildCSR(el)
-	share := EstimateGPUShare(g, cpuDev(), gpuDev(), 5, 0.05, 1)
+	share := EstimateGPUShare(el, cpuDev(), gpuDev())
 	if share <= 0 || share >= 1 {
 		t.Fatalf("share=%f", share)
 	}
@@ -82,50 +85,135 @@ func TestEstimateGPUShareInRange(t *testing.T) {
 	}
 }
 
-func TestEstimateGPUShareNilGPU(t *testing.T) {
-	el := gen.RMAT(256, 1024, 67)
-	g := graph.MustBuildCSR(el)
-	if got := EstimateGPUShare(g, cpuDev(), nil, 5, 0.05, 1); got != 0 {
-		t.Fatalf("share=%f want 0", got)
-	}
-}
-
 func TestEstimateGPUShareDeterministicPerSeed(t *testing.T) {
 	el := gen.RMAT(1024, 8192, 69)
-	g := graph.MustBuildCSR(el)
-	a := EstimateGPUShare(g, cpuDev(), gpuDev(), 5, 0.05, 7)
-	b := EstimateGPUShare(g, cpuDev(), gpuDev(), 5, 0.05, 7)
+	a := EstimateGPUShare(el, cpuDev(), gpuDev())
+	b := EstimateGPUShare(el, cpuDev(), gpuDev())
 	if a != b {
 		t.Fatalf("same seed, different shares: %f vs %f", a, b)
 	}
 }
 
 func TestEstimateGPUShareDegenerateArgs(t *testing.T) {
-	el := gen.RMAT(256, 1024, 71)
-	g := graph.MustBuildCSR(el)
-	share := EstimateGPUShare(g, cpuDev(), gpuDev(), 0, -1, 3) // defaults kick in
-	if share <= 0 || share >= 1 {
-		t.Fatalf("share=%f", share)
-	}
-	empty := graph.MustBuildCSR(&graph.EdgeList{N: 0})
-	if got := EstimateGPUShare(empty, cpuDev(), gpuDev(), 3, 0.05, 3); got != 0 {
+	if got := EstimateGPUShare(&graph.EdgeList{N: 0}, cpuDev(), gpuDev()); got != 0 {
 		t.Fatalf("empty graph share=%f", got)
 	}
 }
 
 func TestEstimateGPUShareMemoryCap(t *testing.T) {
 	el := gen.RMAT(2048, 16384, 73)
-	g := graph.MustBuildCSR(el)
-	unconstrained := EstimateGPUShare(g, cpuDev(), gpuDev(), 5, 0.05, 1)
+	unconstrained := EstimateGPUShare(el, cpuDev(), gpuDev())
 
 	tiny := cost.K40()
 	tiny.MemoryBytes = 1024 // absurdly small device memory
-	capped := EstimateGPUShare(g, cpuDev(), &GPU{Model: tiny}, 5, 0.05, 1)
+	capped := EstimateGPUShare(el, cpuDev(), &GPU{Model: tiny})
 	if capped >= unconstrained {
 		t.Fatalf("memory cap did not reduce the share: %f vs %f", capped, unconstrained)
 	}
-	maxShare := 1024.0 / float64(g.M*20+int64(g.N)*8)
+	maxShare := 1024.0 / float64(int64(len(el.Edges))*20+int64(el.N)*8)
 	if capped > maxShare+1e-12 {
 		t.Fatalf("share %f exceeds memory bound %f", capped, maxShare)
 	}
+}
+
+// TestEstimateGPUShareGolden pins the estimate's exact bits, the ones it
+// gave when each sample was cut from a whole-graph CSR: on an RMAT graph,
+// on a web graph with added parallel edges and self-loops, and on a graph
+// whose upper three quarters of vertices are isolated, without and with a
+// device memory small enough that the cap binds.
+func TestEstimateGPUShareGolden(t *testing.T) {
+	// The web graph's packed weights take only 8 values (no embedded
+	// edge id), so most weights tie and the kernel breaks the ties by the
+	// sample's edge ids: the estimate then depends on the sample's edge
+	// order, not only on its edge set.
+	web := gen.WebGraph(4096, 40000, 0.85, 3)
+	n := len(web.Edges)
+	for i := 0; i < n; i += 5 { // a reversed parallel copy of every 5th edge
+		e, id := web.Edges[i], int32(len(web.Edges))
+		web.Edges = append(web.Edges, graph.Edge{U: e.V, V: e.U, ID: id})
+	}
+	for v := int32(0); v < web.N; v += 3 { // a self-loop on every 3rd vertex
+		web.Edges = append(web.Edges, graph.Edge{U: v, V: v, ID: int32(len(web.Edges))})
+	}
+	for i := range web.Edges {
+		web.Edges[i].W = graph.MakeWeight(uint16(i*7%8), 0)
+	}
+	iso := gen.RMAT(1024, 8192, 75)
+	iso.N = 4096
+	small := cost.K40()
+	small.MemoryBytes = 40 << 10
+	for _, tc := range []struct {
+		name string
+		el   *graph.EdgeList
+		gpu  *GPU
+		bits uint64
+	}{
+		{"rmat", gen.RMAT(2048, 16384, 65), gpuDev(), 0x3fd35879932f18bd},
+		{"web", web, gpuDev(), 0x3fd3bc747dbc93f3},
+		{"isolated", iso, gpuDev(), 0x3fd2121e50099385},
+		{"isolated-capped", iso, &GPU{Model: small}, 0x3fcaaaaaaaaaaaab},
+	} {
+		if got := EstimateGPUShare(tc.el, cpuDev(), tc.gpu); math.Float64bits(got) != tc.bits {
+			t.Errorf("%s: share %v (bits %#x), want %v (bits %#x)", tc.name, got, math.Float64bits(got), math.Float64frombits(tc.bits), tc.bits)
+		}
+	}
+}
+
+// TestSampleInducedProperty: a sample holds exactly the edges with both
+// ends among the drawn vertices, once each, relabelled by draw position
+// with U ≤ V, in order of the smaller position and then of edge id, with
+// ids 0..m′−1 — on random graphs with self-loops, parallel edges and
+// isolated vertices.
+func TestSampleInducedProperty(t *testing.T) {
+	rng := testutil.Rand(t, 77)
+	for iter := 0; iter < 300; iter++ {
+		n := int32(1 + rng.Intn(200))
+		el := &graph.EdgeList{N: n}
+		span := 1 + rng.Int31n(n) // vertices at or above span stay isolated
+		for i := rng.Intn(1000); i > 0; i-- {
+			u, v := rng.Int31n(span), rng.Int31n(span)
+			if rng.Intn(10) == 0 {
+				v = u
+			}
+			id := int32(len(el.Edges))
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(8)), id), ID: id})
+			if rng.Intn(8) == 0 { // a parallel edge
+				el.Edges = append(el.Edges, graph.Edge{U: v, V: u, W: graph.MakeWeight(uint16(rng.Intn(8)), id+1), ID: id + 1})
+			}
+		}
+		seed := rng.Int63()
+		ids, got := sampleInduced(el, rand.New(rand.NewSource(seed)))
+
+		k := max(1, int(float64(n)*estimateFraction))
+		pos := make(map[int32]int32, k)
+		for i, v := range rand.New(rand.NewSource(seed)).Perm(int(n))[:k] {
+			pos[int32(v)] = int32(i)
+		}
+		var want []wire.WEdge
+		for _, e := range el.Edges {
+			pu, okU := pos[e.U]
+			pv, okV := pos[e.V]
+			if okU && okV {
+				want = append(want, wire.WEdge{U: min(pu, pv), V: max(pu, pv), W: e.W})
+			}
+		}
+		slices.SortStableFunc(want, func(a, b wire.WEdge) int { return cmp.Compare(a.U, b.U) })
+		for i := range want {
+			want[i].ID = int32(i)
+		}
+		if len(ids) != k || !slices.Equal(ids, seq(k)) {
+			t.Fatalf("n=%d: ids %v, want 0..%d", n, ids, k-1)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d m=%d seed %d: sample\n%v\nwant\n%v", n, len(el.Edges), seed, got, want)
+		}
+	}
+}
+
+func seq(k int) []int32 {
+	out := make([]int32, k)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }

@@ -47,7 +47,8 @@ type Config struct {
 	// DiminishingTermination enables the §4.3.2 early-stop strategy.
 	DiminishingTermination bool
 	// GPUShare is the fraction of per-node work given to the GPU
-	// (0 = CPU only); set it from device.EstimateGPUShare.
+	// (0 = CPU only). When GPU use is enabled, core.Run replaces a 0 with
+	// the §4.3.1 estimate, device.EstimateGPUShare on the job's edge list.
 	GPUShare float64
 	// MinGPUEdges is the smallest partition worth shipping to the GPU —
 	// below it, kernel-launch overhead wins and everything stays on the

@@ -26,7 +26,7 @@ func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
 	cfg.MinGPUEdges = 64
 	rep, err := c.Run(context.Background(), func(r *cluster.Rank) error {
 		cpu := &device.CPU{Model: machine.CPU}
-		gpu := &device.GPU{Model: *machine.GPU, OverlapTransfers: true}
+		gpu := &device.GPU{Model: *machine.GPU}
 		return fn(New(r, cpu, []device.Device{gpu}, cfg))
 	})
 	if err != nil {

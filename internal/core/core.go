@@ -297,9 +297,17 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			// label it knows is the cut edge's owned endpoint. Sending
 			// parent ids for exactly those (the vertices with a cut arc)
 			// mirrors the ghost-vertex communication of §3.3.
-			var sendDeltas []merge.Delta
+			// A count pass sizes the list exactly.
+			sends := func(i int) bool { return parent[i] != view.IDs[i] && view.Border(i) }
+			n := 0
+			for i := range parent {
+				if sends(i) {
+					n++
+				}
+			}
+			sendDeltas := make([]merge.Delta, 0, n)
 			for i, c := range parent {
-				if c != view.IDs[i] && view.Border(i) {
+				if sends(i) {
 					sendDeltas = append(sendDeltas, merge.Delta{Old: view.IDs[i], New: c})
 				}
 			}
@@ -387,7 +395,9 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				// Ring-based segment exchange (§3.4): one chunk-interleaved
 				// ring step — the segment streams to the left neighbour
 				// while the right neighbour's streams in, so the whole ring
-				// progresses without any rank blocking in a send.
+				// progresses without any rank blocking in a send. The
+				// merged list stays in arrival order: the next view does
+				// not depend on the order of its edges.
 				sendTo, recvFrom := merge.RingNeighbors(grp, r.ID())
 				kept, sent := merge.SplitSegment(m.owned, len(grp))
 				keptE, movedE := merge.SplitEdges(m.edges, kept, sent)

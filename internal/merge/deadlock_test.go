@@ -164,7 +164,7 @@ func legacyExchangeDeltas(r *cluster.Rank, active []int, local []Delta, chunk in
 		if err != nil {
 			return nil, err
 		}
-		ds, err := decodeDeltas(buf)
+		ds, err := appendDeltas(nil, buf)
 		if err != nil {
 			return nil, err
 		}

@@ -249,24 +249,19 @@ func encodeDeltas(ds []Delta) []byte {
 	return buf
 }
 
-// decodeDeltas parses parent deltas.
-func decodeDeltas(buf []byte) ([]Delta, error) {
-	olds, buf, err := wire.TakeInt32s(buf)
-	if err != nil {
-		return nil, err
+// appendDeltas decodes the parent deltas of buf and appends them to dst.
+// encodeDeltas writes n deltas in 16 + 8n bytes, so the length gives n,
+// and both counts must match it.
+func appendDeltas(dst []Delta, buf []byte) ([]Delta, error) {
+	n := len(buf)/8 - 2
+	if n < 0 || len(buf)%8 != 0 || binary.LittleEndian.Uint64(buf) != uint64(n) || binary.LittleEndian.Uint64(buf[8+4*n:]) != uint64(n) {
+		return dst, fmt.Errorf("merge: malformed delta payload of %d bytes", len(buf))
 	}
-	news, _, err := wire.TakeInt32s(buf)
-	if err != nil {
-		return nil, err
+	olds, news := buf[8:], buf[16+4*n:]
+	for i := 0; i < 4*n; i += 4 {
+		dst = append(dst, Delta{Old: int32(binary.LittleEndian.Uint32(olds[i:])), New: int32(binary.LittleEndian.Uint32(news[i:]))})
 	}
-	if len(olds) != len(news) {
-		return nil, fmt.Errorf("merge: delta arrays mismatch %d vs %d", len(olds), len(news))
-	}
-	ds := make([]Delta, len(olds))
-	for i := range ds {
-		ds[i] = Delta{Old: olds[i], New: news[i]}
-	}
-	return ds, nil
+	return dst, nil
 }
 
 // ExchangeDeltas performs the ghost parent-id exchange of §3.3 among the
@@ -308,16 +303,19 @@ func ExchangeDeltas(r *cluster.Rank, active []int, local []Delta, chunk int) ([]
 		}
 		parts[pi] = buf
 	}
-	var remote []Delta
+	total := 0
+	for _, buf := range parts {
+		total += max(len(buf)/8-2, 0) // the deltas appendDeltas finds
+	}
+	remote := make([]Delta, 0, total)
 	for i, buf := range parts {
 		if i == me {
 			continue
 		}
-		ds, err := decodeDeltas(buf)
-		if err != nil {
+		var err error
+		if remote, err = appendDeltas(remote, buf); err != nil {
 			return nil, w, err
 		}
-		remote = append(remote, ds...)
 	}
 	w.HashOps = int64(len(remote) + len(local))
 	return remote, w, nil

@@ -286,8 +286,23 @@ func TestEncodersSizeExactly(t *testing.T) {
 		if len(got) != cap(got) || !slices.Equal(got, want) {
 			t.Fatalf("encodeDeltas(%d): len %d cap %d, equal to reference: %v", len(ds), len(got), cap(got), slices.Equal(got, want))
 		}
-		if back, err := decodeDeltas(got); err != nil || !slices.Equal(back, ds) {
-			t.Fatalf("decodeDeltas(encodeDeltas(%d)): %v", len(ds), err)
+		if back, err := appendDeltas(nil, got); err != nil || !slices.Equal(back, ds) {
+			t.Fatalf("appendDeltas(nil, encodeDeltas(%d)): %v", len(ds), err)
+		}
+		// Every cut of the buffer, and a count one off in either header,
+		// is malformed, and dst comes back as it was.
+		dst := []Delta{{Old: 1, New: 2}}
+		for cut := range len(got) {
+			if back, err := appendDeltas(dst, got[:cut]); err == nil || !slices.Equal(back, dst) {
+				t.Fatalf("appendDeltas of %d of %d bytes: %v, %v", cut, len(got), back, err)
+			}
+		}
+		for _, at := range []int{0, 8 + 4*len(ds)} {
+			bad := slices.Clone(got)
+			bad[at]++
+			if back, err := appendDeltas(dst, bad); err == nil || !slices.Equal(back, dst) {
+				t.Fatalf("appendDeltas with count at byte %d off by one: %v, %v", at, back, err)
+			}
 		}
 	}
 

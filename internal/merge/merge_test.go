@@ -93,15 +93,36 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 	}
 }
 
+// TestDedupeByID checks DedupeByID with checkDedupe on a small list, then
+// on random lists whose ids are dense (the bitmap) or spread over the whole
+// int32 range (the set). Each list holds every id of a random set once or
+// more, the copies of one id told apart by their endpoints, in random
+// order.
 func TestDedupeByID(t *testing.T) {
 	edges := []wire.WEdge{
 		{U: 1, V: 2, W: 10, ID: 5},
 		{U: 0, V: 9, W: 3, ID: 2},
-		{U: 1, V: 2, W: 10, ID: 5}, // duplicate copy
+		{U: 2, V: 1, W: 10, ID: 5}, // the other owner's copy
 	}
-	out := DedupeByID(edges)
-	if len(out) != 2 || out[0].ID != 2 || out[1].ID != 5 {
-		t.Fatalf("out=%+v", out)
+	out := DedupeByID(slices.Clone(edges))
+	if want := edges[:2]; !slices.Equal(out, want) {
+		t.Fatalf("out=%+v, want %+v", out, want)
+	}
+	checkDedupe(t, nil)
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 29)))
+	for trial := range 200 {
+		var edges []wire.WEdge
+		for range rng.Intn(300) {
+			id := rng.Int31n(1000)
+			if trial%2 == 1 {
+				id = rng.Int31() - rng.Int31()
+			}
+			for c := range 1 + rng.Intn(3) {
+				edges = append(edges, wire.WEdge{U: int32(c), V: int32(trial), W: uint64(rng.Intn(4)), ID: id})
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		checkDedupe(t, edges)
 	}
 }
 

@@ -8,6 +8,9 @@
 // the same lightest edge per component pair from a radix sort over the
 // pairs and charges one hash operation per edge, as the table would.
 //
+// The kernel's Result does not depend on the order of a view's edges, so
+// DedupeByID filters in place, in arrival order, rather than sort.
+//
 // Component ids are global vertex ids (the minimum original vertex id in
 // the component), so they remain globally unique across every merge level.
 // The package maintains one invariant throughout: an edge record lives at
@@ -120,8 +123,11 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 }
 
 // DedupeByID removes duplicate copies of the same original edge (same ID),
-// which appear when both endpoint owners ship their copy to one rank. The
-// result reuses edges, is sorted by ID and keeps the first copy of each.
+// which appear when both endpoint owners ship their copy to one rank. It
+// keeps the first copy of each, in place and in arrival order, marking the
+// IDs seen in a bitmap over their span: at most m/8 bytes for an m-edge
+// graph. A span over 8 KiB and over 24 bytes (one edge) per edge takes a
+// set instead.
 func DedupeByID(edges []wire.WEdge) []wire.WEdge {
 	if len(edges) == 0 {
 		return edges
@@ -130,10 +136,23 @@ func DedupeByID(edges []wire.WEdge) []wire.WEdge {
 	for i := range edges {
 		id.add(edges[i].ID)
 	}
-	radixSort(edges, edgeKey{byID: true, lo: id.lo, bits: id.bits()})
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		if e.ID != out[len(out)-1].ID {
+	out := edges[:0]
+	span := uint64(uint32(id.hi)-uint32(id.lo)) + 1
+	if span > max(192*uint64(len(edges)), 1<<16) {
+		seen := make(map[int32]struct{}, len(edges))
+		for _, e := range edges {
+			if _, ok := seen[e.ID]; !ok {
+				seen[e.ID] = struct{}{}
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	seen := make([]uint64, (span+63)/64)
+	for _, e := range edges {
+		x := uint32(e.ID) - uint32(id.lo)
+		if bit := uint64(1) << (x % 64); seen[x/64]&bit == 0 {
+			seen[x/64] |= bit
 			out = append(out, e)
 		}
 	}
@@ -151,11 +170,10 @@ func (r *keyRange) add(x int32) { r.lo, r.hi = min(r.lo, x), max(r.hi, x) }
 // bits is the width of the largest offset from lo.
 func (r *keyRange) bits() int { return bits.Len32(uint32(r.hi) - uint32(r.lo)) }
 
-// edgeKey is the unsigned sort key of an edge: its ID offset from lo, or
-// its U offset from lo above its V offset from vlo. Offsets keep the
-// signed order and make the key only as wide as the keys' range.
+// edgeKey is the unsigned sort key of an edge: its U offset from lo above
+// its V offset from vlo. Offsets keep the signed order and make the key
+// only as wide as the keys' range.
 type edgeKey struct {
-	byID  bool
 	lo    int32
 	vlo   int32
 	vBits int
@@ -163,9 +181,6 @@ type edgeKey struct {
 }
 
 func (k edgeKey) of(e *wire.WEdge) uint64 {
-	if k.byID {
-		return uint64(uint32(e.ID) - uint32(k.lo))
-	}
 	return uint64(uint32(e.U)-uint32(k.lo))<<k.vBits | uint64(uint32(e.V)-uint32(k.vlo))
 }
 

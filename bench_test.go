@@ -2,6 +2,7 @@ package mndmst_test
 
 import (
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -98,6 +99,44 @@ func BenchmarkFindMSFHostLowLocality16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 16}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFilterKruskalHostRoad is the floor of BenchmarkFindMSFHostRoad:
+// sequential filter-Kruskal, the fastest exact algorithm in the
+// repository, on the same graph.
+func BenchmarkFilterKruskalHostRoad(b *testing.B) {
+	benchmarkSequential(b, mndmst.GenerateRoadNetwork(20000, 1))
+}
+
+// BenchmarkFilterKruskalHostLowLocality16 is the floor of
+// BenchmarkFindMSFHostLowLocality16, on the same graph.
+func BenchmarkFilterKruskalHostLowLocality16(b *testing.B) {
+	benchmarkSequential(b, mndmst.GenerateWebGraph(700, 11000, 0.45, 1))
+}
+
+func benchmarkSequential(b *testing.B, g *mndmst.Graph) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mndmst.FindMSFSequential(g)
+	}
+}
+
+// BenchmarkLoadGraph measures the decode of a .mnd file of the shape of
+// e2ebench's web-p4 workload (3 000 vertices, 90 000 edges), the read
+// every solve starts with; its B/op is the decode's allocation.
+func BenchmarkLoadGraph(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "web.mnd")
+	if err := mndmst.SaveGraph(path, mndmst.GenerateWebGraph(3000, 90000, 0.88, 1)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.LoadGraph(path); err != nil {
 			b.Fatal(err)
 		}
 	}

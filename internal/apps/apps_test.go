@@ -49,8 +49,8 @@ func TestBFSMatchesSequential(t *testing.T) {
 		{"web", gen.WebGraph(1024, 8192, 0.85, 42), 17},
 		{"path", gen.Path(200, 43), 100},
 		{"disconnected", &graph.EdgeList{N: 10, Edges: []graph.Edge{
-			{U: 0, V: 1, W: graph.MakeWeight(1, 0), ID: 0},
-			{U: 5, V: 6, W: graph.MakeWeight(2, 1), ID: 1},
+			{U: 0, V: 1, W: graph.MakeWeight(1, 0)},
+			{U: 5, V: 6, W: graph.MakeWeight(2, 1)},
 		}}, 0},
 	} {
 		want := seqBFS(graph.MustBuildCSR(tc.el), tc.src)
@@ -118,9 +118,9 @@ func TestBFSCommunicationAccounted(t *testing.T) {
 
 func TestConnectedComponentsMatchesBFSLabels(t *testing.T) {
 	el := &graph.EdgeList{N: 8, Edges: []graph.Edge{
-		{U: 0, V: 1, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 2, W: graph.MakeWeight(2, 1), ID: 1},
-		{U: 4, V: 5, W: graph.MakeWeight(3, 2), ID: 2},
+		{U: 0, V: 1, W: graph.MakeWeight(1, 0)},
+		{U: 1, V: 2, W: graph.MakeWeight(2, 1)},
+		{U: 4, V: 5, W: graph.MakeWeight(3, 2)},
 	}}
 	res, err := ConnectedComponents(context.Background(), el, 3, amd(), hypar.DefaultConfig())
 	if err != nil {
@@ -219,8 +219,8 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		{"web", gen.WebGraph(512, 4096, 0.85, 201), 7},
 		{"road", gen.RoadNetwork(400, 202), 0},
 		{"disconnected", &graph.EdgeList{N: 6, Edges: []graph.Edge{
-			{U: 0, V: 1, W: graph.MakeWeight(1, 0), ID: 0},
-			{U: 3, V: 4, W: graph.MakeWeight(2, 1), ID: 1},
+			{U: 0, V: 1, W: graph.MakeWeight(1, 0)},
+			{U: 3, V: 4, W: graph.MakeWeight(2, 1)},
 		}}, 0},
 	} {
 		want := seqSSSP(tc.el, tc.src)

@@ -12,11 +12,11 @@ import (
 	"mndmst/internal/wire"
 )
 
-// toWEdges converts graph edges to wire edges, preserving ids.
+// toWEdges converts graph edges to wire edges, each with its index as id.
 func toWEdges(es []graph.Edge) []wire.WEdge {
 	out := make([]wire.WEdge, len(es))
 	for i, e := range es {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
+		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
 	}
 	return out
 }
@@ -248,7 +248,7 @@ func TestDataDrivenAndTopologySameResultDifferentWork(t *testing.T) {
 		// Scrambled weights: with monotone weights the whole path would
 		// contract in a single round.
 		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id, W: graph.MakeWeight(uint16(uint32(id)*2654435761>>13), id),
+			U: u, V: v, W: graph.MakeWeight(uint16(uint32(id)*2654435761>>13), id),
 		})
 	}
 	for v := int32(0); v < 999; v++ { // path on vertices [0,1000)

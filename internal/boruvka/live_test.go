@@ -238,7 +238,7 @@ func FuzzNewWindow(f *testing.F) {
 		for i := 3; i+1 < len(data); i += 2 {
 			id := int32(len(el.Edges))
 			u, v := int32(data[i])%n, int32(data[i+1])%n
-			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, ID: id, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
 		}
 		boruvka.CheckWindow(t, el, lo, hi)
 		deg := el.Degrees()

@@ -152,33 +152,33 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	l.dst = make([]int32, total)
 	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
-	put := func(u int32, head int32, e *graph.Edge) {
+	put := func(u, head, id int32, w uint64) {
 		a := l.off[u+1]
 		l.off[u+1]++
-		l.dst[a], l.eid[a], l.w[a] = head, e.ID, e.W
+		l.dst[a], l.eid[a], l.w[a] = head, id, w
 	}
 	loops := false
 	for i := range el.Edges {
-		e := &el.Edges[i]
+		e, id := &el.Edges[i], int32(i)
 		u, v := e.U-lo, e.V-lo
 		uIn, vIn := uint32(u) < uint32(n), uint32(v) < uint32(n)
 		switch {
 		case uIn && vIn:
 			l.NumEdges++
-			put(u, v, e)
+			put(u, v, id, e.W)
 			if u != v {
-				put(v, u, e)
+				put(v, u, id, e.W)
 			} else {
 				loops = true
 			}
 		case uIn:
 			l.NumEdges++
 			l.NumCut++
-			put(u, ^e.V, e)
+			put(u, ^e.V, id, e.W)
 		case vIn:
 			l.NumEdges++
 			l.NumCut++
-			put(v, ^e.U, e)
+			put(v, ^e.U, id, e.W)
 		}
 	}
 	for i := range l.IDs {

@@ -27,7 +27,7 @@ func messyGraph(n int32, m int, seed int64) *graph.EdgeList {
 			e.V = e.U
 		}
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{U: e.U, V: e.V, ID: id, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
+		el.Edges = append(el.Edges, graph.Edge{U: e.U, V: e.V, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	return el
 }
@@ -56,7 +56,7 @@ func withBoundaryLoops(el *graph.EdgeList, ranges [][2]int32, isolated int32) *g
 		}
 		for _, v := range []int32{r[0], r[1] - 1} {
 			id := int32(len(out.Edges))
-			out.Edges = append(out.Edges, graph.Edge{U: v, V: v, ID: id, W: graph.MakeWeight(uint16(id*7919), id)})
+			out.Edges = append(out.Edges, graph.Edge{U: v, V: v, W: graph.MakeWeight(uint16(id*7919), id)})
 		}
 	}
 	return out
@@ -68,9 +68,9 @@ func rangeEdges(el *graph.EdgeList, lo, hi int32) ([]wire.WEdge, int64) {
 	in := func(v int32) bool { return v >= lo && v < hi }
 	var edges []wire.WEdge
 	var cut int64
-	for _, e := range el.Edges {
+	for i, e := range el.Edges {
 		if in(e.U) || in(e.V) {
-			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
+			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)})
 			if in(e.U) != in(e.V) {
 				cut++
 			}
@@ -133,10 +133,10 @@ func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 			if v >= 0 {
 				head = win.IDs[v]
 			} else if head >= lo && head < hi {
-				t.Fatalf("%s: cut head %d of edge %d lies inside the range", where, head, e.ID)
+				t.Fatalf("%s: cut head %d of edge %d lies inside the range", where, head, eid[a])
 			}
 			if head != other || w[a] != e.W {
-				t.Fatalf("%s: vertex %d edge %d (%d-%d): head %d weight %d", where, win.IDs[u], e.ID, e.U, e.V, head, w[a])
+				t.Fatalf("%s: vertex %d edge %d (%d-%d): head %d weight %d", where, win.IDs[u], eid[a], e.U, e.V, head, w[a])
 			}
 		}
 	}
@@ -164,10 +164,10 @@ func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b
 	view := func(set []int32) *Local {
 		in := func(c int32) bool { _, ok := slices.BinarySearch(set, c); return ok }
 		var edges []wire.WEdge
-		for _, e := range el.Edges {
+		for i, e := range el.Edges {
 			u, v := name(e.U), name(e.V)
 			if in(u) || in(v) {
-				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: e.ID})
+				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: int32(i)})
 			}
 		}
 		l, err := NewLocal(slices.Clone(set), edges)

@@ -61,8 +61,8 @@ func TestBSPWorkloadFamilies(t *testing.T) {
 
 func TestBSPDisconnectedAndEmpty(t *testing.T) {
 	el := &graph.EdgeList{N: 7, Edges: []graph.Edge{
-		{U: 0, V: 1, W: graph.MakeWeight(3, 0), ID: 0},
-		{U: 4, V: 5, W: graph.MakeWeight(1, 1), ID: 1},
+		{U: 0, V: 1, W: graph.MakeWeight(3, 0)},
+		{U: 4, V: 5, W: graph.MakeWeight(1, 1)},
 	}}
 	res, err := Run(context.Background(), el, 3, amd())
 	if err != nil {

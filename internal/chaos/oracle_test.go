@@ -58,7 +58,7 @@ func oracleWorkloads(seed int64) []oracleCase {
 func duplicateWeights(n int32, m int, seed int64) *graph.EdgeList {
 	base := gen.ErdosRenyi(n, m, seed)
 	for i := range base.Edges {
-		base.Edges[i].W = graph.MakeWeight(7, base.Edges[i].ID)
+		base.Edges[i].W = graph.MakeWeight(7, int32(i))
 	}
 	return base
 }

@@ -103,7 +103,7 @@ func TestSingleVertexAndSingleEdge(t *testing.T) {
 	}
 
 	pair := &graph.EdgeList{N: 2, Edges: []graph.Edge{
-		{U: 0, V: 1, W: graph.MakeWeight(3, 0), ID: 0},
+		{U: 0, V: 1, W: graph.MakeWeight(3, 0)},
 	}}
 	res, err = Run(context.Background(), pair, 4, amd(), hypar.DefaultConfig(), false)
 	if err != nil {

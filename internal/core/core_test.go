@@ -55,7 +55,7 @@ func TestMNDMSTWorkloadFamilies(t *testing.T) {
 func TestMNDMSTDisconnectedGraph(t *testing.T) {
 	// Three islands, one of them a single vertex.
 	mk := func(u, v int32, w uint16, id int32) graph.Edge {
-		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id), ID: id}
+		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id)}
 	}
 	el := &graph.EdgeList{N: 9, Edges: []graph.Edge{
 		mk(0, 1, 5, 0), mk(1, 2, 3, 1), mk(0, 2, 9, 2),

@@ -62,7 +62,7 @@ func FuzzFindMSF(f *testing.F) {
 		for i := 7; i+2 < len(data); i += 3 {
 			id := int32(len(el.Edges))
 			el.Edges = append(el.Edges, graph.Edge{
-				U: int32(data[i]) % n, V: int32(data[i+1]) % n, ID: id,
+				U: int32(data[i]) % n, V: int32(data[i+1]) % n,
 				W: graph.MakeWeight(uint16(data[i+2]%4), id),
 			})
 		}

@@ -75,8 +75,8 @@ func TestFirstIterationWindows(t *testing.T) {
 // with the edge list's validation error.
 func TestRunRejectsInvalidEdgeList(t *testing.T) {
 	el := &graph.EdgeList{N: 3, Edges: []graph.Edge{
-		{U: 0, V: 1, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 3, W: graph.MakeWeight(2, 1), ID: 1},
+		{U: 0, V: 1, W: graph.MakeWeight(1, 0)},
+		{U: 1, V: 3, W: graph.MakeWeight(2, 1)},
 	}}
 	want := el.Validate()
 	if want == nil {

@@ -23,7 +23,7 @@ func fullLocal(t *testing.T, el *graph.EdgeList) *boruvka.Local {
 	t.Helper()
 	edges := make([]wire.WEdge, len(el.Edges))
 	for i, e := range el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
+		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
 	}
 	l, err := boruvka.NewLocal(seq(int(el.N)), edges)
 	if err != nil {
@@ -129,11 +129,11 @@ func TestEstimateGPUShareGolden(t *testing.T) {
 	web := gen.WebGraph(4096, 40000, 0.85, 3)
 	n := len(web.Edges)
 	for i := 0; i < n; i += 5 { // a reversed parallel copy of every 5th edge
-		e, id := web.Edges[i], int32(len(web.Edges))
-		web.Edges = append(web.Edges, graph.Edge{U: e.V, V: e.U, ID: id})
+		e := web.Edges[i]
+		web.Edges = append(web.Edges, graph.Edge{U: e.V, V: e.U})
 	}
 	for v := int32(0); v < web.N; v += 3 { // a self-loop on every 3rd vertex
-		web.Edges = append(web.Edges, graph.Edge{U: v, V: v, ID: int32(len(web.Edges))})
+		web.Edges = append(web.Edges, graph.Edge{U: v, V: v})
 	}
 	for i := range web.Edges {
 		web.Edges[i].W = graph.MakeWeight(uint16(i*7%8), 0)
@@ -176,9 +176,9 @@ func TestSampleInducedProperty(t *testing.T) {
 				v = u
 			}
 			id := int32(len(el.Edges))
-			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(8)), id), ID: id})
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(8)), id)})
 			if rng.Intn(8) == 0 { // a parallel edge
-				el.Edges = append(el.Edges, graph.Edge{U: v, V: u, W: graph.MakeWeight(uint16(rng.Intn(8)), id+1), ID: id + 1})
+				el.Edges = append(el.Edges, graph.Edge{U: v, V: u, W: graph.MakeWeight(uint16(rng.Intn(8)), id+1)})
 			}
 		}
 		seed := rng.Int63()

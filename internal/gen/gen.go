@@ -27,10 +27,7 @@ func Grid2D(r, c int, diagProb float64, seed int64) *graph.EdgeList {
 	el := &graph.EdgeList{N: int32(r * c)}
 	add := func(u, v int32) {
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	at := func(i, j int) int32 { return int32(i*c + j) }
 	for i := 0; i < r; i++ {
@@ -83,8 +80,6 @@ func RoadNetwork(n int, seed int64) *graph.EdgeList {
 			extraBudget--
 		}
 		if take {
-			id := int32(len(out.Edges))
-			e.ID = id
 			out.Edges = append(out.Edges, e)
 		}
 	}
@@ -122,10 +117,7 @@ func RMAT(n int32, m int, seed int64) *graph.EdgeList {
 		}
 		uu, vv := int32(u)%n, int32(v)%n
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: uu, V: vv, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: uu, V: vv, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	return el
 }
@@ -138,7 +130,7 @@ func ErdosRenyi(n int32, m int, seed int64) *graph.EdgeList { //lint:testonly fi
 	for i := 0; i < m; i++ {
 		id := int32(len(el.Edges))
 		el.Edges = append(el.Edges, graph.Edge{
-			U: rng.Int31n(n), V: rng.Int31n(n), ID: id,
+			U: rng.Int31n(n), V: rng.Int31n(n),
 			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
 		})
 	}
@@ -155,10 +147,7 @@ func ConnectedRandom(n int32, m int, seed int64) *graph.EdgeList { //lint:teston
 	el := &graph.EdgeList{N: n, Edges: make([]graph.Edge, 0, m)}
 	add := func(u, v int32) {
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	perm := rng.Perm(int(n))
 	for i := 1; i < int(n); i++ {
@@ -175,10 +164,7 @@ func Path(n int32, seed int64) *graph.EdgeList {
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n}
 	for i := int32(0); i+1 < n; i++ {
-		el.Edges = append(el.Edges, graph.Edge{
-			U: i, V: i + 1, ID: i,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), i),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: i, V: i + 1, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), i)})
 	}
 	return el
 }
@@ -189,10 +175,7 @@ func Cycle(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture genera
 	if n >= 3 {
 		rng := rand.New(rand.NewSource(seed + 1))
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: n - 1, V: 0, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: n - 1, V: 0, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	return el
 }
@@ -202,10 +185,7 @@ func Star(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture generat
 	rng := rand.New(rand.NewSource(seed))
 	el := &graph.EdgeList{N: n}
 	for i := int32(1); i < n; i++ {
-		el.Edges = append(el.Edges, graph.Edge{
-			U: 0, V: i, ID: i - 1,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), i-1),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: 0, V: i, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), i-1)})
 	}
 	return el
 }

@@ -25,10 +25,7 @@ func BarabasiAlbert(n int32, k int, seed int64) *graph.EdgeList {
 	targets := make([]int32, 0, 2*int(n)*k)
 	add := func(u, v int32) {
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 		targets = append(targets, u, v)
 	}
 	add(0, 1)
@@ -63,10 +60,7 @@ func WattsStrogatz(n int32, k int, beta float64, seed int64) *graph.EdgeList {
 	el := &graph.EdgeList{N: n}
 	add := func(u, v int32) {
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	for u := int32(0); u < n; u++ {
 		for j := 1; j <= k/2; j++ {
@@ -88,10 +82,7 @@ func BinaryTree(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture g
 	el := &graph.EdgeList{N: n}
 	for v := int32(1); v < n; v++ {
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: (v - 1) / 2, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: (v - 1) / 2, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	return el
 }
@@ -103,10 +94,7 @@ func Complete(n int32, seed int64) *graph.EdgeList { //lint:testonly fixture gen
 	for u := int32(0); u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			id := int32(len(el.Edges))
-			el.Edges = append(el.Edges, graph.Edge{
-				U: u, V: v, ID: id,
-				W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-			})
+			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 		}
 	}
 	return el

@@ -71,10 +71,7 @@ func WebGraph(n int32, m int, locality float64, seed int64) *graph.EdgeList {
 			}
 		}
 		id := int32(len(el.Edges))
-		el.Edges = append(el.Edges, graph.Edge{
-			U: u, V: v, ID: id,
-			W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id),
-		})
+		el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(1<<16)), id)})
 	}
 	return el
 }

@@ -35,10 +35,10 @@ func BuildCSR(el *EdgeList) (*CSR, error) {
 		e := &el.Edges[i]
 		a := cursor[e.U]
 		cursor[e.U]++
-		g.Dst[a], g.W[a], g.EID[a] = e.V, e.W, e.ID
+		g.Dst[a], g.W[a], g.EID[a] = e.V, e.W, int32(i)
 		b := cursor[e.V]
 		cursor[e.V]++
-		g.Dst[b], g.W[b], g.EID[b] = e.U, e.W, e.ID
+		g.Dst[b], g.W[b], g.EID[b] = e.U, e.W, int32(i)
 	}
 	return g, nil
 }

@@ -11,7 +11,7 @@ func digestFixture(t *testing.T) *EdgeList {
 	el := &EdgeList{N: 4}
 	for i, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
 		el.Edges = append(el.Edges, Edge{
-			U: e[0], V: e[1], ID: int32(i), W: MakeWeight(uint16(10*i), int32(i)),
+			U: e[0], V: e[1], W: MakeWeight(uint16(10*i), int32(i)),
 		})
 	}
 	if err := el.Validate(); err != nil {

@@ -3,16 +3,19 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // FuzzReadEdgeList exercises the binary container parser with arbitrary
-// bytes: it must never panic, and anything it accepts must validate and
-// round-trip.
+// bytes, from a reader and from a file: it must never panic, both paths
+// must agree, and anything it accepts must validate and round-trip.
 func FuzzReadEdgeList(f *testing.F) {
 	good := &EdgeList{N: 3, Edges: []Edge{
-		{U: 0, V: 1, W: MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 2, W: MakeWeight(2, 1), ID: 1},
+		{U: 0, V: 1, W: MakeWeight(1, 0)},
+		{U: 1, V: 2, W: MakeWeight(2, 1)},
 	}}
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, good); err != nil {
@@ -25,8 +28,19 @@ func FuzzReadEdgeList(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		el, err := ReadEdgeList(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "g.mnd")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fromFile, fileErr := LoadEdgeList(path)
+		if (err == nil) != (fileErr == nil) {
+			t.Fatalf("reader and file disagree: %v vs %v", err, fileErr)
+		}
 		if err != nil {
 			return
+		}
+		if fromFile.N != el.N || !slices.Equal(fromFile.Edges, el.Edges) {
+			t.Fatal("reader and file decode different graphs")
 		}
 		if err := el.Validate(); err != nil {
 			t.Fatalf("accepted invalid graph: %v", err)
@@ -39,7 +53,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if back.N != el.N || len(back.Edges) != len(el.Edges) {
+		if back.N != el.N || !slices.Equal(back.Edges, el.Edges) {
 			t.Fatal("round trip changed the graph")
 		}
 	})

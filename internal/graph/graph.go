@@ -10,7 +10,10 @@
 // implementations by exact total weight and edge set.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // MaxEdges is the largest number of undirected edges a single graph may
 // hold, bounded by the edge-id bits packed into weights.
@@ -35,13 +38,16 @@ func MakeWeight(rand16 uint16, eid int32) uint64 {
 // WeightRand extracts the random part of a packed weight.
 func WeightRand(w uint64) uint16 { return uint16(w >> eidBits) }
 
-// Edge is one undirected weighted edge. U and V are vertex ids; ID is the
-// canonical edge index within its graph.
+// Edge is one undirected weighted edge. U and V are vertex ids. An edge's
+// canonical id is its index in EdgeList.Edges, so an edge holds no id.
 type Edge struct {
 	U, V int32
 	W    uint64
-	ID   int32
 }
+
+// EdgeBytes is the in-memory size of one Edge: the 16 bytes of its .mnd
+// record.
+const EdgeBytes = int64(unsafe.Sizeof(Edge{}))
 
 // EdgeList is a graph in coordinate form: a vertex count plus undirected
 // edges. Self-loops are permitted in the list but never enter an MST;
@@ -51,8 +57,8 @@ type EdgeList struct {
 	Edges []Edge
 }
 
-// Validate checks structural invariants: endpoints in range, at most
-// MaxEdges edges, and edge ids equal to positions.
+// Validate checks structural invariants: endpoints in range and at most
+// MaxEdges edges.
 func (el *EdgeList) Validate() error {
 	if el.N < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", el.N)
@@ -61,11 +67,8 @@ func (el *EdgeList) Validate() error {
 		return fmt.Errorf("graph: %d edges exceeds MaxEdges=%d", len(el.Edges), MaxEdges)
 	}
 	for i, e := range el.Edges {
-		if e.U < 0 || e.U >= el.N || e.V < 0 || e.V >= el.N {
+		if uint32(e.U) >= uint32(el.N) || uint32(e.V) >= uint32(el.N) {
 			return fmt.Errorf("graph: edge %d (%d-%d) out of range [0,%d)", i, e.U, e.V, el.N)
-		}
-		if e.ID != int32(i) {
-			return fmt.Errorf("graph: edge %d has id %d", i, e.ID)
 		}
 	}
 	return nil

@@ -36,27 +36,22 @@ func randomEdgeList(rng *rand.Rand, n, m int) *EdgeList {
 	el := &EdgeList{N: int32(n)}
 	for i := 0; i < m; i++ {
 		el.Edges = append(el.Edges, Edge{
-			U:  int32(rng.Intn(n)),
-			V:  int32(rng.Intn(n)),
-			W:  MakeWeight(uint16(rng.Intn(1<<16)), int32(i)),
-			ID: int32(i),
+			U: int32(rng.Intn(n)),
+			V: int32(rng.Intn(n)),
+			W: MakeWeight(uint16(rng.Intn(1<<16)), int32(i)),
 		})
 	}
 	return el
 }
 
 func TestValidate(t *testing.T) {
-	el := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 2, ID: 0}}}
+	el := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 2}}}
 	if err := el.Validate(); err != nil {
 		t.Fatalf("valid list rejected: %v", err)
 	}
-	bad := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 3, ID: 0}}}
+	bad := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 3}}}
 	if bad.Validate() == nil {
 		t.Fatal("out-of-range endpoint accepted")
-	}
-	badID := &EdgeList{N: 3, Edges: []Edge{{U: 0, V: 1, ID: 5}}}
-	if badID.Validate() == nil {
-		t.Fatal("wrong edge id accepted")
 	}
 	neg := &EdgeList{N: -1}
 	if neg.Validate() == nil {
@@ -67,10 +62,10 @@ func TestValidate(t *testing.T) {
 func TestBuildCSRSmall(t *testing.T) {
 	// Triangle plus a pendant: 0-1, 1-2, 2-0, 2-3.
 	el := &EdgeList{N: 4, Edges: []Edge{
-		{U: 0, V: 1, W: MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 2, W: MakeWeight(2, 1), ID: 1},
-		{U: 2, V: 0, W: MakeWeight(3, 2), ID: 2},
-		{U: 2, V: 3, W: MakeWeight(4, 3), ID: 3},
+		{U: 0, V: 1, W: MakeWeight(1, 0)},
+		{U: 1, V: 2, W: MakeWeight(2, 1)},
+		{U: 2, V: 0, W: MakeWeight(3, 2)},
+		{U: 2, V: 3, W: MakeWeight(4, 3)},
 	}}
 	g, err := BuildCSR(el)
 	if err != nil {
@@ -107,8 +102,8 @@ func TestBuildCSRSmall(t *testing.T) {
 
 func TestBuildCSRSelfLoop(t *testing.T) {
 	el := &EdgeList{N: 2, Edges: []Edge{
-		{U: 0, V: 0, W: MakeWeight(1, 0), ID: 0},
-		{U: 0, V: 1, W: MakeWeight(2, 1), ID: 1},
+		{U: 0, V: 0, W: MakeWeight(1, 0)},
+		{U: 0, V: 1, W: MakeWeight(2, 1)},
 	}}
 	g := MustBuildCSR(el)
 	if g.Degree(0) != 3 { // self-loop contributes two arcs
@@ -132,7 +127,7 @@ func TestCSRRoundTripThroughEdgeList(t *testing.T) {
 		for a := lo; a < hi; a++ {
 			if eid := g.EID[a]; !seen[eid] {
 				seen[eid] = true
-				back.Edges[eid] = Edge{U: u, V: g.Dst[a], W: g.W[a], ID: eid}
+				back.Edges[eid] = Edge{U: u, V: g.Dst[a], W: g.W[a]}
 			}
 		}
 	}
@@ -198,10 +193,9 @@ func TestBuildCSRArcsInEdgeOrder(t *testing.T) {
 	el := &EdgeList{N: n}
 	for i := int32(0); i < m; i++ {
 		el.Edges = append(el.Edges, Edge{
-			U:  int32(rng.Intn(4)),
-			V:  int32(rng.Intn(n)),
-			W:  MakeWeight(uint16(rng.Intn(1<<16)), i),
-			ID: i,
+			U: int32(rng.Intn(4)),
+			V: int32(rng.Intn(n)),
+			W: MakeWeight(uint16(rng.Intn(1<<16)), i),
 		})
 	}
 	g := MustBuildCSR(el)
@@ -219,7 +213,7 @@ func TestStatsPath(t *testing.T) {
 	// Path 0-1-2-3-4: diameter 4, avg degree 1.6, max degree 2.
 	el := &EdgeList{N: 5}
 	for i := int32(0); i < 4; i++ {
-		el.Edges = append(el.Edges, Edge{U: i, V: i + 1, W: MakeWeight(uint16(i), i), ID: i})
+		el.Edges = append(el.Edges, Edge{U: i, V: i + 1, W: MakeWeight(uint16(i), i)})
 	}
 	st := ComputeStats(MustBuildCSR(el))
 	if st.ApproxDiam != 4 {
@@ -235,9 +229,9 @@ func TestStatsPath(t *testing.T) {
 
 func TestStatsDisconnected(t *testing.T) {
 	el := &EdgeList{N: 6, Edges: []Edge{
-		{U: 0, V: 1, W: MakeWeight(1, 0), ID: 0},
-		{U: 2, V: 3, W: MakeWeight(2, 1), ID: 1},
-		{U: 3, V: 4, W: MakeWeight(3, 2), ID: 2},
+		{U: 0, V: 1, W: MakeWeight(1, 0)},
+		{U: 2, V: 3, W: MakeWeight(2, 1)},
+		{U: 3, V: 4, W: MakeWeight(3, 2)},
 	}}
 	st := ComputeStats(MustBuildCSR(el))
 	if st.Components != 3 { // {0,1}, {2,3,4}, {5}
@@ -259,7 +253,7 @@ func TestStatsEmpty(t *testing.T) {
 }
 
 func TestCountComponents(t *testing.T) {
-	el := &EdgeList{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1, ID: 0}}}
+	el := &EdgeList{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1}}}
 	if got := CountComponents(MustBuildCSR(el)); got != 3 {
 		t.Fatalf("components=%d want 3", got)
 	}

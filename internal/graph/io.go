@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // Binary graph container format used by the cmd tools:
@@ -46,46 +47,52 @@ func WriteEdgeList(w io.Writer, el *EdgeList) error {
 	return bw.Flush()
 }
 
+// recordBytes is the size of one edge record.
+const recordBytes = 16
+
 // ReadEdgeList parses the binary container format from r.
-func ReadEdgeList(r io.Reader) (*EdgeList, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
+func ReadEdgeList(r io.Reader) (*EdgeList, error) { //lint:testonly decode from a reader of unknown length, which the fuzz and round-trip tests use
+	return readEdgeList(r, -1)
+}
+
+// readEdgeList decodes the container from r, which holds size bytes (-1:
+// unknown). The edge slice is allocated at the header's count only when
+// size proves the body is that long, so a corrupt (or hostile) header
+// cannot provoke a giant allocation; otherwise it grows from 64 Ki edges.
+func readEdgeList(r io.Reader, size int64) (*EdgeList, error) {
+	var hdr [20]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic[:])
+	if [8]byte(hdr[:8]) != fileMagic {
+		return nil, fmt.Errorf("graph: bad magic %q", hdr[:8])
 	}
-	var n int32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	var m int64
-	if err := binary.Read(br, binary.LittleEndian, &m); err != nil {
-		return nil, err
-	}
+	n := int32(binary.LittleEndian.Uint32(hdr[8:]))
+	m := int64(binary.LittleEndian.Uint64(hdr[12:]))
 	if n < 0 || m < 0 || m > MaxEdges {
 		return nil, fmt.Errorf("graph: implausible header n=%d m=%d", n, m)
 	}
-	// Grow incrementally rather than trusting the header's count: a
-	// corrupt (or hostile) header must not provoke a giant allocation
-	// before the body proves it is actually that long.
-	initialCap := m
-	if initialCap > 1<<16 {
-		initialCap = 1 << 16
+	capacity := min(m, 1<<16)
+	if size >= int64(len(hdr))+recordBytes*m {
+		capacity = m
 	}
-	el := &EdgeList{N: n, Edges: make([]Edge, 0, initialCap)}
-	var rec [16]byte
-	for i := int64(0); i < m; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("graph: reading edge %d: %w", i, err)
+	el := &EdgeList{N: n, Edges: make([]Edge, 0, capacity)}
+	var buf [256 * recordBytes]byte
+	for i := 0; i < int(m); {
+		k := min(int(m)-i, 256)
+		if got, err := io.ReadFull(r, buf[:k*recordBytes]); err != nil {
+			return nil, fmt.Errorf("graph: reading edge %d: %w", i+got/recordBytes, err)
 		}
-		el.Edges = append(el.Edges, Edge{
-			U:  int32(binary.LittleEndian.Uint32(rec[0:])),
-			V:  int32(binary.LittleEndian.Uint32(rec[4:])),
-			W:  binary.LittleEndian.Uint64(rec[8:]),
-			ID: int32(i),
-		})
+		el.Edges = slices.Grow(el.Edges, k)[:i+k]
+		for j := range el.Edges[i:] {
+			rec := buf[j*recordBytes:][:recordBytes]
+			el.Edges[i+j] = Edge{
+				U: int32(binary.LittleEndian.Uint32(rec[0:])),
+				V: int32(binary.LittleEndian.Uint32(rec[4:])),
+				W: binary.LittleEndian.Uint64(rec[8:]),
+			}
+		}
+		i += k
 	}
 	if err := el.Validate(); err != nil {
 		return nil, err
@@ -106,12 +113,18 @@ func SaveEdgeList(path string, el *EdgeList) error {
 	return f.Close()
 }
 
-// LoadEdgeList reads an edge list from the named file.
+// LoadEdgeList reads an edge list from the named file. A regular file's
+// size proves its body's length, so the edge list is allocated once, at
+// its exact size.
 func LoadEdgeList(path string) (*EdgeList, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadEdgeList(f)
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	return readEdgeList(f, size)
 }

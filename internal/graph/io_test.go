@@ -2,9 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func TestIORoundTrip(t *testing.T) {
@@ -54,5 +58,70 @@ func TestIORejectsGarbage(t *testing.T) {
 	buf.Write([]byte{1, 0, 0, 0})
 	if _, err := ReadEdgeList(&buf); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+}
+
+// TestEdgeSize pins an in-memory edge at the 16 bytes of its .mnd record,
+// so no new field silently grows every edge list back.
+func TestEdgeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size != recordBytes || EdgeBytes != recordBytes {
+		t.Fatalf("Edge is %d bytes (EdgeBytes %d), want %d", size, EdgeBytes, recordBytes)
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadEdgeListBoundsAllocation: a header claiming MaxEdges over a
+// short body fails through both readers without allocating more than the
+// 64 Ki-edge starting capacity, and a valid file is decoded into one edge
+// slice of exactly its edge count.
+func TestReadEdgeListBoundsAllocation(t *testing.T) {
+	hostile := append([]byte(nil), fileMagic[:]...)
+	hostile = binary.LittleEndian.AppendUint32(hostile, 1<<20)
+	hostile = binary.LittleEndian.AppendUint64(hostile, MaxEdges)
+	hostile = append(hostile, make([]byte, 100)...)
+	path := filepath.Join(t.TempDir(), "hostile.mnd")
+	if err := os.WriteFile(path, hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const bound = uint64((1<<16)*EdgeBytes + 64<<10)
+	for name, read := range map[string]func() (*EdgeList, error){
+		"ReadEdgeList": func() (*EdgeList, error) { return ReadEdgeList(bytes.NewReader(hostile)) },
+		"LoadEdgeList": func() (*EdgeList, error) { return LoadEdgeList(path) },
+	} {
+		var err error
+		if got := allocated(func() { _, err = read() }); got > bound {
+			t.Errorf("%s of a hostile header allocated %d bytes, bound %d", name, got, bound)
+		}
+		if err == nil {
+			t.Errorf("%s accepted a header claiming %d edges over a %d-byte body", name, MaxEdges, 100)
+		}
+	}
+
+	const m = 1 << 17 // twice the starting capacity: growth would show
+	rng := rand.New(rand.NewSource(23))
+	el := randomEdgeList(rng, 1000, m)
+	path = filepath.Join(t.TempDir(), "g.mnd")
+	if err := SaveEdgeList(path, el); err != nil {
+		t.Fatal(err)
+	}
+	var back *EdgeList
+	var err error
+	got := allocated(func() { back, err = LoadEdgeList(path) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Edges) != m || cap(back.Edges) != m {
+		t.Fatalf("LoadEdgeList: len %d cap %d, want both %d", len(back.Edges), cap(back.Edges), m)
+	}
+	if limit := uint64(m*EdgeBytes + 64<<10); got > limit {
+		t.Fatalf("LoadEdgeList allocated %d bytes for %d edges, want at most %d", got, m, limit)
 	}
 }

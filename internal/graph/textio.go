@@ -78,10 +78,7 @@ func ReadTextEdgeList(r io.Reader, rng *rand.Rand) (*EdgeList, error) {
 		if id >= MaxEdges {
 			return nil, fmt.Errorf("graph: more than %d edges", MaxEdges)
 		}
-		el.Edges = append(el.Edges, Edge{
-			U: intern(u), V: intern(v), ID: id,
-			W: MakeWeight(w16, id),
-		})
+		el.Edges = append(el.Edges, Edge{U: intern(u), V: intern(v), W: MakeWeight(w16, id)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

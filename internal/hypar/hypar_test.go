@@ -38,7 +38,7 @@ func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
 func toWire(el *graph.EdgeList) []wire.WEdge {
 	out := make([]wire.WEdge, len(el.Edges))
 	for i, e := range el.Edges {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
+		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
 	}
 	return out
 }

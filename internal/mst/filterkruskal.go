@@ -42,7 +42,7 @@ func filterKruskal(el *graph.EdgeList, idx []int32, d *dsu.DSU, f *Forest) {
 		for _, i := range idx {
 			e := &el.Edges[i]
 			if d.Union(e.U, e.V) {
-				f.EdgeIDs = append(f.EdgeIDs, e.ID)
+				f.EdgeIDs = append(f.EdgeIDs, i)
 				f.TotalWeight += e.W
 			}
 		}

@@ -52,8 +52,8 @@ func TestFilterKruskalDegenerate(t *testing.T) {
 		t.Fatalf("empty forest=%+v", empty)
 	}
 	loops := FilterKruskal(&graph.EdgeList{N: 2, Edges: []graph.Edge{
-		{U: 0, V: 0, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 1, W: graph.MakeWeight(2, 1), ID: 1},
+		{U: 0, V: 0, W: graph.MakeWeight(1, 0)},
+		{U: 1, V: 1, W: graph.MakeWeight(2, 1)},
 	}})
 	if len(loops.EdgeIDs) != 0 || loops.Components != 2 {
 		t.Fatalf("loops forest=%+v", loops)

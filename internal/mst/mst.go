@@ -60,7 +60,7 @@ func Kruskal(el *graph.EdgeList) *Forest {
 			continue
 		}
 		if d.Union(e.U, e.V) {
-			f.EdgeIDs = append(f.EdgeIDs, e.ID)
+			f.EdgeIDs = append(f.EdgeIDs, i)
 			f.TotalWeight += e.W
 			if len(f.EdgeIDs) == int(el.N)-1 {
 				break
@@ -171,7 +171,7 @@ func Boruvka(el *graph.EdgeList) *Forest { //lint:testonly reference MST the Kru
 			}
 			e := &el.Edges[bi]
 			if d.Union(e.U, e.V) {
-				f.EdgeIDs = append(f.EdgeIDs, e.ID)
+				f.EdgeIDs = append(f.EdgeIDs, bi)
 				f.TotalWeight += e.W
 			}
 		}

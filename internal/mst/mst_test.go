@@ -21,7 +21,7 @@ import (
 // MST: {0-1, 1-2, 1-3} (edge ids 0, 1, 2).
 func knownGraph() *graph.EdgeList {
 	mk := func(u, v int32, w uint16, id int32) graph.Edge {
-		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id), ID: id}
+		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id)}
 	}
 	return &graph.EdgeList{N: 4, Edges: []graph.Edge{
 		mk(0, 1, 1, 0),
@@ -64,7 +64,7 @@ func TestPrimAndBoruvkaMatchKruskalKnown(t *testing.T) {
 
 func TestMSFOnDisconnectedGraph(t *testing.T) {
 	mk := func(u, v int32, w uint16, id int32) graph.Edge {
-		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id), ID: id}
+		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id)}
 	}
 	// Components {0,1,2} and {3,4}; vertex 5 isolated.
 	el := &graph.EdgeList{N: 6, Edges: []graph.Edge{
@@ -90,7 +90,7 @@ func TestMSFOnDisconnectedGraph(t *testing.T) {
 
 func TestMSFIgnoresSelfLoopsAndParallelEdges(t *testing.T) {
 	mk := func(u, v int32, w uint16, id int32) graph.Edge {
-		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id), ID: id}
+		return graph.Edge{U: u, V: v, W: graph.MakeWeight(w, id)}
 	}
 	el := &graph.EdgeList{N: 3, Edges: []graph.Edge{
 		mk(0, 0, 0, 0), // self-loop, lightest of all — must be ignored

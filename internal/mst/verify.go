@@ -53,11 +53,11 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	// Spanning: no non-chosen edge may join two distinct forest components.
 	for i := range el.Edges {
 		e := &el.Edges[i]
-		if chosen[e.ID] || e.U == e.V {
+		if chosen[int32(i)] || e.U == e.V {
 			continue
 		}
 		if !d.Same(e.U, e.V) {
-			return fmt.Errorf("mst: edge %d (%d-%d) joins unspanned components", e.ID, e.U, e.V)
+			return fmt.Errorf("mst: edge %d (%d-%d) joins unspanned components", i, e.U, e.V)
 		}
 	}
 	if want := n - len(f.EdgeIDs); f.Components != want {
@@ -136,11 +136,11 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	}
 	for i := range el.Edges {
 		e := &el.Edges[i]
-		if chosen[e.ID] || e.U == e.V {
+		if chosen[int32(i)] || e.U == e.V {
 			continue
 		}
 		if m := pathMax(e.U, e.V); graph.WeightLess(e.W, m) {
-			return fmt.Errorf("mst: non-tree edge %d (w=%d) lighter than path max %d — not minimal", e.ID, e.W, m)
+			return fmt.Errorf("mst: non-tree edge %d (w=%d) lighter than path max %d — not minimal", i, e.W, m)
 		}
 	}
 	return nil

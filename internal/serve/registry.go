@@ -8,6 +8,7 @@ import (
 
 	"mndmst"
 	"mndmst/internal/gen"
+	"mndmst/internal/graph"
 	"mndmst/internal/obs"
 )
 
@@ -18,11 +19,11 @@ type graphEntry struct {
 	bytes  int64
 }
 
-// graphBytes estimates the resident size of a decoded graph: 24 bytes per
-// edge-list entry plus a fixed header. The estimate only needs to be
-// proportional for the LRU bound to be meaningful.
+// graphBytes estimates the resident size of a decoded graph: its edge
+// list plus a fixed header. The estimate only needs to be proportional for
+// the LRU bound to be meaningful.
 func graphBytes(g *mndmst.Graph) int64 {
-	return int64(g.NumEdges())*24 + 64
+	return int64(g.NumEdges())*graph.EdgeBytes + 64
 }
 
 // registry loads graphs on demand and caches the decoded forms in a

@@ -77,10 +77,7 @@ func NewGraph(n int32, edges []Edge) (*Graph, error) {
 		return nil, fmt.Errorf("mndmst: too many edges (%d > %d)", len(edges), graph.MaxEdges)
 	}
 	for i, e := range edges {
-		el.Edges[i] = graph.Edge{
-			U: e.U, V: e.V, ID: int32(i),
-			W: graph.MakeWeight(e.Weight, int32(i)),
-		}
+		el.Edges[i] = graph.Edge{U: e.U, V: e.V, W: graph.MakeWeight(e.Weight, int32(i))}
 	}
 	if err := el.Validate(); err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ import (
 // it keeps the forests, the work counters and the round structure. The
 // digest was recorded with the kernel that swept all n vertices per round,
 // before member rings and active-root hooking replaced it.
-const goldenDigest = "ff8ebafe70c93b1b5c92187eacaee9db88d82c9829e8a5660514616ad46f8698"
+const goldenDigest = "050dff320b2094adde99115791589cad8c7734fb19112a3ae5093bcc372c2a6b"
 
 // goldenGraphs are the five graphs of the golden matrix: a road grid, a
 // power-law RMAT graph, a messy graph with self-loops and parallel edges,

@@ -49,7 +49,9 @@ func Grid2D(r, c int, diagProb float64, seed int64) *graph.EdgeList {
 // RoadNetwork builds a road_usa-like graph: a grid with a fraction of the
 // lattice edges removed (keeping a spanning tree so the graph stays
 // connected) to bring the average degree down to ~2.4 and stretch the
-// diameter.
+// diameter. A kept edge keeps its random weight bits and packs its new
+// index; the grid-to-road id map is monotone, so the order of the weights,
+// and with it every forest, is the grid's.
 func RoadNetwork(n int, seed int64) *graph.EdgeList {
 	r := isqrt(n)
 	if r < 2 {
@@ -80,6 +82,7 @@ func RoadNetwork(n int, seed int64) *graph.EdgeList {
 			extraBudget--
 		}
 		if take {
+			e.W = graph.MakeWeight(graph.WeightRand(e.W), int32(len(out.Edges)))
 			out.Edges = append(out.Edges, e)
 		}
 	}

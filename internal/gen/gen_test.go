@@ -205,3 +205,41 @@ func TestProfileShapesMatchPaperTable2(t *testing.T) {
 		t.Fatalf("web avg degree %.1f not ≫ road %.1f", stWeb.AvgDegree, stRoad.AvgDegree)
 	}
 }
+
+// TestGeneratorsPackIDs: every generator, and every profile, packs each
+// edge's index into the low bits of its weight, so the weight is the only
+// record of an edge's id that the rest of the pipeline needs.
+func TestGeneratorsPackIDs(t *testing.T) {
+	graphs := map[string]*graph.EdgeList{
+		"Grid2D":          Grid2D(12, 9, 0.3, 1),
+		"RoadNetwork":     RoadNetwork(2500, 71),
+		"RMAT":            RMAT(512, 4096, 2),
+		"ErdosRenyi":      ErdosRenyi(300, 2000, 3),
+		"ConnectedRandom": ConnectedRandom(300, 900, 4),
+		"Path":            Path(100, 5),
+		"Cycle":           Cycle(100, 6),
+		"Star":            Star(100, 7),
+		"WebGraph":        WebGraph(1000, 8000, 0.85, 8),
+		"BarabasiAlbert":  BarabasiAlbert(500, 3, 9),
+		"WattsStrogatz":   WattsStrogatz(500, 4, 0.1, 10),
+		"BinaryTree":      BinaryTree(255, 11),
+		"Complete":        Complete(40, 12),
+	}
+	for _, p := range Profiles {
+		graphs["profile "+p.Name] = p.Generate(0.02)
+	}
+	const eidMask = graph.MaxEdges - 1
+	for name, el := range graphs {
+		if len(el.Edges) == 0 {
+			t.Fatalf("%s: no edges", name)
+		}
+		for i, e := range el.Edges {
+			if e.W&eidMask != uint64(i) {
+				t.Fatalf("%s: edge %d weight %#x packs id %d", name, i, e.W, e.W&eidMask)
+			}
+		}
+		if err := el.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

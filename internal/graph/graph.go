@@ -57,8 +57,11 @@ type EdgeList struct {
 	Edges []Edge
 }
 
-// Validate checks structural invariants: endpoints in range and at most
-// MaxEdges edges.
+// Validate checks structural invariants: endpoints in range, at most
+// MaxEdges edges, and every weight packing its own edge's index
+// (MakeWeight(r, i) for edge i), so the packed weight is the only record
+// of an edge's id anywhere downstream. A weight that does not is rejected,
+// not re-packed: Digest hashes the weights as stored.
 func (el *EdgeList) Validate() error {
 	if el.N < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", el.N)
@@ -69,6 +72,9 @@ func (el *EdgeList) Validate() error {
 	for i, e := range el.Edges {
 		if uint32(e.U) >= uint32(el.N) || uint32(e.V) >= uint32(el.N) {
 			return fmt.Errorf("graph: edge %d (%d-%d) out of range [0,%d)", i, e.U, e.V, el.N)
+		}
+		if e.W != MakeWeight(WeightRand(e.W), int32(i)) {
+			return fmt.Errorf("graph: edge %d weight %#x does not pack its index", i, e.W)
 		}
 	}
 	return nil

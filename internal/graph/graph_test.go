@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"mndmst/internal/parutil"
 	"mndmst/internal/testutil"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -56,6 +57,37 @@ func TestValidate(t *testing.T) {
 	neg := &EdgeList{N: -1}
 	if neg.Validate() == nil {
 		t.Fatal("negative N accepted")
+	}
+}
+
+// TestValidateRejectsUnpackedWeight: a weight must be MakeWeight(r, i)
+// for its edge's index i. Wrong low bits and bits above the packed ones
+// are both rejected, and the error names the edge.
+func TestValidateRejectsUnpackedWeight(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    uint64
+	}{
+		{"another edge's id", MakeWeight(9, 0)},
+		{"id off by one", MakeWeight(9, 2)},
+		{"bit 42 set", MakeWeight(9, 1) | 1<<(eidBits+weightRandBits)},
+		{"top bit set", MakeWeight(9, 1) | 1<<63},
+	} {
+		el := &EdgeList{N: 3, Edges: []Edge{
+			{U: 0, V: 1, W: MakeWeight(1, 0)},
+			{U: 1, V: 2, W: tc.w},
+		}}
+		err := el.Validate()
+		if err == nil {
+			t.Fatalf("%s: weight %#x accepted for edge 1", tc.name, tc.w)
+		}
+		if !strings.Contains(err.Error(), "edge 1 ") {
+			t.Fatalf("%s: error %q does not name edge 1", tc.name, err)
+		}
+	}
+	ok := &EdgeList{N: 2, Edges: []Edge{{U: 0, V: 1, W: MakeWeight(1<<16-1, 0)}}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("the heaviest packed weight rejected: %v", err)
 	}
 }
 
@@ -253,7 +285,7 @@ func TestStatsEmpty(t *testing.T) {
 }
 
 func TestCountComponents(t *testing.T) {
-	el := &EdgeList{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1}}}
+	el := &EdgeList{N: 4, Edges: []Edge{{U: 0, V: 1, W: MakeWeight(1, 0)}}}
 	if got := CountComponents(MustBuildCSR(el)); got != 3 {
 		t.Fatalf("components=%d want 3", got)
 	}

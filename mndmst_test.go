@@ -1,11 +1,14 @@
 package mndmst
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"mndmst/internal/graph"
 	"mndmst/internal/trace"
 )
 
@@ -118,6 +121,31 @@ func TestPublicAPISaveLoad(t *testing.T) {
 	b := FindMSFSequential(back)
 	if a.TotalWeight != b.TotalWeight {
 		t.Fatal("round trip changed the MSF")
+	}
+}
+
+// TestLoadGraphRejectsUnpackedWeight: a .mnd file whose weights do not
+// pack their edge's index fails to load, with an error that names the
+// edge, rather than being re-packed under a digest that is not its file's.
+func TestLoadGraphRejectsUnpackedWeight(t *testing.T) {
+	buf := []byte("MNDMSTG1")
+	buf = binary.LittleEndian.AppendUint32(buf, 3)
+	buf = binary.LittleEndian.AppendUint64(buf, 2)
+	for _, e := range []graph.Edge{
+		{U: 0, V: 1, W: graph.MakeWeight(4, 0)},
+		{U: 1, V: 2, W: graph.MakeWeight(4, 7)}, // packs id 7, not 1
+	} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.U))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.V))
+		buf = binary.LittleEndian.AppendUint64(buf, e.W)
+	}
+	path := filepath.Join(t.TempDir(), "unpacked.mnd")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadGraph(path)
+	if err == nil || !strings.Contains(err.Error(), "edge 1 ") {
+		t.Fatalf("LoadGraph of an unpacked weight: err = %v, want one naming edge 1", err)
 	}
 }
 

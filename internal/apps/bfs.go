@@ -114,7 +114,7 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int3
 		var next []int32
 		remote := make([][]int32, p)
 		for _, u := range frontier {
-			dst, _, _ := win.Arcs(int(u - lo))
+			dst, _ := win.Arcs(int(u - lo))
 			work.EdgesScanned += deg[u]
 			for _, h := range dst {
 				if h >= 0 {

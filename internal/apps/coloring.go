@@ -120,7 +120,7 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed i
 			gv := lo + int32(v)
 			pv := priority(gv, seed)
 			wins := true
-			dst, _, _ := win.Arcs(v)
+			dst, _ := win.Arcs(v)
 			work.EdgesScanned += deg[gv]
 			used := map[int32]bool{}
 			for _, h := range dst {
@@ -155,7 +155,7 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed i
 		// owning their neighbours.
 		sendSets := make([]map[int32]int32, p)
 		for _, gv := range newly {
-			dst, _, _ := win.Arcs(int(gv - lo))
+			dst, _ := win.Arcs(int(gv - lo))
 			for _, h := range dst {
 				if h >= 0 {
 					continue

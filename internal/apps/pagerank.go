@@ -99,7 +99,7 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, dampin
 				continue
 			}
 			share := rank[v] / float64(d)
-			dst, _, _ := win.Arcs(v)
+			dst, _ := win.Arcs(v)
 			work.EdgesScanned += d
 			for _, h := range dst {
 				switch {

@@ -96,7 +96,7 @@ func ssspRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int
 		remoteBest := map[int32]uint64{}
 		for _, u := range frontier {
 			du := dist[u-lo]
-			dst, _, wt := win.Arcs(int(u - lo))
+			dst, wt := win.Arcs(int(u - lo))
 			work.EdgesScanned += deg[u]
 			for j, h := range dst {
 				cand := du + wt[j]

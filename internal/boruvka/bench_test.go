@@ -17,7 +17,7 @@ func benchLocal(b *testing.B, el *graph.EdgeList) *Local {
 	}
 	edges := make([]wire.WEdge, len(el.Edges))
 	for i, e := range el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
+		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
 	}
 	l, err := NewLocal(ids, edges)
 	if err != nil {

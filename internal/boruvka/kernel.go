@@ -6,6 +6,7 @@ import (
 
 	"mndmst/internal/cost"
 	"mndmst/internal/dsu"
+	"mndmst/internal/graph"
 	"mndmst/internal/parutil"
 )
 
@@ -222,20 +223,11 @@ func (k *kernel) round() (rw cost.Work, merges, frozen int) {
 // made, each summed per chunk.
 func (k *kernel) scanArcs() (scanned, proposed int64) {
 	l, uf, slots, compact := k.l, k.uf, k.slots, !k.opt.Contract
-	off, dst, eid, wgt, live := l.off, l.dst, l.eid, l.w, l.live
-	// arcLess orders arcs by (weight, edge id, arc index): a total order.
-	// The arc index decides only between the two arcs of one edge, which
-	// are internal and never proposed, so moving arcs leaves every winner
-	// as it was.
-	arcLess := func(a, b int64) bool {
-		if wgt[a] != wgt[b] {
-			return wgt[a] < wgt[b]
-		}
-		if eid[a] != eid[b] {
-			return eid[a] < eid[b]
-		}
-		return a < b
-	}
+	off, dst, wgt, live := l.off, l.dst, l.w, l.live
+	// arcLess orders arcs by (packed weight, arc index): a total order.
+	// Equal weights are the two arcs of one edge, which are internal and
+	// never proposed, so moving arcs leaves every winner as it was.
+	arcLess := func(a, b int64) bool { return wgt[a] < wgt[b] || wgt[a] == wgt[b] && a < b }
 	// propose offers the lightest of arcs [alo, ahi) of u to u's
 	// component. §3.5 makes one atomic min per arc; taking the minimum
 	// locally first and proposing once leaves the slot with the same
@@ -253,7 +245,6 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 				if compact {
 					ahi--
 					dst[a], dst[ahi] = dst[ahi], v
-					eid[a], eid[ahi] = eid[ahi], eid[a]
 					wgt[a], wgt[ahi] = wgt[ahi], wgt[a]
 				} else {
 					a++
@@ -360,7 +351,7 @@ func (k *kernel) join() {
 		}
 		k.slots[r].Reset()
 		v := k.l.dst[a]
-		res.ChosenIDs = append(res.ChosenIDs, k.l.eid[a])
+		res.ChosenIDs = append(res.ChosenIDs, graph.EdgeID(k.l.w[a]))
 		res.ChosenWeight += k.l.w[a]
 		ring[r], ring[v] = ring[v], ring[r]
 		if root := k.uf.Find(r); !k.seen[root] {
@@ -419,7 +410,7 @@ func (k *kernel) contract() int64 {
 	parutil.For(k.n, 1<<12, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			r := uf.Parent(int32(u))
-			l.Retain(u, func(v, _ int32, _ uint64) bool { return v < 0 || uf.Parent(v) != r })
+			l.Retain(u, func(v int32, _ uint64) bool { return v < 0 || uf.Parent(v) != r })
 		}
 	})
 	return scanned

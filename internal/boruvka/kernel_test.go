@@ -16,7 +16,7 @@ import (
 func toWEdges(es []graph.Edge) []wire.WEdge {
 	out := make([]wire.WEdge, len(es))
 	for i, e := range es {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
+		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
 	}
 	return out
 }
@@ -78,9 +78,9 @@ func TestKernelEmptyAndTrivial(t *testing.T) {
 
 func TestKernelSelfLoopsAndParallelEdges(t *testing.T) {
 	edges := []wire.WEdge{
-		{U: 0, V: 0, W: graph.MakeWeight(0, 0), ID: 0}, // lightest, a self-loop
-		{U: 0, V: 1, W: graph.MakeWeight(9, 1), ID: 1},
-		{U: 0, V: 1, W: graph.MakeWeight(2, 2), ID: 2}, // lighter parallel edge
+		{U: 0, V: 0, W: graph.MakeWeight(0, 0)}, // lightest, a self-loop
+		{U: 0, V: 1, W: graph.MakeWeight(9, 1)},
+		{U: 0, V: 1, W: graph.MakeWeight(2, 2)}, // lighter parallel edge
 	}
 	l, err := NewLocal([]int32{0, 1}, edges)
 	if err != nil {
@@ -100,9 +100,9 @@ func TestExceptionFreezesCutLightestComponent(t *testing.T) {
 	// their shared internal edge. Contracting 0-1 would be wrong (it is
 	// not in the global MST), so the kernel must freeze both components.
 	edges := []wire.WEdge{
-		{U: 0, V: 9, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 1, V: 9, W: graph.MakeWeight(2, 1), ID: 1},
-		{U: 0, V: 1, W: graph.MakeWeight(10, 2), ID: 2},
+		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
+		{U: 1, V: 9, W: graph.MakeWeight(2, 1)},
+		{U: 0, V: 1, W: graph.MakeWeight(10, 2)},
 	}
 	l, err := NewLocal([]int32{0, 1}, edges)
 	if err != nil {
@@ -124,8 +124,8 @@ func TestExceptionAllowsSafeInternalContraction(t *testing.T) {
 	// Local {0,1}: 0 has a light cut edge but 1's lightest edge is the
 	// internal 0-1, which IS in the global MST — it must contract.
 	edges := []wire.WEdge{
-		{U: 0, V: 9, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 0, V: 1, W: graph.MakeWeight(5, 1), ID: 1},
+		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
+		{U: 0, V: 1, W: graph.MakeWeight(5, 1)},
 	}
 	l, err := NewLocal([]int32{0, 1}, edges)
 	if err != nil {
@@ -147,9 +147,9 @@ func TestBorderEdgeExceptionMoreConservative(t *testing.T) {
 	// BOTH border vertices; then nothing may happen even though 1's
 	// lightest is internal under BorderVertex semantics... construct:
 	edges := []wire.WEdge{
-		{U: 0, V: 9, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 0, V: 1, W: graph.MakeWeight(2, 1), ID: 1},
-		{U: 1, V: 8, W: graph.MakeWeight(5, 2), ID: 2},
+		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
+		{U: 0, V: 1, W: graph.MakeWeight(2, 1)},
+		{U: 1, V: 8, W: graph.MakeWeight(5, 2)},
 	}
 	l, err := NewLocal([]int32{0, 1}, edges)
 	if err != nil {
@@ -222,8 +222,8 @@ func TestIndependentPartitionsChooseOnlyMSTEdges(t *testing.T) {
 func TestParentIsMinGlobalIDOfComponent(t *testing.T) {
 	// Path 10-20-30 with global names; one component; representative 10.
 	edges := []wire.WEdge{
-		{U: 10, V: 20, W: graph.MakeWeight(1, 0), ID: 0},
-		{U: 20, V: 30, W: graph.MakeWeight(2, 1), ID: 1},
+		{U: 10, V: 20, W: graph.MakeWeight(1, 0)},
+		{U: 20, V: 30, W: graph.MakeWeight(2, 1)},
 	}
 	l, err := NewLocal([]int32{30, 10, 20}, edges) // unsorted input ok
 	if err != nil {

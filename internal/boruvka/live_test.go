@@ -16,20 +16,20 @@ import (
 
 // arc is one arc of a vertex, compared by value.
 type arc struct {
-	dst, eid int32
-	w        uint64
+	dst int32
+	w   uint64
 }
 
 func arcCmp(a, b arc) int {
-	return cmp.Or(cmp.Compare(a.eid, b.eid), cmp.Compare(a.dst, b.dst), cmp.Compare(a.w, b.w))
+	return cmp.Or(cmp.Compare(graph.EdgeID(a.w), graph.EdgeID(b.w)), cmp.Compare(a.dst, b.dst), cmp.Compare(a.w, b.w))
 }
 
 // arcsOf returns the arcs Arcs(u) shows, in the view's order.
 func arcsOf(l *boruvka.Local, u int) []arc {
-	dst, eid, w := l.Arcs(u)
+	dst, w := l.Arcs(u)
 	out := make([]arc, len(dst))
 	for a := range dst {
-		out[a] = arc{dst[a], eid[a], w[a]}
+		out[a] = arc{dst[a], w[a]}
 	}
 	return out
 }
@@ -106,7 +106,7 @@ func checkRelabel(t testing.TB, where string, all, v *boruvka.Local, parent []in
 	want := merge.Relabel(nil, all, parent, ghost)
 	byID := func(es []wire.WEdge) []wire.WEdge {
 		es = slices.Clone(es)
-		slices.SortFunc(es, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
+		slices.SortFunc(es, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
 		return es
 	}
 	if g, w := byID(got), byID(want); !slices.Equal(g, w) {

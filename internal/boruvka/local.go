@@ -23,10 +23,10 @@ import (
 )
 
 // Local is one device's view of its partition: the global ids of the local
-// vertices and a CSR of arcs out of them. An arc carries the global edge id
-// and weight of its undirected edge; a head inside the view is stored as
-// its local index, a head outside it is external (ghost) and stored as
-// ^global (bitwise NOT of its global id, so always negative).
+// vertices and a CSR of arcs out of them. An arc is its head and the packed
+// weight of its undirected edge, which holds the edge id (graph.EdgeID); a
+// head inside the view is stored as its local index, a head outside it is
+// external (ghost) and stored as ^global (bitwise NOT of its global id).
 //
 // Every vertex has a live end: Arcs returns the live prefix of its arcs,
 // and the arcs past the end are retired. A new view has every arc live.
@@ -43,7 +43,6 @@ type Local struct {
 	// CSR over local indices; arcs exist only from local endpoints.
 	off []int64
 	dst []int32 // local index of head, or ^global if external
-	eid []int32 // global edge id
 	w   []uint64
 	// live[u] counts u's live arcs, the prefix of its CSR range that is
 	// not retired.
@@ -103,7 +102,6 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	total := counts[n]
 	l.off = counts
 	l.dst = make([]int32, total)
-	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
 	cursor := make([]int64, n)
 	// put stores the arc tail → head; a head with no local index is
@@ -114,7 +112,7 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 		if headLocal < 0 {
 			headLocal = ^head
 		}
-		l.dst[a], l.eid[a], l.w[a] = headLocal, e.ID, e.W
+		l.dst[a], l.w[a] = headLocal, e.W
 	}
 	for i := range edges {
 		e := &edges[i]
@@ -150,35 +148,34 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 		total += d
 	}
 	l.dst = make([]int32, total)
-	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
-	put := func(u, head, id int32, w uint64) {
+	put := func(u, head int32, w uint64) {
 		a := l.off[u+1]
 		l.off[u+1]++
-		l.dst[a], l.eid[a], l.w[a] = head, id, w
+		l.dst[a], l.w[a] = head, w
 	}
 	loops := false
 	for i := range el.Edges {
-		e, id := &el.Edges[i], int32(i)
+		e := &el.Edges[i]
 		u, v := e.U-lo, e.V-lo
 		uIn, vIn := uint32(u) < uint32(n), uint32(v) < uint32(n)
 		switch {
 		case uIn && vIn:
 			l.NumEdges++
-			put(u, v, id, e.W)
+			put(u, v, e.W)
 			if u != v {
-				put(v, u, id, e.W)
+				put(v, u, e.W)
 			} else {
 				loops = true
 			}
 		case uIn:
 			l.NumEdges++
 			l.NumCut++
-			put(u, ^e.V, id, e.W)
+			put(u, ^e.V, e.W)
 		case vIn:
 			l.NumEdges++
 			l.NumCut++
-			put(v, ^e.U, id, e.W)
+			put(v, ^e.U, e.W)
 		}
 	}
 	for i := range l.IDs {
@@ -200,13 +197,12 @@ func (l *Local) compact(slots []int64) {
 	for i, d := range slots {
 		end := l.off[i+1]
 		copy(l.dst[k:], l.dst[start:end])
-		copy(l.eid[k:], l.eid[start:end])
 		copy(l.w[k:], l.w[start:end])
 		k += end - start
 		l.off[i+1] = k
 		start += d
 	}
-	l.dst, l.eid, l.w = l.dst[:k:k], l.eid[:k:k], l.w[:k:k]
+	l.dst, l.w = l.dst[:k:k], l.w[:k:k]
 }
 
 // Sub returns the view of local vertices [a, b) of l: all their arcs,
@@ -219,11 +215,9 @@ func (l *Local) Sub(a, b int) *Local {
 		IDs:  l.IDs[a:b:b],
 		off:  make([]int64, b-a+1),
 		dst:  make([]int32, end-base),
-		eid:  make([]int32, end-base),
 		w:    make([]uint64, end-base),
 		live: make([]int32, b-a),
 	}
-	copy(s.eid, l.eid[base:end])
 	copy(s.w, l.w[base:end])
 	for u := a; u < b; u++ {
 		s.off[u-a+1] = l.off[u+1] - base
@@ -248,9 +242,9 @@ func (l *Local) Sub(a, b int) *Local {
 	return s
 }
 
-// Arcs returns the heads, edge ids and weights of the live arcs out of
-// local vertex u, in the view's order. A kernel run retires only arcs
-// internal to u's component, so the live arcs include every cut arc.
+// Arcs returns the heads and packed weights of the live arcs out of local
+// vertex u, in the view's order. A kernel run retires only arcs internal
+// to u's component, so the live arcs include every cut arc.
 // After a run that ended with a round of no merges they are exactly u's
 // arcs to other components, with two exceptions that keep more: a hub of
 // hubDegree arcs or more keeps all of them unless the run contracted
@@ -258,10 +252,10 @@ func (l *Local) Sub(a, b int) *Local {
 // After a Terminator stop they may include more. A head is a local index,
 // or ^global when it is external. The slices alias the view and must not
 // be modified.
-func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
+func (l *Local) Arcs(u int) (dst []int32, w []uint64) {
 	lo := l.off[u]
 	hi := lo + int64(l.live[u])
-	return l.dst[lo:hi:hi], l.eid[lo:hi:hi], l.w[lo:hi:hi]
+	return l.dst[lo:hi:hi], l.w[lo:hi:hi]
 }
 
 // Retain keeps the live arcs of local vertex u for which keep reports
@@ -269,13 +263,12 @@ func (l *Local) Arcs(u int) (dst, eid []int32, w []uint64) {
 // forward and moves u's live end to just after the last one. It returns
 // the number kept. Retired arcs stay in the view, and the next Run makes
 // them live again. Calls for distinct vertices may run concurrently.
-func (l *Local) Retain(u int, keep func(head, eid int32, w uint64) bool) int {
+func (l *Local) Retain(u int, keep func(head int32, w uint64) bool) int {
 	lo := l.off[u]
 	j := lo
 	for a := lo; a < lo+int64(l.live[u]); a++ {
-		if keep(l.dst[a], l.eid[a], l.w[a]) {
+		if keep(l.dst[a], l.w[a]) {
 			l.dst[a], l.dst[j] = l.dst[j], l.dst[a]
-			l.eid[a], l.eid[j] = l.eid[j], l.eid[a]
 			l.w[a], l.w[j] = l.w[j], l.w[a]
 			j++
 		}
@@ -305,7 +298,7 @@ func (l *Local) Degree(u int) int64 { return l.off[u+1] - l.off[u] }
 // Border reports whether local vertex u has a cut edge. It walks u's live
 // arcs, which keep every cut arc.
 func (l *Local) Border(u int) bool {
-	dst, _, _ := l.Arcs(u)
+	dst, _ := l.Arcs(u)
 	for _, v := range dst {
 		if v < 0 {
 			return true

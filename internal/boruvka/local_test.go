@@ -50,7 +50,6 @@ func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
 	total := counts[n]
 	l.off = counts
 	l.dst = make([]int32, total)
-	l.eid = make([]int32, total)
 	l.w = make([]uint64, total)
 	cursor := make([]int64, n)
 	put := func(tail int32, head int32, headLocal bool, e *wire.WEdge) {
@@ -61,7 +60,6 @@ func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
 		} else {
 			l.dst[a] = ^head
 		}
-		l.eid[a] = e.ID
 		l.w[a] = e.W
 	}
 	for i := range edges {
@@ -118,7 +116,7 @@ func FuzzNewLocal(f *testing.F) {
 		for i := 2 + k; i+1 < len(data); i += 2 {
 			id := int32(len(edges))
 			edges = append(edges, wire.WEdge{
-				U: end(data[i]), V: end(data[i+1]), ID: id,
+				U: end(data[i]), V: end(data[i+1]),
 				W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id),
 			})
 		}
@@ -140,8 +138,6 @@ func FuzzNewLocal(f *testing.F) {
 			t.Fatalf("%s: offsets %v, want %v", where, got.off, want.off)
 		case !slices.Equal(got.dst, want.dst):
 			t.Fatalf("%s: heads %v, want %v", where, got.dst, want.dst)
-		case !slices.Equal(got.eid, want.eid):
-			t.Fatalf("%s: edge ids %v, want %v", where, got.eid, want.eid)
 		case !slices.Equal(got.w, want.w):
 			t.Fatalf("%s: weights %v, want %v", where, got.w, want.w)
 		case !slices.Equal(got.live, want.live):
@@ -152,16 +148,16 @@ func FuzzNewLocal(f *testing.F) {
 
 // viewArc is one arc of a view, live or retired.
 type viewArc struct {
-	dst, eid int32
-	w        uint64
+	dst int32
+	w   uint64
 }
 
 // liveArcs returns the arcs Arcs(u) shows, in order.
 func liveArcs(l *Local, u int) []viewArc {
-	dst, eid, w := l.Arcs(u)
+	dst, w := l.Arcs(u)
 	out := make([]viewArc, len(dst))
 	for a := range dst {
-		out[a] = viewArc{dst[a], eid[a], w[a]}
+		out[a] = viewArc{dst[a], w[a]}
 	}
 	return out
 }
@@ -171,9 +167,11 @@ func liveArcs(l *Local, u int) []viewArc {
 func allArcs(l *Local, u int) []viewArc {
 	var out []viewArc
 	for a := l.off[u]; a < l.off[u+1]; a++ {
-		out = append(out, viewArc{l.dst[a], l.eid[a], l.w[a]})
+		out = append(out, viewArc{l.dst[a], l.w[a]})
 	}
-	slices.SortFunc(out, func(a, b viewArc) int { return cmp.Or(cmp.Compare(a.eid, b.eid), cmp.Compare(a.dst, b.dst)) })
+	slices.SortFunc(out, func(a, b viewArc) int {
+		return cmp.Or(cmp.Compare(graph.EdgeID(a.w), graph.EdgeID(b.w)), cmp.Compare(a.dst, b.dst))
+	})
 	return out
 }
 
@@ -184,9 +182,9 @@ func allArcs(l *Local, u int) []viewArc {
 // configuration on the retired view must then equal the run on a fresh
 // view.
 func TestRetain(t *testing.T) {
-	passes := []func(head, eid int32, w uint64) bool{
-		func(_, eid int32, _ uint64) bool { return eid%3 != 0 },
-		func(head, _ int32, w uint64) bool { return head < 0 || w%2 == 0 },
+	passes := []func(head int32, w uint64) bool{
+		func(_ int32, w uint64) bool { return graph.EdgeID(w)%3 != 0 },
+		func(head int32, w uint64) bool { return head < 0 || w%2 == 0 },
 	}
 	opts := []Options{DefaultOptions(), {Excpt: ExcptBorderEdge}, {Excpt: ExcptNone, DataDriven: true, Contract: true}}
 	for gi, el := range goldenGraphs() {
@@ -198,7 +196,7 @@ func TestRetain(t *testing.T) {
 				want := make([][]viewArc, win.N())
 				for u := range want {
 					for _, a := range liveArcs(win, u) {
-						if keep(a.dst, a.eid, a.w) {
+						if keep(a.dst, a.w) {
 							want[u] = append(want[u], a)
 						}
 					}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mndmst/internal/cost"
+	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
 	"mndmst/internal/wire"
 )
@@ -77,8 +78,9 @@ func checkEdgeOrder(t *testing.T, rng *rand.Rand, ids []int32, edges []wire.WEdg
 }
 
 // orderGraph draws a view for the edge-order tests: n local vertices with
-// spread global ids, m edges with distinct shuffled ids and weights from
-// four values, so most winners are decided by edge id. An end is external
+// spread global ids, m edges with distinct shuffled ids and random weights
+// from four values, so most winners are ties in WeightRand decided by the
+// packed edge id. An end is external
 // (a gap between the local ids, or outside their span) one time in five;
 // self-loops and parallel edges occur. With hub set, the first vertex gets
 // hubDegree more arcs, to local and external heads alike.
@@ -111,7 +113,7 @@ func orderGraph(rng *rand.Rand, n, m int, hub bool) ([]int32, []wire.WEdge) {
 				u, v = edges[i-1].U, edges[i-1].V
 			}
 		}
-		edges[i] = wire.WEdge{U: u, V: v, W: uint64(rng.Intn(4)), ID: int32(eids[i])}
+		edges[i] = wire.WEdge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(4)), int32(eids[i]))}
 	}
 	return ids, edges
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -68,9 +69,9 @@ func rangeEdges(el *graph.EdgeList, lo, hi int32) ([]wire.WEdge, int64) {
 	in := func(v int32) bool { return v >= lo && v < hi }
 	var edges []wire.WEdge
 	var cut int64
-	for i, e := range el.Edges {
+	for _, e := range el.Edges {
 		if in(e.U) || in(e.V) {
-			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)})
+			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W})
 			if in(e.U) != in(e.V) {
 				cut++
 			}
@@ -115,16 +116,17 @@ func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 		t.Fatalf("%s: ids %v / %d arcs, list %v / %d arcs", where, win.IDs, win.NumArcs(), ref.IDs, ref.NumArcs())
 	}
 	for u := range win.N() {
-		dst, eid, w := win.Arcs(u)
-		rdst, reid, rw := ref.Arcs(u)
-		if !slices.Equal(dst, rdst) || !slices.Equal(eid, reid) || !slices.Equal(w, rw) {
-			t.Fatalf("%s: vertex %d arcs %v %v, list %v %v", where, win.IDs[u], dst, eid, rdst, reid)
+		dst, w := win.Arcs(u)
+		rdst, rw := ref.Arcs(u)
+		if !slices.Equal(dst, rdst) || !slices.Equal(w, rw) {
+			t.Fatalf("%s: vertex %d arcs %v %v, list %v %v", where, win.IDs[u], dst, w, rdst, rw)
 		}
 		for a, v := range dst {
-			if a > 0 && eid[a-1] >= eid[a] {
-				t.Fatalf("%s: vertex %d arcs not in ascending edge id: %v", where, win.IDs[u], eid)
+			id := graph.EdgeID(w[a])
+			if a > 0 && graph.EdgeID(w[a-1]) >= id {
+				t.Fatalf("%s: vertex %d arcs not in ascending edge id: %v", where, win.IDs[u], w)
 			}
-			e := el.Edges[eid[a]]
+			e := el.Edges[id]
 			other := e.V
 			if e.V == win.IDs[u] {
 				other = e.U
@@ -133,10 +135,10 @@ func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 			if v >= 0 {
 				head = win.IDs[v]
 			} else if head >= lo && head < hi {
-				t.Fatalf("%s: cut head %d of edge %d lies inside the range", where, head, eid[a])
+				t.Fatalf("%s: cut head %d of edge %d lies inside the range", where, head, id)
 			}
 			if head != other || w[a] != e.W {
-				t.Fatalf("%s: vertex %d edge %d (%d-%d): head %d weight %d", where, win.IDs[u], eid[a], e.U, e.V, head, w[a])
+				t.Fatalf("%s: vertex %d edge %d (%d-%d): head %d weight %d", where, win.IDs[u], id, e.U, e.V, head, w[a])
 			}
 		}
 	}
@@ -164,10 +166,10 @@ func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b
 	view := func(set []int32) *Local {
 		in := func(c int32) bool { _, ok := slices.BinarySearch(set, c); return ok }
 		var edges []wire.WEdge
-		for i, e := range el.Edges {
+		for _, e := range el.Edges {
 			u, v := name(e.U), name(e.V)
 			if in(u) || in(v) {
-				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: int32(i)})
+				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W})
 			}
 		}
 		l, err := NewLocal(slices.Clone(set), edges)
@@ -184,10 +186,10 @@ func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b
 			where, got.IDs, got.NumEdges, got.NumCut, want.IDs, want.NumEdges, want.NumCut)
 	}
 	for u := range got.N() {
-		dst, eid, w := got.Arcs(u)
-		wdst, weid, ww := want.Arcs(u)
-		if !slices.Equal(dst, wdst) || !slices.Equal(eid, weid) || !slices.Equal(w, ww) {
-			t.Fatalf("%s: vertex %d arcs %v %v, want %v %v", where, got.IDs[u], dst, eid, wdst, weid)
+		dst, w := got.Arcs(u)
+		wdst, ww := want.Arcs(u)
+		if !slices.Equal(dst, wdst) || !slices.Equal(w, ww) {
+			t.Fatalf("%s: vertex %d arcs %v %v, want %v %v", where, got.IDs[u], dst, w, wdst, ww)
 		}
 	}
 }
@@ -254,5 +256,32 @@ func TestWindowKernelMatchesList(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWindowArcBytes pins what NewWindow allocates: 12 bytes per arc slot
+// (a 4-byte head and an 8-byte packed weight, which also holds the edge
+// id), 16 bytes per vertex (IDs, offsets and live ends), and at most one
+// page of size-class rounding for each of those five arrays.
+func TestWindowArcBytes(t *testing.T) {
+	el := gen.WebGraph(1<<12, 40_000, 0.85, 5)
+	deg := el.Degrees()
+	lo, hi := int32(0), el.N/2
+	var slots int64
+	for _, d := range deg[lo:hi] {
+		slots += d
+	}
+	const runs, page = 20, 8 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		windowSink = NewWindow(el, deg, lo, hi)
+	}
+	runtime.ReadMemStats(&after)
+	per := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	n := int64(hi - lo)
+	if limit := 12*slots + 16*n + 8 + 5*page; per > limit {
+		t.Fatalf("NewWindow allocated %d B for %d arc slots and %d vertices (%.1f B per slot), want at most %d",
+			per, slots, n, float64(per-16*n)/float64(slots), limit)
 	}
 }

@@ -236,7 +236,7 @@ func (w *worker) round() (int, error) {
 	for v := 0; v < n; v++ {
 		cv := w.comp[v]
 		vBest := cand{w: ^uint64(0)}
-		w.win.Retain(v, func(h, eid int32, wt uint64) bool {
+		w.win.Retain(v, func(h int32, wt uint64) bool {
 			work.EdgesScanned++
 			cu := w.compOf(w.win.Global(h))
 			if cu == cv {
@@ -246,11 +246,11 @@ func (w *worker) round() (int, error) {
 				return false
 			}
 			if graph.WeightLess(wt, vBest.w) {
-				vBest = cand{comp: cv, other: cu, w: wt, eid: eid}
+				vBest = cand{comp: cv, other: cu, w: wt, eid: graph.EdgeID(wt)}
 			}
 			cd, ok := best[cv]
 			if !ok || graph.WeightLess(wt, cd.w) {
-				best[cv] = cand{comp: cv, other: cu, w: wt, eid: eid}
+				best[cv] = cand{comp: cv, other: cu, w: wt, eid: graph.EdgeID(wt)}
 			}
 			work.HashOps++
 			return true
@@ -560,7 +560,7 @@ func (w *worker) round() (int, error) {
 	ghostLists := make([][]int32, p)
 	for v := 0; v < n; v++ {
 		gv := w.lo + int32(v)
-		dst, _, _ := w.win.Arcs(v)
+		dst, _ := w.win.Arcs(v)
 		for _, h := range dst {
 			if h >= 0 { // local heads need no ghost update
 				continue

@@ -150,9 +150,9 @@ func EstimateGPUShare(el *graph.EdgeList, cpu *CPU, gpu *GPU) float64 {
 // ⌊estimateFraction·N⌋) vertices and returns the subgraph they induce,
 // renumbered by draw position: ids are 0..k−1 and every edge with both
 // ends sampled appears once, as {U: min, V: max} of its ends' positions.
-// Edges are ordered by their smaller position, then by edge id, and get
-// ids 0..m′−1 in that order: the order in which a walk of the sampled
-// vertices' CSR arcs (ascending edge id) would first meet them.
+// Edges are ordered by their smaller position, then by edge id: the order
+// in which a walk of the sampled vertices' CSR arcs (ascending edge id)
+// would first meet them. Each keeps its packed weight, and so its id in el.
 func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []wire.WEdge) {
 	k := max(1, int(float64(el.N)*estimateFraction))
 	perm := rng.Perm(int(el.N))
@@ -183,9 +183,8 @@ func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []wire.WEdge) {
 			continue
 		}
 		lo := min(pu, pv)
-		i := start[lo]
+		edges[start[lo]] = wire.WEdge{U: lo, V: max(pu, pv), W: e.W}
 		start[lo]++
-		edges[i] = wire.WEdge{U: lo, V: max(pu, pv), W: e.W, ID: i}
 	}
 	return ids, edges
 }

@@ -23,7 +23,7 @@ func fullLocal(t *testing.T, el *graph.EdgeList) *boruvka.Local {
 	t.Helper()
 	edges := make([]wire.WEdge, len(el.Edges))
 	for i, e := range el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
+		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
 	}
 	l, err := boruvka.NewLocal(seq(int(el.N)), edges)
 	if err != nil {
@@ -123,9 +123,9 @@ func TestEstimateGPUShareMemoryCap(t *testing.T) {
 // device memory small enough that the cap binds.
 func TestEstimateGPUShareGolden(t *testing.T) {
 	// The web graph's packed weights take only 8 values (no embedded
-	// edge id), so most weights tie and the kernel breaks the ties by the
-	// sample's edge ids: the estimate then depends on the sample's edge
-	// order, not only on its edge set.
+	// edge id), so most weights tie and the kernel breaks the ties by arc
+	// position in each sample's view: the estimate then depends on the
+	// sample's edge order, not only on its edge set.
 	web := gen.WebGraph(4096, 40000, 0.85, 3)
 	n := len(web.Edges)
 	for i := 0; i < n; i += 5 { // a reversed parallel copy of every 5th edge
@@ -161,9 +161,9 @@ func TestEstimateGPUShareGolden(t *testing.T) {
 
 // TestSampleInducedProperty: a sample holds exactly the edges with both
 // ends among the drawn vertices, once each, relabelled by draw position
-// with U ≤ V, in order of the smaller position and then of edge id, with
-// ids 0..m′−1 — on random graphs with self-loops, parallel edges and
-// isolated vertices.
+// with U ≤ V, in order of the smaller position and then of edge id, each
+// with its packed weight — on random graphs with self-loops, parallel
+// edges and isolated vertices.
 func TestSampleInducedProperty(t *testing.T) {
 	rng := testutil.Rand(t, 77)
 	for iter := 0; iter < 300; iter++ {
@@ -198,9 +198,6 @@ func TestSampleInducedProperty(t *testing.T) {
 			}
 		}
 		slices.SortStableFunc(want, func(a, b wire.WEdge) int { return cmp.Compare(a.U, b.U) })
-		for i := range want {
-			want[i].ID = int32(i)
-		}
 		if len(ids) != k || !slices.Equal(ids, seq(k)) {
 			t.Fatalf("n=%d: ids %v, want 0..%d", n, ids, k-1)
 		}

@@ -49,9 +49,7 @@ func Grid2D(r, c int, diagProb float64, seed int64) *graph.EdgeList {
 // RoadNetwork builds a road_usa-like graph: a grid with a fraction of the
 // lattice edges removed (keeping a spanning tree so the graph stays
 // connected) to bring the average degree down to ~2.4 and stretch the
-// diameter. A kept edge keeps its random weight bits and packs its new
-// index; the grid-to-road id map is monotone, so the order of the weights,
-// and with it every forest, is the grid's.
+// diameter. Kept edges re-pack their index, a monotone map: same forests.
 func RoadNetwork(n int, seed int64) *graph.EdgeList {
 	r := isqrt(n)
 	if r < 2 {

@@ -38,6 +38,9 @@ func MakeWeight(rand16 uint16, eid int32) uint64 {
 // WeightRand extracts the random part of a packed weight.
 func WeightRand(w uint64) uint16 { return uint16(w >> eidBits) }
 
+// EdgeID extracts the edge id packed into a weight.
+func EdgeID(w uint64) int32 { return int32(w & eidMask) }
+
 // Edge is one undirected weighted edge. U and V are vertex ids. An edge's
 // canonical id is its index in EdgeList.Edges, so an edge holds no id.
 type Edge struct {
@@ -58,10 +61,7 @@ type EdgeList struct {
 }
 
 // Validate checks structural invariants: endpoints in range, at most
-// MaxEdges edges, and every weight packing its own edge's index
-// (MakeWeight(r, i) for edge i), so the packed weight is the only record
-// of an edge's id anywhere downstream. A weight that does not is rejected,
-// not re-packed: Digest hashes the weights as stored.
+// MaxEdges edges, and weights packing their index (MakeWeight(r, i)).
 func (el *EdgeList) Validate() error {
 	if el.N < 0 {
 		return fmt.Errorf("graph: negative vertex count %d", el.N)

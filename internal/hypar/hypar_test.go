@@ -38,7 +38,7 @@ func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
 func toWire(el *graph.EdgeList) []wire.WEdge {
 	out := make([]wire.WEdge, len(el.Edges))
 	for i, e := range el.Edges {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: int32(i)}
+		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
 	}
 	return out
 }
@@ -164,16 +164,16 @@ func TestReduceRemovesSelfAndMultiEdges(t *testing.T) {
 	parent := []int32{0, 0, 0, 0, 0}
 	ghost := func(int32) int32 { return 10 }
 	edges := []wire.WEdge{
-		{U: 1, V: 2, W: 5, ID: 0},  // self after relabel
-		{U: 3, V: 15, W: 9, ID: 1}, // 0-10
-		{U: 4, V: 17, W: 3, ID: 2}, // 0-10, lighter: must win
+		{U: 1, V: 2, W: graph.MakeWeight(5, 0)},  // self after relabel
+		{U: 3, V: 15, W: graph.MakeWeight(9, 1)}, // 0-10
+		{U: 4, V: 17, W: graph.MakeWeight(3, 2)}, // 0-10, lighter: must win
 	}
 	v := newLocal(t, allIDs(5), edges)
 	onRank(t, func(rt *Runtime) error {
 		// Into nil, then into the list the view was built from.
 		for _, dst := range [][]wire.WEdge{nil, edges} {
 			out := rt.Reduce(dst, v, parent, ghost)
-			if len(out) != 1 || out[0] != (wire.WEdge{U: 0, V: 10, W: 3, ID: 2}) {
+			if len(out) != 1 || out[0] != (wire.WEdge{U: 0, V: 10, W: graph.MakeWeight(3, 2)}) {
 				return fmt.Errorf("dst %d edges: out=%+v", len(dst), out)
 			}
 		}
@@ -257,20 +257,20 @@ func TestDeviceEdgesMulti(t *testing.T) {
 	// Component ids as a later iteration has them: scattered, with ghosts.
 	ids := []int32{10, 20, 30, 40}
 	edges := []wire.WEdge{
-		{U: 10, V: 20, ID: 0}, // dev0 only
-		{U: 20, V: 30, ID: 1}, // both (cross-device)
-		{U: 30, V: 40, ID: 2}, // dev1 only
-		{U: 10, V: 99, ID: 3}, // dev0 only (99 external to node)
-		{U: 40, V: 99, ID: 4}, // dev1 only
+		{U: 10, V: 20, W: graph.MakeWeight(0, 0)}, // dev0 only
+		{U: 20, V: 30, W: graph.MakeWeight(0, 1)}, // both (cross-device)
+		{U: 30, V: 40, W: graph.MakeWeight(0, 2)}, // dev1 only
+		{U: 10, V: 99, W: graph.MakeWeight(0, 3)}, // dev0 only (99 external to node)
+		{U: 40, V: 99, W: graph.MakeWeight(0, 4)}, // dev1 only
 	}
 	v := newLocal(t, ids, edges)
 	for d, want := range [][]int32{{0, 1, 3}, {1, 2, 4}} {
 		dev := v.Sub(2*d, 2*d+2)
 		var got []int32
 		for u := range dev.N() {
-			_, eid, _ := dev.Arcs(u)
-			for _, id := range eid {
-				if !slices.Contains(got, id) {
+			_, w := dev.Arcs(u)
+			for _, x := range w {
+				if id := graph.EdgeID(x); !slices.Contains(got, id) {
 					got = append(got, id)
 				}
 			}

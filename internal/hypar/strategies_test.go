@@ -158,8 +158,8 @@ func pathWorkload(n int) (ids []int32, edges []wire.WEdge) {
 	}
 	edges = make([]wire.WEdge, n-1)
 	for i := range edges {
-		w := uint64(bits.TrailingZeros(uint(i+1)))<<20 | uint64(i)
-		edges[i] = wire.WEdge{U: int32(i), V: int32(i + 1), W: w, ID: int32(i)}
+		w := uint16(bits.TrailingZeros(uint(i + 1)))
+		edges[i] = wire.WEdge{U: int32(i), V: int32(i + 1), W: graph.MakeWeight(w, int32(i))}
 	}
 	return ids, edges
 }

@@ -52,9 +52,9 @@ func rangeList(el *graph.EdgeList, lo, hi int32, name func(int32) int32) ([]int3
 		ids = append(ids, name(v))
 	}
 	var edges []wire.WEdge
-	for i, e := range el.Edges {
+	for _, e := range el.Edges {
 		if e.U >= lo && e.U < hi || e.V >= lo && e.V < hi {
-			edges = append(edges, wire.WEdge{U: name(e.U), V: name(e.V), W: e.W, ID: int32(i)})
+			edges = append(edges, wire.WEdge{U: name(e.U), V: name(e.V), W: e.W})
 		}
 	}
 	return ids, edges

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mndmst/internal/cluster"
+	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
 	"mndmst/internal/transport"
 	"mndmst/internal/wire"
@@ -71,7 +72,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 		sendTo, recvFrom := (r.ID()+1)%p, (r.ID()+p-1)%p
 		out := Payload{
 			Comps: []int32{int32(100 + r.ID())},
-			Edges: []wire.WEdge{{U: int32(r.ID()), V: int32(sendTo), W: uint64(10 * r.ID()), ID: int32(r.ID())}},
+			Edges: []wire.WEdge{{U: int32(r.ID()), V: int32(sendTo), W: graph.MakeWeight(uint16(10*r.ID()), int32(r.ID()))}},
 		}
 		in, err := ExchangeSegments(r, sendTo, recvFrom, out, 8, Payload{})
 		if err != nil {
@@ -80,7 +81,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 		if len(in.Comps) != 1 || in.Comps[0] != int32(100+recvFrom) {
 			return fmt.Errorf("rank %d: comps %v", r.ID(), in.Comps)
 		}
-		if len(in.Edges) != 1 || in.Edges[0].ID != int32(recvFrom) || in.Edges[0].W != uint64(10*recvFrom) {
+		if len(in.Edges) != 1 || in.Edges[0].ID() != int32(recvFrom) || in.Edges[0].W != graph.MakeWeight(uint16(10*recvFrom), int32(recvFrom)) {
 			return fmt.Errorf("rank %d: edges %+v", r.ID(), in.Edges)
 		}
 		return nil
@@ -200,7 +201,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 	// chunk-count header, as the receiver takes no chunk size.
 	t.Run("chunk-size-mismatch", func(t *testing.T) {
 		runChunkedCase(t, "chunk-size-mismatch", func(r *cluster.Rank) error {
-			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []wire.WEdge{{U: 1, V: 2, W: 9, ID: 4}}}
+			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []wire.WEdge{{U: 1, V: 2, W: graph.MakeWeight(9, 4)}}}
 			if r.ID() == 0 {
 				SendToLeader(r, 1, want, 8) // tiny sender chunks
 				return nil
@@ -209,7 +210,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if len(got.Comps) != 5 || got.Comps[4] != 5 || len(got.Edges) != 1 || got.Edges[0].W != 9 {
+			if len(got.Comps) != 5 || got.Comps[4] != 5 || len(got.Edges) != 1 || got.Edges[0] != want.Edges[0] {
 				return fmt.Errorf("mismatch case payload %+v", got)
 			}
 			return nil
@@ -263,7 +264,7 @@ func TestEncodersSizeExactly(t *testing.T) {
 			p.Comps[i] = rng.Int31()
 		}
 		for i := range p.Edges {
-			p.Edges[i] = wire.WEdge{U: rng.Int31(), V: -rng.Int31(), W: rng.Uint64(), ID: rng.Int31()}
+			p.Edges[i] = wire.WEdge{U: rng.Int31(), V: -rng.Int31(), W: graph.MakeWeight(uint16(rng.Uint64()), rng.Int31())}
 		}
 		return p
 	}

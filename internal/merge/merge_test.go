@@ -10,6 +10,7 @@ import (
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
+	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
 	"mndmst/internal/wire"
 )
@@ -19,9 +20,9 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 	parent := []int32{0, 0, 0, 3, 3}
 	ghost := func(v int32) int32 { return v }
 	edges := []wire.WEdge{
-		{U: 1, V: 2, W: 10, ID: 0}, // both → 0: self edge
-		{U: 1, V: 4, W: 20, ID: 1}, // 0 - 3
-		{U: 0, V: 5, W: 30, ID: 2}, // 0 - 5
+		{U: 1, V: 2, W: graph.MakeWeight(10, 0)}, // both → 0: self edge
+		{U: 1, V: 4, W: graph.MakeWeight(20, 1)}, // 0 - 3
+		{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, // 0 - 5
 	}
 	l, err := boruvka.NewLocal([]int32{0, 1, 2, 3, 4}, edges)
 	if err != nil {
@@ -29,7 +30,7 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 	}
 	kept := Relabel(nil, l, parent, ghost)
 	// Emitted vertex by vertex: vertex 0's cut edge, then vertex 1's.
-	want := []wire.WEdge{{U: 0, V: 5, W: 30, ID: 2}, {U: 0, V: 3, W: 20, ID: 1}}
+	want := []wire.WEdge{{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, {U: 0, V: 3, W: graph.MakeWeight(20, 1)}}
 	if !slices.Equal(kept, want) {
 		t.Fatalf("kept=%+v, want %+v", kept, want)
 	}
@@ -40,17 +41,17 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 
 func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 	edges := []wire.WEdge{
-		{U: 5, V: 3, W: 50, ID: 0}, // pair (3,5)
-		{U: 3, V: 5, W: 20, ID: 1}, // lighter, reversed order
-		{U: 3, V: 5, W: 90, ID: 2},
-		{U: 1, V: 2, W: 10, ID: 3},
+		{U: 5, V: 3, W: graph.MakeWeight(50, 0)}, // pair (3,5)
+		{U: 3, V: 5, W: graph.MakeWeight(20, 1)}, // lighter, reversed order
+		{U: 3, V: 5, W: graph.MakeWeight(90, 2)},
+		{U: 1, V: 2, W: graph.MakeWeight(10, 3)},
 	}
 	out, w := RemoveMultiEdges(edges)
 	if len(out) != 2 {
 		t.Fatalf("out=%+v", out)
 	}
 	// Sorted by (U,V): (1,2) then (3,5).
-	if out[0].ID != 3 || out[1].ID != 1 {
+	if out[0].ID() != 3 || out[1].ID() != 1 {
 		t.Fatalf("out=%+v", out)
 	}
 	if out[1].U != 3 || out[1].V != 5 {
@@ -69,7 +70,7 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		edges = append(edges, wire.WEdge{
 			U: int32(i % 50), V: int32((i * 7) % 50),
-			W: uint64(i*2654435761) % (1 << 40), ID: int32(i),
+			W: graph.MakeWeight(uint16(i*2654435761>>10), int32(i)),
 		})
 	}
 	// Filter self pairs for clean input.
@@ -95,14 +96,14 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 
 // TestDedupeByID checks DedupeByID with checkDedupe on a small list, then
 // on random lists whose ids are dense (the bitmap) or spread over the whole
-// int32 range (the set). Each list holds every id of a random set once or
+// id range below MaxEdges (the set). Each list holds every id of a random set once or
 // more, the copies of one id told apart by their endpoints, in random
 // order.
 func TestDedupeByID(t *testing.T) {
 	edges := []wire.WEdge{
-		{U: 1, V: 2, W: 10, ID: 5},
-		{U: 0, V: 9, W: 3, ID: 2},
-		{U: 2, V: 1, W: 10, ID: 5}, // the other owner's copy
+		{U: 1, V: 2, W: graph.MakeWeight(10, 5)},
+		{U: 0, V: 9, W: graph.MakeWeight(3, 2)},
+		{U: 2, V: 1, W: graph.MakeWeight(10, 5)}, // the other owner's copy
 	}
 	out := DedupeByID(slices.Clone(edges))
 	if want := edges[:2]; !slices.Equal(out, want) {
@@ -115,10 +116,10 @@ func TestDedupeByID(t *testing.T) {
 		for range rng.Intn(300) {
 			id := rng.Int31n(1000)
 			if trial%2 == 1 {
-				id = rng.Int31() - rng.Int31()
+				id = rng.Int31n(graph.MaxEdges)
 			}
 			for c := range 1 + rng.Intn(3) {
-				edges = append(edges, wire.WEdge{U: int32(c), V: int32(trial), W: uint64(rng.Intn(4)), ID: id})
+				edges = append(edges, wire.WEdge{U: int32(c), V: int32(trial), W: graph.MakeWeight(uint16(rng.Intn(4)), id)})
 			}
 		}
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
@@ -194,10 +195,10 @@ func TestSplitEdges(t *testing.T) {
 	kept := []int32{1, 2}
 	sent := []int32{3}
 	edges := []wire.WEdge{
-		{U: 1, V: 2, ID: 0},  // kept only
-		{U: 2, V: 3, ID: 1},  // both
-		{U: 3, V: 99, ID: 2}, // moved only (other endpoint remote)
-		{U: 1, V: 50, ID: 3}, // kept only (other endpoint remote)
+		{U: 1, V: 2, W: graph.MakeWeight(0, 0)},  // kept only
+		{U: 2, V: 3, W: graph.MakeWeight(0, 1)},  // both
+		{U: 3, V: 99, W: graph.MakeWeight(0, 2)}, // moved only (other endpoint remote)
+		{U: 1, V: 50, W: graph.MakeWeight(0, 3)}, // kept only (other endpoint remote)
 	}
 	k, m := SplitEdges(edges, kept, sent)
 	kida := idsOf(k)
@@ -245,7 +246,7 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 			return int32(rng.Intn(int(span))) // below, inside or above the span
 		}
 		for i := range edges {
-			edges[i] = wire.WEdge{U: end(), V: end(), W: uint64(rng.Intn(100)), ID: int32(i)}
+			edges[i] = wire.WEdge{U: end(), V: end(), W: graph.MakeWeight(uint16(rng.Intn(100)), int32(i))}
 		}
 		keptSet, sentSet := set(kept), set(sent)
 		var wantKept, wantMoved []wire.WEdge
@@ -272,7 +273,7 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 func idsOf(es []wire.WEdge) []int32 {
 	out := make([]int32, len(es))
 	for i, e := range es {
-		out[i] = e.ID
+		out[i] = e.ID()
 	}
 	return out
 }
@@ -303,7 +304,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 		if r.ID() == 0 {
 			SendToLeader(r, 1, Payload{
 				Comps: []int32{4, 5},
-				Edges: []wire.WEdge{{U: 4, V: 9, W: 77, ID: 3}},
+				Edges: []wire.WEdge{{U: 4, V: 9, W: graph.MakeWeight(77, 3)}},
 			}, 4)
 		}
 		if r.ID() == 1 {
@@ -311,7 +312,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if len(p.Comps) != 2 || len(p.Edges) != 1 || p.Edges[0].W != 77 {
+			if len(p.Comps) != 2 || len(p.Edges) != 1 || p.Edges[0] != (wire.WEdge{U: 4, V: 9, W: graph.MakeWeight(77, 3)}) {
 				return fmt.Errorf("payload %+v", p)
 			}
 		}

@@ -22,6 +22,7 @@ package merge
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cost"
@@ -51,7 +52,7 @@ func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int3
 	out := dst[:0]
 	for u := range l.N() {
 		pu := parent[u]
-		heads, eid, w := l.Arcs(u)
+		heads, w := l.Arcs(u)
 		for a, v := range heads {
 			var pv int32
 			if v >= 0 {
@@ -63,7 +64,7 @@ func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int3
 				pv = ghost(^v)
 			}
 			if pu != pv {
-				out = append(out, wire.WEdge{U: pu, V: pv, W: w[a], ID: eid[a]})
+				out = append(out, wire.WEdge{U: pu, V: pv, W: w[a]})
 			}
 		}
 	}
@@ -78,7 +79,7 @@ func survivors(l *boruvka.Local, parent []int32) int {
 	inside := 0 // an inside survivor is met from both its ends
 	for u := range l.N() {
 		pu := parent[u]
-		heads, _, _ := l.Arcs(u)
+		heads, _ := l.Arcs(u)
 		for _, v := range heads {
 			if v >= 0 && parent[v] != pu {
 				inside++
@@ -90,10 +91,10 @@ func survivors(l *boruvka.Local, parent []int32) int {
 
 // RemoveMultiEdges keeps only the lightest edge between every pair of
 // components: it orients every edge so that U < V, radix-sorts the slice
-// by (U, V) and keeps the lightest edge of each run of equal pairs. The
-// result reuses edges and is sorted by (U, V). The work charged is that of
-// the §3.3 pair-min hash table, one update per edge: the table is modeled,
-// not built.
+// by (U, V) and keeps the lightest edge of each run of equal pairs (equal
+// weights are copies of one edge). The result reuses edges and is sorted
+// by (U, V). The work charged is that of the §3.3 pair-min hash table, one
+// update per edge: the table is modeled, not built.
 func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 	w := cost.Work{HashOps: int64(len(edges)), EdgesScanned: int64(len(edges))}
 	if len(edges) == 0 {
@@ -115,7 +116,7 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 		switch {
 		case e.U != last.U || e.V != last.V:
 			out = append(out, e)
-		case graph.WeightLess(e.W, last.W) || e.W == last.W && e.ID < last.ID:
+		case graph.WeightLess(e.W, last.W):
 			*last = e
 		}
 	}
@@ -126,23 +127,23 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 // which appear when both endpoint owners ship their copy to one rank. It
 // keeps the first copy of each, in place and in arrival order, marking the
 // IDs seen in a bitmap over their span: at most m/8 bytes for an m-edge
-// graph. A span over 8 KiB and over 24 bytes (one edge) per edge takes a
-// set instead.
+// graph. A span over 8 KiB and over one in-memory edge's bits per edge
+// takes a set instead.
 func DedupeByID(edges []wire.WEdge) []wire.WEdge {
 	if len(edges) == 0 {
 		return edges
 	}
 	id := emptyRange
 	for i := range edges {
-		id.add(edges[i].ID)
+		id.add(edges[i].ID())
 	}
 	out := edges[:0]
 	span := uint64(uint32(id.hi)-uint32(id.lo)) + 1
-	if span > max(192*uint64(len(edges)), 1<<16) {
+	if span > max(8*uint64(unsafe.Sizeof(wire.WEdge{}))*uint64(len(edges)), 1<<16) {
 		seen := make(map[int32]struct{}, len(edges))
 		for _, e := range edges {
-			if _, ok := seen[e.ID]; !ok {
-				seen[e.ID] = struct{}{}
+			if _, ok := seen[e.ID()]; !ok {
+				seen[e.ID()] = struct{}{}
 				out = append(out, e)
 			}
 		}
@@ -150,7 +151,7 @@ func DedupeByID(edges []wire.WEdge) []wire.WEdge {
 	}
 	seen := make([]uint64, (span+63)/64)
 	for _, e := range edges {
-		x := uint32(e.ID) - uint32(id.lo)
+		x := uint32(e.ID()) - uint32(id.lo)
 		if bit := uint64(1) << (x % 64); seen[x/64]&bit == 0 {
 			seen[x/64] |= bit
 			out = append(out, e)

@@ -25,7 +25,7 @@ func pairMinReference(edges []wire.WEdge) []wire.WEdge {
 		}
 		k := [2]int32{e.U, e.V}
 		cur, ok := best[k]
-		if !ok || graph.WeightLess(e.W, cur.W) || e.W == cur.W && e.ID < cur.ID {
+		if !ok || graph.WeightLess(e.W, cur.W) {
 			best[k] = e
 		}
 	}
@@ -44,8 +44,8 @@ func pairMinReference(edges []wire.WEdge) []wire.WEdge {
 func dedupeReference(edges []wire.WEdge) []wire.WEdge {
 	first := make(map[int32]wire.WEdge)
 	for _, e := range edges {
-		if _, ok := first[e.ID]; !ok {
-			first[e.ID] = e
+		if _, ok := first[e.ID()]; !ok {
+			first[e.ID()] = e
 		}
 	}
 	var out []wire.WEdge
@@ -53,7 +53,7 @@ func dedupeReference(edges []wire.WEdge) []wire.WEdge {
 	for _, e := range first {
 		out = append(out, e)
 	}
-	slices.SortFunc(out, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(out, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
 	return out
 }
 
@@ -67,7 +67,7 @@ func checkDedupe(t *testing.T, in []wire.WEdge) {
 	buf := slices.Clone(in)
 	got := DedupeByID(buf)
 	byID := slices.Clone(got)
-	slices.SortStableFunc(byID, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortStableFunc(byID, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
 	if want := dedupeReference(in); !slices.Equal(byID, want) {
 		t.Fatalf("in %+v: got %+v, by id %+v; want %+v", in, got, byID, want)
 	}
@@ -89,7 +89,7 @@ func checkDedupe(t *testing.T, in []wire.WEdge) {
 // equalWeightEdge builds an edge whose 16-bit weight class is constant, so
 // its order is decided entirely by the edge id packed into the low bits.
 func equalWeightEdge(u, v, eid int32) wire.WEdge {
-	return wire.WEdge{U: u, V: v, W: graph.MakeWeight(7, eid), ID: eid}
+	return wire.WEdge{U: u, V: v, W: graph.MakeWeight(7, eid)}
 }
 
 // TestRemoveMultiEdgesAllEqualWeightsOrderIndependent puts every weight in
@@ -144,15 +144,15 @@ func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 // charge is one hash op per offer.
 func TestRemoveMultiEdgesKeepsMinimum(t *testing.T) {
 	in := []wire.WEdge{
-		{U: 1, V: 2, W: 50, ID: 0},
-		{U: 2, V: 1, W: 60, ID: 1},
-		{U: 1, V: 2, W: 40, ID: 2},
-		{U: 3, V: 4, W: 10, ID: 3},
+		{U: 1, V: 2, W: graph.MakeWeight(50, 0)},
+		{U: 2, V: 1, W: graph.MakeWeight(60, 1)},
+		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
+		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
 	}
 	out, w := RemoveMultiEdges(in)
 	want := []wire.WEdge{
-		{U: 1, V: 2, W: 40, ID: 2},
-		{U: 3, V: 4, W: 10, ID: 3},
+		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
+		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
 	}
 	if !slices.Equal(out, want) {
 		t.Fatalf("got %+v, want %+v", out, want)
@@ -184,8 +184,8 @@ func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
 // reverse come out as the same record, smaller endpoint first.
 func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
 	f := func(a, b int32) bool {
-		x, _ := RemoveMultiEdges([]wire.WEdge{{U: a, V: b, W: 1}})
-		y, _ := RemoveMultiEdges([]wire.WEdge{{U: b, V: a, W: 1}})
+		x, _ := RemoveMultiEdges([]wire.WEdge{{U: a, V: b, W: graph.MakeWeight(1, 0)}})
+		y, _ := RemoveMultiEdges([]wire.WEdge{{U: b, V: a, W: graph.MakeWeight(1, 0)}})
 		return len(x) == 1 && x[0] == y[0] && x[0].U == min(a, b) && x[0].V == max(a, b)
 	}
 	if err := quick.Check(f, testutil.Quick(t, 4003, 0)); err != nil {
@@ -194,18 +194,18 @@ func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
 }
 
 // TestRemoveMultiEdgesLargeIDsSmallScratch feeds three residual edges of a
-// graph with ids near math.MaxInt32: the sort scratch follows the edge
-// count, not the ids, so it stays tiny.
+// graph with vertex ids near math.MaxInt32 and edge ids near MaxEdges: the
+// sort scratch follows the edge count, not the ids, so it stays tiny.
 func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
-	const top = math.MaxInt32
+	const top, eid = math.MaxInt32, graph.MaxEdges - 1
 	in := []wire.WEdge{
-		{U: top, V: top - 7, W: 3, ID: top - 1},
-		{U: top - 7, V: top, W: 2, ID: top - 2},
-		{U: 0, V: top - 1, W: 1, ID: top},
+		{U: top, V: top - 7, W: graph.MakeWeight(3, eid-1)},
+		{U: top - 7, V: top, W: graph.MakeWeight(2, eid-2)},
+		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 	}
 	want := []wire.WEdge{
-		{U: 0, V: top - 1, W: 1, ID: top},
-		{U: top - 7, V: top, W: 2, ID: top - 2},
+		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
+		{U: top - 7, V: top, W: graph.MakeWeight(2, eid-2)},
 	}
 	const runs = 100
 	buf := make([]wire.WEdge, len(in))
@@ -225,9 +225,10 @@ func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
 }
 
 // fuzzEdges decodes 11-byte records (U and V as little-endian int32s, a
-// 3-value weight, an id byte, and a flags byte that narrows or widens the
-// ranges) into edges, so inputs hit many multi-edges, weight ties, shared
-// ids and negative and huge keys.
+// 3-value random weight, an id byte, and a flags byte that narrows or
+// widens the ranges) into edges with packed weights, so inputs hit many
+// multi-edges, ties in WeightRand broken by the packed id, shared ids,
+// negative and huge vertex keys, and edge ids up to MaxEdges.
 func fuzzEdges(data []byte) []wire.WEdge {
 	var out []wire.WEdge
 	for ; len(data) >= 11; data = data[11:] {
@@ -236,11 +237,11 @@ func fuzzEdges(data []byte) []wire.WEdge {
 		if data[10]&1 == 0 {
 			u, v = u%8, v%8
 		}
-		id := int32(data[9]) - 128
+		id := int32(data[9])
 		if data[10]&2 != 0 {
-			id *= 1 << 23
+			id <<= 18
 		}
-		out = append(out, wire.WEdge{U: u, V: v, W: uint64(data[8] % 3), ID: id})
+		out = append(out, wire.WEdge{U: u, V: v, W: graph.MakeWeight(uint16(data[8]%3), id)})
 	}
 	return out
 }
@@ -271,7 +272,7 @@ func FuzzRemoveMultiEdges(f *testing.F) {
 }
 
 // FuzzDedupeByID checks DedupeByID with checkDedupe. fuzzEdges' ids span
-// 256 values, which takes the bitmap, or over 2³⁰ when widened, which
+// 256 values, which takes the bitmap, or up to 2²⁶ when widened, which
 // takes the set.
 func FuzzDedupeByID(f *testing.F) {
 	fuzzSeeds(f)

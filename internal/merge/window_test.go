@@ -51,7 +51,7 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 		// internal edge appears once, from its smaller end.
 		var edges []wire.WEdge
 		for u := lo; u < hi; u++ {
-			for i, e := range el.Edges {
+			for _, e := range el.Edges {
 				v := e.V
 				switch {
 				case e.U == u:
@@ -63,7 +63,7 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 				if v >= lo && v < hi && u > v {
 					continue
 				}
-				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W, ID: int32(i)})
+				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W})
 			}
 		}
 		want := relabelList(edges, pf)

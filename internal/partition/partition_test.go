@@ -109,9 +109,9 @@ func TestReadCoversAllEdges(t *testing.T) {
 			}
 			m := map[int32]int{}
 			for u := 0; u < win.N(); u++ {
-				_, eids, _ := win.Arcs(u)
-				for _, id := range eids {
-					m[id] = 1
+				_, ws := win.Arcs(u)
+				for _, w := range ws {
+					m[graph.EdgeID(w)] = 1
 				}
 			}
 			if int64(len(m)) != win.NumEdges {

@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+
+	"mndmst/internal/graph"
 )
 
 // AppendInt32s appends a length-prefixed []int32 to buf.
@@ -107,13 +109,16 @@ func TakeUint64(buf []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(buf), buf[8:], nil
 }
 
-// WEdge is an edge on the wire: endpoints named by component/vertex ids,
-// the weight, and the original edge id for MST output assembly.
+// WEdge is an edge on the wire: endpoints named by component/vertex ids
+// and the packed weight, whose low bits are the original edge id (ID). The
+// encoding writes the id out again after the weight.
 type WEdge struct {
 	U, V int32
 	W    uint64
-	ID   int32
 }
+
+// ID returns the original edge id packed into e's weight.
+func (e WEdge) ID() int32 { return graph.EdgeID(e.W) }
 
 // WEdgeBytes is the encoded size of one WEdge.
 const WEdgeBytes = 4 + 4 + 8 + 4
@@ -125,14 +130,15 @@ func AppendWEdges(buf []byte, es []WEdge) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.U))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.V))
 		buf = binary.LittleEndian.AppendUint64(buf, e.W)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID()))
 	}
 	return buf
 }
 
 // TakeWEdgesInto decodes a length-prefixed []WEdge from buf and appends
-// the edges to dst, growing it at most once. It returns the extended
-// slice and the remaining bytes; on error dst is not modified.
+// the edges to dst, growing it at most once. An id field must equal the id
+// packed into its weight. It returns the extended slice and the remaining
+// bytes; on error dst is not modified.
 func TakeWEdgesInto(dst []WEdge, buf []byte) ([]WEdge, []byte, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("wire: short buffer for edge slice header")
@@ -149,7 +155,9 @@ func TakeWEdgesInto(dst []WEdge, buf []byte) ([]WEdge, []byte, error) {
 		e.U = int32(binary.LittleEndian.Uint32(buf))
 		e.V = int32(binary.LittleEndian.Uint32(buf[4:]))
 		e.W = binary.LittleEndian.Uint64(buf[8:])
-		e.ID = int32(binary.LittleEndian.Uint32(buf[16:]))
+		if id := int32(binary.LittleEndian.Uint32(buf[16:])); id != e.ID() {
+			return nil, nil, fmt.Errorf("wire: edge %d has id %d, its weight packs %d", i, id, e.ID())
+		}
 		buf = buf[WEdgeBytes:]
 	}
 	return dst, buf, nil

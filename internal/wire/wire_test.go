@@ -1,9 +1,12 @@
 package wire
 
 import (
-	"mndmst/internal/testutil"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"mndmst/internal/graph"
+	"mndmst/internal/testutil"
 )
 
 func TestInt32sRoundTrip(t *testing.T) {
@@ -46,8 +49,8 @@ func TestUint64sRoundTrip(t *testing.T) {
 
 func TestWEdgesRoundTrip(t *testing.T) {
 	es := []WEdge{
-		{U: 1, V: 2, W: 12345678901234, ID: 7},
-		{U: -1, V: 0, W: 0, ID: -5},
+		{U: 1, V: 2, W: graph.MakeWeight(54321, 7)},
+		{U: -1, V: 0, W: graph.MakeWeight(0, graph.MaxEdges-1)},
 	}
 	buf := AppendWEdges(nil, es)
 	got, rest, err := TakeWEdgesInto(nil, buf)
@@ -61,10 +64,22 @@ func TestWEdgesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWEdgeSize pins an edge's two sizes: 16 bytes in memory, where the
+// id lives only in the packed weight, and 20 on the wire, where it is
+// written out again.
+func TestWEdgeSize(t *testing.T) {
+	if got := unsafe.Sizeof(WEdge{}); got != 16 {
+		t.Fatalf("in-memory WEdge is %d bytes, want 16", got)
+	}
+	if got := len(AppendWEdges(nil, []WEdge{{}})) - 8; got != WEdgeBytes || WEdgeBytes != 20 {
+		t.Fatalf("an edge encodes to %d bytes, WEdgeBytes = %d; want 20", got, WEdgeBytes)
+	}
+}
+
 func TestConcatenatedSections(t *testing.T) {
 	buf := AppendInt32s(nil, []int32{1, 2})
 	buf = AppendUint64(buf, 99)
-	buf = AppendWEdges(buf, []WEdge{{U: 3, V: 4, W: 5, ID: 6}})
+	buf = AppendWEdges(buf, []WEdge{{U: 3, V: 4, W: graph.MakeWeight(5, 6)}})
 	buf = AppendUint64s(buf, []uint64{7})
 
 	ints, buf, err := TakeInt32s(buf)
@@ -76,7 +91,7 @@ func TestConcatenatedSections(t *testing.T) {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
 	es, buf, err := TakeWEdgesInto(nil, buf)
-	if err != nil || len(es) != 1 || es[0].W != 5 {
+	if err != nil || len(es) != 1 || es[0].W != graph.MakeWeight(5, 6) || es[0].ID() != 6 {
 		t.Fatalf("es=%v err=%v", es, err)
 	}
 	u64s, buf, err := TakeUint64s(buf)
@@ -92,7 +107,7 @@ func TestTruncatedBuffersRejected(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	fullE := AppendWEdges(nil, []WEdge{{U: 1, V: 2, W: 3, ID: 4}})
+	fullE := AppendWEdges(nil, []WEdge{{U: 1, V: 2, W: graph.MakeWeight(3, 4)}})
 	if _, _, err := TakeWEdgesInto(nil, fullE[:len(fullE)-1]); err == nil {
 		t.Fatal("truncated edges accepted")
 	}

@@ -12,7 +12,7 @@ import (
 	"mndmst/internal/wire"
 )
 
-// toWEdges converts graph edges to wire edges, each with its index as id.
+// toWEdges converts graph edges to wire edges; each weight packs its id.
 func toWEdges(es []graph.Edge) []wire.WEdge {
 	out := make([]wire.WEdge, len(es))
 	for i, e := range es {

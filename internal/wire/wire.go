@@ -109,9 +109,8 @@ func TakeUint64(buf []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(buf), buf[8:], nil
 }
 
-// WEdge is an edge on the wire: endpoints named by component/vertex ids
-// and the packed weight, whose low bits are the original edge id (ID). The
-// encoding writes the id out again after the weight.
+// WEdge is an edge on the wire: endpoints named by component/vertex ids and
+// the packed weight, which holds the edge id (ID); the encoding repeats it.
 type WEdge struct {
 	U, V int32
 	W    uint64

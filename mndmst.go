@@ -124,7 +124,8 @@ func (g *Graph) Digest() string { return graph.Digest(g.el) }
 // SaveGraph writes the graph to a binary container file.
 func SaveGraph(path string, g *Graph) error { return graph.SaveEdgeList(path, g.el) }
 
-// LoadGraph reads a graph written by SaveGraph.
+// LoadGraph reads a graph written by SaveGraph. A file whose weights do not
+// pack their edge's index, as older road graphs did, is rejected.
 func LoadGraph(path string) (*Graph, error) {
 	el, err := graph.LoadEdgeList(path)
 	if err != nil {

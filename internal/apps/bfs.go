@@ -10,14 +10,11 @@ package apps
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
-	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
-	"mndmst/internal/device"
 	"mndmst/internal/graph"
-	"mndmst/internal/partition"
 	"mndmst/internal/wire"
 )
 
@@ -31,69 +28,26 @@ type BFSResult struct {
 	Report *cluster.Report
 }
 
-// tagBFSDist marks the final distance gather; frontier exchanges use the
-// cluster's Alltoall collective.
-const tagBFSDist = 301
-
 // BFS runs a level-synchronous distributed breadth-first search from
 // source on p ranks of the machine. Each level is one superstep: ranks
 // expand their local frontier and ship newly reached remote vertices to
 // their owners.
 func BFS(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, source int32) (*BFSResult, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
 	if source < 0 || source >= el.N {
 		return nil, fmt.Errorf("apps: source %d out of range [0,%d)", source, el.N)
 	}
-	cpu := &device.CPU{Model: machine.CPU}
-	c := cluster.New(p, machine.Comm)
-	var out *BFSResult
-	levels := make([]int, p)
-	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		res, lv, err := bfsRank(r, el, cpu, source)
-		if err != nil {
-			return err
-		}
-		levels[r.ID()] = lv
-		if res != nil {
-			out = &BFSResult{Dist: res}
-		}
-		return nil
-	})
+	dist, levels, rep, err := run(ctx, el, p, machine, "bfs", func(r *appRank) ([]int32, int, error) {
+		return bfsRank(r, source)
+	}, wire.EncodeInt32s, wire.DecodeInt32s)
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		return nil, fmt.Errorf("apps: no rank produced the distances")
-	}
-	out.Report = rep
-	out.Levels = levels[0]
-	return out, nil
+	return &BFSResult{Dist: dist, Levels: levels, Report: rep}, nil
 }
 
-// readWindow is the partitioning step of every app: the degree-balanced
-// bounds of partition.ReadBounds and the window of the rank's vertex range,
-// built from the edge list and charged to cpu as one read. It also returns
-// the allreduced degrees, the per-arc scan charge of a vertex: a self-loop
-// keeps one arc in the window but counts twice in its degree.
-func readWindow(r *cluster.Rank, el *graph.EdgeList, cpu device.Device) ([]int32, []int64, *boruvka.Local) {
-	bounds, deg, w := partition.ReadBounds(r, el, partition.ByDegree, nil)
-	win := boruvka.NewWindow(el, deg, bounds[r.ID()], bounds[r.ID()+1])
-	w.EdgesScanned += win.NumEdges
-	r.Compute(cpu.Price(w))
-	return bounds, deg, win
-}
-
-func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int32) ([]int32, int, error) {
-	r.SetPhase("bfs")
-	bounds, deg, win := readWindow(r, el, cpu)
-	p := r.P()
-	me := r.ID()
-	lo, hi := bounds[me], bounds[me+1]
-	n := int(hi - lo)
-
-	dist := make([]int32, n)
+func bfsRank(r *appRank, source int32) ([]int32, int, error) {
+	lo, hi := r.lo, r.hi
+	dist := make([]int32, hi-lo)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -112,10 +66,10 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int3
 		// owner. Within-rank reached vertices join the next frontier
 		// directly.
 		var next []int32
-		remote := make([][]int32, p)
+		remote := make([][]int32, r.P())
 		for _, u := range frontier {
-			dst, _ := win.Arcs(int(u - lo))
-			work.EdgesScanned += deg[u]
+			dst, _ := r.win.Arcs(int(u - lo))
+			work.EdgesScanned += r.deg[u]
 			for _, h := range dst {
 				if h >= 0 {
 					if dist[h] < 0 {
@@ -124,33 +78,23 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int3
 					}
 				} else {
 					v := ^h
-					o := partition.OwnerOf(bounds, v)
+					o := r.owner(v)
 					remote[o] = append(remote[o], v)
 				}
 			}
 			work.VerticesProcessed++
 		}
-		r.Compute(cpu.Price(work))
+		r.charge(work)
 
-		// Superstep exchange: ship remote candidates to their owners via
-		// the all-to-all collective.
-		out := make([][]byte, p)
-		for dst := 0; dst < p; dst++ {
-			if dst == me {
-				continue
-			}
-			sort.Slice(remote[dst], func(i, j int) bool { return remote[dst][i] < remote[dst][j] })
-			out[dst] = wire.AppendInt32s(nil, remote[dst])
+		// Superstep exchange: ship remote candidates to their owners.
+		for _, cands := range remote {
+			slices.Sort(cands)
 		}
-		in := r.Alltoall(out)
-		for src := 0; src < p; src++ {
-			if src == me {
-				continue
-			}
-			cands, _, err := wire.TakeInt32s(in[src])
-			if err != nil {
-				return nil, 0, err
-			}
+		in, err := cluster.Exchange(r.Rank, remote, wire.EncodeInt32s, wire.DecodeInt32s)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, cands := range in {
 			for _, v := range cands {
 				if dist[v-lo] < 0 {
 					dist[v-lo] = level + 1
@@ -165,25 +109,9 @@ func bfsRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, source int3
 		if total == 0 {
 			break
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		slices.Sort(next)
 		frontier = next
 		level++
 	}
-
-	// Gather distances at rank 0.
-	if me != 0 {
-		r.Send(0, tagBFSDist, wire.AppendInt32s(nil, dist))
-		return nil, levels, nil
-	}
-	all := make([]int32, el.N)
-	copy(all[lo:hi], dist)
-	for src := 1; src < p; src++ {
-		d, _, err := wire.TakeInt32s(r.Recv(src, tagBFSDist))
-		if err != nil {
-			return nil, 0, err
-		}
-		slo := bounds[src]
-		copy(all[slo:slo+int32(len(d))], d)
-	}
-	return all, levels, nil
+	return dist, levels, nil
 }

@@ -2,14 +2,11 @@ package apps
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
-	"mndmst/internal/device"
 	"mndmst/internal/graph"
-	"mndmst/internal/partition"
 	"mndmst/internal/wire"
 )
 
@@ -24,9 +21,6 @@ type ColoringResult struct {
 	Report *cluster.Report
 }
 
-// tagColorGather marks the final color gather.
-const tagColorGather = 304
-
 // Coloring computes a proper vertex coloring with the distributed
 // Jones–Plassmann algorithm: vertices carry deterministic pseudo-random
 // priorities; each round, every uncolored vertex whose priority beats all
@@ -34,39 +28,16 @@ const tagColorGather = 304
 // neighbours, and newly assigned colors of boundary vertices are shipped
 // to the neighbouring ranks.
 func Coloring(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, seed int64) (*ColoringResult, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
-	cpu := &device.CPU{Model: machine.CPU}
-	c := cluster.New(p, machine.Comm)
-	var out *ColoringResult
-	rounds := make([]int, p)
-	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		color, rd, err := coloringRank(r, el, cpu, seed)
-		if err != nil {
-			return err
-		}
-		rounds[r.ID()] = rd
-		if color != nil {
-			out = &ColoringResult{Color: color}
-		}
-		return nil
-	})
+	color, rounds, rep, err := run(ctx, el, p, machine, "coloring", func(r *appRank) ([]int32, int, error) {
+		return coloringRank(r, seed)
+	}, wire.EncodeInt32s, wire.DecodeInt32s)
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		return nil, fmt.Errorf("apps: no rank produced the coloring")
+	out := &ColoringResult{Color: color, Rounds: rounds, Report: rep}
+	for _, c := range color {
+		out.Colors = max(out.Colors, int(c)+1)
 	}
-	out.Report = rep
-	out.Rounds = rounds[0]
-	maxC := int32(-1)
-	for _, c := range out.Color {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	out.Colors = int(maxC + 1)
 	return out, nil
 }
 
@@ -82,14 +53,9 @@ func priority(v int32, seed int64) uint64 {
 	return x<<32 | uint64(uint32(v))
 }
 
-func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed int64) ([]int32, int, error) {
-	r.SetPhase("coloring")
-	bounds, deg, win := readWindow(r, el, cpu)
-	p := r.P()
-	me := r.ID()
-	lo, hi := bounds[me], bounds[me+1]
+func coloringRank(r *appRank, seed int64) ([]int32, int, error) {
+	lo, hi := r.lo, r.hi
 	n := int(hi - lo)
-
 	color := make([]int32, n)
 	for i := range color {
 		color[i] = -1
@@ -120,11 +86,11 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed i
 			gv := lo + int32(v)
 			pv := priority(gv, seed)
 			wins := true
-			dst, _ := win.Arcs(v)
-			work.EdgesScanned += deg[gv]
+			dst, _ := r.win.Arcs(v)
+			work.EdgesScanned += r.deg[gv]
 			used := map[int32]bool{}
 			for _, h := range dst {
-				u := win.Global(h)
+				u := r.win.Global(h)
 				if u == gv {
 					continue
 				}
@@ -149,49 +115,41 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed i
 			work.VerticesProcessed++
 		}
 		uncolored -= int64(len(newly))
-		r.Compute(cpu.Price(work))
+		r.charge(work)
 
 		// Ship newly assigned colors of boundary vertices to the ranks
-		// owning their neighbours.
-		sendSets := make([]map[int32]int32, p)
+		// owning their neighbours, as (vertex, color) pairs in vertex
+		// order; a rank with none for a destination sends nothing.
+		sendSets := make([]map[int32]int32, r.P())
 		for _, gv := range newly {
-			dst, _ := win.Arcs(int(gv - lo))
+			dst, _ := r.win.Arcs(int(gv - lo))
 			for _, h := range dst {
 				if h >= 0 {
 					continue
 				}
-				o := partition.OwnerOf(bounds, ^h)
+				o := r.owner(^h)
 				if sendSets[o] == nil {
 					sendSets[o] = map[int32]int32{}
 				}
 				sendSets[o][gv] = color[gv-lo]
 			}
 		}
-		payloads := make([][]byte, p)
-		for d := 0; d < p; d++ {
-			if d == me || sendSets[d] == nil {
-				continue
-			}
-			keys := make([]int32, 0, len(sendSets[d]))
-			for v := range sendSets[d] {
+		lists := make([][]int32, len(sendSets))
+		for d, set := range sendSets {
+			keys := make([]int32, 0, len(set))
+			for v := range set {
 				keys = append(keys, v)
 			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			var pairs []int32
+			slices.Sort(keys)
 			for _, v := range keys {
-				pairs = append(pairs, v, sendSets[d][v])
+				lists[d] = append(lists[d], v, set[v])
 			}
-			payloads[d] = wire.AppendInt32s(nil, pairs)
 		}
-		in := r.Alltoall(payloads)
-		for src := 0; src < p; src++ {
-			if src == me || len(in[src]) == 0 {
-				continue
-			}
-			pairs, _, err := wire.TakeInt32s(in[src])
-			if err != nil {
-				return nil, 0, err
-			}
+		in, err := cluster.Exchange(r.Rank, lists, sparse(wire.EncodeInt32s), wire.DecodeInt32s)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, pairs := range in {
 			for i := 0; i+1 < len(pairs); i += 2 {
 				ghostColor[pairs[i]] = pairs[i+1]
 			}
@@ -204,21 +162,5 @@ func coloringRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, seed i
 			break
 		}
 	}
-
-	// Gather at rank 0.
-	if me != 0 {
-		r.Send(0, tagColorGather, wire.AppendInt32s(nil, color))
-		return nil, rounds, nil
-	}
-	all := make([]int32, el.N)
-	copy(all[lo:hi], color)
-	for src := 1; src < p; src++ {
-		cs, _, err := wire.TakeInt32s(r.Recv(src, tagColorGather))
-		if err != nil {
-			return nil, 0, err
-		}
-		slo := bounds[src]
-		copy(all[slo:int(slo)+len(cs)], cs)
-	}
-	return all, rounds, nil
+	return color, rounds, nil
 }

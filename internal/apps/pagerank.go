@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
-	"mndmst/internal/device"
 	"mndmst/internal/graph"
-	"mndmst/internal/partition"
 	"mndmst/internal/wire"
 )
 
@@ -22,9 +20,6 @@ type PageRankResult struct {
 	Report     *cluster.Report
 }
 
-// tagPRGather marks the final rank gather.
-const tagPRGather = 303
-
 // PageRank runs the classic Pregel application on the simulated cluster:
 // per superstep, every vertex scatters rank/degree to its neighbours
 // (contributions to remote vertices are pre-summed per destination rank —
@@ -32,50 +27,24 @@ const tagPRGather = 303
 // undirected, matching the rest of the repository. Iteration stops when
 // the global L1 delta falls below tol, or after maxIter supersteps.
 func PageRank(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machine, damping float64, tol float64, maxIter int) (*PageRankResult, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
 	if damping <= 0 || damping >= 1 {
 		return nil, fmt.Errorf("apps: damping %f outside (0,1)", damping)
 	}
 	if maxIter < 1 {
 		maxIter = 50
 	}
-	cpu := &device.CPU{Model: machine.CPU}
-	c := cluster.New(p, machine.Comm)
-	var out *PageRankResult
-	iters := make([]int, p)
-	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
-		ranks, it, err := pagerankRank(r, el, cpu, damping, tol, maxIter)
-		if err != nil {
-			return err
-		}
-		iters[r.ID()] = it
-		if ranks != nil {
-			out = &PageRankResult{Ranks: ranks}
-		}
-		return nil
-	})
+	ranks, iters, rep, err := run(ctx, el, p, machine, "pagerank", func(r *appRank) ([]float64, int, error) {
+		return pagerankRank(r, float64(el.N), damping, tol, maxIter)
+	}, encodeRanks, decodeRanks)
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		return nil, fmt.Errorf("apps: no rank produced the ranks")
-	}
-	out.Report = rep
-	out.Iterations = iters[0]
-	return out, nil
+	return &PageRankResult{Ranks: ranks, Iterations: iters, Report: rep}, nil
 }
 
-func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, damping, tol float64, maxIter int) ([]float64, int, error) {
-	r.SetPhase("pagerank")
-	bounds, deg, win := readWindow(r, el, cpu)
-	p := r.P()
-	me := r.ID()
-	lo, hi := bounds[me], bounds[me+1]
+func pagerankRank(r *appRank, total, damping, tol float64, maxIter int) ([]float64, int, error) {
+	lo, hi := r.lo, r.hi
 	n := int(hi - lo)
-	total := float64(el.N)
-
 	rank := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / total
@@ -92,14 +61,14 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, dampin
 		}
 		// Scatter: local contributions applied directly; remote summed per
 		// destination rank per vertex (combiner).
-		remote := make([]map[int32]float64, p)
+		remote := make([]map[int32]float64, r.P())
 		for v := 0; v < n; v++ {
-			d := deg[lo+int32(v)]
+			d := r.deg[lo+int32(v)]
 			if d == 0 {
 				continue
 			}
 			share := rank[v] / float64(d)
-			dst, _ := win.Arcs(v)
+			dst, _ := r.win.Arcs(v)
 			work.EdgesScanned += d
 			for _, h := range dst {
 				switch {
@@ -112,7 +81,7 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, dampin
 					incoming[h] += share
 				default:
 					u := ^h
-					o := partition.OwnerOf(bounds, u)
+					o := r.owner(u)
 					if remote[o] == nil {
 						remote[o] = map[int32]float64{}
 					}
@@ -122,33 +91,27 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, dampin
 			}
 			work.VerticesProcessed++
 		}
-		r.Compute(cpu.Price(work))
+		r.charge(work)
 
-		payloads := make([][]byte, p)
-		for d := 0; d < p; d++ {
-			if d == me || remote[d] == nil {
-				continue
-			}
-			keys := make([]int32, 0, len(remote[d]))
-			for v := range remote[d] {
+		// Ship each destination's sums as (vertex, bits) pairs in vertex
+		// order; a rank with no sums for a destination sends nothing.
+		lists := make([][]uint64, len(remote))
+		for d, sums := range remote {
+			keys := make([]int32, 0, len(sums))
+			for v := range sums {
 				keys = append(keys, v)
 			}
-			sortInt32s(keys)
-			vals := make([]uint64, 0, 2*len(keys))
+			slices.Sort(keys)
+			lists[d] = make([]uint64, 0, 2*len(keys))
 			for _, v := range keys {
-				vals = append(vals, uint64(uint32(v)), math.Float64bits(remote[d][v]))
+				lists[d] = append(lists[d], uint64(uint32(v)), math.Float64bits(sums[v]))
 			}
-			payloads[d] = wire.AppendUint64s(nil, vals)
 		}
-		in := r.Alltoall(payloads)
-		for src := 0; src < p; src++ {
-			if src == me || len(in[src]) == 0 {
-				continue
-			}
-			vals, _, err := wire.TakeUint64s(in[src])
-			if err != nil {
-				return nil, 0, err
-			}
+		in, err := cluster.Exchange(r.Rank, lists, sparse(wire.EncodeUint64s), wire.DecodeUint64s)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, vals := range in {
 			for i := 0; i+1 < len(vals); i += 2 {
 				v := int32(uint32(vals[i]))
 				incoming[v-lo] += math.Float64frombits(vals[i+1])
@@ -171,31 +134,24 @@ func pagerankRank(r *cluster.Rank, el *graph.EdgeList, cpu device.Device, dampin
 			break
 		}
 	}
-
-	// Gather at rank 0.
-	if me != 0 {
-		vals := make([]uint64, n)
-		for i, rv := range rank {
-			vals[i] = math.Float64bits(rv)
-		}
-		r.Send(0, tagPRGather, wire.AppendUint64s(nil, vals))
-		return nil, it, nil
-	}
-	all := make([]float64, el.N)
-	copy(all[lo:hi], rank)
-	for src := 1; src < p; src++ {
-		vals, _, err := wire.TakeUint64s(r.Recv(src, tagPRGather))
-		if err != nil {
-			return nil, 0, err
-		}
-		slo := bounds[src]
-		for i, b := range vals {
-			all[int(slo)+i] = math.Float64frombits(b)
-		}
-	}
-	return all, it, nil
+	return rank, it, nil
 }
 
-func sortInt32s(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// encodeRanks ships ranks as their float64 bits.
+func encodeRanks(ranks []float64) []byte {
+	bits := make([]uint64, len(ranks))
+	for i, x := range ranks {
+		bits[i] = math.Float64bits(x)
+	}
+	return wire.EncodeUint64s(bits)
+}
+
+// decodeRanks reads an encodeRanks payload.
+func decodeRanks(buf []byte) ([]float64, error) {
+	bits, err := wire.DecodeUint64s(buf)
+	ranks := make([]float64, len(bits))
+	for i, b := range bits {
+		ranks[i] = math.Float64frombits(b)
+	}
+	return ranks, err
 }

@@ -15,6 +15,7 @@ package bsp
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -71,38 +72,28 @@ func RunWith(ctx context.Context, el *graph.EdgeList, p int, machine cost.Machin
 		return nil, err
 	}
 	cpu := &device.CPU{Model: machine.CPU}
-	c := cluster.New(p, machine.Comm)
-	var forest *mst.Forest
-	rounds := make([]int, p)
-	steps := make([]int, p)
-	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
+	res := &Result{}
+	rep, err := cluster.New(p, machine.Comm).Run(ctx, func(r *cluster.Rank) error {
 		w := &worker{r: r, cpu: cpu, el: el, opt: opt}
 		f, err := w.run()
-		if err != nil {
-			return err
+		if err == nil && f != nil {
+			res.Forest, res.Rounds, res.Supersteps = f, w.rounds, w.supersteps
 		}
-		rounds[r.ID()] = w.rounds
-		steps[r.ID()] = w.supersteps
-		if f != nil {
-			forest = f
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if forest == nil {
-		return nil, fmt.Errorf("bsp: no rank produced the forest")
-	}
-	return &Result{Forest: forest, Report: rep, Rounds: rounds[0], Supersteps: steps[0]}, nil
+	res.Report = rep
+	return res, nil
 }
 
-// cand is a combined lightest-edge candidate for one component.
+// cand is a lightest-edge candidate for one component. Its weight packs
+// the edge's id.
 type cand struct {
 	comp  int32 // the component the candidate belongs to
 	other int32 // the component on the other side
 	w     uint64
-	eid   int32
 }
 
 type worker struct {
@@ -129,20 +120,44 @@ type worker struct {
 
 func (w *worker) owner(v int32) int { return partition.OwnerOf(w.bounds, v) }
 
-// exchangeAll performs one superstep of communication: an all-to-all
-// personalized exchange followed by the BSP barrier. payloads[w.r.ID()] is
-// ignored; the returned slice holds the received payload per source rank.
-func (w *worker) exchangeAll(payloads [][]byte) [][]byte {
-	in := w.r.Alltoall(payloads)
-	in[w.r.ID()] = nil
+// exchange performs one superstep of communication: out[d] goes to rank d
+// through cluster.Exchange, followed by the BSP barrier. The result holds
+// the list received from each source rank (nil for this rank).
+func exchange[T any](w *worker, out [][]T, encode func([]T) []byte, decode func([]byte) ([]T, error)) ([][]T, error) {
+	in, err := cluster.Exchange(w.r, out, encode, decode)
+	if err != nil {
+		return nil, err
+	}
 	w.r.Barrier()
 	w.supersteps++
-	return in
+	return in, nil
 }
 
-// tagForest marks the final result gather; superstep exchanges go through
-// the cluster's Alltoall collective.
-const tagForest = 208
+// ask performs a query superstep and its reply superstep. queries[d]
+// holds entries of stride values for rank d, each led by a key; rank d
+// answers an entry with (key, answer(its last value)), and take receives
+// every (key, answer) pair that comes back.
+func (w *worker) ask(queries [][]int32, stride int, answer func(int32) int32, take func(key, val int32)) error {
+	in, err := exchange(w, queries, wire.EncodeInt32s, wire.DecodeInt32s)
+	if err != nil {
+		return err
+	}
+	replies := make([][]int32, len(in))
+	for src, q := range in {
+		for i := 0; i+stride <= len(q); i += stride {
+			replies[src] = append(replies[src], q[i], answer(q[i+stride-1]))
+		}
+	}
+	if in, err = exchange(w, replies, wire.EncodeInt32s, wire.DecodeInt32s); err != nil {
+		return err
+	}
+	for _, pairs := range in {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			take(pairs[i], pairs[i+1])
+		}
+	}
+	return nil
+}
 
 // run executes the full BSP MSF for one rank.
 func (w *worker) run() (*mst.Forest, error) {
@@ -187,25 +202,19 @@ func (w *worker) run() (*mst.Forest, error) {
 
 	// Gather the forest at rank 0.
 	r.SetPhase(PhaseGather)
-	if r.ID() != 0 {
-		r.Send(0, tagForest, wire.AppendInt32s(nil, w.chosen))
+	parts := r.Gather(wire.EncodeInt32s(w.chosen))
+	if parts == nil {
 		return nil, nil
 	}
-	all := append([]int32(nil), w.chosen...)
-	for src := 1; src < r.P(); src++ {
-		ids, _, err := wire.TakeInt32s(r.Recv(src, tagForest))
+	var all []int32
+	for _, buf := range parts {
+		ids, err := wire.DecodeInt32s(buf)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, ids...)
 	}
-	slices.Sort(all)
-	f := &mst.Forest{EdgeIDs: all}
-	for _, id := range all {
-		f.TotalWeight += w.el.Edges[id].W
-	}
-	f.Components = int(w.el.N) - len(all)
-	return f, nil
+	return mst.ForestOf(w.el, all), nil
 }
 
 func (w *worker) cpuCharge(work cost.Work) { w.r.Compute(w.cpu.Price(work)) }
@@ -231,7 +240,7 @@ func (w *worker) round() (int, error) {
 
 	// --- Superstep 1: lightest-edge candidates ---
 	best := map[int32]cand{} // comp → best local candidate (combined)
-	var vertexCands []cand   // per-vertex minima (vanilla Pregel mode)
+	var cands []cand         // the candidates that leave their vertex or component
 	n := int(w.hi - w.lo)
 	for v := 0; v < n; v++ {
 		cv := w.comp[v]
@@ -246,65 +255,49 @@ func (w *worker) round() (int, error) {
 				return false
 			}
 			if graph.WeightLess(wt, vBest.w) {
-				vBest = cand{comp: cv, other: cu, w: wt, eid: graph.EdgeID(wt)}
+				vBest = cand{comp: cv, other: cu, w: wt}
 			}
 			cd, ok := best[cv]
 			if !ok || graph.WeightLess(wt, cd.w) {
-				best[cv] = cand{comp: cv, other: cu, w: wt, eid: graph.EdgeID(wt)}
+				best[cv] = cand{comp: cv, other: cu, w: wt}
 			}
 			work.HashOps++
 			return true
 		})
 		if !w.opt.Combining && vBest.w != ^uint64(0) {
-			vertexCands = append(vertexCands, vBest)
+			cands = append(cands, vBest)
 		}
 		work.VerticesProcessed++
 	}
-	// Bucket candidates by the owner of the component root: combined per
-	// component (Pregel+'s combiner), or raw per vertex for vanilla
-	// Pregel.
-	out := make([][]byte, p)
-	localCands := map[int32]cand{}
 	if w.opt.Combining {
+		// Pregel+'s combiner: one candidate per component leaves the rank.
 		for _, c := range sortedKeys(best) {
-			cd := best[c]
-			o := w.owner(c)
-			if o == me {
-				merged, ok := localCands[c]
-				if !ok || graph.WeightLess(cd.w, merged.w) {
-					localCands[c] = cd
-				}
-				continue
-			}
-			out[o] = appendCand(out[o], cd)
-		}
-	} else {
-		for _, cd := range vertexCands {
-			o := w.owner(cd.comp)
-			if o == me {
-				merged, ok := localCands[cd.comp]
-				if !ok || graph.WeightLess(cd.w, merged.w) {
-					localCands[cd.comp] = cd
-				}
-				continue
-			}
-			out[o] = appendCand(out[o], cd)
+			cands = append(cands, best[c])
 		}
 	}
-	in := w.exchangeAll(out)
-	for src, buf := range in {
-		if src == me {
-			continue
+	// Ship each candidate to the owner of its component root, which keeps
+	// the lightest per component.
+	localCands := map[int32]cand{}
+	offer := func(cd cand) {
+		if cur, ok := localCands[cd.comp]; !ok || graph.WeightLess(cd.w, cur.w) {
+			localCands[cd.comp] = cd
 		}
-		cds, err := takeCands(buf)
-		if err != nil {
-			return 0, err
+	}
+	lists := make([][]cand, p)
+	for _, cd := range cands {
+		if o := w.owner(cd.comp); o != me {
+			lists[o] = append(lists[o], cd)
+		} else {
+			offer(cd)
 		}
+	}
+	in, err := exchange(w, lists, encodeCands, decodeCands)
+	if err != nil {
+		return 0, err
+	}
+	for _, cds := range in {
 		for _, cd := range cds {
-			cur, ok := localCands[cd.comp]
-			if !ok || graph.WeightLess(cd.w, cur.w) {
-				localCands[cd.comp] = cd
-			}
+			offer(cd)
 			work.HashOps++
 		}
 	}
@@ -325,69 +318,29 @@ func (w *worker) round() (int, error) {
 	}
 
 	// --- Superstep 2: probe partners to detect mutual pairs ---
-	probes := map[int32][]int32{} // partner → list of askers (local fast path)
-	pairLists := make([][]int32, p)
+	// partner is the component c chose to merge with, or c itself.
+	partner := func(c int32) int32 {
+		if cd, ok := chosenEdge[c]; ok {
+			return cd.other
+		}
+		return c
+	}
+	partnerOf := map[int32]int32{} // comp → partner's partner
+	probes := make([][]int32, p)
 	for _, c := range sortedKeys(chosenEdge) {
 		b := chosenEdge[c].other
-		o := w.owner(b)
-		if o == me {
-			probes[b] = append(probes[b], c)
-			continue
-		}
-		pairLists[o] = append(pairLists[o], c, b)
-	}
-	out = make([][]byte, p)
-	for d := range pairLists {
-		out[d] = wire.AppendInt32s(nil, pairLists[d])
-	}
-	in = w.exchangeAll(out)
-	// Answer probes: reply with (asker, partnerOfB).
-	replyLists := make([][]int32, p)
-	for src, buf := range in {
-		if src == me {
-			continue
-		}
-		pairs, _, err := wire.TakeInt32s(buf)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i+1 < len(pairs); i += 2 {
-			asker, b := pairs[i], pairs[i+1]
-			pb := b
-			if cd, ok := chosenEdge[b]; ok {
-				pb = cd.other
-			}
-			replyLists[src] = append(replyLists[src], asker, pb)
-			work.HashOps++
+		if o := w.owner(b); o != me {
+			probes[o] = append(probes[o], c, b)
+		} else {
+			partnerOf[c] = partner(b)
 		}
 	}
-	out = make([][]byte, p)
-	for d := range replyLists {
-		out[d] = wire.AppendInt32s(nil, replyLists[d])
-	}
-	in = w.exchangeAll(out)
-
-	partnerOf := map[int32]int32{}  // comp → partner's partner
-	for b, askers := range probes { // local fast path
-		pb := b
-		if cd, ok := chosenEdge[b]; ok {
-			pb = cd.other
-		}
-		for _, a := range askers {
-			partnerOf[a] = pb
-		}
-	}
-	for src, buf := range in {
-		if src == me {
-			continue
-		}
-		pairs, _, err := wire.TakeInt32s(buf)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i+1 < len(pairs); i += 2 {
-			partnerOf[pairs[i]] = pairs[i+1]
-		}
+	err = w.ask(probes, 2, func(b int32) int32 {
+		work.HashOps++
+		return partner(b)
+	}, func(c, pb int32) { partnerOf[c] = pb })
+	if err != nil {
+		return 0, err
 	}
 
 	// Resolve: mutual pairs keep the smaller id as root; record MST edges.
@@ -402,85 +355,49 @@ func (w *worker) round() (int, error) {
 		if pb == c { // mutual pair
 			if c < b {
 				w.parent[c] = c
-				w.chosen = append(w.chosen, cd.eid)
+				w.chosen = append(w.chosen, graph.EdgeID(cd.w))
 				merges++
 			} else {
 				w.parent[c] = b
 			}
 		} else {
 			w.parent[c] = b
-			w.chosen = append(w.chosen, cd.eid)
+			w.chosen = append(w.chosen, graph.EdgeID(cd.w))
 			merges++
 		}
 	}
 
 	// --- Supersteps 3..: distributed pointer jumping ---
+	// root is c's parent pointer here, or c itself.
+	root := func(c int32) int32 {
+		if pt, ok := w.parent[c]; ok {
+			return pt
+		}
+		return c
+	}
 	for {
-		out = make([][]byte, p)
-		queryLists := make([][]int32, p)
+		queries := make([][]int32, p)
 		changedLocal := int64(0)
+		jump := func(c, gp int32) {
+			if w.parent[c] != gp {
+				w.parent[c] = gp
+				changedLocal++
+			}
+		}
 		for _, c := range sortedKeys(w.parent) {
 			pt := w.parent[c]
 			if pt == c {
 				continue
 			}
-			o := w.owner(pt)
-			if o == me {
-				gp, ok := w.parent[pt]
-				if !ok {
-					gp = pt
-				}
-				if w.parent[c] != gp {
-					w.parent[c] = gp
-					changedLocal++
-				}
-				continue
-			}
-			queryLists[o] = append(queryLists[o], c, pt)
-			work.HashOps++
-		}
-		for d := range queryLists {
-			out[d] = wire.AppendInt32s(nil, queryLists[d])
-		}
-		in = w.exchangeAll(out)
-		replyLists = make([][]int32, p)
-		for src, buf := range in {
-			if src == me {
-				continue
-			}
-			pairs, _, err := wire.TakeInt32s(buf)
-			if err != nil {
-				return 0, err
-			}
-			for i := 0; i+1 < len(pairs); i += 2 {
-				c, pt := pairs[i], pairs[i+1]
-				gp, ok := w.parent[pt]
-				if !ok {
-					gp = pt
-				}
-				replyLists[src] = append(replyLists[src], c, gp)
+			if o := w.owner(pt); o != me {
+				queries[o] = append(queries[o], c, pt)
+				work.HashOps++
+			} else {
+				jump(c, root(pt))
 			}
 		}
-		out = make([][]byte, p)
-		for d := range replyLists {
-			out[d] = wire.AppendInt32s(nil, replyLists[d])
-		}
-		in = w.exchangeAll(out)
-		for src, buf := range in {
-			if src == me {
-				continue
-			}
-			pairs, _, err := wire.TakeInt32s(buf)
-			if err != nil {
-				return 0, err
-			}
-			for i := 0; i+1 < len(pairs); i += 2 {
-				c, gp := pairs[i], pairs[i+1]
-				if w.parent[c] != gp {
-					w.parent[c] = gp
-					changedLocal++
-				}
-			}
+		if err := w.ask(queries, 2, root, jump); err != nil {
+			return 0, err
 		}
 		totalChanged := w.r.AllreduceScalar(changedLocal, cluster.OpSum)
 		w.supersteps++
@@ -496,61 +413,20 @@ func (w *worker) round() (int, error) {
 		need[w.comp[v]] = true
 	}
 	resolved := map[int32]int32{}
-	queryLists := make([][]int32, p)
+	queries := make([][]int32, p)
 	for _, c := range sortedKeys(need) {
-		o := w.owner(c)
-		if o == me {
-			root, ok := w.parent[c]
-			if !ok {
-				root = c
-			}
-			resolved[c] = root
-			continue
-		}
-		queryLists[o] = append(queryLists[o], c)
-	}
-	out = make([][]byte, p)
-	for d := range queryLists {
-		out[d] = wire.AppendInt32s(nil, queryLists[d])
-	}
-	in = w.exchangeAll(out)
-	replyLists = make([][]int32, p)
-	for src, buf := range in {
-		if src == me {
-			continue
-		}
-		comps, _, err := wire.TakeInt32s(buf)
-		if err != nil {
-			return 0, err
-		}
-		for _, c := range comps {
-			root, ok := w.parent[c]
-			if !ok {
-				root = c
-			}
-			replyLists[src] = append(replyLists[src], c, root)
+		if o := w.owner(c); o != me {
+			queries[o] = append(queries[o], c)
+		} else {
+			resolved[c] = root(c)
 		}
 	}
-	out = make([][]byte, p)
-	for d := range replyLists {
-		out[d] = wire.AppendInt32s(nil, replyLists[d])
-	}
-	in = w.exchangeAll(out)
-	for src, buf := range in {
-		if src == me {
-			continue
-		}
-		pairs, _, err := wire.TakeInt32s(buf)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i+1 < len(pairs); i += 2 {
-			resolved[pairs[i]] = pairs[i+1]
-		}
+	if err := w.ask(queries, 1, root, func(c, rt int32) { resolved[c] = rt }); err != nil {
+		return 0, err
 	}
 	for v := 0; v < n; v++ {
-		if root, ok := resolved[w.comp[v]]; ok {
-			w.comp[v] = root
+		if rt, ok := resolved[w.comp[v]]; ok {
+			w.comp[v] = rt
 		}
 		work.VerticesProcessed++
 	}
@@ -580,19 +456,11 @@ func (w *worker) round() (int, error) {
 			work.HashOps++
 		}
 	}
-	out = make([][]byte, p)
-	for d := range ghostLists {
-		out[d] = wire.AppendInt32s(nil, ghostLists[d])
+	ghosts, err := exchange(w, ghostLists, wire.EncodeInt32s, wire.DecodeInt32s)
+	if err != nil {
+		return 0, err
 	}
-	in = w.exchangeAll(out)
-	for src, buf := range in {
-		if src == me {
-			continue
-		}
-		pairs, _, err := wire.TakeInt32s(buf)
-		if err != nil {
-			return 0, err
-		}
+	for _, pairs := range ghosts {
 		for i := 0; i+1 < len(pairs); i += 2 {
 			w.ghost[pairs[i]] = pairs[i+1]
 			work.HashOps++
@@ -614,40 +482,37 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	return keys
 }
 
-// appendCand serializes one candidate.
-func appendCand(buf []byte, c cand) []byte {
-	buf = wire.AppendUint64(buf, uint64(uint32(c.comp))<<32|uint64(uint32(c.other)))
-	buf = wire.AppendUint64(buf, c.w)
-	buf = wire.AppendUint64(buf, uint64(uint32(c.eid)))
+// candBytes is the encoded size of one candidate: the packed (comp,
+// other) pair, the weight, and the edge id the weight packs, each a
+// little-endian uint64.
+const candBytes = 24
+
+// encodeCands serializes a candidate list; an empty list is an empty
+// payload.
+func encodeCands(cs []cand) []byte {
+	buf := make([]byte, 0, candBytes*len(cs))
+	for _, c := range cs {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(c.comp))<<32|uint64(uint32(c.other)))
+		buf = binary.LittleEndian.AppendUint64(buf, c.w)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(graph.EdgeID(c.w))))
+	}
 	return buf
 }
 
-// takeCands parses a candidate list (three uint64 per entry).
-func takeCands(buf []byte) ([]cand, error) {
-	if len(buf)%24 != 0 {
+// decodeCands parses an encodeCands payload. An id field must equal the id
+// packed into its weight.
+func decodeCands(buf []byte) ([]cand, error) {
+	if len(buf)%candBytes != 0 {
 		return nil, fmt.Errorf("bsp: candidate buffer length %d", len(buf))
 	}
-	out := make([]cand, 0, len(buf)/24)
-	for len(buf) > 0 {
-		packed, rest, err := wire.TakeUint64(buf)
-		if err != nil {
-			return nil, err
+	out := make([]cand, len(buf)/candBytes)
+	for i := range out {
+		b := buf[candBytes*i:]
+		packed := binary.LittleEndian.Uint64(b)
+		out[i] = cand{comp: int32(uint32(packed >> 32)), other: int32(uint32(packed)), w: binary.LittleEndian.Uint64(b[8:])}
+		if id := binary.LittleEndian.Uint64(b[16:]); id != uint64(uint32(graph.EdgeID(out[i].w))) {
+			return nil, fmt.Errorf("bsp: candidate %d has id %d, its weight packs %d", i, id, graph.EdgeID(out[i].w))
 		}
-		wgt, rest, err := wire.TakeUint64(rest)
-		if err != nil {
-			return nil, err
-		}
-		eid, rest, err := wire.TakeUint64(rest)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cand{
-			comp:  int32(uint32(packed >> 32)),
-			other: int32(uint32(packed)),
-			w:     wgt,
-			eid:   int32(uint32(eid)),
-		})
-		buf = rest
 	}
 	return out, nil
 }

@@ -45,8 +45,11 @@ const (
 	tagReport      int32 = -9003
 )
 
-// tagAlltoall is the application tag of Alltoall's point-to-point rounds.
-const tagAlltoall = -103
+// Application tags of the charged collectives' point-to-point messages.
+const (
+	tagAlltoall = -103
+	tagGather   = -104
+)
 
 // collectHeaderLen is the fixed prefix of a collective frame: the clock's
 // float64 bits, a has-values flag (0 for a barrier, 1 for a reduction)
@@ -196,6 +199,51 @@ func (r *Rank) Alltoall(payloads [][]byte) [][]byte {
 		src := (r.id - k + p) % p
 		r.Send(dst, tagAlltoall, payloads[dst])
 		in[src] = r.Recv(src, tagAlltoall)
+	}
+	return in
+}
+
+// Exchange is Alltoall over typed lists: out[d] goes to rank d, encoded
+// by encode, and the result holds the list received from each source,
+// decoded by decode. The rank's own slot is neither encoded nor returned
+// (it is nil), and an empty payload decodes as no values without calling
+// decode. The encoder decides what an empty list costs: one that returns
+// no bytes sends an empty message, one that writes a length prefix sends
+// the prefix.
+func Exchange[T any](r *Rank, out [][]T, encode func([]T) []byte, decode func([]byte) ([]T, error)) ([][]T, error) {
+	payloads := make([][]byte, r.c.p)
+	for d, vals := range out {
+		if d != r.id {
+			payloads[d] = encode(vals)
+		}
+	}
+	in := make([][]T, r.c.p)
+	for src, buf := range r.Alltoall(payloads) {
+		if src == r.id || len(buf) == 0 {
+			continue
+		}
+		vals, err := decode(buf)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: exchange from rank %d: %w", src, err)
+		}
+		in[src] = vals
+	}
+	return in, nil
+}
+
+// Gather collects every rank's payload at rank 0. On rank 0 it returns
+// the payloads in rank order, its own included; on every other rank it
+// returns nil. Each non-root rank sends one message, charged like any
+// Send, and rank 0 receives them in rank order.
+func (r *Rank) Gather(payload []byte) [][]byte {
+	if r.id != 0 {
+		r.Send(0, tagGather, payload)
+		return nil
+	}
+	in := make([][]byte, r.c.p)
+	in[0] = payload
+	for src := 1; src < r.c.p; src++ {
+		in[src] = r.Recv(src, tagGather)
 	}
 	return in
 }

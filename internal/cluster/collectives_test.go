@@ -214,3 +214,153 @@ func FuzzCollectPayload(f *testing.F) {
 		}
 	})
 }
+
+// TestGatherRankOrder pins Gather's result: every rank's payload at rank
+// 0 in rank order, rank 0's own included, and nil on every other rank.
+func TestGatherRankOrder(t *testing.T) {
+	for _, p := range []int{1, 3, 5} {
+		_, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
+			in := r.Gather([]byte(fmt.Sprintf("from %d", r.ID())))
+			if r.ID() != 0 {
+				if in != nil {
+					return fmt.Errorf("rank %d got %q off the root", r.ID(), in)
+				}
+				return nil
+			}
+			if len(in) != p {
+				return fmt.Errorf("root got %d payloads, want %d", len(in), p)
+			}
+			for src, buf := range in {
+				if want := fmt.Sprintf("from %d", src); string(buf) != want {
+					return fmt.Errorf("root slot %d: got %q want %q", src, buf, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+	}
+}
+
+// TestGatherChargesLikeSends pins that Gather costs exactly what the same
+// sends made by hand cost: per-rank bytes, messages and comm seconds.
+func TestGatherChargesLikeSends(t *testing.T) {
+	const p = 4
+	payload := func(id int) []byte { return make([]byte, 1000*id+8) }
+	run := func(fn func(r *Rank)) *Report {
+		rep, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
+			r.Compute(1e-4 * float64(p-r.ID()))
+			fn(r)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	got := run(func(r *Rank) { r.Gather(payload(r.ID())) })
+	want := run(func(r *Rank) {
+		if r.ID() != 0 {
+			r.Send(0, tagGather, payload(r.ID()))
+			return
+		}
+		for src := 1; src < p; src++ {
+			r.Recv(src, tagGather)
+		}
+	})
+	for i := range want.Ranks {
+		g, w := got.Ranks[i], want.Ranks[i]
+		if g.BytesSent != w.BytesSent || g.MsgsSent != w.MsgsSent || g.Comm != w.Comm || g.Total != w.Total {
+			t.Errorf("rank %d: Gather sent %d bytes, %d msgs, comm %v s, clock %v s; by hand %d, %d, %v, %v",
+				i, g.BytesSent, g.MsgsSent, g.Comm, g.Total, w.BytesSent, w.MsgsSent, w.Comm, w.Total)
+		}
+	}
+}
+
+// TestExchangeTypedLists pins Exchange's contract: out[d] arrives at rank
+// d decoded, the rank's own slot is nil, and an empty payload decodes as
+// no values without reaching the decoder.
+func TestExchangeTypedLists(t *testing.T) {
+	const p = 4
+	encode := func(vals []int64) []byte {
+		var buf []byte
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		return buf
+	}
+	decode := func(buf []byte) ([]int64, error) {
+		if len(buf) == 0 {
+			return nil, errors.New("decoder reached with an empty payload")
+		}
+		vals := make([]int64, len(buf)/8)
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		return vals, nil
+	}
+	rep, err := New(p, testComm()).Run(context.Background(), func(r *Rank) error {
+		// Rank s sends d copies of s to rank d: nothing to rank 0.
+		out := make([][]int64, p)
+		for d := range out {
+			for i := 0; i < d; i++ {
+				out[d] = append(out[d], int64(r.ID()))
+			}
+		}
+		in, err := Exchange(r, out, encode, decode)
+		if err != nil {
+			return err
+		}
+		for src, vals := range in {
+			var want []int64
+			if src != r.ID() {
+				for i := 0; i < r.ID(); i++ {
+					want = append(want, int64(src))
+				}
+			}
+			if !slices.Equal(vals, want) || (want == nil && vals != nil) {
+				return fmt.Errorf("rank %d from %d: got %v want %v", r.ID(), src, vals, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each rank sends p-1 messages; an empty list costs no bytes.
+	for _, rs := range rep.Ranks {
+		wantBytes := int64(8 * (0 + 1 + 2 + 3 - rs.Rank))
+		if rs.MsgsSent != p-1 || rs.BytesSent != wantBytes {
+			t.Errorf("rank %d sent %d msgs, %d bytes; want %d, %d", rs.Rank, rs.MsgsSent, rs.BytesSent, p-1, wantBytes)
+		}
+	}
+}
+
+// TestExchangeSurfacesDecodeError pins that a decoder failure comes back
+// from Exchange as an error naming the source rank.
+func TestExchangeSurfacesDecodeError(t *testing.T) {
+	bad := errors.New("bad payload")
+	_, err := New(2, testComm()).Run(context.Background(), func(r *Rank) error {
+		out := [][]byte{{1}, {2}}
+		in, err := Exchange(r, out, func(b []byte) []byte { return b }, func(b []byte) ([]byte, error) {
+			if b[0] == 2 {
+				return nil, bad
+			}
+			return b, nil
+		})
+		if r.ID() == 0 {
+			if err != nil || !bytes.Equal(in[1], []byte{1}) {
+				return fmt.Errorf("rank 0: got %v, %v", in, err)
+			}
+			return nil
+		}
+		if !errors.Is(err, bad) || !strings.Contains(err.Error(), "from rank 0") {
+			return fmt.Errorf("rank 1: error %v, want the decoder's naming rank 0", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -463,13 +463,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		}
 		all = append(all, ids...)
 	}
-	slices.Sort(all)
-	f := &mst.Forest{EdgeIDs: all}
-	for _, id := range all {
-		f.TotalWeight += m.el.Edges[id].W
-	}
-	f.Components = int(m.el.N) - len(all)
-	return f, nil
+	return mst.ForestOf(m.el, all), nil
 }
 
 // groupIndex locates the group containing rank.

@@ -22,6 +22,19 @@ type Forest struct {
 	Components  int
 }
 
+// ForestOf is the forest of el formed by the edges ids, as a distributed
+// run gathers them from its ranks. It sorts ids in place and keeps them,
+// sums their weights, and counts N − len(ids) components: a forest's
+// edges close no cycle.
+func ForestOf(el *graph.EdgeList, ids []int32) *Forest {
+	slices.Sort(ids)
+	f := &Forest{EdgeIDs: ids, Components: int(el.N) - len(ids)}
+	for _, id := range ids {
+		f.TotalWeight += el.Edges[id].W
+	}
+	return f
+}
+
 // sortIDs normalizes the edge order so forests compare by value.
 func (f *Forest) sortIDs() {
 	slices.Sort(f.EdgeIDs)

@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +224,22 @@ func TestForestEqual(t *testing.T) {
 	c := &Forest{EdgeIDs: []int32{1, 3}, TotalWeight: 10}
 	if a.Equal(c) {
 		t.Fatal("different edges compared equal")
+	}
+}
+
+// TestForestOfGatheredIDs pins ForestOf against Kruskal on a disconnected
+// graph, with the ids handed over out of order as ranks gather them.
+func TestForestOfGatheredIDs(t *testing.T) {
+	el := gen.ErdosRenyi(200, 300, 9)
+	want := Kruskal(el)
+	ids := append([]int32(nil), want.EdgeIDs...)
+	rand.New(rand.NewSource(9)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	got := ForestOf(el, ids)
+	if !got.Equal(want) || got.Components != want.Components || !slices.IsSorted(got.EdgeIDs) {
+		t.Fatalf("ForestOf = %d edges, weight %d, %d components; Kruskal %d, %d, %d",
+			len(got.EdgeIDs), got.TotalWeight, got.Components, len(want.EdgeIDs), want.TotalWeight, want.Components)
+	}
+	if want.Components < 2 {
+		t.Fatal("the graph is connected; pick one with several components")
 	}
 }

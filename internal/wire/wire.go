@@ -76,6 +76,40 @@ func TakeUint64s(buf []byte) ([]uint64, []byte, error) {
 	return vals, buf, nil
 }
 
+// EncodeInt32s returns vals as one length-prefixed payload, allocated
+// exactly. An empty list still carries its 8-byte prefix.
+func EncodeInt32s(vals []int32) []byte {
+	return AppendInt32s(make([]byte, 0, 8+4*len(vals)), vals)
+}
+
+// DecodeInt32s decodes a payload that is exactly one length-prefixed
+// []int32.
+func DecodeInt32s(buf []byte) ([]int32, error) {
+	vals, rest, err := TakeInt32s(buf)
+	return vals, whole(rest, err)
+}
+
+// EncodeUint64s returns vals as one length-prefixed payload, allocated
+// exactly. An empty list still carries its 8-byte prefix.
+func EncodeUint64s(vals []uint64) []byte {
+	return AppendUint64s(make([]byte, 0, 8+8*len(vals)), vals)
+}
+
+// DecodeUint64s decodes a payload that is exactly one length-prefixed
+// []uint64.
+func DecodeUint64s(buf []byte) ([]uint64, error) {
+	vals, rest, err := TakeUint64s(buf)
+	return vals, whole(rest, err)
+}
+
+// whole fails a payload decode that left bytes over.
+func whole(rest []byte, err error) error {
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("wire: %d trailing bytes after the payload", len(rest))
+	}
+	return err
+}
+
 // AppendBytes appends a length-prefixed raw byte string to buf.
 func AppendBytes(buf, b []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(b)))

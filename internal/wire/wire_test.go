@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -116,5 +117,53 @@ func TestTruncatedBuffersRejected(t *testing.T) {
 	}
 	if _, _, err := TakeUint64s([]byte{1, 2}); err == nil {
 		t.Fatal("short uint64s accepted")
+	}
+}
+
+// TestWholePayloads pins the payload codecs: a round trip, an exactly
+// sized encoding with the length prefix kept for an empty list, and a
+// decode that rejects a truncated payload or trailing bytes.
+func TestWholePayloads(t *testing.T) {
+	i32 := []int32{-1, 0, 7}
+	u64 := []uint64{1 << 40, 3}
+	for _, tc := range []struct {
+		name   string
+		buf    []byte
+		size   int
+		decode func([]byte) error
+	}{
+		{"int32s", EncodeInt32s(i32), 8 + 4*len(i32), func(b []byte) error {
+			got, err := DecodeInt32s(b)
+			if err == nil && !slices.Equal(got, i32) {
+				t.Errorf("int32s decoded to %v", got)
+			}
+			return err
+		}},
+		{"uint64s", EncodeUint64s(u64), 8 + 8*len(u64), func(b []byte) error {
+			got, err := DecodeUint64s(b)
+			if err == nil && !slices.Equal(got, u64) {
+				t.Errorf("uint64s decoded to %v", got)
+			}
+			return err
+		}},
+	} {
+		if len(tc.buf) != tc.size || cap(tc.buf) != tc.size {
+			t.Errorf("%s: encoded to len %d cap %d, want %d", tc.name, len(tc.buf), cap(tc.buf), tc.size)
+		}
+		if err := tc.decode(tc.buf); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if err := tc.decode(tc.buf[:tc.size-1]); err == nil {
+			t.Errorf("%s: truncated payload accepted", tc.name)
+		}
+		if err := tc.decode(append(tc.buf, 0)); err == nil {
+			t.Errorf("%s: trailing byte accepted", tc.name)
+		}
+	}
+	if len(EncodeInt32s(nil)) != 8 || len(EncodeUint64s(nil)) != 8 {
+		t.Error("an empty list lost its length prefix")
+	}
+	if got, err := DecodeInt32s(EncodeInt32s(nil)); err != nil || len(got) != 0 {
+		t.Errorf("empty int32s decoded to %v, %v", got, err)
 	}
 }

@@ -79,13 +79,43 @@ func BenchmarkKernelTopologyDriven(b *testing.B) {
 
 // BenchmarkKernelRoadWindow runs the kernel the way a rank of a 4-rank
 // road-grid solve does: over a quarter window under EXCPT_BORDER_VERTEX.
+// A run leaves its window's arcs reordered, so every iteration builds a
+// fresh window, outside the timer, in the arc order a solve sees.
 func BenchmarkKernelRoadWindow(b *testing.B) {
 	el := gen.RoadNetwork(20000, 9)
-	win := NewWindow(el, el.Degrees(), 0, el.N/4)
+	deg := el.Degrees()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		win := NewWindow(el, deg, 0, el.N/4)
+		b.StartTimer()
 		Run(win, DefaultOptions())
+	}
+}
+
+// BenchmarkKernelWebWindows runs the kernel over the four first-iteration
+// windows of a 4-rank solve of a web graph the size of e2ebench's web-p4
+// (3 000 vertices, 90 000 edges), one after another, as the ranks of an
+// in-process solve share the host. The windows are built fresh for every
+// iteration, outside the timer.
+func BenchmarkKernelWebWindows(b *testing.B) {
+	const ranks = 4
+	el := gen.WebGraph(3000, 90000, 0.88, 1)
+	deg := el.Degrees()
+	bounds := partition.BalancedBounds(deg, ranks)
+	wins := make([]*Local, ranks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for r := range wins {
+			wins[r] = NewWindow(el, deg, bounds[r], bounds[r+1])
+		}
+		b.StartTimer()
+		for _, win := range wins {
+			Run(win, DefaultOptions())
+		}
 	}
 }
 

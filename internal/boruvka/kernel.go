@@ -1,7 +1,6 @@
 package boruvka
 
 import (
-	"slices"
 	"sync"
 
 	"mndmst/internal/cost"
@@ -118,9 +117,14 @@ type kernel struct {
 	// order join found them.
 	active []int32
 	// scan lists the vertices the next scan phase visits: all of them in
-	// topology-driven mode, the members of the active components
-	// otherwise.
+	// topology-driven mode, otherwise the members of the active
+	// components that have a live arc. A member with none proposes
+	// nothing, and its live end cannot move again within the Run.
 	scan []int32
+	// dead is what the next scan phase is charged for the members join
+	// left off scan: without Contract their full degree, which the scan
+	// would have charged, and under Contract their live arcs, none.
+	dead int64
 	// merged collects the merged components' roots, each once, marked in
 	// seen while it is collected. Both are round buffers.
 	merged []int32
@@ -158,7 +162,8 @@ func newKernel(l *Local, opt Options, res *Result) *kernel {
 
 // Run executes the kernel on the local view. It makes every arc live,
 // reorders each vertex's arcs in place as it retires internal ones, and
-// leaves l's live ends (see Local and Arcs).
+// leaves l's live ends (see Local and Arcs). The live arcs keep their
+// order.
 func Run(l *Local, opt Options) *Result {
 	n := l.N()
 	res := &Result{Work: cost.Work{DegreeSkew: l.degreeSkew()}}
@@ -194,7 +199,7 @@ func Run(l *Local, opt Options) *Result {
 		}
 	})
 	res.Components = k.uf.CountSets()
-	slices.Sort(res.ChosenIDs)
+	graph.SortEdgeIDs(res.ChosenIDs)
 	return res
 }
 
@@ -213,59 +218,67 @@ func (k *kernel) round() (rw cost.Work, merges, frozen int) {
 	return rw, merges, frozen
 }
 
-// scanArcs is the scan phase: every listed vertex proposes its live arcs
-// to its component's min-slot. An internal arc stays internal, so no later
-// round or relabel needs it. Without Contract, a non-hub vertex moves each
-// arc it finds internal past its live end, and is charged all its arcs:
-// an internal arc was never a proposal, so the counts do not change with
-// that. Under Contract, contract does the retiring, and a vertex is
-// charged its live arcs. It returns the arcs scanned and the proposals
-// made, each summed per chunk.
+// scanArcs is the scan phase: every listed vertex proposes the lightest
+// of its live arcs to its component's min-slot. An internal arc stays
+// internal, so no later round or relabel needs it. Without Contract, a
+// non-hub vertex partitions its live prefix in one pass: it moves each
+// arc it finds external forward, keeping their order, and its live end
+// to just after the last one, and it is charged all its arcs: an internal
+// arc was never a proposal, so the counts do not change with that. Under
+// Contract, contract does the retiring, and a vertex is charged its live
+// arcs. It returns the arcs scanned and the proposals made, each summed
+// per chunk, plus the arcs join charged for the members it left off the
+// list.
 func (k *kernel) scanArcs() (scanned, proposed int64) {
 	l, uf, slots, compact := k.l, k.uf, k.slots, !k.opt.Contract
 	off, dst, wgt, live := l.off, l.dst, l.w, l.live
 	// arcLess orders arcs by (packed weight, arc index): a total order.
 	// Equal weights are the two arcs of one edge, which are internal and
 	// never proposed, so moving arcs leaves every winner as it was.
-	arcLess := func(a, b int64) bool { return wgt[a] < wgt[b] || wgt[a] == wgt[b] && a < b }
+	arcLess := func(a, b int64) bool {
+		return graph.WeightLess(wgt[a], wgt[b]) || wgt[a] == wgt[b] && a < b
+	}
 	// propose offers the lightest of arcs [alo, ahi) of u to u's
-	// component. §3.5 makes one atomic min per arc; taking the minimum
-	// locally first and proposing once leaves the slot with the same
-	// winner, and the count returned still charges one per candidate arc.
-	// With compact set, [alo, ahi) is u's live prefix: an internal arc is
-	// swapped with the last live one, which is scanned next, and u's live
-	// end is written back. The arcs before a are never moved, so best
-	// stays valid.
-	propose := func(u int32, alo, ahi int64, compact bool) (props int64) {
+	// component and returns the number of them that are external. §3.5
+	// makes one atomic min per arc; taking the minimum locally first and
+	// proposing once leaves the slot with the same winner, and the count
+	// returned still charges one per candidate arc. With compact set,
+	// [alo, ahi) is u's live prefix: each external arc is swapped down to
+	// the next free place j, so [alo, j) ends up holding the external arcs
+	// in their order and [j, ahi) the internal ones, and u's live end is
+	// written back. A place below j is never written again, so best stays
+	// valid. No packed weight reaches bestW's start, ^0 (graph.MakeWeight).
+	propose := func(u int32, alo, ahi int64, compact bool) int64 {
 		r := uf.Parent(u)
-		best := parutil.NoEdge
-		for a := alo; a < ahi; {
-			if v := dst[a]; v >= 0 && uf.Parent(v) == r {
-				// Self edge at component level.
-				if compact {
-					ahi--
-					dst[a], dst[ahi] = dst[ahi], v
-					wgt[a], wgt[ahi] = wgt[ahi], wgt[a]
-				} else {
-					a++
-				}
-				continue
+		best, bestW := parutil.NoEdge, ^uint64(0)
+		j := alo
+		for a := alo; a < ahi; a++ {
+			v := dst[a]
+			if v >= 0 && uf.Parent(v) == r {
+				continue // self edge at component level
 			}
-			if best == parutil.NoEdge || arcLess(a, best) {
-				best = a
+			w, at := wgt[a], a
+			if compact {
+				dst[a], dst[j] = dst[j], v
+				wgt[a], wgt[j] = wgt[j], w
+				at = j
 			}
-			props++
-			a++
+			if graph.WeightLess(w, bestW) {
+				best, bestW = at, w
+			}
+			j++
 		}
 		if compact {
-			live[u] = int32(ahi - alo)
+			live[u] = int32(j - alo)
 		}
 		if best != parutil.NoEdge {
 			slots[r].Propose(best, arcLess)
 		}
-		return props
+		return j - alo
 	}
 	var scans, props parutil.Counter
+	scans.Add(k.dead)
+	k.dead = 0
 	var hubMu sync.Mutex
 	var hubs []int32
 	parutil.For(len(k.scan), 512, func(lo, hi int) {
@@ -338,9 +351,10 @@ func (k *kernel) hook() (merges, frozen int) {
 // member rings of the union, which is valid in any order because the
 // unions form a forest. It then walks the rings of the merged components
 // only: it points every member straight at its root, ORs the border
-// flags and, in data-driven mode, lists the members for the next scan
-// phase. The merged roots, in the order found, become
-// the next active list; in topology-driven mode the live roots do.
+// flags and, in data-driven mode, lists the members that have a live arc
+// for the next scan phase and charges it for the others (kernel.dead).
+// The merged roots, in the order found, become the next active list; in
+// topology-driven mode the live roots do.
 func (k *kernel) join() {
 	res, ring := k.res, k.ring
 	merged := k.merged[:0]
@@ -360,7 +374,7 @@ func (k *kernel) join() {
 		}
 	}
 
-	dd := k.opt.DataDriven
+	dd, live, chargeDead := k.opt.DataDriven, k.l.live, !k.opt.Contract
 	if dd {
 		k.scan = k.scan[:0]
 	}
@@ -372,7 +386,11 @@ func (k *kernel) join() {
 				border = border || k.border[u]
 			}
 			if dd {
-				k.scan = append(k.scan, u)
+				if live[u] > 0 {
+					k.scan = append(k.scan, u)
+				} else if chargeDead {
+					k.dead += k.l.Degree(int(u))
+				}
 			}
 			if u = ring[u]; u == r {
 				break
@@ -388,13 +406,13 @@ func (k *kernel) join() {
 		k.active, k.merged = merged, k.active
 		return
 	}
-	live := k.active[:0]
+	roots := k.active[:0]
 	for _, r := range k.active {
 		if k.uf.Parent(r) == r {
-			live = append(live, r)
+			roots = append(roots, r)
 		}
 	}
-	k.active, k.merged = live, merged
+	k.active, k.merged = roots, merged
 }
 
 // contract is the graph contraction of Sousa et al. [7]: it retires the

@@ -30,10 +30,11 @@ import (
 //
 // Every vertex has a live end: Arcs returns the live prefix of its arcs,
 // and the arcs past the end are retired. A new view has every arc live.
-// Retiring an arc (Retain, or a kernel run that finds it internal to a
-// component) swaps it past the end in place, so the view keeps all its
-// arcs; Run makes every arc live again before its first round. Every view
-// owns its arc arrays; Sub copies them.
+// Retiring arcs (Retain, or a kernel run that finds them internal to a
+// component) moves the kept arcs forward in their order and the retired
+// ones past the end, in place, so the view keeps all its arcs; Run makes
+// every arc live again before its first round. Every view owns its arc
+// arrays; Sub copies them.
 type Local struct {
 	IDs []int32 // sorted ascending, unique
 	// NumEdges counts the view's undirected edges (self-loops included),

@@ -11,18 +11,20 @@ import (
 // Hook attaches one root under another with CAS, the primitive GPU Boruvka
 // implementations use for component merging. After a round of hooks the
 // kernels of §3.5 collapse each merged tree to depth one with SetParent.
+//
+// The parents are a plain []int32 read and swapped through sync/atomic.
+// NewConcurrent and SetParent write them with plain stores, which cost no
+// locked instruction; the contract that makes that safe is on each.
 type Concurrent struct {
-	parent []atomic.Int32
+	parent []int32
 }
 
-// NewConcurrent creates a concurrent DSU over n singleton elements.
+// NewConcurrent creates a concurrent DSU over n singleton elements. It
+// fills the parents with plain stores, so the DSU must not be shared
+// before NewConcurrent returns.
 func NewConcurrent(n int) *Concurrent {
-	c := &Concurrent{parent: make([]atomic.Int32, n)}
-	parutil.For(n, 1<<14, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.parent[i].Store(int32(i))
-		}
-	})
+	c := &Concurrent{parent: make([]int32, n)}
+	parutil.Iota(c.parent, 0)
 	return c
 }
 
@@ -31,16 +33,16 @@ func NewConcurrent(n int) *Concurrent {
 // call Find only between phases or idempotently).
 func (c *Concurrent) Find(x int32) int32 {
 	for {
-		p := c.parent[x].Load()
+		p := atomic.LoadInt32(&c.parent[x])
 		if p == x {
 			return x
 		}
-		gp := c.parent[p].Load()
+		gp := atomic.LoadInt32(&c.parent[p])
 		if gp == p {
 			return p
 		}
 		// Path halving: splice x up one level; harmless if it races.
-		c.parent[x].CompareAndSwap(p, gp)
+		atomic.CompareAndSwapInt32(&c.parent[x], p, gp)
 		x = gp
 	}
 }
@@ -49,7 +51,7 @@ func (c *Concurrent) Find(x int32) int32 {
 // Returns true on success. Symmetry breaking (e.g. only hooking the larger
 // root under the smaller) is the caller's responsibility.
 func (c *Concurrent) Hook(a, under int32) bool {
-	return c.parent[a].CompareAndSwap(a, under)
+	return atomic.CompareAndSwapInt32(&c.parent[a], a, under)
 }
 
 // TryUnion merges the sets of a and b lock-free, retrying through races. It
@@ -73,17 +75,20 @@ func (c *Concurrent) TryUnion(a, b int32) (root int32, merged bool) {
 
 // Parent returns the current parent pointer of x (not necessarily the
 // root).
-func (c *Concurrent) Parent(x int32) int32 { return c.parent[x].Load() }
+func (c *Concurrent) Parent(x int32) int32 { return atomic.LoadInt32(&c.parent[x]) }
 
-// SetParent forcibly points x at p. The Boruvka kernel uses it to point
-// every member of a merged component straight at the root. Must not run
-// concurrently with hooks.
-func (c *Concurrent) SetParent(x, p int32) { c.parent[x].Store(p) }
+// SetParent forcibly points x at p with a plain store. The Boruvka kernel
+// uses it to point every member of a merged component straight at the
+// root, after the hook phase's parallel loop has returned. Nothing may
+// access the DSU concurrently with a SetParent: no hook, Find, Parent or
+// other SetParent. A later parallel loop sees the store, because starting
+// its goroutines orders it after the store.
+func (c *Concurrent) SetParent(x, p int32) { c.parent[x] = p }
 
 // CountSets returns the number of roots. Call at a quiescent point for an
 // exact answer.
 func (c *Concurrent) CountSets() int {
 	return int(parutil.CountIf(len(c.parent), 1<<13, func(i int) bool {
-		return c.parent[i].Load() == int32(i)
+		return atomic.LoadInt32(&c.parent[i]) == int32(i)
 	}))
 }

@@ -2,6 +2,7 @@ package dsu
 
 import (
 	"math/rand"
+	"mndmst/internal/parutil"
 	"mndmst/internal/testutil"
 	"sync"
 	"testing"
@@ -128,5 +129,41 @@ func TestConcurrentPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, testutil.Quick(t, 1, 30)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFlattenBetweenParallelPasses runs the kernels' access
+// pattern, which -race checks: parallel hook and Parent-read passes
+// (parutil.For) alternate with serial SetParent flatten passes, and a
+// parallel pass sees every plain store of the flatten before it.
+func TestConcurrentFlattenBetweenParallelPasses(t *testing.T) {
+	defer parutil.SetMaxWorkers(parutil.SetMaxWorkers(4))
+	const n = 1 << 12
+	c := NewConcurrent(n)
+	for stride := 1; stride < n; stride *= 2 {
+		parutil.For(n/(2*stride), 16, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				c.TryUnion(int32(2*i*stride), int32((2*i+1)*stride))
+			}
+		})
+		for x := int32(0); x < n; x++ {
+			c.SetParent(x, c.Find(x))
+		}
+		var bad parutil.Counter
+		parutil.For(n, 16, func(lo, hi int) {
+			for x := lo; x < hi; x++ {
+				// Blocks of 2·stride elements are one set rooted at
+				// their first element, and every element points at it.
+				if c.Parent(int32(x)) != int32(x&^(2*stride-1)) {
+					bad.Add(1)
+				}
+			}
+		})
+		if bad.Load() != 0 {
+			t.Fatalf("stride %d: %d elements not flattened to their block root", stride, bad.Load())
+		}
+	}
+	if c.CountSets() != 1 {
+		t.Fatalf("sets=%d want 1", c.CountSets())
 	}
 }

@@ -9,12 +9,12 @@ package hypar
 
 import (
 	"fmt"
-	"slices"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
+	"mndmst/internal/graph"
 	"mndmst/internal/merge"
 	"mndmst/internal/wire"
 )
@@ -253,7 +253,7 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 		chosen = append(chosen, o.res.ChosenIDs...)
 	}
 	chosen = append(chosen, mres.ChosenIDs...)
-	slices.Sort(chosen)
+	graph.SortEdgeIDs(chosen)
 	return &IndResult{
 		ChosenIDs:  chosen,
 		Parent:     parent,

@@ -27,7 +27,7 @@ type Forest struct {
 // sums their weights, and counts N − len(ids) components: a forest's
 // edges close no cycle.
 func ForestOf(el *graph.EdgeList, ids []int32) *Forest {
-	slices.Sort(ids)
+	graph.SortEdgeIDs(ids)
 	f := &Forest{EdgeIDs: ids, Components: int(el.N) - len(ids)}
 	for _, id := range ids {
 		f.TotalWeight += el.Edges[id].W

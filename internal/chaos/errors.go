@@ -23,10 +23,6 @@ func (e *CorruptFrameError) Error() string {
 
 func (e *CorruptFrameError) Unwrap() error { return e.Err }
 
-// IsTransient classifies the corruption as retryable for retry.Transient:
-// the stream is dead but a fresh execution over fresh links starts clean.
-func (e *CorruptFrameError) IsTransient() bool { return true }
-
 // FrameLossError reports a sequence gap that can never fill: the receiver
 // buffered a full reorder window beyond the missing message, so the
 // message was lost, not reordered.
@@ -44,10 +40,6 @@ func (e *FrameLossError) Error() string {
 		e.Src, e.Want, e.Buffered)
 }
 
-// IsTransient classifies the loss as retryable for retry.Transient: a
-// bounded-rate fault schedule drops different messages on a fresh run.
-func (e *FrameLossError) IsTransient() bool { return true }
-
 // DeadlineError reports a Recv whose per-op deadline expired: the link
 // went silent — a dropped tail message, a partitioned peer, or a peer
 // that stopped sending — and the receiver refused to block forever.
@@ -64,10 +56,6 @@ func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("chaos: no message from rank %d within %v (awaiting seq %d)", e.Src, e.Timeout, e.Want)
 }
 
-// IsTransient classifies the silence as retryable for retry.Transient: a
-// partition or a dropped tail message heals on a fresh execution.
-func (e *DeadlineError) IsTransient() bool { return true }
-
 // CrashStopError is every operation's result on a crash-stopped endpoint:
 // the rank reached its scripted step and its transport is gone.
 type CrashStopError struct {
@@ -80,8 +68,3 @@ type CrashStopError struct {
 func (e *CrashStopError) Error() string {
 	return fmt.Sprintf("chaos: rank %d crash-stopped at step %d", e.Rank, e.Step)
 }
-
-// IsTransient classifies the crash as retryable for retry.Transient: a
-// crash-stop is the canonical transient fault — the restarted rank
-// participates normally in the next execution.
-func (e *CrashStopError) IsTransient() bool { return true }

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mndmst/internal/retry"
 )
 
 // TestRunCanceledMidRun cancels a run whose ranks are blocked in a
@@ -72,9 +70,6 @@ func TestRunCanceledMidRun(t *testing.T) {
 	}
 	if !errors.Is(out.err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", out.err)
-	}
-	if retry.Transient(out.err) {
-		t.Fatalf("cancellation classified transient: %v", out.err)
 	}
 	var ae *AbortError
 	var rle *RankLostError

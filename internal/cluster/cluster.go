@@ -120,9 +120,9 @@ type commFailure struct{ err error }
 // ctx is one more abort cause. A ctx that is already done starts no rank;
 // one that fires mid-run triggers AbortBroadcast, every rank leaves at its
 // next send, receive or collective, and Run returns ctx's error instead of
-// the cascade join, so the cancellation never classifies as a transient
-// rank loss. Run returns only after every rank has; a run whose ranks all
-// succeeded stands even if ctx fired late.
+// the cascade join, so the cancellation never reads as a rank loss. Run
+// returns only after every rank has; a run whose ranks all succeeded
+// stands even if ctx fired late.
 func (c *Cluster) Run(ctx context.Context, fn func(r *Rank) error) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

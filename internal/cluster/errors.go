@@ -30,11 +30,6 @@ func (e *RankLostError) Error() string {
 
 func (e *RankLostError) Unwrap() error { return e.Cause }
 
-// IsTransient classifies the lost rank as retryable for retry.Transient: a
-// fresh execution recruits fresh endpoints, so losing a peer mid-run does
-// not condemn the next run.
-func (e *RankLostError) IsTransient() bool { return true }
-
 // AbortError marks a rank error that is a *cascade* of a cluster abort:
 // the rank did not fail on its own, its communication was torn down
 // because rank Rank had already failed with Cause. Run's error join keeps
@@ -52,12 +47,6 @@ func (e *AbortError) Error() string {
 }
 
 func (e *AbortError) Unwrap() error { return e.Cause }
-
-// IsTransient classifies the cascade as retryable for retry.Transient: an
-// abort is only ever the fallout of some rank's failure, and whether the
-// engagement is worth retrying is that root cause's call — which sits in
-// the same wrapped tree, where an explicit permanent vote overrides this.
-func (e *AbortError) IsTransient() bool { return true }
 
 // rankLost wraps a transport operation failure as a RankLostError
 // attributed to the responsible rank: the one the transport says is dead

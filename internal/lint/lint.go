@@ -8,7 +8,7 @@
 //     produce byte-identical messages, and map order is the classic leak.
 //   - det-wallclock: time.Now/time.Since and the global math/rand source are
 //     confined to the packages that legitimately touch real time (trace,
-//     transport, gen, chaos, serve, obs, retry); everywhere else they break
+//     transport, gen, chaos, serve, obs); everywhere else they break
 //     run-to-run determinism.
 //   - tag-literal / tag-dup: p2p protocols name their message tags through
 //     constants; raw integer tags and duplicate tag values are how send/recv
@@ -107,7 +107,7 @@ var Checks = []Check{
 	{
 		ID:       "det-wallclock",
 		Suppress: "wallclock",
-		Doc:      "time.Now/time.Since and the global math/rand source are confined to trace, transport, gen, chaos, serve, obs, and retry",
+		Doc:      "time.Now/time.Since and the global math/rand source are confined to trace, transport, gen, chaos, serve, and obs",
 		Run:      checkWallClock,
 	},
 	{

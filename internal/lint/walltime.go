@@ -16,7 +16,6 @@ var wallClockExempt = map[string]bool{
 	"chaos":     true,
 	"serve":     true,
 	"obs":       true, // metrics observe real latencies by definition
-	"retry":     true, // backoff waits are wall-clock by contract; sim tests inject Clock
 }
 
 // wallClockFuncs are the time functions that leak the real clock into a

@@ -379,16 +379,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, kindGauge, nil, nil).get(nil).g
 }
 
-// Histogram registers (or finds) an unlabeled histogram. bounds are the
-// ascending bucket upper bounds (nil: DefBuckets); only the first
-// registration's bounds take effect.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, kindHistogram, nil, bounds).get(nil).h
-}
-
 // CounterVec is a counter family with labels; resolve handles With.
 type CounterVec struct{ f *family }
 

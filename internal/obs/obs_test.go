@@ -74,7 +74,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x_total", "h").Inc()
 	r.Gauge("x", "h").Set(1)
 	r.GaugeVec("xv", "h", "k").With("v").SetMax(2)
-	r.Histogram("xh", "h", nil).Observe(0.5)
+	r.HistogramVec("xh", "h", nil).With().Observe(0.5)
 	r.HistogramVec("xhv", "h", nil, "k").With("v").Observe(0.5)
 	if got := r.CounterVec("xc", "h", "k").With("v").Value(); got != 0 {
 		t.Fatalf("nil counter value=%d", got)
@@ -87,7 +87,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.HistogramVec("test_seconds", "latency", []float64{0.1, 1, 10}).With()
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -118,7 +118,7 @@ func TestHistogramBuckets(t *testing.T) {
 // bound belongs to that bound's bucket (le is an upper inclusive bound).
 func TestHistogramBoundaryLandsInLowerBucket(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_edge_seconds", "", []float64{1, 2})
+	h := r.HistogramVec("test_edge_seconds", "", []float64{1, 2}).With()
 	h.Observe(1)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
@@ -158,7 +158,7 @@ func TestParseRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rt_total", "h").Add(42)
 	r.GaugeVec("rt_gauge", "h", "phase").With("merge").Set(0.125)
-	r.Histogram("rt_seconds", "h", []float64{1}).Observe(0.5)
+	r.HistogramVec("rt_seconds", "h", []float64{1}).With().Observe(0.5)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestConcurrentHotPath(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot_total", "")
 	g := r.Gauge("hot_hw", "")
-	h := r.Histogram("hot_seconds", "", []float64{0.5})
+	h := r.HistogramVec("hot_seconds", "", []float64{0.5}).With()
 	vec := r.CounterVec("hot_vec_total", "", "peer")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup

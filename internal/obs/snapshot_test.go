@@ -13,7 +13,7 @@ func TestSnapshotMatchesEncodedSamples(t *testing.T) {
 	// exactly through the text encoding (FormatFloat 'g' -1).
 	reg.Gauge("snap_seconds", "seconds").Set(math.Pi)
 	reg.GaugeVec("snap_phase_seconds", "per phase", "phase").With("merge").Set(0.5)
-	reg.Histogram("snap_latency", "latency", []float64{1, 10}).Observe(4)
+	reg.HistogramVec("snap_latency", "latency", []float64{1, 10}).With().Observe(4)
 
 	snap, err := reg.Snapshot()
 	if err != nil {

@@ -194,6 +194,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	check(`{`, http.StatusBadRequest, "bad_json")
 	check(`{"bogus":1}`, http.StatusBadRequest, "bad_json") // unknown fields are rejected
+	check(`{"graph":{"profile":"road_usa"},"max_attempts":3}`, http.StatusBadRequest, "bad_json")
 	check(`{"graph":{}}`, http.StatusBadRequest, "bad_request")
 	check(`{"graph":{"profile":"road_usa"},"system":"magic"}`, http.StatusBadRequest, "bad_request")
 	check(`{"graph":{"path":"../escape.mnd"}}`, http.StatusBadRequest, "bad_request")

@@ -85,6 +85,9 @@ func TestMetricsMatchStatsAndTrace(t *testing.T) {
 		t.Errorf("/v1/stats shape:\n got %v\nwant %v", shape, statsShape)
 	}
 	got := scrape(t, ts.URL)
+	if fams := serveFamilies(t, ts.URL); !reflect.DeepEqual(fams, serveFamilyList) {
+		t.Errorf("/metrics serve families:\n got %v\nwant %v", fams, serveFamilyList)
+	}
 
 	// The job latency histogram saw one cold and one hot observation.
 	if got[`mndmst_serve_job_seconds_count{cache="cold"}`] != 1 {
@@ -158,13 +161,54 @@ var statsShape = map[string]string{
 	"queued": "number", "running": "number",
 	"jobs_submitted": "number", "jobs_completed": "number",
 	"jobs_failed": "number", "jobs_canceled": "number",
-	"jobs_rejected": "number", "jobs_retried": "number",
-	"jobs_degraded": "number", "jobs_drain_canceled": "number",
+	"jobs_rejected": "number", "jobs_drain_canceled": "number",
 	"computations": "number", "result_cache_hits": "number",
 	"result_cache_coalesced": "number", "result_cache_entries": "number",
 	"graph_cache_hits": "number", "graph_cache_loads": "number",
 	"graph_cache_evictions": "number", "graphs_cached": "number",
 	"graph_cache_bytes": "number", "graph_cache_cap_bytes": "number",
+}
+
+// serveFamilyList is every mndmst_serve_* family /metrics exposes, in
+// exposition order.
+var serveFamilyList = []string{
+	"mndmst_serve_admission_rejects_total",
+	"mndmst_serve_graph_cache_evictions_total",
+	"mndmst_serve_graph_cache_hits_total",
+	"mndmst_serve_graph_cache_loads_total",
+	"mndmst_serve_job_seconds",
+	"mndmst_serve_jobs_drain_canceled_total",
+	"mndmst_serve_jobs_submitted_total",
+	"mndmst_serve_jobs_total",
+	"mndmst_serve_queue_depth",
+	"mndmst_serve_queue_depth_highwater",
+	"mndmst_serve_result_cache_coalesced_total",
+	"mndmst_serve_result_cache_evictions_total",
+	"mndmst_serve_result_cache_hits_total",
+	"mndmst_serve_result_cache_misses_total",
+	"mndmst_serve_running",
+}
+
+// serveFamilies lists the mndmst_serve_* families named by the # TYPE
+// lines of the server's /metrics exposition.
+func serveFamilies(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fams []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "mndmst_serve_") {
+			fams = append(fams, f[2])
+		}
+	}
+	return fams
 }
 
 // TestRetryAfterDerived is the regression test for the hardcoded

@@ -91,11 +91,6 @@ type JobRequest struct {
 	// TimeoutMillis bounds the job from admission (queue wait included);
 	// 0 uses the server default. The server may cap it.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
-	// MaxAttempts overrides the server's retry budget for this job: the
-	// total number of executions (first try included) allowed when
-	// attempts fail with transient errors. 0 uses the server default;
-	// 1 disables retry. Retries always honour TimeoutMillis.
-	MaxAttempts int `json:"max_attempts,omitempty"`
 	// IncludeEdges asks for the forest edge ids in the result record.
 	IncludeEdges bool `json:"include_edges,omitempty"`
 	// IncludeTrace asks for the per-rank trace records of the run. A
@@ -105,10 +100,6 @@ type JobRequest struct {
 	// returning 202 immediately.
 	Wait bool `json:"wait,omitempty"`
 }
-
-// maxAttemptsCap bounds a client-requested retry budget: past a handful
-// of attempts the fault is not transient, it is the configuration.
-const maxAttemptsCap = 16
 
 // resolve validates the request's system and options.
 func (r JobRequest) resolve() (system string, opts mndmst.Options, err error) {
@@ -123,9 +114,6 @@ func (r JobRequest) resolve() (system string, opts mndmst.Options, err error) {
 	}
 	if r.TimeoutMillis < 0 {
 		return "", opts, fmt.Errorf("serve: negative timeout_ms %d", r.TimeoutMillis)
-	}
-	if r.MaxAttempts < 0 || r.MaxAttempts > maxAttemptsCap {
-		return "", opts, fmt.Errorf("serve: max_attempts %d out of range [0, %d]", r.MaxAttempts, maxAttemptsCap)
 	}
 	opts, err = r.Options.options()
 	return system, opts, err
@@ -153,12 +141,6 @@ type Record struct {
 	CommSeconds    float64 `json:"comm_seconds"`
 	BytesSent      int64   `json:"bytes_sent"`
 	MessagesSent   int64   `json:"messages_sent"`
-
-	// Degraded marks a result computed by the local single-node fallback
-	// after the job's distributed attempts exhausted on rank loss: the
-	// forest is still exact (the plumbing is not fingerprint-relevant),
-	// but the run did not execute on the requested cluster.
-	Degraded bool `json:"degraded,omitempty"`
 
 	// EdgeIDs are the forest edge indices, present only when requested.
 	EdgeIDs []int32 `json:"edge_ids,omitempty"`
@@ -197,12 +179,7 @@ type JobStatus struct {
 	State     string `json:"state"`
 	CacheHit  bool   `json:"cache_hit,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
-	// Attempts counts executions started for this job (1 = no retry;
-	// omitted while still queued). Degraded mirrors Record.Degraded so a
-	// status poll shows the fallback without fetching the result.
-	Attempts int    `json:"attempts,omitempty"`
-	Degraded bool   `json:"degraded,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Error     string `json:"error,omitempty"`
 	// QueueSeconds is the admission-to-start wait; RunSeconds the
 	// execution time (both real wall-clock, 0 while not yet applicable).
 	QueueSeconds float64 `json:"queue_seconds"`
@@ -222,8 +199,6 @@ func (j *Job) Status() JobStatus {
 		State:     string(j.state),
 		CacheHit:  j.cacheHit,
 		Coalesced: j.coalesced,
-		Attempts:  j.attempts,
-		Degraded:  j.degraded,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()

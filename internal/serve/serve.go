@@ -37,9 +37,7 @@ import (
 	"time"
 
 	"mndmst"
-	"mndmst/internal/cluster"
 	"mndmst/internal/obs"
-	"mndmst/internal/retry"
 	"mndmst/internal/trace"
 )
 
@@ -66,20 +64,6 @@ type Config struct {
 	// JobHistory bounds how many finished job records stay queryable via
 	// Job/GET /v1/jobs/{id} (default 4096; oldest evicted first).
 	JobHistory int
-	// MaxAttempts is the default total attempt budget (first try
-	// included) for jobs whose request does not set its own: a job whose
-	// execution fails with an error classifying retry.Transient is re-run
-	// until the budget, its original deadline, or a drain stops it
-	// (default 3; 1 disables retry).
-	MaxAttempts int
-	// RetryBaseDelay and RetryMaxDelay shape the jittered exponential
-	// backoff between job attempts (defaults 100ms and 2s).
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// RetrySeed drives the deterministic backoff jitter; each job
-	// decorrelates by its admission sequence number on top (0: derived
-	// from the wall clock at New).
-	RetrySeed int64
 	// Logf, when non-nil, receives diagnostic messages (delivery failures
 	// on the HTTP path); nil discards them.
 	Logf func(format string, args ...any)
@@ -106,18 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.JobHistory <= 0 {
 		c.JobHistory = 4096
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 100 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = time.Now().UnixNano()
-	}
 	return c
 }
 
@@ -132,19 +104,14 @@ func (e *QueueFullError) Error() string {
 	return fmt.Sprintf("serve: job queue full (depth %d); retry later", e.Depth)
 }
 
-// IsTransient classifies the rejection as retryable for retry.Transient:
-// admission control is load, not failure — clients back off and resubmit.
-func (e *QueueFullError) IsTransient() bool { return true }
-
 // ErrDraining rejects submissions arriving after Shutdown began.
 var ErrDraining = errors.New("serve: server is draining; not accepting jobs")
 
 // ErrDrainCanceled marks a job killed because the drain deadline expired
 // before it finished — the server's choice, not the client's. It is the
-// cancellation cause on the job's context, so the retry engine (which
-// must never resurrect a drain-canceled job) and the stats can tell a
-// drain kill from a client deadline, which both surface as ctx
-// cancellation.
+// cancellation cause on the job's context, so the terminal error and the
+// stats can tell a drain kill from a client deadline, which both surface
+// as ctx cancellation.
 var ErrDrainCanceled = errors.New("serve: job canceled by server drain deadline")
 
 // JobState is the lifecycle state of a job.
@@ -162,13 +129,11 @@ const (
 
 // Job is one admitted MSF computation request moving through the queue.
 type Job struct {
-	id          string
-	seq         int64 // admission sequence number; decorrelates backoff jitter
-	req         JobRequest
-	system      string
-	opts        mndmst.Options
-	fpr         string // options fingerprint (cache key part)
-	maxAttempts int    // resolved attempt budget (request override or server default)
+	id     string
+	req    JobRequest
+	system string
+	opts   mndmst.Options
+	fpr    string // options fingerprint (cache key part)
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -181,8 +146,6 @@ type Job struct {
 	state     JobState
 	cacheHit  bool
 	coalesced bool
-	attempts  int  // executions actually started
-	degraded  bool // answered by the local fallback after distributed attempts died
 	record    *Record
 	traceRecs []trace.Record
 	err       error
@@ -197,8 +160,8 @@ type Job struct {
 func (j *Job) ID() string { return j.id }
 
 // Done is closed when the job reaches a terminal state. The server counts
-// the job (terminal state, attempts, latency, running gauge) before it
-// closes Done, so a Stats call made after Done already includes it.
+// the job (terminal state, latency, running gauge) before it closes Done,
+// so a Stats call made after Done already includes it.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the job's current lifecycle state.
@@ -223,21 +186,6 @@ func (j *Job) Record() *Record { //lint:testonly job inspection for the serve te
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.record
-}
-
-// Attempts returns how many executions the job has started — 1 for a
-// clean first-try job, more when transient failures were retried.
-func (j *Job) Attempts() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// noteAttempt records the start of execution attempt (0-based).
-func (j *Job) noteAttempt(attempt int) {
-	j.mu.Lock()
-	j.attempts = attempt + 1
-	j.mu.Unlock()
 }
 
 func (j *Job) setRunning() {
@@ -294,10 +242,7 @@ type serverMetrics struct {
 	jobSecondsCold *obs.Histogram // cache="cold": the algorithm actually ran
 	jobSecondsHot  *obs.Histogram // cache="hot": answered from cache or coalesced
 
-	retried       *obs.Counter   // re-executions after a transient failure
-	degraded      *obs.Counter   // jobs answered by the local fallback
-	drainCanceled *obs.Counter   // jobs killed by the drain deadline
-	jobAttempts   *obs.Histogram // executions per finished job
+	drainCanceled *obs.Counter // jobs killed by the drain deadline
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -325,15 +270,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		rejectDraining:  rejects.With("draining"),
 		jobSecondsCold:  jobSeconds.With("cold"),
 		jobSecondsHot:   jobSeconds.With("hot"),
-		retried: reg.Counter("mndmst_serve_jobs_retried_total",
-			"job re-executions after a transient failure (attempts beyond each job's first)"),
-		degraded: reg.Counter("mndmst_serve_jobs_degraded_total",
-			"jobs answered by the local single-node fallback after distributed attempts exhausted"),
 		drainCanceled: reg.Counter("mndmst_serve_jobs_drain_canceled_total",
 			"jobs canceled by an expired drain deadline rather than a client deadline"),
-		jobAttempts: reg.Histogram("mndmst_serve_job_attempts",
-			"executions started per finished job (1 = no retry)",
-			[]float64{1, 2, 3, 4, 6, 8, 16}),
 	}
 }
 
@@ -434,19 +372,13 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	} else {
 		ctx, cancel = context.WithCancel(base)
 	}
-	maxAttempts := req.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = s.cfg.MaxAttempts
-	}
 	job := &Job{
-		id:          fmt.Sprintf("j-%06d", s.nextID),
-		seq:         s.nextID,
-		req:         req,
-		system:      system,
-		opts:        opts,
-		fpr:         opts.Fingerprint(),
-		maxAttempts: maxAttempts,
-		ctx:         ctx,
+		id:     fmt.Sprintf("j-%06d", s.nextID),
+		req:    req,
+		system: system,
+		opts:   opts,
+		fpr:    opts.Fingerprint(),
+		ctx:    ctx,
 		cancel: func() {
 			cancel()
 			baseCancel(nil)
@@ -491,11 +423,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob drives one admitted job to its terminal state, re-admitting
-// attempts whose error classifies retry.Transient under the job's backoff
-// policy. Every attempt shares the job's original context, so the retry
-// engagement can never outlive the client's deadline; a draining server
-// finishes the in-flight attempt but re-admits nothing.
+// runJob drives one admitted job to its terminal state: one execution
+// under the job's context, answered from the result cache when it can be.
 func (s *Server) runJob(job *Job) {
 	defer job.cancel()
 	if err := job.ctx.Err(); err != nil {
@@ -508,62 +437,35 @@ func (s *Server) runJob(job *Job) {
 		s.finishJob(job, StateFailed, nil, nil, false, false, err)
 		return
 	}
-	key := digest + "|" + job.system + "|" + job.fpr
-	pol := retry.Policy{
-		MaxAttempts: job.maxAttempts,
-		BaseDelay:   s.cfg.RetryBaseDelay,
-		MaxDelay:    s.cfg.RetryMaxDelay,
-		Multiplier:  2,
-		Jitter:      0.5,
-		Seed:        s.cfg.RetrySeed + job.seq,
-	}
-	var ent *cacheEntry
-	var src resultSource
-	err = pol.Do(job.ctx, func(ctx context.Context, attempt int) error {
-		job.noteAttempt(attempt)
-		if attempt > 0 {
-			s.m.retried.Inc()
-		}
-		var derr error
-		ent, src, derr = s.results.do(ctx, key, func() (*cacheEntry, error) {
-			res, err := s.execute(ctx, g, job.system, job.opts)
-			if err != nil {
-				return nil, err
-			}
-			ent := &cacheEntry{rec: newRecord(g, digest, job.system, job.opts, res)}
-			if res.Trace != nil {
-				// Only cold computes update the last-run gauges: a cache
-				// hit replays a stored answer, it is not a new run.
-				res.Trace.Publish(s.metrics)
-				ent.traceRecs = res.Trace.Records()
-			}
-			return ent, nil
-		})
-		if derr != nil && s.Draining() {
-			// Drain rule: the current attempt ran to completion, but a
-			// draining server never re-admits — make the failure final.
-			return retry.Permanent(derr)
-		}
-		return derr
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.finishCanceled(job, err)
-			return
-		}
-		// Exhausted transient budget on a distributed infrastructure
-		// failure: degrade to the local path rather than surface a fault
-		// the client cannot act on. Never while draining — the fallback
-		// is a fresh execution the drain already refused.
-		if retry.Transient(err) && degradableError(err) && !s.Draining() {
-			if s.degrade(job, g, digest) {
-				return
-			}
-		}
-		s.finishJob(job, StateFailed, nil, nil, false, false, err)
+	// The deadline may have passed while the graph loaded: a dead job
+	// is canceled, never answered from the cache.
+	if err := job.ctx.Err(); err != nil {
+		s.finishCanceled(job, err)
 		return
 	}
-	s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
+	key := digest + "|" + job.system + "|" + job.fpr
+	ent, src, err := s.results.do(job.ctx, key, func() (*cacheEntry, error) {
+		res, err := s.execute(job.ctx, g, job.system, job.opts)
+		if err != nil {
+			return nil, err
+		}
+		ent := &cacheEntry{rec: newRecord(g, digest, job.system, job.opts, res)}
+		if res.Trace != nil {
+			// Only cold computes update the last-run gauges: a cache
+			// hit replays a stored answer, it is not a new run.
+			res.Trace.Publish(s.metrics)
+			ent.traceRecs = res.Trace.Records()
+		}
+		return ent, nil
+	})
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		s.finishCanceled(job, err)
+	case err != nil:
+		s.finishJob(job, StateFailed, nil, nil, false, false, err)
+	default:
+		s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
+	}
 }
 
 // finishCanceled finishes a canceled job, distinguishing a drain kill
@@ -575,47 +477,6 @@ func (s *Server) finishCanceled(job *Job, err error) {
 		s.m.drainCanceled.Inc()
 	}
 	s.finishJob(job, StateCanceled, nil, nil, false, false, err)
-}
-
-// degradableError reports whether the exhausted failure is a distributed
-// infrastructure loss — a rank gone or a run aborted by one — for which a
-// local single-node execution is a meaningful fallback. Anything else
-// (validation, graph loading, a failing sequential run) stays an error.
-func degradableError(err error) bool {
-	var rle *cluster.RankLostError
-	var ae *cluster.AbortError
-	return errors.As(err, &rle) || errors.As(err, &ae)
-}
-
-// degrade answers the job with the local single-node path after its
-// distributed attempts exhausted on rank loss. The fallback strips the
-// Transport/Cluster/Chaos plumbing — none of which is fingerprint-
-// relevant, so the answer is the one a healthy cluster would have
-// computed — and is deliberately NOT cached: the cache must only ever
-// serve full-fidelity results, and the record is marked Degraded so
-// clients see exactly what they got. Reports whether it answered.
-func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
-	opts := job.opts
-	opts.Transport = mndmst.TransportInProcess
-	opts.Cluster = nil
-	opts.Chaos = nil
-	res, err := s.execute(job.ctx, g, job.system, opts)
-	if err != nil {
-		return false // the distributed error stands; this was best-effort
-	}
-	job.noteAttempt(job.Attempts()) // the fallback ran one more execution
-	rec := newRecord(g, digest, job.system, job.opts, res)
-	rec.Degraded = true
-	job.mu.Lock()
-	job.degraded = true
-	job.mu.Unlock()
-	s.m.degraded.Inc()
-	var traceRecs []trace.Record
-	if res.Trace != nil {
-		traceRecs = res.Trace.Records()
-	}
-	s.finishJob(job, StateDone, &rec, traceRecs, false, false, nil)
-	return true
 }
 
 // finishJob moves the job to its terminal state exactly once and counts
@@ -630,14 +491,11 @@ func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []tr
 	job.coalesced = coalesced
 	job.err = err
 	job.finished = time.Now()
-	started, attempts := job.started, job.attempts
+	started := job.started
 	ran := job.finished.Sub(started)
 	job.mu.Unlock()
 
 	s.m.jobs[state].Inc()
-	if attempts > 0 {
-		s.m.jobAttempts.Observe(float64(attempts))
-	}
 	if !started.IsZero() { // jobs canceled while queued never ran
 		h := s.m.jobSecondsCold
 		if hit || coalesced {
@@ -756,7 +614,7 @@ func retryAfter(queued int, ring []time.Time) int {
 }
 
 // Stats is the observable state of the server, served at /v1/stats. Its
-// JSON shape (23 keys) is a contract: clients decode it by key.
+// JSON shape (21 keys) is a contract: clients decode it by key.
 type Stats struct {
 	Draining bool `json:"draining"`
 	Workers  int  `json:"workers"`
@@ -770,12 +628,8 @@ type Stats struct {
 	JobsCanceled  int64 `json:"jobs_canceled"`
 	JobsRejected  int64 `json:"jobs_rejected"`
 
-	// JobsRetried counts re-executions after transient failures (attempts
-	// beyond each job's first); JobsDegraded jobs answered by the local
-	// single-node fallback; JobsDrainCanceled jobs killed by an expired
-	// drain deadline rather than a client deadline.
-	JobsRetried       int64 `json:"jobs_retried"`
-	JobsDegraded      int64 `json:"jobs_degraded"`
+	// JobsDrainCanceled counts jobs killed by an expired drain deadline
+	// rather than a client deadline.
 	JobsDrainCanceled int64 `json:"jobs_drain_canceled"`
 
 	// Computations counts executions that actually ran the algorithm —
@@ -813,8 +667,6 @@ func (s *Server) Stats() Stats {
 		JobsFailed:           m.jobs[StateFailed].Value(),
 		JobsCanceled:         m.jobs[StateCanceled].Value(),
 		JobsRejected:         m.rejectQueueFull.Value() + m.rejectDraining.Value(),
-		JobsRetried:          m.retried.Value(),
-		JobsDegraded:         m.degraded.Value(),
 		JobsDrainCanceled:    m.drainCanceled.Value(),
 		Computations:         c.misses.Value(),
 		ResultCacheHits:      c.hits.Value(),

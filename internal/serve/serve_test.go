@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mndmst"
+	"mndmst/internal/cluster"
 )
 
 // testGraphSpec is the tiny generated graph all seam tests share; the
@@ -345,6 +348,70 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if st := s.Stats(); st.JobsSubmitted != 0 {
 		t.Fatalf("invalid requests were admitted: %d", st.JobsSubmitted)
+	}
+}
+
+// TestRankLossRunsOnce: a job whose execution loses a rank runs exactly
+// once and fails with the typed error. Nothing is cached, so a resubmit
+// executes again.
+func TestRankLossRunsOnce(t *testing.T) {
+	lost := &cluster.RankLostError{Rank: 1, Op: "recv", Cause: errors.New("connection reset")}
+	var calls atomic.Int64
+	s := newTestServer(t, Config{Workers: 1}, nil)
+	s.execute = func(context.Context, *mndmst.Graph, string, mndmst.Options) (*mndmst.Result, error) {
+		calls.Add(1)
+		return nil, lost
+	}
+	for n := int64(1); n <= 2; n++ {
+		job, err := s.Submit(JobRequest{Graph: testGraphSpec, Options: OptionSpec{Nodes: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-job.Done()
+		var rle *cluster.RankLostError
+		if job.State() != StateFailed || !errors.As(job.Err(), &rle) || rle != lost {
+			t.Fatalf("submit %d: state %s, err %v; want failed with the rank loss", n, job.State(), job.Err())
+		}
+		if got := calls.Load(); got != n {
+			t.Fatalf("submit %d: %d executions, want %d", n, got, n)
+		}
+		if st := s.Stats(); st.Computations != 0 || st.JobsFailed != n {
+			t.Fatalf("submit %d: computations %d, failed %d; want 0 and %d", n, st.Computations, st.JobsFailed, n)
+		}
+	}
+}
+
+// TestMissingGraphFileFails: a file spec that passes admission but names
+// no file ends the job failed with the load error, without a computation.
+func TestMissingGraphFileFails(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, GraphDir: t.TempDir()}, nil)
+	job, err := s.Submit(JobRequest{Graph: GraphSpec{Path: "missing.mnd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	if job.State() != StateFailed || !errors.Is(job.Err(), fs.ErrNotExist) {
+		t.Fatalf("state %s, err %v; want failed with a missing file", job.State(), job.Err())
+	}
+	if st := s.Stats(); st.JobsFailed != 1 || st.Computations != 0 {
+		t.Fatalf("failed %d, computations %d; want 1 and 0", st.JobsFailed, st.Computations)
+	}
+}
+
+// TestDefaultExecuteRefuses: the in-process executor honours a dead
+// context on the sequential path and rejects an unknown system.
+func TestDefaultExecuteRefuses(t *testing.T) {
+	g, err := mndmst.GenerateProfile(testGraphSpec.Profile, testGraphSpec.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := defaultExecute(ctx, g, SystemSeq, mndmst.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("seq under a canceled context: %v, want context.Canceled", err)
+	}
+	if _, err := defaultExecute(context.Background(), g, "magic", mndmst.Options{}); err == nil {
+		t.Fatal("unknown system accepted")
 	}
 }
 

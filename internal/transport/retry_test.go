@@ -5,8 +5,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"mndmst/internal/retry"
 )
 
 // refusedAddr returns a loopback address that actively refuses
@@ -28,10 +26,10 @@ func refusedAddr(t *testing.T) string {
 func TestDialRetryCancelPrompt(t *testing.T) {
 	addr := refusedAddr(t)
 	cancel := make(chan struct{})
-	pol := retry.Policy{BaseDelay: time.Hour, MaxDelay: time.Hour, Multiplier: 2, Seed: 1}
+	hour := func(int) time.Duration { return time.Hour }
 	done := make(chan error, 1)
 	go func() {
-		_, err := dialRetry(addr, time.Now().Add(2*time.Hour), nil, pol, cancel)
+		_, err := dialRetry(addr, time.Now().Add(2*time.Hour), nil, hour, cancel)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the first dial fail and the backoff start
@@ -110,16 +108,16 @@ func TestDialTCPCancelWhileJoining(t *testing.T) {
 // schedule (test determinism).
 func TestBackoffJitterDecorrelatesLoops(t *testing.T) {
 	const seed = 42
-	loops := []retry.Policy{
-		backoffPolicy(25*time.Millisecond, seed),
-		backoffPolicy(10*time.Millisecond, seed+seedOffsetCoordinatorDial),
-		backoffPolicy(10*time.Millisecond, seed+seedOffsetPeerDial+0),
-		backoffPolicy(10*time.Millisecond, seed+seedOffsetPeerDial+1),
+	loops := []backoff{
+		{25 * time.Millisecond, seed},
+		{10 * time.Millisecond, seed + seedOffsetCoordinatorDial},
+		{10 * time.Millisecond, seed + seedOffsetPeerDial + 0},
+		{10 * time.Millisecond, seed + seedOffsetPeerDial + 1},
 	}
-	schedule := func(p retry.Policy) []time.Duration {
+	schedule := func(p backoff) []time.Duration {
 		out := make([]time.Duration, 10)
 		for i := range out {
-			out[i] = p.Backoff(i)
+			out[i] = p.delay(i)
 		}
 		return out
 	}
@@ -146,16 +144,49 @@ func TestBackoffJitterDecorrelatesLoops(t *testing.T) {
 			}
 		}
 	}
-	// Jitter stays inside the policy envelope: capped at MaxDelay, never
-	// below half the un-jittered value (Jitter = 0.5).
-	p := backoffPolicy(10*time.Millisecond, seed)
+	// Jitter stays inside the envelope: capped at maxBackoff, never below
+	// half the un-jittered value.
+	p := backoff{10 * time.Millisecond, seed}
 	for i := 0; i < 10; i++ {
 		full := 10 * time.Millisecond << uint(i)
-		if full > 500*time.Millisecond {
-			full = 500 * time.Millisecond
+		if full > maxBackoff {
+			full = maxBackoff
 		}
-		if d := p.Backoff(i); d < full/2 || d > full {
+		if d := p.delay(i); d < full/2 || d > full {
 			t.Fatalf("Backoff(%d) = %v outside [%v, %v]", i, d, full/2, full)
+		}
+	}
+}
+
+// TestBackoffSchedulePinned pins every loop's exact schedule at seed 42,
+// attempts 0-9. The values are the ones the dial and rendezvous loops
+// have always drawn (x2 per step, capped at 500ms, 50% downward
+// splitmix64 jitter per (seed, attempt)); any change to the arithmetic
+// shows here as a changed duration.
+func TestBackoffSchedulePinned(t *testing.T) {
+	const seed = 42
+	for _, tc := range []struct {
+		name string
+		b    backoff
+		want [10]time.Duration
+	}{
+		{"rendezvous", backoff{25 * time.Millisecond, seed}, [10]time.Duration{
+			13119523, 38835303, 51111160, 171511837, 217259415,
+			313321351, 478492059, 261885463, 251773588, 330152133}},
+		{"coordinator dial", backoff{10 * time.Millisecond, seed + seedOffsetCoordinatorDial}, [10]time.Duration{
+			7776900, 10605170, 37279404, 79210237, 132237946,
+			288341516, 464952221, 461908318, 364781253, 425817902}},
+		{"peer 0 dial", backoff{10 * time.Millisecond, seed + seedOffsetPeerDial + 0}, [10]time.Duration{
+			7157244, 12412943, 29575488, 71579380, 95608932,
+			206979280, 292672273, 473865166, 492237289, 401730319}},
+		{"peer 1 dial", backoff{10 * time.Millisecond, seed + seedOffsetPeerDial + 1}, [10]time.Duration{
+			5442480, 16805532, 39661450, 78755180, 125774156,
+			195739199, 438632503, 307731877, 298896103, 292089876}},
+	} {
+		for i, want := range tc.want {
+			if got := tc.b.delay(i); got != want {
+				t.Errorf("%s: delay(%d) = %d, want %d", tc.name, i, got, want)
+			}
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"mndmst/internal/obs"
-	"mndmst/internal/retry"
 	"mndmst/internal/wire"
 )
 
@@ -241,7 +240,7 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 	deadline := time.Now().Add(cfg.DialTimeout)
 	for i := 0; i < rank; i++ {
 		conn, err := dialRetry(addrs[i], deadline, dialRetryCounter(cfg.Metrics),
-			backoffPolicy(10*time.Millisecond, cfg.RetrySeed+seedOffsetPeerDial+int64(i)), cfg.Cancel)
+			backoff{10 * time.Millisecond, cfg.RetrySeed + seedOffsetPeerDial + int64(i)}.delay, cfg.Cancel)
 		if err != nil {
 			t.Close() //lint:droperr Close never fails; the dial error is the report
 			return nil, fmt.Errorf("transport: rank %d: peer %d: %w", rank, i, err)
@@ -289,19 +288,40 @@ func DialTCP(cfg TCPConfig) (*TCP, error) {
 // was pending at all stays diagnosable.
 var ErrDialCanceled = errors.New("transport: dial canceled by caller")
 
-// backoffPolicy is the shared jittered schedule for the dial and
-// rendezvous loops: exponential from base, capped at 500ms, with 50%
-// downward jitter so co-restarted workers spread out instead of
-// re-dialing the coordinator in lockstep. The seed makes the schedule
-// replayable; callers decorrelate related loops with distinct offsets.
-func backoffPolicy(base time.Duration, seed int64) retry.Policy {
-	return retry.Policy{
-		BaseDelay:  base,
-		MaxDelay:   500 * time.Millisecond,
-		Multiplier: 2,
-		Jitter:     0.5,
-		Seed:       seed,
+// backoff is the shared jittered schedule of the dial and rendezvous
+// loops: exponential from base, capped at maxBackoff, with 50% downward
+// jitter so co-restarted workers spread out instead of re-dialing the
+// coordinator in lockstep. The seed makes the schedule replayable;
+// callers decorrelate related loops with distinct offsets.
+type backoff struct {
+	base time.Duration
+	seed int64
+}
+
+// maxBackoff caps one backoff step.
+const maxBackoff = 500 * time.Millisecond
+
+// delay returns the wait after failed attempt (0-based): base doubled per
+// attempt and capped at maxBackoff, then jittered downward into [d/2, d]
+// by a draw that is a pure function of (seed, attempt).
+func (b backoff) delay(attempt int) time.Duration {
+	d, capf := float64(b.base), float64(maxBackoff)
+	for i := 0; i < attempt && d < capf; i++ {
+		d *= 2
 	}
+	if d > capf {
+		d = capf
+	}
+	x := splitmix64(splitmix64(uint64(b.seed)) ^ uint64(attempt+1))
+	return time.Duration(d - d*0.5*(float64(x>>11)/float64(1<<53)))
+}
+
+// splitmix64 is the avalanche mix behind the jitter draws.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // sleepBackoff waits out one backoff step, returning ErrDialCanceled the
@@ -336,13 +356,13 @@ const (
 // not a flaky link.
 func rendezvousTCP(cfg TCPConfig, advertise string) (rank, p int, addrs []string, err error) {
 	deadline := time.Now().Add(cfg.DialTimeout)
-	pol := backoffPolicy(25*time.Millisecond, cfg.RetrySeed)
+	pol := backoff{25 * time.Millisecond, cfg.RetrySeed}
 	for attempt := 0; ; attempt++ {
 		rank, p, addrs, err = rendezvousOnce(cfg, advertise, deadline)
 		if err == nil || !retryableRendezvousError(err) {
 			return rank, p, addrs, err
 		}
-		d := pol.Backoff(attempt)
+		d := pol.delay(attempt)
 		if time.Now().Add(d).After(deadline) {
 			return rank, p, addrs, err
 		}
@@ -371,7 +391,7 @@ func retryableRendezvousError(err error) bool {
 // rendezvousOnce performs one coordinator handshake attempt.
 func rendezvousOnce(cfg TCPConfig, advertise string, deadline time.Time) (rank, p int, addrs []string, err error) {
 	conn, err := dialRetry(cfg.Coordinator, deadline, dialRetryCounter(cfg.Metrics),
-		backoffPolicy(10*time.Millisecond, cfg.RetrySeed+seedOffsetCoordinatorDial), cfg.Cancel)
+		backoff{10 * time.Millisecond, cfg.RetrySeed + seedOffsetCoordinatorDial}.delay, cfg.Cancel)
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("transport: coordinator %s: %w", cfg.Coordinator, err)
 	}
@@ -427,18 +447,18 @@ func dialRetryCounter(reg *obs.Registry) *obs.Counter {
 		"failed coordinator/peer dial attempts that were retried with backoff")
 }
 
-// dialRetry dials addr under pol's jittered backoff schedule until the
-// deadline, counting each failed-and-retried attempt on retries
-// (nil-safe). A close of cancel aborts the current backoff wait with
-// ErrDialCanceled wrapping the last dial error.
-func dialRetry(addr string, deadline time.Time, retries *obs.Counter, pol retry.Policy, cancel <-chan struct{}) (net.Conn, error) {
+// dialRetry dials addr until the deadline, waiting delay(attempt) after
+// each failed attempt and counting it on retries (nil-safe). A close of
+// cancel aborts the current backoff wait with ErrDialCanceled wrapping the
+// last dial error.
+func dialRetry(addr string, deadline time.Time, retries *obs.Counter, delay func(attempt int) time.Duration, cancel <-chan struct{}) (net.Conn, error) {
 	for attempt := 0; ; attempt++ {
 		d := net.Dialer{Deadline: deadline}
 		conn, err := d.Dial("tcp", addr)
 		if err == nil {
 			return conn, nil
 		}
-		b := pol.Backoff(attempt)
+		b := delay(attempt)
 		if time.Now().Add(b).After(deadline) {
 			return nil, fmt.Errorf("dial %s: %w", addr, err)
 		}

@@ -100,10 +100,6 @@ func (e *SendQueueFullError) Error() string {
 	return fmt.Sprintf("transport: outbound queue to rank %d full for %v (peer alive but not draining)", e.Rank, e.Wait)
 }
 
-// IsTransient classifies the backpressure timeout as retryable for
-// retry.Transient: the peer was alive, so a fresh run may drain.
-func (e *SendQueueFullError) IsTransient() bool { return true }
-
 // PeerDeadError reports a rank whose endpoint failed: its connection broke,
 // it stopped heartbeating, or it closed while messages were still expected.
 type PeerDeadError struct {
@@ -116,12 +112,6 @@ func (e *PeerDeadError) Error() string {
 }
 
 func (e *PeerDeadError) Unwrap() error { return e.Cause }
-
-// IsTransient classifies the dead peer as retryable for retry.Transient: a
-// crashed or partitioned rank may come back, and a re-execution over fresh
-// connections can succeed. Protocol errors (ErrClosed misuse, payload
-// bounds) deliberately do not implement the interface and stay permanent.
-func (e *PeerDeadError) IsTransient() bool { return true }
 
 // queue is an unbounded FIFO of messages for one (src → dst) pair.
 // Unboundedness matters: the multi-phase ghost exchanges send many messages

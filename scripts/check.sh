@@ -168,7 +168,6 @@ run_chaos() {
         echo "== chaos + oracle suite (seed $seed; replay with MNDMST_TEST_SEED=$seed) =="
         MNDMST_TEST_SEED="$seed" go test -race -timeout 120s -count=1 ./internal/chaos/
         MNDMST_TEST_SEED="$seed" go test -race -timeout 120s -count=1 -run TestFindMSFDistributed .
-        MNDMST_TEST_SEED="$seed" go test -race -timeout 120s -count=1 -run TestRetryOracle ./internal/serve/
     done
 }
 

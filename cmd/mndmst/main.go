@@ -15,7 +15,8 @@
 // With -launch local:N the process hosts a coordinator, forks N worker
 // copies of itself connected over loopback TCP (one OS process per rank),
 // and prints rank 0's summary. Workers recognize themselves by the
-// MNDMST_WORKER_COORD environment variable.
+// MNDMST_WORKER_COORD environment variable and run their rank through
+// mndmst.FindMSFDistributed, as cmd/mndmstd does.
 package main
 
 import (
@@ -34,7 +35,8 @@ import (
 )
 
 // workerCoordEnv tells a forked child which coordinator to join; its
-// presence switches run() into TCP worker mode.
+// presence switches run() into TCP worker mode, one FindMSFDistributed
+// rank.
 const workerCoordEnv = "MNDMST_WORKER_COORD"
 
 func main() {
@@ -137,11 +139,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
-	if worker {
-		opts.Transport = mndmst.TransportTCP
-		opts.Cluster = &mndmst.ClusterConfig{Coordinator: workerCoord}
-	}
-
 	if *app != "" {
 		if *jsonOut {
 			return fmt.Errorf("-json supports only MST runs (not -app)")
@@ -150,12 +147,14 @@ func run(args []string, out io.Writer) error {
 	}
 
 	var res *mndmst.Result
-	switch *system {
-	case "mnd":
+	switch {
+	case worker:
+		res, err = mndmst.FindMSFDistributed(g, opts, mndmst.ClusterConfig{Coordinator: workerCoord})
+	case *system == "mnd":
 		res, err = mndmst.FindMSF(g, opts)
-	case "bsp":
+	case *system == "bsp":
 		res, err = mndmst.FindMSFBSP(g, opts)
-	case "seq":
+	case *system == "seq":
 		res = mndmst.FindMSFSequential(g)
 	default:
 		err = fmt.Errorf("unknown system %q", *system)

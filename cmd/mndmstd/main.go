@@ -3,7 +3,8 @@
 // with the identical graph flags (each regenerates or loads the same graph
 // deterministically — the input is never shipped over the network) and
 // joins the cluster through a rendezvous coordinator that assigns rank IDs
-// and distributes the peer address table.
+// and distributes the peer address table, then runs its rank through
+// mndmst.FindMSFDistributed.
 //
 // Start a 4-rank cluster on one or more machines:
 //
@@ -185,7 +186,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *chaosDrop > 0 || *chaosCorrupt > 0 || *chaosDup > 0 || *chaosReorder > 0 ||
 		*chaosDelay > 0 || *chaosCrash > 0 || *chaosSeed != 0 {
-		opts.Chaos = &mndmst.ChaosConfig{
+		cfg.Chaos = &mndmst.ChaosConfig{
 			Seed:        *chaosSeed,
 			DropProb:    *chaosDrop,
 			CorruptProb: *chaosCorrupt,

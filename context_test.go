@@ -165,8 +165,8 @@ func TestGraphDigest(t *testing.T) {
 }
 
 // TestOptionsFingerprint pins fingerprint semantics: default normalization,
-// sensitivity to every result-relevant knob, and insensitivity to transport
-// plumbing.
+// sensitivity to every result-relevant knob, and the exact strings, which
+// are the serving layer's result-cache keys and must not drift.
 func TestOptionsFingerprint(t *testing.T) {
 	if got, want := (Options{}).Fingerprint(), (Options{Nodes: 1, GroupSize: 4}).Fingerprint(); got != want {
 		t.Fatalf("zero options fingerprint %q != normalized default %q", got, want)
@@ -191,10 +191,22 @@ func TestOptionsFingerprint(t *testing.T) {
 		}
 		seen[fp] = true
 	}
-	// Transport/Cluster/Chaos cannot change the answer and must not split
-	// the result cache.
-	plumbed := Options{Nodes: 4, Cluster: &ClusterConfig{Coordinator: "x:1"}, Chaos: &ChaosConfig{Seed: 9}}
-	if plumbed.Fingerprint() != base {
-		t.Fatalf("execution plumbing leaked into the fingerprint: %q", plumbed.Fingerprint())
+	pinned := []struct {
+		o    Options
+		want string
+	}{
+		{Options{}, "v1;nodes=1;machine=amd;gpus=0;group=4;excpt=0;dimin=false;topo=false;contract=false;gpushare=0"},
+		{Options{Nodes: 4, UseGPU: true}, "v1;nodes=4;machine=amd;gpus=1;group=4;excpt=0;dimin=false;topo=false;contract=false;gpushare=0"},
+		{Options{
+			Nodes: 8, Machine: CrayXC40, UseGPU: true, GPUsPerNode: 2, GroupSize: 8, Exception: BorderEdge,
+			DiminishingTermination: true, TopologyDriven: true, Contraction: true, GPUShare: 0.25,
+			NodeSpeeds: []float64{1, 1.5, 2, 1, 1, 1, 1, 0.5},
+		}, "v1;nodes=8;machine=cray;gpus=2;group=8;excpt=1;dimin=true;topo=true;contract=true;gpushare=0.25;" +
+			"speed=1;speed=1.5;speed=2;speed=1;speed=1;speed=1;speed=1;speed=0.5"},
+	}
+	for _, c := range pinned {
+		if got := c.o.Fingerprint(); got != c.want {
+			t.Errorf("fingerprint drifted (result-cache keys would change):\n got %q\nwant %q", got, c.want)
+		}
 	}
 }

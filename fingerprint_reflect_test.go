@@ -5,21 +5,12 @@ import (
 	"testing"
 )
 
-// TestFingerprintExhaustive walks Options by reflection and forces every
-// field to be classified: execution plumbing (Transport, Cluster, Chaos)
-// must NOT move the fingerprint, every other field MUST. Adding a field
-// to Options without deciding which side it falls on fails this test —
-// an unclassified field would either split the serving layer's result
-// cache for free or silently alias results computed under different
-// semantics.
+// TestFingerprintExhaustive walks Options by reflection and requires every
+// field to move the fingerprint: Options holds only fields that change the
+// answer, so a field the fingerprint ignored would silently alias results
+// computed under different semantics in the serving layer's result cache.
+// Execution plumbing belongs in ClusterConfig, not here.
 func TestFingerprintExhaustive(t *testing.T) {
-	// Excluded fields cannot change the computed result; mutating them
-	// must leave the fingerprint untouched.
-	excluded := map[string]func(o *Options){
-		"Transport": func(o *Options) { o.Transport = TransportTCP },
-		"Cluster":   func(o *Options) { o.Cluster = &ClusterConfig{Coordinator: "x:1"} },
-		"Chaos":     func(o *Options) { o.Chaos = &ChaosConfig{Seed: 9} },
-	}
 	// Some result-relevant fields are dead under the default base and
 	// need one that makes them live.
 	baseFor := map[string]Options{
@@ -43,16 +34,6 @@ func TestFingerprintExhaustive(t *testing.T) {
 			base = Options{Nodes: 4}
 		}
 		o := base
-
-		if fn, ok := excluded[f.Name]; ok {
-			fn(&o)
-			if o.Fingerprint() != base.Fingerprint() {
-				t.Errorf("Options.%s is execution plumbing but leaked into the fingerprint: %q",
-					f.Name, o.Fingerprint())
-			}
-			continue
-		}
-
 		if fn, ok := mutate[f.Name]; ok {
 			fn(&o)
 		} else {
@@ -65,8 +46,8 @@ func TestFingerprintExhaustive(t *testing.T) {
 			case v.CanFloat():
 				v.SetFloat(v.Float() + 0.5)
 			default:
-				t.Fatalf("Options.%s: no mutation rule for kind %s — classify the new field "+
-					"in this test (excluded, mutate, or a new generic rule)", f.Name, f.Type.Kind())
+				t.Fatalf("Options.%s: no mutation rule for kind %s — give the new field "+
+					"one in this test (mutate, or a new generic rule)", f.Name, f.Type.Kind())
 			}
 		}
 		if o.Fingerprint() == base.Fingerprint() {

@@ -102,7 +102,7 @@ type LinkStall struct {
 }
 
 // Crash scripts a crash-stop: the rank's endpoint fails permanently at its
-// Step-th transport operation (Send, Isend, or Recv — the per-endpoint
+// Step-th transport operation (Send or Recv — the per-endpoint
 // Lamport counter), closing the underlying transport.
 type Crash struct {
 	Rank int

@@ -25,8 +25,7 @@ type Transport struct {
 	crash *Crash
 
 	// step is the endpoint's Lamport operation counter: incremented on
-	// every Send, Isend, and Recv, it is the clock scripted crashes fire
-	// on.
+	// every Send and Recv, it is the clock scripted crashes fire on.
 	step atomic.Uint64
 
 	crashMu  sync.Mutex
@@ -173,17 +172,8 @@ func mix(seed int64, src, dst int, seq uint64) int64 {
 	return int64(z)
 }
 
-// Send delivers m to dst through the fault layer, synchronously.
+// Send delivers m to dst through the fault layer.
 func (t *Transport) Send(dst int, m transport.Message) error {
-	return t.send(dst, m, false)
-}
-
-// Isend delivers m to dst through the fault layer, asynchronously.
-func (t *Transport) Isend(dst int, m transport.Message) error {
-	return t.send(dst, m, true)
-}
-
-func (t *Transport) send(dst int, m transport.Message, async bool) error {
 	if err := t.checkCrash(); err != nil {
 		return err
 	}
@@ -224,14 +214,14 @@ func (t *Transport) send(dst int, m transport.Message, async bool) error {
 	case FaultCorrupt:
 		off, bit := corruptAt(cfg, t.rank, dst, seq, len(data)-wire.FrameHeaderLen)
 		data[wire.FrameHeaderLen+off] ^= 1 << bit
-		if err := t.forward(dst, m, data, async); err != nil {
+		if err := t.forward(dst, m, data); err != nil {
 			return err
 		}
 	case FaultDup:
-		if err := t.forward(dst, m, data, async); err != nil {
+		if err := t.forward(dst, m, data); err != nil {
 			return err
 		}
-		if err := t.forward(dst, m, data, async); err != nil {
+		if err := t.forward(dst, m, data); err != nil {
 			return err
 		}
 	case FaultReorder:
@@ -244,16 +234,16 @@ func (t *Transport) send(dst int, m transport.Message, async bool) error {
 		time.AfterFunc(t.holdMax(), func() { t.flushHeld(dst, l, h) })
 	case FaultDelay:
 		time.Sleep(delayFor(cfg, t.rank, dst, seq))
-		if err := t.forward(dst, m, data, async); err != nil {
+		if err := t.forward(dst, m, data); err != nil {
 			return err
 		}
 	default:
-		if err := t.forward(dst, m, data, async); err != nil {
+		if err := t.forward(dst, m, data); err != nil {
 			return err
 		}
 	}
 	if flush != nil {
-		if err := t.forwardMsg(dst, flush.msg, async); err != nil {
+		if err := t.inner.Send(dst, flush.msg); err != nil {
 			return err
 		}
 	}
@@ -275,7 +265,7 @@ func (t *Transport) flushHeld(dst int, l *sendLink, h *framed) {
 	}
 	l.held = nil
 	l.mu.Unlock()
-	t.inner.Isend(dst, h.msg) // best effort: a late flush beats a silent loss
+	t.inner.Send(dst, h.msg) // best effort: a late flush beats a silent loss
 }
 
 // degradeLink applies the configured Slow and Stall pauses of link
@@ -311,15 +301,8 @@ func inner(m transport.Message, data []byte) transport.Message {
 	return transport.Message{Tag: m.Tag, Arrival: m.Arrival, Data: data}
 }
 
-func (t *Transport) forward(dst int, m transport.Message, data []byte, async bool) error {
-	return t.forwardMsg(dst, inner(m, data), async)
-}
-
-func (t *Transport) forwardMsg(dst int, m transport.Message, async bool) error {
-	if async {
-		return t.inner.Isend(dst, m)
-	}
-	return t.inner.Send(dst, m)
+func (t *Transport) forward(dst int, m transport.Message, data []byte) error {
+	return t.inner.Send(dst, inner(m, data))
 }
 
 // Recv returns the next in-sequence message from src: duplicates are
@@ -440,7 +423,7 @@ func (t *Transport) Close() error {
 			l.mu.Lock()
 			if h := l.held; h != nil {
 				l.held = nil
-				t.inner.Isend(dst, h.msg) // best effort: a late flush beats a silent loss
+				t.inner.Send(dst, h.msg) // best effort: a late flush beats a silent loss
 			}
 			l.mu.Unlock()
 		}

@@ -305,11 +305,18 @@ func (r *Rank) chargeCommUntil(t float64) {
 	r.phaseStats().Comm += d
 }
 
-// chargeSend books the α–β cost and traffic counters of sending len(data)
-// bytes and returns the message carrying the post-send arrival clock. Send
-// and Isend charge identically, so a program that swaps one for the other
-// reports bit-identical simulated times over every backend.
-func (r *Rank) chargeSend(dst, tag int, data []byte) transport.Message {
+// Send transfers data to rank dst with the given tag. The sender is charged
+// the full α–β transfer cost (the modeled MPI machine's eager send) and the
+// message arrives at the sender's post-send clock. On a real transport the
+// message is handed to the peer's bounded outbound queue and a writer
+// goroutine performs the socket writes underneath, so the rank program
+// never blocks inside a kernel write while it still owes the cluster a
+// receive. Data is referenced, not copied: the sender must not modify the
+// slice afterwards (ranks are address-space-separate by convention, and all
+// call sites build fresh buffers). Sustained backpressure
+// (SendQueueFullError) and dead peers surface as this rank's error from
+// Run.
+func (r *Rank) Send(dst, tag int, data []byte) {
 	if dst < 0 || dst >= r.c.p {
 		panic(fmt.Sprintf("cluster: send to invalid rank %d", dst))
 	}
@@ -322,36 +329,9 @@ func (r *Rank) chargeSend(dst, tag int, data []byte) transport.Message {
 	ps.Msgs++
 	r.bytesSent += int64(len(data))
 	r.msgsSent++
-	return transport.Message{Tag: int32(tag), Arrival: r.now, Data: data}
-}
-
-// Send transfers data to rank dst with the given tag. The sender is charged
-// the full α–β transfer cost (a blocking send); the message arrives at the
-// sender's post-send clock. Data is referenced, not copied, on the
-// in-process transport: the sender must not modify the slice afterwards
-// (ranks are address-space-separate by convention, and all call sites build
-// fresh buffers). A dead peer on a real transport surfaces as this rank's
-// error from Run.
-func (r *Rank) Send(dst, tag int, data []byte) {
-	msg := r.chargeSend(dst, tag, data)
+	msg := transport.Message{Tag: int32(tag), Arrival: r.now, Data: data}
 	if err := r.ep.Send(dst, msg); err != nil {
 		panic(commFailure{rankLost("send", dst, err)})
-	}
-}
-
-// Isend transfers data to rank dst asynchronously: on a real transport the
-// message is handed to the peer's bounded outbound queue and a writer
-// goroutine performs the socket writes underneath, so the rank program
-// never blocks inside a kernel write while it still owes the cluster a
-// receive. The simulated cost model is identical to Send — the modeled MPI
-// machine charges an eager send either way — so swapping Send for Isend
-// changes only real-world liveness, never the virtual-time reports.
-// Sustained backpressure (SendQueueFullError) and dead peers surface as
-// this rank's error from Run. The caller must not modify data afterwards.
-func (r *Rank) Isend(dst, tag int, data []byte) {
-	msg := r.chargeSend(dst, tag, data)
-	if err := r.ep.Isend(dst, msg); err != nil {
-		panic(commFailure{rankLost("isend", dst, err)})
 	}
 }
 

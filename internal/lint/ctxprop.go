@@ -13,7 +13,6 @@ import (
 var ctxBlockingMethods = map[string]bool{
 	"Send":            true,
 	"Recv":            true,
-	"Isend":           true,
 	"Barrier":         true,
 	"Allreduce":       true,
 	"AllreduceScalar": true,

@@ -76,19 +76,18 @@ func numChunks(payloadLen, chunk int) int {
 }
 
 // sendChunked transmits payload to dst in chunks of at most chunk bytes,
-// preceded by a header carrying the chunk count. Transmission is
-// asynchronous (Isend): the caller returns once the chunks sit in the
-// transport's bounded outbound queue, so a rank that still owes the
-// cluster receives is never stuck inside a kernel write.
+// preceded by a header carrying the chunk count. The caller returns once
+// the chunks sit in the transport's bounded outbound queue, so a rank that
+// still owes the cluster receives is never stuck inside a kernel write.
 func sendChunked(r *cluster.Rank, dst, tag int, payload []byte, chunk int) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
 	n := numChunks(len(payload), chunk)
-	r.Isend(dst, tag, wire.AppendUint64(nil, uint64(n)))
+	r.Send(dst, tag, wire.AppendUint64(nil, uint64(n)))
 	for i := 0; i < n; i++ {
 		lo, hi := chunkSpan(len(payload), chunk, i)
-		r.Isend(dst, tag, payload[lo:hi])
+		r.Send(dst, tag, payload[lo:hi])
 	}
 }
 
@@ -168,7 +167,7 @@ func exchangeChunked(r *cluster.Rank, sendTo, recvFrom, tag int, payload []byte,
 		chunk = DefaultChunk
 	}
 	nSend := numChunks(len(payload), chunk)
-	r.Isend(sendTo, tag, wire.AppendUint64(nil, uint64(nSend)))
+	r.Send(sendTo, tag, wire.AppendUint64(nil, uint64(nSend)))
 	nRecv, err := parseChunkHeader(recvFrom, r.Recv(recvFrom, tag))
 	if err != nil {
 		return nil, err
@@ -177,7 +176,7 @@ func exchangeChunked(r *cluster.Rank, sendTo, recvFrom, tag int, payload []byte,
 	for i := 0; i < nSend || uint64(i) < nRecv; i++ {
 		if i < nSend {
 			lo, hi := chunkSpan(len(payload), chunk, i)
-			r.Isend(sendTo, tag, payload[lo:hi])
+			r.Send(sendTo, tag, payload[lo:hi])
 		}
 		if uint64(i) < nRecv {
 			if err := a.add(r.Recv(recvFrom, tag)); err != nil {

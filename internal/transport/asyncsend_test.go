@@ -122,23 +122,6 @@ func TestSendqFailUnblocksPutAndFlush(t *testing.T) {
 	}
 }
 
-// --- Mem.Isend ---
-
-func TestMemIsendEqualsSend(t *testing.T) {
-	eps := NewMem(2)
-	for k := 0; k < 5; k++ {
-		if err := eps[0].Isend(1, Message{Tag: int32(k), Data: []byte{byte(k)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 5; k++ {
-		m, err := eps[1].Recv(0)
-		if err != nil || m.Tag != int32(k) {
-			t.Fatalf("msg %d: %+v err=%v", k, m, err)
-		}
-	}
-}
-
 // --- receive-window flow control (queue.waitBelow) ---
 
 func TestQueueWaitBelow(t *testing.T) {
@@ -164,7 +147,7 @@ func TestQueueWaitBelow(t *testing.T) {
 	}
 }
 
-// --- TCP asynchronous sends ---
+// --- TCP queued sends ---
 
 // boundedCfg is a TCP configuration with small end-to-end buffering at
 // every layer, so backpressure phenomena reproduce at test scale.
@@ -177,43 +160,18 @@ func boundedCfg() TCPConfig {
 	}
 }
 
-func TestTCPIsendDeliversFIFOAcrossSendMix(t *testing.T) {
-	eps := startTCPCluster(t, 2, TCPConfig{})
-	const k = 100
-	for i := 0; i < k; i++ {
-		var err error
-		if i%3 == 0 {
-			err = eps[0].Send(1, Message{Tag: int32(i), Data: []byte{byte(i)}})
-		} else {
-			err = eps[0].Isend(1, Message{Tag: int32(i), Data: []byte{byte(i)}})
-		}
-		if err != nil {
-			t.Fatalf("msg %d: %v", i, err)
-		}
-	}
-	for i := 0; i < k; i++ {
-		m, err := eps[1].Recv(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Tag != int32(i) || m.Data[0] != byte(i) {
-			t.Fatalf("msg %d out of order: tag=%d", i, m.Tag)
-		}
-	}
-}
-
-func TestTCPIsendBackpressureSurfacesAsQueueFull(t *testing.T) {
+func TestTCPSendBackpressureSurfacesAsQueueFull(t *testing.T) {
 	cfg := boundedCfg()
 	cfg.SendQueueTimeout = 300 * time.Millisecond
 	eps := startTCPCluster(t, 2, cfg)
 	// Rank 1 never receives: its 64 KiB window fills, its reader pauses,
 	// the kernel buffers fill, rank 0's writer wedges in the socket, and
-	// rank 0's 64 KiB outbound queue fills. The next Isend must surface a
+	// rank 0's 64 KiB outbound queue fills. The next Send must surface a
 	// SendQueueFullError within the queue deadline instead of hanging.
 	payload := make([]byte, 16<<10)
 	deadline := time.Now().Add(25 * time.Second)
 	for i := 0; ; i++ {
-		err := eps[0].Isend(1, Message{Tag: 5, Data: payload})
+		err := eps[0].Send(1, Message{Tag: 5, Data: payload})
 		if err == nil {
 			if time.Now().After(deadline) {
 				t.Fatal("backpressure never surfaced")
@@ -222,7 +180,7 @@ func TestTCPIsendBackpressureSurfacesAsQueueFull(t *testing.T) {
 		}
 		var full *SendQueueFullError
 		if !errors.As(err, &full) {
-			t.Fatalf("isend %d: err=%v, want SendQueueFullError", i, err)
+			t.Fatalf("send %d: err=%v, want SendQueueFullError", i, err)
 		}
 		if full.Rank != 1 || full.Wait != cfg.SendQueueTimeout {
 			t.Fatalf("queue-full detail: %+v", full)
@@ -234,7 +192,7 @@ func TestTCPIsendBackpressureSurfacesAsQueueFull(t *testing.T) {
 	}
 }
 
-func TestTCPIsendToDeadPeerErrors(t *testing.T) {
+func TestTCPSendToDeadPeerErrors(t *testing.T) {
 	eps := startTCPCluster(t, 2, TCPConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 		PeerTimeout:       500 * time.Millisecond,
@@ -243,7 +201,7 @@ func TestTCPIsendToDeadPeerErrors(t *testing.T) {
 	eps[1].Close()
 	deadline := time.Now().Add(25 * time.Second)
 	for {
-		err := eps[0].Isend(1, Message{Tag: 3, Data: []byte("x")})
+		err := eps[0].Send(1, Message{Tag: 3, Data: []byte("x")})
 		if err != nil {
 			var pd *PeerDeadError
 			if !errors.As(err, &pd) || pd.Rank != 1 {
@@ -252,23 +210,23 @@ func TestTCPIsendToDeadPeerErrors(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("peer death never surfaced on Isend")
+			t.Fatal("peer death never surfaced on Send")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-func TestTCPCloseDrainsQueuedIsends(t *testing.T) {
+func TestTCPCloseDrainsQueuedSends(t *testing.T) {
 	eps := startTCPCluster(t, 2, TCPConfig{})
 	const k = 50
 	payload := bytes.Repeat([]byte{0xA7}, 8<<10)
 	for i := 0; i < k; i++ {
-		if err := eps[0].Isend(1, Message{Tag: int32(i), Data: payload}); err != nil {
-			t.Fatalf("isend %d: %v", i, err)
+		if err := eps[0].Send(1, Message{Tag: int32(i), Data: payload}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	// Close immediately: the graceful drain must still deliver all k
-	// frames that Isend only enqueued.
+	// frames that Send only enqueued.
 	eps[0].Close()
 	for i := 0; i < k; i++ {
 		m, err := eps[1].Recv(0)
@@ -321,9 +279,9 @@ func TestTCPRecvWindowPausesWithoutLossOrFalseDeath(t *testing.T) {
 	}
 }
 
-// TestTCPConcurrentIsendManyPeers exercises the per-peer writer goroutines
+// TestTCPConcurrentSendManyPeers exercises the per-peer writer goroutines
 // under concurrent fan-out from every rank to every rank.
-func TestTCPConcurrentIsendManyPeers(t *testing.T) {
+func TestTCPConcurrentSendManyPeers(t *testing.T) {
 	const p = 4
 	const k = 40
 	eps := startTCPCluster(t, p, boundedCfg())
@@ -338,7 +296,7 @@ func TestTCPConcurrentIsendManyPeers(t *testing.T) {
 			for round := 0; round < k; round++ {
 				for dst := 0; dst < p; dst++ {
 					m := Message{Tag: int32(round), Data: []byte{byte(r), byte(round)}}
-					if err := eps[r].Isend(dst, m); err != nil {
+					if err := eps[r].Send(dst, m); err != nil {
 						errs[r] = err
 						return
 					}

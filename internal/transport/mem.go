@@ -48,12 +48,6 @@ func (m *Mem) Send(dst int, msg Message) error {
 	return m.boxes[dst][m.rank].put(msg)
 }
 
-// Isend equals Send: the in-process mailbox handoff is already
-// non-blocking, so there is nothing asynchronous left to add.
-func (m *Mem) Isend(dst int, msg Message) error {
-	return m.Send(dst, msg)
-}
-
 // Recv blocks until the next message from src arrives.
 func (m *Mem) Recv(src int) (Message, error) {
 	return m.boxes[m.rank][src].take()

@@ -15,7 +15,7 @@ type outFrame struct {
 }
 
 // sendq is the bounded outbound frame queue feeding one peer's writer
-// goroutine — the heart of the asynchronous send engine. Isend callers
+// goroutine — the heart of the asynchronous send engine. Send callers
 // enqueue and return; the single writer goroutine performs the blocking
 // socket writes underneath, so a rank's program never sits inside a
 // kernel `write` while it still owes the cluster a receive.
@@ -145,7 +145,8 @@ func (q *sendq) complete() {
 }
 
 // flush blocks until every frame accepted so far has been handed to the
-// kernel, the queue fails, or the deadline passes (errQueueTimeout).
+// kernel, the queue fails, or the deadline passes (errQueueTimeout). It is
+// Close's bounded drain; Send never waits for it.
 func (q *sendq) flush(deadline time.Time) error {
 	stop := q.wakeAt(deadline)
 	defer stop()

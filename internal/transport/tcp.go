@@ -44,12 +44,11 @@ type TCPConfig struct {
 	PeerTimeout time.Duration
 	// SendQueueBytes bounds the payload bytes queued per peer for
 	// asynchronous delivery (default 32 MiB). A full queue applies
-	// backpressure to Isend callers; at least one frame is always admitted
+	// backpressure to Send callers; at least one frame is always admitted
 	// so an oversized frame cannot wedge the sender.
 	SendQueueBytes int64
-	// SendQueueTimeout bounds how long Isend blocks on a full outbound
-	// queue and how long Send waits for its flush before surfacing a
-	// SendQueueFullError (default: SendTimeout).
+	// SendQueueTimeout bounds how long Send blocks on a full outbound
+	// queue before surfacing a SendQueueFullError (default: SendTimeout).
 	SendQueueTimeout time.Duration
 	// RecvWindowBytes, when positive, pauses the per-peer reader once that
 	// many payload bytes sit undelivered in the inbox, propagating
@@ -582,7 +581,7 @@ func (t *TCP) readLoop(p *tcpPeer) {
 // writeLoop is the peer's single writer goroutine: it drains the bounded
 // outbound queue onto the socket, and proves liveness with a heartbeat
 // frame whenever the queue stays idle for a HeartbeatInterval. Because all
-// socket writes funnel through this one goroutine, an Isend caller never
+// socket writes funnel through this one goroutine, a Send caller never
 // sits inside a kernel `write` — the blocking happens here, bounded by
 // SendTimeout, while the rank program stays free to post receives.
 func (t *TCP) writeLoop(p *tcpPeer) {
@@ -635,7 +634,7 @@ func (t *TCP) writeFrame(p *tcpPeer, tag int32, payload []byte) error {
 
 // failPeer marks a peer dead: its connection closes (unblocking a wedged
 // writer), queued outbound frames are dropped, and every pending and future
-// Recv, Isend, and flush against it returns a PeerDeadError. The first
+// Recv, Send, and flush against it returns a PeerDeadError. The first
 // cause is kept.
 func (t *TCP) failPeer(p *tcpPeer, cause error) {
 	p.mu.Lock()
@@ -658,14 +657,14 @@ func (t *TCP) Rank() int { return t.rank }
 // P reports the cluster size.
 func (t *TCP) P() int { return t.p }
 
-// Isend frames m — the virtual arrival time ahead of the payload, so the
+// Send frames m — the virtual arrival time ahead of the payload, so the
 // receiver's simulated clock advances exactly as it would in-process — and
 // enqueues it on dst's bounded outbound queue for the writer goroutine to
 // deliver. It blocks only under backpressure: a queue that stays full past
 // SendQueueTimeout yields a SendQueueFullError, and a dead peer a
 // PeerDeadError, so a misbehaving destination becomes a diagnosable rank
 // error instead of a silent wedge.
-func (t *TCP) Isend(dst int, m Message) error {
+func (t *TCP) Send(dst int, m Message) error {
 	if dst < 0 || dst >= t.p {
 		return fmt.Errorf("transport: send to invalid rank %d of %d", dst, t.p)
 	}
@@ -688,25 +687,6 @@ func (t *TCP) Isend(dst int, m Message) error {
 	return err
 }
 
-// Send is Isend plus a flush: it returns once every frame enqueued to dst
-// so far — this one included — has been handed to the kernel. Per-pair FIFO
-// order with earlier Isends is preserved because both share the writer's
-// single ordered queue.
-func (t *TCP) Send(dst int, m Message) error {
-	if err := t.Isend(dst, m); err != nil {
-		return err
-	}
-	if dst == t.rank {
-		return nil
-	}
-	timeout := t.cfg.SendQueueTimeout
-	err := t.peers[dst].out.flush(time.Now().Add(timeout))
-	if _, full := err.(errQueueTimeout); full {
-		return &SendQueueFullError{Rank: dst, Wait: timeout}
-	}
-	return err
-}
-
 // Recv blocks for the next message from src; it errors out (instead of
 // hanging) once src is dead or the endpoint is closed.
 func (t *TCP) Recv(src int) (Message, error) {
@@ -720,8 +700,8 @@ func (t *TCP) Recv(src int) (Message, error) {
 }
 
 // Close tears the endpoint down: outbound queues stop accepting frames and
-// get a bounded window to drain onto the wire (so a Close right after an
-// Isend does not eat the message), then the listener and every peer
+// get a bounded window to drain onto the wire (so a Close right after a
+// Send does not eat the message), then the listener and every peer
 // connection close and all pending Recvs error with ErrClosed.
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {
@@ -759,7 +739,7 @@ func (t *TCP) Close() error {
 // also how the abort reaches remote ranks — their read loops fail within a
 // socket round trip, far faster than the heartbeat watchdog), queued
 // outbound frames are dropped, undelivered inbound messages are discarded,
-// and every pending and future Send, Isend, and Recv returns an error
+// and every pending and future Send and Recv returns an error
 // carrying cause. Idempotent; the first cause wins per peer.
 func (t *TCP) Abort(cause error) {
 	for _, p := range t.peers {
@@ -782,6 +762,6 @@ func (t *TCP) Abort(cause error) {
 	t.ln.Close() //lint:droperr best-effort teardown; cause is the report
 }
 
-// maxCloseDrain caps how long Close waits for queued asynchronous sends to
-// reach the kernel before tearing connections down.
+// maxCloseDrain caps how long Close waits for queued sends to reach the
+// kernel before tearing connections down.
 const maxCloseDrain = 2 * time.Second

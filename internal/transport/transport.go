@@ -40,40 +40,35 @@ type Message struct {
 }
 
 // Transport delivers messages for one rank of a P-rank cluster. Per
-// (src, dst) pair, delivery is FIFO — Send and Isend traffic to the same
-// destination shares one ordered stream. Implementations must allow Send,
-// Isend, and Recv from different goroutines, and Recv on distinct sources
-// concurrently; Close unblocks every pending Recv with an error.
+// (src, dst) pair, delivery is FIFO: every send to one destination shares
+// one ordered stream. Implementations must allow Send and Recv from
+// different goroutines, and Recv on distinct sources concurrently; Close
+// unblocks every pending Recv with an error.
 type Transport interface {
 	// Rank reports this endpoint's rank id in [0, P).
 	Rank() int
 	// P reports the cluster size.
 	P() int
-	// Send delivers m to rank dst synchronously: when it returns nil the
-	// message has been handed to the delivery substrate (the kernel on a
-	// real transport). A failed or dead peer returns an error; the
-	// in-process backend never fails.
+	// Send enqueues m for delivery to rank dst and returns as soon as the
+	// bounded per-peer outbound queue accepts it; on a real transport a
+	// writer goroutine performs the blocking transfer underneath. The
+	// caller must not modify m.Data afterwards. Backpressure that outlasts
+	// the transport's queue deadline surfaces as a SendQueueFullError, and
+	// a dead peer as a PeerDeadError, so Send never blocks indefinitely.
+	// The in-process backend hands the message straight to the mailbox.
 	Send(dst int, m Message) error
-	// Isend enqueues m for asynchronous delivery to rank dst and returns
-	// as soon as the bounded per-peer outbound queue accepts it; a writer
-	// goroutine performs the blocking transfer underneath. The caller must
-	// not modify m.Data afterwards. Backpressure that outlasts the
-	// transport's queue deadline surfaces as a SendQueueFullError, and a
-	// dead peer as a PeerDeadError — Isend never blocks indefinitely. The
-	// in-process backend is already non-blocking, so Isend equals Send.
-	Isend(dst int, m Message) error
 	// Recv blocks until the next message from rank src arrives and removes
 	// it. It returns an error — rather than blocking forever — once the
 	// peer is known dead or the transport is closed.
 	Recv(src int) (Message, error)
-	// Close releases the endpoint: queued asynchronous sends are drained
-	// (bounded), then pending and future Recvs error out and connections
-	// (if any) are torn down. Close is idempotent.
+	// Close releases the endpoint: queued sends are drained (bounded),
+	// then pending and future Recvs error out and connections (if any)
+	// are torn down. Close is idempotent.
 	Close() error
 }
 
 // Aborter is implemented by transports that can fail the whole endpoint —
-// every pending and future Send, Isend, and Recv — with a caller-supplied
+// every pending and future Send and Recv — with a caller-supplied
 // cause. It is the mechanism behind a cluster-wide abort: when one rank
 // dies, the survivors' blocked operations must return a typed error within
 // a bounded time instead of wedging the run. Unlike Close, Abort performs
@@ -86,9 +81,9 @@ type Aborter interface {
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("transport: closed")
 
-// SendQueueFullError reports an Isend (or Send) whose outbound queue to a
-// rank stayed full past the backpressure deadline: the peer is alive but
-// not consuming, or the link cannot keep up. Surfacing it as an error —
+// SendQueueFullError reports a Send whose outbound queue to a rank stayed
+// full past the backpressure deadline: the peer is alive but not
+// consuming, or the link cannot keep up. Surfacing it as an error —
 // instead of blocking forever — is what keeps a misscheduled exchange a
 // diagnosable failure rather than a cluster-wide hang.
 type SendQueueFullError struct {

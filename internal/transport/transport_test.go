@@ -123,8 +123,8 @@ func TestMemCloseUnblocksRecv(t *testing.T) {
 }
 
 // TestMemAbortFailsSendAndRecv checks the Aborter contract in-process:
-// after Abort, undelivered messages are gone and every endpoint's Send,
-// Isend and Recv return the cause.
+// after Abort, undelivered messages are gone and every endpoint's Send and
+// Recv return the cause.
 func TestMemAbortFailsSendAndRecv(t *testing.T) {
 	eps := NewMem(2)
 	if err := eps[0].Send(1, Message{Tag: 1}); err != nil {
@@ -135,8 +135,8 @@ func TestMemAbortFailsSendAndRecv(t *testing.T) {
 	if err := eps[1].Send(0, Message{Tag: 2}); !errors.Is(err, cause) {
 		t.Fatalf("Send after Abort: err=%v", err)
 	}
-	if err := eps[0].Isend(1, Message{Tag: 3}); !errors.Is(err, cause) {
-		t.Fatalf("Isend after Abort: err=%v", err)
+	if err := eps[0].Send(1, Message{Tag: 3}); !errors.Is(err, cause) {
+		t.Fatalf("Send from the aborting endpoint: err=%v", err)
 	}
 	if _, err := eps[1].Recv(0); !errors.Is(err, cause) {
 		t.Fatalf("Recv after Abort: err=%v", err)

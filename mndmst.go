@@ -217,22 +217,9 @@ const (
 	BorderEdge
 )
 
-// TransportKind selects how simulated ranks exchange messages.
-type TransportKind int
-
-// Available transports.
-const (
-	// TransportInProcess runs every rank as a goroutine of this process
-	// with in-memory mailboxes — the default, fully deterministic mode.
-	TransportInProcess TransportKind = iota
-	// TransportTCP runs this process as ONE rank of a multi-process
-	// cluster over real loopback/LAN sockets. Requires Options.Cluster.
-	TransportTCP
-)
-
-// ClusterConfig describes how a TransportTCP rank joins its cluster. The
-// zero value of every field picks a sensible default except Coordinator,
-// which is required.
+// ClusterConfig describes how a FindMSFDistributed rank joins its cluster.
+// The zero value of every field picks a sensible default except
+// Coordinator, which is required.
 type ClusterConfig struct {
 	// Coordinator is the host:port of the rendezvous coordinator every
 	// worker dials to be assigned a rank (required).
@@ -250,8 +237,8 @@ type ClusterConfig struct {
 	PeerTimeout time.Duration
 	// Metrics, when non-nil, receives this rank's transport counters
 	// (frames/bytes per peer, send-queue high-water, dial retries) and —
-	// with Options.Chaos — injected-fault counts. One registry per
-	// process; nil disables instrumentation at zero cost.
+	// with Chaos — injected-fault counts. One registry per process; nil
+	// disables instrumentation at zero cost.
 	Metrics *obs.Registry
 	// RetrySeed seeds the jittered dial/rendezvous backoff schedule so a
 	// failed join replays exactly under the same seed (0 derives one from
@@ -263,6 +250,10 @@ type ClusterConfig struct {
 	// process stops re-dialing immediately instead of sleeping out its
 	// backoff. Closing it does not tear down an established transport.
 	Cancel <-chan struct{}
+	// Chaos, when non-nil, wraps this rank's transport endpoint in the
+	// deterministic fault-injection layer: the resilience-testing mode for
+	// soak tests and failure drills.
+	Chaos *ChaosConfig
 }
 
 func (c ClusterConfig) tcp() transport.TCPConfig {
@@ -342,17 +333,6 @@ type Options struct {
 	// paper's homogeneous assumption). The partitioner gives faster nodes
 	// proportionally more work.
 	NodeSpeeds []float64
-	// Transport selects in-process simulation (default) or one rank of a
-	// real multi-process TCP cluster.
-	Transport TransportKind
-	// Cluster configures the TCP cluster; required when Transport is
-	// TransportTCP, ignored otherwise.
-	Cluster *ClusterConfig
-	// Chaos, when non-nil, wraps this worker's transport endpoint in the
-	// deterministic fault-injection layer — the resilience-testing mode
-	// FindMSFDistributed exposes for soak tests and failure drills. Only
-	// honoured in distributed runs; FindMSF ignores it.
-	Chaos *ChaosConfig
 }
 
 // ChaosConfig injects seeded, deterministic faults into one worker's
@@ -434,10 +414,9 @@ func (o Options) nodes() int {
 // identical forests and simulated metrics on the same Graph. The measured
 // fields, Result.WallSeconds and PhaseTime.Wall, differ run to run.
 // Defaults are normalized first, so the zero Options and an
-// explicit {Nodes: 1, GroupSize: 4} fingerprint identically. Execution
-// plumbing that cannot change the answer — Transport, Cluster, Chaos — is
-// deliberately excluded. The serving layer combines this fingerprint with
-// the graph digest as its result-cache key.
+// explicit {Nodes: 1, GroupSize: 4} fingerprint identically. The serving
+// layer combines this fingerprint with the graph digest as its result-cache
+// key.
 func (o Options) Fingerprint() string {
 	machine := "amd"
 	if o.Machine == CrayXC40 {
@@ -564,9 +543,9 @@ func resultFromForest(f *mst.Forest, rep *cluster.Report) *Result {
 }
 
 // FindMSF computes the minimum spanning forest of g with the MND-MST
-// algorithm under the given options. With Options.Transport set to
-// TransportTCP it runs one rank of a multi-process cluster instead (see
-// FindMSFDistributed).
+// algorithm under the given options, every rank a goroutine of this
+// process. FindMSFDistributed runs one rank of a multi-process cluster
+// instead.
 func FindMSF(g *Graph, opts Options) (*Result, error) {
 	return FindMSFContext(context.Background(), g, opts)
 }
@@ -577,12 +556,6 @@ func FindMSF(g *Graph, opts Options) (*Result, error) {
 // returns, once all of them have, an error matching ctx.Err() under
 // errors.Is. Nothing keeps running after the call returns.
 func FindMSFContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if opts.Transport == TransportTCP {
-		if opts.Cluster == nil {
-			return nil, fmt.Errorf("mndmst: TransportTCP requires Options.Cluster")
-		}
-		return findMSFDistributed(ctx, g, opts, *opts.Cluster)
-	}
 	machine := opts.Machine.model()
 	if len(opts.NodeSpeeds) > 0 {
 		if len(opts.NodeSpeeds) != opts.nodes() {
@@ -605,20 +578,13 @@ func FindMSFContext(ctx context.Context, g *Graph, opts Options) (*Result, error
 // wall-clock phase times — while other ranks return their local metrics
 // with Root == false and no forest.
 func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, error) {
-	return findMSFDistributed(context.Background(), g, opts, cfg)
-}
-
-// findMSFDistributed is FindMSFDistributed under ctx: a ctx that fires
-// mid-run aborts this rank's endpoint, which its peers see as this rank
-// lost.
-func findMSFDistributed(ctx context.Context, g *Graph, opts Options, cfg ClusterConfig) (*Result, error) {
 	tcpEP, err := transport.DialTCP(cfg.tcp())
 	if err != nil {
 		return nil, fmt.Errorf("mndmst: join cluster: %w", err)
 	}
 	var ep transport.Transport = tcpEP
-	if opts.Chaos != nil {
-		ep = opts.Chaos.wrap(ep, cfg.Metrics)
+	if cfg.Chaos != nil {
+		ep = cfg.Chaos.wrap(ep, cfg.Metrics)
 	}
 	defer ep.Close()
 	machine := opts.Machine.model()
@@ -628,7 +594,7 @@ func findMSFDistributed(ctx context.Context, g *Graph, opts Options, cfg Cluster
 		}
 		machine.NodeSpeeds = opts.NodeSpeeds
 	}
-	res, err := core.RunDistributed(ctx, g.el, ep, machine, opts.config(), opts.UseGPU)
+	res, err := core.RunDistributed(context.Background(), g.el, ep, machine, opts.config(), opts.UseGPU)
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // launchChaosCluster runs one FindMSFDistributed worker per rank over a
-// loopback TCP cluster, each configured by opts(worker slot). Results and
+// loopback TCP cluster, each injecting chaosFor(worker slot). Results and
 // errors are indexed by worker slot (rank assignment is dial-order), and
 // the whole run is bounded by a watchdog.
-func launchChaosCluster(t *testing.T, g *Graph, p int, opts func(slot int) Options) ([]*Result, []error) {
+func launchChaosCluster(t *testing.T, g *Graph, p int, chaosFor func(slot int) *ChaosConfig) ([]*Result, []error) {
 	t.Helper()
 	coord, err := StartCoordinator("127.0.0.1:0", p)
 	if err != nil {
@@ -34,8 +34,9 @@ func launchChaosCluster(t *testing.T, g *Graph, p int, opts func(slot int) Optio
 			cfg := ClusterConfig{
 				Coordinator: coord.Addr(),
 				PeerTimeout: 5 * time.Second,
+				Chaos:       chaosFor(slot),
 			}
-			results[slot], errs[slot] = FindMSFDistributed(g, opts(slot), cfg)
+			results[slot], errs[slot] = FindMSFDistributed(g, Options{}, cfg)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -61,14 +62,14 @@ func TestFindMSFDistributedUnderBenignChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, errs := launchChaosCluster(t, g, p, func(int) Options {
-		return Options{Chaos: &ChaosConfig{
+	results, errs := launchChaosCluster(t, g, p, func(int) *ChaosConfig {
+		return &ChaosConfig{
 			Seed:        seed,
 			DupProb:     0.08,
 			ReorderProb: 0.08,
 			DelayProb:   0.1,
 			DelayMax:    100 * time.Microsecond,
-		}}
+		}
 	})
 	var root *Result
 	for slot := 0; slot < p; slot++ {
@@ -105,12 +106,12 @@ func TestFindMSFDistributedCrashStopTyped(t *testing.T) {
 	const p, crashSlot = 4, 1
 
 	start := time.Now()
-	results, errs := launchChaosCluster(t, g, p, func(slot int) Options {
+	results, errs := launchChaosCluster(t, g, p, func(slot int) *ChaosConfig {
 		cc := &ChaosConfig{Seed: seed, RecvTimeout: 5 * time.Second}
 		if slot == crashSlot {
 			cc.CrashStep = 5
 		}
-		return Options{Chaos: cc}
+		return cc
 	})
 	if elapsed := time.Since(start); elapsed > 90*time.Second {
 		t.Fatalf("crash recovery took %v — not bounded", elapsed)
@@ -149,8 +150,8 @@ func TestFindMSFDistributedChaosReplays(t *testing.T) {
 	g := GenerateWebGraph(500, 2500, 0.8, seed)
 	const p = 2
 	run := func() *Result {
-		results, errs := launchChaosCluster(t, g, p, func(int) Options {
-			return Options{Chaos: &ChaosConfig{Seed: seed, DupProb: 0.1, ReorderProb: 0.1}}
+		results, errs := launchChaosCluster(t, g, p, func(int) *ChaosConfig {
+			return &ChaosConfig{Seed: seed, DupProb: 0.1, ReorderProb: 0.1}
 		})
 		for slot := 0; slot < p; slot++ {
 			if errs[slot] != nil {

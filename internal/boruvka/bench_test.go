@@ -6,7 +6,6 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/partition"
-	"mndmst/internal/wire"
 )
 
 func benchLocal(b *testing.B, el *graph.EdgeList) *Local {
@@ -15,11 +14,7 @@ func benchLocal(b *testing.B, el *graph.EdgeList) *Local {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	edges := make([]wire.WEdge, len(el.Edges))
-	for i, e := range el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
-	}
-	l, err := NewLocal(ids, edges)
+	l, err := NewLocal(ids, el.Edges)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,17 +9,7 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/mst"
-	"mndmst/internal/wire"
 )
-
-// toWEdges converts graph edges to wire edges; each weight packs its id.
-func toWEdges(es []graph.Edge) []wire.WEdge {
-	out := make([]wire.WEdge, len(es))
-	for i, e := range es {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
-	}
-	return out
-}
 
 // fullLocal wraps a whole edge list as a Local view with no externals.
 func fullLocal(t *testing.T, el *graph.EdgeList) *Local {
@@ -28,7 +18,7 @@ func fullLocal(t *testing.T, el *graph.EdgeList) *Local {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	l, err := NewLocal(ids, toWEdges(el.Edges))
+	l, err := NewLocal(ids, el.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +67,7 @@ func TestKernelEmptyAndTrivial(t *testing.T) {
 }
 
 func TestKernelSelfLoopsAndParallelEdges(t *testing.T) {
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 0, V: 0, W: graph.MakeWeight(0, 0)}, // lightest, a self-loop
 		{U: 0, V: 1, W: graph.MakeWeight(9, 1)},
 		{U: 0, V: 1, W: graph.MakeWeight(2, 2)}, // lighter parallel edge
@@ -99,7 +89,7 @@ func TestExceptionFreezesCutLightestComponent(t *testing.T) {
 	// Local {0,1}; both have lighter cut edges to external vertex 9 than
 	// their shared internal edge. Contracting 0-1 would be wrong (it is
 	// not in the global MST), so the kernel must freeze both components.
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
 		{U: 1, V: 9, W: graph.MakeWeight(2, 1)},
 		{U: 0, V: 1, W: graph.MakeWeight(10, 2)},
@@ -123,7 +113,7 @@ func TestExceptionFreezesCutLightestComponent(t *testing.T) {
 func TestExceptionAllowsSafeInternalContraction(t *testing.T) {
 	// Local {0,1}: 0 has a light cut edge but 1's lightest edge is the
 	// internal 0-1, which IS in the global MST — it must contract.
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
 		{U: 0, V: 1, W: graph.MakeWeight(5, 1)},
 	}
@@ -146,7 +136,7 @@ func TestBorderEdgeExceptionMoreConservative(t *testing.T) {
 	// edge (the internal 0-1) still contracts. Add a cut edge at 1 to make
 	// BOTH border vertices; then nothing may happen even though 1's
 	// lightest is internal under BorderVertex semantics... construct:
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 0, V: 9, W: graph.MakeWeight(1, 0)},
 		{U: 0, V: 1, W: graph.MakeWeight(2, 1)},
 		{U: 1, V: 8, W: graph.MakeWeight(5, 2)},
@@ -221,7 +211,7 @@ func TestIndependentPartitionsChooseOnlyMSTEdges(t *testing.T) {
 
 func TestParentIsMinGlobalIDOfComponent(t *testing.T) {
 	// Path 10-20-30 with global names; one component; representative 10.
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 10, V: 20, W: graph.MakeWeight(1, 0)},
 		{U: 20, V: 30, W: graph.MakeWeight(2, 1)},
 	}
@@ -340,7 +330,7 @@ func TestNewLocalErrors(t *testing.T) {
 	if _, err := NewLocal([]int32{1, 1}, nil); err == nil {
 		t.Fatal("duplicate ids accepted")
 	}
-	if _, err := NewLocal([]int32{1}, []wire.WEdge{{U: 5, V: 6}}); err == nil {
+	if _, err := NewLocal([]int32{1}, []graph.Edge{{U: 5, V: 6}}); err == nil {
 		t.Fatal("fully-external edge accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
 	"mndmst/internal/merge"
-	"mndmst/internal/wire"
 )
 
 // arc is one arc of a vertex, compared by value.
@@ -104,9 +103,9 @@ func checkRelabel(t testing.TB, where string, all, v *boruvka.Local, parent []in
 	ghost := func(x int32) int32 { return x }
 	got := merge.Relabel(nil, v, parent, ghost)
 	want := merge.Relabel(nil, all, parent, ghost)
-	byID := func(es []wire.WEdge) []wire.WEdge {
+	byID := func(es []graph.Edge) []graph.Edge {
 		es = slices.Clone(es)
-		slices.SortFunc(es, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
+		slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Compare(graph.EdgeID(a.W), graph.EdgeID(b.W)) })
 		return es
 	}
 	if g, w := byID(got), byID(want); !slices.Equal(g, w) {

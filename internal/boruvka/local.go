@@ -19,7 +19,6 @@ import (
 	"slices"
 
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
 
 // Local is one device's view of its partition: the global ids of the local
@@ -57,7 +56,7 @@ type Local struct {
 // holds v's local index + 1, or 0 when v is not local, and an endpoint
 // outside the span is external. It costs 4 bytes per id of the span,
 // which for vertex or component ids is at most 4·N.
-func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
+func NewLocal(ids []int32, edges []graph.Edge) (*Local, error) {
 	slices.Sort(ids)
 	var lo int32
 	var index []int32
@@ -107,7 +106,7 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	cursor := make([]int64, n)
 	// put stores the arc tail → head; a head with no local index is
 	// stored as ^global.
-	put := func(tail, head, headLocal int32, e *wire.WEdge) {
+	put := func(tail, head, headLocal int32, e *graph.Edge) {
 		a := l.off[tail] + cursor[tail]
 		cursor[tail]++
 		if headLocal < 0 {

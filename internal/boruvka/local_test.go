@@ -9,13 +9,12 @@ import (
 
 	"mndmst/internal/graph"
 	"mndmst/internal/parutil"
-	"mndmst/internal/wire"
 )
 
 // newLocalMap is NewLocal as it was built over a map[int32]int32 from
 // global to local ids: the reference FuzzNewLocal checks the span index
 // against.
-func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
+func newLocalMap(ids []int32, edges []graph.Edge) (*Local, error) {
 	slices.Sort(ids)
 	index := make(map[int32]int32, len(ids))
 	for i, id := range ids {
@@ -52,7 +51,7 @@ func newLocalMap(ids []int32, edges []wire.WEdge) (*Local, error) {
 	l.dst = make([]int32, total)
 	l.w = make([]uint64, total)
 	cursor := make([]int64, n)
-	put := func(tail int32, head int32, headLocal bool, e *wire.WEdge) {
+	put := func(tail int32, head int32, headLocal bool, e *graph.Edge) {
 		a := l.off[tail] + cursor[tail]
 		cursor[tail]++
 		if headLocal {
@@ -106,7 +105,7 @@ func FuzzNewLocal(f *testing.F) {
 		for i := range ids {
 			ids[i] = scale(data[2+i])
 		}
-		var edges []wire.WEdge
+		var edges []graph.Edge
 		end := func(b byte) int32 {
 			if b%2 == 0 && k > 0 {
 				return ids[int(b/2)%k]
@@ -115,7 +114,7 @@ func FuzzNewLocal(f *testing.F) {
 		}
 		for i := 2 + k; i+1 < len(data); i += 2 {
 			id := int32(len(edges))
-			edges = append(edges, wire.WEdge{
+			edges = append(edges, graph.Edge{
 				U: end(data[i]), V: end(data[i+1]),
 				W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id),
 			})

@@ -10,7 +10,6 @@ import (
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 // orderOptions lists the option sets the edge-order tests run: every
@@ -51,7 +50,7 @@ func diminishing() func(int, cost.Work, int) bool {
 // NewLocal(ids, edges) and on NewLocal over a random permutation of the
 // same edges, each edge's ends swapped at random, and requires equal
 // Results.
-func checkEdgeOrder(t *testing.T, rng *rand.Rand, ids []int32, edges []wire.WEdge) {
+func checkEdgeOrder(t *testing.T, rng *rand.Rand, ids []int32, edges []graph.Edge) {
 	t.Helper()
 	perm := slices.Clone(edges)
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
@@ -60,7 +59,7 @@ func checkEdgeOrder(t *testing.T, rng *rand.Rand, ids []int32, edges []wire.WEdg
 			perm[i].U, perm[i].V = perm[i].V, perm[i].U
 		}
 	}
-	view := func(edges []wire.WEdge) *Local {
+	view := func(edges []graph.Edge) *Local {
 		l, err := NewLocal(slices.Clone(ids), edges)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +83,7 @@ func checkEdgeOrder(t *testing.T, rng *rand.Rand, ids []int32, edges []wire.WEdg
 // (a gap between the local ids, or outside their span) one time in five;
 // self-loops and parallel edges occur. With hub set, the first vertex gets
 // hubDegree more arcs, to local and external heads alike.
-func orderGraph(rng *rand.Rand, n, m int, hub bool) ([]int32, []wire.WEdge) {
+func orderGraph(rng *rand.Rand, n, m int, hub bool) ([]int32, []graph.Edge) {
 	ids := make([]int32, n)
 	for i := range ids {
 		ids[i] = int32(3*i + 5)
@@ -99,7 +98,7 @@ func orderGraph(rng *rand.Rand, n, m int, hub bool) ([]int32, []wire.WEdge) {
 		m += hubDegree
 	}
 	eids := rng.Perm(2 * m)[:m]
-	edges := make([]wire.WEdge, m)
+	edges := make([]graph.Edge, m)
 	for i := range edges {
 		u, v := ids[rng.Intn(n)], end()
 		if i < hubDegree && hub {
@@ -113,7 +112,7 @@ func orderGraph(rng *rand.Rand, n, m int, hub bool) ([]int32, []wire.WEdge) {
 				u, v = edges[i-1].U, edges[i-1].V
 			}
 		}
-		edges[i] = wire.WEdge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(4)), int32(eids[i]))}
+		edges[i] = graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(rng.Intn(4)), int32(eids[i]))}
 	}
 	return ids, edges
 }

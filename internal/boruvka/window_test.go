@@ -12,7 +12,6 @@ import (
 	"mndmst/internal/graph"
 	"mndmst/internal/partition"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 // messyGraph is a seeded RMAT graph (power-law hubs, some self-loops and
@@ -65,13 +64,13 @@ func withBoundaryLoops(el *graph.EdgeList, ranges [][2]int32, isolated int32) *g
 
 // rangeEdges returns the edges of el with an endpoint in [lo, hi), in
 // edge order, and how many of them are cut.
-func rangeEdges(el *graph.EdgeList, lo, hi int32) ([]wire.WEdge, int64) {
+func rangeEdges(el *graph.EdgeList, lo, hi int32) ([]graph.Edge, int64) {
 	in := func(v int32) bool { return v >= lo && v < hi }
-	var edges []wire.WEdge
+	var edges []graph.Edge
 	var cut int64
 	for _, e := range el.Edges {
 		if in(e.U) || in(e.V) {
-			edges = append(edges, wire.WEdge{U: e.U, V: e.V, W: e.W})
+			edges = append(edges, e)
 			if in(e.U) != in(e.V) {
 				cut++
 			}
@@ -165,11 +164,11 @@ func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b
 	// view is NewLocal over set and the edges of el touching it.
 	view := func(set []int32) *Local {
 		in := func(c int32) bool { _, ok := slices.BinarySearch(set, c); return ok }
-		var edges []wire.WEdge
+		var edges []graph.Edge
 		for _, e := range el.Edges {
 			u, v := name(e.U), name(e.V)
 			if in(u) || in(v) {
-				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W})
+				edges = append(edges, graph.Edge{U: u, V: v, W: e.W})
 			}
 		}
 		l, err := NewLocal(slices.Clone(set), edges)

@@ -483,9 +483,9 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 }
 
 // candBytes is the encoded size of one candidate: the packed (comp,
-// other) pair, the weight, and the edge id the weight packs, each a
+// other) pair and the weight, which holds the edge id, each a
 // little-endian uint64.
-const candBytes = 24
+const candBytes = 16
 
 // encodeCands serializes a candidate list; an empty list is an empty
 // payload.
@@ -494,13 +494,11 @@ func encodeCands(cs []cand) []byte {
 	for _, c := range cs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(c.comp))<<32|uint64(uint32(c.other)))
 		buf = binary.LittleEndian.AppendUint64(buf, c.w)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(uint32(graph.EdgeID(c.w))))
 	}
 	return buf
 }
 
-// decodeCands parses an encodeCands payload. An id field must equal the id
-// packed into its weight.
+// decodeCands parses an encodeCands payload.
 func decodeCands(buf []byte) ([]cand, error) {
 	if len(buf)%candBytes != 0 {
 		return nil, fmt.Errorf("bsp: candidate buffer length %d", len(buf))
@@ -510,9 +508,6 @@ func decodeCands(buf []byte) ([]cand, error) {
 		b := buf[candBytes*i:]
 		packed := binary.LittleEndian.Uint64(b)
 		out[i] = cand{comp: int32(uint32(packed >> 32)), other: int32(uint32(packed)), w: binary.LittleEndian.Uint64(b[8:])}
-		if id := binary.LittleEndian.Uint64(b[16:]); id != uint64(uint32(graph.EdgeID(out[i].w))) {
-			return nil, fmt.Errorf("bsp: candidate %d has id %d, its weight packs %d", i, id, graph.EdgeID(out[i].w))
-		}
 	}
 	return out, nil
 }

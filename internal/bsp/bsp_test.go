@@ -225,17 +225,17 @@ func TestBSPModeledFiguresPinned(t *testing.T) {
 		rounds, supersteps int
 		ranks              []seconds
 	}{
-		{true, 36208, 675, 5, 74, []seconds{
-			{0.0002547133333333333, 0.010726753333333347},
-			{0.00025123999999999996, 0.010730200000000016},
-			{0.00024147666666666666, 0.010739990000000015},
-			{0.00023743666666666664, 0.010743983333333347},
+		{true, 35472, 675, 5, 74, []seconds{
+			{0.0002547133333333333, 0.010726513333333347},
+			{0.00025123999999999996, 0.010729960000000014},
+			{0.00024147666666666666, 0.010739750000000013},
+			{0.00023743666666666664, 0.010743743333333345},
 		}},
-		{false, 62672, 675, 5, 74, []seconds{
-			{0.0002850133333333333, 0.01073549333333335},
-			{0.00026964, 0.01075084000000002},
-			{0.0002593433333333333, 0.010761163333333353},
-			{0.0002490533333333333, 0.010771406666666683},
+		{false, 58856, 675, 5, 74, []seconds{
+			{0.0002850133333333333, 0.010734013333333348},
+			{0.00026964, 0.010749360000000019},
+			{0.0002593433333333333, 0.010759683333333355},
+			{0.0002490533333333333, 0.010769926666666685},
 		}},
 	} {
 		res, err := RunWith(context.Background(), el, 4, amd(), Options{Combining: tc.combining})

@@ -26,7 +26,6 @@ import (
 	"mndmst/internal/mst"
 	"mndmst/internal/partition"
 	"mndmst/internal/transport"
-	"mndmst/internal/wire"
 )
 
 // Phase labels used for the Figure 7 breakdown.
@@ -183,7 +182,7 @@ type rankMain struct {
 	cfg hypar.Config
 
 	owned   []int32
-	edges   []wire.WEdge
+	edges   []graph.Edge
 	chosen  []int32
 	iter    int
 	lvls    int

@@ -12,7 +12,6 @@ import (
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
 
 // Device executes independent computations on a partition and prices them.
@@ -153,7 +152,7 @@ func EstimateGPUShare(el *graph.EdgeList, cpu *CPU, gpu *GPU) float64 {
 // Edges are ordered by their smaller position, then by edge id: the order
 // in which a walk of the sampled vertices' CSR arcs (ascending edge id)
 // would first meet them. Each keeps its packed weight, and so its id in el.
-func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []wire.WEdge) {
+func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []graph.Edge) {
 	k := max(1, int(float64(el.N)*estimateFraction))
 	perm := rng.Perm(int(el.N))
 	pos := make([]int32, el.N)
@@ -176,14 +175,14 @@ func sampleInduced(el *graph.EdgeList, rng *rand.Rand) ([]int32, []wire.WEdge) {
 	for i := 1; i <= k; i++ {
 		start[i] += start[i-1]
 	}
-	edges := make([]wire.WEdge, start[k])
+	edges := make([]graph.Edge, start[k])
 	for _, e := range el.Edges {
 		pu, pv := pos[e.U], pos[e.V]
 		if pu < 0 || pv < 0 {
 			continue
 		}
 		lo := min(pu, pv)
-		edges[start[lo]] = wire.WEdge{U: lo, V: max(pu, pv), W: e.W}
+		edges[start[lo]] = graph.Edge{U: lo, V: max(pu, pv), W: e.W}
 		start[lo]++
 	}
 	return ids, edges

@@ -13,7 +13,6 @@ import (
 	"mndmst/internal/graph"
 	"mndmst/internal/mst"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 func cpuDev() *CPU { m := cost.CrayXC40(); return &CPU{Model: m.CPU} }
@@ -21,11 +20,7 @@ func gpuDev() *GPU { return &GPU{Model: cost.K40()} }
 
 func fullLocal(t *testing.T, el *graph.EdgeList) *boruvka.Local {
 	t.Helper()
-	edges := make([]wire.WEdge, len(el.Edges))
-	for i, e := range el.Edges {
-		edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
-	}
-	l, err := boruvka.NewLocal(seq(int(el.N)), edges)
+	l, err := boruvka.NewLocal(seq(int(el.N)), el.Edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +184,15 @@ func TestSampleInducedProperty(t *testing.T) {
 		for i, v := range rand.New(rand.NewSource(seed)).Perm(int(n))[:k] {
 			pos[int32(v)] = int32(i)
 		}
-		var want []wire.WEdge
+		var want []graph.Edge
 		for _, e := range el.Edges {
 			pu, okU := pos[e.U]
 			pv, okV := pos[e.V]
 			if okU && okV {
-				want = append(want, wire.WEdge{U: min(pu, pv), V: max(pu, pv), W: e.W})
+				want = append(want, graph.Edge{U: min(pu, pv), V: max(pu, pv), W: e.W})
 			}
 		}
-		slices.SortStableFunc(want, func(a, b wire.WEdge) int { return cmp.Compare(a.U, b.U) })
+		slices.SortStableFunc(want, func(a, b graph.Edge) int { return cmp.Compare(a.U, b.U) })
 		if len(ids) != k || !slices.Equal(ids, seq(k)) {
 			t.Fatalf("n=%d: ids %v, want 0..%d", n, ids, k-1)
 		}

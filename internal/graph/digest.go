@@ -2,30 +2,18 @@ package graph
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 )
 
-// Digest returns the content digest of an edge list: a SHA-256 over the
-// canonical binary container layout (magic, vertex count, edge count,
-// then every edge's endpoints and packed weight in order). Two edge lists
-// have equal digests exactly when they describe the same graph with the
-// same edge ordering and weights, regardless of how they were obtained —
-// generated, loaded from a .mnd container, or parsed from text. The serve
-// layer keys its graph and result caches by this digest.
+// Digest returns the content digest of an edge list: a SHA-256 over its
+// binary container encoding, the bytes WriteEdgeList writes (magic,
+// vertex count, edge count, then every edge's record in order). Two edge
+// lists have equal digests exactly when they describe the same graph with
+// the same edge ordering and weights, regardless of how they were
+// obtained — generated, loaded from a .mnd container, or parsed from
+// text. The serve layer keys its graph and result caches by this digest.
 func Digest(el *EdgeList) string {
 	h := sha256.New()
-	var hdr [20]byte
-	copy(hdr[:8], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(el.N))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(el.Edges)))
-	h.Write(hdr[:])
-	var rec [16]byte
-	for _, e := range el.Edges {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.U))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.V))
-		binary.LittleEndian.PutUint64(rec[8:], e.W)
-		h.Write(rec[:])
-	}
+	writeContainer(h, el) // a hash.Hash never fails a Write
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }

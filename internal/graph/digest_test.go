@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,5 +78,24 @@ func TestDigestSurvivesRoundTrip(t *testing.T) {
 	}
 	if got, want := Digest(loaded), Digest(el); got != want {
 		t.Fatalf("round-trip digest %s != %s", got, want)
+	}
+}
+
+// TestDigestPinned pins the digest of the fixture, so a change to the
+// record or header encoding cannot move the .mnd format or the serve
+// cache keys unnoticed, and checks that the digest is the SHA-256 of the
+// bytes WriteEdgeList writes for the same graph.
+func TestDigestPinned(t *testing.T) {
+	el := digestFixture(t)
+	const want = "sha256:8db8ffea56fe78d29451c8b66225c96356703a631c06b395eed9262c556fa3a5"
+	if got := Digest(el); got != want {
+		t.Fatalf("Digest = %s, want %s", got, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, el); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("sha256:%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("SHA-256 of WriteEdgeList's bytes = %s, want %s", got, want)
 	}
 }

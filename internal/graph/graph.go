@@ -10,10 +10,7 @@
 // implementations by exact total weight and edge set.
 package graph
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // MaxEdges is the largest number of undirected edges a single graph may
 // hold, bounded by the edge-id bits packed into weights.
@@ -41,16 +38,18 @@ func WeightRand(w uint64) uint16 { return uint16(w >> eidBits) }
 // EdgeID extracts the edge id packed into a weight.
 func EdgeID(w uint64) int32 { return int32(w & eidMask) }
 
-// Edge is one undirected weighted edge. U and V are vertex ids. An edge's
-// canonical id is its index in EdgeList.Edges, so an edge holds no id.
+// Edge is one undirected weighted edge. U and V are vertex ids, or
+// component ids once the merge relabels them. The packed weight W holds
+// the edge's canonical id (EdgeID), its index in the graph's
+// EdgeList.Edges, so an edge needs no id field.
 type Edge struct {
 	U, V int32
 	W    uint64
 }
 
-// EdgeBytes is the in-memory size of one Edge: the 16 bytes of its .mnd
-// record.
-const EdgeBytes = int64(unsafe.Sizeof(Edge{}))
+// EdgeBytes is the size of one Edge, in memory and as the record
+// AppendEdge encodes, in .mnd files and on the wire alike.
+const EdgeBytes = 16
 
 // EdgeList is a graph in coordinate form: a vertex count plus undirected
 // edges. Self-loops are permitted in the list but never enter an MST;

@@ -61,11 +61,11 @@ func TestIORejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestEdgeSize pins an in-memory edge at the 16 bytes of its .mnd record,
-// so no new field silently grows every edge list back.
+// TestEdgeSize pins an in-memory edge at the 16 bytes of its record, so
+// no new field silently grows every edge list back.
 func TestEdgeSize(t *testing.T) {
-	if size := unsafe.Sizeof(Edge{}); size != recordBytes || EdgeBytes != recordBytes {
-		t.Fatalf("Edge is %d bytes (EdgeBytes %d), want %d", size, EdgeBytes, recordBytes)
+	if size := unsafe.Sizeof(Edge{}); size != EdgeBytes || EdgeBytes != 16 {
+		t.Fatalf("Edge is %d bytes (EdgeBytes %d), want 16", size, EdgeBytes)
 	}
 }
 

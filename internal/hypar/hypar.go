@@ -16,7 +16,6 @@ import (
 	"mndmst/internal/device"
 	"mndmst/internal/graph"
 	"mndmst/internal/merge"
-	"mndmst/internal/wire"
 )
 
 // Config carries the tunables of the framework. The zero value is not
@@ -268,7 +267,7 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 // endpoints), self edges dropped (merge.Relabel), then multi-edge removal.
 // The result is built in dst's storage; the relabel scan is charged from
 // v's edge count.
-func (rt *Runtime) Reduce(dst []wire.WEdge, v *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
+func (rt *Runtime) Reduce(dst []graph.Edge, v *boruvka.Local, parent []int32, ghost func(int32) int32) []graph.Edge {
 	out, w := merge.RemoveMultiEdges(merge.Relabel(dst, v, parent, ghost))
 	w.Add(cost.Work{EdgesScanned: v.NumEdges})
 	rt.R.Compute(rt.CPU.Price(w))
@@ -278,7 +277,7 @@ func (rt *Runtime) Reduce(dst []wire.WEdge, v *boruvka.Local, parent []int32, gh
 // PostProcess runs the final kernel over the fully-gathered component
 // graph (§4.1.4) on the node's fastest suitable device and returns the
 // chosen edge ids.
-func (rt *Runtime) PostProcess(owned []int32, edges []wire.WEdge) ([]int32, error) {
+func (rt *Runtime) PostProcess(owned []int32, edges []graph.Edge) ([]int32, error) {
 	l, err := boruvka.NewLocal(owned, edges)
 	if err != nil {
 		return nil, fmt.Errorf("hypar: postProcess: %w", err)

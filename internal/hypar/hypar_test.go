@@ -14,7 +14,6 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/mst"
-	"mndmst/internal/wire"
 )
 
 func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
@@ -35,14 +34,6 @@ func onRank(t *testing.T, fn func(rt *Runtime) error) *cluster.Report {
 	return rep
 }
 
-func toWire(el *graph.EdgeList) []wire.WEdge {
-	out := make([]wire.WEdge, len(el.Edges))
-	for i, e := range el.Edges {
-		out[i] = wire.WEdge{U: e.U, V: e.V, W: e.W}
-	}
-	return out
-}
-
 func allIDs(n int32) []int32 {
 	ids := make([]int32, n)
 	for i := range ids {
@@ -52,7 +43,7 @@ func allIDs(n int32) []int32 {
 }
 
 // newLocal is boruvka.NewLocal for inputs the test knows to be valid.
-func newLocal(t testing.TB, ids []int32, edges []wire.WEdge) *boruvka.Local {
+func newLocal(t testing.TB, ids []int32, edges []graph.Edge) *boruvka.Local {
 	t.Helper()
 	l, err := boruvka.NewLocal(ids, edges)
 	if err != nil {
@@ -63,7 +54,7 @@ func newLocal(t testing.TB, ids []int32, edges []wire.WEdge) *boruvka.Local {
 
 // wholeView is the view of every vertex and edge of el.
 func wholeView(t testing.TB, el *graph.EdgeList) *boruvka.Local {
-	return newLocal(t, allIDs(el.N), toWire(el))
+	return newLocal(t, allIDs(el.N), el.Edges)
 }
 
 func TestIndCompCPUOnlyMatchesKruskal(t *testing.T) {
@@ -163,7 +154,7 @@ func TestReduceRemovesSelfAndMultiEdges(t *testing.T) {
 	// Local vertices 0..4 all join component 0; every ghost joins 10.
 	parent := []int32{0, 0, 0, 0, 0}
 	ghost := func(int32) int32 { return 10 }
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(5, 0)},  // self after relabel
 		{U: 3, V: 15, W: graph.MakeWeight(9, 1)}, // 0-10
 		{U: 4, V: 17, W: graph.MakeWeight(3, 2)}, // 0-10, lighter: must win
@@ -171,9 +162,9 @@ func TestReduceRemovesSelfAndMultiEdges(t *testing.T) {
 	v := newLocal(t, allIDs(5), edges)
 	onRank(t, func(rt *Runtime) error {
 		// Into nil, then into the list the view was built from.
-		for _, dst := range [][]wire.WEdge{nil, edges} {
+		for _, dst := range [][]graph.Edge{nil, edges} {
 			out := rt.Reduce(dst, v, parent, ghost)
-			if len(out) != 1 || out[0] != (wire.WEdge{U: 0, V: 10, W: graph.MakeWeight(3, 2)}) {
+			if len(out) != 1 || out[0] != (graph.Edge{U: 0, V: 10, W: graph.MakeWeight(3, 2)}) {
 				return fmt.Errorf("dst %d edges: out=%+v", len(dst), out)
 			}
 		}
@@ -185,7 +176,7 @@ func TestPostProcessCompletesForest(t *testing.T) {
 	el := gen.ConnectedRandom(200, 800, 17)
 	want := mst.Kruskal(el)
 	onRank(t, func(rt *Runtime) error {
-		ids, err := rt.PostProcess(allIDs(el.N), toWire(el))
+		ids, err := rt.PostProcess(allIDs(el.N), el.Edges)
 		if err != nil {
 			return err
 		}
@@ -226,7 +217,7 @@ func TestDiminishingTerminationStopsKernelEarlyOrNot(t *testing.T) {
 }
 
 func TestSplitByShares(t *testing.T) {
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, // vertex 0 is heavy
 		{U: 2, V: 3},
 	}
@@ -256,7 +247,7 @@ func TestSplitByShares(t *testing.T) {
 func TestDeviceEdgesMulti(t *testing.T) {
 	// Component ids as a later iteration has them: scattered, with ghosts.
 	ids := []int32{10, 20, 30, 40}
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 10, V: 20, W: graph.MakeWeight(0, 0)}, // dev0 only
 		{U: 20, V: 30, W: graph.MakeWeight(0, 1)}, // both (cross-device)
 		{U: 30, V: 40, W: graph.MakeWeight(0, 2)}, // dev1 only

@@ -14,7 +14,6 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/hypar"
-	"mndmst/internal/wire"
 )
 
 // strategyGraph is the pinned workload of the strategy tests: the
@@ -151,15 +150,15 @@ func (d flatPriceDevice) Price(cost.Work) float64 { return 1 }
 // merges exactly the neighbouring pairs of size-2^(k-1) components, so
 // the kernel needs log2(n) rounds and an early stop after round 2
 // observably leaves components unmerged.
-func pathWorkload(n int) (ids []int32, edges []wire.WEdge) {
+func pathWorkload(n int) (ids []int32, edges []graph.Edge) {
 	ids = make([]int32, n)
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	edges = make([]wire.WEdge, n-1)
+	edges = make([]graph.Edge, n-1)
 	for i := range edges {
 		w := uint16(bits.TrailingZeros(uint(i + 1)))
-		edges[i] = wire.WEdge{U: int32(i), V: int32(i + 1), W: graph.MakeWeight(w, int32(i))}
+		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1), W: graph.MakeWeight(w, int32(i))}
 	}
 	return ids, edges
 }

@@ -8,7 +8,6 @@ import (
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
 
 // viewRun is what indComp and the merge-phase reduction produce over one
@@ -16,14 +15,14 @@ import (
 // charged to the rank.
 type viewRun struct {
 	res     *IndResult
-	reduced []wire.WEdge
+	reduced []graph.Edge
 	secs    float64
 }
 
 // runView runs IndComp and then Reduce (into dst, with ghost as the
 // parent function of the external heads) over v, on a node with gpus
 // accelerators.
-func runView(t *testing.T, gpus int, v *boruvka.Local, dst []wire.WEdge, ghost func(int32) int32) viewRun {
+func runView(t *testing.T, gpus int, v *boruvka.Local, dst []graph.Edge, ghost func(int32) int32) viewRun {
 	t.Helper()
 	var o viewRun
 	onRank(t, func(rt *Runtime) error {
@@ -46,15 +45,15 @@ func runView(t *testing.T, gpus int, v *boruvka.Local, dst []wire.WEdge, ghost f
 
 // rangeList returns the ids of [lo, hi) and the edges of el with an
 // endpoint in it, in edge order, with every vertex renamed by name.
-func rangeList(el *graph.EdgeList, lo, hi int32, name func(int32) int32) ([]int32, []wire.WEdge) {
+func rangeList(el *graph.EdgeList, lo, hi int32, name func(int32) int32) ([]int32, []graph.Edge) {
 	var ids []int32
 	for v := lo; v < hi; v++ {
 		ids = append(ids, name(v))
 	}
-	var edges []wire.WEdge
+	var edges []graph.Edge
 	for _, e := range el.Edges {
 		if e.U >= lo && e.U < hi || e.V >= lo && e.V < hi {
-			edges = append(edges, wire.WEdge{U: name(e.U), V: name(e.V), W: e.W})
+			edges = append(edges, graph.Edge{U: name(e.U), V: name(e.V), W: e.W})
 		}
 	}
 	return ids, edges
@@ -86,7 +85,7 @@ func TestIndCompWindowMatchesList(t *testing.T) {
 		for i, c := range o.res.Parent {
 			res.Parent[i] = scatter(c)
 		}
-		var reduced []wire.WEdge
+		var reduced []graph.Edge
 		for _, e := range o.reduced {
 			e.U, e.V = scatter(e.U), scatter(e.V)
 			reduced = append(reduced, e)

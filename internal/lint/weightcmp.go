@@ -6,8 +6,8 @@ import (
 )
 
 // weightFieldNames are the conventional edge-weight field spellings across
-// the repo's edge record types (graph.Edge.W, wire.WEdge.W, the bsp/mst
-// internal records' w, mndmst.Edge.Weight).
+// the repo's edge record types (graph.Edge.W, the bsp/mst internal
+// records' w, mndmst.Edge.Weight).
 var weightFieldNames = map[string]bool{
 	"W": true, "w": true, "Weight": true, "weight": true,
 }

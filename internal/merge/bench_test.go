@@ -6,7 +6,6 @@ import (
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
 
 // firstIteration runs the kernel on every window of el cut into ranks
@@ -36,7 +35,7 @@ func BenchmarkRemoveMultiEdges(b *testing.B) {
 	parent, windows, bound := firstIteration(el, 4)
 	ghost := func(v int32) int32 { return parent[v] }
 	in := Relabel(nil, windows[0], parent[:bound(1)], ghost)
-	buf := make([]wire.WEdge, len(in))
+	buf := make([]graph.Edge, len(in))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,7 +53,7 @@ func BenchmarkDedupeByID(b *testing.B) {
 	el := gen.WebGraph(700, 11000, 0.45, 1)
 	parent, windows, bound := firstIteration(el, 16)
 	ghost := func(v int32) int32 { return parent[v] }
-	split := func(r int32) (keptE, movedE []wire.WEdge) {
+	split := func(r int32) (keptE, movedE []graph.Edge) {
 		lo, hi := bound(r), bound(r+1)
 		edges, _ := RemoveMultiEdges(Relabel(nil, windows[r], parent[lo:hi], ghost))
 		var owned []int32
@@ -69,7 +68,7 @@ func BenchmarkDedupeByID(b *testing.B) {
 	in, _ := split(0)
 	_, incoming := split(1)
 	in = append(in, incoming...)
-	buf := make([]wire.WEdge, len(in))
+	buf := make([]graph.Edge, len(in))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -280,7 +280,7 @@ func TestExchangeMemTCPSimulatedTimeParity(t *testing.T) {
 		// One ring step.
 		sendTo, recvFrom := (r.ID()+1)%p, (r.ID()+p-1)%p
 		pl, err := ExchangeSegments(r, sendTo, recvFrom,
-			Payload{Comps: []int32{int32(r.ID())}, Edges: []wire.WEdge{{U: int32(r.ID()), V: 99, W: graph.MakeWeight(7, int32(r.ID()))}}}, 4<<10, Payload{})
+			Payload{Comps: []int32{int32(r.ID())}, Edges: []graph.Edge{{U: int32(r.ID()), V: 99, W: graph.MakeWeight(7, int32(r.ID()))}}}, 4<<10, Payload{})
 		if err != nil {
 			return err
 		}

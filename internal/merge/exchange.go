@@ -8,6 +8,7 @@ import (
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
+	"mndmst/internal/graph"
 	"mndmst/internal/wire"
 )
 
@@ -324,15 +325,15 @@ func ExchangeDeltas(r *cluster.Rank, active []int, local []Delta, chunk int) ([]
 // between ranks by segment exchanges and leader merges.
 type Payload struct {
 	Comps []int32
-	Edges []wire.WEdge
+	Edges []graph.Edge
 }
 
 // encodePayload serializes a component transfer into one exactly-sized
 // buffer.
 func encodePayload(p Payload) []byte {
-	buf := make([]byte, 0, 8+4*len(p.Comps)+8+wire.WEdgeBytes*len(p.Edges))
+	buf := make([]byte, 0, 8+4*len(p.Comps)+8+graph.EdgeBytes*len(p.Edges))
 	buf = wire.AppendInt32s(buf, p.Comps)
-	return wire.AppendWEdges(buf, p.Edges)
+	return wire.AppendEdges(buf, p.Edges)
 }
 
 // appendPayloads decodes every encoded payload of bufs, in order, and
@@ -352,7 +353,7 @@ func appendPayloads(into Payload, bufs [][]byte) (Payload, error) {
 		if comps, buf, err = wire.TakeInt32sInto(comps, buf); err != nil {
 			return Payload{}, err
 		}
-		if edges, _, err = wire.TakeWEdgesInto(edges, buf); err != nil {
+		if edges, _, err = wire.TakeEdgesInto(edges, buf); err != nil {
 			return Payload{}, err
 		}
 	}
@@ -368,7 +369,7 @@ func payloadLens(buf []byte) (comps, edges int) {
 		return 0, 0
 	}
 	ne, rest, err := wire.TakeUint64(rest[4*nc:])
-	if err != nil || ne > uint64(len(rest))/wire.WEdgeBytes {
+	if err != nil || ne > uint64(len(rest))/graph.EdgeBytes {
 		return int(nc), 0
 	}
 	return int(nc), int(ne)

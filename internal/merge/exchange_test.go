@@ -72,7 +72,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 		sendTo, recvFrom := (r.ID()+1)%p, (r.ID()+p-1)%p
 		out := Payload{
 			Comps: []int32{int32(100 + r.ID())},
-			Edges: []wire.WEdge{{U: int32(r.ID()), V: int32(sendTo), W: graph.MakeWeight(uint16(10*r.ID()), int32(r.ID()))}},
+			Edges: []graph.Edge{{U: int32(r.ID()), V: int32(sendTo), W: graph.MakeWeight(uint16(10*r.ID()), int32(r.ID()))}},
 		}
 		in, err := ExchangeSegments(r, sendTo, recvFrom, out, 8, Payload{})
 		if err != nil {
@@ -81,7 +81,7 @@ func TestExchangeSegmentsRing(t *testing.T) {
 		if len(in.Comps) != 1 || in.Comps[0] != int32(100+recvFrom) {
 			return fmt.Errorf("rank %d: comps %v", r.ID(), in.Comps)
 		}
-		if len(in.Edges) != 1 || in.Edges[0].ID() != int32(recvFrom) || in.Edges[0].W != graph.MakeWeight(uint16(10*recvFrom), int32(recvFrom)) {
+		if len(in.Edges) != 1 || graph.EdgeID(in.Edges[0].W) != int32(recvFrom) || in.Edges[0].W != graph.MakeWeight(uint16(10*recvFrom), int32(recvFrom)) {
 			return fmt.Errorf("rank %d: edges %+v", r.ID(), in.Edges)
 		}
 		return nil
@@ -201,7 +201,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 	// chunk-count header, as the receiver takes no chunk size.
 	t.Run("chunk-size-mismatch", func(t *testing.T) {
 		runChunkedCase(t, "chunk-size-mismatch", func(r *cluster.Rank) error {
-			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []wire.WEdge{{U: 1, V: 2, W: graph.MakeWeight(9, 4)}}}
+			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []graph.Edge{{U: 1, V: 2, W: graph.MakeWeight(9, 4)}}}
 			if r.ID() == 0 {
 				SendToLeader(r, 1, want, 8) // tiny sender chunks
 				return nil
@@ -244,7 +244,7 @@ func decodePayload(buf []byte) (Payload, error) {
 	if err != nil {
 		return Payload{}, err
 	}
-	edges, _, err := wire.TakeWEdgesInto(nil, buf)
+	edges, _, err := wire.TakeEdgesInto(nil, buf)
 	if err != nil {
 		return Payload{}, err
 	}
@@ -253,25 +253,25 @@ func decodePayload(buf []byte) (Payload, error) {
 
 // TestEncodersSizeExactly checks that encodePayload and encodeDeltas fill
 // their buffers exactly and write the bytes of the length-prefixed
-// AppendInt32s/AppendWEdges encoding. It then merges member buffers the
+// AppendInt32s/AppendEdges encoding. It then merges member buffers the
 // way the leader does, decoding into the leader's own slices, and checks
 // the result and every truncation error against decodePayload and append.
 func TestEncodersSizeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(testutil.Seed(t, 29)))
 	payload := func(nc, ne int) Payload {
-		p := Payload{Comps: make([]int32, nc), Edges: make([]wire.WEdge, ne)}
+		p := Payload{Comps: make([]int32, nc), Edges: make([]graph.Edge, ne)}
 		for i := range p.Comps {
 			p.Comps[i] = rng.Int31()
 		}
 		for i := range p.Edges {
-			p.Edges[i] = wire.WEdge{U: rng.Int31(), V: -rng.Int31(), W: graph.MakeWeight(uint16(rng.Uint64()), rng.Int31())}
+			p.Edges[i] = graph.Edge{U: rng.Int31(), V: -rng.Int31(), W: graph.MakeWeight(uint16(rng.Uint64()), rng.Int31())}
 		}
 		return p
 	}
 	for _, n := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {3, 7}, {100, 1000}} {
 		p := payload(n[0], n[1])
 		got := encodePayload(p)
-		want := wire.AppendWEdges(wire.AppendInt32s(nil, p.Comps), p.Edges)
+		want := wire.AppendEdges(wire.AppendInt32s(nil, p.Comps), p.Edges)
 		if len(got) != cap(got) || !slices.Equal(got, want) {
 			t.Fatalf("encodePayload(%d comps, %d edges): len %d cap %d, equal to reference: %v",
 				n[0], n[1], len(got), cap(got), slices.Equal(got, want))

@@ -12,14 +12,13 @@ import (
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 func TestRelabelDropsSelfEdges(t *testing.T) {
 	// Local vertices 0..4 with parents 1→0, 2→0, 4→3; 5 is a ghost.
 	parent := []int32{0, 0, 0, 3, 3}
 	ghost := func(v int32) int32 { return v }
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(10, 0)}, // both → 0: self edge
 		{U: 1, V: 4, W: graph.MakeWeight(20, 1)}, // 0 - 3
 		{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, // 0 - 5
@@ -30,7 +29,7 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 	}
 	kept := Relabel(nil, l, parent, ghost)
 	// Emitted vertex by vertex: vertex 0's cut edge, then vertex 1's.
-	want := []wire.WEdge{{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, {U: 0, V: 3, W: graph.MakeWeight(20, 1)}}
+	want := []graph.Edge{{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, {U: 0, V: 3, W: graph.MakeWeight(20, 1)}}
 	if !slices.Equal(kept, want) {
 		t.Fatalf("kept=%+v, want %+v", kept, want)
 	}
@@ -40,7 +39,7 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 }
 
 func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 5, V: 3, W: graph.MakeWeight(50, 0)}, // pair (3,5)
 		{U: 3, V: 5, W: graph.MakeWeight(20, 1)}, // lighter, reversed order
 		{U: 3, V: 5, W: graph.MakeWeight(90, 2)},
@@ -51,7 +50,7 @@ func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 		t.Fatalf("out=%+v", out)
 	}
 	// Sorted by (U,V): (1,2) then (3,5).
-	if out[0].ID() != 3 || out[1].ID() != 1 {
+	if graph.EdgeID(out[0].W) != 3 || graph.EdgeID(out[1].W) != 1 {
 		t.Fatalf("out=%+v", out)
 	}
 	if out[1].U != 3 || out[1].V != 5 {
@@ -66,9 +65,9 @@ func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 }
 
 func TestRemoveMultiEdgesDeterministic(t *testing.T) {
-	var edges []wire.WEdge
+	var edges []graph.Edge
 	for i := 0; i < 5000; i++ {
-		edges = append(edges, wire.WEdge{
+		edges = append(edges, graph.Edge{
 			U: int32(i % 50), V: int32((i * 7) % 50),
 			W: graph.MakeWeight(uint16(i*2654435761>>10), int32(i)),
 		})
@@ -80,9 +79,9 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 			in = append(in, e)
 		}
 	}
-	ref, _ := RemoveMultiEdges(append([]wire.WEdge(nil), in...))
+	ref, _ := RemoveMultiEdges(append([]graph.Edge(nil), in...))
 	for trial := 0; trial < 5; trial++ {
-		got, _ := RemoveMultiEdges(append([]wire.WEdge(nil), in...))
+		got, _ := RemoveMultiEdges(append([]graph.Edge(nil), in...))
 		if len(got) != len(ref) {
 			t.Fatalf("lengths differ")
 		}
@@ -100,7 +99,7 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 // more, the copies of one id told apart by their endpoints, in random
 // order.
 func TestDedupeByID(t *testing.T) {
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(10, 5)},
 		{U: 0, V: 9, W: graph.MakeWeight(3, 2)},
 		{U: 2, V: 1, W: graph.MakeWeight(10, 5)}, // the other owner's copy
@@ -112,14 +111,14 @@ func TestDedupeByID(t *testing.T) {
 	checkDedupe(t, nil)
 	rng := rand.New(rand.NewSource(testutil.Seed(t, 29)))
 	for trial := range 200 {
-		var edges []wire.WEdge
+		var edges []graph.Edge
 		for range rng.Intn(300) {
 			id := rng.Int31n(1000)
 			if trial%2 == 1 {
 				id = rng.Int31n(graph.MaxEdges)
 			}
 			for c := range 1 + rng.Intn(3) {
-				edges = append(edges, wire.WEdge{U: int32(c), V: int32(trial), W: graph.MakeWeight(uint16(rng.Intn(4)), id)})
+				edges = append(edges, graph.Edge{U: int32(c), V: int32(trial), W: graph.MakeWeight(uint16(rng.Intn(4)), id)})
 			}
 		}
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
@@ -194,7 +193,7 @@ func TestSplitSegment(t *testing.T) {
 func TestSplitEdges(t *testing.T) {
 	kept := []int32{1, 2}
 	sent := []int32{3}
-	edges := []wire.WEdge{
+	edges := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(0, 0)},  // kept only
 		{U: 2, V: 3, W: graph.MakeWeight(0, 1)},  // both
 		{U: 3, V: 99, W: graph.MakeWeight(0, 2)}, // moved only (other endpoint remote)
@@ -238,7 +237,7 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 		if len(owned) > 0 {
 			span = owned[len(owned)-1] + 50
 		}
-		edges := make([]wire.WEdge, rng.Intn(80))
+		edges := make([]graph.Edge, rng.Intn(80))
 		end := func() int32 {
 			if len(owned) > 0 && rng.Intn(2) == 0 {
 				return owned[rng.Intn(len(owned))]
@@ -246,10 +245,10 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 			return int32(rng.Intn(int(span))) // below, inside or above the span
 		}
 		for i := range edges {
-			edges[i] = wire.WEdge{U: end(), V: end(), W: graph.MakeWeight(uint16(rng.Intn(100)), int32(i))}
+			edges[i] = graph.Edge{U: end(), V: end(), W: graph.MakeWeight(uint16(rng.Intn(100)), int32(i))}
 		}
 		keptSet, sentSet := set(kept), set(sent)
-		var wantKept, wantMoved []wire.WEdge
+		var wantKept, wantMoved []graph.Edge
 		for _, e := range edges {
 			if sentSet[e.U] || sentSet[e.V] {
 				wantMoved = append(wantMoved, e)
@@ -270,10 +269,10 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 	}
 }
 
-func idsOf(es []wire.WEdge) []int32 {
+func idsOf(es []graph.Edge) []int32 {
 	out := make([]int32, len(es))
 	for i, e := range es {
-		out[i] = e.ID()
+		out[i] = graph.EdgeID(e.W)
 	}
 	return out
 }
@@ -304,7 +303,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 		if r.ID() == 0 {
 			SendToLeader(r, 1, Payload{
 				Comps: []int32{4, 5},
-				Edges: []wire.WEdge{{U: 4, V: 9, W: graph.MakeWeight(77, 3)}},
+				Edges: []graph.Edge{{U: 4, V: 9, W: graph.MakeWeight(77, 3)}},
 			}, 4)
 		}
 		if r.ID() == 1 {
@@ -312,7 +311,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if len(p.Comps) != 2 || len(p.Edges) != 1 || p.Edges[0] != (wire.WEdge{U: 4, V: 9, W: graph.MakeWeight(77, 3)}) {
+			if len(p.Comps) != 2 || len(p.Edges) != 1 || p.Edges[0] != (graph.Edge{U: 4, V: 9, W: graph.MakeWeight(77, 3)}) {
 				return fmt.Errorf("payload %+v", p)
 			}
 		}

@@ -22,12 +22,10 @@ package merge
 import (
 	"math"
 	"math/bits"
-	"unsafe"
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/wire"
 )
 
 // Relabel extracts the relabelled edge list of the view l: it walks l's
@@ -45,9 +43,9 @@ import (
 // built from by boruvka.NewLocal, which copies it, is free for reuse.
 // When dst cannot hold l.NumEdges edges, the result is allocated at the
 // size survivors counts.
-func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []wire.WEdge {
+func Relabel(dst []graph.Edge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []graph.Edge {
 	if int64(cap(dst)) < l.NumEdges {
-		dst = make([]wire.WEdge, 0, survivors(l, parent))
+		dst = make([]graph.Edge, 0, survivors(l, parent))
 	}
 	out := dst[:0]
 	for u := range l.N() {
@@ -64,7 +62,7 @@ func Relabel(dst []wire.WEdge, l *boruvka.Local, parent []int32, ghost func(int3
 				pv = ghost(^v)
 			}
 			if pu != pv {
-				out = append(out, wire.WEdge{U: pu, V: pv, W: w[a]})
+				out = append(out, graph.Edge{U: pu, V: pv, W: w[a]})
 			}
 		}
 	}
@@ -95,7 +93,7 @@ func survivors(l *boruvka.Local, parent []int32) int {
 // weights are copies of one edge). The result reuses edges and is sorted
 // by (U, V). The work charged is that of the §3.3 pair-min hash table, one
 // update per edge: the table is modeled, not built.
-func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
+func RemoveMultiEdges(edges []graph.Edge) ([]graph.Edge, cost.Work) {
 	w := cost.Work{HashOps: int64(len(edges)), EdgesScanned: int64(len(edges))}
 	if len(edges) == 0 {
 		return nil, w
@@ -129,21 +127,22 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 // IDs seen in a bitmap over their span: at most m/8 bytes for an m-edge
 // graph. A span over 8 KiB and over one in-memory edge's bits per edge
 // takes a set instead.
-func DedupeByID(edges []wire.WEdge) []wire.WEdge {
+func DedupeByID(edges []graph.Edge) []graph.Edge {
 	if len(edges) == 0 {
 		return edges
 	}
 	id := emptyRange
 	for i := range edges {
-		id.add(edges[i].ID())
+		id.add(graph.EdgeID(edges[i].W))
 	}
 	out := edges[:0]
 	span := uint64(uint32(id.hi)-uint32(id.lo)) + 1
-	if span > max(8*uint64(unsafe.Sizeof(wire.WEdge{}))*uint64(len(edges)), 1<<16) {
+	if span > max(8*graph.EdgeBytes*uint64(len(edges)), 1<<16) {
 		seen := make(map[int32]struct{}, len(edges))
 		for _, e := range edges {
-			if _, ok := seen[e.ID()]; !ok {
-				seen[e.ID()] = struct{}{}
+			id := graph.EdgeID(e.W)
+			if _, ok := seen[id]; !ok {
+				seen[id] = struct{}{}
 				out = append(out, e)
 			}
 		}
@@ -151,7 +150,7 @@ func DedupeByID(edges []wire.WEdge) []wire.WEdge {
 	}
 	seen := make([]uint64, (span+63)/64)
 	for _, e := range edges {
-		x := uint32(e.ID()) - uint32(id.lo)
+		x := uint32(graph.EdgeID(e.W)) - uint32(id.lo)
 		if bit := uint64(1) << (x % 64); seen[x/64]&bit == 0 {
 			seen[x/64] |= bit
 			out = append(out, e)
@@ -181,14 +180,14 @@ type edgeKey struct {
 	bits  int // width of the key
 }
 
-func (k edgeKey) of(e *wire.WEdge) uint64 {
+func (k edgeKey) of(e *graph.Edge) uint64 {
 	return uint64(uint32(e.U)-uint32(k.lo))<<k.vBits | uint64(uint32(e.V)-uint32(k.vlo))
 }
 
 // radixSort stably sorts a by k in LSD passes. The digit width follows
 // len(a), not the key width, so the scratch (one copy of a and one count
 // per digit value) is O(len(a)) however large the ids are.
-func radixSort(a []wire.WEdge, k edgeKey) {
+func radixSort(a []graph.Edge, k edgeKey) {
 	n := len(a)
 	if n < 2 || k.bits == 0 {
 		return
@@ -198,7 +197,7 @@ func radixSort(a []wire.WEdge, k edgeKey) {
 	digit := (k.bits + passes - 1) / passes
 	count := make([]int, 1<<digit)
 	mask := uint64(len(count) - 1)
-	src, dst := a, make([]wire.WEdge, n)
+	src, dst := a, make([]graph.Edge, n)
 	for shift := 0; shift < k.bits; shift += digit {
 		clear(count)
 		for i := range src {

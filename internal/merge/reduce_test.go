@@ -11,14 +11,13 @@ import (
 
 	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 // pairMinReference is RemoveMultiEdges built the way the paper's §3.3
 // describes it: a map from the oriented component pair to its lightest
 // edge, dumped and sorted by (U, V).
-func pairMinReference(edges []wire.WEdge) []wire.WEdge {
-	best := make(map[[2]int32]wire.WEdge)
+func pairMinReference(edges []graph.Edge) []graph.Edge {
+	best := make(map[[2]int32]graph.Edge)
 	for _, e := range edges {
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
@@ -29,31 +28,31 @@ func pairMinReference(edges []wire.WEdge) []wire.WEdge {
 			best[k] = e
 		}
 	}
-	var out []wire.WEdge
+	var out []graph.Edge
 	//lint:sorted sorted by (U, V) below
 	for _, e := range best {
 		out = append(out, e)
 	}
-	slices.SortFunc(out, func(a, b wire.WEdge) int {
+	slices.SortFunc(out, func(a, b graph.Edge) int {
 		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	return out
 }
 
 // dedupeReference keeps the first copy of every edge id, sorted by id.
-func dedupeReference(edges []wire.WEdge) []wire.WEdge {
-	first := make(map[int32]wire.WEdge)
+func dedupeReference(edges []graph.Edge) []graph.Edge {
+	first := make(map[int32]graph.Edge)
 	for _, e := range edges {
-		if _, ok := first[e.ID()]; !ok {
-			first[e.ID()] = e
+		if _, ok := first[graph.EdgeID(e.W)]; !ok {
+			first[graph.EdgeID(e.W)] = e
 		}
 	}
-	var out []wire.WEdge
+	var out []graph.Edge
 	//lint:sorted sorted by ID below
 	for _, e := range first {
 		out = append(out, e)
 	}
-	slices.SortFunc(out, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
+	slices.SortFunc(out, func(a, b graph.Edge) int { return cmp.Compare(graph.EdgeID(a.W), graph.EdgeID(b.W)) })
 	return out
 }
 
@@ -62,12 +61,12 @@ func dedupeReference(edges []wire.WEdge) []wire.WEdge {
 // its first copy; it is a subsequence of in, so it keeps their arrival
 // order; and it is a prefix of the copy's storage, so it is filtered in
 // place.
-func checkDedupe(t *testing.T, in []wire.WEdge) {
+func checkDedupe(t *testing.T, in []graph.Edge) {
 	t.Helper()
 	buf := slices.Clone(in)
 	got := DedupeByID(buf)
 	byID := slices.Clone(got)
-	slices.SortStableFunc(byID, func(a, b wire.WEdge) int { return cmp.Compare(a.ID(), b.ID()) })
+	slices.SortStableFunc(byID, func(a, b graph.Edge) int { return cmp.Compare(graph.EdgeID(a.W), graph.EdgeID(b.W)) })
 	if want := dedupeReference(in); !slices.Equal(byID, want) {
 		t.Fatalf("in %+v: got %+v, by id %+v; want %+v", in, got, byID, want)
 	}
@@ -88,8 +87,8 @@ func checkDedupe(t *testing.T, in []wire.WEdge) {
 
 // equalWeightEdge builds an edge whose 16-bit weight class is constant, so
 // its order is decided entirely by the edge id packed into the low bits.
-func equalWeightEdge(u, v, eid int32) wire.WEdge {
-	return wire.WEdge{U: u, V: v, W: graph.MakeWeight(7, eid)}
+func equalWeightEdge(u, v, eid int32) graph.Edge {
+	return graph.Edge{U: u, V: v, W: graph.MakeWeight(7, eid)}
 }
 
 // TestRemoveMultiEdgesAllEqualWeightsOrderIndependent puts every weight in
@@ -99,7 +98,7 @@ func equalWeightEdge(u, v, eid int32) wire.WEdge {
 func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 	rng := testutil.Rand(t, 4001)
 	const pairs, perPair = 64, 9
-	var cands []wire.WEdge
+	var cands []graph.Edge
 	eid := int32(0)
 	for p := int32(0); p < pairs; p++ {
 		for c := 0; c < perPair; c++ {
@@ -111,14 +110,14 @@ func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 
 	orders := []struct {
 		name string
-		perm func([]wire.WEdge)
+		perm func([]graph.Edge)
 	}{
-		{"ascending", func([]wire.WEdge) {}},
-		{"descending", slices.Reverse[[]wire.WEdge]},
-		{"shuffled", func(s []wire.WEdge) {
+		{"ascending", func([]graph.Edge) {}},
+		{"descending", slices.Reverse[[]graph.Edge]},
+		{"shuffled", func(s []graph.Edge) {
 			rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
 		}},
-		{"flipped", func(s []wire.WEdge) {
+		{"flipped", func(s []graph.Edge) {
 			for i := range s {
 				if i%2 == 0 {
 					s[i].U, s[i].V = s[i].V, s[i].U
@@ -143,14 +142,14 @@ func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 // pair: two records come out, the lighter edge wins its pair, and the work
 // charge is one hash op per offer.
 func TestRemoveMultiEdgesKeepsMinimum(t *testing.T) {
-	in := []wire.WEdge{
+	in := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(50, 0)},
 		{U: 2, V: 1, W: graph.MakeWeight(60, 1)},
 		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
 		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
 	}
 	out, w := RemoveMultiEdges(in)
-	want := []wire.WEdge{
+	want := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
 		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
 	}
@@ -167,12 +166,12 @@ func TestRemoveMultiEdgesKeepsMinimum(t *testing.T) {
 // the total-order least either way.
 func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
 	const k = 16
-	var desc, asc []wire.WEdge
+	var desc, asc []graph.Edge
 	for i := int32(0); i < k; i++ {
 		desc = append(desc, equalWeightEdge(5, 9, k-1-i))
 		asc = append(asc, equalWeightEdge(9, 5, i))
 	}
-	for _, in := range [][]wire.WEdge{desc, asc} {
+	for _, in := range [][]graph.Edge{desc, asc} {
 		out, _ := RemoveMultiEdges(in)
 		if len(out) != 1 || out[0] != equalWeightEdge(5, 9, 0) {
 			t.Fatalf("kept %+v, want the eid-0 minimum", out)
@@ -184,8 +183,8 @@ func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
 // reverse come out as the same record, smaller endpoint first.
 func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
 	f := func(a, b int32) bool {
-		x, _ := RemoveMultiEdges([]wire.WEdge{{U: a, V: b, W: graph.MakeWeight(1, 0)}})
-		y, _ := RemoveMultiEdges([]wire.WEdge{{U: b, V: a, W: graph.MakeWeight(1, 0)}})
+		x, _ := RemoveMultiEdges([]graph.Edge{{U: a, V: b, W: graph.MakeWeight(1, 0)}})
+		y, _ := RemoveMultiEdges([]graph.Edge{{U: b, V: a, W: graph.MakeWeight(1, 0)}})
 		return len(x) == 1 && x[0] == y[0] && x[0].U == min(a, b) && x[0].V == max(a, b)
 	}
 	if err := quick.Check(f, testutil.Quick(t, 4003, 0)); err != nil {
@@ -198,17 +197,17 @@ func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
 // sort scratch follows the edge count, not the ids, so it stays tiny.
 func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
 	const top, eid = math.MaxInt32, graph.MaxEdges - 1
-	in := []wire.WEdge{
+	in := []graph.Edge{
 		{U: top, V: top - 7, W: graph.MakeWeight(3, eid-1)},
 		{U: top - 7, V: top, W: graph.MakeWeight(2, eid-2)},
 		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 	}
-	want := []wire.WEdge{
+	want := []graph.Edge{
 		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 		{U: top - 7, V: top, W: graph.MakeWeight(2, eid-2)},
 	}
 	const runs = 100
-	buf := make([]wire.WEdge, len(in))
+	buf := make([]graph.Edge, len(in))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -229,8 +228,8 @@ func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
 // widens the ranges) into edges with packed weights, so inputs hit many
 // multi-edges, ties in WeightRand broken by the packed id, shared ids,
 // negative and huge vertex keys, and edge ids up to MaxEdges.
-func fuzzEdges(data []byte) []wire.WEdge {
-	var out []wire.WEdge
+func fuzzEdges(data []byte) []graph.Edge {
+	var out []graph.Edge
 	for ; len(data) >= 11; data = data[11:] {
 		u := int32(binary.LittleEndian.Uint32(data))
 		v := int32(binary.LittleEndian.Uint32(data[4:]))
@@ -241,7 +240,7 @@ func fuzzEdges(data []byte) []wire.WEdge {
 		if data[10]&2 != 0 {
 			id <<= 18
 		}
-		out = append(out, wire.WEdge{U: u, V: v, W: graph.MakeWeight(uint16(data[8]%3), id)})
+		out = append(out, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(data[8]%3), id)})
 	}
 	return out
 }

@@ -1,6 +1,6 @@
 package merge
 
-import "mndmst/internal/wire"
+import "mndmst/internal/graph"
 
 // SplitEdges divides a rank's edge list when the components in sent move
 // away. Every edge incident to a sent component travels with the payload;
@@ -11,7 +11,7 @@ import "mndmst/internal/wire"
 // kept and sent are each sorted, as the prefix and suffix SplitSegment
 // returns. Membership is a one-byte mark per id of their joint span, and a
 // count pass sizes both outputs exactly; an empty output is nil.
-func SplitEdges(edges []wire.WEdge, kept, sent []int32) (keptEdges, movedEdges []wire.WEdge) {
+func SplitEdges(edges []graph.Edge, kept, sent []int32) (keptEdges, movedEdges []graph.Edge) {
 	if len(kept)+len(sent) == 0 {
 		return nil, nil
 	}
@@ -32,7 +32,7 @@ func SplitEdges(edges []wire.WEdge, kept, sent []int32) (keptEdges, movedEdges [
 	}
 	// of returns the marks of both endpoints of e; an id outside the span
 	// is neither kept nor sent.
-	of := func(e *wire.WEdge) uint8 {
+	of := func(e *graph.Edge) uint8 {
 		var m uint8
 		if x := uint32(e.U - r.lo); x < uint32(len(mark)) {
 			m = mark[x]
@@ -49,10 +49,10 @@ func SplitEdges(edges []wire.WEdge, kept, sent []int32) (keptEdges, movedEdges [
 		nMoved += int(m >> 1) // the isSent bit
 	}
 	if nKept > 0 {
-		keptEdges = make([]wire.WEdge, 0, nKept)
+		keptEdges = make([]graph.Edge, 0, nKept)
 	}
 	if nMoved > 0 {
-		movedEdges = make([]wire.WEdge, 0, nMoved)
+		movedEdges = make([]graph.Edge, 0, nMoved)
 	}
 	for i := range edges {
 		m := of(&edges[i])

@@ -6,13 +6,13 @@ import (
 
 	"mndmst/internal/boruvka"
 	"mndmst/internal/gen"
-	"mndmst/internal/wire"
+	"mndmst/internal/graph"
 )
 
 // relabelList is the per-edge reference for Relabel: every edge of the
 // list through pf, self edges dropped, in list order.
-func relabelList(edges []wire.WEdge, pf func(int32) int32) []wire.WEdge {
-	var out []wire.WEdge
+func relabelList(edges []graph.Edge, pf func(int32) int32) []graph.Edge {
+	var out []graph.Edge
 	for _, e := range edges {
 		e.U, e.V = pf(e.U), pf(e.V)
 		if e.U != e.V {
@@ -49,7 +49,7 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 		// The range's edge list in the window's order: vertex-major, each
 		// vertex's edges in ascending id, oriented from the inside end; an
 		// internal edge appears once, from its smaller end.
-		var edges []wire.WEdge
+		var edges []graph.Edge
 		for u := lo; u < hi; u++ {
 			for _, e := range el.Edges {
 				v := e.V
@@ -63,7 +63,7 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 				if v >= lo && v < hi && u > v {
 					continue
 				}
-				edges = append(edges, wire.WEdge{U: u, V: v, W: e.W})
+				edges = append(edges, graph.Edge{U: u, V: v, W: e.W})
 			}
 		}
 		want := relabelList(edges, pf)

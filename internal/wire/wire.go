@@ -143,55 +143,32 @@ func TakeUint64(buf []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(buf), buf[8:], nil
 }
 
-// WEdge is an edge on the wire: endpoints named by component/vertex ids and
-// the packed weight, which holds the edge id (ID); the encoding repeats it.
-type WEdge struct {
-	U, V int32
-	W    uint64
-}
-
-// ID returns the original edge id packed into e's weight.
-func (e WEdge) ID() int32 { return graph.EdgeID(e.W) }
-
-// WEdgeBytes is the encoded size of one WEdge.
-const WEdgeBytes = 4 + 4 + 8 + 4
-
-// AppendWEdges appends a length-prefixed []WEdge to buf.
-func AppendWEdges(buf []byte, es []WEdge) []byte {
+// AppendEdges appends a length-prefixed []graph.Edge to buf, each edge
+// as its graph.EdgeBytes record.
+func AppendEdges(buf []byte, es []graph.Edge) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(es)))
 	for _, e := range es {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.U))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.V))
-		buf = binary.LittleEndian.AppendUint64(buf, e.W)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID()))
+		buf = graph.AppendEdge(buf, e)
 	}
 	return buf
 }
 
-// TakeWEdgesInto decodes a length-prefixed []WEdge from buf and appends
-// the edges to dst, growing it at most once. An id field must equal the id
-// packed into its weight. It returns the extended slice and the remaining
-// bytes; on error dst is not modified.
-func TakeWEdgesInto(dst []WEdge, buf []byte) ([]WEdge, []byte, error) {
+// TakeEdgesInto decodes a length-prefixed []graph.Edge from buf and
+// appends the edges to dst, growing it at most once. It returns the
+// extended slice and the remaining bytes; on error dst is not modified.
+func TakeEdgesInto(dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("wire: short buffer for edge slice header")
 	}
 	n := binary.LittleEndian.Uint64(buf)
 	buf = buf[8:]
-	if n > uint64(len(buf))/WEdgeBytes {
+	if n > uint64(len(buf))/graph.EdgeBytes {
 		return nil, nil, fmt.Errorf("wire: edge slice truncated: want %d edges, have %d bytes", n, len(buf))
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, int(n))[:start+int(n)]
 	for i := range dst[start:] {
-		e := &dst[start+i]
-		e.U = int32(binary.LittleEndian.Uint32(buf))
-		e.V = int32(binary.LittleEndian.Uint32(buf[4:]))
-		e.W = binary.LittleEndian.Uint64(buf[8:])
-		if id := int32(binary.LittleEndian.Uint32(buf[16:])); id != e.ID() {
-			return nil, nil, fmt.Errorf("wire: edge %d has id %d, its weight packs %d", i, id, e.ID())
-		}
-		buf = buf[WEdgeBytes:]
+		dst[start+i] = graph.DecodeEdge(buf[graph.EdgeBytes*i:])
 	}
-	return dst, buf, nil
+	return dst, buf[graph.EdgeBytes*n:], nil
 }

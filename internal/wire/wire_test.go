@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -48,39 +49,52 @@ func TestUint64sRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWEdgesRoundTrip(t *testing.T) {
-	es := []WEdge{
+func TestEdgesRoundTrip(t *testing.T) {
+	es := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(54321, 7)},
 		{U: -1, V: 0, W: graph.MakeWeight(0, graph.MaxEdges-1)},
 	}
-	buf := AppendWEdges(nil, es)
-	got, rest, err := TakeWEdgesInto(nil, buf)
+	buf := AppendEdges(nil, es)
+	got, rest, err := TakeEdgesInto(nil, buf)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("err=%v rest=%d", err, len(rest))
 	}
-	for i := range es {
-		if got[i] != es[i] {
-			t.Fatalf("edge %d: %+v vs %+v", i, got[i], es[i])
-		}
+	if !slices.Equal(got, es) {
+		t.Fatalf("decoded %+v, want %+v", got, es)
 	}
 }
 
-// TestWEdgeSize pins an edge's two sizes: 16 bytes in memory, where the
-// id lives only in the packed weight, and 20 on the wire, where it is
-// written out again.
-func TestWEdgeSize(t *testing.T) {
-	if got := unsafe.Sizeof(WEdge{}); got != 16 {
-		t.Fatalf("in-memory WEdge is %d bytes, want 16", got)
+// TestEdgeSize pins the one edge record: an edge is graph.EdgeBytes = 16
+// bytes in memory, on the wire and in a .mnd file, whose records follow
+// its 20-byte header.
+func TestEdgeSize(t *testing.T) {
+	if got := unsafe.Sizeof(graph.Edge{}); got != 16 || graph.EdgeBytes != 16 {
+		t.Fatalf("in-memory edge is %d bytes, graph.EdgeBytes = %d; want 16", got, graph.EdgeBytes)
 	}
-	if got := len(AppendWEdges(nil, []WEdge{{}})) - 8; got != WEdgeBytes || WEdgeBytes != 20 {
-		t.Fatalf("an edge encodes to %d bytes, WEdgeBytes = %d; want 20", got, WEdgeBytes)
+	if got := len(AppendEdges(nil, []graph.Edge{{}})) - 8; got != 16 {
+		t.Fatalf("a wire edge encodes to %d bytes, want 16", got)
+	}
+	el := &graph.EdgeList{N: 2, Edges: []graph.Edge{{U: 0, V: 1, W: graph.MakeWeight(3, 0)}}}
+	var one, two bytes.Buffer
+	if err := graph.WriteEdgeList(&one, el); err != nil {
+		t.Fatal(err)
+	}
+	el.Edges = append(el.Edges, graph.Edge{U: 1, V: 0, W: graph.MakeWeight(4, 1)})
+	if err := graph.WriteEdgeList(&two, el); err != nil {
+		t.Fatal(err)
+	}
+	if got := two.Len() - one.Len(); got != 16 {
+		t.Fatalf("a .mnd record is %d bytes, want 16", got)
+	}
+	if rec := two.Bytes()[one.Len():]; !bytes.Equal(rec, AppendEdges(nil, el.Edges[1:])[8:]) {
+		t.Fatalf(".mnd record %x differs from the wire record", rec)
 	}
 }
 
 func TestConcatenatedSections(t *testing.T) {
 	buf := AppendInt32s(nil, []int32{1, 2})
 	buf = AppendUint64(buf, 99)
-	buf = AppendWEdges(buf, []WEdge{{U: 3, V: 4, W: graph.MakeWeight(5, 6)}})
+	buf = AppendEdges(buf, []graph.Edge{{U: 3, V: 4, W: graph.MakeWeight(5, 6)}})
 	buf = AppendUint64s(buf, []uint64{7})
 
 	ints, buf, err := TakeInt32s(buf)
@@ -91,8 +105,8 @@ func TestConcatenatedSections(t *testing.T) {
 	if err != nil || v != 99 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
-	es, buf, err := TakeWEdgesInto(nil, buf)
-	if err != nil || len(es) != 1 || es[0].W != graph.MakeWeight(5, 6) || es[0].ID() != 6 {
+	es, buf, err := TakeEdgesInto(nil, buf)
+	if err != nil || len(es) != 1 || es[0].W != graph.MakeWeight(5, 6) || graph.EdgeID(es[0].W) != 6 {
 		t.Fatalf("es=%v err=%v", es, err)
 	}
 	u64s, buf, err := TakeUint64s(buf)
@@ -108,8 +122,8 @@ func TestTruncatedBuffersRejected(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	fullE := AppendWEdges(nil, []WEdge{{U: 1, V: 2, W: graph.MakeWeight(3, 4)}})
-	if _, _, err := TakeWEdgesInto(nil, fullE[:len(fullE)-1]); err == nil {
+	fullE := AppendEdges(nil, []graph.Edge{{U: 1, V: 2, W: graph.MakeWeight(3, 4)}})
+	if _, _, err := TakeEdgesInto(nil, fullE[:len(fullE)-1]); err == nil {
 		t.Fatal("truncated edges accepted")
 	}
 	if _, _, err := TakeUint64(nil); err == nil {

@@ -140,9 +140,9 @@ func DedupeByID(edges []graph.Edge) []graph.Edge {
 	if span > max(8*graph.EdgeBytes*uint64(len(edges)), 1<<16) {
 		seen := make(map[int32]struct{}, len(edges))
 		for _, e := range edges {
-			id := graph.EdgeID(e.W)
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
+			eid := graph.EdgeID(e.W)
+			if _, ok := seen[eid]; !ok {
+				seen[eid] = struct{}{}
 				out = append(out, e)
 			}
 		}

@@ -11,3 +11,10 @@ var (
 	GoldenGraphs  = goldenGraphs
 	GoldenWindows = goldenWindows
 )
+
+// AllArcs returns every arc of local vertex u, live and retired, in the
+// view's order.
+func AllArcs(l *Local, u int) (dst []int32, w []uint64) {
+	lo, hi := l.off[u], l.off[u+1]
+	return l.dst[lo:hi], l.w[lo:hi]
+}

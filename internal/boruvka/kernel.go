@@ -228,7 +228,7 @@ func (k *kernel) round() (rw cost.Work, merges, frozen int) {
 // Contract, contract does the retiring, and a vertex is charged its live
 // arcs. It returns the arcs scanned and the proposals made, each summed
 // per chunk, plus the arcs join charged for the members it left off the
-// list.
+// list. No parent changes during the scan, so it reads them plainly.
 func (k *kernel) scanArcs() (scanned, proposed int64) {
 	l, uf, slots, compact := k.l, k.uf, k.slots, !k.opt.Contract
 	off, dst, wgt, live := l.off, l.dst, l.w, l.live
@@ -243,38 +243,22 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 	// makes one atomic min per arc; taking the minimum locally first and
 	// proposing once leaves the slot with the same winner, and the count
 	// returned still charges one per candidate arc. With compact set,
-	// [alo, ahi) is u's live prefix: each external arc is swapped down to
-	// the next free place j, so [alo, j) ends up holding the external arcs
-	// in their order and [j, ahi) the internal ones, and u's live end is
-	// written back. A place below j is never written again, so best stays
-	// valid. No packed weight reaches bestW's start, ^0 (graph.MakeWeight).
+	// [alo, ahi) is u's live prefix, which compactLightest compacts, and u's
+	// live end is written back.
 	propose := func(u int32, alo, ahi int64, compact bool) int64 {
-		r := uf.Parent(u)
-		best, bestW := parutil.NoEdge, ^uint64(0)
-		j := alo
-		for a := alo; a < ahi; a++ {
-			v := dst[a]
-			if v >= 0 && uf.Parent(v) == r {
-				continue // self edge at component level
-			}
-			w, at := wgt[a], a
-			if compact {
-				dst[a], dst[j] = dst[j], v
-				wgt[a], wgt[j] = wgt[j], w
-				at = j
-			}
-			if graph.WeightLess(w, bestW) {
-				best, bestW = at, w
-			}
-			j++
-		}
+		parents := uf.Parents()
+		r := parents[u]
+		var best, ext int
 		if compact {
-			live[u] = int32(j - alo)
+			best, ext = compactLightest(dst[alo:ahi], wgt[alo:ahi], parents, r)
+			live[u] = int32(ext)
+		} else {
+			best, ext = lightest(dst[alo:ahi], wgt[alo:ahi], parents, r)
 		}
-		if best != parutil.NoEdge {
-			slots[r].Propose(best, arcLess)
+		if best >= 0 {
+			slots[r].Propose(alo+int64(best), arcLess)
 		}
-		return j - alo
+		return int64(ext)
 	}
 	var scans, props parutil.Counter
 	scans.Add(k.dead)
@@ -413,6 +397,60 @@ func (k *kernel) join() {
 		}
 	}
 	k.active, k.merged = roots, merged
+}
+
+// external is 1 when the arc to head v leaves component r and 0 when it
+// is internal, computed without a branch: the arc is internal when v is
+// not a ghost (v >= 0) and parents[v] is r. A ghost head reads parents[0]
+// instead, and the sign bit discards what it read. parents must be flat,
+// as between rounds, so that a vertex's parent is its root.
+func external(parents []int32, v, r int32) int {
+	ghost := int(uint32(v) >> 31)
+	var same int
+	if parents[v&^(v>>31)] == r {
+		same = 1
+	}
+	return ghost | (1 - same)
+}
+
+// lightest returns the index of the lightest of the arcs heads, ws of a
+// vertex of component r that leave it, or -1 if none does, and how many
+// leave it. It has no data-dependent branch: an internal arc's candidate
+// weight is masked to ^0, which no packed weight reaches
+// (graph.MakeWeight), so it never beats bestW, and the lightest is kept
+// by a conditional move.
+func lightest(heads []int32, ws []uint64, parents []int32, r int32) (best, ext int) {
+	best, bestW := -1, ^uint64(0)
+	for a, v := range heads {
+		x := external(parents, v, r)
+		if w := ws[a] | (uint64(x) - 1); graph.WeightLess(w, bestW) {
+			best, bestW = a, w
+		}
+		ext += x
+	}
+	return best, ext
+}
+
+// compactLightest is lightest that also stably partitions the arcs:
+// every arc is swapped with the next free place j, which advances past an
+// external arc only, so heads[:j] ends up holding the external arcs in
+// their order and heads[j:] the internal ones. The returned index is the
+// lightest's place after the move; a place below j is never written
+// again.
+func compactLightest(heads []int32, ws []uint64, parents []int32, r int32) (best, j int) {
+	best, bestW := -1, ^uint64(0)
+	ws = ws[:len(heads)] // so ws[a] needs no bounds check
+	for a, v := range heads {
+		w := ws[a]
+		x := external(parents, v, r)
+		heads[a], heads[j] = heads[j], v
+		ws[a], ws[j] = ws[j], w
+		if w |= uint64(x) - 1; graph.WeightLess(w, bestW) {
+			best, bestW = j, w
+		}
+		j += x
+	}
+	return best, j
 }
 
 // contract is the graph contraction of Sousa et al. [7]: it retires the

@@ -35,8 +35,11 @@ func arcsOf(l *boruvka.Local, u int) []arc {
 
 // sortedArcs returns Arcs(u) as a multiset: sorted by (edge id, head,
 // weight).
-func sortedArcs(l *boruvka.Local, u int) []arc {
-	out := arcsOf(l, u)
+func sortedArcs(l *boruvka.Local, u int) []arc { return sortArcs(arcsOf(l, u)) }
+
+// sortArcs returns a copy of arcs sorted by (edge id, head, weight).
+func sortArcs(arcs []arc) []arc {
+	out := slices.Clone(arcs)
 	slices.SortFunc(out, arcCmp)
 	return out
 }
@@ -94,26 +97,50 @@ func checkLivePrefix(t testing.TB, where string, all, v *boruvka.Local, res *bor
 	}
 }
 
+// relabelArcs relabels v's live arcs through parent, with heads outside v
+// keeping their ids, and drops self edges: the walk merge.Relabel makes,
+// without its pair-min table.
+func relabelArcs(v *boruvka.Local, parent []int32) []graph.Edge {
+	var out []graph.Edge
+	for u := range v.N() {
+		heads, w := v.Arcs(u)
+		for a, h := range heads {
+			pv := ^h
+			if h >= 0 {
+				if int(h) <= u {
+					continue
+				}
+				pv = parent[h]
+			}
+			if parent[u] != pv {
+				out = append(out, graph.Edge{U: parent[u], V: pv, W: w[a]})
+			}
+		}
+	}
+	return out
+}
+
 // checkRelabel checks that relabelling v through parent after a kernel
 // run yields the edges that relabelling all, a copy of v that no kernel
-// ran on, yields: the same multiset from Relabel, and the same component
-// graph from RemoveMultiEdges. Heads outside v keep their ids.
+// ran on, yields: the same multiset from the walk over the live arcs
+// (relabelArcs), and the same component graph, as a set, from
+// merge.Relabel. Heads outside v keep their ids.
 func checkRelabel(t testing.TB, where string, all, v *boruvka.Local, parent []int32) {
 	t.Helper()
-	ghost := func(x int32) int32 { return x }
-	got := merge.Relabel(nil, v, parent, ghost)
-	want := merge.Relabel(nil, all, parent, ghost)
-	byID := func(es []graph.Edge) []graph.Edge {
+	sorted := func(es []graph.Edge, by func(a, b graph.Edge) int) []graph.Edge {
 		es = slices.Clone(es)
-		slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Compare(graph.EdgeID(a.W), graph.EdgeID(b.W)) })
+		slices.SortFunc(es, by)
 		return es
 	}
-	if g, w := byID(got), byID(want); !slices.Equal(g, w) {
+	byID := func(a, b graph.Edge) int { return cmp.Compare(graph.EdgeID(a.W), graph.EdgeID(b.W)) }
+	if g, w := sorted(relabelArcs(v, parent), byID), sorted(relabelArcs(all, parent), byID); !slices.Equal(g, w) {
 		t.Fatalf("%s: relabel emits %d edges %v, the fresh view %d %v", where, len(g), g, len(w), w)
 	}
-	g, _ := merge.RemoveMultiEdges(got)
-	w, _ := merge.RemoveMultiEdges(want)
-	if !slices.Equal(g, w) {
+	ghost := func(x int32) int32 { return x }
+	byPair := func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) }
+	got, _ := merge.Relabel(nil, v, parent, ghost)
+	want, _ := merge.Relabel(nil, all, parent, ghost)
+	if g, w := sorted(got, byPair), sorted(want, byPair); !slices.Equal(g, w) {
 		t.Fatalf("%s: component graph %v, the fresh view gives %v", where, g, w)
 	}
 }
@@ -189,6 +216,83 @@ func TestKernelLivePrefix(t *testing.T) {
 	})
 	if stops == 0 {
 		t.Fatal("no run stopped with merges pending: the Terminator case was not covered")
+	}
+}
+
+// allArcsOf returns every arc of u, live and retired, in the view's order.
+func allArcsOf(l *boruvka.Local, u int) []arc {
+	dst, w := boruvka.AllArcs(l, u)
+	out := make([]arc, len(dst))
+	for a := range dst {
+		out[a] = arc{dst[a], w[a]}
+	}
+	return out
+}
+
+// isSubsequence reports whether a is b with some elements left out, in
+// b's order.
+func isSubsequence(a, b []arc) bool {
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] != x {
+			j++
+		}
+		if j == len(b) {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// TestKernelArcBookkeeping pins what the scan's moves do to a view's arcs,
+// over every live mode on the golden graphs and windows, each run starting
+// from the arcs its predecessor left. After a run, every vertex's full arc
+// range is a permutation of its arcs before the run, and its live prefix
+// is their stable partition: the arcs it keeps, in their order before the
+// run. Those are all of them for a hub without Contract and for a Contract
+// run of one round, the arcs leaving the vertex's component after a run
+// whose last round merged nothing, and at least those after a Terminator
+// stop.
+func TestKernelArcBookkeeping(t *testing.T) {
+	for gi, el := range boruvka.GoldenGraphs() {
+		deg := el.Degrees()
+		for _, w := range boruvka.GoldenWindows(el.N) {
+			win := boruvka.NewWindow(el, deg, w[0], w[1])
+			for _, m := range liveModes() {
+				where := fmt.Sprintf("g%d [%d,%d) %s", gi, w[0], w[1], m.name)
+				before := make([][]arc, win.N())
+				for u := range win.N() {
+					before[u] = allArcsOf(win, u)
+				}
+				res := boruvka.Run(win, m.opt)
+				stopped := len(res.RoundMerges) > 0 && res.RoundMerges[len(res.RoundMerges)-1] > 0
+				for u := range win.N() {
+					full, live := allArcsOf(win, u), arcsOf(win, u)
+					if !slices.Equal(sortArcs(full), sortArcs(before[u])) {
+						t.Fatalf("%s: vertex %d arcs %v, before the run %v", where, win.IDs[u], full, before[u])
+					}
+					var leaving []arc
+					for _, a := range before[u] {
+						if a.dst < 0 || res.Parent[a.dst] != res.Parent[u] {
+							leaving = append(leaving, a)
+						}
+					}
+					switch {
+					case m.opt.Contract && res.Rounds == 1, !m.opt.Contract && win.Degree(u) >= boruvka.HubDegree:
+						leaving = before[u]
+					case stopped:
+						if !isSubsequence(live, before[u]) || !isSubsequence(leaving, live) {
+							t.Fatalf("%s: vertex %d live arcs %v are not a stable partition of %v keeping %v", where, win.IDs[u], live, before[u], leaving)
+						}
+						continue
+					}
+					if !slices.Equal(live, leaving) {
+						t.Fatalf("%s: vertex %d live arcs %v, want %v", where, win.IDs[u], live, leaving)
+					}
+				}
+			}
+		}
 	}
 }
 

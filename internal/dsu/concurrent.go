@@ -77,6 +77,13 @@ func (c *Concurrent) TryUnion(a, b int32) (root int32, merged bool) {
 // root).
 func (c *Concurrent) Parent(x int32) int32 { return atomic.LoadInt32(&c.parent[x]) }
 
+// Parents returns the parent array itself for plain reads, which must not
+// write it. Only a phase in which no parent changes may read it: no Hook,
+// TryUnion, SetParent or Find (whose path compression writes) may run
+// concurrently. The Boruvka kernel's scan phase is one: it runs after the
+// previous round's flatten and before the next hook.
+func (c *Concurrent) Parents() []int32 { return c.parent }
+
 // SetParent forcibly points x at p with a plain store. The Boruvka kernel
 // uses it to point every member of a merged component straight at the
 // root, after the hook phase's parallel loop has returned. Nothing may

@@ -133,9 +133,10 @@ func TestConcurrentPartitionProperty(t *testing.T) {
 }
 
 // TestConcurrentFlattenBetweenParallelPasses runs the kernels' access
-// pattern, which -race checks: parallel hook and Parent-read passes
+// pattern, which -race checks: parallel hook and read passes
 // (parutil.For) alternate with serial SetParent flatten passes, and a
-// parallel pass sees every plain store of the flatten before it.
+// parallel pass sees every plain store of the flatten before it, through
+// Parent and through a plain read of Parents, as the kernels' scan reads.
 func TestConcurrentFlattenBetweenParallelPasses(t *testing.T) {
 	defer parutil.SetMaxWorkers(parutil.SetMaxWorkers(4))
 	const n = 1 << 12
@@ -150,11 +151,12 @@ func TestConcurrentFlattenBetweenParallelPasses(t *testing.T) {
 			c.SetParent(x, c.Find(x))
 		}
 		var bad parutil.Counter
+		parents := c.Parents()
 		parutil.For(n, 16, func(lo, hi int) {
 			for x := lo; x < hi; x++ {
 				// Blocks of 2·stride elements are one set rooted at
 				// their first element, and every element points at it.
-				if c.Parent(int32(x)) != int32(x&^(2*stride-1)) {
+				if root := int32(x &^ (2*stride - 1)); c.Parent(int32(x)) != root || parents[x] != root {
 					bad.Add(1)
 				}
 			}

@@ -216,12 +216,21 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 		devParent = append(devParent, o.res.Parent...)
 	}
 
+	// The device runs moved only their own copies of v's arcs. Retire the
+	// arcs of v internal to a device component, as a run on v would have,
+	// so the relabels below and the merge phase walk, and size their
+	// results by, only the arcs that can survive.
+	for u := range v.N() {
+		pu := devParent[u]
+		v.Retain(u, func(h int32, _ uint64) bool { return h < 0 || devParent[h] != pu })
+	}
+
 	// Merge the device results on the CPU (§3.5): relabel the node's edges
-	// with every device's parents straight from v's arcs, drop self and
-	// multi edges, then run the merge kernel over the node's surviving
-	// components.
+	// with every device's parents straight from v's arcs, dropping self
+	// and multi edges as it goes, then run the merge kernel over the
+	// node's surviving components.
 	identity := func(x int32) int32 { return x }
-	nodeEdges, wMul := merge.RemoveMultiEdges(merge.Relabel(nil, v, devParent, identity))
+	nodeEdges, wMul := merge.Relabel(nil, v, devParent, identity)
 	wRed := cost.Work{EdgesScanned: v.NumEdges}
 	wRed.Add(wMul)
 	tRed := rt.CPU.Price(wRed)
@@ -264,11 +273,11 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 // Reduce prices and performs the merge-phase data reduction on the rank's
 // CPU: the edges of the view v relabelled through parent (the component of
 // v's vertex i at i) and ghost (the parent function of the external
-// endpoints), self edges dropped (merge.Relabel), then multi-edge removal.
-// The result is built in dst's storage; the relabel scan is charged from
-// v's edge count.
+// endpoints), with self edges dropped and only the lightest edge of each
+// component pair kept, in one walk (merge.Relabel). The result is built in
+// dst's storage; the relabel scan is charged from v's edge count.
 func (rt *Runtime) Reduce(dst []graph.Edge, v *boruvka.Local, parent []int32, ghost func(int32) int32) []graph.Edge {
-	out, w := merge.RemoveMultiEdges(merge.Relabel(dst, v, parent, ghost))
+	out, w := merge.Relabel(dst, v, parent, ghost)
 	w.Add(cost.Work{EdgesScanned: v.NumEdges})
 	rt.R.Compute(rt.CPU.Price(w))
 	return out

@@ -27,15 +27,43 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := Relabel(nil, l, parent, ghost)
+	kept, w := Relabel(nil, l, parent, ghost)
 	// Emitted vertex by vertex: vertex 0's cut edge, then vertex 1's.
 	want := []graph.Edge{{U: 0, V: 5, W: graph.MakeWeight(30, 2)}, {U: 0, V: 3, W: graph.MakeWeight(20, 1)}}
 	if !slices.Equal(kept, want) {
 		t.Fatalf("kept=%+v, want %+v", kept, want)
 	}
+	if w.HashOps != 2 || w.EdgesScanned != 2 {
+		t.Fatalf("work=%+v, want one hash op and one scan per non-self edge", w)
+	}
 	if l.NumEdges != 3 {
 		t.Fatalf("scan covers %d edges, want 3", l.NumEdges)
 	}
+}
+
+// TestRelabelPanicsOnSplitComponent retires the arcs into a star's
+// center, as a kernel run that joined the star would, and relabels
+// through a parent that splits it: the walk meets more pairs than the
+// live arcs bound, which must panic rather than overfill the table.
+func TestRelabelPanicsOnSplitComponent(t *testing.T) {
+	edges := []graph.Edge{
+		{U: 0, V: 1, W: graph.MakeWeight(1, 0)},
+		{U: 0, V: 2, W: graph.MakeWeight(2, 1)},
+		{U: 0, V: 3, W: graph.MakeWeight(3, 2)},
+	}
+	l, err := boruvka.NewLocal([]int32{0, 1, 2, 3}, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 1; u < 4; u++ {
+		l.Retain(u, func(int32, uint64) bool { return false })
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Relabel through a parent that splits the star did not panic")
+		}
+	}()
+	Relabel(nil, l, []int32{0, 1, 2, 3}, func(v int32) int32 { return v })
 }
 
 func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
@@ -45,50 +73,34 @@ func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 		{U: 3, V: 5, W: graph.MakeWeight(90, 2)},
 		{U: 1, V: 2, W: graph.MakeWeight(10, 3)},
 	}
-	out, w := RemoveMultiEdges(edges)
-	if len(out) != 2 {
+	out, w := relabelStream(t, edges)
+	// In first-arrival order: (3,5) then (1,2).
+	if len(out) != 2 || graph.EdgeID(out[0].W) != 1 || graph.EdgeID(out[1].W) != 3 {
 		t.Fatalf("out=%+v", out)
 	}
-	// Sorted by (U,V): (1,2) then (3,5).
-	if graph.EdgeID(out[0].W) != 3 || graph.EdgeID(out[1].W) != 1 {
-		t.Fatalf("out=%+v", out)
-	}
-	if out[1].U != 3 || out[1].V != 5 {
-		t.Fatalf("endpoints not canonical: %+v", out[1])
+	if out[0].U != 3 || out[0].V != 5 {
+		t.Fatalf("endpoints not canonical: %+v", out[0])
 	}
 	if w.HashOps != 4 || w.EdgesScanned != 4 {
 		t.Fatalf("work=%+v, want one hash op and one scan per edge", w)
 	}
-	if out, _ := RemoveMultiEdges(nil); out != nil {
-		t.Fatalf("empty input gave %#v, want nil", out)
+	if out, w := relabelStream(t, nil); len(out) != 0 || w != (cost.Work{}) {
+		t.Fatalf("empty input gave %#v, %+v; want nothing", out, w)
 	}
 }
 
 func TestRemoveMultiEdgesDeterministic(t *testing.T) {
-	var edges []graph.Edge
+	var in []graph.Edge
 	for i := 0; i < 5000; i++ {
-		edges = append(edges, graph.Edge{
+		in = append(in, graph.Edge{
 			U: int32(i % 50), V: int32((i * 7) % 50),
 			W: graph.MakeWeight(uint16(i*2654435761>>10), int32(i)),
 		})
 	}
-	// Filter self pairs for clean input.
-	in := edges[:0]
-	for _, e := range edges {
-		if e.U != e.V {
-			in = append(in, e)
-		}
-	}
-	ref, _ := RemoveMultiEdges(append([]graph.Edge(nil), in...))
+	ref := checkStream(t, in)
 	for trial := 0; trial < 5; trial++ {
-		got, _ := RemoveMultiEdges(append([]graph.Edge(nil), in...))
-		if len(got) != len(ref) {
-			t.Fatalf("lengths differ")
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("trial %d: out[%d] = %+v vs %+v", trial, i, got[i], ref[i])
-			}
+		if got, _ := relabelStream(t, in); !slices.Equal(got, ref) {
+			t.Fatalf("trial %d: %d edges %+v, first run %d %+v", trial, len(got), got, len(ref), ref)
 		}
 	}
 }

@@ -4,12 +4,14 @@
 // exchange within groups, and the transfer encoding used when components
 // move between ranks.
 //
-// The §3.3 pair-min hash table is modeled, not built: RemoveMultiEdges gets
-// the same lightest edge per component pair from a radix sort over the
-// pairs and charges one hash operation per edge, as the table would.
+// The §3.3 pair-min hash table is built into the relabel walk: Relabel
+// keeps the lightest edge of every component pair in an open-addressing
+// table of indices into its output, so the relabelled edge list is never
+// materialised and nothing is sorted.
 //
 // The kernel's Result does not depend on the order of a view's edges, so
-// DedupeByID filters in place, in arrival order, rather than sort.
+// Relabel emits in first-arrival order and DedupeByID filters in place, in
+// arrival order, rather than sort.
 //
 // Component ids are global vertex ids (the minimum original vertex id in
 // the component), so they remain globally unique across every merge level.
@@ -28,26 +30,45 @@ import (
 	"mndmst/internal/graph"
 )
 
-// Relabel extracts the relabelled edge list of the view l: it walks l's
-// live arcs (boruvka.Local.Arcs) vertex by vertex and appends to dst[:0]
-// every edge whose relabelled endpoints differ, dropping self edges (both
-// endpoints in the same component) without materialising the edge list
-// first. After a kernel run on l, the arcs it skips are ones the kernel
-// found internal to a component, so parent must keep the run's components
-// together, as its Result.Parent does. parent[i] is the component of l's
-// vertex i; ghost maps the global id of an external head, read from the
-// arc as ^dst. An inside edge is emitted once, from its smaller endpoint;
-// self-loops are self edges and never survive. The caller charges
-// EdgesScanned = l.NumEdges for it, the scan of every edge, however many
-// arcs the live prefixes skip. dst must not alias l; the edge list l was
-// built from by boruvka.NewLocal, which copies it, is free for reuse.
-// When dst cannot hold l.NumEdges edges, the result is allocated at the
-// size survivors counts.
-func Relabel(dst []graph.Edge, l *boruvka.Local, parent []int32, ghost func(int32) int32) []graph.Edge {
-	if int64(cap(dst)) < l.NumEdges {
-		dst = make([]graph.Edge, 0, survivors(l, parent))
+// Relabel builds the component graph of the view l (§3.3) in one walk
+// over l's live arcs (boruvka.Local.Arcs), vertex by vertex: it relabels
+// every edge's endpoints, drops self edges (both endpoints in the same
+// component) and keeps only the lightest edge between every pair of
+// components, in the paper's pair-keyed min-edge hash table. parent[i] is
+// the component of l's vertex i; ghost maps the global id of an external
+// head, read from the arc as ^dst. The walk skips retired arcs, so each
+// must be internal under parent: after a kernel run on l, parent must keep
+// the run's components together, as its Result.Parent does. An inside
+// edge is met once, from its smaller endpoint; self-loops are self edges
+// and never survive.
+//
+// Every result edge is oriented U < V, and the edges come in the order
+// the walk first meets their pair; equal packed weights are copies of one
+// edge, so the first is kept. No edge gives nil. The work returned is the
+// table's: one hash update and one scan per non-self relabelled edge. The
+// caller charges EdgesScanned = l.NumEdges for the walk, the scan of every
+// edge, however many arcs the live prefixes skip. dst must not alias l;
+// the edge list l was built from by boruvka.NewLocal, which copies it, is
+// free for reuse. The result is built in dst when it can hold liveBound
+// edges, and allocated at that size otherwise.
+func Relabel(dst []graph.Edge, l *boruvka.Local, parent []int32, ghost func(int32) int32) ([]graph.Edge, cost.Work) {
+	n := liveBound(l)
+	if n == 0 {
+		return nil, cost.Work{}
+	}
+	if cap(dst) < n {
+		dst = make([]graph.Edge, 0, n)
 	}
 	out := dst[:0]
+	// table[s] is 1 + the index in out of the edge of the pair that hashes
+	// to slot s or probes on from it, and 0 for an empty slot. It has at
+	// least 2n slots and out never holds more than n pairs (liveBound; a
+	// parent that breaks the contract above panics), so it is at most
+	// half full and a probe always ends.
+	slotBits := bits.Len(uint(2*n - 1))
+	table := make([]int32, 1<<slotBits)
+	mask := uint64(len(table) - 1)
+	var kept int64
 	for u := range l.N() {
 		pu := parent[u]
 		heads, w := l.Arcs(u)
@@ -61,64 +82,57 @@ func Relabel(dst []graph.Edge, l *boruvka.Local, parent []int32, ghost func(int3
 			} else {
 				pv = ghost(^v)
 			}
-			if pu != pv {
-				out = append(out, graph.Edge{U: pu, V: pv, W: w[a]})
+			if pu == pv {
+				continue
+			}
+			kept++
+			lo, hi := min(pu, pv), max(pu, pv)
+			for s := pairHash(lo, hi) >> (64 - slotBits); ; s = (s + 1) & mask {
+				i := table[s]
+				if i == 0 {
+					if len(out) == n {
+						panic("merge: Relabel: more pairs than liveBound; parent splits a component a retired arc is internal to")
+					}
+					out = append(out, graph.Edge{U: lo, V: hi, W: w[a]})
+					table[s] = int32(len(out))
+					break
+				}
+				if e := &out[i-1]; e.U == lo && e.V == hi {
+					if graph.WeightLess(w[a], e.W) {
+						e.W = w[a]
+					}
+					break
+				}
 			}
 		}
 	}
-	return out
+	if len(out) == 0 {
+		out = nil
+	}
+	return out, cost.Work{HashOps: kept, EdgesScanned: kept}
 }
 
-// survivors counts the edges Relabel keeps without calling ghost, over
-// the same live arcs: every cut edge counts, so the count is exact whenever no external head maps
-// into a component of l. That holds across ranks, whose components are
-// disjoint; otherwise it is an upper bound.
-func survivors(l *boruvka.Local, parent []int32) int {
-	inside := 0 // an inside survivor is met from both its ends
+// pairHash is the Fibonacci hash of the oriented pair (lo, hi): its top
+// bits depend on every bit of both ids.
+func pairHash(lo, hi int32) uint64 {
+	return (uint64(uint32(lo))<<32 | uint64(uint32(hi))) * 0x9e3779b97f4a7c15
+}
+
+// liveBound bounds the edges Relabel keeps from l's live arc counts
+// alone: every cut arc, live or not, and half the other live arcs. An
+// inside edge that survives has both its arcs live, since a retired arc
+// is internal. After a kernel run that ended with a round of no merges,
+// every live arc of a vertex below the kernel's hub degree leaves its
+// component, so the bound is exact unless an external head maps into a
+// component of l, which cannot happen across ranks, whose components are
+// disjoint.
+func liveBound(l *boruvka.Local) int {
+	live := 0
 	for u := range l.N() {
-		pu := parent[u]
 		heads, _ := l.Arcs(u)
-		for _, v := range heads {
-			if v >= 0 && parent[v] != pu {
-				inside++
-			}
-		}
+		live += len(heads)
 	}
-	return int(l.NumCut) + inside/2
-}
-
-// RemoveMultiEdges keeps only the lightest edge between every pair of
-// components: it orients every edge so that U < V, radix-sorts the slice
-// by (U, V) and keeps the lightest edge of each run of equal pairs (equal
-// weights are copies of one edge). The result reuses edges and is sorted
-// by (U, V). The work charged is that of the §3.3 pair-min hash table, one
-// update per edge: the table is modeled, not built.
-func RemoveMultiEdges(edges []graph.Edge) ([]graph.Edge, cost.Work) {
-	w := cost.Work{HashOps: int64(len(edges)), EdgesScanned: int64(len(edges))}
-	if len(edges) == 0 {
-		return nil, w
-	}
-	u, v := emptyRange, emptyRange
-	for i := range edges {
-		e := &edges[i]
-		if e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		u.add(e.U)
-		v.add(e.V)
-	}
-	radixSort(edges, edgeKey{lo: u.lo, vlo: v.lo, vBits: v.bits(), bits: u.bits() + v.bits()})
-	out := edges[:1]
-	for _, e := range edges[1:] {
-		last := &out[len(out)-1]
-		switch {
-		case e.U != last.U || e.V != last.V:
-			out = append(out, e)
-		case graph.WeightLess(e.W, last.W):
-			*last = e
-		}
-	}
-	return out, w
+	return (live + int(l.NumCut)) / 2
 }
 
 // DedupeByID removes duplicate copies of the same original edge (same ID),
@@ -159,69 +173,13 @@ func DedupeByID(edges []graph.Edge) []graph.Edge {
 	return out
 }
 
-// keyRange tracks the range of one int32 sort key.
+// keyRange tracks the range of int32 keys.
 type keyRange struct{ lo, hi int32 }
 
 // emptyRange is the range of no keys; add widens it.
 var emptyRange = keyRange{lo: math.MaxInt32, hi: math.MinInt32}
 
 func (r *keyRange) add(x int32) { r.lo, r.hi = min(r.lo, x), max(r.hi, x) }
-
-// bits is the width of the largest offset from lo.
-func (r *keyRange) bits() int { return bits.Len32(uint32(r.hi) - uint32(r.lo)) }
-
-// edgeKey is the unsigned sort key of an edge: its U offset from lo above
-// its V offset from vlo. Offsets keep the signed order and make the key
-// only as wide as the keys' range.
-type edgeKey struct {
-	lo    int32
-	vlo   int32
-	vBits int
-	bits  int // width of the key
-}
-
-func (k edgeKey) of(e *graph.Edge) uint64 {
-	return uint64(uint32(e.U)-uint32(k.lo))<<k.vBits | uint64(uint32(e.V)-uint32(k.vlo))
-}
-
-// radixSort stably sorts a by k in LSD passes. The digit width follows
-// len(a), not the key width, so the scratch (one copy of a and one count
-// per digit value) is O(len(a)) however large the ids are.
-func radixSort(a []graph.Edge, k edgeKey) {
-	n := len(a)
-	if n < 2 || k.bits == 0 {
-		return
-	}
-	maxDigit := min(max(bits.Len(uint(n))-1, 8), 16)
-	passes := (k.bits + maxDigit - 1) / maxDigit
-	digit := (k.bits + passes - 1) / passes
-	count := make([]int, 1<<digit)
-	mask := uint64(len(count) - 1)
-	src, dst := a, make([]graph.Edge, n)
-	for shift := 0; shift < k.bits; shift += digit {
-		clear(count)
-		for i := range src {
-			count[k.of(&src[i])>>shift&mask]++
-		}
-		if count[k.of(&src[0])>>shift&mask] == n {
-			continue // one digit value: the pass would not move anything
-		}
-		sum := 0
-		for d, c := range count {
-			count[d] = sum
-			sum += c
-		}
-		for i := range src {
-			d := k.of(&src[i]) >> shift & mask
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
 
 // Delta is one parent update: component Old merged into component New.
 type Delta struct{ Old, New int32 }

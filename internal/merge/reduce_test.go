@@ -9,13 +9,15 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mndmst/internal/boruvka"
+	"mndmst/internal/cost"
 	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
 )
 
-// pairMinReference is RemoveMultiEdges built the way the paper's §3.3
-// describes it: a map from the oriented component pair to its lightest
-// edge, dumped and sorted by (U, V).
+// pairMinReference is the §3.3 pair-min table the way the paper describes
+// it: a map from the oriented component pair to its lightest edge, dumped
+// and sorted by (U, V).
 func pairMinReference(edges []graph.Edge) []graph.Edge {
 	best := make(map[[2]int32]graph.Edge)
 	for _, e := range edges {
@@ -33,10 +35,111 @@ func pairMinReference(edges []graph.Edge) []graph.Edge {
 	for _, e := range best {
 		out = append(out, e)
 	}
-	slices.SortFunc(out, func(a, b graph.Edge) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
+	slices.SortFunc(out, comparePairs)
 	return out
+}
+
+// comparePairs orders edges by (U, V).
+func comparePairs(a, b graph.Edge) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+}
+
+// byPair returns a copy of edges sorted by (U, V).
+func byPair(edges []graph.Edge) []graph.Edge {
+	edges = slices.Clone(edges)
+	slices.SortFunc(edges, comparePairs)
+	return edges
+}
+
+// relabelReference is Relabel without the table: every non-self
+// relabelled edge of l's live arcs, in walk order and as relabelled, not
+// oriented.
+func relabelReference(l *boruvka.Local, parent []int32, ghost func(int32) int32) []graph.Edge {
+	var out []graph.Edge
+	for u := range l.N() {
+		heads, w := l.Arcs(u)
+		for a, v := range heads {
+			var pv int32
+			switch {
+			case v < 0:
+				pv = ghost(^v)
+			case int(v) > u:
+				pv = parent[v]
+			default:
+				continue
+			}
+			if parent[u] != pv {
+				out = append(out, graph.Edge{U: parent[u], V: pv, W: w[a]})
+			}
+		}
+	}
+	return out
+}
+
+// checkPairMin checks Relabel's result got and work w against stream, the
+// non-self relabelled edges its walk met (relabelReference): as a set, got
+// is pairMinReference(stream); got lists the pairs in the order stream
+// first meets them; and w charges one hash op and one scan per edge of
+// stream.
+func checkPairMin(t testing.TB, got []graph.Edge, w cost.Work, stream []graph.Edge) {
+	t.Helper()
+	bySet := byPair(got)
+	if want := pairMinReference(stream); !slices.Equal(bySet, want) {
+		t.Fatalf("pairs %+v, want %+v", bySet, want)
+	}
+	first := make(map[[2]int32]int, len(got))
+	for i, e := range stream {
+		k := [2]int32{min(e.U, e.V), max(e.U, e.V)}
+		if _, ok := first[k]; !ok {
+			first[k] = i
+		}
+	}
+	for i := 1; i < len(got); i++ {
+		if a, b := first[[2]int32{got[i-1].U, got[i-1].V}], first[[2]int32{got[i].U, got[i].V}]; a >= b {
+			t.Fatalf("pair %d first met at %d, after pair %d's %d: not first-arrival order", i-1, a, i, b)
+		}
+	}
+	if n := int64(len(stream)); w.HashOps != n || w.EdgesScanned != n {
+		t.Fatalf("work=%+v for %d relabelled edges", w, n)
+	}
+}
+
+// streamView builds a view plus a parent map whose relabel walk meets the
+// component edges in, in order: local vertex i has one cut arc, to the
+// ghost len(in)+i, and its parent is in[i].U, while ghost maps the ghost
+// to in[i].V. A self pair of in is a self edge.
+func streamView(t testing.TB, in []graph.Edge) (*boruvka.Local, []int32, func(int32) int32) {
+	t.Helper()
+	k := int32(len(in))
+	ids := make([]int32, k)
+	parent := make([]int32, k)
+	arcs := make([]graph.Edge, k)
+	for i, e := range in {
+		ids[i], parent[i] = int32(i), e.U
+		arcs[i] = graph.Edge{U: int32(i), V: k + int32(i), W: e.W}
+	}
+	l, err := boruvka.NewLocal(ids, arcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, parent, func(g int32) int32 { return in[g-k].V }
+}
+
+// relabelStream runs Relabel over streamView(in).
+func relabelStream(t testing.TB, in []graph.Edge) ([]graph.Edge, cost.Work) {
+	t.Helper()
+	l, parent, ghost := streamView(t, in)
+	return Relabel(nil, l, parent, ghost)
+}
+
+// checkStream runs Relabel over streamView(in), checks it with
+// checkPairMin and returns its edges.
+func checkStream(t testing.TB, in []graph.Edge) []graph.Edge {
+	t.Helper()
+	l, parent, ghost := streamView(t, in)
+	got, w := Relabel(nil, l, parent, ghost)
+	checkPairMin(t, got, w, relabelReference(l, parent, ghost))
+	return got
 }
 
 // dedupeReference keeps the first copy of every edge id, sorted by id.
@@ -94,7 +197,8 @@ func equalWeightEdge(u, v, eid int32) graph.Edge {
 // TestRemoveMultiEdgesAllEqualWeightsOrderIndependent puts every weight in
 // one 16-bit class, so only the edge id decides each pair's minimum, and
 // presents the candidates in ascending, descending and shuffled id order
-// and with flipped orientation: the output must be identical every time.
+// and with flipped orientation: the pairs and their edges must be
+// identical every time, in each stream's first-arrival order.
 func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 	rng := testutil.Rand(t, 4001)
 	const pairs, perPair = 64, 9
@@ -129,9 +233,9 @@ func TestRemoveMultiEdgesAllEqualWeightsOrderIndependent(t *testing.T) {
 		t.Run(o.name, func(t *testing.T) {
 			stream := slices.Clone(cands)
 			o.perm(stream)
-			got, _ := RemoveMultiEdges(stream)
-			if !slices.Equal(got, want) {
-				t.Fatalf("got %+v\nwant %+v", got, want)
+			got := checkStream(t, stream)
+			if bySet := byPair(got); !slices.Equal(bySet, want) {
+				t.Fatalf("got %+v\nwant %+v", bySet, want)
 			}
 		})
 	}
@@ -148,7 +252,7 @@ func TestRemoveMultiEdgesKeepsMinimum(t *testing.T) {
 		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
 		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
 	}
-	out, w := RemoveMultiEdges(in)
+	out, w := relabelStream(t, in)
 	want := []graph.Edge{
 		{U: 1, V: 2, W: graph.MakeWeight(40, 2)},
 		{U: 3, V: 4, W: graph.MakeWeight(10, 3)},
@@ -172,7 +276,7 @@ func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
 		asc = append(asc, equalWeightEdge(9, 5, i))
 	}
 	for _, in := range [][]graph.Edge{desc, asc} {
-		out, _ := RemoveMultiEdges(in)
+		out, _ := relabelStream(t, in)
 		if len(out) != 1 || out[0] != equalWeightEdge(5, 9, 0) {
 			t.Fatalf("kept %+v, want the eid-0 minimum", out)
 		}
@@ -180,21 +284,28 @@ func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
 }
 
 // TestRemoveMultiEdgesOrientationCanonical checks that an edge and its
-// reverse come out as the same record, smaller endpoint first.
+// reverse come out as the same record, smaller endpoint first, and that
+// an edge inside one component does not come out.
 func TestRemoveMultiEdgesOrientationCanonical(t *testing.T) {
 	f := func(a, b int32) bool {
-		x, _ := RemoveMultiEdges([]graph.Edge{{U: a, V: b, W: graph.MakeWeight(1, 0)}})
-		y, _ := RemoveMultiEdges([]graph.Edge{{U: b, V: a, W: graph.MakeWeight(1, 0)}})
+		x, _ := relabelStream(t, []graph.Edge{{U: a, V: b, W: graph.MakeWeight(1, 0)}})
+		y, _ := relabelStream(t, []graph.Edge{{U: b, V: a, W: graph.MakeWeight(1, 0)}})
+		if a == b {
+			return len(x) == 0 && len(y) == 0
+		}
 		return len(x) == 1 && x[0] == y[0] && x[0].U == min(a, b) && x[0].V == max(a, b)
 	}
 	if err := quick.Check(f, testutil.Quick(t, 4003, 0)); err != nil {
 		t.Fatal(err)
 	}
+	if !f(7, 7) {
+		t.Fatal("a self edge came out")
+	}
 }
 
 // TestRemoveMultiEdgesLargeIDsSmallScratch feeds three residual edges of a
-// graph with vertex ids near math.MaxInt32 and edge ids near MaxEdges: the
-// sort scratch follows the edge count, not the ids, so it stays tiny.
+// graph with component ids near math.MaxInt32 and edge ids near MaxEdges:
+// the pair table follows the edge count, not the ids, so it stays tiny.
 func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
 	const top, eid = math.MaxInt32, graph.MaxEdges - 1
 	in := []graph.Edge{
@@ -203,19 +314,20 @@ func TestRemoveMultiEdgesLargeIDsSmallScratch(t *testing.T) {
 		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 	}
 	want := []graph.Edge{
-		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 		{U: top - 7, V: top, W: graph.MakeWeight(2, eid-2)},
+		{U: 0, V: top - 1, W: graph.MakeWeight(1, eid)},
 	}
+	l, parent, ghost := streamView(t, in)
 	const runs = 100
 	buf := make([]graph.Edge, len(in))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		copy(buf, in)
-		if out, _ := RemoveMultiEdges(buf); !slices.Equal(out, want) {
+		out, _ := Relabel(buf, l, parent, ghost)
+		if !slices.Equal(out, want) {
 			t.Fatalf("out=%+v, want %+v", out, want)
 		}
-		DedupeByID(buf)
+		DedupeByID(out)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
@@ -255,18 +367,13 @@ func fuzzSeeds(f *testing.F) {
 	})
 }
 
+// FuzzRemoveMultiEdges checks Relabel's pair-min table on the relabel
+// walk of fuzzEdges' component edges, with checkStream: against the walk
+// without the table followed by pairMinReference.
 func FuzzRemoveMultiEdges(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in := fuzzEdges(data)
-		want := pairMinReference(in)
-		got, w := RemoveMultiEdges(in)
-		if !slices.Equal(got, want) {
-			t.Fatalf("got %+v\nwant %+v", got, want)
-		}
-		if w.HashOps != int64(len(in)) || w.EdgesScanned != int64(len(in)) {
-			t.Fatalf("work=%+v for %d edges", w, len(in))
-		}
+		checkStream(t, fuzzEdges(data))
 	})
 }
 

@@ -2,6 +2,7 @@ package merge
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mndmst/internal/boruvka"
@@ -22,12 +23,13 @@ func relabelList(edges []graph.Edge, pf func(int32) int32) []graph.Edge {
 	return out
 }
 
-// TestRelabelWindowMatchesRelabel: the fused walk over a window's arcs
-// emits exactly what the per-edge reference keeps of the range's
-// extracted edge list, in the same order, into a slice of exactly that
-// size. So does the walk over NewLocal
-// of that list when it appends into the list's own storage, as a later
-// iteration's reduction does.
+// TestRelabelWindowMatchesRelabel: the walk over a window's arcs meets
+// exactly the edges the per-edge reference keeps of the range's extracted
+// edge list, in the same order, and Relabel keeps the lightest of each
+// pair in first-arrival order (checkPairMin). The walk over NewLocal of
+// that list gives the same edges when it writes into the list's own
+// storage, as a later iteration's reduction does. After a kernel run on
+// the window, the result has exactly the capacity it needs.
 func TestRelabelWindowMatchesRelabel(t *testing.T) {
 	el := gen.RMAT(256, 2048, 29) // hubs, self-loops and parallel edges
 	deg := el.Degrees()
@@ -66,14 +68,13 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 				edges = append(edges, graph.Edge{U: u, V: v, W: e.W})
 			}
 		}
-		want := relabelList(edges, pf)
-		got := Relabel(nil, boruvka.NewWindow(el, deg, lo, hi), parent, ghost)
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("[%d,%d): window emits %d edges, reference keeps %d", lo, hi, len(got), len(want))
+		stream := relabelList(edges, pf)
+		win := boruvka.NewWindow(el, deg, lo, hi)
+		if walk := relabelReference(win, parent, ghost); !reflect.DeepEqual(walk, stream) {
+			t.Fatalf("[%d,%d): window walk meets %d edges, reference keeps %d", lo, hi, len(walk), len(stream))
 		}
-		if cap(got) != len(got) { // no ghost maps into the range, so the count is exact
-			t.Fatalf("[%d,%d): %d edges relabelled into capacity %d", lo, hi, len(got), cap(got))
-		}
+		got, w := Relabel(nil, win, parent, ghost)
+		checkPairMin(t, got, w, stream)
 		var ids []int32
 		for v := lo; v < hi; v++ {
 			ids = append(ids, v)
@@ -82,8 +83,19 @@ func TestRelabelWindowMatchesRelabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Relabel(edges, l, parent, ghost); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("[%d,%d): NewLocal into its own list emits %d edges, reference keeps %d", lo, hi, len(got), len(want))
+		if again, _ := Relabel(edges, l, parent, ghost); !slices.Equal(again, got) {
+			t.Fatalf("[%d,%d): NewLocal into its own list keeps %d edges, the window %d", lo, hi, len(again), len(got))
+		}
+		// After a kernel run, every live arc of the window survives its
+		// parents, and heads outside keep their ids, so the result is
+		// sized exactly.
+		res := boruvka.Run(win, boruvka.DefaultOptions())
+		keep := func(v int32) int32 { return v }
+		ran, w := Relabel(nil, win, res.Parent, keep)
+		stream = relabelReference(win, res.Parent, keep)
+		checkPairMin(t, ran, w, stream)
+		if cap(ran) != len(stream) {
+			t.Fatalf("[%d,%d): %d relabelled edges after a run, result capacity %d", lo, hi, len(stream), cap(ran))
 		}
 	}
 }

@@ -39,6 +39,11 @@ func TestRelabelDropsSelfEdges(t *testing.T) {
 	if l.NumEdges != 3 {
 		t.Fatalf("scan covers %d edges, want 3", l.NumEdges)
 	}
+	// Through one component, ghost included, every edge is a self edge:
+	// nil again, even with room in dst.
+	if out, w := Relabel(make([]graph.Edge, 0, 4), l, []int32{0, 0, 0, 0, 0}, func(int32) int32 { return 0 }); out != nil || w != (cost.Work{}) {
+		t.Fatalf("all self edges gave %#v, %+v; want nil and no work", out, w)
+	}
 }
 
 // TestRelabelPanicsOnSplitComponent retires the arcs into a star's
@@ -84,8 +89,10 @@ func TestRemoveMultiEdgesKeepsLightest(t *testing.T) {
 	if w.HashOps != 4 || w.EdgesScanned != 4 {
 		t.Fatalf("work=%+v, want one hash op and one scan per edge", w)
 	}
-	if out, w := relabelStream(t, nil); len(out) != 0 || w != (cost.Work{}) {
-		t.Fatalf("empty input gave %#v, %+v; want nothing", out, w)
+	// Even with room in dst, no edge gives nil.
+	l, parent, ghost := streamView(t, nil)
+	if out, w := Relabel(make([]graph.Edge, 0, 4), l, parent, ghost); out != nil || w != (cost.Work{}) {
+		t.Fatalf("empty input gave %#v, %+v; want nil and no work", out, w)
 	}
 }
 

@@ -40,15 +40,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON delivers one JSON response. A failed write means the client
-// vanished mid-response; the job itself is unaffected, so the error is
-// only logged.
+// writeJSON delivers one JSON response as a single line of compact JSON.
+// Indenting would put every forest edge id on its own line, more than
+// doubling a reply's bytes and its encode time. A failed write means the
+// client vanished mid-response; the job itself is unaffected, so the
+// error is only logged.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.logf("serve: deliver response: %v", err)
 	}
 }

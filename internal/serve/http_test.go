@@ -311,3 +311,131 @@ func TestHTTPWaitersSurviveDrain(t *testing.T) {
 		t.Fatalf("waiter during drain: %+v", o)
 	}
 }
+
+// TestJobReplyCompact pins the job reply on the wire: a waiting submit
+// and a later GET of the same job each answer with one line of compact
+// JSON that decodes to the job's own status, edge ids included, under a
+// fixed key set.
+func TestJobReplyCompact(t *testing.T) {
+	s, ts := newHTTPServer(t, Config{Workers: 1}, nil)
+
+	resp, posted := postJob(t, ts,
+		`{"graph":{"profile":"road_usa","scale":0.02},"options":{"nodes":2},"include_edges":true,"wait":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: %d %s", resp.StatusCode, posted)
+	}
+	var js JobStatus
+	if err := json.Unmarshal(posted, &js); err != nil {
+		t.Fatal(err)
+	}
+	job, ok := s.Job(js.ID)
+	if !ok {
+		t.Fatalf("job %q not found", js.ID)
+	}
+	want := job.Status()
+	if want.State != string(StateDone) || want.Result == nil || len(want.Result.EdgeIDs) == 0 {
+		t.Fatalf("want a done job with edge ids, got %+v", want)
+	}
+	getResp, err := http.Get(ts.URL + "/v1/jobs/" + js.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched bytes.Buffer
+	_, err = fetched.ReadFrom(getResp.Body)
+	getResp.Body.Close()
+	if err != nil || getResp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job: %d, %v", getResp.StatusCode, err)
+	}
+
+	for route, raw := range map[string][]byte{"POST /v1/jobs": posted, "GET /v1/jobs/{id}": fetched.Bytes()} {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		compact.WriteByte('\n')
+		if !bytes.Equal(raw, compact.Bytes()) {
+			t.Errorf("%s reply is not one line of compact JSON:\n%.300s", route, raw)
+		}
+		var got JobStatus
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s reply decodes to\n%+v\nwant the job's status\n%+v", route, got, want)
+		}
+		var obj map[string]any
+		if err := json.Unmarshal(raw, &obj); err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		shape := make(map[string]string)
+		jsonShape("", obj, shape)
+		if !reflect.DeepEqual(shape, jobStatusShape) {
+			t.Errorf("%s reply shape:\n got %v\nwant %v", route, shape, jobStatusShape)
+		}
+	}
+}
+
+// jobStatusShape is the JSON contract of a done, cold job's reply with
+// include_edges: every key and its JSON kind, a result key as
+// "result.<key>". cache_hit, coalesced, error and trace are left out
+// while unset. Clients decode replies by key.
+var jobStatusShape = map[string]string{
+	"id": "string", "state": "string",
+	"queue_seconds": "number", "run_seconds": "number", "result": "object",
+	"result.graph_digest": "string", "result.vertices": "number",
+	"result.edges": "number", "result.system": "string",
+	"result.options_fingerprint": "string", "result.forest_edges": "number",
+	"result.components": "number", "result.total_weight": "number",
+	"result.sim_seconds": "number", "result.compute_seconds": "number",
+	"result.comm_seconds": "number", "result.bytes_sent": "number",
+	"result.messages_sent": "number", "result.edge_ids": "array",
+}
+
+// jsonShape records every key of obj under prefix with its JSON kind,
+// and the keys of a nested object under "key.".
+func jsonShape(prefix string, obj map[string]any, shape map[string]string) {
+	for k, v := range obj {
+		switch v := v.(type) {
+		case map[string]any:
+			shape[prefix+k] = "object"
+			jsonShape(prefix+k+".", v, shape)
+		case []any:
+			shape[prefix+k] = "array"
+		case string:
+			shape[prefix+k] = "string"
+		case float64:
+			shape[prefix+k] = "number"
+		case bool:
+			shape[prefix+k] = "bool"
+		default:
+			shape[prefix+k] = fmt.Sprintf("%T", v)
+		}
+	}
+}
+
+// BenchmarkJobReply times the reply layer alone: writeJSON encoding a
+// done job whose result carries a forest of 13 000 edge ids, the size of
+// a serve-mix road-pool answer.
+func BenchmarkJobReply(b *testing.B) {
+	const forest = 13000
+	ids := make([]int32, forest)
+	for i := range ids {
+		ids[i] = int32(i + i/5) // a road grid has about 1.2 edges per vertex
+	}
+	st := JobStatus{
+		ID: "j-000001", State: string(StateDone), QueueSeconds: 1.25e-5, RunSeconds: 0.0041,
+		Result: &Record{
+			GraphDigest: "sha256:" + strings.Repeat("5e", 32), Vertices: forest + 1, Edges: 15600,
+			System: SystemMND, OptionsFingerprint: "v1;nodes=4;machine=amd",
+			ForestEdges: forest, Components: 1, TotalWeight: 2242719863,
+			SimSeconds: 0.0041, ComputeSeconds: 0.0032, CommSeconds: 0.0009,
+			BytesSent: 418816, MessagesSent: 96, EdgeIDs: ids,
+		},
+	}
+	s := &Server{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.writeJSON(httptest.NewRecorder(), http.StatusOK, st)
+	}
+}

@@ -68,17 +68,10 @@ func TestMetricsMatchStatsAndTrace(t *testing.T) {
 	var raw map[string]any
 	getJSON(t, ts.URL+"/v1/stats", &raw)
 	shape := make(map[string]string, len(raw))
+	jsonShape("", raw, shape)
 	for k, v := range raw {
-		switch v := v.(type) {
-		case bool:
-			shape[k] = "bool"
-		case float64:
-			shape[k] = "number"
-			if v != math.Trunc(v) {
-				t.Errorf("/v1/stats %s = %g, want an integer", k, v)
-			}
-		default:
-			shape[k] = fmt.Sprintf("%T", v)
+		if v, ok := v.(float64); ok && v != math.Trunc(v) {
+			t.Errorf("/v1/stats %s = %g, want an integer", k, v)
 		}
 	}
 	if !reflect.DeepEqual(shape, statsShape) {

@@ -103,10 +103,10 @@ run_serve() {
 
 run_metrics_smoke() {
     # Metrics smoke against the real binary: start mndmst-serve, run the
-    # same job twice (cold compute, then cache hit), and require the
-    # /metrics exposition to show exactly that — the grep is on full
-    # sample lines, so a renamed series or a miscounted increment fails
-    # the gate, not just an empty scrape.
+    # same job twice (cold compute, then cache hit), check the cache-hit
+    # reply, and require the /metrics exposition to show exactly that —
+    # the grep is on full sample lines, so a renamed series or a
+    # miscounted increment fails the gate, not just an empty scrape.
     echo "== serve metrics smoke (live /metrics scrape) =="
     tmp=$(mktemp -d)
     trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$tmp"' EXIT
@@ -123,7 +123,21 @@ run_metrics_smoke() {
     [ -n "$addr" ] || { echo "mndmst-serve never announced its address" >&2; cat "$tmp/serve.log"; exit 1; }
     body='{"graph":{"profile":"road_usa","scale":0.05},"options":{"nodes":2},"wait":true}'
     curl -sf "http://$addr/v1/jobs" -d "$body" > /dev/null
-    curl -sf "http://$addr/v1/jobs" -d "$body" > /dev/null
+    curl -sf "http://$addr/v1/jobs" -d "$body" > "$tmp/hit.json"
+    # The cache-hit reply is one line of compact JSON: one newline, and
+    # it is the last byte.
+    if [ "$(wc -l < "$tmp/hit.json")" -ne 1 ] || [ -n "$(tail -c 1 "$tmp/hit.json")" ]; then
+        echo "metrics smoke: cache-hit reply is not a single line" >&2
+        cat "$tmp/hit.json"
+        exit 1
+    fi
+    for field in '"state":"done"' '"cache_hit":true'; do
+        if ! grep -qF "$field" "$tmp/hit.json"; then
+            echo "metrics smoke: cache-hit reply lacks $field" >&2
+            cat "$tmp/hit.json"
+            exit 1
+        fi
+    done
     curl -sf "http://$addr/metrics" > "$tmp/metrics.txt"
     for line in \
         'mndmst_serve_jobs_total{state="done"} 2' \

@@ -105,6 +105,22 @@ func BenchmarkFindMSFHostLowLocality16(b *testing.B) {
 	}
 }
 
+// BenchmarkFindMSFHostRMAT measures the whole pipeline where merge volume
+// dominates at scale: a Graph500-style R-MAT graph (32 768 vertices,
+// 524 288 edges, no locality) on 4 ranks. Most edges cross partitions, so
+// the component graph that moves between ranks stays large; its B/op is
+// mostly the merge path's copies.
+func BenchmarkFindMSFHostRMAT(b *testing.B) {
+	g := mndmst.GenerateRMAT(1<<15, 1<<19, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFilterKruskalHost is the floor of BenchmarkFindMSFHost:
 // sequential filter-Kruskal, the fastest exact algorithm in the
 // repository, on the same graph.
@@ -122,6 +138,12 @@ func BenchmarkFilterKruskalHostRoad(b *testing.B) {
 // BenchmarkFindMSFHostLowLocality16, on the same graph.
 func BenchmarkFilterKruskalHostLowLocality16(b *testing.B) {
 	benchmarkSequential(b, mndmst.GenerateWebGraph(700, 11000, 0.45, 1))
+}
+
+// BenchmarkFilterKruskalHostRMAT is the floor of BenchmarkFindMSFHostRMAT,
+// on the same graph.
+func BenchmarkFilterKruskalHostRMAT(b *testing.B) {
+	benchmarkSequential(b, mndmst.GenerateRMAT(1<<15, 1<<19, 1))
 }
 
 func benchmarkSequential(b *testing.B, g *mndmst.Graph) {

@@ -394,9 +394,11 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				// Ring-based segment exchange (§3.4): one chunk-interleaved
 				// ring step — the segment streams to the left neighbour
 				// while the right neighbour's streams in, so the whole ring
-				// progresses without any rank blocking in a send. The
-				// merged list stays in arrival order: the next view does
-				// not depend on the order of its edges.
+				// progresses without any rank blocking in a send. The edge
+				// list is split in place, and the arriving segment is
+				// decoded into the room its sent-only edges leave, after
+				// they are encoded; the next view does not depend on the
+				// order of its edges.
 				sendTo, recvFrom := merge.RingNeighbors(grp, r.ID())
 				kept, sent := merge.SplitSegment(m.owned, len(grp))
 				keptE, movedE := merge.SplitEdges(m.edges, kept, sent)
@@ -456,11 +458,10 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	}
 	all := append([]int32(nil), m.chosen...)
 	for src := 1; src < p; src++ {
-		ids, err := merge.RecvForest(r, src, m.cfg.Chunk)
-		if err != nil {
+		var err error
+		if all, err = merge.RecvForest(r, src, all); err != nil {
 			return nil, err
 		}
-		all = append(all, ids...)
 	}
 	return mst.ForestOf(m.el, all), nil
 }

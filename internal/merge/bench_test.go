@@ -52,7 +52,9 @@ var reduceSink []graph.Edge
 // shape of e2ebench's web-lowloc-p16 (700 vertices, 11 000 edges, locality
 // 0.45, 16 ranks in groups of 4): the edges rank 0 keeps, then the segment
 // rank 1 sends it, each rank's edges reduced from its window as
-// hypar.Runtime.Reduce does and split as the ring step does.
+// hypar.Runtime.Reduce does and split in place as the ring step does. The
+// segment lands in the spare tail of rank 0's kept list, where the ring
+// step decodes it.
 func BenchmarkDedupeByID(b *testing.B) {
 	el := gen.WebGraph(700, 11000, 0.45, 1)
 	parent, windows, bounds := firstIteration(el, 16)

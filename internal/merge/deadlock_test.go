@@ -161,11 +161,11 @@ func legacyExchangeDeltas(r *cluster.Rank, active []int, local []Delta, chunk in
 		if src == r.ID() {
 			continue
 		}
-		buf, err := recvChunked(r, src, tagDeltas)
+		t, err := recvChunked(r, src, tagDeltas)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := appendDeltas(nil, buf)
+		ds, err := appendDeltas(nil, t)
 		if err != nil {
 			return nil, err
 		}

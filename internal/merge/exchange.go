@@ -107,51 +107,57 @@ func parseChunkHeader(src int, head []byte) (uint64, error) {
 	return n, nil
 }
 
-// assembler accumulates the chunks of one inbound transfer while enforcing
-// the payload bound cumulatively, so a sender whose header lied small but
-// whose chunks run large is still cut off at the bound.
-type assembler struct {
+// transfer is one inbound chunked payload, its chunks kept as received:
+// the decoders read them in order through a wire.Reader, and nothing
+// copies them together. The first chunk is held apart, so a one-chunk
+// transfer allocates no list. The list grows as chunks arrive, never
+// from the header's count.
+type transfer struct {
 	src   int
-	buf   []byte
+	first []byte
+	more  [][]byte
 	total int64
 }
 
-// add appends one received chunk. Empty chunks are protocol errors: the
-// sender never produces them (a zero-length payload has zero chunks), and
-// admitting them would let a hostile count spin the receive loop without
-// tripping the byte bound. The first chunk is kept as received, capped so
-// that a second one reallocates: a one-chunk payload is never copied, and
-// every receiver only reads the payload.
-func (a *assembler) add(chunk []byte) error {
+// add appends one received chunk, enforcing the payload bound
+// cumulatively, so a sender whose header lied small but whose chunks run
+// large is still cut off at the bound. Empty chunks are protocol errors:
+// the sender never produces them (a zero-length payload has zero chunks),
+// and admitting them would let a hostile count spin the receive loop
+// without tripping the byte bound. Every receiver only reads the chunks.
+func (t *transfer) add(chunk []byte) error {
 	if len(chunk) == 0 {
-		return fmt.Errorf("merge: empty chunk from rank %d (protocol error)", a.src)
+		return fmt.Errorf("merge: empty chunk from rank %d (protocol error)", t.src)
 	}
-	a.total += int64(len(chunk))
-	if bound := MaxPayload(); a.total > bound {
-		return fmt.Errorf("%w: %d bytes from rank %d, bound %d", ErrPayloadBound, a.total, a.src, bound)
+	t.total += int64(len(chunk))
+	if bound := MaxPayload(); t.total > bound {
+		return fmt.Errorf("%w: %d bytes from rank %d, bound %d", ErrPayloadBound, t.total, t.src, bound)
 	}
-	if a.buf == nil {
-		a.buf = chunk[:len(chunk):len(chunk)]
+	if t.first == nil {
+		t.first = chunk
 	} else {
-		a.buf = append(a.buf, chunk...)
+		t.more = append(t.more, chunk)
 	}
 	return nil
 }
 
+// reader returns a reader over the transfer's bytes.
+func (t *transfer) reader() wire.Reader { return wire.NewReader(t.first, t.more) }
+
 // recvChunked receives a payload sent by sendChunked, validating the chunk
 // count and the cumulative size against MaxPayload.
-func recvChunked(r *cluster.Rank, src, tag int) ([]byte, error) {
+func recvChunked(r *cluster.Rank, src, tag int) (transfer, error) {
 	n, err := parseChunkHeader(src, r.Recv(src, tag))
 	if err != nil {
-		return nil, err
+		return transfer{}, err
 	}
-	a := assembler{src: src}
+	t := transfer{src: src}
 	for i := uint64(0); i < n; i++ {
-		if err := a.add(r.Recv(src, tag)); err != nil {
-			return nil, err
+		if err := t.add(r.Recv(src, tag)); err != nil {
+			return transfer{}, err
 		}
 	}
-	return a.buf, nil
+	return t, nil
 }
 
 // exchangeChunked runs one full-duplex chunked transfer: payload goes to
@@ -163,7 +169,7 @@ func recvChunked(r *cluster.Rank, src, tag int) ([]byte, error) {
 // socket buffers, and receive windows can wedge, because every rank
 // drains its inbound stream at the same rate it fills its outbound one.
 // For a pairwise exchange sendTo == recvFrom; for a ring step they differ.
-func exchangeChunked(r *cluster.Rank, sendTo, recvFrom, tag int, payload []byte, chunk int) ([]byte, error) {
+func exchangeChunked(r *cluster.Rank, sendTo, recvFrom, tag int, payload []byte, chunk int) (transfer, error) {
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
@@ -171,21 +177,21 @@ func exchangeChunked(r *cluster.Rank, sendTo, recvFrom, tag int, payload []byte,
 	r.Send(sendTo, tag, wire.AppendUint64(nil, uint64(nSend)))
 	nRecv, err := parseChunkHeader(recvFrom, r.Recv(recvFrom, tag))
 	if err != nil {
-		return nil, err
+		return transfer{}, err
 	}
-	a := assembler{src: recvFrom}
+	t := transfer{src: recvFrom}
 	for i := 0; i < nSend || uint64(i) < nRecv; i++ {
 		if i < nSend {
 			lo, hi := chunkSpan(len(payload), chunk, i)
 			r.Send(sendTo, tag, payload[lo:hi])
 		}
 		if uint64(i) < nRecv {
-			if err := a.add(r.Recv(recvFrom, tag)); err != nil {
-				return nil, err
+			if err := t.add(r.Recv(recvFrom, tag)); err != nil {
+				return transfer{}, err
 			}
 		}
 	}
-	return a.buf, nil
+	return t, nil
 }
 
 // rrRounds reports the number of rounds of the round-robin schedule over n
@@ -249,17 +255,23 @@ func encodeDeltas(ds []Delta) []byte {
 	return buf
 }
 
-// appendDeltas decodes the parent deltas of buf and appends them to dst.
+// appendDeltas decodes the parent deltas of t and appends them to dst.
 // encodeDeltas writes n deltas in 16 + 8n bytes, so the length gives n,
 // and both counts must match it.
-func appendDeltas(dst []Delta, buf []byte) ([]Delta, error) {
-	n := len(buf)/8 - 2
-	if n < 0 || len(buf)%8 != 0 || binary.LittleEndian.Uint64(buf) != uint64(n) || binary.LittleEndian.Uint64(buf[8+4*n:]) != uint64(n) {
-		return dst, fmt.Errorf("merge: malformed delta payload of %d bytes", len(buf))
+func appendDeltas(dst []Delta, t transfer) ([]Delta, error) {
+	olds := t.reader()
+	size := olds.Len()
+	n := size/8 - 2
+	if n < 0 || size%8 != 0 || olds.Uint64() != uint64(n) {
+		return dst, fmt.Errorf("merge: malformed delta payload of %d bytes", size)
 	}
-	olds, news := buf[8:], buf[16+4*n:]
-	for i := 0; i < 4*n; i += 4 {
-		dst = append(dst, Delta{Old: int32(binary.LittleEndian.Uint32(olds[i:])), New: int32(binary.LittleEndian.Uint32(news[i:]))})
+	news := olds
+	news.Skip(4 * n)
+	if news.Uint64() != uint64(n) {
+		return dst, fmt.Errorf("merge: malformed delta payload of %d bytes", size)
+	}
+	for range n {
+		dst = append(dst, Delta{Old: int32(olds.Uint32()), New: int32(news.Uint32())})
 	}
 	return dst, nil
 }
@@ -291,29 +303,29 @@ func ExchangeDeltas(r *cluster.Rank, active []int, local []Delta, chunk int) ([]
 		return nil, w, fmt.Errorf("merge: rank %d not in active set %v", r.ID(), active)
 	}
 	n := len(active)
-	parts := make([][]byte, n)
+	parts := make([]transfer, n)
 	for round, q := 0, rrRounds(n); round < q; round++ {
 		pi := rrPartner(n, round, me)
 		if pi < 0 {
 			continue // bye round (odd participant count)
 		}
-		buf, err := exchangeChunked(r, active[pi], active[pi], tagDeltas, payload, chunk)
+		t, err := exchangeChunked(r, active[pi], active[pi], tagDeltas, payload, chunk)
 		if err != nil {
 			return nil, w, err
 		}
-		parts[pi] = buf
+		parts[pi] = t
 	}
 	total := 0
-	for _, buf := range parts {
-		total += max(len(buf)/8-2, 0) // the deltas appendDeltas finds
+	for i := range parts {
+		total += max(int(parts[i].total)/8-2, 0) // the deltas appendDeltas finds
 	}
 	remote := make([]Delta, 0, total)
-	for i, buf := range parts {
+	for i := range parts {
 		if i == me {
 			continue
 		}
 		var err error
-		if remote, err = appendDeltas(remote, buf); err != nil {
+		if remote, err = appendDeltas(remote, parts[i]); err != nil {
 			return nil, w, err
 		}
 	}
@@ -336,25 +348,30 @@ func encodePayload(p Payload) []byte {
 	return wire.AppendEdges(buf, p.Edges)
 }
 
-// appendPayloads decodes every encoded payload of bufs, in order, and
-// appends its components and edges to into's. Both grow at most once, to
-// their exact final size, and every payload is decoded straight into
-// them.
-func appendPayloads(into Payload, bufs [][]byte) (Payload, error) {
+// appendPayloads decodes every payload of ts, in order, and appends its
+// components and edges to into's. Both grow at most once, to their exact
+// final size, and only when into lacks the room: every payload is decoded
+// from its chunks straight into them. A payload with bytes left over is
+// malformed.
+func appendPayloads(into Payload, ts []transfer) (Payload, error) {
 	nComps, nEdges := 0, 0
-	for _, buf := range bufs {
-		c, e := payloadLens(buf)
+	for i := range ts {
+		c, e := payloadLens(ts[i].reader())
 		nComps += c
 		nEdges += e
 	}
 	comps, edges := reserve(into.Comps, nComps), reserve(into.Edges, nEdges)
-	for _, buf := range bufs {
+	for i := range ts {
+		rd := ts[i].reader()
 		var err error
-		if comps, buf, err = wire.TakeInt32sInto(comps, buf); err != nil {
+		if comps, err = rd.Int32sInto(comps); err != nil {
 			return Payload{}, err
 		}
-		if edges, _, err = wire.TakeEdgesInto(edges, buf); err != nil {
+		if edges, err = rd.EdgesInto(edges); err != nil {
 			return Payload{}, err
+		}
+		if rd.Len() > 0 {
+			return Payload{}, fmt.Errorf("merge: %d trailing bytes after a payload from rank %d", rd.Len(), ts[i].src)
 		}
 	}
 	return Payload{Comps: comps, Edges: edges}, nil
@@ -363,13 +380,20 @@ func appendPayloads(into Payload, bufs [][]byte) (Payload, error) {
 // payloadLens reads the component and edge counts from an encoded
 // payload's headers. A count whose header is missing or claims more bytes
 // than follow reads as 0; decoding then reports the error.
-func payloadLens(buf []byte) (comps, edges int) {
-	nc, rest, err := wire.TakeUint64(buf)
-	if err != nil || nc > uint64(len(rest))/4 {
+func payloadLens(rd wire.Reader) (comps, edges int) {
+	if rd.Len() < 8 {
 		return 0, 0
 	}
-	ne, rest, err := wire.TakeUint64(rest[4*nc:])
-	if err != nil || ne > uint64(len(rest))/graph.EdgeBytes {
+	nc := rd.Uint64()
+	if nc > uint64(rd.Len())/4 {
+		return 0, 0
+	}
+	rd.Skip(4 * int(nc))
+	if rd.Len() < 8 {
+		return int(nc), 0
+	}
+	ne := rd.Uint64()
+	if ne > uint64(rd.Len())/graph.EdgeBytes {
 		return int(nc), 0
 	}
 	return int(nc), int(ne)
@@ -387,15 +411,17 @@ func reserve[T any](s []T, n int) []T {
 // ExchangeSegments runs one ring step of the §3.4 segment exchange: p goes
 // to sendTo while the next segment arrives from recvFrom, chunk-interleaved
 // so the whole ring progresses in lockstep without any rank blocking in a
-// send. The arriving segment is decoded straight into into, which grows
-// once (see appendPayloads). Every member of the ring must call it at the
-// same program point.
+// send. The arriving segment is decoded from its chunks straight into
+// into, which grows only when it lacks the room (see appendPayloads). p is
+// encoded before anything arrives, so into's spare capacity may hold p's
+// storage, as the slices SplitEdges returns do. Every member of the ring
+// must call it at the same program point.
 func ExchangeSegments(r *cluster.Rank, sendTo, recvFrom int, p Payload, chunk int, into Payload) (Payload, error) {
-	buf, err := exchangeChunked(r, sendTo, recvFrom, tagSegment, encodePayload(p), chunk)
+	t, err := exchangeChunked(r, sendTo, recvFrom, tagSegment, encodePayload(p), chunk)
 	if err != nil {
 		return Payload{}, err
 	}
-	return appendPayloads(into, [][]byte{buf})
+	return appendPayloads(into, []transfer{t})
 }
 
 // SendToLeader ships everything a rank owns to its group leader. The send
@@ -408,22 +434,23 @@ func SendToLeader(r *cluster.Rank, leader int, p Payload, chunk int) {
 
 // RecvMembers receives the full state of every member of group but the
 // calling leader and appends it to into, in group order. Every member's
-// buffer arrives before any is decoded, so into's components and edges
-// grow once and each payload is decoded straight into them (see
-// appendPayloads). Reassembly follows each sender's chunk-count header.
+// chunks arrive before any is decoded, so into's components and edges
+// grow at most once and each payload is decoded from its chunks straight
+// into them (see appendPayloads). Reassembly follows each sender's
+// chunk-count header.
 func RecvMembers(r *cluster.Rank, group []int, into Payload) (Payload, error) {
-	bufs := make([][]byte, 0, len(group))
+	ts := make([]transfer, 0, len(group))
 	for _, member := range group {
 		if member == r.ID() {
 			continue
 		}
-		buf, err := recvChunked(r, member, tagToLeader)
+		t, err := recvChunked(r, member, tagToLeader)
 		if err != nil {
 			return Payload{}, err
 		}
-		bufs = append(bufs, buf)
+		ts = append(ts, t)
 	}
-	return appendPayloads(into, bufs)
+	return appendPayloads(into, ts)
 }
 
 // SendForest ships chosen MST edge ids to dst (final result gathering).
@@ -431,12 +458,23 @@ func SendForest(r *cluster.Rank, dst int, ids []int32, chunk int) {
 	sendChunked(r, dst, tagForest, wire.AppendInt32s(nil, ids), chunk)
 }
 
-// RecvForest receives chosen MST edge ids from src.
-func RecvForest(r *cluster.Rank, src int, chunk int) ([]int32, error) {
-	buf, err := recvChunked(r, src, tagForest)
+// RecvForest receives chosen MST edge ids from src and appends them to
+// into, decoding them from their chunks.
+func RecvForest(r *cluster.Rank, src int, into []int32) ([]int32, error) {
+	t, err := recvChunked(r, src, tagForest)
 	if err != nil {
 		return nil, err
 	}
-	ids, _, err := wire.TakeInt32s(buf)
-	return ids, err
+	return appendForest(into, t)
+}
+
+// appendForest decodes the edge ids of t and appends them to dst. A
+// transfer with bytes left over is malformed.
+func appendForest(dst []int32, t transfer) ([]int32, error) {
+	rd := t.reader()
+	dst, err := rd.Int32sInto(dst)
+	if err == nil && rd.Len() > 0 {
+		err = fmt.Errorf("merge: %d trailing bytes after the forest from rank %d", rd.Len(), t.src)
+	}
+	return dst, err
 }

@@ -1,7 +1,9 @@
 package merge
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -127,6 +129,53 @@ func TestExchangeSegmentsAsymmetricSizes(t *testing.T) {
 	}
 }
 
+// TestExchangeSegmentsDecodesIntoTail pins the ring step's reuse of the
+// kept list's spare tail: when into has room for the arriving segment, the
+// segment is decoded into it, the result keeps into's backing arrays, and
+// the step allocates exactly two fewer objects than when into is full —
+// the component and edge lists it no longer grows. A one-rank ring, whose
+// only member sends its segment to itself, keeps every allocation on one
+// goroutine.
+func TestExchangeSegmentsDecodesIntoTail(t *testing.T) {
+	_, err := cluster.New(1, testComm()).Run(context.Background(), func(r *cluster.Rank) error {
+		seg := Payload{Comps: []int32{7, 8, 9}, Edges: make([]graph.Edge, 300)}
+		for i := range seg.Edges {
+			seg.Edges[i] = graph.Edge{U: 7, V: int32(100 + i), W: graph.MakeWeight(uint16(i), int32(10+i))}
+		}
+		full := Payload{Comps: []int32{1, 2}, Edges: []graph.Edge{{U: 1, V: 2, W: graph.MakeWeight(5, 0)}}}
+		roomy := Payload{
+			Comps: append(make([]int32, 0, 8), full.Comps...),
+			Edges: append(make([]graph.Edge, 0, 400), full.Edges...),
+		}
+		got, err := ExchangeSegments(r, 0, 0, seg, 1<<10, roomy)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got.Comps, slices.Concat(full.Comps, seg.Comps)) || !slices.Equal(got.Edges, slices.Concat(full.Edges, seg.Edges)) {
+			return fmt.Errorf("decoded %+v", got)
+		}
+		if &got.Edges[0] != &roomy.Edges[:1][0] || cap(got.Edges) != cap(roomy.Edges) ||
+			&got.Comps[0] != &roomy.Comps[:1][0] || cap(got.Comps) != cap(roomy.Comps) {
+			return fmt.Errorf("the segment was not decoded into the spare tail")
+		}
+		step := func(into Payload) func() {
+			return func() {
+				if _, err := ExchangeSegments(r, 0, 0, seg, 1<<10, into); err != nil {
+					panic(err)
+				}
+			}
+		}
+		withRoom, withoutRoom := testing.AllocsPerRun(50, step(roomy)), testing.AllocsPerRun(50, step(full))
+		if withoutRoom-withRoom != 2 {
+			return fmt.Errorf("%v allocations with room, %v without; want two fewer", withRoom, withoutRoom)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // --- chunked protocol edge cases over both backends ---
 
 // runChunkedCase executes fn as a 2-rank program over the in-process
@@ -192,7 +241,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				return check(got, tc.payload)
+				return check(joined(got), tc.payload)
 			})
 		})
 	}
@@ -230,7 +279,7 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return check(got, 700)
+			return check(joined(got), 700)
 		})
 	})
 }
@@ -251,11 +300,41 @@ func decodePayload(buf []byte) (Payload, error) {
 	return Payload{Comps: comps, Edges: edges}, nil
 }
 
+// chunked splits buf into chunks as a sender would, their sizes taken in
+// turn from sizes (at least one, each at least 1), and collects them as
+// recvChunked does.
+func chunked(buf []byte, sizes ...int) transfer {
+	var t transfer
+	for i, lo := 0, 0; lo < len(buf); i++ {
+		hi := min(lo+sizes[i%len(sizes)], len(buf))
+		if err := t.add(buf[lo:hi]); err != nil {
+			panic(err)
+		}
+		lo = hi
+	}
+	return t
+}
+
+// joined returns the bytes of t in one slice.
+func joined(t transfer) []byte {
+	return slices.Concat(append([][]byte{t.first}, t.more...)...)
+}
+
+// chunkedAll splits every buffer of bufs as chunked does.
+func chunkedAll(bufs [][]byte, sizes ...int) []transfer {
+	ts := make([]transfer, len(bufs))
+	for i, buf := range bufs {
+		ts[i] = chunked(buf, sizes...)
+	}
+	return ts
+}
+
 // TestEncodersSizeExactly checks that encodePayload and encodeDeltas fill
 // their buffers exactly and write the bytes of the length-prefixed
-// AppendInt32s/AppendEdges encoding. It then merges member buffers the
-// way the leader does, decoding into the leader's own slices, and checks
-// the result and every truncation error against decodePayload and append.
+// AppendInt32s/AppendEdges encoding. It then merges member buffers, cut
+// into small chunks, the way the leader does, decoding from the chunks
+// into the leader's own slices, and checks the result and every
+// truncation error against decodePayload and append on the whole buffers.
 func TestEncodersSizeExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(testutil.Seed(t, 29)))
 	payload := func(nc, ne int) Payload {
@@ -287,21 +366,22 @@ func TestEncodersSizeExactly(t *testing.T) {
 		if len(got) != cap(got) || !slices.Equal(got, want) {
 			t.Fatalf("encodeDeltas(%d): len %d cap %d, equal to reference: %v", len(ds), len(got), cap(got), slices.Equal(got, want))
 		}
-		if back, err := appendDeltas(nil, got); err != nil || !slices.Equal(back, ds) {
+		chunk := 1 + rng.Intn(12)
+		if back, err := appendDeltas(nil, chunked(got, chunk)); err != nil || !slices.Equal(back, ds) {
 			t.Fatalf("appendDeltas(nil, encodeDeltas(%d)): %v", len(ds), err)
 		}
 		// Every cut of the buffer, and a count one off in either header,
 		// is malformed, and dst comes back as it was.
 		dst := []Delta{{Old: 1, New: 2}}
 		for cut := range len(got) {
-			if back, err := appendDeltas(dst, got[:cut]); err == nil || !slices.Equal(back, dst) {
+			if back, err := appendDeltas(dst, chunked(got[:cut], chunk)); err == nil || !slices.Equal(back, dst) {
 				t.Fatalf("appendDeltas of %d of %d bytes: %v, %v", cut, len(got), back, err)
 			}
 		}
 		for _, at := range []int{0, 8 + 4*len(ds)} {
 			bad := slices.Clone(got)
 			bad[at]++
-			if back, err := appendDeltas(dst, bad); err == nil || !slices.Equal(back, dst) {
+			if back, err := appendDeltas(dst, chunked(bad, chunk)); err == nil || !slices.Equal(back, dst) {
 				t.Fatalf("appendDeltas with count at byte %d off by one: %v, %v", at, back, err)
 			}
 		}
@@ -331,7 +411,10 @@ func TestEncodersSizeExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendPayloads(Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}, bufs)
+		chunk := 1 + rng.Intn(40)
+		// slices.Clone may round the capacity up; clip it, so that the
+		// merge must grow whenever a member sends anything.
+		got, err := appendPayloads(Payload{Comps: slices.Clip(slices.Clone(leader.Comps)), Edges: slices.Clip(slices.Clone(leader.Edges))}, chunkedAll(bufs, chunk))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -352,11 +435,152 @@ func TestEncodersSizeExactly(t *testing.T) {
 		for cut := range len(whole) {
 			bufs[bad] = whole[:cut]
 			_, wantErr := reference(leader, bufs)
-			_, gotErr := appendPayloads(Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}, bufs)
+			_, gotErr := appendPayloads(Payload{Comps: slices.Clone(leader.Comps), Edges: slices.Clone(leader.Edges)}, chunkedAll(bufs, chunk))
 			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
 				t.Fatalf("trial %d: member %d cut to %d of %d bytes: error %v, want %v", trial, bad, cut, len(whole), gotErr, wantErr)
 			}
 		}
 		bufs[bad] = whole
 	}
+}
+
+// FuzzChunkedDecode checks the decoders of every chunked receive, which
+// read their transfer's chunks in place, against the contiguous decode of
+// the joined bytes. From data it builds a payload, a delta list and a
+// forest id list, encodes each and, by damage, leaves the encoding whole,
+// cuts it short, extends it, or flips bit at%64 of one count header. It
+// splits the result at chunk sizes 1 + sizes[i], cycling (1-byte chunks
+// throughout when sizes is empty), and decodes the chunks. The chunked and
+// contiguous decodes must agree, and neither may panic. A whole encoding
+// must decode to what was encoded. A cut, an extension, and a count off by
+// one or past every byte of the payload must fail. data itself, as a
+// payload, a delta list and a forest, goes through the same comparison.
+func FuzzChunkedDecode(f *testing.F) {
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123"), []byte{0}, uint8(0), uint16(0))
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123"), []byte{2, 6, 15}, uint8(1), uint16(21))
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123"), []byte{}, uint8(2), uint16(3))
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123"), []byte{4}, uint8(3), uint16(0))
+	f.Add([]byte("0123456789abcdef0123456789abcdef0123"), []byte{7}, uint8(7), uint16(62))
+	f.Add([]byte{}, []byte{}, uint8(3), uint16(1))
+
+	f.Fuzz(func(t *testing.T, data, sizes []byte, damage uint8, at uint16) {
+		chunk := []int{1}
+		if len(sizes) > 0 {
+			chunk = make([]int, len(sizes))
+			for i, b := range sizes {
+				chunk[i] = 1 + int(b)
+			}
+		}
+		ids := make([]int32, len(data)/4)
+		for i := range ids {
+			ids[i] = int32(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		p := Payload{Comps: ids[:len(ids)/2], Edges: make([]graph.Edge, len(data)/graph.EdgeBytes)}
+		for i := range p.Edges {
+			p.Edges[i] = graph.DecodeEdge(data[graph.EdgeBytes*i:])
+		}
+		ds := make([]Delta, len(ids)/2)
+		for i := range ds {
+			ds[i] = Delta{Old: ids[i], New: ids[len(ids)-1-i]}
+		}
+
+		// Every decoder returns its result re-encoded, or its failure.
+		type decoder struct {
+			name       string
+			enc        []byte
+			counts     []int // the byte offsets of the encoding's count headers
+			chunked    func(transfer) ([]byte, error)
+			contiguous func([]byte) ([]byte, error)
+		}
+		decoders := []decoder{
+			{
+				name: "payload", enc: encodePayload(p), counts: []int{0, 8 + 4*len(p.Comps)},
+				chunked: func(tr transfer) ([]byte, error) {
+					got, err := appendPayloads(Payload{}, []transfer{tr})
+					return encodePayload(got), err
+				},
+				contiguous: func(buf []byte) ([]byte, error) {
+					comps, rest, err := wire.TakeInt32s(buf)
+					if err != nil {
+						return nil, err
+					}
+					edges, rest, err := wire.TakeEdgesInto(nil, rest)
+					if err == nil && len(rest) > 0 {
+						err = fmt.Errorf("%d trailing bytes", len(rest))
+					}
+					return encodePayload(Payload{Comps: comps, Edges: edges}), err
+				},
+			},
+			{
+				name: "deltas", enc: encodeDeltas(ds), counts: []int{0, 8 + 4*len(ds)},
+				chunked: func(tr transfer) ([]byte, error) {
+					got, err := appendDeltas(nil, tr)
+					return encodeDeltas(got), err
+				},
+				contiguous: func(buf []byte) ([]byte, error) {
+					olds, rest, err := wire.TakeInt32s(buf)
+					if err != nil {
+						return nil, err
+					}
+					news, rest, err := wire.TakeInt32s(rest)
+					if err != nil {
+						return nil, err
+					}
+					if len(olds) != len(news) || len(rest) > 0 {
+						return nil, fmt.Errorf("%d olds, %d news, %d trailing bytes", len(olds), len(news), len(rest))
+					}
+					return wire.AppendInt32s(wire.AppendInt32s(nil, olds), news), nil
+				},
+			},
+			{
+				name: "forest", enc: wire.AppendInt32s(nil, ids), counts: []int{0},
+				chunked: func(tr transfer) ([]byte, error) {
+					got, err := appendForest(nil, tr)
+					return wire.AppendInt32s(nil, got), err
+				},
+				contiguous: func(buf []byte) ([]byte, error) {
+					got, rest, err := wire.TakeInt32s(buf)
+					if err == nil && len(rest) > 0 {
+						err = fmt.Errorf("%d trailing bytes", len(rest))
+					}
+					return wire.AppendInt32s(nil, got), err
+				},
+			},
+		}
+		for _, d := range decoders {
+			// agree decodes buf both ways; they must both fail, or both
+			// succeed with the same result.
+			agree := func(buf []byte) ([]byte, error) {
+				got, gotErr := d.chunked(chunked(buf, chunk...))
+				want, wantErr := d.contiguous(buf)
+				if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !bytes.Equal(got, want) {
+					t.Fatalf("%s of %d bytes in chunks of %v: chunked %x, %v; contiguous %x, %v", d.name, len(buf), chunk, got, gotErr, want, wantErr)
+				}
+				return got, gotErr
+			}
+			agree(data)
+
+			buf, mustFail := slices.Clone(d.enc), true
+			switch damage % 4 {
+			case 0:
+				mustFail = false
+			case 1:
+				buf = buf[:int(at)%len(buf)]
+			case 2:
+				buf = append(buf, data[:min(len(data), int(at)%20)]...)
+				buf = append(buf, 0)
+			case 3:
+				off, bit := d.counts[int(at)/64%len(d.counts)], at%64
+				binary.LittleEndian.PutUint64(buf[off:], binary.LittleEndian.Uint64(buf[off:])^1<<bit)
+				mustFail = bit == 0 || bit >= 40
+			}
+			got, err := agree(buf)
+			switch {
+			case damage%4 == 0 && (err != nil || !bytes.Equal(got, d.enc)):
+				t.Fatalf("%s: decoded %x, %v; want %x", d.name, got, err, d.enc)
+			case mustFail && err == nil:
+				t.Fatalf("%s: damage %d at %d accepted", d.name, damage%4, at)
+			}
+		}
+	})
 }

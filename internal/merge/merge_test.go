@@ -217,16 +217,42 @@ func TestSplitEdges(t *testing.T) {
 		{U: 2, V: 3, W: graph.MakeWeight(0, 1)},  // both
 		{U: 3, V: 99, W: graph.MakeWeight(0, 2)}, // moved only (other endpoint remote)
 		{U: 1, V: 50, W: graph.MakeWeight(0, 3)}, // kept only (other endpoint remote)
+		{U: 7, V: 50, W: graph.MakeWeight(0, 4)}, // neither
 	}
 	k, m := SplitEdges(edges, kept, sent)
-	kida := idsOf(k)
-	mids := idsOf(m)
-	if fmt.Sprint(kida) != "[0 1 3]" {
-		t.Fatalf("kept=%v", kida)
+	if err := checkSplit(edges, k, m, []int32{0, 1, 3}, []int32{1, 2}, []int32{1}, 1); err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(mids) != "[1 2]" {
-		t.Fatalf("moved=%v", mids)
+}
+
+// checkSplit checks a SplitEdges result against the ids each list must
+// hold, as multisets, and its layout in the storage of edges, the list
+// that was split: kept is a prefix of it that keeps its capacity, moved
+// the part after the edges kept only and before the nNeither edges in
+// neither list, and their overlap is exactly the edges in both.
+func checkSplit(edges, kept, moved []graph.Edge, wantKept, wantMoved, wantBoth []int32, nNeither int) error {
+	sorted := func(ids []int32) []int32 {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		return ids
 	}
+	if got, want := sorted(idsOf(kept)), sorted(wantKept); !slices.Equal(got, want) {
+		return fmt.Errorf("kept %v, want %v", got, want)
+	}
+	if got, want := sorted(idsOf(moved)), sorted(wantMoved); !slices.Equal(got, want) {
+		return fmt.Errorf("moved %v, want %v", got, want)
+	}
+	from := len(kept) - len(wantBoth)
+	if cap(kept) != cap(edges) || len(edges) > 0 && &kept[:1][0] != &edges[0] {
+		return fmt.Errorf("kept (%d of cap %d) is not a prefix of the %d edges of cap %d", len(kept), cap(kept), len(edges), cap(edges))
+	}
+	if from+len(moved) != len(edges)-nNeither || len(moved) > 0 && &moved[0] != &edges[from] {
+		return fmt.Errorf("moved (%d) does not start at %d and end before the %d edges in neither list, of %d", len(moved), from, nNeither, len(edges))
+	}
+	if got, want := sorted(idsOf(edges[from:len(kept)])), sorted(wantBoth); !slices.Equal(got, want) {
+		return fmt.Errorf("kept and moved overlap in %v, want the edges in both, %v", got, want)
+	}
+	return nil
 }
 
 // TestSplitEdgesMatchesSetReference splits random edge lists over random
@@ -267,23 +293,26 @@ func TestSplitEdgesMatchesSetReference(t *testing.T) {
 			edges[i] = graph.Edge{U: end(), V: end(), W: graph.MakeWeight(uint16(rng.Intn(100)), int32(i))}
 		}
 		keptSet, sentSet := set(kept), set(sent)
-		var wantKept, wantMoved []graph.Edge
+		var wantKept, wantMoved, wantBoth []int32
+		nNeither := 0
 		for _, e := range edges {
-			if sentSet[e.U] || sentSet[e.V] {
-				wantMoved = append(wantMoved, e)
+			isSent, isKept := sentSet[e.U] || sentSet[e.V], keptSet[e.U] || keptSet[e.V]
+			if isSent {
+				wantMoved = append(wantMoved, graph.EdgeID(e.W))
 			}
-			if keptSet[e.U] || keptSet[e.V] {
-				wantKept = append(wantKept, e)
+			if isKept {
+				wantKept = append(wantKept, graph.EdgeID(e.W))
+			}
+			if isSent && isKept {
+				wantBoth = append(wantBoth, graph.EdgeID(e.W))
+			}
+			if !isSent && !isKept {
+				nNeither++
 			}
 		}
 		gotKept, gotMoved := SplitEdges(edges, kept, sent)
-		if !slices.Equal(gotKept, wantKept) || !slices.Equal(gotMoved, wantMoved) {
-			t.Fatalf("trial %d: kept %v sent %v: got kept %v moved %v, want %v %v",
-				trial, kept, sent, idsOf(gotKept), idsOf(gotMoved), idsOf(wantKept), idsOf(wantMoved))
-		}
-		if cap(gotKept) != len(gotKept) || cap(gotMoved) != len(gotMoved) {
-			t.Fatalf("trial %d: outputs not exactly sized: kept %d/%d moved %d/%d",
-				trial, len(gotKept), cap(gotKept), len(gotMoved), cap(gotMoved))
+		if err := checkSplit(edges, gotKept, gotMoved, wantKept, wantMoved, wantBoth, nNeither); err != nil {
+			t.Fatalf("trial %d: kept %v sent %v: %v", trial, kept, sent, err)
 		}
 	}
 }
@@ -340,7 +369,7 @@ func TestChunkedExchangeAndPayloads(t *testing.T) {
 			SendForest(r, 0, []int32{8, 9, 10}, 0)
 		}
 		if r.ID() == 0 {
-			ids, err := RecvForest(r, 2, 0)
+			ids, err := RecvForest(r, 2, nil)
 			if err != nil {
 				return err
 			}
@@ -393,10 +422,11 @@ func TestChunkBoundaryProperty(t *testing.T) {
 				sendChunked(r, 1, 999, data, tc.chunk)
 				return nil
 			}
-			got, err := recvChunked(r, 0, 999)
+			t, err := recvChunked(r, 0, 999)
 			if err != nil {
 				return err
 			}
+			got := joined(t)
 			if len(got) != tc.payload {
 				return fmt.Errorf("payload %d chunk %d: got %d bytes", tc.payload, tc.chunk, len(got))
 			}

@@ -6,14 +6,21 @@ import "mndmst/internal/graph"
 // away. Every edge incident to a sent component travels with the payload;
 // every edge incident to a kept owned component stays. An edge between a
 // kept and a sent component does both — the invariant is that an edge copy
-// lives at each rank owning one of its endpoints.
+// lives at each rank owning one of its endpoints. An edge with neither
+// endpoint in kept or sent is in neither list.
 //
 // kept and sent are each sorted, as the prefix and suffix SplitSegment
-// returns. Membership is a one-byte mark per id of their joint span, and a
-// count pass sizes both outputs exactly; an empty output is nil.
+// returns. Membership is a one-byte mark per id of their joint span. The
+// split copies nothing: it reorders edges in place into [kept only | both
+// | sent only | neither] and returns two overlapping slices of it,
+// keptEdges from the start through the both edges and movedEdges from the
+// both edges through the sent-only ones. keptEdges keeps edges' capacity,
+// so whatever is appended to it overwrites the sent-only edges: encode
+// movedEdges first, as ExchangeSegments does. The order within each
+// region is unspecified.
 func SplitEdges(edges []graph.Edge, kept, sent []int32) (keptEdges, movedEdges []graph.Edge) {
 	if len(kept)+len(sent) == 0 {
-		return nil, nil
+		return edges[:0], nil
 	}
 	const isKept, isSent = 1, 2
 	r := emptyRange
@@ -42,26 +49,28 @@ func SplitEdges(edges []graph.Edge, kept, sent []int32) (keptEdges, movedEdges [
 		}
 		return m
 	}
-	var nKept, nMoved int
-	for i := range edges {
-		m := of(&edges[i])
-		nKept += int(m & isKept)
-		nMoved += int(m >> 1) // the isSent bit
-	}
-	if nKept > 0 {
-		keptEdges = make([]graph.Edge, 0, nKept)
-	}
-	if nMoved > 0 {
-		movedEdges = make([]graph.Edge, 0, nMoved)
-	}
-	for i := range edges {
-		m := of(&edges[i])
-		if m&isSent != 0 {
-			movedEdges = append(movedEdges, edges[i])
-		}
-		if m&isKept != 0 {
-			keptEdges = append(keptEdges, edges[i])
+	// A three-way partition into [kept only | both | the rest], then a
+	// two-way one of the rest into [sent only | neither].
+	lo, mid, hi := 0, 0, len(edges)
+	for mid < hi {
+		switch of(&edges[mid]) {
+		case isKept:
+			edges[lo], edges[mid] = edges[mid], edges[lo]
+			lo++
+			mid++
+		case isKept | isSent:
+			mid++
+		default:
+			hi--
+			edges[mid], edges[hi] = edges[hi], edges[mid]
 		}
 	}
-	return keptEdges, movedEdges
+	end := hi
+	for i := hi; i < len(edges); i++ {
+		if of(&edges[i]) == isSent {
+			edges[end], edges[i] = edges[i], edges[end]
+			end++
+		}
+	}
+	return edges[:mid], edges[lo:end:end]
 }

@@ -7,7 +7,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"mndmst/internal/graph"
 )
@@ -31,22 +30,12 @@ func TakeInt32s(buf []byte) ([]int32, []byte, error) {
 // the values to dst, growing it at most once. It returns the extended
 // slice and the remaining bytes; on error dst is not modified.
 func TakeInt32sInto(dst []int32, buf []byte) ([]int32, []byte, error) {
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("wire: short buffer for int32 slice header")
+	r := NewReader(buf, nil)
+	dst, err := r.Int32sInto(dst)
+	if err != nil {
+		return nil, nil, err
 	}
-	n := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	// Divide rather than multiply: 4*n overflows for hostile counts.
-	if n > uint64(len(buf))/4 {
-		return nil, nil, fmt.Errorf("wire: int32 slice truncated: want %d values, have %d bytes", n, len(buf))
-	}
-	start := len(dst)
-	dst = slices.Grow(dst, int(n))[:start+int(n)]
-	for i := range dst[start:] {
-		dst[start+i] = int32(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-	}
-	return dst, buf, nil
+	return dst, r.cur, nil
 }
 
 // AppendUint64s appends a length-prefixed []uint64 to buf.
@@ -156,19 +145,11 @@ func AppendEdges(buf []byte, es []graph.Edge) []byte {
 // TakeEdgesInto decodes a length-prefixed []graph.Edge from buf and
 // appends the edges to dst, growing it at most once. It returns the
 // extended slice and the remaining bytes; on error dst is not modified.
-func TakeEdgesInto(dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("wire: short buffer for edge slice header")
+func TakeEdgesInto(dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) { //lint:testonly the contiguous edge decode the wire fuzzers pin
+	r := NewReader(buf, nil)
+	dst, err := r.EdgesInto(dst)
+	if err != nil {
+		return nil, nil, err
 	}
-	n := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if n > uint64(len(buf))/graph.EdgeBytes {
-		return nil, nil, fmt.Errorf("wire: edge slice truncated: want %d edges, have %d bytes", n, len(buf))
-	}
-	start := len(dst)
-	dst = slices.Grow(dst, int(n))[:start+int(n)]
-	for i := range dst[start:] {
-		dst[start+i] = graph.DecodeEdge(buf[graph.EdgeBytes*i:])
-	}
-	return dst, buf[graph.EdgeBytes*n:], nil
+	return dst, r.cur, nil
 }

@@ -279,7 +279,7 @@ go run ./cmd/mndmst -profile arabic-2005 -scale 0.05 -verify -json
 
 echo "== benches (smoke) =="
 MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \
-    go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|ExchangeComm' -benchtime 1x .
+    go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|FilterKruskalHost|ExchangeComm' -benchtime 1x .
 go test -run XXX -bench Kernel -benchtime 1x -benchmem ./internal/boruvka/
 go test -run XXX -bench . -benchtime 1x ./internal/merge/
 go test -run XXX -bench Host -benchtime 1x ./internal/bsp/ ./internal/apps/

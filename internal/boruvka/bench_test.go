@@ -122,8 +122,27 @@ var windowSink *Local
 // vertices, 90 000 edges), as the ranks do from the edge list, with the
 // degree allreduce replaced by a local count.
 func BenchmarkKernelWindowBuild(b *testing.B) {
-	const ranks = 4
-	el := gen.WebGraph(3000, 90000, 0.88, 1)
+	benchWindowBuild(b, gen.WebGraph(3000, 90000, 0.88, 1), 4)
+}
+
+// BenchmarkKernelWindowBuildRoad is BenchmarkKernelWindowBuild on the shape
+// of e2ebench's road-p4: a 20 000-vertex road grid on 4 ranks. Its edges
+// come in vertex order, so whether an edge is in a rank's range is nearly
+// always what it was for the edge before.
+func BenchmarkKernelWindowBuildRoad(b *testing.B) {
+	benchWindowBuild(b, gen.RoadNetwork(20000, 1), 4)
+}
+
+// BenchmarkKernelWindowBuildLowLocality16 is BenchmarkKernelWindowBuild on
+// the shape of e2ebench's web-lowloc-p16: a low-locality web graph (700
+// vertices, 11 000 edges) on 16 ranks.
+func BenchmarkKernelWindowBuildLowLocality16(b *testing.B) {
+	benchWindowBuild(b, gen.WebGraph(700, 11000, 0.45, 1), 16)
+}
+
+// benchWindowBuild builds every rank's window of el, as the ranks do from
+// the edge list, with the degree allreduce replaced by a local count.
+func benchWindowBuild(b *testing.B, el *graph.EdgeList, ranks int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -319,17 +319,21 @@ func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
 // FuzzNewWindow checks the property of TestNewWindowMatchesNewLocal on
 // small graphs built from the input: byte 0 sizes the vertex set, bytes 1
 // and 2 pick the range (and the part of the component-graph view, whose
-// ids are the vertices that are not multiples of byte 1 % 4 + 2), and
-// each further byte pair is an edge. It then runs the kernel on the
-// window, in the live mode the last byte picks, and checks the live prefixes,
-// the relabel over them, and that a run on a Sub leaves them in place.
+// ids are the vertices that are not multiples of byte 1 % 4 + 2), byte 3
+// tiles the edges when odd, and each further byte pair is an edge. Tiling
+// repeats the edge pattern, each copy with new edge ids, to 2·WindowBlock
+// + 1 + byte 3 / 2 edges, so the window's listing crosses two block
+// edges. It then runs the kernel on the window, in the live mode the last
+// byte picks, and checks the live prefixes, the relabel over them, and
+// that a run on a Sub leaves them in place.
 func FuzzNewWindow(f *testing.F) {
-	f.Add([]byte{5, 1, 4, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
-	f.Add([]byte{1, 0, 1, 0, 0, 0, 0})
-	f.Add([]byte{9, 3, 3, 0, 8, 2, 2})
-	f.Add([]byte{1, 0, 1, 0, 0, 2})
+	f.Add([]byte{5, 1, 4, 0, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{9, 3, 3, 0, 0, 8, 2, 2})
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 2})
+	f.Add([]byte{7, 2, 6, 9, 0, 1, 2, 2, 5, 6, 3, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		n := int32(data[0]%32) + 1
@@ -338,10 +342,16 @@ func FuzzNewWindow(f *testing.F) {
 			lo, hi = hi, lo
 		}
 		el := &graph.EdgeList{N: n}
-		for i := 3; i+1 < len(data); i += 2 {
+		for i := 4; i+1 < len(data); i += 2 {
 			id := int32(len(el.Edges))
 			u, v := int32(data[i])%n, int32(data[i+1])%n
 			el.Edges = append(el.Edges, graph.Edge{U: u, V: v, W: graph.MakeWeight(uint16(data[i])<<8|uint16(data[i+1]), id)})
+		}
+		if pattern := len(el.Edges); data[3]%2 == 1 && pattern > 0 {
+			for id := int32(pattern); id <= 2*boruvka.WindowBlock+int32(data[3]/2); id++ {
+				e := el.Edges[int(id)%pattern]
+				el.Edges = append(el.Edges, graph.Edge{U: e.U, V: e.V, W: graph.MakeWeight(graph.WeightRand(e.W), id)})
+			}
 		}
 		boruvka.CheckWindow(t, el, lo, hi)
 		deg := el.Degrees()

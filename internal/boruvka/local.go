@@ -129,14 +129,28 @@ func NewLocal(ids []int32, edges []graph.Edge) (*Local, error) {
 	return l, nil
 }
 
+// windowBlock is the number of edges NewWindow lists at a time; its block
+// index is a stack array of this many entries.
+const windowBlock = 1024
+
 // NewWindow builds the view of the contiguous vertex range [lo, hi) of el
-// in one pass over the edge list, with no global→local index: the local
-// index of vertex v is v − lo. deg is el's degree vector (Degrees, or the
+// from the edge list, with no global→local index: the local index of
+// vertex v is v − lo. deg is el's degree vector (Degrees, or the
 // allreduced one of partition.ReadBounds); deg[lo:hi] sizes the arc
 // arrays, so there is no count pass. Each vertex's arcs come out in
 // ascending edge id, as in graph.BuildCSR. A self-loop keeps one arc; the
 // slot of its second arc is compacted away. The view equals NewLocal over
 // the range's ids and the edges of el with an endpoint in the range.
+//
+// The edges are read in blocks of windowBlock, two passes per block. The
+// listing pass (listInRange) is branch-free: it writes every edge's block
+// index to a stack array and advances the list's end by the edge's
+// in-range bit, so only the edges with an endpoint in the range stay
+// listed. The fill pass then puts the listed edges' arcs, in edge order.
+// On a web graph whether an edge is in range is a coin flip, which a
+// branch per edge mispredicts. On a road grid, whose edges come in vertex
+// order, that branch is nearly always predicted and the listing is extra
+// work, so the listing loop is unrolled to keep its cost per edge low.
 func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	n := int(hi - lo)
 	l := &Local{IDs: make([]int32, n), off: make([]int64, n+1)}
@@ -154,28 +168,31 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 		l.off[u+1]++
 		l.dst[a], l.w[a] = head, w
 	}
+	var idx [windowBlock]int32
 	loops := false
-	for i := range el.Edges {
-		e := &el.Edges[i]
-		u, v := e.U-lo, e.V-lo
-		uIn, vIn := uint32(u) < uint32(n), uint32(v) < uint32(n)
-		switch {
-		case uIn && vIn:
+	for base := 0; base < len(el.Edges); base += windowBlock {
+		blk := el.Edges[base:min(base+windowBlock, len(el.Edges))]
+		k := listInRange(&idx, blk, lo, n)
+		for _, j := range idx[:k] {
+			e := &blk[j]
+			u, v := e.U-lo, e.V-lo
+			uIn, vIn := uint32(u) < uint32(n), uint32(v) < uint32(n)
 			l.NumEdges++
-			put(u, v, e.W)
-			if u != v {
-				put(v, u, e.W)
-			} else {
-				loops = true
+			switch {
+			case uIn && vIn:
+				put(u, v, e.W)
+				if u != v {
+					put(v, u, e.W)
+				} else {
+					loops = true
+				}
+			case uIn:
+				l.NumCut++
+				put(u, ^e.V, e.W)
+			default:
+				l.NumCut++
+				put(v, ^e.U, e.W)
 			}
-		case uIn:
-			l.NumEdges++
-			l.NumCut++
-			put(u, ^e.V, e.W)
-		case vIn:
-			l.NumEdges++
-			l.NumCut++
-			put(v, ^e.U, e.W)
 		}
 	}
 	for i := range l.IDs {
@@ -187,6 +204,51 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	l.live = make([]int32, n)
 	l.resetLive()
 	return l
+}
+
+// listInRange writes to idx the indexes of blk's edges with an endpoint
+// in [lo, lo+n), in order, and returns how many it wrote. It has no
+// branch that depends on an edge: it writes every index at the list's
+// end k and advances k by the edge's in-range bit, unrolled by eight.
+func listInRange(idx *[windowBlock]int32, blk []graph.Edge, lo int32, n int) int {
+	// in is 1 when e has an endpoint in the range, else 0.
+	in := func(e *graph.Edge) int {
+		return b2i(min(uint32(e.U-lo), uint32(e.V-lo)) < uint32(n))
+	}
+	k, i := 0, 0
+	for ; i+8 <= len(blk); i += 8 {
+		q := blk[i : i+8 : i+8]
+		idx[k] = int32(i)
+		k += in(&q[0])
+		idx[k] = int32(i + 1)
+		k += in(&q[1])
+		idx[k] = int32(i + 2)
+		k += in(&q[2])
+		idx[k] = int32(i + 3)
+		k += in(&q[3])
+		idx[k] = int32(i + 4)
+		k += in(&q[4])
+		idx[k] = int32(i + 5)
+		k += in(&q[5])
+		idx[k] = int32(i + 6)
+		k += in(&q[6])
+		idx[k] = int32(i + 7)
+		k += in(&q[7])
+	}
+	for ; i < len(blk); i++ {
+		idx[k] = int32(i)
+		k += in(&blk[i])
+	}
+	return k
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a flag set,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // compact closes the gaps a fill leaves when a vertex kept fewer arcs than

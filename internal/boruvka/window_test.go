@@ -284,3 +284,82 @@ func TestWindowArcBytes(t *testing.T) {
 			per, slots, n, float64(per-16*n)/float64(slots), limit)
 	}
 }
+
+// TestNewWindowBlockEdges checks NewWindow where its listing blocks meet:
+// edge lists of windowBlock−1, windowBlock, windowBlock+1 and
+// 3·windowBlock+1 edges whose first and last slot of every block hold an
+// edge of one kind for the range under test (both endpoints in it, one
+// endpoint in it from either side, or a self-loop in it), over random
+// filler edges, for every balanced range of the filler.
+func TestNewWindowBlockEdges(t *testing.T) {
+	seed := testutil.Seed(t, 71)
+	const n = 64
+	for _, m := range []int{windowBlock - 1, windowBlock, windowBlock + 1, 3*windowBlock + 1} {
+		rng := rand.New(rand.NewSource(seed + int64(m)))
+		filler := &graph.EdgeList{N: n}
+		for range m {
+			filler.Edges = append(filler.Edges, graph.Edge{U: rng.Int31n(n), V: rng.Int31n(n)})
+		}
+		for _, r := range windowRanges(filler) {
+			lo, hi := r[0], r[1]
+			// in and out pick a vertex inside and outside [lo, hi).
+			in := func() int32 { return lo + rng.Int31n(hi-lo) }
+			out := func() int32 {
+				v := rng.Int31n(n - (hi - lo))
+				if v >= lo {
+					v += hi - lo
+				}
+				return v
+			}
+			kinds := []struct {
+				name string
+				ends func(first bool) (int32, int32)
+			}{
+				{"inside", func(bool) (int32, int32) { return lo, hi - 1 }},
+				{"cut", func(first bool) (int32, int32) {
+					if first {
+						return in(), out()
+					}
+					return out(), in()
+				}},
+				{"self-loop", func(bool) (int32, int32) { v := in(); return v, v }},
+			}
+			for _, kind := range kinds {
+				if lo == hi || (kind.name == "cut" && hi-lo == n) {
+					continue
+				}
+				el := &graph.EdgeList{N: n, Edges: slices.Clone(filler.Edges)}
+				for base := 0; base < m; base += windowBlock {
+					for _, i := range []int{base, min(base+windowBlock, m) - 1} {
+						el.Edges[i].U, el.Edges[i].V = kind.ends(i == base)
+					}
+				}
+				for i := range el.Edges {
+					el.Edges[i].W = graph.MakeWeight(uint16(rng.Intn(1<<16)), int32(i))
+				}
+				t.Run(fmt.Sprintf("m=%d/[%d,%d)/%s", m, lo, hi, kind.name), func(t *testing.T) {
+					checkWindow(t, el, lo, hi)
+				})
+			}
+		}
+	}
+}
+
+// TestNewWindowAllocs pins NewWindow's allocations at six: the Local and
+// its IDs, offsets, heads, weights and live ends. The listing's block
+// index lives on the stack, and compacting a self-loop's spare slot
+// reslices the arc arrays in place.
+func TestNewWindowAllocs(t *testing.T) {
+	el := gen.WebGraph(1<<10, 3*windowBlock, 0.85, 5)
+	el.Edges = slices.DeleteFunc(el.Edges, func(e graph.Edge) bool { return e.U == e.V })
+	loop := &graph.EdgeList{N: el.N, Edges: slices.Clone(el.Edges)}
+	loop.Edges = append(loop.Edges, graph.Edge{U: 1, V: 1, W: graph.MakeWeight(7, int32(len(loop.Edges)))})
+	for _, g := range []*graph.EdgeList{el, loop} {
+		deg := g.Degrees()
+		lo, hi := int32(0), g.N/2
+		allocs := testing.AllocsPerRun(20, func() { windowSink = NewWindow(g, deg, lo, hi) })
+		if allocs != 6 {
+			t.Errorf("%d edges, self-loop %v: NewWindow made %v allocations, want 6", len(g.Edges), g == loop, allocs)
+		}
+	}
+}

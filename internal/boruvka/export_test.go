@@ -9,10 +9,11 @@ const (
 )
 
 var (
-	CheckWindow   = checkWindow
-	CheckLocalSub = checkLocalSub
-	GoldenGraphs  = goldenGraphs
-	GoldenWindows = goldenWindows
+	CheckWindow      = checkWindow
+	CheckLocalRange  = checkLocalRange
+	CheckWindowRange = checkWindowRange
+	GoldenGraphs     = goldenGraphs
+	GoldenWindows    = goldenWindows
 )
 
 // AllArcs returns every arc of local vertex u, live and retired, in the

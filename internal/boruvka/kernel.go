@@ -1,6 +1,7 @@
 package boruvka
 
 import (
+	"slices"
 	"sync"
 
 	"mndmst/internal/cost"
@@ -66,11 +67,11 @@ type Result struct {
 	ChosenIDs []int32
 	// ChosenWeight is the total weight of the chosen edges.
 	ChosenWeight uint64
-	// Parent maps each local vertex (by local index) to the GLOBAL id of
-	// its component representative (the minimum global id in the
-	// component).
+	// Parent maps each local vertex of the run's range, by its index in
+	// the range, to the GLOBAL id of its component representative (the
+	// minimum global id in the component).
 	Parent []int32
-	// Components is the number of components remaining in the local view.
+	// Components is the number of components remaining in the run's range.
 	Components int
 	// FrozenComponents counts components blocked by the exception
 	// condition in the final round.
@@ -89,19 +90,20 @@ type Result struct {
 // power-law hubs from serializing one worker.
 const hubDegree = 1 << 13
 
-// kernel is the state of one Run. A data-driven round costs the vertices
-// and live arcs of the components that merged in the previous round plus their
-// roots; the only O(n) pass left in a round is the graph contraction of
-// Options.Contract.
+// kernel is the state of one RunRange. A data-driven round costs the
+// vertices and live arcs of the components that merged in the previous
+// round plus their roots; the only O(n) pass left in a round is the graph
+// contraction of Options.Contract.
 //
-// Between rounds every tree of uf has depth at most one, so a vertex's
-// parent is its root, and ring threads the members of each component
-// into one cycle.
+// Its arrays are indexed by the view's local index, over the range
+// [base, base+n) of RunRange. Between rounds every tree of uf has depth
+// at most one, so a vertex's parent is its root, and ring threads the
+// members of each component into one cycle.
 type kernel struct {
-	opt   Options
-	n     int
-	uf    *dsu.Concurrent
-	slots []parutil.MinSlot
+	opt     Options
+	base, n int32
+	uf      *dsu.Concurrent
+	slots   []parutil.MinSlot
 	// l is the view the kernel runs on. Its live ends shrink as scanArcs
 	// (for non-hub vertices) or, under Contract, contract retires
 	// internal arcs.
@@ -132,46 +134,55 @@ type kernel struct {
 	res    *Result
 }
 
-func newKernel(l *Local, opt Options, res *Result) *kernel {
+func newKernel(l *Local, a, b int, opt Options, res *Result) *kernel {
 	n := l.N()
 	k := &kernel{
-		opt: opt, n: n, res: res,
+		opt: opt, base: int32(a), n: int32(b - a), res: res,
 		uf:     dsu.NewConcurrent(n),
 		slots:  parutil.NewMinSlots(n),
 		l:      l,
 		ring:   make([]int32, n),
-		active: make([]int32, n),
-		scan:   make([]int32, n),
-		merged: make([]int32, 0, n),
+		active: make([]int32, b-a),
+		scan:   make([]int32, b-a),
+		merged: make([]int32, 0, b-a),
 		seen:   make([]bool, n),
 	}
 	parutil.Iota(k.ring, 0)
-	copy(k.active, k.ring)
-	copy(k.scan, k.ring)
-	l.resetLive()
+	copy(k.active, k.ring[a:b])
+	copy(k.scan, k.ring[a:b])
+	l.resetLive(a, b)
 	if opt.Excpt == ExcptBorderEdge {
 		k.border = make([]bool, n)
-		parutil.For(n, 1<<13, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				k.border[u] = l.Border(u)
+		parutil.For(b-a, 1<<13, func(lo, hi int) {
+			for u := a + lo; u < a+hi; u++ {
+				heads, _ := l.Arcs(u)
+				k.border[u] = slices.ContainsFunc(heads, k.outside)
 			}
 		})
 	}
 	return k
 }
 
-// Run executes the kernel on the local view. It makes every arc live,
-// reorders each vertex's arcs in place as it retires internal ones, and
-// leaves l's live ends (see Local and Arcs). The live arcs keep their
-// order.
-func Run(l *Local, opt Options) *Result {
-	n := l.N()
-	res := &Result{Work: cost.Work{DegreeSkew: l.degreeSkew()}}
+// Run executes the kernel on the whole local view.
+func Run(l *Local, opt Options) *Result { return RunRange(l, 0, l.N(), opt) }
+
+// RunRange executes the kernel in place on local vertices [a, b) of l, as
+// Run would on the view of the range alone. It makes every arc of the
+// range live, reorders each vertex's arcs in place as it retires internal
+// ones, and leaves their live ends (see Local and Arcs); the live arcs
+// keep their order. It touches no arc or live end outside the range, so
+// runs on disjoint ranges may run concurrently. A vertex outside the
+// range is never unioned, so an arc to it reads as external through the
+// same parent test as a ghost's, and only hook, once per active root,
+// compares a head with the range.
+func RunRange(l *Local, a, b int, opt Options) *Result {
+	n := b - a
+	res := &Result{Work: cost.Work{DegreeSkew: l.degreeSkew(a, b)}}
 	if n == 0 {
 		res.Parent = []int32{}
 		return res
 	}
-	k := newKernel(l, opt, res)
+	k := newKernel(l, a, b, opt, res)
 	for round := 1; ; round++ {
 		rw, merges, frozen := k.round()
 		rw.DegreeSkew = res.Work.DegreeSkew
@@ -192,13 +203,13 @@ func Run(l *Local, opt Options) *Result {
 
 	// The rings are dead once the last join returned: Parent takes their
 	// storage.
-	res.Parent = k.ring
+	res.Parent = k.ring[a:b:b]
 	parutil.For(n, 1<<13, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			res.Parent[u] = l.IDs[k.uf.Find(int32(u))]
+		for i := lo; i < hi; i++ {
+			res.Parent[i] = l.IDs[k.uf.Find(k.base+int32(i))]
 		}
 	})
-	res.Components = k.uf.CountSets()
+	res.Components = k.uf.CountSets() - (l.N() - n) // less the singletons outside
 	graph.SortEdgeIDs(res.ChosenIDs)
 	return res
 }
@@ -299,9 +310,9 @@ func (k *kernel) scanArcs() (scanned, proposed int64) {
 }
 
 // hook is the hook phase. Every active root reads its winning arc. A
-// root whose lightest arc is a cut edge (§3.2), or whose component
-// touches the border under ExcptBorderEdge, is frozen; every other root
-// unions along its arc. A slot keeps its arc only when the union
+// root whose lightest arc leaves the range (a cut edge, §3.2), or whose
+// component touches the border under ExcptBorderEdge, is frozen; every
+// other root unions along its arc. A slot keeps its arc only when the union
 // succeeded, for join to record and clear, so all slots are empty once
 // join returns. The active roots are fixed before any union runs, so with
 // distinct weights the successful unions are a forest (mutual pairs
@@ -316,7 +327,7 @@ func (k *kernel) hook() (merges, frozen int) {
 			if a == parutil.NoEdge {
 				continue
 			}
-			if k.border != nil && k.border[r] || k.l.dst[a] < 0 {
+			if k.border != nil && k.border[r] || k.outside(k.l.dst[a]) {
 				f++
 			} else if _, ok := k.uf.TryUnion(r, k.l.dst[a]); ok {
 				m++
@@ -399,6 +410,9 @@ func (k *kernel) join() {
 	k.active, k.merged = roots, merged
 }
 
+// outside reports whether arc head h, a ghost's included, leaves the range.
+func (k *kernel) outside(h int32) bool { return uint32(h-k.base) >= uint32(k.n) }
+
 // external is 1 when the arc to head v leaves component r and 0 when it
 // is internal, computed without a branch: the arc is internal when v is
 // not a ghost (v >= 0) and parents[v] is r. A ghost head reads parents[0]
@@ -458,13 +472,13 @@ func compactLightest(heads []int32, ws []uint64, parents []int32, r int32) (best
 // rounds skip them, and returns the arcs its filter pass scanned: every
 // live arc before the pass.
 func (k *kernel) contract() int64 {
-	l, uf := k.l, k.uf
 	var scanned int64
-	for _, d := range l.live {
+	for _, d := range k.l.live[k.base : k.base+k.n] {
 		scanned += int64(d)
 	}
-	parutil.For(k.n, 1<<12, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
+	parutil.For(int(k.n), 1<<12, func(lo, hi int) {
+		l, uf := k.l, k.uf
+		for u := int(k.base) + lo; u < int(k.base)+hi; u++ {
 			r := uf.Parent(int32(u))
 			l.Retain(u, func(v int32, _ uint64) bool { return v < 0 || uf.Parent(v) != r })
 		}

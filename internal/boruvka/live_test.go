@@ -3,7 +3,6 @@ package boruvka_test
 import (
 	"cmp"
 	"fmt"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -145,18 +144,24 @@ func checkRelabel(t testing.TB, where string, all, v *boruvka.Local, parent []in
 	}
 }
 
-// checkSubOwnsArcs runs the kernel on v.Sub(a, b) and checks that every
-// arc v shows is unchanged, in place.
-func checkSubOwnsArcs(t testing.TB, where string, v *boruvka.Local, a, b int, opt boruvka.Options) {
+// checkRangeOwnsArcs runs the kernel on local vertices [a, b) of v and
+// checks that every vertex outside the range keeps all its arcs, live and
+// retired, in place, and its live end. It first runs the kernel on all of
+// v, so that vertices outside the range have retired arcs to keep.
+func checkRangeOwnsArcs(t testing.TB, where string, v *boruvka.Local, a, b int, opt boruvka.Options) {
 	t.Helper()
-	before := make([][]arc, v.N())
+	boruvka.Run(v, opt)
+	all, live := make([][]arc, v.N()), make([]int, v.N())
 	for u := range v.N() {
-		before[u] = arcsOf(v, u)
+		all[u], live[u] = allArcsOf(v, u), len(arcsOf(v, u))
 	}
-	boruvka.Run(v.Sub(a, b), opt)
+	boruvka.RunRange(v, a, b, opt)
 	for u := range v.N() {
-		if got := arcsOf(v, u); !slices.Equal(got, before[u]) {
-			t.Fatalf("%s: a run on Sub(%d, %d) moved vertex %d's arcs from %v to %v", where, a, b, v.IDs[u], before[u], got)
+		if u >= a && u < b {
+			continue
+		}
+		if got, n := allArcsOf(v, u), len(arcsOf(v, u)); !slices.Equal(got, all[u]) || n != live[u] {
+			t.Fatalf("%s: a run on [%d, %d) moved vertex %d's arcs from %v (%d live) to %v (%d live)", where, a, b, v.IDs[u], all[u], live[u], got, n)
 		}
 	}
 }
@@ -298,8 +303,8 @@ func TestKernelArcBookkeeping(t *testing.T) {
 
 // TestRelabelLiveArcsMatchesFreshView checks that the merge-phase relabel
 // over a view's live arcs after a kernel run equals the relabel over a
-// fresh window of its range, and that a kernel run on a Sub of a view
-// leaves the view's arcs in place.
+// fresh window of its range, and that a kernel run on a range of a view
+// leaves the arcs and live ends outside the range in place.
 func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
 	forGoldenRuns(t, func(where string, all, win *boruvka.Local, res *boruvka.Result, opt boruvka.Options) {
 		checkRelabel(t, where, all, win, res.Parent)
@@ -310,7 +315,7 @@ func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
 			win := boruvka.NewWindow(el, deg, w[0], w[1])
 			n := win.N()
 			for _, m := range liveModes() {
-				checkSubOwnsArcs(t, fmt.Sprintf("g%d [%d,%d) %s", gi, w[0], w[1], m.name), win, n/4, n-n/4, m.opt)
+				checkRangeOwnsArcs(t, fmt.Sprintf("g%d [%d,%d) %s", gi, w[0], w[1], m.name), win, n/4, n-n/4, m.opt)
 			}
 		}
 	}
@@ -325,7 +330,7 @@ func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
 // + 1 + byte 3 / 2 edges, so the window's listing crosses two block
 // edges. It then runs the kernel on the window, in the live mode the last
 // byte picks, and checks the live prefixes, the relabel over them, and
-// that a run on a Sub leaves them in place.
+// that a run on a range leaves the arcs outside it in place.
 func FuzzNewWindow(f *testing.F) {
 	f.Add([]byte{5, 1, 4, 0, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0, 0})
@@ -357,11 +362,9 @@ func FuzzNewWindow(f *testing.F) {
 		deg := el.Degrees()
 		win := boruvka.NewWindow(el, deg, lo, hi)
 		a, b := win.N()/3, win.N()-win.N()/4
-		if got, want := win.Sub(a, b), boruvka.NewWindow(el, deg, lo+int32(a), lo+int32(b)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", n, lo, hi, a, b)
-		}
+		boruvka.CheckWindowRange(t, el, deg, lo, hi, a, b)
 		mod := int32(data[1]%4) + 2
-		boruvka.CheckLocalSub(t, el, func(v int32) bool { return v%mod != 0 }, int(data[1]), int(data[2]))
+		boruvka.CheckLocalRange(t, el, func(v int32) bool { return v%mod != 0 }, int(data[1]), int(data[2]))
 
 		modes := liveModes()
 		m := modes[int(data[len(data)-1])%len(modes)]
@@ -370,6 +373,6 @@ func FuzzNewWindow(f *testing.F) {
 		res := boruvka.Run(win, m.opt)
 		checkLivePrefix(t, where, all, win, res, m.opt)
 		checkRelabel(t, where, all, win, res.Parent)
-		checkSubOwnsArcs(t, where, win, a, b, m.opt)
+		checkRangeOwnsArcs(t, where, win, a, b, m.opt)
 	})
 }

@@ -10,8 +10,9 @@
 // iteration of MND-MST runs on one view. The first is a window over a
 // contiguous vertex range, built by the rank straight from the job's edge
 // list (NewWindow); every later one is built from the component graph's
-// edge list (NewLocal, vertices = component representatives). A device's
-// share of either is cut from it (Sub).
+// edge list (NewLocal, vertices = component representatives). Each device
+// of a node runs the kernel in place on its own contiguous range of the
+// view (RunRange), which reads an arc that leaves the range as a cut arc.
 package boruvka
 
 import (
@@ -21,7 +22,7 @@ import (
 	"mndmst/internal/graph"
 )
 
-// Local is one device's view of its partition: the global ids of the local
+// Local is a node's view of its partition: the global ids of the local
 // vertices and a CSR of arcs out of them. An arc is its head and the packed
 // weight of its undirected edge, which holds the edge id (graph.EdgeID); a
 // head inside the view is stored as its local index, a head outside it is
@@ -31,9 +32,9 @@ import (
 // and the arcs past the end are retired. A new view has every arc live.
 // Retiring arcs (Retain, or a kernel run that finds them internal to a
 // component) moves the kept arcs forward in their order and the retired
-// ones past the end, in place, so the view keeps all its arcs; Run makes
-// every arc live again before its first round. Every view owns its arc
-// arrays; Sub copies them.
+// ones past the end, in place, so the view keeps all its arcs; RunRange
+// makes every arc of its range live again before its first round. Every
+// view owns its arc arrays; the node's devices share them by range.
 type Local struct {
 	IDs []int32 // sorted ascending, unique
 	// NumEdges counts the view's undirected edges (self-loops included),
@@ -125,7 +126,7 @@ func NewLocal(ids []int32, edges []graph.Edge) (*Local, error) {
 		}
 	}
 	l.live = make([]int32, n)
-	l.resetLive()
+	l.resetLive(0, n)
 	return l, nil
 }
 
@@ -202,7 +203,7 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 		l.compact(deg[lo:hi])
 	}
 	l.live = make([]int32, n)
-	l.resetLive()
+	l.resetLive(0, n)
 	return l
 }
 
@@ -267,41 +268,18 @@ func (l *Local) compact(slots []int64) {
 	l.dst, l.w = l.dst[:k:k], l.w[:k:k]
 }
 
-// Sub returns the view of local vertices [a, b) of l: all their arcs,
-// retired or not, every one live, with a head outside [a, b) made
-// external. It copies the arcs of the range, so a kernel run on the
-// sub-view leaves l's arcs as they were.
-func (l *Local) Sub(a, b int) *Local {
-	base, end := l.off[a], l.off[b]
-	s := &Local{
-		IDs:  l.IDs[a:b:b],
-		off:  make([]int64, b-a+1),
-		dst:  make([]int32, end-base),
-		w:    make([]uint64, end-base),
-		live: make([]int32, b-a),
-	}
-	copy(s.w, l.w[base:end])
+// RangeEdges counts the edges with an endpoint in local vertices [a, b),
+// each once, retired arcs included: the NumEdges of the view of the range
+// alone. An arc counts when its head h is not in the range before its
+// tail u: uint32(h−a) ≥ uint32(u−a).
+func (l *Local) RangeEdges(a, b int) int64 {
+	var m int64
 	for u := a; u < b; u++ {
-		s.off[u-a+1] = l.off[u+1] - base
-		s.live[u-a] = int32(l.off[u+1] - l.off[u])
-		for x := l.off[u]; x < l.off[u+1]; x++ {
-			v := l.dst[x]
-			if v >= 0 && int(v) >= a && int(v) < b {
-				if int(v) >= u {
-					s.NumEdges++ // inside edges once, from the smaller end
-				}
-				s.dst[x-base] = v - int32(a)
-				continue
-			}
-			if v >= 0 {
-				v = ^l.IDs[v] // inside l but outside [a, b): a cut arc here
-			}
-			s.NumEdges++
-			s.NumCut++
-			s.dst[x-base] = v
+		for _, h := range l.dst[l.off[u]:l.off[u+1]] {
+			m += int64(b2i(uint32(h-int32(a)) >= uint32(u-a)))
 		}
 	}
-	return s
+	return m
 }
 
 // Arcs returns the heads and packed weights of the live arcs out of local
@@ -323,8 +301,9 @@ func (l *Local) Arcs(u int) (dst []int32, w []uint64) {
 // Retain keeps the live arcs of local vertex u for which keep reports
 // true, in their order, and retires the rest: it swaps each kept arc
 // forward and moves u's live end to just after the last one. It returns
-// the number kept. Retired arcs stay in the view, and the next Run makes
-// them live again. Calls for distinct vertices may run concurrently.
+// the number kept. Retired arcs stay in the view, and the next kernel run
+// over u makes them live again. Calls for distinct vertices may run
+// concurrently.
 func (l *Local) Retain(u int, keep func(head int32, w uint64) bool) int {
 	lo := l.off[u]
 	j := lo
@@ -369,26 +348,27 @@ func (l *Local) Border(u int) bool {
 	return false
 }
 
-// resetLive makes every arc of the view live again.
-func (l *Local) resetLive() {
-	for u := range l.live {
+// resetLive makes every arc of local vertices [a, b) live again.
+func (l *Local) resetLive(a, b int) {
+	for u := a; u < b; u++ {
 		l.live[u] = int32(l.off[u+1] - l.off[u])
 	}
 }
 
-// degreeSkew returns max/avg local degree (1 for empty or regular views).
-func (l *Local) degreeSkew() float64 {
-	n := l.N()
-	if n == 0 || len(l.dst) == 0 {
+// degreeSkew returns max/avg local degree over local vertices [a, b) (1
+// for empty or regular ranges).
+func (l *Local) degreeSkew(a, b int) float64 {
+	n := b - a
+	if n == 0 || l.off[b] == l.off[a] {
 		return 1
 	}
 	var max int64
-	for u := 0; u < n; u++ {
+	for u := a; u < b; u++ {
 		if d := l.Degree(u); d > max {
 			max = d
 		}
 	}
-	avg := float64(len(l.dst)) / float64(n)
+	avg := float64(l.off[b]-l.off[a]) / float64(n)
 	if avg <= 0 {
 		return 1
 	}

@@ -73,7 +73,7 @@ func newLocalMap(ids []int32, edges []graph.Edge) (*Local, error) {
 		}
 	}
 	l.live = make([]int32, n)
-	l.resetLive()
+	l.resetLive(0, n)
 	return l, nil
 }
 

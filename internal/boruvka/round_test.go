@@ -35,7 +35,7 @@ func (k *kernel) members(r int32) []int32 {
 func TestRingsListComponentMembers(t *testing.T) {
 	for _, el := range []*graph.EdgeList{gen.Path(300, 81), gen.Star(300, 82)} {
 		l := fullLocal(t, el)
-		k := newKernel(l, DefaultOptions(), &Result{})
+		k := newKernel(l, 0, l.N(), DefaultOptions(), &Result{})
 		for round := 1; ; round++ {
 			_, merges, _ := k.round()
 			comps := map[int32][]int32{}
@@ -97,7 +97,7 @@ func TestScanChargesMergedMembers(t *testing.T) {
 		for _, contract := range []bool{false, true} {
 			opt := DefaultOptions()
 			opt.Contract = contract
-			k := newKernel(l, opt, &Result{})
+			k := newKernel(l, 0, l.N(), opt, &Result{})
 			members := slices.Clone(k.scan)
 			for round := 1; ; round++ {
 				var want int64

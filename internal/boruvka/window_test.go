@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"mndmst/internal/cost"
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/partition"
@@ -143,12 +144,56 @@ func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 	}
 }
 
-// checkLocalSub checks Sub over a component-graph view: NewLocal over
-// scattered ids (every vertex v of el with keep(v), renamed 3v+1) and the
-// edges touching them, so edges to the other vertices have ghost heads.
-// Sub(a, b) of it must equal NewLocal over ids[a:b] and the edges touching
-// those: the same ids, edge and cut counts, and arcs per vertex.
-func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b int) {
+// rangeModes are the kernel configurations checkRunRange compares: every
+// exception condition, data-driven and topology-driven, with and without
+// contraction, and a Terminator stop after round 2.
+func rangeModes() []Options {
+	var out []Options
+	for _, excpt := range []ExceptionCond{ExcptNone, ExcptBorderVertex, ExcptBorderEdge} {
+		for _, dd := range []bool{true, false} {
+			for _, contract := range []bool{false, true} {
+				out = append(out, Options{Excpt: excpt, DataDriven: dd, Contract: contract})
+			}
+		}
+	}
+	stop := DefaultOptions()
+	stop.Terminator = func(round int, _ cost.Work, _ int) bool { return round >= 2 }
+	return append(out, stop)
+}
+
+// checkRunRange checks RunRange over local vertices [a, b) of l against
+// Run on sub, the view of that range alone: under every rangeModes
+// configuration the Results must be equal, and RangeEdges(a, b) must
+// equal sub's NumEdges. All runs share l and sub, so each starts from the
+// arcs its predecessor permuted.
+func checkRunRange(t testing.TB, where string, l, sub *Local, a, b int) {
+	t.Helper()
+	if got := l.RangeEdges(a, b); got != sub.NumEdges {
+		t.Fatalf("%s: RangeEdges(%d, %d) = %d, the view of the range has %d edges", where, a, b, got, sub.NumEdges)
+	}
+	for _, opt := range rangeModes() {
+		got, want := RunRange(l, a, b, opt), Run(sub, opt)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: RunRange(%d, %d) excpt=%d dd=%v contract=%v stop=%v: %+v, the view of the range gives %+v",
+				where, a, b, opt.Excpt, opt.DataDriven, opt.Contract, opt.Terminator != nil, got, want)
+		}
+	}
+}
+
+// checkWindowRange checks RunRange over local vertices [a, b) of the
+// window of [lo, hi) against Run on the window of [lo+a, lo+b).
+func checkWindowRange(t testing.TB, el *graph.EdgeList, deg []int64, lo, hi int32, a, b int) {
+	t.Helper()
+	checkRunRange(t, fmt.Sprintf("N=%d [%d,%d)", el.N, lo, hi),
+		NewWindow(el, deg, lo, hi), NewWindow(el, deg, lo+int32(a), lo+int32(b)), a, b)
+}
+
+// checkLocalRange checks RunRange over a component-graph view: NewLocal
+// over scattered ids (every vertex v of el with keep(v), renamed 3v+1)
+// and the edges touching them, so edges to the other vertices have ghost
+// heads. RunRange over [a, b) of it must match Run on NewLocal over
+// ids[a:b] and the edges touching those (checkRunRange).
+func checkLocalRange(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b int) {
 	t.Helper()
 	name := func(v int32) int32 { return 3*v + 1 }
 	var ids []int32
@@ -177,28 +222,15 @@ func checkLocalSub(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b
 		}
 		return l
 	}
-	l, want := view(ids), view(ids[a:b])
-	got := l.Sub(a, b)
-	where := fmt.Sprintf("N=%d %d ids, Sub(%d, %d)", el.N, len(ids), a, b)
-	if !slices.Equal(got.IDs, want.IDs) || got.NumEdges != want.NumEdges || got.NumCut != want.NumCut {
-		t.Fatalf("%s: ids %v, %d edges, %d cut; want %v, %d edges, %d cut",
-			where, got.IDs, got.NumEdges, got.NumCut, want.IDs, want.NumEdges, want.NumCut)
-	}
-	for u := range got.N() {
-		dst, w := got.Arcs(u)
-		wdst, ww := want.Arcs(u)
-		if !slices.Equal(dst, wdst) || !slices.Equal(w, ww) {
-			t.Fatalf("%s: vertex %d arcs %v %v, want %v %v", where, got.IDs[u], dst, w, wdst, ww)
-		}
-	}
+	checkRunRange(t, fmt.Sprintf("N=%d %d ids", el.N, len(ids)), view(ids), view(ids[a:b]), a, b)
 }
 
 // TestNewWindowMatchesNewLocal checks NewWindow against NewLocal over the
 // range's edges on messy graphs (hubs, parallel edges, self-loops on
 // range boundaries, isolated vertices) for every balanced range, empty
-// ranges and [0, n) included, and checks that Sub of a window is the
-// window of the sub-range and that Sub of a component-graph view is the
-// NewLocal view of its part.
+// ranges and [0, n) included, and checks that a kernel run on a range of
+// a window or of a component-graph view matches the run on the view of
+// that range alone (checkRunRange).
 func TestNewWindowMatchesNewLocal(t *testing.T) {
 	seed := testutil.Seed(t, 61)
 	for _, el := range []*graph.EdgeList{
@@ -213,19 +245,15 @@ func TestNewWindowMatchesNewLocal(t *testing.T) {
 		deg := el.Degrees()
 		for _, r := range ranges {
 			checkWindow(t, el, r[0], r[1])
-			win := NewWindow(el, deg, r[0], r[1])
-			n := win.N()
+			n := int(r[1] - r[0])
 			for _, s := range [][2]int{{0, n}, {0, n / 2}, {n / 3, n}, {n / 2, n / 2}} {
-				want := NewWindow(el, deg, r[0]+int32(s[0]), r[0]+int32(s[1]))
-				if got := win.Sub(s[0], s[1]); !reflect.DeepEqual(got, want) {
-					t.Fatalf("N=%d [%d,%d): Sub(%d, %d) is not the window of its range", el.N, r[0], r[1], s[0], s[1])
-				}
+				checkWindowRange(t, el, deg, r[0], r[1], s[0], s[1])
 			}
 		}
 		for _, mod := range []int32{2, 3, 7} {
 			keep := func(v int32) bool { return v%mod != 0 }
 			for _, s := range [][2]int{{0, 1 << 30}, {0, 1}, {3, 40}, {int(el.N) / 3, int(el.N) / 2}, {5, 5}} {
-				checkLocalSub(t, el, keep, s[0], s[1])
+				checkLocalRange(t, el, keep, s[0], s[1])
 			}
 		}
 	}

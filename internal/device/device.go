@@ -18,9 +18,10 @@ import (
 type Device interface {
 	// Name identifies the device in reports.
 	Name() string
-	// Run executes the kernel on the local view and returns the result
-	// together with the simulated execution time in seconds.
-	Run(l *boruvka.Local, opt boruvka.Options) (*boruvka.Result, float64)
+	// Run executes the kernel in place on local vertices [a, b) of the
+	// view (boruvka.RunRange) and returns the result together with the
+	// simulated execution time in seconds.
+	Run(l *boruvka.Local, a, b int, opt boruvka.Options) (*boruvka.Result, float64)
 	// Price converts already-measured work into this device's simulated
 	// seconds (used for pricing non-kernel graph operations such as the
 	// merge-phase reductions).
@@ -36,8 +37,8 @@ type CPU struct {
 func (c *CPU) Name() string { return c.Model.Name() }
 
 // Run implements Device.
-func (c *CPU) Run(l *boruvka.Local, opt boruvka.Options) (*boruvka.Result, float64) {
-	res := boruvka.Run(l, opt)
+func (c *CPU) Run(l *boruvka.Local, a, b int, opt boruvka.Options) (*boruvka.Result, float64) {
+	res := boruvka.RunRange(l, a, b, opt)
 	return res, c.Model.Seconds(res.Work)
 }
 
@@ -58,19 +59,20 @@ const exposedTransferFraction = 0.3
 // Name implements Device.
 func (g *GPU) Name() string { return g.Model.Name() }
 
-// transferSeconds prices moving the local view to the device.
-func (g *GPU) transferSeconds(l *boruvka.Local) float64 {
+// transferSeconds prices moving local vertices [a, b) of the view and
+// their edges to the device.
+func (g *GPU) transferSeconds(l *boruvka.Local, a, b int) float64 {
 	if g.Model.TransferBytesPerSec <= 0 {
 		return 0
 	}
-	bytes := l.NumEdges*20 + int64(l.N())*4
+	bytes := l.RangeEdges(a, b)*20 + int64(b-a)*4
 	return float64(bytes) / g.Model.TransferBytesPerSec * exposedTransferFraction
 }
 
 // Run implements Device.
-func (g *GPU) Run(l *boruvka.Local, opt boruvka.Options) (*boruvka.Result, float64) {
-	res := boruvka.Run(l, opt)
-	return res, g.Model.Seconds(res.Work) + g.transferSeconds(l)
+func (g *GPU) Run(l *boruvka.Local, a, b int, opt boruvka.Options) (*boruvka.Result, float64) {
+	res := boruvka.RunRange(l, a, b, opt)
+	return res, g.Model.Seconds(res.Work) + g.transferSeconds(l, a, b)
 }
 
 // Price implements Device.

@@ -31,7 +31,8 @@ func TestCPUAndGPUProduceSameForest(t *testing.T) {
 	el := gen.RMAT(512, 4096, 61)
 	want := mst.Kruskal(el)
 	for _, d := range []Device{cpuDev(), gpuDev()} {
-		res, secs := d.Run(fullLocal(t, el), boruvka.DefaultOptions())
+		l := fullLocal(t, el)
+		res, secs := d.Run(l, 0, l.N(), boruvka.DefaultOptions())
 		got := &mst.Forest{EdgeIDs: res.ChosenIDs, TotalWeight: res.ChosenWeight, Components: res.Components}
 		if !want.Equal(got) {
 			t.Fatalf("%s: wrong forest", d.Name())
@@ -42,28 +43,39 @@ func TestCPUAndGPUProduceSameForest(t *testing.T) {
 	}
 }
 
-// TestGPUChargesTransfers pins the GPU's charge: the kernel plus the
-// exposed fraction of moving the view (20 bytes an edge, 4 a vertex) over
-// the transfer bandwidth, and nothing extra when the bandwidth is 0.
+// TestGPUChargesTransfers pins the GPU's charge for a run on local
+// vertices [a, b): the kernel plus the exposed fraction of moving the
+// range (20 bytes an edge with an endpoint in it, 4 a vertex) over the
+// transfer bandwidth, and nothing extra when the bandwidth is 0. It
+// covers the whole view, whose range edges are all its edges, and a
+// proper sub-range.
 func TestGPUChargesTransfers(t *testing.T) {
 	el := gen.RMAT(512, 8192, 63)
-	l := fullLocal(t, el)
-	res := boruvka.Run(l, boruvka.DefaultOptions())
+	n := int(el.N)
+	for _, r := range [][2]int{{0, n}, {n / 5, n - n/3}} {
+		a, b := r[0], r[1]
+		l := fullLocal(t, el)
+		res := boruvka.RunRange(l, a, b, boruvka.DefaultOptions())
+		edges := l.RangeEdges(a, b)
+		if a == 0 && b == n && edges != l.NumEdges {
+			t.Fatalf("RangeEdges(0, N) = %d, want NumEdges %d", edges, l.NumEdges)
+		}
 
-	gpu := gpuDev()
-	_, got := gpu.Run(fullLocal(t, el), boruvka.DefaultOptions())
-	bytes := float64(20*l.NumEdges + 4*int64(l.N()))
-	if want := gpu.Price(res.Work) + bytes/gpu.Model.TransferBytesPerSec*0.3; got != want {
-		t.Fatalf("charge %g, want kernel + 0.3·transfer = %g", got, want)
-	}
+		gpu := gpuDev()
+		_, got := gpu.Run(fullLocal(t, el), a, b, boruvka.DefaultOptions())
+		bytes := float64(20*edges + 4*int64(b-a))
+		if want := gpu.Price(res.Work) + bytes/gpu.Model.TransferBytesPerSec*0.3; got != want {
+			t.Fatalf("[%d, %d): charge %g, want kernel + 0.3·transfer = %g", a, b, got, want)
+		}
 
-	// Disabled transfer model charges nothing extra.
-	m := cost.K40()
-	m.TransferBytesPerSec = 0
-	free := &GPU{Model: m}
-	_, tFree := free.Run(fullLocal(t, el), boruvka.DefaultOptions())
-	if tFree != free.Price(res.Work) {
-		t.Fatalf("transfer charged despite disabled model")
+		// Disabled transfer model charges nothing extra.
+		m := cost.K40()
+		m.TransferBytesPerSec = 0
+		free := &GPU{Model: m}
+		_, tFree := free.Run(fullLocal(t, el), a, b, boruvka.DefaultOptions())
+		if tFree != free.Price(res.Work) {
+			t.Fatalf("[%d, %d): transfer charged despite disabled model", a, b)
+		}
 	}
 }
 

@@ -155,7 +155,7 @@ func (rt *Runtime) IndComp(v *boruvka.Local) (*IndResult, error) {
 
 // indCompCPU runs the kernel on the CPU alone.
 func (rt *Runtime) indCompCPU(l *boruvka.Local) *IndResult {
-	res, secs := rt.CPU.Run(l, rt.kernelOpts(rt.CPU))
+	res, secs := rt.CPU.Run(l, 0, l.N(), rt.kernelOpts(rt.CPU))
 	rt.R.Compute(secs)
 	return &IndResult{
 		ChosenIDs:  res.ChosenIDs,
@@ -177,11 +177,11 @@ func (rt *Runtime) shares() []float64 {
 	return shares
 }
 
-// indCompMulti splits v into contiguous device ranges by the shares,
-// runs each device's view (cut from v, boruvka.Local.Sub) on the CPU and
-// every accelerator concurrently (the paper dedicates a GPUdriverThread
-// per accelerator; goroutines here), and merges the device results on the
-// CPU.
+// indCompMulti splits v into contiguous device ranges by the shares, runs
+// the CPU and every accelerator concurrently, each in place on its own
+// range of v (boruvka.RunRange; the paper dedicates a GPUdriverThread per
+// accelerator, goroutines here), and merges the device results on the
+// CPU. Each run retires the arcs internal to its own components.
 func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 	b := splitByShares(v, rt.shares())
 	devs := append([]device.Device{rt.CPU}, rt.GPUs...)
@@ -191,7 +191,7 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 	}
 	outs := make([]devOut, len(devs))
 	run := func(i int) {
-		res, secs := devs[i].Run(v.Sub(b[i], b[i+1]), rt.kernelOpts(devs[i]))
+		res, secs := devs[i].Run(v, b[i], b[i+1], rt.kernelOpts(devs[i]))
 		outs[i] = devOut{res: res, secs: secs}
 	}
 	ch := make(chan int, len(devs))
@@ -216,19 +216,11 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 		devParent = append(devParent, o.res.Parent...)
 	}
 
-	// The device runs moved only their own copies of v's arcs. Retire the
-	// arcs of v internal to a device component, as a run on v would have,
-	// so the relabels below and the merge phase walk, and size their
-	// results by, only the arcs that can survive.
-	for u := range v.N() {
-		pu := devParent[u]
-		v.Retain(u, func(h int32, _ uint64) bool { return h < 0 || devParent[h] != pu })
-	}
-
 	// Merge the device results on the CPU (§3.5): relabel the node's edges
-	// with every device's parents straight from v's arcs, dropping self
-	// and multi edges as it goes, then run the merge kernel over the
-	// node's surviving components.
+	// with every device's parents straight from v's live arcs, dropping
+	// self and multi edges as it goes (a hub or a Terminator stop leaves
+	// some internal arcs live), then run the merge kernel over the node's
+	// surviving components.
 	identity := func(x int32) int32 { return x }
 	nodeEdges, wMul := merge.Relabel(nil, v, devParent, identity)
 	wRed := cost.Work{EdgesScanned: v.NumEdges}
@@ -245,7 +237,7 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hypar: node merge view: %w", err)
 	}
-	mres, msecs := rt.CPU.Run(lm, rt.kernelOpts(rt.CPU))
+	mres, msecs := rt.CPU.Run(lm, 0, lm.N(), rt.kernelOpts(rt.CPU))
 	total := tInd + tRed + msecs
 	rt.R.Compute(total)
 
@@ -296,7 +288,7 @@ func (rt *Runtime) PostProcess(owned []int32, edges []graph.Edge) ([]int32, erro
 	if len(rt.GPUs) > 0 && len(edges) >= rt.Cfg.MinGPUEdges {
 		dev = rt.GPUs[0]
 	}
-	res, secs := dev.Run(l, opt)
+	res, secs := dev.Run(l, 0, l.N(), opt)
 	rt.R.Compute(secs)
 	return res.ChosenIDs, nil
 }

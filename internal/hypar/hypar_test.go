@@ -241,9 +241,9 @@ func TestSplitByShares(t *testing.T) {
 	}
 }
 
-// TestDeviceEdgesMulti: a device view cut from the node's view holds every
-// edge with an endpoint on the device; an edge across devices appears in
-// each involved device, as a cut edge.
+// TestDeviceEdgesMulti: a device's range of the node's view holds every
+// edge with an endpoint on the device, and RangeEdges counts them; an edge
+// across devices appears in each involved device, as a cut edge.
 func TestDeviceEdgesMulti(t *testing.T) {
 	// Component ids as a later iteration has them: scattered, with ghosts.
 	ids := []int32{10, 20, 30, 40}
@@ -256,19 +256,23 @@ func TestDeviceEdgesMulti(t *testing.T) {
 	}
 	v := newLocal(t, ids, edges)
 	for d, want := range [][]int32{{0, 1, 3}, {1, 2, 4}} {
-		dev := v.Sub(2*d, 2*d+2)
+		a, b := 2*d, 2*d+2
 		var got []int32
-		for u := range dev.N() {
-			_, w := dev.Arcs(u)
-			for _, x := range w {
+		cut := 0
+		for u := a; u < b; u++ {
+			heads, w := v.Arcs(u)
+			for i, x := range w {
 				if id := graph.EdgeID(x); !slices.Contains(got, id) {
 					got = append(got, id)
+				}
+				if h := heads[i]; h < int32(a) || h >= int32(b) {
+					cut++
 				}
 			}
 		}
 		slices.Sort(got)
-		if !slices.Equal(got, want) || dev.NumEdges != 3 || dev.NumCut != 2 {
-			t.Fatalf("dev%d: edges %v (NumEdges %d, NumCut %d), want %v with 2 cut", d, got, dev.NumEdges, dev.NumCut, want)
+		if edges := v.RangeEdges(a, b); !slices.Equal(got, want) || edges != 3 || cut != 2 {
+			t.Fatalf("dev%d: edges %v (RangeEdges %d, %d cut), want %v with 2 cut", d, got, edges, cut, want)
 		}
 	}
 }

@@ -140,8 +140,8 @@ func TestConvergenceSwitchStrategy(t *testing.T) {
 type flatPriceDevice struct{ inner device.Device }
 
 func (d flatPriceDevice) Name() string { return "flat-" + d.inner.Name() }
-func (d flatPriceDevice) Run(l *boruvka.Local, opt boruvka.Options) (*boruvka.Result, float64) {
-	return d.inner.Run(l, opt)
+func (d flatPriceDevice) Run(l *boruvka.Local, a, b int, opt boruvka.Options) (*boruvka.Result, float64) {
+	return d.inner.Run(l, a, b, opt)
 }
 func (d flatPriceDevice) Price(cost.Work) float64 { return 1 }
 

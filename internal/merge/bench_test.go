@@ -28,20 +28,59 @@ func firstIteration(el *graph.EdgeList, ranks int) (parent []int32, windows []*b
 	return parent, windows, bounds
 }
 
-// BenchmarkReduceWindow reduces rank 0's first-iteration window on a web
-// graph the size of e2ebench's web-p4 (3 000 vertices, 90 000 edges, 4
-// ranks), as hypar.Runtime.Reduce does: every window runs the kernel, and
-// Relabel walks window 0's live arcs through the window parents, dropping
-// self edges and keeping the lightest edge per component pair, into a
-// fresh slice as the first iteration does.
+// remoteDeltas returns, for every window, the parent deltas the other
+// windows send in core's merge phase: each sends its border vertices (those
+// with a live cut arc) whose parent differs from their id, in rank order.
+func remoteDeltas(parent []int32, windows []*boruvka.Local) [][]Delta {
+	border := make([][]Delta, len(windows))
+	for r, win := range windows {
+		for i, id := range win.IDs {
+			if parent[id] != id && win.Border(i) {
+				border[r] = append(border[r], Delta{Old: id, New: parent[id]})
+			}
+		}
+	}
+	remote := make([][]Delta, len(windows))
+	for r := range windows {
+		for s, ds := range border {
+			if s != r {
+				remote[r] = append(remote[r], ds...)
+			}
+		}
+	}
+	return remote
+}
+
+// BenchmarkReduceWindow reduces every first-iteration window of a graph of
+// the shape of an e2ebench solve workload as hypar.Runtime.Reduce does in
+// core's merge phase: every window runs the kernel, and each window's
+// ghosts resolve through the deltas the other windows send, the lookup
+// built from them inside the timed loop as core builds it. Relabel then
+// walks the window's live arcs, dropping self edges and keeping the
+// lightest edge per component pair, into a fresh slice as the first
+// iteration does.
 func BenchmarkReduceWindow(b *testing.B) {
-	el := gen.WebGraph(3000, 90000, 0.88, 1)
-	parent, windows, bounds := firstIteration(el, 4)
-	ghost := func(v int32) int32 { return parent[v] }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reduceSink, _ = Relabel(nil, windows[0], parent[:bounds[1]], ghost)
+	for _, s := range []struct {
+		name  string
+		graph func() *graph.EdgeList
+		ranks int
+	}{
+		{"web-p4", func() *graph.EdgeList { return gen.WebGraph(3000, 90000, 0.88, 1) }, 4},
+		{"web-lowloc-p16", func() *graph.EdgeList { return gen.WebGraph(700, 11000, 0.45, 1) }, 16},
+		{"road-p4", func() *graph.EdgeList { return gen.RoadNetwork(20000, 1) }, 4},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			parent, windows, bounds := firstIteration(s.graph(), s.ranks)
+			remote := remoteDeltas(parent, windows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for r, win := range windows {
+					ghost := ApplyDeltas(remote[r])
+					reduceSink, _ = Relabel(nil, win, parent[bounds[r]:bounds[r+1]], ghost)
+				}
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ const (
 )
 
 var (
+	CheckGhostSpan   = checkGhostSpan
 	CheckWindow      = checkWindow
 	CheckLocalRange  = checkLocalRange
 	CheckWindowRange = checkWindowRange

@@ -329,8 +329,9 @@ func TestRelabelLiveArcsMatchesFreshView(t *testing.T) {
 // repeats the edge pattern, each copy with new edge ids, to 2·WindowBlock
 // + 1 + byte 3 / 2 edges, so the window's listing crosses two block
 // edges. It then runs the kernel on the window, in the live mode the last
-// byte picks, and checks the live prefixes, the relabel over them, and
-// that a run on a range leaves the arcs outside it in place.
+// byte picks, and checks the live prefixes, the relabel over them, that
+// a run on a range leaves the arcs outside it in place, and that the
+// run leaves the ghost span as the window recorded it.
 func FuzzNewWindow(f *testing.F) {
 	f.Add([]byte{5, 1, 4, 0, 0, 1, 1, 1, 1, 2, 3, 3, 2, 1, 4, 4})
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0, 0})
@@ -374,5 +375,6 @@ func FuzzNewWindow(f *testing.F) {
 		checkLivePrefix(t, where, all, win, res, m.opt)
 		checkRelabel(t, where, all, win, res.Parent)
 		checkRangeOwnsArcs(t, where, win, a, b, m.opt)
+		boruvka.CheckGhostSpan(t, where, win)
 	})
 }

@@ -17,6 +17,7 @@ package boruvka
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mndmst/internal/graph"
@@ -40,6 +41,14 @@ type Local struct {
 	// NumEdges counts the view's undirected edges (self-loops included),
 	// each once; NumCut counts those with exactly one local endpoint.
 	NumEdges, NumCut int64
+	// GhostLo and GhostHi are the least and greatest global ids of the
+	// external heads, the view's ghost span, recorded when the view is
+	// built; GhostLo > GhostHi exactly when NumCut == 0. No kernel run or
+	// Retain adds a ghost, so the span holds for the view's life. The
+	// merge phase resolves ghosts through a table over it
+	// (merge.ParentTable): 4 bytes per id, at most 4·N for vertex or
+	// component ids.
+	GhostLo, GhostHi int32
 
 	// CSR over local indices; arcs exist only from local endpoints.
 	off []int64
@@ -78,7 +87,7 @@ func NewLocal(ids []int32, edges []graph.Edge) (*Local, error) {
 		}
 		return -1
 	}
-	l := &Local{IDs: ids, NumEdges: int64(len(edges))}
+	l := &Local{IDs: ids, NumEdges: int64(len(edges)), GhostLo: math.MaxInt32, GhostHi: math.MinInt32}
 	n := len(ids)
 	counts := make([]int64, n+1)
 	for i := range edges {
@@ -89,6 +98,11 @@ func NewLocal(ids []int32, edges []graph.Edge) (*Local, error) {
 		}
 		if (lu < 0) != (lv < 0) {
 			l.NumCut++
+			g := e.U
+			if lu >= 0 {
+				g = e.V
+			}
+			l.GhostLo, l.GhostHi = min(l.GhostLo, g), max(l.GhostHi, g)
 		}
 		if lu >= 0 {
 			counts[lu+1]++
@@ -140,8 +154,9 @@ const windowBlock = 1024
 // allreduced one of partition.ReadBounds); deg[lo:hi] sizes the arc
 // arrays, so there is no count pass. Each vertex's arcs come out in
 // ascending edge id, as in graph.BuildCSR. A self-loop keeps one arc; the
-// slot of its second arc is compacted away. The view equals NewLocal over
-// the range's ids and the edges of el with an endpoint in the range.
+// slot of its second arc is compacted away. The view, its ghost span
+// included, equals NewLocal over the range's ids and the edges of el with
+// an endpoint in the range.
 //
 // The edges are read in blocks of windowBlock, two passes per block. The
 // listing pass (listInRange) is branch-free: it writes every edge's block
@@ -171,6 +186,7 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 	}
 	var idx [windowBlock]int32
 	loops := false
+	glo, ghi := int32(math.MaxInt32), int32(math.MinInt32)
 	for base := 0; base < len(el.Edges); base += windowBlock {
 		blk := el.Edges[base:min(base+windowBlock, len(el.Edges))]
 		k := listInRange(&idx, blk, lo, n)
@@ -189,13 +205,16 @@ func NewWindow(el *graph.EdgeList, deg []int64, lo, hi int32) *Local {
 				}
 			case uIn:
 				l.NumCut++
+				glo, ghi = min(glo, e.V), max(ghi, e.V)
 				put(u, ^e.V, e.W)
 			default:
 				l.NumCut++
+				glo, ghi = min(glo, e.U), max(ghi, e.U)
 				put(v, ^e.U, e.W)
 			}
 		}
 	}
+	l.GhostLo, l.GhostHi = glo, ghi
 	for i := range l.IDs {
 		l.IDs[i] = lo + int32(i)
 	}

@@ -85,7 +85,8 @@ func newLocalMap(ids []int32, edges []graph.Edge) (*Local, error) {
 // local id (even byte) or any id of [0, N−1] scaled the same way (odd
 // byte), which lands outside the span, in a gap, or on a local id. Equal
 // endpoints make self-loops, and two external endpoints an edge with no
-// local endpoint. The views, or the errors, must be equal.
+// local endpoint. The views, or the errors, must be equal, and the view's
+// ghost span must be that of its external heads (checkGhostSpan).
 func FuzzNewLocal(f *testing.F) {
 	f.Add([]byte{255, 3, 0, 128, 255, 0, 2, 4, 4, 1, 2, 2, 255})           // ids 0, N−1 and a middle one; loops; edges within
 	f.Add([]byte{40, 2, 90, 170, 0, 1, 2, 255, 0, 2, 2, 3, 0, 1})          // ghosts below and above the span
@@ -142,6 +143,7 @@ func FuzzNewLocal(f *testing.F) {
 		case !slices.Equal(got.live, want.live):
 			t.Fatalf("%s: live ends %v, want %v", where, got.live, want.live)
 		}
+		checkGhostSpan(t, where, got)
 	})
 }
 

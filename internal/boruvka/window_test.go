@@ -2,6 +2,7 @@ package boruvka
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -96,15 +97,35 @@ func referenceLocal(t testing.TB, el *graph.EdgeList, lo, hi int32) *Local {
 	return l
 }
 
+// checkGhostSpan checks l's recorded ghost span: GhostLo and GhostHi are
+// the least and greatest global id over l's external heads, live or
+// retired, and the span is empty (MaxInt32, MinInt32) exactly when l has
+// no cut edge.
+func checkGhostSpan(t testing.TB, where string, l *Local) {
+	t.Helper()
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+	for _, h := range l.dst {
+		if h < 0 {
+			lo, hi = min(lo, ^h), max(hi, ^h)
+		}
+	}
+	if l.GhostLo != lo || l.GhostHi != hi || (lo > hi) != (l.NumCut == 0) {
+		t.Fatalf("%s: ghost span [%d, %d] with %d cut edges, want [%d, %d]", where, l.GhostLo, l.GhostHi, l.NumCut, lo, hi)
+	}
+}
+
 // checkWindow compares NewWindow over [lo, hi) with NewLocal over the
-// range's edges: the same ids, edge and cut counts, and per vertex the
-// same arcs in ascending edge id, each head decoding (a local index, or
-// ^global when cut) to the other endpoint of its edge.
+// range's edges: the same ids, edge and cut counts, ghost span
+// (checkGhostSpan), and per vertex the same arcs in ascending edge id,
+// each head decoding (a local index, or ^global when cut) to the other
+// endpoint of its edge.
 func checkWindow(t testing.TB, el *graph.EdgeList, lo, hi int32) {
 	t.Helper()
 	where := fmt.Sprintf("N=%d [%d,%d)", el.N, lo, hi)
 	win := NewWindow(el, el.Degrees(), lo, hi)
 	ref := referenceLocal(t, el, lo, hi)
+	checkGhostSpan(t, where+" window", win)
+	checkGhostSpan(t, where+" list", ref)
 	edges, cut := rangeEdges(el, lo, hi)
 	if win.NumEdges != int64(len(edges)) || ref.NumEdges != int64(len(edges)) {
 		t.Fatalf("%s: NumEdges window %d, list %d, want %d", where, win.NumEdges, ref.NumEdges, len(edges))
@@ -192,7 +213,8 @@ func checkWindowRange(t testing.TB, el *graph.EdgeList, deg []int64, lo, hi int3
 // over scattered ids (every vertex v of el with keep(v), renamed 3v+1)
 // and the edges touching them, so edges to the other vertices have ghost
 // heads. RunRange over [a, b) of it must match Run on NewLocal over
-// ids[a:b] and the edges touching those (checkRunRange).
+// ids[a:b] and the edges touching those (checkRunRange), and every view
+// built must record its ghost span (checkGhostSpan).
 func checkLocalRange(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a, b int) {
 	t.Helper()
 	name := func(v int32) int32 { return 3*v + 1 }
@@ -220,6 +242,7 @@ func checkLocalRange(t testing.TB, el *graph.EdgeList, keep func(int32) bool, a,
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGhostSpan(t, fmt.Sprintf("N=%d component view of %d ids", el.N, len(set)), l)
 		return l
 	}
 	checkRunRange(t, fmt.Sprintf("N=%d %d ids", el.N, len(ids)), view(ids), view(ids[a:b]), a, b)

@@ -330,9 +330,15 @@ func (m *rankMain) run() (*mst.Forest, error) {
 					m.owned = append(m.owned, c)
 				}
 			}
+			// Ghosts resolve through a table over the view's ghost span;
+			// a delta for an id outside it names no ghost of this view.
+			ghosts := merge.NewParentTable(view.GhostLo, view.GhostHi)
+			for _, d := range remote {
+				ghosts.Set(d.Old, d.New)
+			}
 			// NewLocal copied m.edges into the view's arcs, so the
 			// reduction reuses its storage.
-			m.edges = m.rt.Reduce(m.edges, view, parent, merge.ApplyDeltas(remote))
+			m.edges = m.rt.Reduce(m.edges, view, parent, ghosts.Of)
 		}
 		// The view dies with its iteration: no rank holds it across the
 		// ring exchanges and leader merges below.

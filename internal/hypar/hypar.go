@@ -241,11 +241,19 @@ func (rt *Runtime) indCompMulti(v *boruvka.Local) (*IndResult, error) {
 	total := tInd + tRed + msecs
 	rt.R.Compute(total)
 
-	// Compose the device parents with the node-merge parents.
-	final := merge.ApplyDeltas(merge.DeltasFromParents(lm.IDs, mres.Parent))
+	// Compose the device parents with the node-merge parents through a
+	// table over v's id span: every device parent is a component in
+	// lm.IDs, a subset of v.IDs.
+	var final merge.ParentTable
+	if n := v.N(); n > 0 {
+		final = merge.NewParentTable(v.IDs[0], v.IDs[n-1])
+	}
+	for j, c := range lm.IDs {
+		final.Set(c, mres.Parent[j])
+	}
 	parent := make([]int32, v.N())
 	for i, d := range devParent {
-		parent[i] = final(d)
+		parent[i] = final.Of(d)
 	}
 
 	var chosen []int32

@@ -76,8 +76,11 @@ func BenchmarkReduceWindow(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for r, win := range windows {
-					ghost := ApplyDeltas(remote[r])
-					reduceSink, _ = Relabel(nil, win, parent[bounds[r]:bounds[r+1]], ghost)
+					ghosts := NewParentTable(win.GhostLo, win.GhostHi)
+					for _, d := range remote[r] {
+						ghosts.Set(d.Old, d.New)
+					}
+					reduceSink, _ = Relabel(nil, win, parent[bounds[r]:bounds[r+1]], ghosts.Of)
 				}
 			}
 		})

@@ -3,6 +3,7 @@ package merge
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -145,22 +146,33 @@ func TestDedupeByID(t *testing.T) {
 	}
 }
 
-func TestDeltasFromParents(t *testing.T) {
-	ids := []int32{3, 7, 9}
-	parents := []int32{3, 3, 7}
-	ds := DeltasFromParents(ids, parents)
-	if len(ds) != 2 || ds[0] != (Delta{Old: 7, New: 3}) || ds[1] != (Delta{Old: 9, New: 7}) {
-		t.Fatalf("deltas=%+v", ds)
+// TestParentTable checks the table over a span at both ends of the int32
+// ids: every id is its own parent until Set, Set outside the span is
+// skipped, however far outside (uint32(id − lo) wraps), and an empty span
+// takes any Set.
+func TestParentTable(t *testing.T) {
+	for _, lo := range []int32{0, 5, math.MaxInt32 - 3} {
+		hi := lo + 3
+		pt := NewParentTable(lo, hi)
+		for _, id := range []int32{lo - 1, hi + 1, lo - 4, math.MinInt32, math.MaxInt32, -1} {
+			if id < lo || id > hi {
+				pt.Set(id, 0)
+			}
+		}
+		pt.Set(lo+1, 7)
+		pt.Set(hi, lo)
+		for id, want := range map[int32]int32{lo: lo, lo + 1: 7, lo + 2: lo + 2, hi: lo} {
+			if got := pt.Of(id); got != want {
+				t.Fatalf("span [%d,%d]: Of(%d) = %d, want %d", lo, hi, id, got, want)
+			}
+		}
 	}
-}
-
-func TestApplyDeltas(t *testing.T) {
-	pf := ApplyDeltas(
-		[]Delta{{Old: 5, New: 1}},
-		[]Delta{{Old: 9, New: 2}},
-	)
-	if pf(5) != 1 || pf(9) != 2 || pf(3) != 3 {
-		t.Fatal("delta application wrong")
+	empty := NewParentTable(math.MaxInt32, math.MinInt32)
+	for _, id := range []int32{math.MinInt32, 0, math.MaxInt32} {
+		empty.Set(id, 1)
+	}
+	if whole := NewParentTable(math.MaxInt32, math.MaxInt32); whole.Of(math.MaxInt32) != math.MaxInt32 {
+		t.Fatal("one-id span at MaxInt32 is not the identity")
 	}
 }
 

@@ -36,11 +36,13 @@ import (
 // component) and keeps only the lightest edge between every pair of
 // components, in the paper's pair-keyed min-edge hash table. parent[i] is
 // the component of l's vertex i; ghost maps the global id of an external
-// head, read from the arc as ^dst. The walk skips retired arcs, so each
-// must be internal under parent: after a kernel run on l, parent must keep
-// the run's components together, as its Result.Parent does. An inside
-// edge is met once, from its smaller endpoint; self-loops are self edges
-// and never survive.
+// head, read from the arc as ^dst, to its component: the merge phase
+// passes the Of of a ParentTable over l's ghost span, filled from the
+// remote deltas, one array load per cut arc. The walk skips retired arcs,
+// so each must be internal under parent: after a kernel run on l, parent
+// must keep the run's components together, as its Result.Parent does. An
+// inside edge is met once, from its smaller endpoint; self-loops are self
+// edges and never survive.
 //
 // Every result edge is oriented U < V, and the edges come in the order
 // the walk first meets their pair; equal packed weights are copies of one
@@ -184,45 +186,38 @@ func (r *keyRange) add(x int32) { r.lo, r.hi = min(r.lo, x), max(r.hi, x) }
 // Delta is one parent update: component Old merged into component New.
 type Delta struct{ Old, New int32 }
 
-// DeltasFromParents extracts the parent updates a merge round produced:
-// every id whose parent differs from itself. ids and parents correspond
-// positionally (the boruvka kernel's Local.IDs and Result.Parent), and ids
-// must be ascending, so the result is sorted by Old.
-func DeltasFromParents(ids, parents []int32) []Delta {
-	n := 0
-	for i, id := range ids {
-		if parents[i] != id {
-			n++
-		}
-	}
-	ds := make([]Delta, 0, n)
-	for i, id := range ids {
-		if parents[i] != id {
-			ds = append(ds, Delta{Old: id, New: parents[i]})
-		}
-	}
-	return ds
+// ParentTable is a parent function over the ids of a span [lo, hi]: one
+// int32 per id, each its own parent until Set gives it another. It costs
+// 4 bytes per id of the span. The merge phase builds one over a view's
+// ghost span (boruvka.Local.GhostLo, GhostHi) from the remote deltas, so
+// Relabel resolves a ghost with one array load; for vertex or component
+// ids the span, and so the table, is at most 4·N bytes.
+type ParentTable struct {
+	lo     int32
+	parent []int32
 }
 
-// ApplyDeltas builds a parent function from local and remote deltas over a
-// base identity. Chains cannot occur within one round (each rank maps old
-// ids directly to final representatives), so a single map lookup suffices.
-// The map is sized for every delta up front.
-func ApplyDeltas(all ...[]Delta) func(int32) int32 {
-	n := 0
-	for _, ds := range all {
-		n += len(ds)
+// NewParentTable returns the identity table over [lo, hi], which is empty
+// when lo > hi.
+func NewParentTable(lo, hi int32) ParentTable {
+	n := int64(hi) - int64(lo) + 1
+	if n <= 0 {
+		return ParentTable{}
 	}
-	m := make(map[int32]int32, n)
-	for _, ds := range all {
-		for _, d := range ds {
-			m[d.Old] = d.New
-		}
+	t := ParentTable{lo: lo, parent: make([]int32, n)}
+	for i := range t.parent {
+		t.parent[i] = lo + int32(i)
 	}
-	return func(v int32) int32 {
-		if p, ok := m[v]; ok {
-			return p
-		}
-		return v
+	return t
+}
+
+// Set makes p the parent of id. An id outside the span is skipped: no
+// lookup asks for it.
+func (t ParentTable) Set(id, p int32) {
+	if x := uint32(id - t.lo); x < uint32(len(t.parent)) {
+		t.parent[x] = p
 	}
 }
+
+// Of returns the parent of id, which must lie in the span.
+func (t ParentTable) Of(id int32) int32 { return t.parent[uint32(id-t.lo)] }

@@ -386,3 +386,113 @@ func FuzzDedupeByID(f *testing.F) {
 		checkDedupe(t, fuzzEdges(data))
 	})
 }
+
+// applyDeltas is the ghost lookup ParentTable replaced, kept as
+// FuzzGhostTable's reference: a map from every delta's old id to its new
+// one, and the identity for any other id.
+func applyDeltas(ds []Delta) func(int32) int32 {
+	m := make(map[int32]int32, len(ds))
+	for _, d := range ds {
+		m[d.Old] = d.New
+	}
+	return func(v int32) int32 {
+		if p, ok := m[v]; ok {
+			return p
+		}
+		return v
+	}
+}
+
+// FuzzGhostTable checks that Relabel through a ParentTable over the view's
+// ghost span, filled from deltas, equals Relabel through the applyDeltas
+// map, and that the two agree on every ghost. Byte 0's bit 0 puts every id
+// near math.MaxInt32 (base MaxInt32−87, else 0) and bit 1 folds the local
+// parents pairwise. Byte 1 % 12 local ids and byte 2 % 16 edges follow,
+// each id base + b % 80. An edge endpoint is a local id for an even byte
+// and base + b % 80 for an odd one, so ghosts land below, between and
+// above the local ids; an edge with no local endpoint is dropped. The
+// remaining byte pairs are deltas: old id base + b % 96 − 8, so some lie
+// outside the span or name local vertices, or MinInt32 and MaxInt32 for
+// bytes 254 and 255; new id base + b % 80.
+func FuzzGhostTable(f *testing.F) {
+	// Ghosts 11 and 71 on both sides of local ids 40-42; deltas at both
+	// ends of the span, just outside it, on a local id and at the extremes.
+	ends := []byte{2, 3, 3, 40, 41, 42, 0, 11, 2, 71, 0, 2, 19, 5, 79, 3, 18, 1, 80, 2, 49, 0, 255, 6, 254, 7}
+	f.Add(ends)
+	f.Add(append([]byte{3}, ends[1:]...))             // the same near MaxInt32
+	f.Add([]byte{0, 2, 1, 1, 2, 0, 2, 9, 4, 10, 1})   // no ghosts
+	f.Add([]byte{1, 0, 2, 1, 3, 5, 7, 87, 2, 255, 0}) // no local ids: no view edges
+	f.Add([]byte{2, 4, 6, 7, 9, 11, 13, 1, 0, 5, 2, 15, 4, 15, 6, 17, 0, 3, 5, 9, 17, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		flags := data[0]
+		base := int32(0)
+		if flags&1 != 0 {
+			base = math.MaxInt32 - 87
+		}
+		data = data[1:]
+		k, m := int(data[0]%12), int(data[1]%16)
+		data = data[2:]
+		var ids []int32
+		for ; k > 0 && len(data) > 0; k, data = k-1, data[1:] {
+			ids = append(ids, base+int32(data[0]%80))
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		end := func(b byte) int32 {
+			if b%2 == 0 && len(ids) > 0 {
+				return ids[int(b/2)%len(ids)]
+			}
+			return base + int32(b%80)
+		}
+		local := func(v int32) bool { _, ok := slices.BinarySearch(ids, v); return ok }
+		var edges []graph.Edge
+		for ; m > 0 && len(data) >= 2; m, data = m-1, data[2:] {
+			e := graph.Edge{U: end(data[0]), V: end(data[1]), W: graph.MakeWeight(uint16(data[0]^data[1]), int32(len(edges)))}
+			if local(e.U) || local(e.V) {
+				edges = append(edges, e)
+			}
+		}
+		var ds []Delta
+		for ; len(data) >= 2; data = data[2:] {
+			old := base + int32(data[0]%96) - 8
+			switch data[0] {
+			case 254:
+				old = math.MinInt32
+			case 255:
+				old = math.MaxInt32
+			}
+			ds = append(ds, Delta{Old: old, New: base + int32(data[1]%80)})
+		}
+		l, err := boruvka.NewLocal(slices.Clone(ids), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := slices.Clone(l.IDs)
+		if flags&2 != 0 {
+			for i := range parent {
+				parent[i] &^= 1
+			}
+		}
+		table := NewParentTable(l.GhostLo, l.GhostHi)
+		for _, d := range ds {
+			table.Set(d.Old, d.New)
+		}
+		ref := applyDeltas(ds)
+		for u := range l.N() {
+			heads, _ := l.Arcs(u)
+			for _, h := range heads {
+				if g := ^h; h < 0 && table.Of(g) != ref(g) {
+					t.Fatalf("ids %v, deltas %v: ghost %d resolves to %d, want %d", ids, ds, g, table.Of(g), ref(g))
+				}
+			}
+		}
+		got, gw := Relabel(nil, l, parent, table.Of)
+		want, ww := Relabel(nil, l, parent, ref)
+		if !slices.Equal(got, want) || gw != ww {
+			t.Fatalf("ids %v, edges %v, deltas %v: Relabel %v %+v, want %v %+v", ids, edges, ds, got, gw, want, ww)
+		}
+	})
+}

@@ -12,11 +12,18 @@
 //	mndmst -profile arabic-2005 -nodes 16 -system bsp
 //	mndmst -launch local:4 -profile arabic-2005 -scale 0.05 -verify
 //
-// With -launch local:N the process hosts a coordinator, forks N worker
-// copies of itself connected over loopback TCP (one OS process per rank),
-// and prints rank 0's summary. Workers recognize themselves by the
-// MNDMST_WORKER_COORD environment variable and run their rank through
-// mndmst.FindMSFDistributed, as cmd/mndmstd does.
+// With -coordinator host:port the process runs one rank of a real TCP
+// cluster through mndmst.FindMSFDistributed; with -lead it also hosts the
+// rendezvous for -nodes ranks on -coordinator-listen. Every rank gets the
+// same graph flags and builds the graph itself:
+//
+//	host0$ mndmst -lead -nodes 2 -coordinator-listen host0:9000 -profile uk-2007
+//	host1$ mndmst -coordinator host0:9000 -profile uk-2007
+//
+// Rank 0 prints the summary; the others exit silently. A dead peer
+// surfaces as an error on every survivor, not a hang. -launch local:N
+// hosts a loopback coordinator and forks N copies of this binary with
+// -coordinator=ADDR appended.
 package main
 
 import (
@@ -26,18 +33,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/exec"
 
 	"mndmst"
 	"mndmst/internal/obs"
 	"mndmst/internal/serve"
+	"mndmst/internal/trace"
 )
-
-// workerCoordEnv tells a forked child which coordinator to join; its
-// presence switches run() into TCP worker mode, one FindMSFDistributed
-// rank.
-const workerCoordEnv = "MNDMST_WORKER_COORD"
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -55,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		profile  = fs.String("profile", "arabic-2005", "workload profile (see -list)")
 		scale    = fs.Float64("scale", 1.0, "profile scale (1.0 = reproduction size)")
 		seed     = fs.Int64("seed", 1, "weight seed for text inputs without weights")
-		nodes    = fs.Int("nodes", 4, "simulated cluster nodes")
+		nodes    = fs.Int("nodes", 4, "simulated cluster nodes (with -lead, the TCP cluster size)")
 		machine  = fs.String("machine", "amd", "platform model: amd | cray")
 		useGPU   = fs.Bool("gpu", false, "enable the per-node CPU+GPU split (cray only)")
 		gpus     = fs.Int("gpus", 1, "accelerators per node when -gpu is set")
@@ -71,6 +77,8 @@ func run(args []string, out io.Writer) error {
 		jsonOut  = fs.Bool("json", false, "emit the machine-readable result record (the schema mndmst-serve returns) instead of text")
 		metrics  = fs.Bool("metrics-dump", false, "print the run's metrics registry (Prometheus text) to stderr after the run")
 	)
+	var rank rankFlags
+	rank.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,30 +90,28 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	workerCoord := os.Getenv(workerCoordEnv)
-	if *launch != "" {
-		if workerCoord != "" {
-			return fmt.Errorf("-launch inside a worker process")
-		}
-		if *system != "mnd" || *app != "" {
-			return fmt.Errorf("-launch supports only -system mnd without -app")
-		}
-		// Children rerun this binary with exactly the flags the user set
-		// (minus -launch); the coordinator address travels via environment.
-		var childArgs []string
-		fs.Visit(func(f *flag.Flag) {
-			// -metrics-dump stays in the parent too: workers writing
-			// Prometheus text into the relayed output would garble it.
-			if f.Name == "launch" || f.Name == "metrics-dump" {
-				return
-			}
-			childArgs = append(childArgs, "-"+f.Name+"="+f.Value.String())
-		})
-		return launchLocal(out, *launch, childArgs, *jsonOut)
+	worker := rank.lead || rank.cluster.Coordinator != ""
+	switch {
+	case (*launch != "" || worker) && (*system != "mnd" || *app != ""):
+		return fmt.Errorf("-launch, -lead and -coordinator support only -system mnd without -app")
+	case rank.lead && rank.cluster.Coordinator != "":
+		return fmt.Errorf("-lead and -coordinator are mutually exclusive")
+	case rank.lead && *nodes < 1:
+		return fmt.Errorf("-lead needs -nodes >= 1")
 	}
-	worker := workerCoord != ""
-	if worker && (*system != "mnd" || *app != "") {
-		return fmt.Errorf("multi-process mode supports only -system mnd without -app")
+	if *launch != "" {
+		// Flags of one process: the parent runs no rank; every child would repeat them.
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "metrics-dump", "metrics-listen", "pprof", "lead", "coordinator", "coordinator-listen":
+				err = errors.Join(err, fmt.Errorf("-%s does not combine with -launch", f.Name))
+			}
+		})
+		if err != nil {
+			return err
+		}
+		return launchLocal(out, *launch, fs, rank.cluster.RetrySeed, *jsonOut)
 	}
 
 	var g *mndmst.Graph
@@ -120,9 +126,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-	if !worker && !*jsonOut {
-		fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	}
 
 	opts := mndmst.Options{
@@ -143,13 +146,20 @@ func run(args []string, out io.Writer) error {
 		if *jsonOut {
 			return fmt.Errorf("-json supports only MST runs (not -app)")
 		}
+		fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 		return runApp(out, g, opts, *app, int32(*source))
 	}
 
+	reg := obs.NewRegistry()
 	var res *mndmst.Result
 	switch {
 	case worker:
-		res, err = mndmst.FindMSFDistributed(g, opts, mndmst.ClusterConfig{Coordinator: workerCoord})
+		// Under -json, announcements go to stderr so stdout stays one record.
+		note := out
+		if *jsonOut {
+			note = os.Stderr
+		}
+		res, err = rank.run(note, g, opts, reg)
 	case *system == "mnd":
 		res, err = mndmst.FindMSF(g, opts)
 	case *system == "bsp":
@@ -163,7 +173,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *metrics && res.Trace != nil {
-		reg := obs.NewRegistry()
 		res.Trace.Publish(reg)
 		if err := reg.WritePrometheus(os.Stderr); err != nil {
 			return fmt.Errorf("metrics dump: %w", err)
@@ -192,10 +201,10 @@ func run(args []string, out io.Writer) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rec)
 	}
-	if worker {
-		fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	if worker && rank.chaosArmed() {
+		fmt.Fprintf(out, "chaos: fault injection armed (seed %d)\n", rank.chaos.Seed)
 	}
-
 	fmt.Fprintf(out, "forest: %d edges, %d components, total weight %d\n",
 		len(res.EdgeIDs), res.Components, res.TotalWeight)
 	if *system != "seq" {
@@ -240,9 +249,9 @@ func writeTrace(res *mndmst.Result, path string) error {
 }
 
 // launchLocal hosts a coordinator on an ephemeral loopback port, forks N
-// copies of this binary as TCP workers, and relays their output. Only rank
+// copies of this binary as TCP ranks, and relays their output. Only rank
 // 0 prints a summary, so the combined output reads like a single run.
-func launchLocal(out io.Writer, spec string, childArgs []string, jsonOut bool) error {
+func launchLocal(out io.Writer, spec string, fs *flag.FlagSet, retrySeed int64, jsonOut bool) error {
 	var n int
 	if _, err := fmt.Sscanf(spec, "local:%d", &n); err != nil || n < 1 {
 		return fmt.Errorf("bad -launch %q (want local:N with N >= 1)", spec)
@@ -262,9 +271,8 @@ func launchLocal(out io.Writer, spec string, childArgs []string, jsonOut bool) e
 
 	cmds := make([]*exec.Cmd, n)
 	bufs := make([]bytes.Buffer, n)
-	for i := range cmds {
-		cmd := exec.Command(exe, childArgs...)
-		cmd.Env = append(os.Environ(), workerCoordEnv+"="+coord.Addr())
+	for i, args := range workerArgs(fs, n, retrySeed, coord.Addr()) {
+		cmd := exec.Command(exe, args...)
 		cmd.Stdout = &bufs[i]
 		cmd.Stderr = &bufs[i]
 		if err := cmd.Start(); err != nil {
@@ -297,6 +305,28 @@ func launchLocal(out io.Writer, spec string, childArgs []string, jsonOut bool) e
 	return nil
 }
 
+// workerArgs returns the command lines of n forked ranks: the flags set on
+// fs but -launch and -retry-seed, then a distinct -retry-seed (retrySeed+i,
+// counting from 1 when retrySeed is 0) so that a failed launch replays,
+// then -coordinator=coord.
+func workerArgs(fs *flag.FlagSet, n int, retrySeed int64, coord string) [][]string {
+	var common []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "launch" && f.Name != "retry-seed" {
+			common = append(common, "-"+f.Name+"="+f.Value.String())
+		}
+	})
+	if retrySeed == 0 {
+		retrySeed = 1
+	}
+	args := make([][]string, n)
+	for i := range args {
+		args[i] = append(common[:len(common):len(common)],
+			fmt.Sprintf("-retry-seed=%d", retrySeed+int64(i)), "-coordinator="+coord)
+	}
+	return args
+}
+
 // killWorkers tears down already-started workers after a launch failure.
 // A kill that itself fails is reported to stderr (the launch error is
 // already on its way to the caller); the Wait that follows only reaps the
@@ -311,6 +341,139 @@ func killWorkers(cmds []*exec.Cmd) {
 		}
 		c.Wait() //lint:droperr reaping a process we just killed; its nonzero exit is expected
 	}
+}
+
+// rankFlags are the flags of a process that runs one TCP rank. Most bind
+// straight into the rank's cluster and chaos configurations.
+type rankFlags struct {
+	cluster                   mndmst.ClusterConfig
+	chaos                     mndmst.ChaosConfig
+	lead, pprof               bool
+	leadListen, metricsListen string
+}
+
+func (r *rankFlags) register(fs *flag.FlagSet) {
+	c, ch := &r.cluster, &r.chaos
+	fs.StringVar(&c.Coordinator, "coordinator", "", "join the TCP cluster whose coordinator listens on host:port")
+	fs.BoolVar(&r.lead, "lead", false, "host the coordinator for -nodes ranks in this process (and join as a rank)")
+	fs.StringVar(&r.leadListen, "coordinator-listen", "127.0.0.1:0", "coordinator listen address when -lead is set")
+	fs.StringVar(&c.Listen, "listen", "", "peer listen address (default 127.0.0.1:0)")
+	fs.DurationVar(&c.DialTimeout, "dial-timeout", 0, "coordinator/peer dial timeout (default 10s)")
+	fs.DurationVar(&c.HeartbeatInterval, "heartbeat", 0, "idle-link keepalive period (default 500ms)")
+	fs.DurationVar(&c.PeerTimeout, "peer-timeout", 0, "silence window before a peer is declared dead (default 5s)")
+	fs.Int64Var(&c.RetrySeed, "retry-seed", 0, "seed for the jittered dial/rendezvous backoff (0 = clock-derived; give each rank its own)")
+	fs.Int64Var(&ch.Seed, "chaos-seed", 0, "seed for the fault-injection layer (used when any -chaos-* flag is set)")
+	fs.Float64Var(&ch.DropProb, "chaos-drop", 0, "per-message drop probability in [0,1]")
+	fs.Float64Var(&ch.CorruptProb, "chaos-corrupt", 0, "per-message corruption probability in [0,1]")
+	fs.Float64Var(&ch.DupProb, "chaos-dup", 0, "per-message duplication probability in [0,1]")
+	fs.Float64Var(&ch.ReorderProb, "chaos-reorder", 0, "per-message reorder probability in [0,1]")
+	fs.Float64Var(&ch.DelayProb, "chaos-delay", 0, "per-message delay probability in [0,1]")
+	fs.DurationVar(&ch.DelayMax, "chaos-delay-max", 0, "upper bound of one injected delay (default 2ms)")
+	fs.DurationVar(&ch.RecvTimeout, "chaos-recv-timeout", 0, "receive deadline under chaos (default 30s)")
+	fs.Uint64Var(&ch.CrashStep, "chaos-crash-step", 0, "crash-stop this worker at its Nth transport operation (0 = never)")
+	fs.StringVar(&r.metricsListen, "metrics-listen", "", "serve GET /metrics on this address while the run is in flight (\"\" disables)")
+	fs.BoolVar(&r.pprof, "pprof", false, "also expose net/http/pprof under /debug/pprof/ on -metrics-listen")
+}
+
+// chaosArmed reports whether a -chaos-* flag other than the delay bound
+// and the receive deadline is set.
+func (r *rankFlags) chaosArmed() bool {
+	ch := r.chaos
+	ch.DelayMax, ch.RecvTimeout = 0, 0
+	return ch != mndmst.ChaosConfig{}
+}
+
+// run computes this process's rank through FindMSFDistributed, hosting the
+// coordinator first under -lead and announcing its listeners on note. The
+// rank's transport counters and, after the run, its rank and trace land in reg.
+func (r *rankFlags) run(note io.Writer, g *mndmst.Graph, opts mndmst.Options, reg *obs.Registry) (*mndmst.Result, error) {
+	cfg := r.cluster
+	cfg.Metrics = reg
+	if r.chaosArmed() {
+		cfg.Chaos = &r.chaos
+	}
+	if r.metricsListen != "" {
+		addr, stopMetrics, err := startMetricsServer(reg, r.metricsListen, r.pprof)
+		if err != nil {
+			return nil, fmt.Errorf("metrics listener: %w", err)
+		}
+		defer stopMetrics()
+		fmt.Fprintf(note, "metrics on http://%s/metrics\n", addr)
+	}
+	var coord *mndmst.Coordinator
+	if r.lead {
+		var err error
+		coord, err = mndmst.StartCoordinator(r.leadListen, opts.Nodes)
+		if err != nil {
+			return nil, fmt.Errorf("start coordinator: %w", err)
+		}
+		defer coord.Close()
+		fmt.Fprintf(note, "coordinator listening on %s\n", coord.Addr())
+		cfg.Coordinator = coord.Addr()
+	}
+
+	// Two-stage drain, as in mndmst-serve: the first SIGINT/SIGTERM aborts a
+	// join still retrying and lets the computation finish, so the transport
+	// closes cleanly instead of stranding peers; a second one forces exit.
+	cancel := make(chan struct{})
+	cfg.Cancel = cancel
+	stopSignals := serve.OnSignals(
+		func() {
+			fmt.Fprintln(os.Stderr, "mndmst: drain: finishing in-flight computation (next signal forces exit)")
+			close(cancel)
+		},
+		func() {
+			fmt.Fprintln(os.Stderr, "mndmst: forced exit; peers will observe this rank as dead")
+			os.Exit(1)
+		},
+	)
+	defer stopSignals()
+
+	res, err := mndmst.FindMSFDistributed(g, opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	trace.PublishRank(reg, res.Rank)
+	res.Trace.Publish(reg)
+	if coord != nil {
+		if err := coord.Wait(); err != nil {
+			return nil, fmt.Errorf("rendezvous: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// startMetricsServer serves GET /metrics (and, opted in, pprof) for reg
+// on addr. It returns the resolved address and a stop function that
+// closes the listener and joins the serving goroutine.
+func startMetricsServer(reg *obs.Registry, addr string, pprofOn bool) (string, func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", obs.Handler(reg))
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	srv := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// ErrServerClosed is the normal Close outcome; anything else means
+		// the scrape endpoint died early, which must not fail the run.
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintln(os.Stderr, "mndmst: metrics server:", err)
+		}
+	}()
+	return ln.Addr().String(), func() {
+		srv.Close() //lint:droperr listener teardown on exit; the run's outcome is already decided
+		<-done
+	}, nil
 }
 
 // runApp executes one of the non-MST graph applications.

@@ -2,28 +2,50 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mndmst/internal/obs"
 )
 
 // TestMain lets the test binary double as a -launch worker: launchLocal
 // re-execs os.Executable(), which under `go test` is this binary. Worker
-// children are recognized by the coordinator env var before the testing
-// framework parses any flags.
+// children are recognized by the -coordinator=ADDR argument launchLocal
+// appends, before the testing framework parses any flags.
 func TestMain(m *testing.M) {
-	if os.Getenv(workerCoordEnv) != "" {
-		if err := run(os.Args[1:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "mndmst:", err)
-			os.Exit(1)
+	for _, arg := range os.Args[1:] {
+		if strings.HasPrefix(arg, "-coordinator=") {
+			if err := run(os.Args[1:], os.Stdout); err != nil {
+				fmt.Fprintln(os.Stderr, "mndmst:", err)
+				os.Exit(1)
+			}
+			os.Exit(0)
 		}
-		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// freeLoopbackAddr reserves an ephemeral port and releases it for the
+// lead to claim — a tiny race tests accept for the convenience of a
+// known coordinator address.
+func freeLoopbackAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
 }
 
 func TestLaunchLocalForksWorkers(t *testing.T) {
@@ -48,31 +70,49 @@ func TestLaunchLocalForksWorkers(t *testing.T) {
 	}
 }
 
+// TestLaunchLocalMatchesInProcessForest: forked TCP ranks print the
+// in-process run's forest and simulated lines, also under benign chaos
+// (duplicates, reordering and delays a correct run must absorb).
 func TestLaunchLocalMatchesInProcessForest(t *testing.T) {
-	args := []string{"-profile", "arabic-2005", "-scale", "0.05"}
-	var inproc strings.Builder
-	if err := run(append([]string{"-nodes", "4"}, args...), &inproc); err != nil {
-		t.Fatal(err)
-	}
-	var tcp strings.Builder
-	if err := run(append([]string{"-launch", "local:4"}, args...), &tcp); err != nil {
-		t.Fatal(err)
-	}
-	pick := func(s, prefix string) string {
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, prefix) {
-				return line
+	for _, tc := range []struct {
+		name, profile, scale, nodes string
+		extra                       []string
+	}{
+		{"arabic", "arabic-2005", "0.05", "4", nil},
+		{"road-benign-chaos", "road_usa", "0.03", "3", []string{
+			"-chaos-seed", "7", "-chaos-dup", "0.05", "-chaos-reorder", "0.05", "-chaos-delay", "0.05"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []string{"-profile", tc.profile, "-scale", tc.scale}
+			var inproc strings.Builder
+			if err := run(append([]string{"-nodes", tc.nodes}, args...), &inproc); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return ""
-	}
-	forestIn, forestTCP := pick(inproc.String(), "forest:"), pick(tcp.String(), "forest:")
-	if forestIn == "" || forestIn != forestTCP {
-		t.Fatalf("forest lines diverge:\n  in-process: %s\n  tcp:        %s", forestIn, forestTCP)
-	}
-	simIn, simTCP := pick(inproc.String(), "simulated:"), pick(tcp.String(), "simulated:")
-	if simIn == "" || simIn != simTCP {
-		t.Fatalf("simulated lines diverge:\n  in-process: %s\n  tcp:        %s", simIn, simTCP)
+			var tcp strings.Builder
+			launch := append([]string{"-launch", "local:" + tc.nodes}, args...)
+			if err := run(append(launch, tc.extra...), &tcp); err != nil {
+				t.Fatal(err)
+			}
+			pick := func(s, prefix string) string {
+				for _, line := range strings.Split(s, "\n") {
+					if strings.HasPrefix(line, prefix) {
+						return line
+					}
+				}
+				return ""
+			}
+			forestIn, forestTCP := pick(inproc.String(), "forest:"), pick(tcp.String(), "forest:")
+			if forestIn == "" || forestIn != forestTCP {
+				t.Fatalf("forest lines diverge:\n  in-process: %s\n  tcp:        %s", forestIn, forestTCP)
+			}
+			simIn, simTCP := pick(inproc.String(), "simulated:"), pick(tcp.String(), "simulated:")
+			if simIn == "" || simIn != simTCP {
+				t.Fatalf("simulated lines diverge:\n  in-process: %s\n  tcp:        %s", simIn, simTCP)
+			}
+			if tc.extra != nil && !strings.Contains(tcp.String(), "chaos: fault injection armed (seed 7)") {
+				t.Fatalf("chaos run does not say chaos is armed:\n%s", tcp.String())
+			}
+		})
 	}
 }
 
@@ -83,10 +123,198 @@ func TestLaunchRejectsBadSpecs(t *testing.T) {
 		{"-launch", "slurm:4"},
 		{"-launch", "local:2", "-system", "bsp"},
 		{"-launch", "local:2", "-app", "bfs"},
+		// Flags of one process only: the parent runs no rank, and every
+		// child would repeat them.
+		{"-launch", "local:2", "-metrics-dump"},
+		{"-launch", "local:2", "-metrics-listen", "127.0.0.1:0"},
+		{"-launch", "local:2", "-pprof"},
+		{"-launch", "local:2", "-lead"},
+		{"-launch", "local:2", "-coordinator", "127.0.0.1:1"},
+		{"-launch", "local:2", "-coordinator-listen", "127.0.0.1:0"},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Fatalf("%v accepted", args)
+		}
+	}
+}
+
+// TestWorkerArgs: each forked rank gets the user's flags without -launch,
+// its own retry seed (so a failed launch replays) and the coordinator.
+func TestWorkerArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		retrySeed int64
+		seeds     []string
+	}{
+		{[]string{"-launch", "local:3", "-profile", "road_usa"}, 0,
+			[]string{"-retry-seed=1", "-retry-seed=2", "-retry-seed=3"}},
+		{[]string{"-launch", "local:3", "-retry-seed", "40", "-profile", "road_usa"}, 40,
+			[]string{"-retry-seed=40", "-retry-seed=41", "-retry-seed=42"}},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.String("launch", "", "")
+		fs.String("profile", "", "")
+		fs.Int64("retry-seed", 0, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		got := workerArgs(fs, 3, tc.retrySeed, "127.0.0.1:9")
+		if len(got) != 3 {
+			t.Fatalf("%v: %d command lines, want 3", tc.args, len(got))
+		}
+		for i, args := range got {
+			want := []string{"-profile=road_usa", tc.seeds[i], "-coordinator=127.0.0.1:9"}
+			if !slices.Equal(args, want) {
+				t.Fatalf("%v: worker %d args %q, want %q", tc.args, i, args, want)
+			}
+		}
+	}
+}
+
+func TestLeadSingleRank(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-lead", "-nodes", "1",
+		"-profile", "road_usa", "-scale", "0.02", "-verify",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"coordinator listening on", "forest:", "simulated:", "real:", "verified: exact"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+func TestLeadAndJoiningWorker(t *testing.T) {
+	addr := freeLoopbackAddr(t)
+	graphArgs := []string{"-profile", "road_usa", "-scale", "0.03"}
+
+	var leadOut, workOut strings.Builder
+	var leadErr, workErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		leadErr = run(append([]string{
+			"-lead", "-nodes", "2", "-coordinator-listen", addr, "-verify", "-rankprofile",
+		}, graphArgs...), &leadOut)
+	}()
+	go func() {
+		defer wg.Done()
+		time.Sleep(100 * time.Millisecond) // let the lead bind its port
+		workErr = run(append([]string{
+			"-coordinator", addr, "-verify", "-rankprofile",
+		}, graphArgs...), &workOut)
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("two-rank run deadlocked")
+	}
+	if leadErr != nil {
+		t.Fatalf("lead: %v\n%s", leadErr, leadOut.String())
+	}
+	if workErr != nil {
+		t.Fatalf("worker: %v\n%s", workErr, workOut.String())
+	}
+	combined := leadOut.String() + workOut.String()
+	// Exactly one of the two processes is rank 0 and prints the summary.
+	if got := strings.Count(combined, "forest:"); got != 1 {
+		t.Fatalf("%d forest lines (want 1):\nlead:\n%s\nworker:\n%s", got, leadOut.String(), workOut.String())
+	}
+	for _, want := range []string{"real:", "wall", "load balance", "verified: exact"} {
+		if !strings.Contains(combined, want) {
+			t.Fatalf("output missing %q:\nlead:\n%s\nworker:\n%s", want, leadOut.String(), workOut.String())
+		}
+	}
+}
+
+// TestRunFlagErrors: the TCP rank flags are checked like the rest. A bare
+// invocation is not an error here: it runs in-process.
+func TestRunFlagErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-lead", "-coordinator", "127.0.0.1:1"}, // mutually exclusive
+		{"-lead", "-nodes", "0"},
+		{"-coordinator", "127.0.0.1:1", "-machine", "vax"},
+		{"-badflag"},
+	} {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
+	}
+}
+
+// TestStartMetricsServer: the scrape endpoint serves the registry, pprof
+// appears only when opted in, and stop() joins the serving goroutine.
+func TestStartMetricsServer(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("test_total", "probe").Inc()
+
+	addr, stop, err := startMetricsServer(reg, "127.0.0.1:0", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, perr := obs.ParseText(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || perr != nil {
+		t.Fatalf("GET /metrics: %d, parse %v", resp.StatusCode, perr)
+	}
+	if samples["test_total"] != 1 {
+		t.Fatalf("registry not served: %v", samples)
+	}
+	resp, err = http.Get("http://" + addr + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("pprof reachable without -pprof: %d", resp.StatusCode)
+	}
+	stop()
+
+	addr, stop, err = startMetricsServer(reg, "127.0.0.1:0", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	resp, err = http.Get("http://" + addr + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/cmdline with -pprof: %d", resp.StatusCode)
+	}
+}
+
+// TestLeadSingleRankMetricsListen: a full single-rank run with
+// -metrics-listen announces the scrape endpoint and still completes
+// normally. The endpoint's content is covered by TestStartMetricsServer
+// and the trace publish tests; the listener is torn down by the rank's
+// deferred stop, so only the announcement is observable from out here.
+func TestLeadSingleRankMetricsListen(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-lead", "-nodes", "1",
+		"-profile", "road_usa", "-scale", "0.02",
+		"-metrics-listen", "127.0.0.1:0",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"metrics on http://", "forest:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }

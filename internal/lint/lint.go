@@ -240,7 +240,7 @@ func pathElem(path string) string {
 }
 
 // pathHasParent reports whether the second-to-last element of path is elem
-// (e.g. pathHasParent("mndmst/cmd/mndmstd", "cmd")).
+// (e.g. pathHasParent("mndmst/cmd/mndmst", "cmd")).
 func pathHasParent(path, elem string) bool {
 	i := strings.LastIndex(path, "/")
 	if i < 0 {

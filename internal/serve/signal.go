@@ -7,11 +7,11 @@ import (
 )
 
 // OnSignals installs the two-stage shutdown convention shared by
-// mndmst-serve and mndmstd: the first SIGINT/SIGTERM invokes drain, a
-// second invokes force. Both callbacks run on the watcher goroutine, so
-// they must return promptly — drain should flip a flag or cancel a
-// context, not block on the drain itself, or the escalation signal is
-// never seen. The returned stop function unregisters the handler and
+// mndmst-serve and the TCP ranks of cmd/mndmst: the first SIGINT/SIGTERM
+// invokes drain, a second invokes force. Both callbacks run on the
+// watcher goroutine, so they must return promptly — drain should flip a
+// flag or cancel a context, not block on the drain itself, or the
+// escalation signal is never seen. The returned stop function unregisters the handler and
 // joins the watcher; after a force callback the watcher has exited and
 // stop only unregisters.
 func OnSignals(drain, force func()) (stop func()) {

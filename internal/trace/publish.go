@@ -59,8 +59,8 @@ func Publish(reg *obs.Registry, rep *cluster.Report) {
 	}
 }
 
-// PublishRank exports one rank's label as a convenience for daemons that
-// want their scrape to say which rank they are.
+// PublishRank exports one rank's label, so that the scrape of a process
+// running one TCP rank (cmd/mndmst -lead or -coordinator) says which rank it is.
 func PublishRank(reg *obs.Registry, rank int) {
 	reg.GaugeVec("mndmst_rank_info",
 		"constant 1, labeled with this process's rank", "rank").

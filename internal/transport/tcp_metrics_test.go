@@ -114,6 +114,12 @@ func TestTCPMetricsSymmetry(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	// A writer goroutine counts a frame after its write returns, so the
+	// peer can reply before the count lands. Close flushes every queue,
+	// and a frame completes only after it is counted.
+	for _, ep := range eps {
+		ep.Close()
+	}
 
 	m0 := sampleRegistry(t, regs[0])
 	m1 := sampleRegistry(t, regs[1])

@@ -274,6 +274,9 @@ run_serve
 echo "== multi-process smoke (loopback TCP workers) =="
 go run ./cmd/mndmst -launch local:4 -profile arabic-2005 -scale 0.05 -verify
 
+echo "== README chaos drill (benign faults over loopback TCP) =="
+go run ./cmd/mndmst -launch local:4 -profile road_usa -scale 0.05 -chaos-seed 7 -chaos-dup 0.05 -chaos-reorder 0.05 -verify
+
 echo "== json record smoke (CLI/server shared schema) =="
 go run ./cmd/mndmst -profile arabic-2005 -scale 0.05 -verify -json
 

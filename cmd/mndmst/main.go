@@ -1,8 +1,8 @@
 // Command mndmst runs the MND-MST algorithm (or the Pregel+-style BSP
-// baseline) on a graph — loaded from a file written by cmd/graphgen, a
-// SNAP-style text edge list, or generated on the fly from one of the
-// paper's workload profiles — and prints the forest summary with the
-// simulated execution metrics.
+// baseline) on a graph — loaded from a binary .mnd container, a SNAP-style
+// text edge list, or generated on the fly from one of the paper's workload
+// profiles — and prints the forest summary with the simulated execution
+// metrics.
 //
 // Usage:
 //
@@ -11,6 +11,14 @@
 //	mndmst -text edges.txt -nodes 4 -verify
 //	mndmst -profile arabic-2005 -nodes 16 -system bsp
 //	mndmst -launch local:4 -profile arabic-2005 -scale 0.05 -verify
+//	mndmst -profile uk-2007 -save uk.mnd -system seq
+//	mndmst -text edges.txt -system all -verify
+//
+// -save PATH writes the loaded or generated graph before the run: a .txt
+// path gets the SNAP text format, any other path the binary container.
+// -system all checks nine configurations (the shared-memory kernel, MND-MST
+// at 1 to 16 nodes, CPU+GPU, the border-edge exception and the BSP
+// baseline) against the sequential reference, edge id for edge id.
 //
 // With -coordinator host:port the process runs one rank of a real TCP
 // cluster through mndmst.FindMSFDistributed; with -lead it also hosts the
@@ -38,6 +46,8 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 
 	"mndmst"
 	"mndmst/internal/obs"
@@ -56,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mndmst", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		input    = fs.String("input", "", "binary graph file written by graphgen (overrides -profile)")
+		input    = fs.String("input", "", "binary .mnd graph file, as written by -save (overrides -profile)")
 		text     = fs.String("text", "", "SNAP-style text edge list (overrides -profile)")
 		profile  = fs.String("profile", "arabic-2005", "workload profile (see -list)")
 		scale    = fs.Float64("scale", 1.0, "profile scale (1.0 = reproduction size)")
@@ -65,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		machine  = fs.String("machine", "amd", "platform model: amd | cray")
 		useGPU   = fs.Bool("gpu", false, "enable the per-node CPU+GPU split (cray only)")
 		gpus     = fs.Int("gpus", 1, "accelerators per node when -gpu is set")
-		system   = fs.String("system", "mnd", "algorithm: mnd | bsp | seq")
+		system   = fs.String("system", "mnd", "algorithm: mnd | bsp | seq | all (check nine configurations against seq, edge id for edge id)")
 		app      = fs.String("app", "", "run a graph application instead of MST: bfs | sssp | pagerank | coloring | cc")
 		source   = fs.Int("source", 0, "source vertex for bfs/sssp")
 		group    = fs.Int("group", 4, "hierarchical merging group size")
@@ -76,11 +86,15 @@ func run(args []string, out io.Writer) error {
 		launch   = fs.String("launch", "", "run as real OS processes: local:N forks N loopback TCP workers")
 		jsonOut  = fs.Bool("json", false, "emit the machine-readable result record (the schema mndmst-serve returns) instead of text")
 		metrics  = fs.Bool("metrics-dump", false, "print the run's metrics registry (Prometheus text) to stderr after the run")
+		save     = fs.String("save", "", "write the graph to this file before the run: SNAP text for a .txt path, else the binary .mnd container")
 	)
 	var rank rankFlags
 	rank.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %q", fs.Args())
 	}
 
 	if *list {
@@ -98,17 +112,22 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-lead and -coordinator are mutually exclusive")
 	case rank.lead && *nodes < 1:
 		return fmt.Errorf("-lead needs -nodes >= 1")
+	case *scale <= 0:
+		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	case *system == "seq" && *metrics:
+		return fmt.Errorf("-metrics-dump needs a trace, which -system seq does not record")
+	}
+	if *system == "all" {
+		// Flags that -system all would ignore: it fixes its own configurations.
+		if err := rejectSet(fs, "-system all", "app", "json", "nodes", "machine", "gpu", "gpus",
+			"group", "trace", "rankprofile", "metrics-dump"); err != nil {
+			return err
+		}
 	}
 	if *launch != "" {
 		// Flags of one process: the parent runs no rank; every child would repeat them.
-		var err error
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "metrics-dump", "metrics-listen", "pprof", "lead", "coordinator", "coordinator-listen":
-				err = errors.Join(err, fmt.Errorf("-%s does not combine with -launch", f.Name))
-			}
-		})
-		if err != nil {
+		if err := rejectSet(fs, "-launch", "metrics-dump", "metrics-listen", "pprof",
+			"lead", "coordinator", "coordinator-listen", "save"); err != nil {
 			return err
 		}
 		return launchLocal(out, *launch, fs, rank.cluster.RetrySeed, *jsonOut)
@@ -142,6 +161,19 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
+	// Under -json, announcements go to stderr so stdout stays one record.
+	note := out
+	if *jsonOut {
+		note = os.Stderr
+	}
+	if *save != "" {
+		if err := saveGraph(note, g, *save); err != nil {
+			return err
+		}
+	}
+	if *system == "all" {
+		return runAll(out, g, *verify)
+	}
 	if *app != "" {
 		if *jsonOut {
 			return fmt.Errorf("-json supports only MST runs (not -app)")
@@ -154,11 +186,6 @@ func run(args []string, out io.Writer) error {
 	var res *mndmst.Result
 	switch {
 	case worker:
-		// Under -json, announcements go to stderr so stdout stays one record.
-		note := out
-		if *jsonOut {
-			note = os.Stderr
-		}
 		res, err = rank.run(note, g, opts, reg)
 	case *system == "mnd":
 		res, err = mndmst.FindMSF(g, opts)
@@ -234,6 +261,90 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "verified: exact minimum spanning forest")
 	}
 	return nil
+}
+
+// rejectSet returns an error naming each flag of names that is set on fs,
+// since mode would ignore it.
+func rejectSet(fs *flag.FlagSet, mode string, names ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			err = errors.Join(err, fmt.Errorf("-%s does not combine with %s", f.Name, mode))
+		}
+	})
+	return err
+}
+
+// saveGraph writes g to path, in the SNAP text format when path ends in
+// .txt and as the binary .mnd container otherwise, and reports the graph
+// on note.
+func saveGraph(note io.Writer, g *mndmst.Graph, path string) error {
+	save := mndmst.SaveGraph
+	if filepath.Ext(path) == ".txt" {
+		save = mndmst.SaveTextGraph
+	}
+	if err := save(path, g); err != nil {
+		return fmt.Errorf("save graph: %w", err)
+	}
+	fmt.Fprintf(note, "wrote %s: %d vertices, %d edges\n", path, g.NumVertices(), g.NumEdges())
+	st := g.ComputeStats()
+	fmt.Fprintf(note, "avg degree %.2f  max degree %d  approx diameter %d  components %d\n",
+		st.AvgDegree, st.MaxDegree, st.ApproxDiam, st.Components)
+	return nil
+}
+
+// runAll checks nine configurations against the sequential reference
+// forest and prints one ok: line per configuration that matches it. With
+// verify, the reference itself is checked first.
+func runAll(out io.Writer, g *mndmst.Graph, verify bool) error {
+	fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	ref := mndmst.FindMSFSequential(g)
+	fmt.Fprintf(out, "reference (filter-Kruskal): %d edges, %d components, weight %d\n",
+		len(ref.EdgeIDs), ref.Components, ref.TotalWeight)
+	if verify {
+		if err := mndmst.Verify(g, ref); err != nil {
+			return fmt.Errorf("reference verification FAILED: %w", err)
+		}
+		fmt.Fprintln(out, "verified: exact minimum spanning forest")
+	}
+	shared := func(g *mndmst.Graph, _ mndmst.Options) (*mndmst.Result, error) { return mndmst.FindMSFShared(g) }
+	for _, c := range []struct {
+		name string
+		find func(*mndmst.Graph, mndmst.Options) (*mndmst.Result, error)
+		opts mndmst.Options
+	}{
+		{"shared-memory kernel", shared, mndmst.Options{}},
+		{"MND-MST 1 nodes (amd)", mndmst.FindMSF, mndmst.Options{Nodes: 1}},
+		{"MND-MST 2 nodes (amd)", mndmst.FindMSF, mndmst.Options{Nodes: 2}},
+		{"MND-MST 4 nodes (amd)", mndmst.FindMSF, mndmst.Options{Nodes: 4}},
+		{"MND-MST 8 nodes (amd)", mndmst.FindMSF, mndmst.Options{Nodes: 8}},
+		{"MND-MST 16 nodes (amd)", mndmst.FindMSF, mndmst.Options{Nodes: 16}},
+		{"MND-MST 4 nodes CPU+GPU (cray)", mndmst.FindMSF, mndmst.Options{Nodes: 4, Machine: mndmst.CrayXC40, UseGPU: true}},
+		{"MND-MST 8 nodes EXCPT_BORDER_EDGE", mndmst.FindMSF, mndmst.Options{Nodes: 8, Exception: mndmst.BorderEdge}},
+		{"Pregel+ baseline 8 nodes", mndmst.FindMSFBSP, mndmst.Options{Nodes: 8}},
+	} {
+		res, err := c.find(g, c.opts)
+		if err == nil {
+			err = sameForest(ref, res)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		fmt.Fprintf(out, "  ok: %s\n", c.name)
+	}
+	fmt.Fprintln(out, "all configurations match the reference forest, edge id for edge id")
+	return nil
+}
+
+// sameForest reports whether res has exactly ref's forest edge ids, which
+// both list in ascending order. Equal edge counts and total weights are
+// not enough: a forest that swaps one edge for another can keep both.
+func sameForest(ref, res *mndmst.Result) error {
+	if slices.Equal(res.EdgeIDs, ref.EdgeIDs) {
+		return nil
+	}
+	return fmt.Errorf("forest edge ids differ from the reference's (%d edges, weight %d; reference %d edges, weight %d)",
+		len(res.EdgeIDs), res.TotalWeight, len(ref.EdgeIDs), ref.TotalWeight)
 }
 
 // writeTrace dumps the per-rank JSONL trace to path.

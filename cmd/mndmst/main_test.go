@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mndmst"
 	"mndmst/internal/obs"
 )
 
@@ -242,6 +243,20 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-lead", "-nodes", "0"},
 		{"-coordinator", "127.0.0.1:1", "-machine", "vax"},
 		{"-badflag"},
+		// N forked children would all write the one file.
+		{"-launch", "local:2", "-save", "g.mnd"},
+		// -system all fixes its own configurations and prints only text.
+		{"-system", "all", "-app", "bfs"},
+		{"-system", "all", "-json"},
+		{"-system", "all", "-nodes", "4"},
+		{"-system", "all", "-machine", "amd"},
+		{"-system", "all", "-gpu"},
+		{"-system", "all", "-gpus", "2"},
+		{"-system", "all", "-group", "2"},
+		{"-system", "all", "-trace", "t.jsonl"},
+		{"-system", "all", "-rankprofile"},
+		{"-system", "all", "-metrics-dump"},
+		{"-system", "all", "-lead"},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
@@ -473,6 +488,131 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}, &out); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// A stray argument is not a graph file: it would run the default profile.
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "extra"}, &out); err == nil {
+		t.Fatal("positional argument accepted")
+	}
+	for _, scale := range []string{"0", "-1"} {
+		if err := run([]string{"-profile", "road_usa", "-scale", scale}, &out); err == nil {
+			t.Fatalf("-scale %s accepted", scale)
+		}
+	}
+	// Sequential runs record no trace, so there is nothing to dump.
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "-system", "seq", "-metrics-dump"}, &out); err == nil {
+		t.Fatal("-system seq -metrics-dump accepted")
+	}
+	unwritable := filepath.Join(t.TempDir(), "missing-dir", "g.mnd")
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "-save", unwritable}, &out); err == nil {
+		t.Fatal("unwritable -save path accepted")
+	}
+}
+
+// TestRunSave: -save writes the generated graph in the format its path
+// names, and reading the file back gives the same graph and forest.
+func TestRunSave(t *testing.T) {
+	dir := t.TempDir()
+	profile := []string{"-profile", "road_usa", "-scale", "0.05"}
+
+	bin := filepath.Join(dir, "g.mnd")
+	var out strings.Builder
+	if err := run(append([]string{"-save", bin, "-json"}, profile...), &out); err != nil {
+		t.Fatal(err)
+	}
+	var saved, loaded struct {
+		GraphDigest string `json:"graph_digest"`
+	}
+	if err := json.Unmarshal([]byte(out.String()), &saved); err != nil {
+		t.Fatalf("-save -json output is not a single JSON record: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run([]string{"-input", bin, "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(out.String()), &loaded); err != nil {
+		t.Fatal(err)
+	}
+	if saved.GraphDigest == "" || loaded.GraphDigest != saved.GraphDigest {
+		t.Fatalf("graph digest %q after the .mnd round trip, want %q", loaded.GraphDigest, saved.GraphDigest)
+	}
+
+	text := filepath.Join(dir, "g.txt")
+	out.Reset()
+	if err := run(append([]string{"-save", text, "-system", "seq"}, profile...), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"wrote " + text + ": ", "avg degree", "forest:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	data, err := os.ReadFile(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), "# mndmst edge list") {
+		t.Fatalf("text header: %q", data[:min(len(data), 40)])
+	}
+	g, err := mndmst.GenerateProfile("road_usa", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := mndmst.LoadTextGraph(text, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mndmst.FindMSFSequential(g)
+	got, err := mndmst.FindMSF(back, mndmst.Options{Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.EdgeIDs, want.EdgeIDs) {
+		t.Fatalf("forest of the .txt round trip differs: %d edges, want %d", len(got.EdgeIDs), len(want.EdgeIDs))
+	}
+}
+
+// TestRunSystemAll: every configuration is checked and reported, on a
+// generated profile and on a hand-written edge list.
+func TestRunSystemAll(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.05", "-system", "all", "-verify"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "ok:"); got != 9 {
+		t.Fatalf("%d ok: lines, want 9:\n%s", got, out.String())
+	}
+	for _, want := range []string{"verified: exact", "edge id for edge id"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n2 3\n3 0\n0 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run([]string{"-text", path, "-system", "all"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(out.String(), "ok:"); got != 9 {
+		t.Fatalf("%d ok: lines, want 9:\n%s", got, out.String())
+	}
+}
+
+// TestSameForest: a forest with the reference's edge count and total
+// weight but one different edge id does not match.
+func TestSameForest(t *testing.T) {
+	ref := &mndmst.Result{EdgeIDs: []int32{0, 2, 5}, TotalWeight: 30, Components: 1}
+	if err := sameForest(ref, &mndmst.Result{EdgeIDs: []int32{0, 2, 5}, TotalWeight: 30, Components: 1}); err != nil {
+		t.Fatalf("identical forest rejected: %v", err)
+	}
+	swapped := &mndmst.Result{EdgeIDs: []int32{0, 3, 5}, TotalWeight: 30, Components: 1}
+	if err := sameForest(ref, swapped); err == nil {
+		t.Fatal("forest with one different edge id accepted")
+	}
+	if err := sameForest(ref, &mndmst.Result{EdgeIDs: []int32{0, 2}, TotalWeight: 30}); err == nil {
+		t.Fatal("forest missing an edge accepted")
 	}
 }
 

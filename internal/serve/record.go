@@ -25,7 +25,7 @@ type GraphSpec struct {
 	// Scale (default 1.0).
 	Profile string  `json:"profile,omitempty"`
 	Scale   float64 `json:"scale,omitempty"`
-	// Path loads a binary .mnd container (written by graphgen/SaveGraph).
+	// Path loads a binary .mnd container (written by SaveGraph or `mndmst -save`).
 	Path string `json:"path,omitempty"`
 	// Text loads a SNAP-style text edge list; Seed draws weights for
 	// inputs without them.

@@ -502,21 +502,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "-system", "seq", "-metrics-dump"}, &out); err == nil {
 		t.Fatal("-system seq -metrics-dump accepted")
 	}
-	unwritable := filepath.Join(t.TempDir(), "missing-dir", "g.mnd")
-	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "-save", unwritable}, &out); err == nil {
-		t.Fatal("unwritable -save path accepted")
-	}
 }
 
-// TestRunSave: -save writes the generated graph in the format its path
-// names, and reading the file back gives the same graph and forest.
-func TestRunSave(t *testing.T) {
-	dir := t.TempDir()
-	profile := []string{"-profile", "road_usa", "-scale", "0.05"}
-
-	bin := filepath.Join(dir, "g.mnd")
+// TestRunSaveBinary: a non-.txt -save path gets the .mnd container, and
+// loading it back gives the same graph.
+func TestRunSaveBinary(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "g.mnd")
 	var out strings.Builder
-	if err := run(append([]string{"-save", bin, "-json"}, profile...), &out); err != nil {
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.05", "-save", bin, "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var saved, loaded struct {
@@ -524,6 +517,9 @@ func TestRunSave(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(out.String()), &saved); err != nil {
 		t.Fatalf("-save -json output is not a single JSON record: %v\n%s", err, out.String())
+	}
+	if _, err := os.Stat(bin); err != nil {
+		t.Fatal(err)
 	}
 	out.Reset()
 	if err := run([]string{"-input", bin, "-json"}, &out); err != nil {
@@ -535,10 +531,14 @@ func TestRunSave(t *testing.T) {
 	if saved.GraphDigest == "" || loaded.GraphDigest != saved.GraphDigest {
 		t.Fatalf("graph digest %q after the .mnd round trip, want %q", loaded.GraphDigest, saved.GraphDigest)
 	}
+}
 
-	text := filepath.Join(dir, "g.txt")
-	out.Reset()
-	if err := run(append([]string{"-save", text, "-system", "seq"}, profile...), &out); err != nil {
+// TestRunSaveText: a .txt -save path gets the SNAP text format, and
+// reading it back gives the same forest.
+func TestRunSaveText(t *testing.T) {
+	text := filepath.Join(t.TempDir(), "g.txt")
+	var out strings.Builder
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.05", "-save", text, "-system", "seq"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"wrote " + text + ": ", "avg degree", "forest:"} {
@@ -571,8 +571,19 @@ func TestRunSave(t *testing.T) {
 	}
 }
 
-// TestRunSystemAll: every configuration is checked and reported, on a
-// generated profile and on a hand-written edge list.
+func TestRunSaveErrors(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	if err := run([]string{"-profile", "nope", "-save", filepath.Join(dir, "g.mnd")}, &out); err == nil {
+		t.Fatal("bad profile accepted")
+	}
+	unwritable := filepath.Join(dir, "missing-dir", "g.mnd")
+	if err := run([]string{"-profile", "road_usa", "-scale", "0.02", "-save", unwritable}, &out); err == nil {
+		t.Fatal("unwritable -save path accepted")
+	}
+}
+
+// TestRunSystemAll: every configuration is checked and reported.
 func TestRunSystemAll(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-profile", "road_usa", "-scale", "0.05", "-system", "all", "-verify"}, &out); err != nil {
@@ -586,17 +597,30 @@ func TestRunSystemAll(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
+}
 
+// TestRunSystemAllText: -system all on a hand-written edge list.
+func TestRunSystemAllText(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.txt")
 	if err := os.WriteFile(path, []byte("0 1\n1 2\n2 3\n3 0\n0 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	var out strings.Builder
 	if err := run([]string{"-text", path, "-system", "all"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(out.String(), "ok:"); got != 9 {
 		t.Fatalf("%d ok: lines, want 9:\n%s", got, out.String())
+	}
+}
+
+func TestRunSystemAllErrors(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-profile", "nope", "-system", "all"}, &out); err == nil {
+		t.Fatal("bad profile accepted")
+	}
+	if err := run([]string{"-input", filepath.Join(t.TempDir(), "missing"), "-system", "all"}, &out); err == nil {
+		t.Fatal("missing input accepted")
 	}
 }
 

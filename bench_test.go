@@ -121,6 +121,22 @@ func BenchmarkFindMSFHostRMAT(b *testing.B) {
 	}
 }
 
+// BenchmarkFindMSFHostBA measures the whole pipeline on a Barabási–Albert
+// graph (32 768 vertices, k = 8, so m ≈ 8n) on 4 ranks: dense enough that
+// the public pipeline filters, with a degree spread between the web and
+// R-MAT graphs', the shape on which a light share far from 2n/m keeps
+// most heavy edges.
+func BenchmarkFindMSFHostBA(b *testing.B) {
+	g := mndmst.GenerateBarabasiAlbert(1<<15, 8, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mndmst.FindMSF(g, mndmst.Options{Nodes: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFilterKruskalHost is the floor of BenchmarkFindMSFHost:
 // sequential filter-Kruskal, the fastest exact algorithm in the
 // repository, on the same graph.
@@ -144,6 +160,12 @@ func BenchmarkFilterKruskalHostLowLocality16(b *testing.B) {
 // on the same graph.
 func BenchmarkFilterKruskalHostRMAT(b *testing.B) {
 	benchmarkSequential(b, mndmst.GenerateRMAT(1<<15, 1<<19, 1))
+}
+
+// BenchmarkFilterKruskalHostBA is the floor of BenchmarkFindMSFHostBA,
+// on the same graph.
+func BenchmarkFilterKruskalHostBA(b *testing.B) {
+	benchmarkSequential(b, mndmst.GenerateBarabasiAlbert(1<<15, 8, 1))
 }
 
 func benchmarkSequential(b *testing.B, g *mndmst.Graph) {

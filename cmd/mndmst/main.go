@@ -205,8 +205,13 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("metrics dump: %w", err)
 		}
 	}
-	if worker && !res.Root {
-		return nil // non-root workers compute silently
+	if worker {
+		if !res.Root {
+			return nil // non-root workers compute silently
+		}
+		// -nodes does not size a cluster this rank joined; the gathered
+		// report does, and the record's fingerprint names that size.
+		opts.Nodes = res.Trace.Ranks()
 	}
 	if *jsonOut {
 		// Machine-readable mode: one result record in the exact schema

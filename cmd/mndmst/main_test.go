@@ -82,6 +82,10 @@ func TestLaunchLocalMatchesInProcessForest(t *testing.T) {
 		{"arabic", "arabic-2005", "0.05", "4", nil},
 		{"road-benign-chaos", "road_usa", "0.03", "3", []string{
 			"-chaos-seed", "7", "-chaos-dup", "0.05", "-chaos-reorder", "0.05", "-chaos-delay", "0.05"}},
+		// arabic-2005 has 27 edges per vertex, so the ranks filter: the
+		// light forest's broadcast tree is uneven at 3 ranks.
+		{"arabic-filtered-benign-chaos", "arabic-2005", "0.05", "3", []string{
+			"-chaos-seed", "7", "-chaos-dup", "0.05", "-chaos-reorder", "0.05", "-chaos-delay", "0.05"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := []string{"-profile", tc.profile, "-scale", tc.scale}
@@ -461,6 +465,11 @@ func TestLaunchLocalJSON(t *testing.T) {
 	// The record is the cacheable answer: measured time stays out of it.
 	if _, ok := rec["wall_seconds"]; ok {
 		t.Fatalf("record carries measured wall_seconds: %s", out.String())
+	}
+	// Its fingerprint names the cluster the ranks formed, not the -nodes
+	// default, which a rank that joins a cluster ignores.
+	if fp, _ := rec["options_fingerprint"].(string); !strings.Contains(fp, ";nodes=2;") {
+		t.Fatalf("options_fingerprint %q does not name the 2-rank cluster", fp)
 	}
 }
 

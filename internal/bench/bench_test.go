@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -282,6 +283,7 @@ func TestExtensionsRun(t *testing.T) {
 		{"MultiGPU", ExtensionMultiGPU, 4},
 		{"Heterogeneous", ExtensionHeterogeneous, 2},
 		{"Applications", ExtensionApplications, 5},
+		{"Filter", ExtensionFilter, 15},
 	} {
 		tab, err := tc.fn(r)
 		if err != nil {
@@ -300,6 +302,33 @@ func TestExtensionsRun(t *testing.T) {
 	aware := parseCell(t, tab.Rows[1][1])
 	if aware >= blind {
 		t.Fatalf("speed-aware %v not below speed-blind %v", aware, blind)
+	}
+}
+
+// TestExtensionFilterRows checks Extension/Filter's three rows per
+// family: below the rule's density (road) the filtered run is the
+// paper's, and on the dense R-MAT and Barabási–Albert graphs it moves
+// fewer bytes than the paper's pipeline.
+func TestExtensionFilterRows(t *testing.T) {
+	tab, err := ExtensionFilter(NewRunner(0.05, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+2 < len(tab.Rows); i += 3 {
+		filtered, paper := tab.Rows[i], tab.Rows[i+1]
+		if filtered[2] != "MND-MST filtered" || paper[2] != "MND-MST" || tab.Rows[i+2][2] != "Pregel+" {
+			t.Fatalf("rows %d-%d: systems %q %q %q", i, i+2, filtered[2], paper[2], tab.Rows[i+2][2])
+		}
+		switch {
+		case strings.HasPrefix(filtered[0], "road"):
+			if !reflect.DeepEqual(filtered[3:], paper[3:]) {
+				t.Errorf("road: filtered %v differs from the paper pipeline %v below the rule's density", filtered, paper)
+			}
+		case strings.HasPrefix(filtered[0], "R-MAT"), strings.HasPrefix(filtered[0], "Barabási"):
+			if fb, pb := parseCell(t, filtered[5]), parseCell(t, paper[5]); fb >= pb {
+				t.Errorf("%s: filtered bytes %v not below the paper pipeline's %v", filtered[0], fb, pb)
+			}
+		}
 	}
 }
 

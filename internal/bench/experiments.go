@@ -6,6 +6,7 @@ import (
 
 	"mndmst/internal/apps"
 	"mndmst/internal/bsp"
+	"mndmst/internal/cluster"
 	"mndmst/internal/core"
 	"mndmst/internal/cost"
 	"mndmst/internal/gen"
@@ -431,6 +432,66 @@ func ExtensionWeakScaling(r *Runner) (*Table, error) {
 	return t, nil
 }
 
+// ExtensionFilter compares filter-Borůvka (hypar.Config.Filter), the
+// public API's extension beyond the paper, with the paper's MND-MST and
+// the Pregel+ baseline on one graph of each generator family. The rule
+// fires at m ≥ 5n, so on road grids the filtered run is the paper's.
+func ExtensionFilter(r *Runner) (*Table, error) {
+	t := &Table{
+		Title:  "Extension: filter-Borůvka by graph family (4 nodes, AMD cluster)",
+		Header: []string{"Graph", "m/n", "System", "Exe", "Comm", "Bytes", "Msgs"},
+	}
+	machine := cost.AMDCluster()
+	n := max(int32(20_000*r.scale), 256)
+	road, err := r.Graph("road_usa")
+	if err != nil {
+		return nil, err
+	}
+	web, err := r.Graph("arabic-2005")
+	if err != nil {
+		return nil, err
+	}
+	filtered := hypar.DefaultConfig()
+	filtered.Filter = true
+	for _, fam := range []struct {
+		name string
+		el   *graph.EdgeList
+	}{
+		{"road (road_usa)", road},
+		{"web (arabic-2005)", web},
+		{"R-MAT", gen.RMAT(n, 16*int(n), 501)},
+		{"Barabási–Albert, k = 8", gen.BarabasiAlbert(n, 8, 502)},
+		{"Watts–Strogatz, k = 10", gen.WattsStrogatz(n, 10, 0.1, 503)},
+	} {
+		density := fmt.Sprintf("%.1f", float64(len(fam.el.Edges))/float64(fam.el.N))
+		add := func(system string, rep *cluster.Report) {
+			t.AddRow(fam.name, density, system, fsec(rep.ExecutionTime()), fsec(rep.CommTime()),
+				fmt.Sprintf("%d", rep.TotalBytes()), fmt.Sprintf("%d", rep.TotalMsgs()))
+		}
+		f, err := r.runMND(fam.el, 4, machine, filtered, false)
+		if err != nil {
+			return nil, fmt.Errorf("filtered %s: %w", fam.name, err)
+		}
+		m, err := r.runMND(fam.el, 4, machine, hypar.DefaultConfig(), false)
+		if err != nil {
+			return nil, fmt.Errorf("mnd %s: %w", fam.name, err)
+		}
+		b, err := bsp.Run(context.Background(), fam.el, 4, machine)
+		if err != nil {
+			return nil, fmt.Errorf("bsp %s: %w", fam.name, err)
+		}
+		if !f.Forest.Equal(m.Forest) || !b.Forest.Equal(m.Forest) {
+			return nil, fmt.Errorf("filter %s: systems disagree on the forest", fam.name)
+		}
+		add("MND-MST filtered", f.Report)
+		add("MND-MST", m.Report)
+		add("Pregel+", b.Report)
+	}
+	t.AddNote("the filter fires at m >= 5n: it samples a pivot, solves the edges at or below it, broadcasts that forest and runs the heavy edges between its components")
+	t.AddNote("every step the two passes do not already charge is charged to the partition phase")
+	return t, nil
+}
+
 // paperExperiments is the paper suite in its stable order: the §5 tables
 // and figures in paper order, the design ablations, then the extensions.
 func paperExperiments() []Experiment {
@@ -456,5 +517,6 @@ func paperExperiments() []Experiment {
 		{Name: "Extension/Heterogeneous", Table: ExtensionHeterogeneous},
 		{Name: "Extension/Applications", Table: ExtensionApplications},
 		{Name: "Extension/WeakScaling", Table: ExtensionWeakScaling},
+		{Name: "Extension/Filter", Table: ExtensionFilter},
 	}
 }

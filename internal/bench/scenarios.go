@@ -40,7 +40,23 @@ func coreScenarios() []Experiment {
 			scs = append(scs, Experiment{
 				Name: fmt.Sprintf("core/%s/p%d", prof.Name, p),
 				Metrics: func(r *Runner) (map[string]float64, error) {
-					return runCore(r, prof.Name, p, cost.AMDCluster(), false)
+					return runCore(r, prof.Name, p, cost.AMDCluster(), hypar.DefaultConfig(), false)
+				},
+			})
+		}
+	}
+	// The same runs with filter-Borůvka, the public API's extension
+	// beyond the paper: road_usa is below the rule's density and repeats
+	// its unfiltered figures.
+	for _, prof := range gen.Profiles {
+		for _, p := range []int{4, 16} {
+			prof, p := prof, p
+			scs = append(scs, Experiment{
+				Name: fmt.Sprintf("core/%s/p%d/filter", prof.Name, p),
+				Metrics: func(r *Runner) (map[string]float64, error) {
+					cfg := hypar.DefaultConfig()
+					cfg.Filter = true
+					return runCore(r, prof.Name, p, cost.AMDCluster(), cfg, false)
 				},
 			})
 		}
@@ -50,7 +66,7 @@ func coreScenarios() []Experiment {
 	scs = append(scs, Experiment{
 		Name: "core/" + distProfile + "/p4/gpu",
 		Metrics: func(r *Runner) (map[string]float64, error) {
-			return runCore(r, distProfile, 4, cost.CrayXC40(), true)
+			return runCore(r, distProfile, 4, cost.CrayXC40(), hypar.DefaultConfig(), true)
 		},
 	})
 	// The same computation over real transports: in-process Mem endpoints
@@ -95,12 +111,12 @@ func coreMetrics(res *core.Result) map[string]float64 {
 	return m
 }
 
-func runCore(r *Runner, profile string, p int, machine cost.Machine, useGPU bool) (map[string]float64, error) {
+func runCore(r *Runner, profile string, p int, machine cost.Machine, cfg hypar.Config, useGPU bool) (map[string]float64, error) {
 	el, err := r.Graph(profile)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.runMND(el, p, machine, hypar.DefaultConfig(), useGPU)
+	res, err := r.runMND(el, p, machine, cfg, useGPU)
 	if err != nil {
 		return nil, err
 	}

@@ -65,11 +65,12 @@ func TestNamesAreUniqueAndStable(t *testing.T) {
 			"dist/mem/arabic-2005/p4", "dist/tcp/arabic-2005/p4",
 			"comm/deltas/p4/64KiB", "comm/segments/ring/p4",
 			"serve/jobs/cold", "serve/jobs/hot", "apps/pagerank/arabic-2005/p8",
+			"core/road_usa/p4/filter", "core/uk-2007/p16/filter",
 		}},
 		{SuitePaper, 21, []string{
 			"Table2", "Table3", "Table4", "Figure4", "Figure8",
 			"Ablation/GroupSize", "Ablation/BSPCombining",
-			"Extension/MultiGPU", "Extension/WeakScaling",
+			"Extension/MultiGPU", "Extension/WeakScaling", "Extension/Filter",
 		}},
 	} {
 		names := Names(tc.suite)

@@ -41,13 +41,16 @@ const (
 type Result struct {
 	Forest *mst.Forest
 	Report *cluster.Report
-	// Iterations is the number of indComp→mergeParts iterations executed.
+	// Iterations is the number of indComp→mergeParts iterations executed,
+	// summed over both passes of a filtered run.
 	Iterations int
-	// Levels is the number of hierarchical-merging levels (leader merges).
+	// Levels is the number of hierarchical-merging levels (leader merges),
+	// summed over both passes of a filtered run.
 	Levels int
 	// PeakEdges is the maximum number of edge records resident on any
 	// single rank at any point — the space bottleneck hierarchical
-	// merging bounds (§3.4).
+	// merging bounds (§3.4). A filtered run reports the larger of its two
+	// passes' peaks.
 	PeakEdges int
 }
 
@@ -81,14 +84,6 @@ func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport,
 	// the GPU share is estimated from el too: no global CSR is built.
 	if err := el.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MergeEdgeThreshold == 0 {
-		// Default memory-capacity threshold: a group merges to its leader
-		// once its residual data fits one rank's original share.
-		cfg.MergeEdgeThreshold = int64(len(el.Edges)) / int64(p)
-		if cfg.MergeEdgeThreshold < 256 {
-			cfg.MergeEdgeThreshold = 256
-		}
 	}
 
 	cpu := &device.CPU{Model: machine.CPU}
@@ -136,6 +131,10 @@ func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport,
 	first := c.LocalRanks()[0]
 	var forest *mst.Forest
 	var iterations, levels, peak int
+	var lists *filterLists // nil unless the run filters
+	if cfg.Filter && filterFires(el) {
+		lists = &filterLists{}
+	}
 	rep, err := c.Run(ctx, func(r *cluster.Rank) error {
 		rm := &rankMain{
 			r:       r,
@@ -143,6 +142,7 @@ func run(ctx context.Context, el *graph.EdgeList, p int, ep transport.Transport,
 			el:      el,
 			cfg:     cfg,
 			machine: machine,
+			lists:   lists,
 		}
 		f, err := rm.run()
 		if err != nil {
@@ -188,6 +188,7 @@ type rankMain struct {
 	lvls    int
 	peak    int
 	machine cost.Machine
+	lists   *filterLists
 }
 
 // notePeak records the rank's resident edge count high-water mark.
@@ -219,9 +220,38 @@ func (m *rankMain) reduceStats() error {
 	return nil
 }
 
+// run executes Algorithm 1 on the job's edge list and gathers the forest
+// to rank 0, which returns it; every other rank returns nil. When the
+// filter rule fires (Config.Filter and filterFires), m.lists is set and
+// the run is runFiltered's two passes instead.
 func (m *rankMain) run() (*mst.Forest, error) {
+	if m.lists != nil {
+		return m.runFiltered()
+	}
+	if err := m.pass(m.el); err != nil {
+		return nil, err
+	}
+	ids, err := m.gather()
+	if err != nil || m.r.ID() != 0 {
+		return nil, err
+	}
+	return mst.ForestOf(m.el, ids), nil
+}
+
+// pass runs Algorithm 1 from partitioning to post-processing on the
+// edge list in, whose edges carry their packed job weights, and appends
+// the forest edges it contracts on this rank to m.chosen. An unfiltered
+// run is one pass over the job's edge list.
+func (m *rankMain) pass(in *graph.EdgeList) error {
 	r := m.r
 	p := r.P()
+	mergeThreshold := m.cfg.MergeEdgeThreshold
+	if mergeThreshold == 0 {
+		// Default memory-capacity threshold: a group merges to its leader
+		// once its residual data fits one rank's original share.
+		mergeThreshold = max(int64(len(in.Edges))/int64(p), 256)
+	}
+	m.owned, m.edges = nil, nil
 
 	// --- Partitioning (§3.1) ---
 	r.SetPhase(PhasePartition)
@@ -233,9 +263,9 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	if len(m.machine.NodeSpeeds) == p && !m.cfg.IgnoreNodeSpeeds {
 		speeds = m.machine.NodeSpeeds
 	}
-	bounds, deg, w := partition.ReadBounds(r, m.el, strat, speeds)
+	bounds, deg, w := partition.ReadBounds(r, in, strat, speeds)
 	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	view := boruvka.NewWindow(m.el, deg, lo, hi)
+	view := boruvka.NewWindow(in, deg, lo, hi)
 	// The window stands in for the extracted edge list and the ghostList
 	// hash table (one entry per cut edge) of §3.1; their work is charged
 	// from its counts.
@@ -243,7 +273,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	m.rt.ChargeWork(w)
 	m.rt.ChargeWork(cost.Work{HashOps: view.NumCut, EdgesScanned: view.NumEdges})
 	m.owned = view.IDs
-	m.peak = int(view.NumEdges)
+	m.peak = max(m.peak, int(view.NumEdges))
 	hasEdges := view.NumEdges > 0
 
 	// --- Iterated indComp + mergeParts + hierarchical merging ---
@@ -271,7 +301,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			if !first {
 				var err error
 				if view, err = boruvka.NewLocal(m.owned, m.edges); err != nil {
-					return nil, fmt.Errorf("core: rank %d: %w", r.ID(), err)
+					return fmt.Errorf("core: rank %d: %w", r.ID(), err)
 				}
 			}
 			parent = view.IDs
@@ -280,7 +310,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			if len(m.owned) > 0 && recurse {
 				res, err := m.rt.IndComp(view)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				m.chosen = append(m.chosen, res.ChosenIDs...)
 				parent = res.Parent
@@ -312,7 +342,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 			}
 			remote, wEx, err := merge.ExchangeDeltas(r, active, sendDeltas, m.cfg.Chunk)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			m.rt.ChargeWork(wEx)
 			// Every owned vertex maps to its component through parent;
@@ -364,7 +394,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				toLeader[gi] = true
 			case len(grp) == 1:
 				toLeader[gi] = true
-			case sums[gi] <= m.cfg.MergeEdgeThreshold:
+			case sums[gi] <= mergeThreshold:
 				toLeader[gi] = true
 			case ringRounds >= m.cfg.MaxRingRounds:
 				toLeader[gi] = true
@@ -388,7 +418,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				} else {
 					pl, err := merge.RecvMembers(r, grp, merge.Payload{Comps: m.owned, Edges: m.edges})
 					if err != nil {
-						return nil, err
+						return err
 					}
 					m.owned, m.edges = pl.Comps, pl.Edges
 					slices.Sort(m.owned)
@@ -411,7 +441,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: sent, Edges: movedE}, m.cfg.Chunk,
 					merge.Payload{Comps: kept, Edges: keptE})
 				if err != nil {
-					return nil, err
+					return err
 				}
 				m.owned = pl.Comps
 				slices.Sort(m.owned)
@@ -451,25 +481,30 @@ func (m *rankMain) run() (*mst.Forest, error) {
 	if r.ID() == final && len(m.owned) > 0 {
 		ids, err := m.rt.PostProcess(m.owned, m.edges)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.chosen = append(m.chosen, ids...)
 	}
+	return nil
+}
 
-	// --- Gather the distributed forest to rank 0 ---
+// gather collects every rank's chosen edge ids at rank 0 and returns
+// them there; every other rank returns nil.
+func (m *rankMain) gather() ([]int32, error) {
+	r := m.r
 	r.SetPhase(PhaseGather)
 	if r.ID() != 0 {
 		merge.SendForest(r, 0, m.chosen, m.cfg.Chunk)
 		return nil, nil
 	}
 	all := append([]int32(nil), m.chosen...)
-	for src := 1; src < p; src++ {
+	for src := 1; src < r.P(); src++ {
 		var err error
 		if all, err = merge.RecvForest(r, src, all); err != nil {
 			return nil, err
 		}
 	}
-	return mst.ForestOf(m.el, all), nil
+	return all, nil
 }
 
 // groupIndex locates the group containing rank.

@@ -18,8 +18,8 @@ import (
 //
 // Byte 0 sizes the vertex set (1–64) and byte 1 picks the rank count
 // (1–16). Byte 2's bits set LeaderOnly, Contract, DataDriven,
-// DiminishingTermination, the border-edge exception, and GPU use on the
-// Cray XC40, where byte 3 % 3 picks GPUsPerNode (0–2) and MinGPUEdges is
+// DiminishingTermination, the border-edge exception, GPU use on the
+// Cray XC40 and Filter (which runs two passes once m ≥ 5n), where byte 3 % 3 picks GPUsPerNode (0–2) and MinGPUEdges is
 // 0–15 from byte 3's high bits, with GPUShare 0 so the share is
 // estimated. Byte 4 picks GroupSize (1–8), byte 5 MergeEdgeThreshold
 // (0 = derived, else 1–63) and byte 6 RecursionMinEdges (0–31). Each
@@ -32,6 +32,9 @@ func FuzzFindMSF(f *testing.F) {
 	f.Add([]byte{63, 15, 0xff, 0x5, 2, 1, 3, 0, 1, 0, 1, 2, 1, 2, 3, 2, 5, 5, 0, 40, 41, 3, 0, 40, 1})
 	f.Add([]byte{0, 0, 0x20, 1, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{31, 7, 0x23, 2, 3, 9, 7, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 5, 1, 9, 10, 0, 10, 9, 0, 20, 20, 2})
+	// Filter on 3 vertices and 16 edges, on 5 ranks.
+	f.Add([]byte{2, 4, 0x44, 0, 3, 0, 0, 0, 1, 0, 1, 2, 1, 0, 2, 2, 0, 0, 3, 1, 1, 0, 2, 2, 1, 0, 1, 3, 1, 2, 2,
+		2, 0, 1, 0, 1, 2, 3, 0, 2, 0, 1, 1, 2, 2, 0, 1, 0, 1, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return
@@ -48,6 +51,7 @@ func FuzzFindMSF(f *testing.F) {
 			cfg.Excpt = boruvka.ExcptBorderEdge
 		}
 		useGPU := flags&32 != 0
+		cfg.Filter = flags&64 != 0
 		machine := amd()
 		if useGPU {
 			machine = cray()

@@ -73,6 +73,14 @@ type Config struct {
 	// computations and proceeds directly with merging, leaving the rest
 	// to postProcess. Zero always recurses.
 	RecursionMinEdges int
+	// Filter enables filter-Borůvka (Sanders & Schimek 2023), an
+	// extension beyond the paper: on a graph with m ≥ 5n edges the run
+	// solves the edges at or below a sampled pivot weight first, then
+	// runs the pipeline again over the heavier edges that join two
+	// different light components (core.Run). DefaultConfig leaves it off,
+	// so the paper suite runs the paper's pipeline; the public API turns
+	// it on.
+	Filter bool
 }
 
 // DefaultConfig returns the configuration the paper converges on.

@@ -52,47 +52,52 @@ func launchChaosCluster(t *testing.T, g *Graph, p int, chaosFor func(slot int) *
 // TestFindMSFDistributedUnderBenignChaos drives the public distributed API
 // with duplication, reordering, and delays injected into every worker's
 // transport: the forest must equal sequential Kruskal and the simulated
-// clocks must equal a fault-free in-process run.
+// clocks must equal a fault-free in-process run. It runs once below the
+// filter rule's density and once above it, where the ranks also sample,
+// broadcast the light forest and run the heavy pass.
 func TestFindMSFDistributedUnderBenignChaos(t *testing.T) {
 	seed := testutil.Seed(t, 6061)
-	g := GenerateWebGraph(800, 4000, 0.8, seed)
-	const p = 4
+	for _, tc := range []struct {
+		name string
+		m    int
+	}{{"unfiltered", 5*800 - 1}, {"filtered", 15 * 800}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := GenerateWebGraph(800, tc.m, 0.8, seed)
+			const p = 4
 
-	clean, err := FindMSF(g, Options{Nodes: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, errs := launchChaosCluster(t, g, p, func(int) *ChaosConfig {
-		return &ChaosConfig{
-			Seed:        seed,
-			DupProb:     0.08,
-			ReorderProb: 0.08,
-			DelayProb:   0.1,
-			DelayMax:    100 * time.Microsecond,
-		}
-	})
-	var root *Result
-	for slot := 0; slot < p; slot++ {
-		if errs[slot] != nil {
-			t.Fatalf("worker %d failed under benign chaos: %v", slot, errs[slot])
-		}
-		if results[slot].Root {
-			root = results[slot]
-		}
-	}
-	if root == nil {
-		t.Fatal("no worker was assigned rank 0")
-	}
-	seq := FindMSFSequential(g)
-	if root.TotalWeight != seq.TotalWeight || root.Components != seq.Components {
-		t.Fatalf("chaos run diverged from Kruskal: weight %d vs %d, components %d vs %d",
-			root.TotalWeight, seq.TotalWeight, root.Components, seq.Components)
-	}
-	if err := Verify(g, root); err != nil {
-		t.Fatal(err)
-	}
-	if root.SimSeconds != clean.SimSeconds {
-		t.Fatalf("benign chaos perturbed the simulated clock: %v vs %v", root.SimSeconds, clean.SimSeconds)
+			clean, err := FindMSF(g, Options{Nodes: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, errs := launchChaosCluster(t, g, p, func(int) *ChaosConfig {
+				return &ChaosConfig{
+					Seed:        seed,
+					DupProb:     0.08,
+					ReorderProb: 0.08,
+					DelayProb:   0.1,
+					DelayMax:    100 * time.Microsecond,
+				}
+			})
+			var root *Result
+			for slot := 0; slot < p; slot++ {
+				if errs[slot] != nil {
+					t.Fatalf("worker %d failed under benign chaos: %v", slot, errs[slot])
+				}
+				if results[slot].Root {
+					root = results[slot]
+				}
+			}
+			if root == nil {
+				t.Fatal("no worker was assigned rank 0")
+			}
+			sameForest(t, g, root)
+			if err := Verify(g, root); err != nil {
+				t.Fatal(err)
+			}
+			if root.SimSeconds != clean.SimSeconds {
+				t.Fatalf("benign chaos perturbed the simulated clock: %v vs %v", root.SimSeconds, clean.SimSeconds)
+			}
+		})
 	}
 }
 

@@ -488,7 +488,8 @@ func ExtensionFilter(r *Runner) (*Table, error) {
 		add("Pregel+", b.Report)
 	}
 	t.AddNote("the filter fires at m >= 5n: it samples a pivot, solves the edges at or below it, broadcasts that forest and runs the heavy edges between its components")
-	t.AddNote("every step the two passes do not already charge is charged to the partition phase")
+	t.AddNote("heavy edges that fit one rank's share are post-processed on rank 0; more run a second pass")
+	t.AddNote("the post-processing is charged to postProcess, every other step the passes do not already charge to partition")
 	return t, nil
 }
 

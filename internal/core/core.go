@@ -42,15 +42,19 @@ type Result struct {
 	Forest *mst.Forest
 	Report *cluster.Report
 	// Iterations is the number of indComp→mergeParts iterations executed,
-	// summed over both passes of a filtered run.
+	// summed over both passes of a filtered run. A filtered run whose
+	// heavy edges fit one rank post-processes them on rank 0 and adds
+	// none.
 	Iterations int
 	// Levels is the number of hierarchical-merging levels (leader merges),
-	// summed over both passes of a filtered run.
+	// summed over both passes of a filtered run; post-processed heavy
+	// edges add none.
 	Levels int
 	// PeakEdges is the maximum number of edge records resident on any
 	// single rank at any point — the space bottleneck hierarchical
 	// merging bounds (§3.4). A filtered run reports the larger of its two
-	// passes' peaks.
+	// passes' peaks, where post-processed heavy edges count as the heavy
+	// list rank 0 holds.
 	PeakEdges int
 }
 
@@ -223,7 +227,7 @@ func (m *rankMain) reduceStats() error {
 // run executes Algorithm 1 on the job's edge list and gathers the forest
 // to rank 0, which returns it; every other rank returns nil. When the
 // filter rule fires (Config.Filter and filterFires), m.lists is set and
-// the run is runFiltered's two passes instead.
+// the run is runFiltered's instead.
 func (m *rankMain) run() (*mst.Forest, error) {
 	if m.lists != nil {
 		return m.runFiltered()
@@ -245,12 +249,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 func (m *rankMain) pass(in *graph.EdgeList) error {
 	r := m.r
 	p := r.P()
-	mergeThreshold := m.cfg.MergeEdgeThreshold
-	if mergeThreshold == 0 {
-		// Default memory-capacity threshold: a group merges to its leader
-		// once its residual data fits one rank's original share.
-		mergeThreshold = max(int64(len(in.Edges))/int64(p), 256)
-	}
+	threshold := mergeThreshold(m.cfg, len(in.Edges), p)
 	m.owned, m.edges = nil, nil
 
 	// --- Partitioning (§3.1) ---
@@ -394,7 +393,7 @@ func (m *rankMain) pass(in *graph.EdgeList) error {
 				toLeader[gi] = true
 			case len(grp) == 1:
 				toLeader[gi] = true
-			case sums[gi] <= mergeThreshold:
+			case sums[gi] <= threshold:
 				toLeader[gi] = true
 			case ringRounds >= m.cfg.MaxRingRounds:
 				toLeader[gi] = true
@@ -486,6 +485,17 @@ func (m *rankMain) pass(in *graph.EdgeList) error {
 		m.chosen = append(m.chosen, ids...)
 	}
 	return nil
+}
+
+// mergeThreshold is the residual edge count at or below which a group of
+// ranks merges to its leader: Config.MergeEdgeThreshold when it is set,
+// otherwise the default memory-capacity threshold — one rank's original
+// share of the m input edges, at least 256.
+func mergeThreshold(cfg hypar.Config, m, p int) int64 {
+	if cfg.MergeEdgeThreshold != 0 {
+		return cfg.MergeEdgeThreshold
+	}
+	return max(int64(m)/int64(p), 256)
 }
 
 // gather collects every rank's chosen edge ids at rank 0 and returns

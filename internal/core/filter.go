@@ -20,10 +20,13 @@ import (
 // already joins closes a cycle of lighter edges, so it is in no minimum
 // spanning forest; on dense graphs most heavy edges are such edges, and
 // no rank ever lists them for indComp or the merges. The forest is the
-// light forest plus the heavy pass's forest. Every step the passes do not
-// already charge — the sample, the pivot collective, the light forest's
-// broadcast, the union-find work and the two filter scans — is charged to
-// the partition phase.
+// light forest plus the heavy edges' forest. When the heavy edges fit one
+// rank's share they skip the pipeline, as Algorithm 1's residual graph
+// does once it fits one rank: rank 0 post-processes them, charged to the
+// postProcess phase. Every other step the passes do not already charge —
+// the sample, the pivot collective, the light forest's broadcast, the
+// union-find work and the two filter scans — is charged to the partition
+// phase.
 
 // filterDensity is the edges-per-vertex ratio at and above which a
 // filtered run solves the light edges first: at m = 4n it breaks even
@@ -49,8 +52,13 @@ func filterFires(el *graph.EdgeList) bool {
 }
 
 // runFiltered is run's filtered form: the pivot, the light pass, the light
-// forest's broadcast and filter, then the heavy pass. Iterations, levels
-// and the peak accumulate over both passes.
+// forest's broadcast and filter, then the heavy edges. When the heavy list
+// fits one rank's share — the merge threshold over the job's edges, the
+// size at which Algorithm 1 merges a group to its leader — rank 0
+// post-processes it and no rank sends anything more; otherwise the heavy
+// pass runs the whole pipeline, which keeps §3.4's per-rank memory bound.
+// Every rank decides the same way from the same heavy list. Iterations,
+// levels and the peak accumulate over the passes.
 func (m *rankMain) runFiltered() (*mst.Forest, error) {
 	r := m.r
 	r.SetPhase(PhasePartition)
@@ -79,7 +87,19 @@ func (m *rankMain) runFiltered() (*mst.Forest, error) {
 	m.rt.ChargeWork(cost.Work{HashOps: int64(len(light)) + int64(m.el.N), EdgesScanned: int64(hi - lo)})
 	m.chosen = nil
 	var ids []int32
-	if len(heavy.Edges) > 0 {
+	if int64(len(heavy.Edges)) <= mergeThreshold(m.cfg, e, r.P()) {
+		r.SetPhase(PhasePostProcess)
+		if r.ID() == 0 && len(heavy.Edges) > 0 {
+			m.peak = max(m.peak, len(heavy.Edges))
+			comps := make([]int32, heavy.N)
+			for i := range comps {
+				comps[i] = int32(i)
+			}
+			if ids, err = m.rt.PostProcess(comps, heavy.Edges); err != nil {
+				return nil, err
+			}
+		}
+	} else {
 		if err := m.pass(heavy); err != nil {
 			return nil, err
 		}
@@ -95,8 +115,9 @@ func (m *rankMain) runFiltered() (*mst.Forest, error) {
 
 // samplePivot draws this rank's share of filterSamples packed weights
 // from its chunk [lo, hi) of the job's edges, and one allreduce gives
-// every rank all of them; the pivot is their q-quantile. A rank with an
-// empty chunk contributes no samples.
+// every rank all of them; the pivot is their q-quantile, which the first
+// rank of the process to need it selects for all its ranks. A rank with
+// an empty chunk contributes no samples.
 func (m *rankMain) samplePivot(lo, hi int) uint64 {
 	r := m.r
 	p, id := r.P(), r.ID()
@@ -113,12 +134,7 @@ func (m *rankMain) samplePivot(lo, hi int) uint64 {
 		mine[i] = int64(m.el.Edges[lo+int(x%uint64(hi-lo))].W)
 	}
 	m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(mine))})
-	vals = r.Allreduce(vals, cluster.OpSum)
-	slices.Sort(vals)
-	i, _ := slices.BinarySearch(vals, 0)
-	vals = vals[i:] // the ranks' samples, without the empty chunks' slots
-	q := float64(filterLightPerVertex) * float64(m.el.N) / float64(len(m.el.Edges))
-	return uint64(vals[min(int(q*float64(len(vals))), len(vals)-1)])
+	return m.lists.pivotOf(m.el, r.Allreduce(vals, cluster.OpSum))
 }
 
 // splitmix64 advances a SplitMix64 state and returns its next output.
@@ -148,14 +164,29 @@ func (m *rankMain) broadcastForest(ids []int32) ([]int32, error) {
 	return ids, nil
 }
 
-// filterLists holds a filtered run's two inputs for the ranks one process
-// hosts. Every rank derives them the same way from the same pivot and the
-// same light forest, so the first rank to need a list builds it and the
-// others share it, as they share the job's edge list; each rank is still
-// charged its own part of the work.
+// filterLists holds a filtered run's pivot and two inputs for the ranks
+// one process hosts. Every rank derives them the same way from the same
+// samples, pivot and light forest, so the first rank to need one selects
+// or builds it and the others share it, as they share the job's edge
+// list; each rank is still charged its own part of the work.
 type filterLists struct {
-	lightOnce, heavyOnce sync.Once
-	light, heavy         *graph.EdgeList
+	pivotOnce, lightOnce, heavyOnce sync.Once
+	pivot                           uint64
+	light, heavy                    *graph.EdgeList
+}
+
+// pivotOf returns the pivot: the q-quantile of vals, every rank's samples
+// after the allreduce, in which an empty chunk's slots are -1. It sorts
+// vals.
+func (f *filterLists) pivotOf(el *graph.EdgeList, vals []int64) uint64 {
+	f.pivotOnce.Do(func() {
+		slices.Sort(vals)
+		i, _ := slices.BinarySearch(vals, 0)
+		vals = vals[i:] // the ranks' samples, without the empty chunks' slots
+		q := float64(filterLightPerVertex) * float64(el.N) / float64(len(el.Edges))
+		f.pivot = uint64(vals[min(int(q*float64(len(vals))), len(vals)-1)])
+	})
+	return f.pivot
 }
 
 // lightOf returns the light pass's input: el's edges of weight at most

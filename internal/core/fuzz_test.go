@@ -19,7 +19,8 @@ import (
 // Byte 0 sizes the vertex set (1–64) and byte 1 picks the rank count
 // (1–16). Byte 2's bits set LeaderOnly, Contract, DataDriven,
 // DiminishingTermination, the border-edge exception, GPU use on the
-// Cray XC40 and Filter (which runs two passes once m ≥ 5n), where byte 3 % 3 picks GPUsPerNode (0–2) and MinGPUEdges is
+// Cray XC40 and Filter (which solves the light edges first once
+// m ≥ 5n), where byte 3 % 3 picks GPUsPerNode (0–2) and MinGPUEdges is
 // 0–15 from byte 3's high bits, with GPUShare 0 so the share is
 // estimated. Byte 4 picks GroupSize (1–8), byte 5 MergeEdgeThreshold
 // (0 = derived, else 1–63) and byte 6 RecursionMinEdges (0–31). Each
@@ -35,6 +36,13 @@ func FuzzFindMSF(f *testing.F) {
 	// Filter on 3 vertices and 16 edges, on 5 ranks.
 	f.Add([]byte{2, 4, 0x44, 0, 3, 0, 0, 0, 1, 0, 1, 2, 1, 0, 2, 2, 0, 0, 3, 1, 1, 0, 2, 2, 1, 0, 1, 3, 1, 2, 2,
 		2, 0, 1, 0, 1, 2, 3, 0, 2, 0, 1, 1, 2, 2, 0, 1, 0, 1, 2, 3, 0})
+	// Filter on 4 vertices and 20 edges: two light pairs joined by 12
+	// heavy edges, which fit one rank on 3 ranks and, with
+	// MergeEdgeThreshold 1, run the heavy pass on 2.
+	pairs := []byte{0, 1, 0, 2, 3, 0, 0, 1, 0, 2, 3, 0, 0, 1, 0, 2, 3, 0, 0, 1, 0, 2, 3, 0,
+		0, 2, 3, 1, 3, 2, 0, 3, 1, 1, 2, 3, 0, 2, 2, 1, 3, 1, 0, 3, 3, 1, 2, 2, 0, 2, 1, 1, 3, 3, 0, 3, 2, 1, 2, 1}
+	f.Add(append([]byte{3, 2, 0x40, 0, 3, 0, 0}, pairs...))
+	f.Add(append([]byte{3, 1, 0x40, 0, 3, 1, 0}, pairs...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
 			return

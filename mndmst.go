@@ -558,7 +558,7 @@ func resultFromForest(f *mst.Forest, rep *cluster.Report) *Result {
 // step beyond the paper (filter-Borůvka): the ranks solve the edges at or
 // below a sampled pivot weight first, then only the heavier edges that
 // join two different light components. The forest is the same; the
-// simulated metrics are those of the two passes.
+// simulated metrics are those of the whole filtered run.
 func FindMSF(g *Graph, opts Options) (*Result, error) {
 	return FindMSFContext(context.Background(), g, opts)
 }

@@ -24,7 +24,8 @@
 #                             runs the full paper suite with each, and
 #                             fails unless the two JSON outputs are
 #                             byte-identical — the check for a change
-#                             meant to keep every modeled figure
+#                             meant to keep every modeled figure; on a
+#                             difference it names each table that differs
 #   scripts/check.sh --coverage
 #                             coverage ratchet only (scripts/coverage.sh)
 set -eu
@@ -85,11 +86,25 @@ run_parity() {
         -format json -out "$tmp/new.json"
     cmp "$tmp/ref.json" "$tmp/new.json" || {
         echo "parity: the paper-suite JSON differs from $ref's" >&2
+        list_differing_tables "$tmp/ref.json" "$tmp/new.json" >&2
         exit 1
     }
     git worktree remove --force "$tmp/ref"
     trap - EXIT
     rm -rf "$tmp"
+}
+
+list_differing_tables() {
+    # Names each paper-suite table whose JSON differs between the two
+    # files, or that only one of them has, by its title; jq compares
+    # them one table at a time.
+    command -v jq > /dev/null || { echo "  (install jq to list the differing tables)"; return; }
+    echo "tables that differ:"
+    jq -r '.title' "$1" "$2" | sort -u | while IFS= read -r title; do
+        a=$(jq -c --arg t "$title" 'select(.title == $t)' "$1")
+        b=$(jq -c --arg t "$title" 'select(.title == $t)' "$2")
+        [ "$a" = "$b" ] || echo "  $title"
+    done
 }
 
 run_serve() {

@@ -1,45 +1,11 @@
 package mndmst_test
 
 import (
-	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
 	"mndmst"
-	"mndmst/internal/bench"
 )
-
-// BenchmarkPaper regenerates every paper-suite experiment of
-// internal/bench — the §5 tables and figures, the design ablations and the
-// extensions — as one sub-benchmark per registry name, so
-// `-bench 'Paper/Table3'` selects one table and `-bench 'Paper/Ablation'`
-// the ablations. Workloads default to a reduced scale so the suite
-// finishes in minutes; set MNDMST_BENCH_SCALE=1.0 to run at the full
-// reproduction scale (as `mndmst-bench -suite paper` does). At high
-// verbosity each rendered table is logged once.
-func BenchmarkPaper(b *testing.B) {
-	scale := 0.25
-	if s := os.Getenv("MNDMST_BENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			scale = v
-		}
-	}
-	for _, e := range bench.Experiments(bench.SuitePaper) {
-		b.Run(e.Name, func(b *testing.B) {
-			var tab *bench.Table
-			for i := 0; i < b.N; i++ {
-				var err error
-				if tab, err = e.Table(bench.NewRunner(scale, false)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if testing.Verbose() {
-				b.Log("\n" + tab.String())
-			}
-		})
-	}
-}
 
 // --- Host-side microbenchmarks of the core paths ---
 

@@ -1,19 +1,21 @@
 // Command mndmst-bench runs the benchmark suites of internal/bench: the
-// deterministic perf-regression gate (suite core, the default) and the
+// deterministic record of every modeled figure (the default) and the
 // paper's §5 tables, ablations and extensions (suite paper). It gates
 // revisions against a committed baseline.
 //
 // Modes of use:
 //
-//	mndmst-bench -out BENCH_core.json
-//	    Run the pinned core scenario suite on the simulated clocks. Output
-//	    is bit-stable: two runs of the same binary produce byte-identical
-//	    files, so the baseline diffs exactly.
+//	mndmst-bench [-verify] -out BENCH_core.json
+//	    Record every core scenario's sim metrics and every paper
+//	    experiment's table, at scale 0.05. Output is bit-stable: two runs
+//	    of the same binary produce byte-identical files, so the baseline
+//	    diffs exactly. Bless a change with
+//	    `mndmst-bench -verify -out bench.baseline.json`.
 //
 //	mndmst-bench -compare bench.baseline.json [-current BENCH_core.json]
-//	    Compare a current core record against a baseline, exactly.
-//	    Without -current the suite runs first, at the baseline's scale.
-//	    Exit 0 pass, 1 regression.
+//	    Compare a current record against a baseline, exactly: every
+//	    metric and every table cell. Without -current the record runs
+//	    first, at the baseline's scale. Exit 0 pass, 1 regression.
 //
 //	mndmst-bench -validate BENCH_core.json
 //	    Schema-check an existing record (exit 2 on any load failure —
@@ -28,7 +30,8 @@
 //	mndmst-bench -list [-suite paper]
 //	    Print the suite's experiment names.
 //
-// -scenarios <regexp> selects experiments by name in either suite.
+// -scenarios <regexp> selects experiments by name in either suite; with
+// -compare it restricts both records to the selection.
 //
 // Exit codes: 0 pass, 1 regression detected, 2 load/run failure.
 package main
@@ -63,12 +66,12 @@ func run(argv []string, stdout io.Writer) int {
 	fs.SetOutput(os.Stderr)
 	var (
 		suite     = fs.String("suite", bench.SuiteCore, "experiment suite: core (sim gate) or paper (§5 tables, ablations, extensions)")
-		scale     = fs.Float64("scale", 0, "workload scale (default 0.05 for core, 1.0 for paper)")
-		scenarios = fs.String("scenarios", "", "regexp selecting experiments by name (default: all of core, the tables and figures of paper)")
+		scale     = fs.Float64("scale", 0, "workload scale (default 0.05 for the record, 1.0 for paper)")
+		scenarios = fs.String("scenarios", "", "regexp selecting experiments by name (default: the whole record, the tables and figures of paper)")
 		verify    = fs.Bool("verify", false, "cross-check every MND-MST forest against sequential Kruskal")
 		format    = fs.String("format", "text", "paper suite output: text, markdown or json")
 		out       = fs.String("out", "", "write the output to this file (default stdout)")
-		compare   = fs.String("compare", "", "core suite: baseline record to gate against")
+		compare   = fs.String("compare", "", "baseline record to gate against")
 		current   = fs.String("current", "", "with -compare: pre-recorded current file instead of running the suite")
 		validate  = fs.String("validate", "", "schema-check this record file and exit")
 		list      = fs.Bool("list", false, "print the suite's experiment names and exit")
@@ -95,7 +98,8 @@ func run(argv []string, stdout io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		fmt.Fprintf(stdout, "%s: valid %s record (%s mode, %d scenarios)\n", *validate, f.Schema, f.Mode, len(f.Scenarios))
+		fmt.Fprintf(stdout, "%s: valid %s record (%s mode, %d scenarios, %d tables)\n",
+			*validate, f.Schema, f.Mode, len(f.Scenarios), len(f.Tables))
 		return 0
 	}
 
@@ -115,7 +119,7 @@ func run(argv []string, stdout io.Writer) int {
 
 	if *suite == bench.SuitePaper {
 		if *compare != "" {
-			return fail("-compare gates the core suite only")
+			return fail("-compare gates the record, not -suite paper")
 		}
 		return runPaper(cfg, *format, *out, stdout)
 	}
@@ -182,7 +186,7 @@ func emit(f *schema.File, out string, stdout io.Writer) error {
 	if err := schema.Write(out, f); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios)\n", out, len(f.Scenarios))
+	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, %d tables)\n", out, len(f.Scenarios), len(f.Tables))
 	return nil
 }
 
@@ -203,11 +207,11 @@ func runCompare(baselinePath, currentPath string, cfg bench.Config, stdout io.Wr
 		if cur, err = bench.Run(cfg); err != nil {
 			return fail("%v", err)
 		}
-		if cfg.Filter != nil {
-			// A filtered run legitimately lacks the unmatched baseline
-			// scenarios; restrict the baseline to the same subset.
-			baseline = subsetFile(baseline, cfg.Filter)
-		}
+	}
+	if cfg.Filter != nil {
+		// A selection gates only what it names: restrict both records
+		// to it, so an unselected entry is neither missing nor new.
+		baseline, cur = subsetFile(baseline, cfg.Filter), subsetFile(cur, cfg.Filter)
 	}
 	res, err := schema.Compare(baseline, cur)
 	if err != nil {
@@ -220,13 +224,18 @@ func runCompare(baselinePath, currentPath string, cfg bench.Config, stdout io.Wr
 	return 0
 }
 
-// subsetFile restricts f to the scenarios matching re.
+// subsetFile restricts f to the scenarios and tables matching re.
 func subsetFile(f *schema.File, re *regexp.Regexp) *schema.File {
 	out := *f
-	out.Scenarios = nil
+	out.Scenarios, out.Tables = nil, nil
 	for _, sc := range f.Scenarios {
 		if re.MatchString(sc.Name) {
 			out.Scenarios = append(out.Scenarios, sc)
+		}
+	}
+	for _, t := range f.Tables {
+		if re.MatchString(t.Name) {
+			out.Tables = append(out.Tables, t)
 		}
 	}
 	return &out

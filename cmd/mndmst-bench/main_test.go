@@ -65,6 +65,69 @@ func TestCompareDetectsPerturbation(t *testing.T) {
 	}
 }
 
+// TestCompareSelectionSubsetsBothRecords: with -scenarios, -compare gates
+// only the selected entries of both records, whether it reads -current or
+// runs the selection itself.
+func TestCompareSelectionSubsetsBothRecords(t *testing.T) {
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "sub.json")
+	if code := run(benchArgs(sub), io.Discard); code != 0 {
+		t.Fatalf("run exited %d", code)
+	}
+	f, err := schema.Load(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The baseline also holds entries the selection leaves out.
+	f.Scenarios = append(f.Scenarios, schema.Scenario{Name: "core/road_usa/p4", Metrics: map[string]float64{"sim_seconds": 1}})
+	f.Tables = append(f.Tables, schema.Table{Name: "Table3", Title: "Table 3"})
+	base := filepath.Join(dir, "base.json")
+	if err := schema.Write(base, f); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{
+		{"-compare", base, "-current", sub, "-scenarios", "^comm/"},
+		{"-quiet", "-compare", base, "-scenarios", "^comm/"},
+	} {
+		var out strings.Builder
+		if code := run(argv, &out); code != 0 {
+			t.Errorf("%v exited %d:\n%s", argv, code, out.String())
+		}
+	}
+	if code := run([]string{"-compare", base, "-current", sub}, io.Discard); code != 1 {
+		t.Fatalf("unselected compare exited %d, want 1 (two entries missing)", code)
+	}
+}
+
+// TestCompareNamesChangedTable: a paper table that moves fails the gate,
+// and the report names the table and its first differing row.
+func TestCompareNamesChangedTable(t *testing.T) {
+	dir := t.TempDir()
+	cur := filepath.Join(dir, "cur.json")
+	if code := run([]string{"-quiet", "-scale", "0.02", "-scenarios", "^Table2$", "-out", cur}, io.Discard); code != 0 {
+		t.Fatalf("run exited %d", code)
+	}
+	f, err := schema.Load(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Scenarios) != 0 || len(f.Tables) != 1 {
+		t.Fatalf("record holds %d scenarios and %d tables, want Table2 alone", len(f.Scenarios), len(f.Tables))
+	}
+	f.Tables[0].Rows[1][1] += "0"
+	base := filepath.Join(dir, "base.json")
+	if err := schema.Write(base, f); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if code := run([]string{"-compare", base, "-current", cur}, &out); code != 1 {
+		t.Fatalf("changed table compare exited %d, want 1:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "REGRESSION Table2") || !strings.Contains(out.String(), "row 2:") {
+		t.Fatalf("report does not name the table and row:\n%s", out.String())
+	}
+}
+
 func TestValidateRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
@@ -106,7 +169,7 @@ func TestValidateRejectsWallRecord(t *testing.T) {
 	// Wall mode is gone: e2ebench owns wall time, and a wall record from
 	// an older binary must fail to load rather than gate anything.
 	p := filepath.Join(t.TempDir(), "wall.json")
-	rec := `{"schema":"mndmst-bench/v1","mode":"wall","suite":"core",` +
+	rec := `{"schema":"` + schema.Version + `","mode":"wall","suite":"core",` +
 		`"scenarios":[{"name":"comm/deltas/p4/64KiB","metrics":{"wall_seconds":0.01}}]}`
 	if err := os.WriteFile(p, []byte(rec), 0o644); err != nil {
 		t.Fatal(err)

@@ -90,12 +90,13 @@ func ExampleColoring() {
 	// Output: identical across rank counts: true
 }
 
-// Run traces export per-rank accounting for offline analysis.
+// Run traces export per-rank accounting for offline analysis: one JSON
+// line per rank, then one per phase that rank ran.
 func ExampleRunTrace() {
 	g := mndmst.GenerateWebGraph(2000, 16_000, 0.85, 11)
 	res, _ := mndmst.FindMSF(g, mndmst.Options{Nodes: 4})
 	var buf strings.Builder
-	_ = res.Trace.WriteCSV(&buf)
-	fmt.Println(strings.SplitN(buf.String(), "\n", 2)[0])
-	// Output: rank,phase,compute_s,comm_s,bytes_sent,msgs
+	_ = res.Trace.WriteJSONL(&buf)
+	fmt.Println("rank records:", strings.Count(buf.String(), `"kind":"rank"`))
+	// Output: rank records: 4
 }

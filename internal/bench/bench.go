@@ -10,7 +10,9 @@
 // α–β/device-model simulated clocks, serialized to the canonical schema
 // (internal/bench/schema). They are bit-stable across runs, so the
 // committed baseline diffs exactly and ANY change to a hot path's
-// simulated cost fails the gate until it is blessed.
+// simulated cost fails the gate until it is blessed. The same record
+// carries every paper experiment's table at the record's scale, so a
+// change to any modeled figure is gated and blessed the same way.
 //
 // Every core-run scenario additionally cross-checks itself against the
 // observability layer: the run's report is published to a fresh metrics
@@ -50,10 +52,10 @@ const (
 	SuitePaper = "paper"
 )
 
-// Default workload scales. The core suite's is the one the committed
-// baseline is recorded at: small enough that the full sim suite runs in
-// CI seconds, large enough that every phase does real work. The paper
-// suite defaults to the reproduction size.
+// Default workload scales. coreScale is the one the committed baseline
+// is recorded at, core scenarios and paper tables alike: small enough that
+// the whole record runs in CI seconds, large enough that every phase does
+// real work. A paper-suite run defaults to the reproduction size.
 const (
 	coreScale  = 0.05
 	paperScale = 1.0
@@ -61,7 +63,7 @@ const (
 
 // paperDefault selects what a paper run without a filter regenerates: the
 // §5 tables and figures. Ablations and extensions run when a filter names
-// them.
+// them; the record runs them all.
 var paperDefault = regexp.MustCompile(`^(Table|Figure)`)
 
 // Experiment is one named entry of a suite. A core scenario sets Metrics,
@@ -97,10 +99,12 @@ func Names(suite string) []string {
 
 // Config configures one invocation.
 type Config struct {
-	// Scale is the workload scale (default 0.05 for core, 1.0 for paper).
+	// Scale is the workload scale (default 0.05 for the record, 1.0 for
+	// a paper run).
 	Scale float64
-	// Filter, when non-nil, selects experiments by name (default: the
-	// whole core suite, the tables and figures of the paper suite).
+	// Filter, when non-nil, selects experiments by name (default: every
+	// core scenario and paper experiment for the record, the tables and
+	// figures for a paper run).
 	Filter *regexp.Regexp
 	// Verify cross-checks every MND-MST forest against sequential Kruskal.
 	Verify bool
@@ -114,12 +118,10 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// start resolves the defaults for suite and returns a fresh runner plus
-// the selected experiments in registry order.
-func (c Config) start(suite string, scale float64, filter *regexp.Regexp) (*Runner, []Experiment, error) {
-	if c.Scale > 0 {
-		scale = c.Scale
-	}
+// selected returns the experiments of suite that c.Filter selects, in
+// registry order; without a filter, those def selects (all when nil).
+func (c Config) selected(suite string, def *regexp.Regexp) []Experiment {
+	filter := def
 	if c.Filter != nil {
 		filter = c.Filter
 	}
@@ -129,25 +131,35 @@ func (c Config) start(suite string, scale float64, filter *regexp.Regexp) (*Runn
 			sel = append(sel, e)
 		}
 	}
-	if len(sel) == 0 {
-		return nil, nil, fmt.Errorf("bench: no %s experiment matched the filter", suite)
-	}
-	return NewRunner(scale, c.Verify), sel, nil
+	return sel
 }
 
-// Run executes the selected core scenarios and returns their record.
+// runner returns a fresh runner at c.Scale, or at scale when c sets none.
+func (c Config) runner(scale float64) *Runner {
+	if c.Scale > 0 {
+		scale = c.Scale
+	}
+	return NewRunner(scale, c.Verify)
+}
+
+// Run executes the selected core scenarios and paper experiments, at the
+// record's scale unless cfg sets one, and returns their record: every
+// scenario's metrics and every experiment's table.
 func Run(cfg Config) (*schema.File, error) {
-	r, sel, err := cfg.start(SuiteCore, coreScale, nil)
-	if err != nil {
-		return nil, err
+	scenarios, tables := cfg.selected(SuiteCore, nil), cfg.selected(SuitePaper, nil)
+	if len(scenarios)+len(tables) == 0 {
+		return nil, fmt.Errorf("bench: no experiment matched the filter")
 	}
+	r := cfg.runner(coreScale)
 	f := &schema.File{
-		Schema: schema.Version,
-		Mode:   schema.ModeSim,
-		Suite:  SuiteCore,
-		Scale:  r.scale,
+		Schema:    schema.Version,
+		Mode:      schema.ModeSim,
+		Suite:     SuiteCore,
+		Scale:     r.scale,
+		Scenarios: make([]schema.Scenario, 0, len(scenarios)),
+		Tables:    make([]schema.Table, 0, len(tables)),
 	}
-	for _, e := range sel {
+	for _, e := range scenarios {
 		metrics, err := e.Metrics(r)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", e.Name, err)
@@ -155,16 +167,25 @@ func Run(cfg Config) (*schema.File, error) {
 		cfg.logf("%-44s ok (%d metrics)", e.Name, len(metrics))
 		f.Scenarios = append(f.Scenarios, schema.Scenario{Name: e.Name, Metrics: metrics})
 	}
+	for _, e := range tables {
+		t, err := e.Table(r)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name, err)
+		}
+		cfg.logf("%-44s ok (%d rows)", e.Name, len(t.Rows))
+		f.Tables = append(f.Tables, t.record(e.Name))
+	}
 	return f, nil
 }
 
 // RunPaper executes the selected paper experiments in order and hands
 // each table to emit as soon as it is built.
 func RunPaper(cfg Config, emit func(*Table) error) error {
-	r, sel, err := cfg.start(SuitePaper, paperScale, paperDefault)
-	if err != nil {
-		return err
+	sel := cfg.selected(SuitePaper, paperDefault)
+	if len(sel) == 0 {
+		return fmt.Errorf("bench: no paper experiment matched the filter")
 	}
+	r := cfg.runner(paperScale)
 	for _, e := range sel {
 		t, err := e.Table(r)
 		if err != nil {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // MetricDelta is one changed metric. Records hold deterministic simulated
@@ -20,6 +22,15 @@ type MetricDelta struct {
 	RelChange float64 `json:"rel_change"`
 }
 
+// TableDelta is the first difference in one changed table: where it is
+// ("title", "header", "row 3", "note 1") and that part of each side.
+type TableDelta struct {
+	Table    string `json:"table"`
+	Where    string `json:"where"`
+	Baseline string `json:"baseline"`
+	Current  string `json:"current"`
+}
+
 // Result is the outcome of one baseline comparison.
 type Result struct {
 	// Deltas lists every metric whose value changed, by scenario/metric
@@ -33,8 +44,18 @@ type Result struct {
 	NewScenarios []string `json:"new_scenarios,omitempty"`
 	// MissingMetrics were in a baseline scenario but not the current one.
 	MissingMetrics []string `json:"missing_metrics,omitempty"`
+	// TableDeltas lists every table that changed, by its first
+	// difference.
+	TableDeltas []TableDelta `json:"table_deltas,omitempty"`
+	// MissingTables were in the baseline but not the current run — a
+	// regression, as a missing scenario is.
+	MissingTables []string `json:"missing_tables,omitempty"`
+	// NewTables are in the current run but not the baseline —
+	// informational, as new scenarios are.
+	NewTables      []string `json:"new_tables,omitempty"`
 	Regressions    int      `json:"regressions"`
 	Compared       int      `json:"compared"`
+	TablesCompared int      `json:"tables_compared"`
 }
 
 // Passed reports whether the comparison found no regressions.
@@ -113,7 +134,82 @@ func Compare(baseline, current *File) (*Result, error) {
 		}
 		return a.Metric < b.Metric
 	})
+	res.compareTables(baseline.Tables, current.Tables)
 	return res, nil
+}
+
+// compareTables gates every baseline table against the current table of
+// the same name, cell for cell.
+func (res *Result) compareTables(baseline, current []Table) {
+	cur := make(map[string]Table, len(current))
+	for _, t := range current {
+		cur[t.Name] = t
+	}
+	base := make(map[string]bool, len(baseline))
+	for _, bt := range baseline {
+		base[bt.Name] = true
+		ct, ok := cur[bt.Name]
+		if !ok {
+			res.MissingTables = append(res.MissingTables, bt.Name)
+			res.Regressions++
+			continue
+		}
+		res.TablesCompared++
+		if d, changed := firstDiff(bt, ct); changed {
+			res.TableDeltas = append(res.TableDeltas, d)
+			res.Regressions++
+		}
+	}
+	for _, ct := range current {
+		if !base[ct.Name] {
+			res.NewTables = append(res.NewTables, ct.Name)
+		}
+	}
+}
+
+// firstDiff finds the first part of two same-named tables that differs:
+// the title, the header, a row, or a note, in that order.
+func firstDiff(b, c Table) (TableDelta, bool) {
+	d := TableDelta{Table: b.Name}
+	if b.Title != c.Title {
+		d.Where, d.Baseline, d.Current = "title", b.Title, c.Title
+		return d, true
+	}
+	if !slices.Equal(b.Header, c.Header) {
+		d.Where, d.Baseline, d.Current = "header", cells(b.Header), cells(c.Header)
+		return d, true
+	}
+	for i := range max(len(b.Rows), len(c.Rows)) {
+		br, cr := at(b.Rows, i, nil), at(c.Rows, i, nil)
+		if !slices.Equal(br, cr) {
+			d.Where, d.Baseline, d.Current = fmt.Sprintf("row %d", i+1), cells(br), cells(cr)
+			return d, true
+		}
+	}
+	for i := range max(len(b.Notes), len(c.Notes)) {
+		bn, cn := at(b.Notes, i, "(none)"), at(c.Notes, i, "(none)")
+		if bn != cn {
+			d.Where, d.Baseline, d.Current = fmt.Sprintf("note %d", i+1), bn, cn
+			return d, true
+		}
+	}
+	return d, false
+}
+
+// at returns s[i], or past when i is past the end of s.
+func at[T any](s []T, i int, past T) T {
+	if i < len(s) {
+		return s[i]
+	}
+	return past
+}
+
+// cells renders a row for the report; an absent row renders as "(none)".
+func cells(row []string) string {
+	if row == nil {
+		return "(none)"
+	}
+	return strings.Join(row, " | ")
 }
 
 // Report renders the per-metric comparison for humans (and CI logs):
@@ -123,8 +219,8 @@ func (r *Result) Report(w io.Writer) {
 	if !r.Passed() {
 		status = "FAIL"
 	}
-	fmt.Fprintf(w, "bench compare: %s — %d metrics compared, %d regressions\n",
-		status, r.Compared, r.Regressions)
+	fmt.Fprintf(w, "bench compare: %s — %d metrics and %d tables compared, %d regressions\n",
+		status, r.Compared, r.TablesCompared, r.Regressions)
 	for _, s := range r.MissingScenarios {
 		fmt.Fprintf(w, "  REGRESSION %-44s scenario missing from current run\n", s)
 	}
@@ -135,7 +231,16 @@ func (r *Result) Report(w io.Writer) {
 		fmt.Fprintf(w, "  REGRESSION %-44s %s: %g -> %g (%+.2f%%)\n",
 			d.Scenario, d.Metric, d.Baseline, d.Current, 100*d.RelChange)
 	}
+	for _, t := range r.MissingTables {
+		fmt.Fprintf(w, "  REGRESSION %-44s table missing from current run\n", t)
+	}
+	for _, d := range r.TableDeltas {
+		fmt.Fprintf(w, "  REGRESSION %-44s %s: %s -> %s\n", d.Table, d.Where, d.Baseline, d.Current)
+	}
 	for _, s := range r.NewScenarios {
 		fmt.Fprintf(w, "  note       %-44s new scenario (not in baseline; re-bless to track)\n", s)
+	}
+	for _, t := range r.NewTables {
+		fmt.Fprintf(w, "  note       %-44s new table (not in baseline; re-bless to track)\n", t)
 	}
 }

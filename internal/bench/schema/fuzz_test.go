@@ -23,11 +23,27 @@ func FuzzFileRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"schema":"mndmst-bench/v1","mode":"sim","suite":"core",` +
+	f.Add([]byte(`{"schema":"mndmst-bench/v2","mode":"sim","suite":"core",` +
 		`"scenarios":[{"name":"comm/deltas/p4/64KiB","metrics":{"comm_seconds":0.00026,"bytes_sent":786432}},` +
 		`{"name":"serve/jobs/hot","metrics":{"jobs":16,"result_cache_hits":15}}]}`))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"schema":"mndmst-bench/v1","mode":"sim","suite":"x","scenarios":[]}`))
+	f.Add([]byte(`{"schema":"mndmst-bench/v2","mode":"sim","suite":"x","scenarios":[]}`))
+	tables, err := Encode(&File{
+		Schema: Version, Mode: ModeSim, Suite: "core", Scale: 0.05,
+		Scenarios: []Scenario{
+			{Name: "comm/deltas/p4/64KiB", Metrics: map[string]float64{"msgs": 12}},
+		},
+		Tables: []Table{
+			{Name: "Table2", Title: "Table 2: Graph specifications", Header: []string{"graph", "|V|"},
+				Rows: [][]string{{"road_usa", "1200"}}, Notes: []string{"1/1000 scale"}},
+			{Name: "Ablation/Termination", Title: "Ablation: termination", Header: []string{"rule"},
+				Rows: [][]string{}, Notes: []string{}},
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tables)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))

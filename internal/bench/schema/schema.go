@@ -1,16 +1,17 @@
 // Package schema defines the canonical, versioned on-disk format of the
 // repo's benchmark records (bench.baseline.json and the records
 // mndmst-bench writes): a flat list of named scenarios, each carrying a map
-// of numeric metrics, plus enough header to interpret them — the
+// of numeric metrics, and a list of named tables, each the rendered cells
+// of one paper experiment, plus enough header to interpret them — the
 // measurement mode (always the deterministic simulated clock; e2ebench
 // owns wall time), the suite and the workload scale. One validator and
 // one comparator gate every record.
 //
-// Encoding is canonical: scenarios keep their suite order, metric maps
-// serialize with sorted keys (encoding/json's map behaviour), and floats
-// use Go's shortest round-trip representation — two encodes of the same
-// File are byte-identical, which is what makes sim baselines exactly
-// diffable.
+// Encoding is canonical: scenarios and tables keep their suite order,
+// metric maps serialize with sorted keys (encoding/json's map behaviour),
+// and floats use Go's shortest round-trip representation — two encodes of
+// the same File are byte-identical, which is what makes sim baselines
+// exactly diffable.
 package schema
 
 import (
@@ -24,7 +25,7 @@ import (
 // Version is the schema identifier every valid file carries. Bump it when
 // the layout changes incompatibly; the validator rejects unknown versions
 // so a stale reader never silently misinterprets a newer file.
-const Version = "mndmst-bench/v1"
+const Version = "mndmst-bench/v2"
 
 // ModeSim is the one measurement mode: deterministic simulated-clock
 // metrics, bit-stable across runs and compared exactly.
@@ -37,23 +38,36 @@ type Scenario struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// Table is one paper experiment's output, cell for cell as the suite
+// renders it.
+type Table struct {
+	// Name is the experiment's registry name ("Table3",
+	// "Ablation/GroupSize", ...).
+	Name   string     `json:"name"`
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes"`
+}
+
 // File is one benchmark record.
 type File struct {
 	Schema string `json:"schema"`
 	Mode   string `json:"mode"`
 	// Suite names the emitting suite ("core" for mndmst-bench).
 	Suite string `json:"suite"`
-	// Scale is the workload scale the scenarios ran at (0 when the suite
-	// has no scale knob).
+	// Scale is the workload scale the scenarios and tables ran at (0
+	// when the suite has no scale knob).
 	Scale     float64    `json:"scale,omitempty"`
 	Scenarios []Scenario `json:"scenarios"`
+	Tables    []Table    `json:"tables"`
 }
 
 // Validate checks structural integrity: known version and mode, at least
-// one scenario, unique non-empty scenario names, at least one metric per
-// scenario, and finite metric values. A file that passes Validate is safe
-// to compare and safe to gate on — in particular, a silently-empty record
-// (zero scenarios) is invalid by construction.
+// one scenario or table, unique non-empty scenario and table names, at
+// least one metric per scenario, and finite metric values. A file that
+// passes Validate is safe to compare and safe to gate on — in particular,
+// a silently-empty record (nothing measured) is invalid by construction.
 func (f *File) Validate() error {
 	if f.Schema != Version {
 		return fmt.Errorf("schema: unknown schema %q (want %q)", f.Schema, Version)
@@ -64,8 +78,8 @@ func (f *File) Validate() error {
 	if f.Suite == "" {
 		return fmt.Errorf("schema: empty suite name")
 	}
-	if len(f.Scenarios) == 0 {
-		return fmt.Errorf("schema: no scenarios (an empty bench record gates nothing)")
+	if len(f.Scenarios)+len(f.Tables) == 0 {
+		return fmt.Errorf("schema: no scenarios or tables (an empty bench record gates nothing)")
 	}
 	seen := make(map[string]bool, len(f.Scenarios))
 	for i, s := range f.Scenarios {
@@ -87,6 +101,16 @@ func (f *File) Validate() error {
 				return fmt.Errorf("schema: scenario %q metric %q is %v", s.Name, name, v)
 			}
 		}
+	}
+	tables := make(map[string]bool, len(f.Tables))
+	for i, t := range f.Tables {
+		if t.Name == "" {
+			return fmt.Errorf("schema: table %d has an empty name", i)
+		}
+		if tables[t.Name] {
+			return fmt.Errorf("schema: duplicate table %q", t.Name)
+		}
+		tables[t.Name] = true
 	}
 	return nil
 }

@@ -23,11 +23,27 @@ func validFile() *File {
 				"comm_seconds": 0.003,
 			}},
 		},
+		Tables: []Table{
+			{Name: "Table3", Title: "Table 3: MND-MST vs Pregel+",
+				Header: []string{"graph", "MND-MST (s)"},
+				Rows:   [][]string{{"road_usa", "0.0120"}, {"arabic-2005", "0.0340"}},
+				Notes:  []string{"simulated seconds"}},
+			{Name: "Ablation/GroupSize", Title: "Ablation: group size",
+				Header: []string{"group", "exec (s)"},
+				Rows:   [][]string{{"2", "0.0100"}},
+				Notes:  []string{}},
+		},
 	}
 }
 
 func TestValidateAcceptsGoodFile(t *testing.T) {
 	if err := validFile().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A selection of tables alone (`-scenarios '^Table'`) is a record.
+	f := validFile()
+	f.Scenarios = nil
+	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -41,12 +57,14 @@ func TestValidateRejects(t *testing.T) {
 		{"wrong version", func(f *File) { f.Schema = "mndmst-bench/v0" }, "unknown schema"},
 		{"wrong mode", func(f *File) { f.Mode = "wall" }, "unknown mode"},
 		{"empty suite", func(f *File) { f.Suite = "" }, "empty suite"},
-		{"no scenarios", func(f *File) { f.Scenarios = nil }, "no scenarios"},
+		{"no scenarios", func(f *File) { f.Scenarios, f.Tables = nil, nil }, "no scenarios or tables"},
 		{"empty name", func(f *File) { f.Scenarios[0].Name = "" }, "empty name"},
 		{"duplicate name", func(f *File) { f.Scenarios[1].Name = f.Scenarios[0].Name }, "duplicate"},
 		{"no metrics", func(f *File) { f.Scenarios[0].Metrics = nil }, "no metrics"},
 		{"nan metric", func(f *File) { f.Scenarios[0].Metrics["sim_seconds"] = math.NaN() }, "NaN"},
 		{"inf metric", func(f *File) { f.Scenarios[0].Metrics["sim_seconds"] = math.Inf(1) }, "+Inf"},
+		{"empty table name", func(f *File) { f.Tables[1].Name = "" }, "table 1 has an empty name"},
+		{"duplicate table name", func(f *File) { f.Tables[1].Name = f.Tables[0].Name }, `duplicate table "Table3"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +114,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsUnknownFieldsAndTrailingData(t *testing.T) {
-	if _, err := Read(strings.NewReader(`{"schema":"mndmst-bench/v1","mode":"sim","suite":"x","bogus":1}`)); err == nil {
+	if _, err := Read(strings.NewReader(`{"schema":"` + Version + `","mode":"sim","suite":"x","bogus":1}`)); err == nil {
 		t.Fatal("Read accepted an unknown field")
 	}
 	buf, err := Encode(validFile())
@@ -181,5 +199,76 @@ func TestCompareRejectsIncomparableFiles(t *testing.T) {
 	suite.Suite = "comm"
 	if _, err := Compare(base, suite); err == nil {
 		t.Fatal("suite mismatch accepted")
+	}
+}
+
+// TestCompareTables: a changed cell is a regression that names its table
+// and row, a dropped table is a regression, and a table only the current
+// run has is a note.
+func TestCompareTables(t *testing.T) {
+	base, cur := validFile(), validFile()
+	cur.Tables[0].Rows[1][1] = "0.0341"
+	res, err := Compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Passed() || res.Regressions != 1 || res.TablesCompared != 2 {
+		t.Fatalf("changed cell passed: %+v", res)
+	}
+	want := TableDelta{Table: "Table3", Where: "row 2",
+		Baseline: "arabic-2005 | 0.0340", Current: "arabic-2005 | 0.0341"}
+	if len(res.TableDeltas) != 1 || res.TableDeltas[0] != want {
+		t.Fatalf("table deltas = %+v, want %+v", res.TableDeltas, want)
+	}
+	var buf bytes.Buffer
+	res.Report(&buf)
+	if out := buf.String(); !strings.Contains(out, "REGRESSION Table3") || !strings.Contains(out, "row 2: arabic-2005 | 0.0340 -> arabic-2005 | 0.0341") {
+		t.Fatalf("report does not name the table and its row:\n%s", out)
+	}
+
+	// Every part of a table is gated: title, header, row count, notes.
+	for _, tc := range []struct {
+		where string
+		mut   func(*Table)
+	}{
+		{"title", func(tb *Table) { tb.Title += "!" }},
+		{"header", func(tb *Table) { tb.Header[1] = "exec (s)" }},
+		{"row 3", func(tb *Table) { tb.Rows = append(tb.Rows, []string{"it-2004", "0.0500"}) }},
+		{"note 1", func(tb *Table) { tb.Notes = nil }},
+	} {
+		cur := validFile()
+		tc.mut(&cur.Tables[0])
+		res, err := Compare(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Passed() || len(res.TableDeltas) != 1 || res.TableDeltas[0].Where != tc.where {
+			t.Errorf("%s change: %+v", tc.where, res)
+		}
+	}
+
+	cur = validFile()
+	cur.Tables = cur.Tables[1:]
+	res, err = Compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Passed() || !reflect.DeepEqual(res.MissingTables, []string{"Table3"}) {
+		t.Fatalf("dropped table passed: %+v", res)
+	}
+
+	cur = validFile()
+	cur.Tables = append(cur.Tables, Table{Name: "Extension/New", Title: "new"})
+	res, err = Compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed() || !reflect.DeepEqual(res.NewTables, []string{"Extension/New"}) {
+		t.Fatalf("new table handling wrong: %+v", res)
+	}
+	buf.Reset()
+	res.Report(&buf)
+	if out := buf.String(); !strings.Contains(out, "note       Extension/New") || strings.Contains(out, "REGRESSION") {
+		t.Fatalf("new table not reported as a note only:\n%s", out)
 	}
 }

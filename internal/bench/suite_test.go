@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -103,9 +104,9 @@ func TestNamesAreUniqueAndStable(t *testing.T) {
 }
 
 // TestFullSuiteRuns executes every pinned core scenario once — core, GPU,
-// both transports, comm, serve, apps — with every forest verified, and
-// checks the record validates and covers the whole suite. This is the
-// same path the CI perf gate takes.
+// both transports, comm, serve, apps — and every paper experiment, with
+// every forest verified, and checks the record validates and covers both
+// suites. This is the same path the CI perf gate takes.
 func TestFullSuiteRuns(t *testing.T) {
 	f, err := Run(Config{Scale: 0.02, Verify: true})
 	if err != nil {
@@ -114,6 +115,9 @@ func TestFullSuiteRuns(t *testing.T) {
 	if len(f.Scenarios) != len(Names(SuiteCore)) {
 		t.Fatalf("record has %d scenarios, suite has %d", len(f.Scenarios), len(Names(SuiteCore)))
 	}
+	if len(f.Tables) != len(Names(SuitePaper)) {
+		t.Fatalf("record has %d tables, paper suite has %d", len(f.Tables), len(Names(SuitePaper)))
+	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,5 +125,33 @@ func TestFullSuiteRuns(t *testing.T) {
 		if sim, ok := sc.Metrics["sim_seconds"]; ok && sim <= 0 {
 			t.Errorf("%s: sim_seconds = %g, want > 0", sc.Name, sim)
 		}
+	}
+}
+
+// TestRunFilterSelectsInBothSuites: a filtered record holds exactly the
+// core scenarios and paper tables whose names match, in registry order.
+func TestRunFilterSelectsInBothSuites(t *testing.T) {
+	filter := regexp.MustCompile(`^comm/|^Table2$|^Ablation/Termination$`)
+	f, err := Run(Config{Scale: 0.02, Filter: filter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, name := range append(Names(SuiteCore), Names(SuitePaper)...) {
+		if filter.MatchString(name) {
+			want = append(want, name)
+		}
+	}
+	for _, sc := range f.Scenarios {
+		got = append(got, sc.Name)
+	}
+	for _, tab := range f.Tables {
+		got = append(got, tab.Name)
+		if tab.Title == "" || len(tab.Header) == 0 || len(tab.Rows) == 0 {
+			t.Errorf("table %s recorded empty: %+v", tab.Name, tab)
+		}
+	}
+	if len(f.Tables) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("record holds %v, filter selects %v", got, want)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"mndmst/internal/bench/schema"
 )
 
 // Table is a formatted experiment result.
@@ -12,6 +14,17 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+}
+
+// record returns the table as the bench record stores it, under its
+// registry name. A table without notes records "notes": [], not null, as
+// every other table's notes are a list.
+func (t *Table) record(name string) schema.Table {
+	notes := t.Notes
+	if notes == nil {
+		notes = []string{}
+	}
+	return schema.Table{Name: name, Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: notes}
 }
 
 // AddRow appends a row of cells.

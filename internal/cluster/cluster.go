@@ -222,10 +222,6 @@ type Rank struct {
 	wallMark  time.Time
 	wallStart time.Time
 	wallTotal float64
-
-	// linkBusyUntil tracks the receiver link occupancy when the comm
-	// model serializes ingress.
-	linkBusyUntil float64
 }
 
 // ID reports this rank's id in [0, P).
@@ -338,9 +334,8 @@ func (r *Rank) Send(dst, tag int, data []byte) {
 // Recv blocks until the next message from src arrives, checks its tag, and
 // returns its payload. The receiver's clock advances to the message's
 // arrival time if it is later (synchronization wait is booked as
-// communication time). With SerializeIngress, the payload transfer also
-// queues behind other traffic into this rank. A dead peer on a real
-// transport surfaces as this rank's error from Run instead of a hang.
+// communication time). A dead peer on a real transport surfaces as this
+// rank's error from Run instead of a hang.
 func (r *Rank) Recv(src, tag int) []byte {
 	if src < 0 || src >= r.c.p {
 		panic(fmt.Sprintf("cluster: recv from invalid rank %d", src))
@@ -352,19 +347,7 @@ func (r *Rank) Recv(src, tag int) []byte {
 	if int(msg.Tag) != tag {
 		panic(fmt.Sprintf("cluster: rank %d expected tag %d from %d, got %d", r.id, tag, src, msg.Tag))
 	}
-	arrival := msg.Arrival
-	if r.c.comm.SerializeIngress {
-		// The sender's clock already covers α + transfer on its side;
-		// the receiver link replays the transfer portion serially.
-		transfer := r.c.comm.Seconds(int64(len(msg.Data))) - r.c.comm.Latency
-		start := msg.Arrival - transfer // when the payload hits our link
-		if start < r.linkBusyUntil {
-			start = r.linkBusyUntil
-		}
-		arrival = start + transfer
-		r.linkBusyUntil = arrival
-	}
-	r.chargeCommUntil(arrival)
+	r.chargeCommUntil(msg.Arrival)
 	return msg.Data
 }
 

@@ -370,39 +370,3 @@ func TestSelfSendRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSerializeIngressQueuesConcurrentSenders(t *testing.T) {
-	comm := testComm()
-	comm.SerializeIngress = true
-	const n = 1 << 20 // 1 MB per sender
-	run := func(serialize bool) float64 {
-		c := testCluster(serialize, n)
-		rep, err := c.Run(context.Background(), func(r *Rank) error {
-			if r.ID() == 0 {
-				for src := 1; src < 4; src++ {
-					r.Recv(src, 0)
-				}
-				return nil
-			}
-			r.Send(0, 0, make([]byte, n))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.ExecutionTime()
-	}
-	plain := run(false)
-	serial := run(true)
-	// Three concurrent 1MB streams into one rank: the serialized link must
-	// take roughly 3x one transfer, clearly above the plain model.
-	if serial <= plain*1.5 {
-		t.Fatalf("ingress serialization had no effect: %g vs %g", serial, plain)
-	}
-}
-
-func testCluster(serialize bool, _ int) *Cluster {
-	comm := testComm()
-	comm.SerializeIngress = serialize
-	return New(4, comm)
-}

@@ -52,7 +52,6 @@ func TestChaosConfig(t *testing.T) {
 			}
 			machine.NodeSpeeds = speeds
 		}
-		machine.Comm.SerializeIngress = rng.Intn(4) == 0
 
 		cfg := hypar.DefaultConfig()
 		cfg.GroupSize = 2 + rng.Intn(6)

@@ -180,12 +180,6 @@ type CommModel struct {
 	Latency float64
 	// Bandwidth is bytes per second (1/β).
 	Bandwidth float64
-	// SerializeIngress additionally models the receiver's link as a
-	// serial resource: concurrent senders to one rank queue behind each
-	// other for the payload-transfer portion. Off by default (the plain
-	// α–β model); turning it on penalizes all-to-all-heavy programs the
-	// way a real NIC does.
-	SerializeIngress bool
 }
 
 // Seconds returns the transfer time of an n-byte message.

@@ -1,7 +1,7 @@
 // Package trace exports the simulated-run accounting (cluster.Report) in
 // machine-readable and human-readable forms: JSON-lines event records for
-// downstream analysis, CSV for spreadsheets, and an aligned text profile
-// with per-rank and per-phase breakdowns — the observability surface a
+// downstream analysis and an aligned text profile with per-rank and
+// per-phase breakdowns — the observability surface a
 // production system would ship with.
 package trace
 
@@ -68,28 +68,6 @@ func WriteJSONL(w io.Writer, rep *cluster.Report) error {
 	for _, rec := range Records(rep) {
 		if err := enc.Encode(rec); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV emits the per-rank, per-phase breakdown as CSV.
-func WriteCSV(w io.Writer, rep *cluster.Report) error {
-	if _, err := fmt.Fprintln(w, "rank,phase,compute_s,comm_s,bytes_sent,msgs"); err != nil {
-		return err
-	}
-	for _, r := range rep.Ranks {
-		phases := make([]string, 0, len(r.Phases))
-		for name := range r.Phases {
-			phases = append(phases, name)
-		}
-		sort.Strings(phases)
-		for _, name := range phases {
-			p := r.Phases[name]
-			if _, err := fmt.Fprintf(w, "%d,%s,%g,%g,%d,%d\n",
-				r.Rank, name, p.Compute, p.Comm, p.BytesSent, p.Msgs); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

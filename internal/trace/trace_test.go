@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -121,33 +120,6 @@ func TestRecordsMatchesJSONL(t *testing.T) {
 	}
 }
 
-// TestCSVMatchesRecords: every CSV data row must correspond field-for-field
-// to a "phase" record from Records — one flattening, two formats.
-func TestCSVMatchesRecords(t *testing.T) {
-	rep := sampleReport(t)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] // drop header
-
-	var phases []Record
-	for _, r := range Records(rep) {
-		if r.Kind == "phase" {
-			phases = append(phases, r)
-		}
-	}
-	if len(lines) != len(phases) {
-		t.Fatalf("%d CSV rows for %d phase records", len(lines), len(phases))
-	}
-	for i, r := range phases {
-		want := fmt.Sprintf("%d,%s,%g,%g,%d,%d", r.Rank, r.Phase, r.Compute, r.Comm, r.BytesSent, r.Msgs)
-		if lines[i] != want {
-			t.Fatalf("row %d:\n csv    %q\n record %q", i, lines[i], want)
-		}
-	}
-}
-
 // TestProfileGolden pins the exact rendering of the wall-clock fixture:
 // any drift in alignment, column set, or number formatting is a visible
 // diff here before it is a surprise in a terminal.
@@ -164,26 +136,6 @@ func TestProfileGolden(t *testing.T) {
 		"  beta             compute 0.000000   comm 0.001000   wall 0.050000  \n"
 	if got := Profile(wallReport()); got != want {
 		t.Fatalf("profile rendering drifted:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	rep := sampleReport(t)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "rank,phase,compute_s,comm_s,bytes_sent,msgs" {
-		t.Fatalf("header=%q", lines[0])
-	}
-	if len(lines) < 7 { // header + ≥2 phases × 3 ranks
-		t.Fatalf("lines=%d", len(lines))
-	}
-	for _, line := range lines[1:] {
-		if strings.Count(line, ",") != 5 {
-			t.Fatalf("malformed row %q", line)
-		}
 	}
 }
 

@@ -493,16 +493,13 @@ type Result struct {
 }
 
 // RunTrace exposes the per-rank simulated-run accounting in
-// machine-readable (JSONL, CSV) and human-readable (Profile) forms.
+// machine-readable (JSONL) and human-readable (Profile) forms.
 type RunTrace struct {
 	rep *cluster.Report
 }
 
 // WriteJSONL emits one JSON record per rank and per (rank, phase) pair.
 func (t *RunTrace) WriteJSONL(w io.Writer) error { return trace.WriteJSONL(w, t.rep) }
-
-// WriteCSV emits the per-rank, per-phase breakdown as CSV.
-func (t *RunTrace) WriteCSV(w io.Writer) error { return trace.WriteCSV(w, t.rep) }
 
 // Ranks reports how many ranks the trace covers: the cluster size for an
 // in-process run and for rank 0 of a multi-process run, which gathers

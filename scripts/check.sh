@@ -12,37 +12,28 @@
 #                             clients, coalescing, admission, SIGTERM
 #                             drain) plus a live /metrics smoke
 #   scripts/check.sh --bench  perf-regression gate only: the mndmst-bench
-#                             sim suite twice (byte-identity required),
-#                             validated and compared against the committed
-#                             bench.baseline.json, then the full paper
-#                             suite twice (every forest verified,
-#                             byte-identity required)
-#   scripts/check.sh --parity <git-ref>
-#                             sim parity only: builds mndmst-bench at
-#                             <git-ref> (in a temporary git worktree,
-#                             removed on exit) and from the working tree,
-#                             runs the full paper suite with each, and
-#                             fails unless the two JSON outputs are
-#                             byte-identical — the check for a change
-#                             meant to keep every modeled figure; on a
-#                             difference it names each table that differs
+#                             record (every core scenario and paper table,
+#                             every forest verified) twice, byte-identity
+#                             required, validated and compared against
+#                             the committed bench.baseline.json
 #   scripts/check.sh --coverage
 #                             coverage ratchet only (scripts/coverage.sh)
 set -eu
 cd "$(dirname "$0")/.."
 
 run_bench() {
-    # Perf-regression gate: the deterministic sim suite must (a) produce
-    # byte-identical records across two runs — any nondeterminism voids
-    # the exact-diff contract — and (b) match the committed baseline
-    # exactly. A drifted metric is a perf change: bless it by
-    # regenerating bench.baseline.json in the same commit.
+    # Perf-regression gate: the deterministic record of every modeled
+    # figure must (a) be byte-identical across two runs — any
+    # nondeterminism voids the exact-diff contract — and (b) match the
+    # committed baseline exactly. A drifted metric or table cell is a
+    # change to bless by regenerating bench.baseline.json in the same
+    # commit.
     echo "== perf-regression harness (sim gate) =="
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     go build -o "$tmp/mndmst-bench" ./cmd/mndmst-bench
-    "$tmp/mndmst-bench" -quiet -out "$tmp/run1.json"
-    "$tmp/mndmst-bench" -quiet -out "$tmp/run2.json"
+    "$tmp/mndmst-bench" -quiet -verify -out "$tmp/run1.json"
+    "$tmp/mndmst-bench" -quiet -verify -out "$tmp/run2.json"
     cmp "$tmp/run1.json" "$tmp/run2.json" || {
         echo "bench gate: two sim runs are not byte-identical" >&2
         exit 1
@@ -50,61 +41,11 @@ run_bench() {
     "$tmp/mndmst-bench" -validate "$tmp/run1.json"
     "$tmp/mndmst-bench" -compare bench.baseline.json -current "$tmp/run1.json" || {
         echo "bench gate: regression vs bench.baseline.json — if intentional, regenerate the baseline:" >&2
-        echo "  go run ./cmd/mndmst-bench -out bench.baseline.json" >&2
-        exit 1
-    }
-    # The sim suite runs no GPU split after the first iteration and no
-    # leader-only merging; the paper suite (every experiment, every
-    # forest verified) runs both.
-    echo "== paper suite (every scenario, two runs, exact diff) =="
-    for run in 1 2; do
-        "$tmp/mndmst-bench" -suite paper -scale 0.05 -scenarios . -verify \
-            -format json -out "$tmp/paper$run.json"
-    done
-    cmp "$tmp/paper1.json" "$tmp/paper2.json" || {
-        echo "bench gate: two paper-suite runs are not byte-identical" >&2
+        echo "  go run ./cmd/mndmst-bench -verify -out bench.baseline.json" >&2
         exit 1
     }
     trap - EXIT
     rm -rf "$tmp"
-}
-
-run_parity() {
-    # Sim parity against a git ref: the paper suite (every scenario, every
-    # forest verified) built at the ref and from the working tree must
-    # write byte-identical JSON. Each binary runs in its own tree.
-    ref=$1
-    echo "== paper-suite parity against $ref =="
-    tmp=$(mktemp -d)
-    trap 'git worktree remove --force "$tmp/ref" 2>/dev/null; rm -rf "$tmp"' EXIT
-    git worktree add --quiet --detach "$tmp/ref" "$ref"
-    (cd "$tmp/ref" && go build -o "$tmp/bench-ref" ./cmd/mndmst-bench)
-    go build -o "$tmp/bench-new" ./cmd/mndmst-bench
-    (cd "$tmp/ref" && "$tmp/bench-ref" -suite paper -scale 0.05 -scenarios . -verify \
-        -format json -out "$tmp/ref.json")
-    "$tmp/bench-new" -suite paper -scale 0.05 -scenarios . -verify \
-        -format json -out "$tmp/new.json"
-    cmp "$tmp/ref.json" "$tmp/new.json" || {
-        echo "parity: the paper-suite JSON differs from $ref's" >&2
-        list_differing_tables "$tmp/ref.json" "$tmp/new.json" >&2
-        exit 1
-    }
-    git worktree remove --force "$tmp/ref"
-    trap - EXIT
-    rm -rf "$tmp"
-}
-
-list_differing_tables() {
-    # Names each paper-suite table whose JSON differs between the two
-    # files, or that only one of them has, by its title; jq compares
-    # them one table at a time.
-    command -v jq > /dev/null || { echo "  (install jq to list the differing tables)"; return; }
-    echo "tables that differ:"
-    jq -r '.title' "$1" "$2" | sort -u | while IFS= read -r title; do
-        a=$(jq -c --arg t "$title" 'select(.title == $t)' "$1")
-        b=$(jq -c --arg t "$title" 'select(.title == $t)' "$2")
-        [ "$a" = "$b" ] || echo "  $title"
-    done
 }
 
 run_serve() {
@@ -218,12 +159,6 @@ if [ "${1:-}" = "--bench" ]; then
     exit 0
 fi
 
-if [ "${1:-}" = "--parity" ]; then
-    run_parity "${2:?usage: scripts/check.sh --parity <git-ref>}"
-    echo "parity check passed"
-    exit 0
-fi
-
 if [ "${1:-}" = "--coverage" ]; then
     exec scripts/coverage.sh
 fi
@@ -296,8 +231,7 @@ echo "== json record smoke (CLI/server shared schema) =="
 go run ./cmd/mndmst -profile arabic-2005 -scale 0.05 -verify -json
 
 echo "== benches (smoke) =="
-MNDMST_BENCH_SCALE="${MNDMST_BENCH_SCALE:-0.1}" \
-    go test -run XXX -bench 'Paper/^Table2$|FindMSFHost|FilterKruskalHost|ExchangeComm' -benchtime 1x .
+go test -run XXX -bench 'FindMSFHost|FilterKruskalHost|ExchangeComm' -benchtime 1x .
 go test -run XXX -bench Kernel -benchtime 1x -benchmem ./internal/boruvka/
 go test -run XXX -bench . -benchtime 1x ./internal/merge/
 go test -run XXX -bench Host -benchtime 1x ./internal/bsp/ ./internal/apps/
